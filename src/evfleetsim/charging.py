@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 from . import dynamics, network
-from .engine import MS_PER_S, Engine, Event, EventHandle, EventKind, ms
+from .engine import MS_PER_S, Engine, Event, EventKind, ms
 
 LOG = logging.getLogger(__name__)
 
@@ -63,7 +63,6 @@ class ChargeSession:
 class _Occupied:
     vehicle: object
     session: ChargeSession
-    handle: EventHandle
 
 
 @dataclass
@@ -198,7 +197,7 @@ class ChargingManager:
             start_soc=vehicle.state.soc,
             target_soc=target_soc,
         )
-        handle = self.engine.schedule(
+        self.engine.schedule(
             Event(
                 EventKind.CHARGE_COMPLETE,
                 {"vehicle": vehicle.vehicle_id,
@@ -207,7 +206,7 @@ class ChargingManager:
             ),
             completion,
         )
-        station.occupancy[slot.slot_id] = _Occupied(vehicle, session, handle)
+        station.occupancy[slot.slot_id] = _Occupied(vehicle, session)
         self.sessions.append(session)
         self._engaged.add(vehicle.vehicle_id)
         assert len(station.occupancy) <= station.max_simultaneous

@@ -114,6 +114,17 @@ SWEEPABLE_PARAMS = (
 )
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (YAML ``true`` is a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -279,13 +290,13 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         )
 
     seed = merged.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         errors.append("seed: must be a non-negative integer")
         seed = 0
 
     horizon = merged.get("horizon_s")
-    if not isinstance(horizon, (int, float)) or horizon < 0:
-        errors.append("horizon_s: must be a non-negative number")
+    if not _is_real(horizon) or horizon < 0:
+        errors.append("horizon_s: must be a finite non-negative number")
         horizon = 0.0
 
     net = None
@@ -302,19 +313,26 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
 
     fleet_cfg = merged["fleet"]
     fleet_size = fleet_cfg.get("size")
-    if not isinstance(fleet_size, int) or fleet_size < 0:
+    if not _is_int(fleet_size) or fleet_size < 0:
         errors.append("fleet.size: must be a non-negative integer")
         fleet_size = 0
     initial_soc = fleet_cfg.get("initial_soc", 1.0)
-    if not (0.0 <= float(initial_soc) <= 1.0):
-        errors.append("fleet.initial_soc: must be in [0, 1]")
+    if not _is_real(initial_soc) or not 0.0 <= initial_soc <= 1.0:
+        errors.append("fleet.initial_soc: must be a number in [0, 1]")
         initial_soc = 1.0
     vehicle_params = _build_vehicle_params(fleet_cfg.get("vehicle") or {}, errors)
 
     station_specs: list[StationSpec] = []
     seen_station_ids: set[str] = set()
-    for i, scfg in enumerate(merged.get("stations") or []):
+    stations_cfg = merged.get("stations") or []
+    if not isinstance(stations_cfg, list):
+        errors.append("stations: must be a list")
+        stations_cfg = []
+    for i, scfg in enumerate(stations_cfg):
         path = f"stations[{i}]"
+        if not isinstance(scfg, dict):
+            errors.append(f"{path}: must be a mapping")
+            continue
         sid = scfg.get("station_id")
         if not sid:
             errors.append(f"{path}.station_id: required")
@@ -331,7 +349,14 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
             errors.append(f"{path}.edge_id: unknown edge {edge_id!r}")
             continue
         powers: list[float] = []
-        for j, slot in enumerate(scfg.get("slots") or []):
+        slots_cfg = scfg.get("slots") or []
+        if not isinstance(slots_cfg, list):
+            errors.append(f"{path}.slots: must be a list")
+            continue
+        for j, slot in enumerate(slots_cfg):
+            if not isinstance(slot, dict):
+                errors.append(f"{path}.slots[{j}]: must be a mapping")
+                continue
             if "plug" in slot:
                 plug = charging.PLUG_PRESETS.get(slot["plug"])
                 if plug is None:
@@ -342,18 +367,20 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
                     continue
                 powers.append(plug.power_w)
             elif "power_w" in slot:
-                power = float(slot["power_w"])
-                if power <= 0:
-                    errors.append(f"{path}.slots[{j}].power_w: must be positive")
+                power = slot["power_w"]
+                if not _is_real(power) or power <= 0:
+                    errors.append(
+                        f"{path}.slots[{j}].power_w: must be a positive number"
+                    )
                     continue
-                powers.append(power)
+                powers.append(float(power))
             else:
                 errors.append(f"{path}.slots[{j}]: needs 'plug' or 'power_w'")
         if not powers:
             errors.append(f"{path}.slots: at least one valid slot required")
             continue
-        max_sim = int(scfg.get("max_simultaneous", len(powers)))
-        if not (1 <= max_sim <= len(powers)):
+        max_sim = scfg.get("max_simultaneous", len(powers))
+        if not _is_int(max_sim) or not 1 <= max_sim <= len(powers):
             errors.append(
                 f"{path}.max_simultaneous: must be in [1, {len(powers)}]"
             )
@@ -364,7 +391,7 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
     schedule_size = merged["demand"].get("schedule_size")
     if schedule_size is None:
         schedule_size = fleet_size
-    elif not isinstance(schedule_size, int) or schedule_size < 0:
+    elif not _is_int(schedule_size) or schedule_size < 0:
         errors.append("demand.schedule_size: must be a non-negative integer or null")
         schedule_size = fleet_size
     merged["demand"]["schedule_size"] = schedule_size
@@ -399,10 +426,10 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
     ncfg = merged["numerics"]
     numerics_ok = True
     for key in ("dynamics_dt_s", "metrics_interval_s", "utilization_bin_s"):
-        if not isinstance(ncfg.get(key), (int, float)) or ncfg[key] <= 0:
-            errors.append(f"numerics.{key}: must be a positive number")
+        if not _is_real(ncfg.get(key)) or ncfg[key] <= 0:
+            errors.append(f"numerics.{key}: must be a finite positive number")
             numerics_ok = False
-    if not isinstance(ncfg.get("tick_buffer_rows"), int) or ncfg["tick_buffer_rows"] < 1:
+    if not _is_int(ncfg.get("tick_buffer_rows")) or ncfg["tick_buffer_rows"] < 1:
         errors.append("numerics.tick_buffer_rows: must be a positive integer")
         numerics_ok = False
 

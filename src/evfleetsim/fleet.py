@@ -5,10 +5,23 @@ distance and uniform bearing from the depot, snapped to the nearest road edge,
 and routed out and back. Dispatch assigns each job to the idle vehicle with the
 highest SOC that can cover the round trip plus a reserve; jobs with no feasible
 vehicle wait for the next vehicle to become available.
+
+All vehicles of a fleet share one :class:`~evfleetsim.dynamics.VehicleParams`
+(the controller rejects a mixed fleet), so the round-trip energy estimate
+depends only on the trip and the hour and is computed once per dispatch
+attempt. The dispatch budget is monotone in SOC, so the idle vehicle with the
+highest SOC (ties to the smallest id) is feasible exactly when any idle vehicle
+is, and it is the only one checked. The controller finds it in a heap of
+``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes idle; entries
+of vehicles that are no longer idle, or whose SOC has changed since, are
+skipped and dropped when they reach the top. A vehicle's SOC must therefore not
+change while it is idle: only driving and completing a charge move it, and
+neither happens in the idle state.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass, field
@@ -302,10 +315,18 @@ class FleetController:
         dynamics_dt_s: float,
         transition_hook=None,
     ):
+        if any(v.params != vehicles[0].params for v in vehicles[1:]):
+            raise FleetError("all vehicles of a fleet must share one VehicleParams")
         self.engine = engine
         self.net = net
         self.manager = manager
         self.vehicles = {v.vehicle_id: v for v in vehicles}
+        self.params = vehicles[0].params if vehicles else None
+        # (-soc, vehicle_id) per entry into IDLE; stale entries are dropped
+        # lazily by _try_dispatch
+        self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
+                           if v.lifecycle is Lifecycle.IDLE]
+        heapq.heapify(self._idle_heap)
         self.depot_edge = depot_edge
         self.env = env
         self.policies = policies
@@ -347,6 +368,9 @@ class FleetController:
     def _transition(self, vehicle: Vehicle, new: Lifecycle) -> None:
         old = vehicle.lifecycle
         vehicle.lifecycle = new
+        if new is Lifecycle.IDLE:
+            heapq.heappush(self._idle_heap,
+                           (-vehicle.state.soc, vehicle.vehicle_id))
         if self.transition_hook is not None:
             self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, old, new)
 
@@ -363,12 +387,11 @@ class FleetController:
             return None
         return vehicle
 
-    def _round_trip_estimate_wh(self, trip: Trip, hour: int,
-                                params: dynamics.VehicleParams) -> float:
-        out = dynamics.estimate_route_energy(self.net, trip.outbound, params,
-                                             self.env, hour)
-        back = dynamics.estimate_route_energy(self.net, trip.return_route, params,
-                                              self.env, hour)
+    def _round_trip_estimate_wh(self, trip: Trip, hour: int) -> float:
+        out = dynamics.estimate_route_energy(self.net, trip.outbound,
+                                             self.params, self.env, hour)
+        back = dynamics.estimate_route_energy(self.net, trip.return_route,
+                                              self.params, self.env, hour)
         return out + back
 
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
@@ -435,21 +458,21 @@ class FleetController:
         self.delayed = still_waiting
 
     def _try_dispatch(self, trip: Trip) -> bool:
-        now = self.engine.now_ms
-        hour = hour_of(now)
-        reserve = self.policies.dispatch_reserve_soc
-        best: Vehicle | None = None
-        for vid in sorted(self.vehicles):
-            v = self.vehicles[vid]
-            if v.lifecycle is not Lifecycle.IDLE:
-                continue
-            budget = (v.state.soc - reserve) * v.params.battery_capacity_wh
-            if budget < self._round_trip_estimate_wh(trip, hour, v.params):
-                continue
-            if best is None or v.state.soc > best.state.soc:
-                best = v
-        if best is None:
+        heap = self._idle_heap
+        while heap:
+            neg_soc, vid = heap[0]
+            best = self.vehicles[vid]
+            if best.lifecycle is Lifecycle.IDLE and best.state.soc == -neg_soc:
+                break
+            heapq.heappop(heap)  # stale: dispatched, busy, or SOC changed since
+        else:
             return False
+        now = self.engine.now_ms
+        budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
+                  * self.params.battery_capacity_wh)
+        if budget < self._round_trip_estimate_wh(trip, hour_of(now)):
+            return False
+        heapq.heappop(heap)
         trip.vehicle_id = best.vehicle_id
         trip.dispatch_ms = now
         trip.status = "active"

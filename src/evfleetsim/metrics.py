@@ -52,6 +52,32 @@ class MetricsError(ValueError):
     pass
 
 
+def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
+    """Items grouped by ``vehicle_id(item)`` in one pass; each group keeps
+    the original order, so sums over a group match a filtered scan bit for
+    bit."""
+    groups: dict[str, list] = {}
+    for item in items:
+        groups.setdefault(vehicle_id(item), []).append(item)
+    return groups
+
+
+def _state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float]]:
+    """(state, start_s, end_s) tiles covering [0, horizon] from one vehicle's
+    transitions in time order."""
+    periods: list[tuple[str, float, float]] = []
+    current: Lifecycle | None = None
+    start = 0
+    for t_ms, _, _, new in transitions:
+        if current is not None and t_ms > start:
+            periods.append((current.value, start / MS_PER_S, t_ms / MS_PER_S))
+        current = new
+        start = t_ms
+    if current is not None and horizon_ms > start:
+        periods.append((current.value, start / MS_PER_S, horizon_ms / MS_PER_S))
+    return periods
+
+
 @dataclass(frozen=True)
 class TickRecord:
     t_ms: int
@@ -94,7 +120,9 @@ class UtilizationSeries:
 
     @property
     def min_idle(self) -> int:
-        """Guaranteed overdimension margin: fewest idle vehicles in any bin."""
+        """Overdimension margin: the fewest idle vehicles over the bin-start
+        samples. Dips shorter than a bin that fall between two samples are
+        not seen, so this can overstate the exact minimum."""
         idle = self.counts["idle"]
         return min(idle) if idle else 0
 
@@ -229,11 +257,14 @@ class MetricsCollector:
         overdimension margin."""
         if bin_s <= 0:
             raise MetricsError("bin width must be positive")
-        vehicle_ids = sorted({t[1] for t in self.transitions})
         state: dict[str, str] = {}
         counts: dict[str, list[int]] = {
             g: [] for g in ("idle", "busy", "charging", "queued", "stranded")
         }
+        # running per-group counts; a vehicle counts as idle until its
+        # first transition
+        current = {g: 0 for g in counts}
+        current["idle"] = len({t[1] for t in self.transitions})
         starts: list[float] = []
         events = self.transitions  # already in dispatch (time) order
         pointer = 0
@@ -242,53 +273,40 @@ class MetricsCollector:
         while t < horizon_ms or t == 0:
             while pointer < len(events) and events[pointer][0] <= t:
                 _, vid, _, new = events[pointer]
+                current[state.get(vid, "idle")] -= 1
                 state[vid] = _STATE_GROUP[new]
+                current[state[vid]] += 1
                 pointer += 1
-            snapshot = {g: 0 for g in counts}
-            for vid in vehicle_ids:
-                snapshot[state.get(vid, "idle")] += 1
             starts.append(t / MS_PER_S)
             for g in counts:
-                counts[g].append(snapshot[g])
+                counts[g].append(current[g])
             t += bin_ms
             if bin_ms == 0:
                 break
         return UtilizationSeries(bin_s=bin_s, bin_starts_s=starts, counts=counts)
 
+    def _transitions_by_vehicle(self) -> dict[str, list]:
+        return _group_by_vehicle(self.transitions, lambda t: t[1])
+
+    def _sessions_by_vehicle(self) -> dict[str, list]:
+        return _group_by_vehicle(self.sessions, lambda s: s.vehicle_id)
+
     def state_periods(self, vehicle_id: str, horizon_ms: int) -> list[tuple[str, float, float]]:
         """(state, start_s, end_s) tiles covering [0, horizon] for one vehicle."""
-        txs = [t for t in self.transitions if t[1] == vehicle_id]
-        periods: list[tuple[str, float, float]] = []
-        current: Lifecycle | None = None
-        start = 0
-        for t_ms, _, _, new in txs:
-            if current is not None and t_ms > start:
-                periods.append((current.value, start / MS_PER_S, t_ms / MS_PER_S))
-            current = new
-            start = t_ms
-        if current is not None and horizon_ms > start:
-            periods.append((current.value, start / MS_PER_S, horizon_ms / MS_PER_S))
-        return periods
-
-    def _state_seconds(self, vehicle_id: str, horizon_ms: int) -> dict[str, float]:
-        totals = {s.value: 0.0 for s in Lifecycle}
-        for state, start, end in self.state_periods(vehicle_id, horizon_ms):
-            totals[state] += end - start
-        return totals
+        return _state_periods(
+            self._transitions_by_vehicle().get(vehicle_id, []), horizon_ms)
 
     def power_flow_summary(self, vehicle_id: str) -> PowerFlowSummary:
         final = self.finals.get(vehicle_id)
         if final is None:
             raise MetricsError(f"unknown vehicle {vehicle_id}")
-        grid = sum(
-            s.energy_wh for s in self.sessions if s.vehicle_id == vehicle_id
-        )
+        sessions = self._sessions_by_vehicle().get(vehicle_id, [])
+        grid = sum(s.energy_wh for s in sessions)
         horizon_ms = self.run_info.get("horizon_ms", 0)
         charging_periods = [
             Period(s.grant_ms / MS_PER_S, s.complete_ms / MS_PER_S,
                    f"{s.station_id}/{s.slot_id}")
-            for s in self.sessions
-            if s.vehicle_id == vehicle_id and s.complete_ms > s.grant_ms
+            for s in sessions if s.complete_ms > s.grant_ms
         ]
         idle_periods = [
             Period(start, end, "depot")
@@ -313,8 +331,9 @@ class MetricsCollector:
         lhs = 0.0
         rhs = 0.0
         scale = 0.0
+        sessions = self._sessions_by_vehicle()
         for vid, final in self.finals.items():
-            grid = sum(s.energy_wh for s in self.sessions if s.vehicle_id == vid)
+            grid = sum(s.energy_wh for s in sessions.get(vid, []))
             lhs += grid + final.range_extended_wh + final.recuperated_wh - final.consumed_wh
             rhs += final.capacity_wh * (final.soc_end - final.soc_start)
             scale += final.consumed_wh + grid + final.range_extended_wh + final.recuperated_wh
@@ -375,18 +394,23 @@ class MetricsCollector:
                 ])
         files["sessions.csv"] = len(self.sessions)
 
+        transitions = self._transitions_by_vehicle()
+        sessions = self._sessions_by_vehicle()
         with open(out / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_HEADER)
             for vid in sorted(self.finals):
                 final = self.finals[vid]
-                summary = self.power_flow_summary(vid)
-                seconds = self._state_seconds(vid, horizon_ms)
+                grid = sum(s.energy_wh for s in sessions.get(vid, []))
+                seconds = {s.value: 0.0 for s in Lifecycle}
+                for state, start, end in _state_periods(
+                        transitions.get(vid, []), horizon_ms):
+                    seconds[state] += end - start
                 writer.writerow([
                     vid,
                     f"{final.consumed_wh:.6f}", f"{final.recuperated_wh:.6f}",
                     f"{final.range_extended_wh:.6f}",
-                    f"{summary.grid_charged_wh:.6f}",
+                    f"{grid:.6f}",
                     f"{final.fuel_liters:.6f}", f"{final.distance_m:.3f}",
                     final.n_trips,
                     f"{seconds[Lifecycle.IDLE.value]:.3f}",

@@ -49,7 +49,12 @@ def airline_distance(a: Coord, b: Coord) -> float:
 
 @dataclass
 class Route:
-    """An ordered list of edge ids; consecutive edges share a node."""
+    """An ordered list of edge ids; consecutive edges share a node.
+
+    :func:`shortest_path` memoises its routes on the network and hands the
+    same object to every caller that asks for the same route, so a route
+    must not be mutated.
+    """
 
     edges: list[str]
     total_length_m: float
@@ -61,7 +66,12 @@ class Route:
 
 
 class RoadNetwork:
-    """Immutable after construction; safe to share read-only."""
+    """Immutable after construction; safe to share read-only.
+
+    The only state that grows is the memo of :func:`shortest_path` results,
+    keyed by ``(from_edge, to_edge, weight, hour)``. It is valid because the
+    graph and its speed factors never change.
+    """
 
     def __init__(
         self,
@@ -83,6 +93,7 @@ class RoadNetwork:
         for eid in sorted(edges):
             self.adjacency[edges[eid].from_node].append(eid)
         self._geom: tuple | None = None
+        self._routes: dict[tuple[str, str, str, int], Route] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -297,7 +308,19 @@ def shortest_path(
 ) -> Route:
     """Minimal-weight route from the end of ``from_edge`` to the start of
     ``to_edge``, inclusive of both edges (Dijkstra; weights are nonnegative).
+
+    Routes are memoised on ``net``: a repeated query returns the same
+    :class:`Route` object. Failed queries are not memoised.
     """
+    key = (from_edge, to_edge, weight, hour)
+    route = net._routes.get(key)
+    if route is None:
+        route = net._routes[key] = _dijkstra(net, from_edge, to_edge, weight, hour)
+    return route
+
+
+def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str,
+              hour: int) -> Route:
     for eid in (from_edge, to_edge):
         if eid not in net.edges:
             raise NetworkError(f"unknown edge {eid}")

@@ -116,6 +116,26 @@ def test_effective_config_round_trips(tmp_path):
     assert second.effective == first.effective
 
 
+@pytest.mark.parametrize("overrides", [
+    {"fleet": {"initial_soc": "abc"}},
+    {"stations": [{"station_id": "st0", "edge_id": "e00000",
+                   "max_simultaneous": 1, "slots": [{"power_w": "x"}]}]},
+    {"stations": ["foo"]},
+    {"fleet": {"size": True}},
+    {"numerics": {"dynamics_dt_s": float("nan")}},
+    {"horizon_s": float("inf")},
+], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
+        "fleet_size_bool", "dt_nan", "horizon_inf"])
+def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
+    path = write_scenario(tmp_path, **overrides)
+    assert not validate_config(path).ok
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_network_from_csv_files(tmp_path):
     (tmp_path / "nodes.csv").write_text(
         "node_id,x_m,y_m\na,0,0\nb,200,0\n")

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_params
+
+from evfleetsim import dynamics
 
 from evfleetsim.charging import ChargingManager, ChargingStation, Slot
 from evfleetsim.dynamics import Environment, VehicleState
@@ -150,6 +154,8 @@ def test_day_schedule_requires_positive_fleet():
 
 def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
               policies=None):
+    """``soc`` is one value for every vehicle or a list with one per vehicle;
+    SOCs are set before the controller indexes the idle vehicles."""
     net = generate_grid(3, 3, 100.0, 10.0)
     depot = sorted(net.edges)[0]
     engine = Engine()
@@ -158,8 +164,9 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
         stations = [ChargingStation("st", depot, [Slot("s0", 3600.0)], 1)]
     mgr = ChargingManager(engine, stations)
     params = params or make_params()
+    socs = soc if isinstance(soc, list) else [soc] * n_vehicles
     vehicles = [
-        Vehicle(f"v{i}", params, VehicleState(soc=soc, edge_id=depot))
+        Vehicle(f"v{i}", params, VehicleState(soc=socs[i], edge_id=depot))
         for i in range(n_vehicles)
     ]
     transitions = []
@@ -216,10 +223,9 @@ def test_vehicle_goes_idle_without_charging_when_soc_high():
 
 def test_dispatch_prefers_highest_soc_vehicle():
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
-        n_vehicles=2, policies=FleetPolicies(depot_charge_threshold=0.0)
+        n_vehicles=2, soc=[0.6, 0.9],
+        policies=FleetPolicies(depot_charge_threshold=0.0),
     )
-    vehicles[0].state.soc = 0.6
-    vehicles[1].state.soc = 0.9
     trip = make_trip(net, depot, sorted(net.edges)[8])
     ctrl.schedule_trips([trip])
     engine.run_until(ms(3600))
@@ -228,13 +234,13 @@ def test_dispatch_prefers_highest_soc_vehicle():
 
 def test_dispatch_skips_vehicles_below_reserve():
     small = make_params(battery_capacity_wh=2000.0)
+    # v0 budget: 0.01 * 2000 Wh = 20 Wh, not enough;
+    # v1 budget: 0.45 * 2000 Wh = 900 Wh, plenty for the round trip
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
-        n_vehicles=2, params=small,
+        n_vehicles=2, soc=[0.51, 0.95], params=small,
         policies=FleetPolicies(depot_charge_threshold=0.0,
                                dispatch_reserve_soc=0.5),
     )
-    vehicles[0].state.soc = 0.51  # budget: 0.01 * 2000 Wh = 20 Wh, not enough
-    vehicles[1].state.soc = 0.95  # budget: 900 Wh, plenty for the round trip
     trip = make_trip(net, depot, sorted(net.edges)[10])
     ctrl.schedule_trips([trip])
     engine.run_until(ms(3600))
@@ -337,3 +343,91 @@ def test_queue_then_slot_granted_fifo_at_depot():
     enqueue_order = [s.enqueue_ms for s in mgr.sessions]
     assert enqueue_order == sorted(enqueue_order)
     assert all(v.lifecycle is Lifecycle.IDLE for v in vehicles)
+
+
+# --- dispatch index -------------------------------------------------------------
+
+def reference_dispatch(vehicles, trip, reserve, net, hour=0):
+    """The full scan dispatch is checked against: every idle vehicle in id
+    order with its own round-trip estimate; the feasible vehicle with the
+    highest SOC wins, ties to the first."""
+    best = None
+    for v in sorted(vehicles, key=lambda v: v.vehicle_id):
+        if v.lifecycle is not Lifecycle.IDLE:
+            continue
+        budget = (v.state.soc - reserve) * v.params.battery_capacity_wh
+        need = (
+            dynamics.estimate_route_energy(net, trip.outbound, v.params, ENV, hour)
+            + dynamics.estimate_route_energy(net, trip.return_route, v.params,
+                                             ENV, hour)
+        )
+        if budget < need:
+            continue
+        if best is None or v.state.soc > best.state.soc:
+            best = v
+    return best
+
+
+# a vehicle's SOC: near the dispatch edge of the first trip (budget equal to
+# the round-trip estimate, give or take one ulp), a tie-prone fixed value, or
+# anything in [0, 1]
+SOC_SPEC = st.one_of(
+    st.tuples(st.just("edge"), st.integers(-1, 1)),
+    st.tuples(st.just("value"), st.sampled_from([0.0, 0.1, 0.5, 0.5, 1.0])),
+    st.tuples(st.just("value"), st.floats(0.0, 1.0)),
+)
+# idle: never left the constructor's idle state (SOC 1.0); cycled: left idle,
+# SOC changed, idle again (its first index entry is stale); busy: not idle
+VEHICLE_SPEC = st.tuples(st.sampled_from(["idle", "cycled", "busy"]), SOC_SPEC)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    specs=st.lists(VEHICLE_SPEC, min_size=1, max_size=12),
+    reserve=st.sampled_from([0.0, 0.1, 0.5]),
+    capacity=st.sampled_from([30.0, 200.0, 2000.0]),
+    destinations=st.lists(st.integers(0, 23), min_size=1, max_size=4),
+)
+def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
+    params = make_params(battery_capacity_wh=capacity)
+    engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
+        n_vehicles=len(specs), soc=1.0, params=params,
+        policies=FleetPolicies(dispatch_reserve_soc=reserve),
+    )
+    edges = sorted(net.edges)
+    trips = [make_trip(net, depot, edges[d], tid=f"t{i}")
+             for i, d in enumerate(destinations)]
+    need = (dynamics.estimate_route_energy(net, trips[0].outbound, params, ENV, 0)
+            + dynamics.estimate_route_energy(net, trips[0].return_route, params,
+                                             ENV, 0))
+    for v, (kind, (how, x)) in zip(vehicles, specs):
+        if kind == "idle":
+            continue
+        ctrl._transition(v, Lifecycle.CHARGING)
+        if how == "edge":
+            v.state.soc = reserve + need / capacity
+            if x:
+                v.state.soc = math.nextafter(v.state.soc, x * math.inf)
+        else:
+            v.state.soc = x
+        if kind == "cycled":
+            ctrl._transition(v, Lifecycle.IDLE)
+
+    for trip in trips:
+        expected = reference_dispatch(vehicles, trip, reserve, net)
+        assert ctrl._try_dispatch(trip) is (expected is not None)
+        assert trip.vehicle_id == (expected.vehicle_id if expected else None)
+
+
+def test_mixed_vehicle_params_rejected():
+    net = generate_grid(3, 3, 100.0, 10.0)
+    depot = sorted(net.edges)[0]
+    engine = Engine()
+    vehicles = [
+        Vehicle("v0", make_params(), VehicleState(soc=1.0, edge_id=depot)),
+        Vehicle("v1", make_params(battery_capacity_wh=2000.0),
+                VehicleState(soc=1.0, edge_id=depot)),
+    ]
+    with pytest.raises(FleetError, match="share one VehicleParams"):
+        FleetController(engine, net, ChargingManager(engine, []), vehicles,
+                        depot, ENV, FleetPolicies(), 1.0)
