@@ -14,7 +14,7 @@ from .charging import (IEC_TYPE2, SCHUKO, ChargingManager, ChargingStation,
                        PlugType, Slot, charge_duration)
 from .fleet import (DemandProfile, FleetController, FleetPolicies, Lifecycle,
                     Trip, Vehicle, generate_day_schedule, sample_trip)
-from .metrics import MetricsCollector, TickRecord, UtilizationSeries
+from .metrics import MetricsCollector, UtilizationSeries
 from .config import (ScenarioConfig, ValidationReport, default_scenario_path,
                      load_config, validate_config)
 from .simulation import RunResult, run_scenario, run_scenario_path, sweep

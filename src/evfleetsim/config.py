@@ -215,7 +215,10 @@ def _build_network(net_cfg: dict, base_dir: Path) -> network.RoadNetwork:
     )
 
 
-def _build_vehicle_params(vcfg: dict, errors: list[str]) -> VehicleParams | None:
+def _build_vehicle_params(vcfg, errors: list[str]) -> VehicleParams | None:
+    if not isinstance(vcfg, dict) or not isinstance(vcfg.get("overrides") or {}, dict):
+        errors.append("fleet.vehicle: must be a mapping, its overrides too")
+        return None
     preset_name = vcfg.get("preset", "compact_ev")
     preset = VEHICLE_PRESETS.get(preset_name)
     if preset is None:
@@ -282,6 +285,13 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
     if not isinstance(raw, dict):
         return ValidationReport(False, ["config root must be a mapping"])
     merged = _deep_merge(DEFAULTS, raw)
+    sections = [key for key in ("network", "fleet", "demand", "policies",
+                                "numerics", "environment")
+                if not isinstance(merged.get(key), dict)]
+    if sections:
+        return ValidationReport(
+            False, [f"{key}: must be a mapping" for key in sections],
+            effective=merged)
 
     if merged.get("schema_version") != SCHEMA_VERSION:
         errors.append(
@@ -306,8 +316,8 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         errors.append(f"network: {exc}")
 
     depot = merged.get("depot_edge")
-    if not depot:
-        errors.append("depot_edge: required")
+    if not depot or not isinstance(depot, str):
+        errors.append("depot_edge: required, an edge id")
     elif net is not None and depot not in net.edges:
         errors.append(f"depot_edge: unknown edge {depot!r}")
 
@@ -334,16 +344,16 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
             errors.append(f"{path}: must be a mapping")
             continue
         sid = scfg.get("station_id")
-        if not sid:
-            errors.append(f"{path}.station_id: required")
+        if not sid or not isinstance(sid, str):
+            errors.append(f"{path}.station_id: required, a string")
             continue
         if sid in seen_station_ids:
             errors.append(f"{path}.station_id: duplicate {sid!r}")
             continue
         seen_station_ids.add(sid)
         edge_id = scfg.get("edge_id")
-        if not edge_id:
-            errors.append(f"{path}.edge_id: required")
+        if not edge_id or not isinstance(edge_id, str):
+            errors.append(f"{path}.edge_id: required, an edge id")
             continue
         if net is not None and edge_id not in net.edges:
             errors.append(f"{path}.edge_id: unknown edge {edge_id!r}")
@@ -358,7 +368,8 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
                 errors.append(f"{path}.slots[{j}]: must be a mapping")
                 continue
             if "plug" in slot:
-                plug = charging.PLUG_PRESETS.get(slot["plug"])
+                plug = (charging.PLUG_PRESETS.get(slot["plug"])
+                        if isinstance(slot["plug"], str) else None)
                 if plug is None:
                     errors.append(
                         f"{path}.slots[{j}].plug: unknown plug {slot['plug']!r} "
@@ -433,14 +444,10 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         errors.append("numerics.tick_buffer_rows: must be a positive integer")
         numerics_ok = False
 
-    env = None
-    try:
-        env = Environment(
-            gravity=float(merged["environment"]["gravity_mps2"]),
-            air_density=float(merged["environment"]["air_density_kgpm3"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"environment: {exc}")
+    ecfg = merged["environment"]
+    for key in ("gravity_mps2", "air_density_kgpm3"):
+        if not _is_real(ecfg.get(key)) or ecfg[key] <= 0:
+            errors.append(f"environment.{key}: must be a finite positive number")
 
     if errors:
         return ValidationReport(False, errors, effective=merged)
@@ -464,7 +471,8 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         metrics_interval_s=float(ncfg["metrics_interval_s"]) if numerics_ok else 10.0,
         utilization_bin_s=float(ncfg["utilization_bin_s"]) if numerics_ok else 300.0,
         tick_buffer_rows=int(ncfg["tick_buffer_rows"]) if numerics_ok else 100000,
-        environment=env,
+        environment=Environment(gravity=float(ecfg["gravity_mps2"]),
+                                air_density=float(ecfg["air_density_kgpm3"])),
         _network=net,
     )
     return ValidationReport(True, [], effective=merged, config=config)

@@ -117,8 +117,10 @@ class DemandProfile:
     def __post_init__(self):
         if len(self.departure_weights) != 24:
             raise FleetError("departure_weights needs exactly 24 values")
-        if any(w < 0 for w in self.departure_weights) or sum(self.departure_weights) <= 0:
-            raise FleetError("departure weights must be non-negative with positive sum")
+        if (not all(math.isfinite(w) and w >= 0 for w in self.departure_weights)
+                or sum(self.departure_weights) <= 0):
+            raise FleetError(
+                "departure weights must be finite and non-negative with positive sum")
         if not self.distance_bins:
             raise FleetError("distance_bins must not be empty")
         if self.distance_lower_m < 0:
@@ -129,6 +131,8 @@ class DemandProfile:
         )
         last = self.distance_lower_m
         for upper, w in self.distance_bins:
+            if not (math.isfinite(upper) and math.isfinite(w)):
+                raise FleetError("distance bin edges and weights must be finite")
             if not degenerate and upper <= last:
                 raise FleetError("distance bin edges must be strictly increasing")
             if w < 0:

@@ -21,6 +21,10 @@ TICK_HEADER = [
     "t_s", "vehicle_id", "state", "v_mps", "a_mps2", "soc",
     "p_traction_w", "p_battery_w", "p_recup_w", "p_re_w",
 ]
+_TICK_VALUES = TICK_HEADER[3:]
+# (v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w, p_re_w) of a vehicle
+# with no drive trace and no charging session
+_AT_REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 TRIP_HEADER = [
     "trip_id", "vehicle_id", "depart_t", "airline_m", "driven_out_m",
     "driven_return_m", "dwell_s", "delay_s", "status",
@@ -52,6 +56,20 @@ class MetricsError(ValueError):
     pass
 
 
+def _row_tail(vehicle_id: str, lifecycle: Lifecycle, soc: float,
+              motion) -> str:
+    """One ``ticks.csv`` row without its time field, with the ``\\r\\n``
+    terminator of :func:`csv.writer`."""
+    v, a, p_traction, p_battery, p_recup, p_re = motion
+    for name, value in zip(_TICK_VALUES,
+                           (v, a, soc, p_traction, p_battery, p_recup, p_re)):
+        if not math.isfinite(value):
+            raise MetricsError(
+                f"non-finite {name}={value} in tick for {vehicle_id}")
+    return (f"{vehicle_id},{lifecycle.value},{v:.4f},{a:.4f},{soc:.9f},"
+            f"{p_traction:.3f},{p_battery:.3f},{p_recup:.3f},{p_re:.3f}\r\n")
+
+
 def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
     """Items grouped by ``vehicle_id(item)`` in one pass; each group keeps
     the original order, so sums over a group match a filtered scan bit for
@@ -76,20 +94,6 @@ def _state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float
     if current is not None and horizon_ms > start:
         periods.append((current.value, start / MS_PER_S, horizon_ms / MS_PER_S))
     return periods
-
-
-@dataclass(frozen=True)
-class TickRecord:
-    t_ms: int
-    vehicle_id: str
-    state: str
-    v_mps: float
-    a_mps2: float
-    soc: float
-    p_traction_w: float
-    p_battery_w: float
-    p_recup_w: float
-    p_re_w: float
 
 
 @dataclass
@@ -141,17 +145,21 @@ class _VehicleFinal:
 
 
 class MetricsCollector:
-    """Accumulates run data; tick rows stream to disk once the in-memory
-    buffer exceeds ``tick_buffer_rows`` (metrics are the product, so any I/O
+    """Accumulates run data; tick rows stream to disk once the rows buffered
+    in memory reach ``tick_buffer_rows`` (metrics are the product, so any I/O
     failure is allowed to propagate and abort the run)."""
 
     def __init__(self, out_dir: str | Path | None = None,
                  tick_buffer_rows: int = 100_000):
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.tick_buffer_rows = tick_buffer_rows
-        self._tick_buffer: list[TickRecord] = []
+        # one string of formatted ticks.csv rows per recorded tick
+        self._tick_chunks: list[str] = []
+        self._pending_rows = 0
         self._ticks_flushed = 0
         self._ticks_path: Path | None = None
+        # vehicle_id -> (lifecycle, soc, row tail) of its last row at rest
+        self._rest_rows: dict[str, tuple[Lifecycle, float, str]] = {}
         self.transitions: list[tuple[int, str, Lifecycle | None, Lifecycle]] = []
         self.trips: list[Trip] = []
         self.sessions: list = []
@@ -160,16 +168,36 @@ class MetricsCollector:
 
     # -- recording ------------------------------------------------------------
 
-    def record_tick(self, record: TickRecord) -> None:
-        for name in ("v_mps", "a_mps2", "soc", "p_traction_w", "p_battery_w",
-                     "p_recup_w", "p_re_w"):
-            value = getattr(record, name)
-            if not math.isfinite(value):
-                raise MetricsError(
-                    f"non-finite {name}={value} in tick for {record.vehicle_id}"
-                )
-        self._tick_buffer.append(record)
-        if self.out_dir is not None and len(self._tick_buffer) >= self.tick_buffer_rows:
+    def record_ticks(self, t_ms: int, samples) -> None:
+        """Record one ``ticks.csv`` row per sample, in the given order.
+
+        Each sample is ``(vehicle_id, lifecycle, soc, motion)``. ``motion``
+        is ``None`` for a vehicle at rest (no drive trace, no charging
+        session), else ``(v_mps, a_mps2, p_traction_w, p_battery_w,
+        p_recup_w, p_re_w)``. Every value must be finite. Vehicle ids and
+        lifecycle values are written as they are, so they must not need CSV
+        quoting.
+        """
+        tails = []
+        rest_rows = self._rest_rows
+        for vehicle_id, lifecycle, soc, motion in samples:
+            if motion is not None:
+                tails.append(_row_tail(vehicle_id, lifecycle, soc, motion))
+                continue
+            # keyed on the identity of the soc object: the same object
+            # formats to the same bytes, and a cached soc was checked finite
+            cached = rest_rows.get(vehicle_id)
+            if cached is None or cached[0] is not lifecycle or cached[1] is not soc:
+                cached = rest_rows[vehicle_id] = (
+                    lifecycle, soc,
+                    _row_tail(vehicle_id, lifecycle, soc, _AT_REST))
+            tails.append(cached[2])
+        if not tails:
+            return
+        head = f"{t_ms / MS_PER_S:.3f},"
+        self._tick_chunks.append(head + head.join(tails))
+        self._pending_rows += len(tails)
+        if self.out_dir is not None and self._pending_rows >= self.tick_buffer_rows:
             self._flush_ticks()
 
     def record_transition(self, t_ms: int, vehicle_id: str,
@@ -202,32 +230,23 @@ class MetricsCollector:
 
     # -- tick streaming ---------------------------------------------------------
 
-    def _tick_row(self, r: TickRecord) -> list[str]:
-        return [
-            f"{r.t_ms / MS_PER_S:.3f}", r.vehicle_id, r.state,
-            f"{r.v_mps:.4f}", f"{r.a_mps2:.4f}", f"{r.soc:.9f}",
-            f"{r.p_traction_w:.3f}", f"{r.p_battery_w:.3f}",
-            f"{r.p_recup_w:.3f}", f"{r.p_re_w:.3f}",
-        ]
-
     def _flush_ticks(self) -> None:
         if self.out_dir is None:
             return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         if self._ticks_path is None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
             self._ticks_path = self.out_dir / "ticks.csv"
             with open(self._ticks_path, "w", newline="") as fh:
-                csv.writer(fh).writerow(TICK_HEADER)
+                fh.write(",".join(TICK_HEADER) + "\r\n")
         with open(self._ticks_path, "a", newline="") as fh:
-            writer = csv.writer(fh)
-            for record in self._tick_buffer:
-                writer.writerow(self._tick_row(record))
-        self._ticks_flushed += len(self._tick_buffer)
-        self._tick_buffer.clear()
+            fh.writelines(self._tick_chunks)
+        self._ticks_flushed += self._pending_rows
+        self._pending_rows = 0
+        self._tick_chunks.clear()
 
     @property
     def tick_count(self) -> int:
-        return self._ticks_flushed + len(self._tick_buffer)
+        return self._ticks_flushed + self._pending_rows
 
     # -- analyses ----------------------------------------------------------------
 
@@ -357,10 +376,6 @@ class MetricsCollector:
         files: dict[str, int] = {}
 
         self._flush_ticks()
-        if self._ticks_path is None:
-            self._ticks_path = out / "ticks.csv"
-            with open(self._ticks_path, "w", newline="") as fh:
-                csv.writer(fh).writerow(TICK_HEADER)
         files["ticks.csv"] = self._ticks_flushed
 
         with open(out / "trips.csv", "w", newline="") as fh:

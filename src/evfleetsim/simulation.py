@@ -4,6 +4,7 @@ export all collected metrics."""
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -25,10 +26,14 @@ try:
 except Exception:  # not installed (e.g. running from a checkout)
     VERSION = "0.1.0"
 
+# "value" is the swept parameter's value; the other columns name RunResult
+# fields
 SWEEP_HEADER = [
     "value", "min_idle", "mean_wait_s", "n_stranded", "n_delayed",
     "total_grid_wh", "total_fuel_l",
 ]
+_SWEEP_FORMATS = {"mean_wait_s": ".3f", "total_grid_wh": ".6f",
+                  "total_fuel_l": ".6f"}
 
 
 @dataclass
@@ -123,22 +128,22 @@ def run_scenario(
 
     def on_tick(event: Event) -> None:
         now = engine.now_ms
+        samples = []
         for v in vehicles:
-            if v.lifecycle is fleet.Lifecycle.STRANDED:
+            lifecycle = v.lifecycle
+            if lifecycle is fleet.Lifecycle.STRANDED:
                 continue
-            state = v.lifecycle.value
-            if v.trace is not None and len(v.trace) > 0:
-                tr = v.trace
+            tr = v.trace
+            if tr is not None and len(tr) > 0:
                 offset = (now - v.trace_start_ms) / MS_PER_S
                 i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
                 i = min(max(i, 0), len(tr) - 1)
-                record = metrics.TickRecord(
-                    now, v.vehicle_id, state,
-                    float(tr.v_mps[i]), float(tr.a_mps2[i]), float(tr.soc[i]),
+                samples.append((v.vehicle_id, lifecycle, float(tr.soc[i]), (
+                    float(tr.v_mps[i]), float(tr.a_mps2[i]),
                     float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
                     float(tr.p_recup_w[i]), float(tr.p_re_w[i]),
-                )
-            elif v.lifecycle is fleet.Lifecycle.CHARGING and v.session is not None:
+                )))
+            elif lifecycle is fleet.Lifecycle.CHARGING and v.session is not None:
                 s = v.session
                 inflow = s.effective_power_w * v.params.charging_efficiency
                 elapsed = max(0.0, (now - s.grant_ms) / MS_PER_S)
@@ -147,16 +152,11 @@ def run_scenario(
                     s.start_soc + inflow * elapsed / 3600.0
                     / v.params.battery_capacity_wh,
                 )
-                record = metrics.TickRecord(
-                    now, v.vehicle_id, state, 0.0, 0.0, soc,
-                    0.0, -inflow, 0.0, 0.0,
-                )
+                samples.append((v.vehicle_id, lifecycle, soc,
+                                (0.0, 0.0, 0.0, -inflow, 0.0, 0.0)))
             else:
-                record = metrics.TickRecord(
-                    now, v.vehicle_id, state, 0.0, 0.0, v.state.soc,
-                    0.0, 0.0, 0.0, 0.0,
-                )
-            collector.record_tick(record)
+                samples.append((v.vehicle_id, lifecycle, v.state.soc, None))
+        collector.record_ticks(now, samples)
         nxt = now + tick_ms
         if nxt <= horizon_ms:
             engine.schedule(Event(EventKind.METRICS_TICK), nxt)
@@ -269,25 +269,14 @@ def sweep(
         cfg = build_config(override, base_dir)
         tag = f"{param.replace('.', '_')}_{value}"
         result = run_scenario(cfg, out_dir / tag)
-        rows.append({
-            "value": value,
-            "min_idle": result.min_idle,
-            "mean_wait_s": result.mean_wait_s,
-            "n_stranded": result.n_stranded,
-            "n_delayed": result.n_delayed,
-            "total_grid_wh": result.total_grid_wh,
-            "total_fuel_l": result.total_fuel_l,
-        })
-
-    import csv
+        row = {"value": value}
+        row.update((name, getattr(result, name)) for name in SWEEP_HEADER[1:])
+        rows.append(row)
 
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
         for row in rows:
-            writer.writerow([
-                row["value"], row["min_idle"], f"{row['mean_wait_s']:.3f}",
-                row["n_stranded"], row["n_delayed"],
-                f"{row['total_grid_wh']:.6f}", f"{row['total_fuel_l']:.6f}",
-            ])
+            writer.writerow([format(row[name], _SWEEP_FORMATS.get(name, ""))
+                             for name in SWEEP_HEADER])
     return rows

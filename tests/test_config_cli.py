@@ -124,8 +124,17 @@ def test_effective_config_round_trips(tmp_path):
     {"fleet": {"size": True}},
     {"numerics": {"dynamics_dt_s": float("nan")}},
     {"horizon_s": float("inf")},
+    {"demand": {"departure_weights": [float("nan")] + [1.0] * 23}},
+    {"demand": {"distance_bins": [{"upper_m": float("nan"), "weight": 1.0}]}},
+    {"fleet": 5},
+    {"stations": [{"station_id": ["st0"], "edge_id": "e00000",
+                   "max_simultaneous": 1, "slots": [{"plug": "schuko"}]}]},
+    {"environment": {"gravity_mps2": float("nan")}},
+    {"environment": {"air_density_kgpm3": float("inf")}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
-        "fleet_size_bool", "dt_nan", "horizon_inf"])
+        "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
+        "bin_upper_nan", "fleet_not_mapping", "station_id_list",
+        "gravity_nan", "air_density_inf"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     assert not validate_config(path).ok

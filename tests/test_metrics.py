@@ -8,16 +8,18 @@ from evfleetsim.charging import ChargeSession
 from evfleetsim.dynamics import Cumulative
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip
-from evfleetsim.metrics import (MetricsCollector, MetricsError, TickRecord,
-                                TICK_HEADER)
+from evfleetsim.metrics import MetricsCollector, MetricsError, TICK_HEADER
 from evfleetsim.network import Route
 
 
-def tick(t_s=0.0, vid="v0", **overrides):
-    base = dict(state="idle", v_mps=0.0, a_mps2=0.0, soc=0.5,
-                p_traction_w=0.0, p_battery_w=0.0, p_recup_w=0.0, p_re_w=0.0)
-    base.update(overrides)
-    return TickRecord(ms(t_s), vid, **base)
+def rest(vid="v0", soc=0.5, lifecycle=Lifecycle.IDLE):
+    return (vid, lifecycle, soc, None)
+
+
+def moving(vid="v0", soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
+           p_battery_w=5300.0, p_recup_w=0.0, p_re_w=0.0):
+    return (vid, Lifecycle.EN_ROUTE, soc,
+            (v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w, p_re_w))
 
 
 def make_trip(tid, airline, driven, status="completed", depart_s=100.0,
@@ -47,20 +49,22 @@ def session(vid="v0", grant_s=0.0, dur_s=3600.0, energy=2300.0,
 
 def test_one_record_one_row_after_flush(tmp_path):
     collector = MetricsCollector(tmp_path, tick_buffer_rows=10)
-    collector.record_tick(tick())
+    collector.record_ticks(0, [rest()])
     collector._flush_ticks()
     rows = (tmp_path / "ticks.csv").read_text().splitlines()
     assert rows[0] == ",".join(TICK_HEADER)
+    assert rows[1] == "0.000,v0,idle,0.0000,0.0000,0.500000000,0.000,0.000,0.000,0.000"
     assert len(rows) == 2
 
 
 def test_bulk_record_count_matches_exactly(tmp_path):
-    n = 1_000_000
+    n_ticks, per_tick = 10_000, 100
     collector = MetricsCollector(tmp_path, tick_buffer_rows=200_000)
-    record = tick()
-    for _ in range(n):
-        collector.record_tick(record)
+    samples = [rest(f"v{i}") for i in range(per_tick)]
+    for k in range(n_ticks):
+        collector.record_ticks(k * 1000, samples)
     collector._flush_ticks()
+    n = n_ticks * per_tick
     assert collector.tick_count == n
     with open(tmp_path / "ticks.csv") as fh:
         assert sum(1 for _ in fh) == n + 1
@@ -68,10 +72,42 @@ def test_bulk_record_count_matches_exactly(tmp_path):
 
 def test_non_finite_tick_rejected():
     collector = MetricsCollector()
-    with pytest.raises(MetricsError, match="non-finite"):
-        collector.record_tick(tick(v_mps=float("nan")))
-    with pytest.raises(MetricsError):
-        collector.record_tick(tick(p_battery_w=float("inf")))
+    with pytest.raises(MetricsError, match="non-finite v_mps=nan in tick for v7"):
+        collector.record_ticks(0, [rest("v0"), moving("v7", v_mps=float("nan"))])
+    with pytest.raises(MetricsError, match="non-finite p_battery_w=inf in tick for v3"):
+        collector.record_ticks(0, [moving("v3", p_battery_w=float("inf"))])
+
+
+def test_non_finite_rest_sample_rejected():
+    collector = MetricsCollector()
+    with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v0"):
+        collector.record_ticks(0, [rest("v0", soc=float("nan"))])
+    # the same vehicle after its row at rest was cached
+    collector.record_ticks(0, [rest("v1", soc=0.5)])
+    collector.record_ticks(10_000, [rest("v1", soc=0.5)])
+    with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v1"):
+        collector.record_ticks(20_000, [rest("v1", soc=float("nan"))])
+
+
+def test_rest_rows_follow_state_and_soc(tmp_path):
+    # a reused row must change with the lifecycle and with the sign of zero
+    collector = MetricsCollector(tmp_path)
+    soc, queued = 0.25, Lifecycle.QUEUED_AT_STATION
+    collector.record_ticks(0, [rest("v0", soc)])
+    collector.record_ticks(1000, [rest("v0", soc, queued)])
+    collector.record_ticks(2000, [rest("v0", 0.0, queued)])
+    collector.record_ticks(3000, [rest("v0", -0.0, queued)])
+    collector.record_ticks(4000, [rest("v0", 0.0, queued)])
+    collector._flush_ticks()
+    rows = [line.split(",")[:3] + [line.split(",")[5]] for line in
+            (tmp_path / "ticks.csv").read_text().splitlines()[1:]]
+    assert rows == [
+        ["0.000", "v0", "idle", "0.250000000"],
+        ["1.000", "v0", "queued", "0.250000000"],
+        ["2.000", "v0", "queued", "0.000000000"],
+        ["3.000", "v0", "queued", "-0.000000000"],
+        ["4.000", "v0", "queued", "0.000000000"],
+    ]
 
 
 # --- distance histogram -----------------------------------------------------------
@@ -217,7 +253,7 @@ def test_periods_tile_horizon():
 def test_export_manifest_lists_six_files(tmp_path):
     collector = MetricsCollector(tmp_path)
     start_idle(collector, ["v0"])
-    collector.record_tick(tick())
+    collector.record_ticks(0, [rest()])
     collector.set_trips([make_trip("t0", 400.0, 520.0)])
     collector.set_sessions([session()])
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 1, 18000.0)

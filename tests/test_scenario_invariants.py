@@ -1,6 +1,7 @@
 """Cross-module invariants checked on whole scenario runs."""
 
 import copy
+import csv
 
 import pytest
 import yaml
@@ -8,19 +9,21 @@ import yaml
 from test_config_cli import BASE_SCENARIO, write_scenario
 
 from evfleetsim.fleet import Lifecycle
-from evfleetsim.metrics import _STATE_GROUP, Period, PowerFlowSummary
+from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
+                                Period, PowerFlowSummary)
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
 from evfleetsim.simulation import run_scenario_path
 
 
-@pytest.fixture()
-def busy_run(tmp_path):
-    # 3 vehicles, all 9 trips departing within one hour, a single 1-slot
-    # depot station and a second station one block east: enough contention
-    # for queueing and diversions
-    path = write_scenario(
+def write_busy_scenario(tmp_path, name="scenario.yaml", vehicles=3,
+                        trips_per_vehicle=3, **overrides):
+    # by default 3 vehicles, all 9 trips departing within one hour, a single
+    # 1-slot depot station and a second station one block east: enough
+    # contention for diversions; 5 vehicles with 4 trips each also queue
+    return write_scenario(
         tmp_path,
-        fleet={"size": 3},
+        name=name,
+        fleet={"size": vehicles},
         stations=[
             {"station_id": "st0", "edge_id": "e00000", "max_simultaneous": 1,
              "slots": [{"plug": "schuko"}]},
@@ -29,11 +32,17 @@ def busy_run(tmp_path):
         ],
         demand={
             "departure_weights": [0.0] * 6 + [1.0] + [0.0] * 17,
-            "trips_per_vehicle_per_day": {"family": "fixed", "n": 3},
+            "trips_per_vehicle_per_day": {"family": "fixed",
+                                          "n": trips_per_vehicle},
         },
         horizon_s=12 * 3600.0,
+        **overrides,
     )
-    return run_scenario_path(path, tmp_path / "out")
+
+
+@pytest.fixture()
+def busy_run(tmp_path):
+    return run_scenario_path(write_busy_scenario(tmp_path), tmp_path / "out")
 
 
 def test_periods_tile_horizon_for_every_vehicle(busy_run):
@@ -102,6 +111,63 @@ def test_infinite_battery_preset_never_strands_never_charges(tmp_path):
 
 def test_global_energy_ledger_balances(busy_run):
     assert busy_run.collector.energy_ledger_error() < 1e-6
+
+
+# --- ticks.csv against a csv.writer reference ----------------------------------
+
+def write_reference_ticks(path, ticks):
+    """ticks.csv as csv.writer writes it, one row per sample of each tick."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TICK_HEADER)
+        for t_ms, samples in ticks:
+            for vehicle_id, lifecycle, soc, motion in samples:
+                v, a, p_traction, p_battery, p_recup, p_re = motion or (0.0,) * 6
+                writer.writerow([
+                    f"{t_ms / 1000:.3f}", vehicle_id, lifecycle.value,
+                    f"{v:.4f}", f"{a:.4f}", f"{soc:.9f}",
+                    f"{p_traction:.3f}", f"{p_battery:.3f}",
+                    f"{p_recup:.3f}", f"{p_re:.3f}",
+                ])
+
+
+def test_ticks_csv_equals_reference_writer(tmp_path, monkeypatch):
+    ticks = []
+    record_ticks = MetricsCollector.record_ticks
+
+    def capture(self, t_ms, samples):
+        ticks.append((t_ms, list(samples)))
+        record_ticks(self, t_ms, samples)
+
+    monkeypatch.setattr(MetricsCollector, "record_ticks", capture)
+    path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
+    result = run_scenario_path(path, tmp_path / "out")
+    kinds = {(lifecycle, motion is None)
+             for _, samples in ticks for _, lifecycle, _, motion in samples}
+    assert {(Lifecycle.EN_ROUTE, False), (Lifecycle.CHARGING, False),
+            (Lifecycle.QUEUED_AT_STATION, True), (Lifecycle.IDLE, True)} <= kinds
+    assert any(s.station_id == "st1" for s in result.manager.sessions)  # diverted
+
+    write_reference_ticks(tmp_path / "reference.csv", ticks)
+    assert ((tmp_path / "out" / "ticks.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert result.manifest["files"]["ticks.csv"] == sum(len(s) for _, s in ticks)
+
+
+def test_ticks_csv_independent_of_flush_boundaries(tmp_path):
+    busy = dict(vehicles=5, trips_per_vehicle=4)
+    default = run_scenario_path(write_busy_scenario(tmp_path, **busy),
+                                tmp_path / "out")
+    expected = (tmp_path / "out" / "ticks.csv").read_bytes()
+    rows_per_tick = expected.count(b"\n0.000,")
+    assert rows_per_tick == 5 and default.n_stranded == 0
+    for rows in (1, rows_per_tick - 1, rows_per_tick):
+        path = write_busy_scenario(tmp_path, name=f"rows_{rows}.yaml",
+                                   numerics={"tick_buffer_rows": rows}, **busy)
+        result = run_scenario_path(path, tmp_path / f"out_{rows}")
+        assert (tmp_path / f"out_{rows}" / "ticks.csv").read_bytes() == expected
+        assert (result.manifest["files"]["ticks.csv"]
+                == default.manifest["files"]["ticks.csv"])
 
 
 # --- grouped metrics against per-vehicle reference filters -------------------
