@@ -8,13 +8,10 @@ Charging is constant-power (no taper), so completion times are exact:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from . import dynamics, network
 from .engine import MS_PER_S, Engine, Event, EventKind, ms
-
-LOG = logging.getLogger(__name__)
 
 
 class ChargingError(ValueError):

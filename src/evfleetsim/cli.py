@@ -19,8 +19,6 @@ from .engine import SimulationAborted
 from .fleet import ModelError
 from .simulation import run_scenario_path, sweep
 
-LOG = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MODEL = 2

@@ -208,6 +208,9 @@ def _build_network(net_cfg: dict, base_dir: Path) -> network.RoadNetwork:
             edges = base_dir / edges
         return network.load_network(nodes, edges, factors)
     grid = net_cfg["grid"]
+    if not all(_is_real(grid[key]) for key in
+               ("rows", "cols", "edge_length_m", "speed_limit_mps")):
+        raise ConfigError("grid sizes and speed limit must be finite numbers")
     return network.generate_grid(
         int(grid["rows"]), int(grid["cols"]),
         float(grid["edge_length_m"]), float(grid["speed_limit_mps"]),
@@ -266,7 +269,7 @@ def _build_demand(dcfg: dict, errors: list[str]) -> DemandProfile | None:
             dwell=dwell,
             trips_per_day=trips,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         errors.append(f"demand: {exc}")
         return None
 

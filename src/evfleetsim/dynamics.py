@@ -15,13 +15,11 @@ reconcile to float precision even across clamping at the 0/1 bounds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-J_PER_KWH = 3.6e6
 S_PER_H = 3600.0
 
 
@@ -53,14 +51,14 @@ class RangeExtenderParams:
     specific_fuel_l_per_kwh: float = 0.28
 
     def __post_init__(self):
-        if self.power_w <= 0:
-            raise DynamicsError("range extender power must be positive")
+        if not 0 < self.power_w < math.inf:
+            raise DynamicsError("range extender power must be finite and positive")
         if not (0.0 <= self.soc_on < self.soc_off <= 1.0):
             raise DynamicsError(
                 "range extender thresholds need 0 <= soc_on < soc_off <= 1"
             )
-        if self.specific_fuel_l_per_kwh < 0:
-            raise DynamicsError("specific fuel rate must be non-negative")
+        if not 0 <= self.specific_fuel_l_per_kwh < math.inf:
+            raise DynamicsError("specific fuel rate must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ class VehicleParams:
             "max_deceleration_mps2": self.max_deceleration_mps2,
         }
         for name, value in positive.items():
-            if value <= 0:
-                raise DynamicsError(f"{name} must be positive")
+            if not 0 < value < math.inf:
+                raise DynamicsError(f"{name} must be finite and positive")
         for name, value in (
             ("drivetrain_efficiency", self.drivetrain_efficiency),
             ("recuperation_efficiency", self.recuperation_efficiency),
@@ -102,10 +100,10 @@ class VehicleParams:
             if not (0.0 < value <= 1.0):
                 raise DynamicsError(f"{name} must be in (0, 1]")
         # zero disables the respective flow
-        if self.max_recuperation_power_w < 0:
-            raise DynamicsError("max_recuperation_power_w must be non-negative")
-        if self.auxiliary_power_w < 0:
-            raise DynamicsError("auxiliary_power_w must be non-negative")
+        if not 0 <= self.max_recuperation_power_w < math.inf:
+            raise DynamicsError("max_recuperation_power_w must be finite and non-negative")
+        if not 0 <= self.auxiliary_power_w < math.inf:
+            raise DynamicsError("auxiliary_power_w must be finite and non-negative")
 
 
 @dataclass
@@ -124,7 +122,6 @@ class VehicleState:
     soc: float
     velocity: float = 0.0
     edge_id: str | None = None
-    offset_m: float = 0.0
     range_extender_on: bool = False
     cumulative: Cumulative = field(default_factory=Cumulative)
 
@@ -145,52 +142,24 @@ def traction_power(v, a, gradient: float, params: VehicleParams, env: Environmen
     return (m * a + m * g * math.sin(theta) + rolling + aero) * v
 
 
-def recuperation_power(p_traction, params: VehicleParams):
-    """Battery inflow (W, >= 0) recovered from surplus braking power."""
-    surplus = np.maximum(-np.asarray(p_traction, dtype=float), 0.0)
-    capped = np.minimum(
-        surplus * params.recuperation_efficiency, params.max_recuperation_power_w
-    )
-    return float(capped) if np.ndim(p_traction) == 0 else capped
-
-
-def battery_power(p_traction: float, params: VehicleParams) -> float:
-    """Signed battery terminal power (positive = discharge) for a wheel power
-    demand, including drivetrain losses, recuperation, and the hotel load."""
-    if p_traction >= 0:
-        return p_traction / params.drivetrain_efficiency + params.auxiliary_power_w
-    return -recuperation_power(p_traction, params) + params.auxiliary_power_w
-
-
 def range_extender_step(
-    soc: float, on: bool, params: VehicleParams, dt: float
-) -> tuple[float, float, bool]:
+    soc: float, on: bool, params: VehicleParams
+) -> tuple[float, bool]:
     """One relay-control step of the range extender while driving.
 
     Turns on below ``soc_on``, off at or above ``soc_off``, keeps its state in
-    between. Returns ``(generated power W, fuel liters for dt, new flag)``.
+    between. Returns ``(generated power W, new flag)``.
     """
-    if dt <= 0:
-        raise DynamicsError("dt must be positive")
     re = params.range_extender
     if re is None:
-        return 0.0, 0.0, False
+        return 0.0, False
     if soc < re.soc_on:
         on = True
     elif soc >= re.soc_off:
         on = False
     if not on:
-        return 0.0, 0.0, False
-    fuel = re.specific_fuel_l_per_kwh * re.power_w * dt / J_PER_KWH * 1000.0
-    return re.power_w, fuel, True
-
-
-def integrate_soc(soc: float, p_battery_net: float, dt: float, capacity_wh: float) -> float:
-    """Advance SOC by a constant net terminal power over ``dt`` seconds,
-    clamped to [0, 1]."""
-    if dt <= 0 or capacity_wh <= 0:
-        raise DynamicsError("dt and capacity must be positive")
-    return min(1.0, max(0.0, soc - p_battery_net * dt / (capacity_wh * S_PER_H)))
+        return 0.0, False
+    return re.power_w, True
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +279,6 @@ class DriveTrace:
     def __len__(self) -> int:
         return len(self.time_s)
 
-    def write_csv(self, path, vehicle_id: str, edge_id: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["time_s", "vehicle_id", "edge_id", "v_mps", "a_mps2", "gradient",
-                 "p_traction_w", "p_battery_w", "p_recup_w", "p_re_w", "soc"]
-            )
-            for i in range(len(self.time_s)):
-                writer.writerow([
-                    f"{self.time_s[i]:.3f}", vehicle_id, edge_id,
-                    f"{self.v_mps[i]:.4f}", f"{self.a_mps2[i]:.4f}",
-                    f"{self.gradient:.6f}", f"{self.p_traction_w[i]:.3f}",
-                    f"{self.p_battery_w[i]:.3f}", f"{self.p_recup_w[i]:.3f}",
-                    f"{self.p_re_w[i]:.3f}", f"{self.soc[i]:.9f}",
-                ])
-
 
 @dataclass
 class SegmentResult:
@@ -339,7 +292,6 @@ class SegmentResult:
     range_extended_wh: float
     fuel_l: float
     battery_delta_wh: float  # negative = net discharge, equals capacity * dSOC
-    toggles: list[tuple[float, bool]]  # (time offset s, new range-extender flag)
 
 
 def drive_segment(
@@ -408,7 +360,6 @@ def drive_segment(
     cap = params.battery_capacity_wh
     soc0 = state.soc
     re = params.range_extender
-    toggles: list[tuple[float, bool]] = []
     stranded = False
 
     re_power_arr = np.zeros(n)
@@ -434,17 +385,14 @@ def drive_segment(
             p_net_eff = p_net1
 
     if not fast:
-        # step loop handling relay toggles and clamping at the SOC bounds
+        # step loop handling relay switching and clamping at the SOC bounds
         soc_traj = np.empty(n)
         soc = soc0
         steps_done = n
         trunc_dt = None
         for k in range(n):
             dt_k = dts[k]
-            re_power, _, new_flag = range_extender_step(soc, flag, params, dt_k)
-            if re is not None and new_flag != flag:
-                toggles.append((float(bounds[k]), new_flag))
-                flag = new_flag
+            re_power, flag = range_extender_step(soc, flag, params)
             p_net = p_net0[k] - re_power
             if p_net > 0.0:
                 t_empty = soc * cap * S_PER_H / p_net
@@ -523,7 +471,6 @@ def drive_segment(
     state.soc = final_soc
     state.velocity = exit_velocity
     state.edge_id = edge.edge_id
-    state.offset_m = distance
     state.range_extender_on = flag
     state.cumulative.consumed_wh += consumed_wh
     state.cumulative.recuperated_wh += recuperated_wh
@@ -542,7 +489,6 @@ def drive_segment(
         range_extended_wh=range_extended_wh,
         fuel_l=fuel_l,
         battery_delta_wh=battery_delta_wh,
-        toggles=toggles,
     )
 
 

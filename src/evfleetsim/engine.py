@@ -43,7 +43,6 @@ class EventKind(Enum):
     CHARGE_REQUEST = "ChargeRequest"
     SLOT_GRANTED = "SlotGranted"
     CHARGE_COMPLETE = "ChargeComplete"
-    RANGE_EXTENDER_TOGGLE = "RangeExtenderToggle"
     STRANDED = "Stranded"
     METRICS_TICK = "MetricsTick"
     SIMULATION_END = "SimulationEnd"
@@ -65,15 +64,6 @@ class Event:
 
     def payload_str(self) -> str:
         return ";".join(f"{k}={self.payload[k]}" for k in sorted(self.payload))
-
-
-@dataclass
-class EventHandle:
-    """Opaque reference to a scheduled event, valid until fired or cancelled."""
-
-    event: Event
-    cancelled: bool = False
-    fired: bool = False
 
 
 class SchedulingInPastError(ValueError):
@@ -109,7 +99,7 @@ class Engine:
 
     def __init__(self, *, keep_event_log: bool = False):
         self._clock_ms = 0
-        self._queue: list[tuple[int, int, EventHandle]] = []
+        self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self.handlers: dict[EventKind, Callable[[Event], None]] = {}
         self.keep_event_log = keep_event_log
@@ -126,9 +116,10 @@ class Engine:
     def on(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
         self.handlers[kind] = handler
 
-    def schedule(self, event: Event, at: int) -> EventHandle:
-        """Enqueue ``event`` to fire at ``at`` (ms). Same-time events fire in
-        insertion order; scheduling in the past is a logic bug and raises."""
+    def schedule(self, event: Event, at: int) -> None:
+        """Enqueue ``event`` to fire at ``at`` (ms) and stamp ``at`` and
+        ``sequence`` on it. Same-time events fire in insertion order;
+        scheduling in the past is a logic bug and raises."""
         if at < self._clock_ms:
             raise SchedulingInPastError(
                 f"cannot schedule {event.kind.value} at t={at} ms: "
@@ -137,23 +128,7 @@ class Engine:
         event.at = at
         event.sequence = self._seq
         self._seq += 1
-        handle = EventHandle(event)
-        heapq.heappush(self._queue, (at, event.sequence, handle))
-        return handle
-
-    def schedule_in(self, event: Event, delay_ms: int) -> EventHandle:
-        return self.schedule(event, self._clock_ms + delay_ms)
-
-    def cancel(self, handle: EventHandle) -> bool:
-        """Remove a pending event. Idempotent: returns False if the event
-        already fired or was cancelled."""
-        if handle.fired or handle.cancelled:
-            return False
-        handle.cancelled = True
-        return True
-
-    def pending(self) -> int:
-        return sum(1 for _, _, h in self._queue if not h.cancelled)
+        heapq.heappush(self._queue, (at, event.sequence, event))
 
     def run_until(self, end_ms: int) -> SimulationSummary:
         """Dispatch every event with ``at <= end_ms`` in (at, sequence) order,
@@ -162,12 +137,8 @@ class Engine:
         dispatched: Counter = Counter()
         dropped = 0
         while self._queue and self._queue[0][0] <= end_ms:
-            at, _, handle = heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
-            event = handle.event
+            at, _, event = heapq.heappop(self._queue)
             self._clock_ms = at
-            handle.fired = True
             handler = self.handlers.get(event.kind)
             if handler is None:
                 LOG.warning(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -75,12 +75,18 @@ class DwellDistribution:
     sigma_log: float = 0.5
     fixed_s: float = 1800.0
 
+    def __post_init__(self):
+        if self.family not in ("lognormal", "fixed"):
+            raise FleetError(f"unknown dwell family {self.family!r}")
+        if not (math.isfinite(self.mu_log) and 0 <= self.sigma_log < math.inf
+                and 0 <= self.fixed_s < math.inf):
+            raise FleetError("dwell needs a finite mu_log and finite, "
+                             "non-negative sigma_log and fixed_s")
+
     def sample(self, rng: np.random.Generator) -> float:
         if self.family == "fixed":
             return self.fixed_s
-        if self.family == "lognormal":
-            return float(rng.lognormal(self.mu_log, self.sigma_log))
-        raise FleetError(f"unknown dwell family {self.family!r}")
+        return float(rng.lognormal(self.mu_log, self.sigma_log))
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,17 @@ class TripsPerDay:
     mean: float = 1.0
     fixed_n: int = 1
 
+    def __post_init__(self):
+        if self.family not in ("poisson", "fixed"):
+            raise FleetError(f"unknown trips-per-day family {self.family!r}")
+        if not (0 <= self.mean < math.inf and self.fixed_n >= 0):
+            raise FleetError("trips per day need a finite, non-negative mean "
+                             "and a non-negative n")
+
     def sample(self, rng: np.random.Generator) -> int:
         if self.family == "fixed":
             return self.fixed_n
-        if self.family == "poisson":
-            return int(rng.poisson(self.mean))
-        raise FleetError(f"unknown trips-per-day family {self.family!r}")
+        return int(rng.poisson(self.mean))
 
 
 @dataclass(frozen=True)
@@ -338,7 +349,6 @@ class FleetController:
         self.transition_hook = transition_hook
         self.trips: dict[str, Trip] = {}
         self.delayed: list[Trip] = []
-        self.n_delayed_dispatches = 0
         depot_stations = sorted(
             sid for sid, st in manager.stations.items() if st.edge_id == depot_edge
         )
@@ -355,7 +365,6 @@ class FleetController:
         e.on(EventKind.CHARGE_REQUEST, self.on_charge_request)
         e.on(EventKind.SLOT_GRANTED, self.on_slot_granted)
         e.on(EventKind.CHARGE_COMPLETE, self.on_charge_complete)
-        e.on(EventKind.RANGE_EXTENDER_TOGGLE, self.on_range_extender_toggle)
         e.on(EventKind.STRANDED, self.on_stranded)
 
     def schedule_trips(self, trips: list[Trip]) -> None:
@@ -429,14 +438,6 @@ class FleetController:
         )
         vehicle.trace = result.trace
         vehicle.trace_start_ms = now
-        for offset_s, flag in result.toggles:
-            self.engine.schedule(
-                Event(
-                    EventKind.RANGE_EXTENDER_TOGGLE,
-                    {"vehicle": vehicle.vehicle_id, "on": int(flag)},
-                ),
-                now + ms(offset_s),
-            )
         kind = EventKind.STRANDED if result.stranded else EventKind.SEGMENT_COMPLETE
         self.engine.schedule(
             Event(kind, {"vehicle": vehicle.vehicle_id, "edge": edge.edge_id}),
@@ -495,7 +496,6 @@ class FleetController:
             return
         if not self._try_dispatch(trip):
             self.delayed.append(trip)
-            self.n_delayed_dispatches += 1
 
     def on_segment_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
@@ -663,11 +663,6 @@ class FleetController:
             self._begin_route(
                 vehicle, route, Mission.RETURN_HOME, Lifecycle.RETURNING
             )
-
-    def on_range_extender_toggle(self, event: Event) -> None:
-        # state was already applied inside drive_segment; the event exists for
-        # the log
-        self._alive(event)
 
     def on_stranded(self, event: Event) -> None:
         vehicle = self._alive(event)

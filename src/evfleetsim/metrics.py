@@ -9,13 +9,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .engine import MS_PER_S
-from .fleet import BUSY_STATES, Lifecycle, Trip
+from .fleet import Lifecycle, Trip
 
 TICK_HEADER = [
     "t_s", "vehicle_id", "state", "v_mps", "a_mps2", "soc",
@@ -80,7 +80,7 @@ def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
     return groups
 
 
-def _state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float]]:
+def state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float]]:
     """(state, start_s, end_s) tiles covering [0, horizon] from one vehicle's
     transitions in time order."""
     periods: list[tuple[str, float, float]] = []
@@ -96,24 +96,18 @@ def _state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float
     return periods
 
 
-@dataclass
-class Period:
-    start_s: float
-    end_s: float
-    location: str  # station/slot for charging, edge id otherwise
-
-
-@dataclass
-class PowerFlowSummary:
-    vehicle_id: str
-    consumed_wh: float
-    recuperated_wh: float
-    range_extended_wh: float
-    grid_charged_wh: float
-    fuel_liters: float
-    distance_m: float
-    charging_periods: list[Period]
-    idle_periods: list[Period]
+def covering_edges(base_edges, trips) -> list[float]:
+    """The distinct ``base_edges`` in order, extended by bins as wide as the
+    last one until they cover the airline and driven distances of the
+    accepted ``trips``, so the exported histograms stay aligned and complete.
+    Without a bin of positive width the extension steps by 250 m."""
+    edges = sorted(set(base_edges))
+    width = edges[-1] - edges[-2] if len(edges) > 1 else 250.0
+    top = max((max(t.sampled_airline_m, t.outbound.total_length_m)
+               for t in trips), default=edges[-1])
+    while len(edges) < 2 or edges[-1] < top:
+        edges.append(edges[-1] + width)
+    return edges
 
 
 @dataclass
@@ -244,10 +238,6 @@ class MetricsCollector:
         self._pending_rows = 0
         self._tick_chunks.clear()
 
-    @property
-    def tick_count(self) -> int:
-        return self._ticks_flushed + self._pending_rows
-
     # -- analyses ----------------------------------------------------------------
 
     def accepted_trips(self) -> list[Trip]:
@@ -310,40 +300,6 @@ class MetricsCollector:
     def _sessions_by_vehicle(self) -> dict[str, list]:
         return _group_by_vehicle(self.sessions, lambda s: s.vehicle_id)
 
-    def state_periods(self, vehicle_id: str, horizon_ms: int) -> list[tuple[str, float, float]]:
-        """(state, start_s, end_s) tiles covering [0, horizon] for one vehicle."""
-        return _state_periods(
-            self._transitions_by_vehicle().get(vehicle_id, []), horizon_ms)
-
-    def power_flow_summary(self, vehicle_id: str) -> PowerFlowSummary:
-        final = self.finals.get(vehicle_id)
-        if final is None:
-            raise MetricsError(f"unknown vehicle {vehicle_id}")
-        sessions = self._sessions_by_vehicle().get(vehicle_id, [])
-        grid = sum(s.energy_wh for s in sessions)
-        horizon_ms = self.run_info.get("horizon_ms", 0)
-        charging_periods = [
-            Period(s.grant_ms / MS_PER_S, s.complete_ms / MS_PER_S,
-                   f"{s.station_id}/{s.slot_id}")
-            for s in sessions if s.complete_ms > s.grant_ms
-        ]
-        idle_periods = [
-            Period(start, end, "depot")
-            for state, start, end in self.state_periods(vehicle_id, horizon_ms)
-            if state == Lifecycle.IDLE.value
-        ]
-        return PowerFlowSummary(
-            vehicle_id=vehicle_id,
-            consumed_wh=final.consumed_wh,
-            recuperated_wh=final.recuperated_wh,
-            range_extended_wh=final.range_extended_wh,
-            grid_charged_wh=grid,
-            fuel_liters=final.fuel_liters,
-            distance_m=final.distance_m,
-            charging_periods=charging_periods,
-            idle_periods=idle_periods,
-        )
-
     def energy_ledger_error(self) -> float:
         """Relative imbalance of the fleet-wide energy ledger:
         ``sum(grid + re + recup - consumed)`` vs ``sum(capacity * dSOC)``."""
@@ -362,13 +318,13 @@ class MetricsCollector:
 
     # -- export --------------------------------------------------------------------
 
-    def export_all(self, out_dir: str | Path | None = None,
-                   histogram_edges: list[float] | None = None,
+    def export_all(self, out_dir: str | Path, histogram_edges: list[float],
                    utilization_bin_s: float = 300.0) -> dict:
-        """Write all CSVs plus ``manifest.json``; returns the manifest dict."""
-        out = Path(out_dir) if out_dir is not None else self.out_dir
-        if out is None:
-            raise MetricsError("no output directory configured")
+        """Write all CSVs plus ``manifest.json``; returns the manifest dict.
+
+        ``histogram_edges`` are the base bin edges of ``histograms.csv``,
+        extended by :func:`covering_edges` to the realised distances."""
+        out = Path(out_dir)
         if self.out_dir is None:
             self.out_dir = out
         out.mkdir(parents=True, exist_ok=True)
@@ -418,7 +374,7 @@ class MetricsCollector:
                 final = self.finals[vid]
                 grid = sum(s.energy_wh for s in sessions.get(vid, []))
                 seconds = {s.value: 0.0 for s in Lifecycle}
-                for state, start, end in _state_periods(
+                for state, start, end in state_periods(
                         transitions.get(vid, []), horizon_ms):
                     seconds[state] += end - start
                 writer.writerow([
@@ -448,9 +404,8 @@ class MetricsCollector:
                 ])
         files["utilization.csv"] = len(series.bin_starts_s)
 
-        if histogram_edges is None:
-            histogram_edges = self._default_histogram_edges()
-        edges, airline_counts, driven_counts = self.distance_histogram(histogram_edges)
+        edges, airline_counts, driven_counts = self.distance_histogram(
+            covering_edges(histogram_edges, self.accepted_trips()))
         with open(out / "histograms.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(HISTOGRAM_HEADER)
@@ -470,15 +425,3 @@ class MetricsCollector:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return manifest
-
-    def _default_histogram_edges(self) -> list[float]:
-        accepted = self.accepted_trips()
-        if not accepted:
-            return [0.0, 1000.0]
-        top = max(
-            max(t.sampled_airline_m for t in accepted),
-            max(t.outbound.total_length_m for t in accepted),
-        )
-        width = 250.0
-        n = max(1, int(math.ceil(top / width + 1e-9)))
-        return [width * i for i in range(n + 1)]

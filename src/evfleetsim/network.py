@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

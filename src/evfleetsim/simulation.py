@@ -5,26 +5,15 @@ export all collected metrics."""
 from __future__ import annotations
 
 import csv
-import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import charging, dynamics, fleet, metrics, network
+from . import __version__, charging, dynamics, fleet, metrics
 from .config import ScenarioConfig, load_config, validate_config, apply_sweep_override, build_config, ConfigError
 from .engine import (Engine, Event, EventKind, MS_PER_S, SimulationSummary, ms,
                      write_event_log_csv)
-
-LOG = logging.getLogger(__name__)
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("evfleetsim")
-except Exception:  # not installed (e.g. running from a checkout)
-    VERSION = "0.1.0"
 
 # "value" is the swept parameter's value; the other columns name RunResult
 # fields
@@ -51,23 +40,6 @@ class RunResult:
     n_delayed: int
     total_grid_wh: float
     total_fuel_l: float
-
-
-def _histogram_edges_for(profile, trips) -> list[float]:
-    """Profile bin edges, extended by whole bins to cover realized driven
-    distances so the exported histograms stay aligned and complete."""
-    edges = profile.bin_edges()
-    accepted = [t for t in trips if t.status != "rejected"]
-    if not accepted:
-        return edges
-    top = max(
-        max(t.sampled_airline_m for t in accepted),
-        max(t.outbound.total_length_m for t in accepted),
-    )
-    width = edges[-1] - edges[-2] if len(edges) >= 2 else 250.0
-    while edges[-1] < top:
-        edges.append(edges[-1] + width)
-    return edges
 
 
 def run_scenario(
@@ -194,7 +166,7 @@ def run_scenario(
     total_fuel_l = float(sum(v.state.cumulative.fuel_liters for v in vehicles))
 
     collector.set_run_info(
-        version=VERSION,
+        version=__version__,
         seed=seed,
         config_hash=config.config_hash(),
         fleet_size=config.fleet_size,
@@ -208,7 +180,7 @@ def run_scenario(
     )
     manifest = collector.export_all(
         out_dir,
-        histogram_edges=_histogram_edges_for(config.demand, trips),
+        histogram_edges=config.demand.bin_edges(),
         utilization_bin_s=config.utilization_bin_s,
     )
     if event_log:

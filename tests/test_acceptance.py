@@ -199,7 +199,7 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
     collector = MetricsCollector(tmp_path)
     collector.set_trips(trips)
     collector.set_run_info(horizon_ms=0)
-    manifest = collector.export_all(tmp_path)
+    manifest = collector.export_all(tmp_path, config.demand.bin_edges())
     lines = (tmp_path / "histograms.csv").read_text().splitlines()
     assert lines[0] == "bin_lower_m,bin_upper_m,airline_count,driven_count"
     airline_col = [int(l.split(",")[2]) for l in lines[1:]]

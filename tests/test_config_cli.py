@@ -7,8 +7,9 @@ import pytest
 import yaml
 
 from evfleetsim import cli
-from evfleetsim.config import (ConfigError, apply_sweep_override, build_config,
-                               default_scenario_path, load_config,
+from evfleetsim.config import (VEHICLE_PRESETS, ConfigError,
+                               apply_sweep_override, build_config,
+                               default_scenario_path, load_config, load_raw,
                                validate_config)
 from evfleetsim.simulation import run_scenario, run_scenario_path, sweep
 
@@ -131,10 +132,19 @@ def test_effective_config_round_trips(tmp_path):
                    "max_simultaneous": 1, "slots": [{"plug": "schuko"}]}]},
     {"environment": {"gravity_mps2": float("nan")}},
     {"environment": {"air_density_kgpm3": float("inf")}},
+    {"demand": {"dwell": {"family": "lognormal", "sigma_log": -1.0}}},
+    {"demand": {"trips_per_vehicle_per_day": {"family": "poisson",
+                                              "mean": -1.0}}},
+    {"fleet": {"vehicle": {"preset": "compact_ev",
+                           "overrides": {"auxiliary_power_w": float("nan")}}}},
+    {"demand": {"trips_per_vehicle_per_day": {"family": "fixed", "n": -1}}},
+    {"demand": {"dwell": {"family": "weibull"}}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
-        "gravity_nan", "air_density_inf"])
+        "gravity_nan", "air_density_inf", "dwell_sigma_negative",
+        "trips_mean_negative", "auxiliary_power_nan", "trips_n_negative",
+        "dwell_family_unknown"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     assert not validate_config(path).ok
@@ -143,6 +153,44 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     assert cli.main(["validate", str(path)]) == 1
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of every number (not bool) in a nested config."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+BUNDLED = load_raw(default_scenario_path())
+# every number of the bundled scenario, every vehicle and range-extender
+# field (set through the overrides), the fixed dwell time and trip count
+NUMERIC_LEAVES = (
+    list(numeric_leaves(BUNDLED))
+    + [("fleet", "vehicle", "overrides") + path
+       for path in numeric_leaves(VEHICLE_PRESETS["compact_ev"])]
+    + [("demand", "dwell", "fixed_s"),
+       ("demand", "trips_per_vehicle_per_day", "n")]
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", NUMERIC_LEAVES,
+                         ids=lambda path: ".".join(map(str, path)))
+def test_non_finite_numbers_are_config_errors(path, value):
+    raw = copy.deepcopy(BUNDLED)
+    node = raw
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = value
+    with pytest.raises(ConfigError):
+        build_config(raw, default_scenario_path().parent)
 
 
 def test_network_from_csv_files(tmp_path):

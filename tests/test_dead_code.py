@@ -1,0 +1,107 @@
+"""Guard against dead code in the package: every module-level import is read
+in its module, and every module-level name, function, method and class is
+referenced somewhere in the package outside its own definition.
+``__init__.py`` only re-exports, so its names count neither way.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import evfleetsim
+
+PACKAGE = Path(evfleetsim.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# reached only from outside the package, on purpose: the brute-force oracle
+# of nearest_edge in the tests, and two gates of the benchmark
+KEEP = {"snap_distance", "assert_consistent", "energy_ledger_error"}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def reads(node) -> Counter:
+    """How often each name is read in ``node``, as a variable or as an
+    attribute."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+    return counts
+
+
+def imports(tree) -> Counter:
+    """How often each name is reached from another module in ``tree``: as
+    an attribute, or imported by name (the import must then be read)."""
+    counts = Counter()
+    for child in ast.walk(tree):
+        if isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            counts.update(alias.name for alias in child.names)
+    return counts
+
+
+class Package:
+    def __init__(self):
+        self.trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+                      for path in MODULES}
+        self.reads = {module: reads(tree) for module, tree in self.trees.items()}
+        self.imports = {module: imports(tree)
+                        for module, tree in self.trees.items()}
+
+    def referenced(self, module, node, name) -> bool:
+        """Whether ``name``, bound by ``node`` in ``module``, is read
+        anywhere in the package outside ``node``."""
+        if self.reads[module][name] > reads(node)[name]:
+            return True
+        return any(counts[name] for other, counts in self.imports.items()
+                   if other != module)
+
+
+def module_bindings(tree):
+    """(name, statement, is_import) for each import and assignment at
+    module level."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node, True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node, False
+
+
+def test_module_level_names_are_read():
+    package = Package()
+    unused = []
+    for module, tree in package.trees.items():
+        for name, node, is_import in module_bindings(tree):
+            used = (package.reads[module][name] > 0 if is_import
+                    else package.referenced(module, node, name))
+            if not used:
+                unused.append(f"{module}:{node.lineno} {name}")
+    assert not unused, unused
+
+
+def test_every_definition_is_referenced():
+    package = Package()
+    defined, unreferenced = set(), []
+    for module, tree in package.trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS):
+                continue
+            name = node.name
+            defined.add(name)
+            if name in KEEP or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not package.referenced(module, node, name):
+                unreferenced.append(f"{module}:{node.lineno} {name}")
+    assert not unreferenced, unreferenced
+    assert KEEP <= defined, "a keeper that is gone must leave the list"

@@ -5,10 +5,9 @@ import pytest
 
 from evfleetsim.dynamics import (DynamicsError, Environment,
                                  InfeasibleSegmentError, RangeExtenderParams,
-                                 VehicleParams, VehicleState, battery_power,
-                                 drive_segment, estimate_route_energy,
-                                 integrate_soc, range_extender_step,
-                                 recuperation_power, traction_power)
+                                 VehicleParams, VehicleState, drive_segment,
+                                 estimate_route_energy, range_extender_step,
+                                 traction_power)
 from evfleetsim.network import Edge, generate_grid, shortest_path
 
 ENV = Environment()
@@ -71,30 +70,55 @@ def test_traction_power_gradient_terms():
 
 
 # --- battery power ---------------------------------------------------------------
+# At constant speed on a steep downhill edge the wheels deliver a surplus, so
+# drive_segment's battery power is the hotel load minus the recuperated inflow.
+
+def downhill(params, soc=0.5, length=200.0, v=10.0, gradient=-0.1):
+    state = VehicleState(soc=soc)
+    result = drive_segment(state, flat_edge(length, v, gradient), v, v,
+                           params, ENV, 1.0)
+    assert np.all(result.trace.p_traction_w < 0.0)
+    return state, result
+
 
 def test_battery_power_idle_hotel_load():
-    params = make_params(auxiliary_power_w=200.0)
-    assert battery_power(0.0, params) == pytest.approx(200.0)
+    params = make_params(auxiliary_power_w=200.0, max_recuperation_power_w=0.0)
+    _, result = downhill(params)
+    assert np.all(result.trace.p_recup_w == 0.0)
+    assert np.all(result.trace.p_battery_w == 200.0)
 
 
 def test_battery_power_recuperation_below_cap():
     params = make_params(auxiliary_power_w=0.0)
-    assert battery_power(-10_000.0, params) == pytest.approx(-6000.0)
+    _, result = downhill(params)
+    inflow = -result.trace.p_traction_w * 0.6
+    assert np.all(inflow < 30_000.0)
+    np.testing.assert_allclose(result.trace.p_recup_w, inflow, rtol=1e-12)
+    np.testing.assert_allclose(result.trace.p_battery_w, -inflow, rtol=1e-12)
 
 
 def test_battery_power_recuperation_cap_binds():
-    params = make_params(auxiliary_power_w=0.0)
-    assert battery_power(-100_000.0, params) == pytest.approx(-30_000.0)
+    params = make_params(auxiliary_power_w=0.0, max_recuperation_power_w=5000.0)
+    _, result = downhill(params)
+    assert np.all(-result.trace.p_traction_w * 0.6 > 5000.0)
+    assert np.all(result.trace.p_recup_w == 5000.0)
+    assert np.all(result.trace.p_battery_w == -5000.0)
 
 
 def test_recuperation_power_never_exceeds_bounds():
-    params = make_params()
     rng = np.random.default_rng(3)
-    for _ in range(1000):
-        p_trac = float(rng.uniform(-200_000, 10_000))
-        p = recuperation_power(p_trac, params)
-        assert p >= 0.0
-        assert p <= min(max(-p_trac, 0.0) * 0.6, 30000.0) + 1e-9
+    for _ in range(200):
+        cap = float(rng.uniform(0.0, 50_000.0))
+        params = make_params(max_recuperation_power_w=cap)
+        v = float(rng.uniform(5.0, 30.0))
+        edge = flat_edge(float(rng.uniform(20.0, 500.0)), v,
+                         float(rng.uniform(-0.3, 0.05)))
+        result = drive_segment(VehicleState(soc=float(rng.uniform(0.1, 0.9))),
+                               edge, 0.0, 0.0, params, ENV, 1.0)
+        tr = result.trace
+        assert np.all(tr.p_recup_w >= 0.0)
+        assert np.all(tr.p_recup_w <= np.minimum(
+            np.maximum(-tr.p_traction_w, 0.0) * 0.6, cap) + 1e-9)
 
 
 # --- range extender ----------------------------------------------------------------
@@ -105,30 +129,36 @@ RE = RangeExtenderParams(power_w=12000.0, soc_on=0.2, soc_off=0.4,
 
 def test_range_extender_stays_off_above_threshold():
     params = make_params(range_extender=RE)
-    power, fuel, on = range_extender_step(0.5, False, params, 1.0)
-    assert (power, fuel, on) == (0.0, 0.0, False)
+    assert range_extender_step(0.5, False, params) == (0.0, False)
 
 
 def test_range_extender_turns_on_below_soc_on():
     params = make_params(range_extender=RE)
-    power, fuel, on = range_extender_step(0.15, False, params, 1.0)
-    assert on is True
-    assert power == 12000.0
-    # fuel for 1 s at 12 kW: 0.3 l/kWh * (12000/3.6e6) kWh
-    assert fuel == pytest.approx(0.3 * 12000.0 / 3.6e6 * 1000.0 * 1e-3 * 1000)
+    assert range_extender_step(0.15, False, params) == (12000.0, True)
+
+
+def test_range_extender_fuel_for_generated_energy():
+    # on for the whole 10 s edge: 0.3 l/kWh * 12 kW * 10 s
+    params = make_params(range_extender=RE)
+    state = VehicleState(soc=0.3, range_extender_on=True)
+    result = drive_segment(state, flat_edge(100.0, 10.0), 10.0, 10.0,
+                           params, ENV, 1.0)
+    assert np.all(result.trace.p_re_w == 12000.0)
+    assert result.range_extended_wh == pytest.approx(12000.0 * 10.0 / 3600.0)
+    assert result.fuel_l == pytest.approx(0.3 * 12.0 * 10.0 / 3600.0)
 
 
 def test_range_extender_hysteresis_keeps_state_between_thresholds():
     params = make_params(range_extender=RE)
-    _, _, on = range_extender_step(0.3, True, params, 1.0)
+    _, on = range_extender_step(0.3, True, params)
     assert on is True
-    _, _, off = range_extender_step(0.3, False, params, 1.0)
+    _, off = range_extender_step(0.3, False, params)
     assert off is False
 
 
 def test_range_extender_turns_off_at_soc_off():
     params = make_params(range_extender=RE)
-    _, _, on = range_extender_step(0.4, True, params, 1.0)
+    _, on = range_extender_step(0.4, True, params)
     assert on is False
 
 
@@ -140,7 +170,7 @@ def test_range_extender_hysteresis_property():
     for _ in range(5000):
         soc = float(rng.uniform(0.0, 1.0))
         was_on = on
-        _, _, on = range_extender_step(soc, on, params, 1.0)
+        _, on = range_extender_step(soc, on, params)
         if soc >= RE.soc_off:
             assert not on
         if on and not was_on:
@@ -153,21 +183,47 @@ def test_range_extender_threshold_validation():
 
 
 # --- soc integration ------------------------------------------------------------------
+# capacity * dSOC = -p_net * dt, clamped to [0, 1]
 
 def test_integrate_soc_identity():
-    assert integrate_soc(0.5, 0.0, 10.0, 18000.0) == 0.5
+    # no recuperation and no hotel load: zero net power while coasting
+    params = make_params(auxiliary_power_w=0.0, max_recuperation_power_w=0.0)
+    state, result = downhill(params, soc=0.5)
+    assert np.all(result.trace.soc == 0.5)
+    assert state.soc == 0.5
 
 
 def test_integrate_soc_exact_depletion_clamps_at_zero():
-    assert integrate_soc(0.5, 18000.0, 3600.0, 18000.0) == 0.0
+    # a 36 kW hotel load empties the 50 Wh left in 5 s of the 20 s edge
+    params = make_params(battery_capacity_wh=100.0, auxiliary_power_w=36_000.0,
+                         max_recuperation_power_w=0.0)
+    state = VehicleState(soc=0.5)
+    result = drive_segment(state, flat_edge(200.0, 10.0, -0.1), 10.0, 10.0,
+                           params, ENV, 1.0)
+    assert result.stranded
+    assert state.soc == 0.0
+    assert float(result.trace.soc.min()) == 0.0
+    assert result.duration_s == pytest.approx(5.0, rel=1e-9)
+    assert result.battery_delta_wh == pytest.approx(-50.0, rel=1e-9)
 
 
 def test_integrate_soc_charging():
-    assert integrate_soc(0.5, -3600.0, 1800.0, 18000.0) == pytest.approx(0.6)
+    # oracle: constant surplus over 20 s, 0.6 of it recuperated, minus 300 W
+    params = make_params(auxiliary_power_w=300.0)
+    state, result = downhill(params, soc=0.5)
+    surplus = -traction_power(10.0, 0.0, -0.1, params, ENV)
+    expected = 0.5 + (0.6 * surplus - 300.0) * 20.0 / (18000.0 * 3600.0)
+    assert state.soc > 0.5
+    assert state.soc == pytest.approx(expected, rel=1e-9)
 
 
 def test_integrate_soc_clamps_at_one():
-    assert integrate_soc(0.99, -100000.0, 3600.0, 18000.0) == 1.0
+    params = make_params(auxiliary_power_w=0.0)
+    state, result = downhill(params, soc=0.99, length=2000.0)
+    assert state.soc == 1.0
+    assert float(result.trace.soc.max()) == 1.0
+    assert (1.0 - 0.99) * 18000.0 == pytest.approx(result.battery_delta_wh,
+                                                   rel=1e-9)
 
 
 # --- drive_segment ----------------------------------------------------------------------
@@ -236,8 +292,17 @@ def test_segment_energy_matches_soc_delta_exactly():
     assert -net == pytest.approx(result.battery_delta_wh, rel=1e-9, abs=1e-9)
 
 
+def scalar_battery_power(p_traction, params):
+    """Reference chain: drivetrain losses, capped recuperation, hotel load."""
+    if p_traction >= 0:
+        return p_traction / params.drivetrain_efficiency + params.auxiliary_power_w
+    recuperated = min(-p_traction * params.recuperation_efficiency,
+                      params.max_recuperation_power_w)
+    return params.auxiliary_power_w - recuperated
+
+
 def test_trace_is_consistent_with_scalar_power_chain():
-    # cross-check the vectorized integration against the scalar operations
+    # cross-check the vectorized integration against scalar operations
     params = make_params()
     state = VehicleState(soc=0.8)
     edge = flat_edge(250.0, 13.9, gradient=0.02)
@@ -248,9 +313,10 @@ def test_trace_is_consistent_with_scalar_power_chain():
         p_t = traction_power(float(tr.v_mps[i]), float(tr.a_mps2[i]),
                              edge.gradient, params, ENV)
         assert p_t == pytest.approx(float(tr.p_traction_w[i]), rel=1e-9)
-        p_b = battery_power(p_t, params)
+        p_b = scalar_battery_power(p_t, params)
         assert p_b == pytest.approx(float(tr.p_battery_w[i]), rel=1e-9)
-        soc = integrate_soc(soc, p_b, float(tr.dt_s[i]), params.battery_capacity_wh)
+        soc -= p_b * float(tr.dt_s[i]) / (params.battery_capacity_wh * 3600.0)
+        soc = min(1.0, max(0.0, soc))
         assert soc == pytest.approx(float(tr.soc[i]), abs=1e-12)
 
 
@@ -383,15 +449,17 @@ def test_range_extender_can_sustain_demand_at_empty_battery():
     )
 
 
-def test_range_extender_toggle_events_reported():
+def test_range_extender_toggles_show_in_trace():
     re = RangeExtenderParams(power_w=5000.0, soc_on=0.5, soc_off=0.6)
     params = make_params(range_extender=re, battery_capacity_wh=300.0,
                          auxiliary_power_w=0.0)
     state = VehicleState(soc=0.55, range_extender_on=False)
     edge = flat_edge(3000.0, 15.0)
     result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0)
-    assert any(flag for _, flag in result.toggles)
-    assert state.range_extender_on or any(not f for _, f in result.toggles)
+    on = result.trace.p_re_w > 0.0
+    assert not on[0] and on.any()  # switched on during the edge
+    # and switched off again, or still on at the end
+    assert state.range_extender_on or np.any(on[:-1] & ~on[1:])
 
 
 def test_recuperation_clamp_at_full_battery_keeps_ledger_exact():
@@ -406,7 +474,7 @@ def test_recuperation_clamp_at_full_battery_keeps_ledger_exact():
     assert -net == pytest.approx(result.battery_delta_wh, abs=1e-9)
 
 
-def test_trace_timestamps_fixed_step_and_csv_export(tmp_path):
+def test_trace_timestamps_fixed_step():
     params = make_params()
     state = VehicleState(soc=0.7)
     result = drive_segment(state, flat_edge(123.0, 9.0), 0.0, 0.0,
@@ -414,11 +482,7 @@ def test_trace_timestamps_fixed_step_and_csv_export(tmp_path):
     t = result.trace.time_s
     assert np.all(np.diff(t) > 0)
     assert np.allclose(np.diff(t)[:-1], 1.0)
-    path = tmp_path / "trace.csv"
-    result.trace.write_csv(path, "v0001", "e")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("time_s,vehicle_id,edge_id,v_mps")
-    assert len(lines) == len(result.trace) + 1
+    assert len(result.trace) == len(result.trace.dt_s) == len(result.trace.soc)
 
 
 def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():

@@ -46,25 +46,6 @@ def test_scheduling_in_past_rejected():
         engine.schedule(Event(EventKind.METRICS_TICK), ms(3))
 
 
-def test_cancel_is_idempotent():
-    log = []
-    engine = make_engine(log)
-    handle = engine.schedule(Event(EventKind.METRICS_TICK), ms(5))
-    assert engine.cancel(handle) is True
-    assert engine.cancel(handle) is False
-    engine.run_until(ms(10))
-    assert log == []
-
-
-def test_cancel_after_fire_returns_false():
-    log = []
-    engine = make_engine(log)
-    handle = engine.schedule(Event(EventKind.METRICS_TICK), ms(5))
-    engine.run_until(ms(10))
-    assert len(log) == 1
-    assert engine.cancel(handle) is False
-
-
 def test_run_until_with_empty_queue_advances_clock():
     engine = make_engine([])
     summary = engine.run_until(ms(100))
@@ -91,8 +72,9 @@ def test_dispatch_order_matches_independent_sort_on_random_events():
     scheduled = []
     for _ in range(100_000):
         at = rng.randrange(0, 50_000)
-        handle = engine.schedule(Event(EventKind.METRICS_TICK), at)
-        scheduled.append((at, handle.event.sequence))
+        event = Event(EventKind.METRICS_TICK)
+        engine.schedule(event, at)
+        scheduled.append((at, event.sequence))
     engine.run_until(60_000)
     expected = sorted(scheduled)
     assert [(at, seq) for at, seq, _ in log] == expected

@@ -259,7 +259,7 @@ def test_busy_fleet_delays_trip_and_dispatches_later():
     assert t1.delay_ms == 0
     assert t2.status == "completed"
     assert t2.delay_ms > 0
-    assert ctrl.n_delayed_dispatches == 1
+    assert ctrl.delayed == []
 
 
 def test_trip_accounting_partition():

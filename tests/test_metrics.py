@@ -8,7 +8,8 @@ from evfleetsim.charging import ChargeSession
 from evfleetsim.dynamics import Cumulative
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip
-from evfleetsim.metrics import MetricsCollector, MetricsError, TICK_HEADER
+from evfleetsim.metrics import (TICK_HEADER, MetricsCollector, MetricsError,
+                                covering_edges, state_periods)
 from evfleetsim.network import Route
 
 
@@ -63,9 +64,9 @@ def test_bulk_record_count_matches_exactly(tmp_path):
     samples = [rest(f"v{i}") for i in range(per_tick)]
     for k in range(n_ticks):
         collector.record_ticks(k * 1000, samples)
-    collector._flush_ticks()
+    manifest = collector.export_all(tmp_path, [0.0, 1000.0])
     n = n_ticks * per_tick
-    assert collector.tick_count == n
+    assert manifest["files"]["ticks.csv"] == n
     with open(tmp_path / "ticks.csv") as fh:
         assert sum(1 for _ in fh) == n + 1
 
@@ -111,6 +112,17 @@ def test_rest_rows_follow_state_and_soc(tmp_path):
 
 
 # --- distance histogram -----------------------------------------------------------
+
+def test_covering_edges_extend_by_whole_bins():
+    trips = [make_trip("t0", 900.0, 1340.0)]
+    base = [0.0, 400.0, 700.0]
+    assert covering_edges(base, []) == base
+    assert covering_edges(base, trips) == [0.0, 400.0, 700.0, 1000.0, 1300.0,
+                                           1600.0]
+    # a single point bin has no width to repeat: 250 m steps
+    assert covering_edges([0.0, 0.0], trips) == [250.0 * i for i in range(7)]
+    assert covering_edges([0.0, 0.0], []) == [0.0, 250.0]
+
 
 def test_histogram_bin_placement():
     collector = MetricsCollector()
@@ -186,25 +198,27 @@ def test_partition_sums_to_fleet_size():
         assert sum(series.counts[g][i] for g in series.counts) == 7
 
 
-# --- power flow summaries -----------------------------------------------------------
+# --- power flow summaries (summary.csv) -------------------------------------------
 
-def test_never_moved_vehicle_summary():
-    collector = MetricsCollector()
+def summary_rows(out_dir):
+    return (out_dir / "summary.csv").read_text().splitlines()[1:]
+
+
+def test_never_moved_vehicle_summary(tmp_path):
+    collector = MetricsCollector(tmp_path)
     start_idle(collector, ["v0"])
     collector.set_run_info(horizon_ms=ms(1000.0))
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 0, 18000.0)
-    summary = collector.power_flow_summary("v0")
-    assert summary.consumed_wh == 0.0
-    assert summary.grid_charged_wh == 0.0
-    assert len(summary.idle_periods) == 1
-    assert summary.idle_periods[0].start_s == 0.0
-    assert summary.idle_periods[0].end_s == 1000.0
-    assert summary.charging_periods == []
+    collector.export_all(tmp_path, [0.0, 1000.0])
+    # no energy, no distance, no trips; idle from 0 to 1000 s, nothing else
+    wh, s = f"{0.0:.6f}", f"{0.0:.3f}"
+    assert summary_rows(tmp_path) == [
+        f"v0,{wh},{wh},{wh},{wh},{wh},{0.0:.3f},0,{1000.0:.3f},{s},{s},{s}"]
 
 
-def test_energy_identity_and_fuel_definition():
+def test_energy_identity_and_fuel_definition(tmp_path):
     # grid + recup + re - consumed = capacity * dSOC; fuel = rate * re_kwh
-    collector = MetricsCollector()
+    collector = MetricsCollector(tmp_path)
     start_idle(collector, ["v0"])
     cap = 18000.0
     consumed, recup, re, grid = 4000.0, 600.0, 1200.0, 1500.0
@@ -217,16 +231,16 @@ def test_energy_identity_and_fuel_definition():
     collector.record_vehicle_final("v0", cum, soc0, soc1, 3, cap)
     collector.set_sessions([session("v0", grant_s=100.0, dur_s=900.0, energy=grid)])
     collector.set_run_info(horizon_ms=ms(4000.0))
-    summary = collector.power_flow_summary("v0")
-    lhs = (summary.grid_charged_wh + summary.recuperated_wh
-           + summary.range_extended_wh - summary.consumed_wh)
+    collector.export_all(tmp_path, [0.0, 1000.0])
+    row = summary_rows(tmp_path)[0]
+    assert row == ",".join(
+        ["v0"] + [f"{x:.6f}" for x in (consumed, recup, re, grid, rate * re / 1000.0)]
+        + [f"{12000.0:.3f}", "3", f"{4000.0:.3f}"] + [f"{0.0:.3f}"] * 3)
+    consumed_x, recup_x, re_x, grid_x, fuel_x = map(float, row.split(",")[1:6])
+    lhs = grid_x + recup_x + re_x - consumed_x
     assert lhs == pytest.approx(cap * (soc1 - soc0), rel=1e-9)
-    assert summary.fuel_liters == pytest.approx(
-        rate * summary.range_extended_wh / 1000.0, rel=1e-9, abs=1e-12
-    )
+    assert fuel_x == pytest.approx(rate * re_x / 1000.0, rel=1e-9, abs=1e-12)
     assert collector.energy_ledger_error() < 1e-9
-    with pytest.raises(MetricsError, match="unknown vehicle"):
-        collector.power_flow_summary("ghost")
 
 
 def test_periods_tile_horizon():
@@ -239,7 +253,7 @@ def test_periods_tile_horizon():
     for t_s, new in seq:
         collector.record_transition(ms(t_s), "v0", prev, new)
         prev = new
-    periods = collector.state_periods("v0", ms(1000.0))
+    periods = state_periods(collector.transitions, ms(1000.0))
     assert periods[0] == ("idle", 0.0, 100.0)
     assert periods[-1] == ("idle", 500.0, 1000.0)
     # contiguous tiling, no gaps or overlaps
@@ -258,7 +272,7 @@ def test_export_manifest_lists_six_files(tmp_path):
     collector.set_sessions([session()])
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 1, 18000.0)
     collector.set_run_info(horizon_ms=ms(600.0), seed=1)
-    manifest = collector.export_all(tmp_path)
+    manifest = collector.export_all(tmp_path, [0.0, 250.0])
     assert sorted(manifest["files"]) == [
         "histograms.csv", "sessions.csv", "summary.csv", "ticks.csv",
         "trips.csv", "utilization.csv",
@@ -273,7 +287,7 @@ def test_export_manifest_lists_six_files(tmp_path):
 def test_export_empty_scenario_headers_only(tmp_path):
     collector = MetricsCollector(tmp_path)
     collector.set_run_info(horizon_ms=0)
-    manifest = collector.export_all(tmp_path)
+    manifest = collector.export_all(tmp_path, [0.0, 1000.0])
     for name in ("ticks.csv", "trips.csv", "sessions.csv", "summary.csv",
                  "histograms.csv"):
         lines = (tmp_path / name).read_text().splitlines()
@@ -289,7 +303,7 @@ def test_summary_csv_schema(tmp_path):
     start_idle(collector, ["v0"])
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 0, 18000.0)
     collector.set_run_info(horizon_ms=ms(100.0))
-    collector.export_all(tmp_path)
+    collector.export_all(tmp_path, [0.0, 1000.0])
     with open(tmp_path / "summary.csv") as fh:
         header = next(csv.reader(fh))
     assert header == ["vehicle_id", "consumed_wh", "recuperated_wh",

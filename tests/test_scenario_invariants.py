@@ -8,9 +8,11 @@ import yaml
 
 from test_config_cli import BASE_SCENARIO, write_scenario
 
+from evfleetsim.charging import ChargingManager
+from evfleetsim.engine import Engine, EventKind
 from evfleetsim.fleet import Lifecycle
 from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
-                                Period, PowerFlowSummary)
+                                state_periods)
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
 from evfleetsim.simulation import run_scenario_path
 
@@ -49,7 +51,8 @@ def test_periods_tile_horizon_for_every_vehicle(busy_run):
     result = busy_run
     horizon_ms = result.collector.run_info["horizon_ms"]
     for v in result.vehicles:
-        periods = result.collector.state_periods(v.vehicle_id, horizon_ms)
+        periods = state_periods([t for t in result.collector.transitions
+                                 if t[1] == v.vehicle_id], horizon_ms)
         assert periods[0][1] == 0.0
         assert periods[-1][2] == horizon_ms / 1000.0
         for (_, _, end), (_, start, _) in zip(periods, periods[1:]):
@@ -111,6 +114,66 @@ def test_infinite_battery_preset_never_strands_never_charges(tmp_path):
 
 def test_global_energy_ledger_balances(busy_run):
     assert busy_run.collector.energy_ledger_error() < 1e-6
+
+
+def run_checking_consistency(monkeypatch, path, out_dir):
+    """Run a scenario and call ChargingManager.assert_consistent after every
+    dispatched event; returns the result and the kinds checked."""
+    managers, checked = [], []
+    init, on = ChargingManager.__init__, Engine.on
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        managers.append(self)
+
+    def checking_on(self, kind, handler):
+        def checked_handler(event):
+            handler(event)
+            for manager in managers:
+                manager.assert_consistent()
+            checked.append(event.kind)
+        on(self, kind, checked_handler)
+
+    monkeypatch.setattr(ChargingManager, "__init__", recording_init)
+    monkeypatch.setattr(Engine, "on", checking_on)
+    result = run_scenario_path(path, out_dir)
+    assert managers == [result.manager]
+    assert len(checked) == result.engine_summary.total_dispatched
+    return result, set(checked)
+
+
+@pytest.mark.parametrize("vehicles,trips_per_vehicle", [(3, 3), (5, 4)],
+                         ids=["busy_run", "divert_5x4"])
+def test_charging_manager_consistent_after_every_event(
+        tmp_path, monkeypatch, vehicles, trips_per_vehicle):
+    path = write_busy_scenario(tmp_path, vehicles=vehicles,
+                               trips_per_vehicle=trips_per_vehicle)
+    result, kinds = run_checking_consistency(monkeypatch, path,
+                                             tmp_path / "out")
+    assert {EventKind.CHARGE_REQUEST, EventKind.SLOT_GRANTED,
+            EventKind.CHARGE_COMPLETE} <= kinds
+    assert any(s.station_id == "st1" for s in result.manager.sessions)  # diverted
+
+
+def test_range_extender_switches_without_events(tmp_path):
+    # 1 kWh batteries starting at 30 %: each vehicle's range extender
+    # switches on below 20 % during its first trip and off again at 40 %
+    path = write_scenario(
+        tmp_path, horizon_s=24 * 3600.0,
+        fleet={"size": 2, "initial_soc": 0.3,
+               "vehicle": {"preset": "compact_ev",
+                           "overrides": {"battery_capacity_wh": 1000.0}}},
+    )
+    result = run_scenario_path(path, tmp_path / "out", event_log=True)
+    with open(tmp_path / "out" / "events.csv", newline="") as fh:
+        kinds = [row["kind"] for row in csv.DictReader(fh)]
+    assert "RangeExtenderToggle" not in kinds
+    assert result.manifest["n_events"] == len(kinds)
+    assert result.total_fuel_l > 0.0
+    assert result.collector.energy_ledger_error() < 1e-6
+    # the relay shows in ticks.csv instead
+    with open(tmp_path / "out" / "ticks.csv", newline="") as fh:
+        assert any(float(row["p_re_w"]) > 0.0 for row in csv.DictReader(fh))
 
 
 # --- ticks.csv against a csv.writer reference ----------------------------------
@@ -196,27 +259,26 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
     sessions = collector.sessions
     assert len({s.vehicle_id for s in sessions}) > 1
 
-    for vid, final in collector.finals.items():
+    expected = []
+    for vid in sorted(collector.finals):
+        final = collector.finals[vid]
         periods = reference_state_periods(collector.transitions, vid, horizon_ms)
-        assert collector.state_periods(vid, horizon_ms) == periods
-        assert collector.power_flow_summary(vid) == PowerFlowSummary(
-            vehicle_id=vid,
-            consumed_wh=final.consumed_wh,
-            recuperated_wh=final.recuperated_wh,
-            range_extended_wh=final.range_extended_wh,
-            grid_charged_wh=reference_grid_wh(sessions, vid),
-            fuel_liters=final.fuel_liters,
-            distance_m=final.distance_m,
-            charging_periods=[
-                Period(s.grant_ms / 1000.0, s.complete_ms / 1000.0,
-                       f"{s.station_id}/{s.slot_id}")
-                for s in sessions
-                if s.vehicle_id == vid and s.complete_ms > s.grant_ms
-            ],
-            idle_periods=[Period(start, end, "depot")
-                          for state, start, end in periods
-                          if state == Lifecycle.IDLE.value],
-        )
+        own = [t for t in collector.transitions if t[1] == vid]
+        assert state_periods(own, horizon_ms) == periods
+        seconds = dict.fromkeys((s.value for s in Lifecycle), 0.0)
+        for state, start, end in periods:
+            seconds[state] += end - start
+        expected.append(",".join([
+            vid, f"{final.consumed_wh:.6f}", f"{final.recuperated_wh:.6f}",
+            f"{final.range_extended_wh:.6f}",
+            f"{reference_grid_wh(sessions, vid):.6f}",
+            f"{final.fuel_liters:.6f}", f"{final.distance_m:.3f}",
+            str(final.n_trips), f"{seconds['idle']:.3f}",
+            f"{seconds['charging']:.3f}", f"{seconds['queued']:.3f}",
+            f"{seconds['en_route'] + seconds['returning']:.3f}",
+        ]))
+    summary = (busy_run.out_dir / "summary.csv").read_text().splitlines()[1:]
+    assert summary == expected
 
     lhs = rhs = scale = 0.0
     for vid, final in collector.finals.items():
