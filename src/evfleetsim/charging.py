@@ -18,19 +18,8 @@ class ChargingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlugType:
-    name: str
-    power_w: float
-
-    def __post_init__(self):
-        if self.power_w <= 0:
-            raise ChargingError("plug power must be positive")
-
-
-SCHUKO = PlugType("schuko", 2300.0)
-IEC_TYPE2 = PlugType("iec_type2", 3600.0)
-PLUG_PRESETS = {p.name: p for p in (SCHUKO, IEC_TYPE2)}
+# rated power (W) of each plug type
+PLUG_PRESETS = {"schuko": 2300.0, "iec_type2": 3600.0}
 
 
 @dataclass(frozen=True)
@@ -81,6 +70,9 @@ class ChargingStation:
     def __post_init__(self):
         if not self.slots:
             raise ChargingError(f"station {self.station_id}: needs at least one slot")
+        if not all(s.power_w > 0 for s in self.slots):
+            raise ChargingError(
+                f"station {self.station_id}: slot powers must be positive")
         if len({s.slot_id for s in self.slots}) != len(self.slots):
             raise ChargingError(f"station {self.station_id}: duplicate slot ids")
         if not (1 <= self.max_simultaneous <= len(self.slots)):
@@ -139,6 +131,15 @@ def charge_duration(
     return deficit_wh * 3600.0 / (effective * charging_efficiency)
 
 
+def session_progress(session: ChargeSession, params,
+                     elapsed_s: float) -> tuple[float, float]:
+    """Battery-side energy (Wh) and SOC ``elapsed_s`` seconds into a
+    session: constant inflow, the SOC capped at the session's target."""
+    energy = session.effective_power_w * params.charging_efficiency * elapsed_s / 3600.0
+    return energy, min(session.target_soc,
+                       session.start_soc + energy / params.battery_capacity_wh)
+
+
 class ChargingManager:
     """Controls all stations; grants the highest-power free slot, queues FIFO
     when a station is saturated, and schedules completion events."""
@@ -148,10 +149,7 @@ class ChargingManager:
         engine: Engine,
         stations: list[ChargingStation],
         safety_margin_soc: float = 0.05,
-        queue_estimate: str = "mean_power",
     ):
-        if queue_estimate not in ("mean_power", "max_power"):
-            raise ChargingError(f"unknown queue estimate mode {queue_estimate!r}")
         self.engine = engine
         self.stations: dict[str, ChargingStation] = {}
         for st in stations:
@@ -159,7 +157,6 @@ class ChargingManager:
                 raise ChargingError(f"duplicate station id {st.station_id}")
             self.stations[st.station_id] = st
         self.safety_margin_soc = safety_margin_soc
-        self.queue_estimate = queue_estimate
         self.sessions: list[ChargeSession] = []
         self._engaged: set[str] = set()  # vehicles in any queue or slot
 
@@ -283,29 +280,14 @@ class ChargingManager:
                 s = occ.session
                 elapsed = max(0.0, (at_ms - s.grant_ms) / MS_PER_S)
                 elapsed = min(elapsed, s.duration_s)
-                energy = (
-                    s.effective_power_w
-                    * occ.vehicle.params.charging_efficiency
-                    * elapsed
-                    / 3600.0
-                )
-                s.energy_wh = energy
+                s.energy_wh, occ.vehicle.state.soc = session_progress(
+                    s, occ.vehicle.params, elapsed)
                 s.duration_s = elapsed
                 s.complete_ms = at_ms
                 s.truncated = True
                 s.completed = True
-                occ.vehicle.state.soc = min(
-                    s.target_soc,
-                    s.start_soc + energy / occ.vehicle.params.battery_capacity_wh,
-                )
 
     # -- wait-or-divert policy ------------------------------------------------
-
-    def _estimate_power(self, station: ChargingStation) -> float:
-        powers = [s.power_w for s in station.slots]
-        if self.queue_estimate == "max_power":
-            return max(powers)
-        return sum(powers) / len(powers)
 
     def estimate_wait_s(self, station: ChargingStation, at_ms: int,
                         queued_ahead: int | None = None) -> float:
@@ -317,7 +299,8 @@ class ChargingManager:
         )
         if queued_ahead is None:
             queued_ahead = len(station.queue)
-        est_power = self._estimate_power(station)
+        # queued vehicles are assumed to charge at the mean slot power
+        est_power = sum(s.power_w for s in station.slots) / len(station.slots)
         queued_s = 0.0
         for entry in station.queue[:queued_ahead]:
             params = entry.vehicle.params

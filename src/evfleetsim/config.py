@@ -1,6 +1,13 @@
 """Scenario configuration: one self-describing YAML file holding network,
 fleet, stations, demand, policies, numerics, and seed. Loading fills defaults,
 validates every cross-reference, and echoes the fully-resolved configuration.
+
+``DEFAULTS`` is the schema: one pass merges the raw YAML into it and checks
+each value against the type of its default (``_SHAPES`` adds what a default
+cannot show). The vehicle overrides are checked the same way against the
+chosen preset of ``VEHICLE_PRESETS``. Ranges are checked by the constructors
+of the domain objects, whose errors are prefixed with the key path; only the
+checks no constructor makes live here.
 """
 
 from __future__ import annotations
@@ -9,7 +16,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -71,6 +78,7 @@ DEFAULTS: dict = {
     "fleet": {
         "size": 100,
         "initial_soc": 1.0,
+        # the overrides are checked against the chosen preset
         "vehicle": {"preset": "compact_ev", "overrides": {}},
     },
     "stations": [],
@@ -86,8 +94,9 @@ DEFAULTS: dict = {
             {"upper_m": 1000.0, "weight": 4.0},
             {"upper_m": 1300.0, "weight": 2.0},
         ],
-        "dwell": {"family": "lognormal", "mu_log": 7.5, "sigma_log": 0.5},
-        "trips_per_vehicle_per_day": {"family": "poisson", "mean": 1.2},
+        "dwell": {"family": "lognormal", "mu_log": 7.5, "sigma_log": 0.5,
+                  "fixed_s": 1800.0},
+        "trips_per_vehicle_per_day": {"family": "poisson", "mean": 1.2, "n": 1},
     },
     "policies": {
         "routing_weight": "travel_time",
@@ -95,16 +104,33 @@ DEFAULTS: dict = {
         "depot_charge_threshold": 0.95,
         "target_soc": 1.0,
         "safety_margin_soc": 0.05,
-        "queue_estimate": "mean_power",
     },
     "numerics": {
         "dynamics_dt_s": 1.0,
         "metrics_interval_s": 10.0,
         "utilization_bin_s": 300.0,
-        "tick_buffer_rows": 100000,
     },
     "environment": {"gravity_mps2": 9.81, "air_density_kgpm3": 1.2},
 }
+
+# What a default cannot show, by key path ("[]" marks a list item): the
+# shape of a value whose default is None or absent, and the item of a list
+# whose default is empty. A list's items are shaped like its first item and
+# must give every key of it that _OPTIONAL does not list.
+_SHAPES: dict = {
+    "network.files": {"nodes": "", "edges": ""},
+    "network.hourly_speed_factors": [1.0],
+    "depot_edge": "",
+    "demand.schedule_size": 0,
+    "stations": [{"station_id": "", "edge_id": "", "max_simultaneous": 1,
+                  "slots": [{"plug": "", "power_w": 1.0}]}],
+}
+# mappings that may be null besides the values that default to None
+_NULLABLE = {"network.grid", "fleet.vehicle.overrides.range_extender"}
+# item keys that may be left out: a slot gives one of plug and power_w
+_OPTIONAL = {"stations[].max_simultaneous", "stations[].slots[].plug",
+             "stations[].slots[].power_w"}
+_KINDS = {str: "a string", int: "an integer", float: "a finite number"}
 
 SWEEPABLE_PARAMS = (
     "fleet.size",
@@ -114,74 +140,104 @@ SWEEPABLE_PARAMS = (
 )
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool (YAML ``true`` is a Python int)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
-def _is_real(value) -> bool:
-    """A finite int or float that is not a bool."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+def _leaf(value, default, path: str, errors: list[str]):
+    """``value`` as the type of ``default``: a str, an int that is not a
+    bool, or a finite float (an int is taken and converted)."""
+    kind = type(default)
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            pass
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    errors.append(f"{path}: must be {_KINDS[kind]}, got {value!r:.40}")
+    return None
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+def _resolve(value, default, path: str, key: str, errors: list[str],
+             fill: bool = True):
+    """Merge ``value`` into ``default`` and check its shape in one pass.
+
+    Returns a typed copy. Keys that a mapping leaves out take their default
+    while ``fill`` holds; in a list item or a shape of ``_SHAPES`` they are
+    required unless ``_OPTIONAL`` lists them. An unknown key, a wrong type
+    or a misplaced null is appended to ``errors`` with its path.
+    """
+    if value is None and (default is None or key in _NULLABLE):
+        return None
+    if key in _SHAPES:
+        default, fill = _SHAPES[key], False
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            errors.append(f"{path}: must be a list")
+            return None
+        return [_resolve(item, default[0], f"{path}[{i}]", f"{key}[]", errors,
+                         fill=False)
+                for i, item in enumerate(value)]
+    if not isinstance(default, dict):
+        return _leaf(value, default, path, errors)
+    if not isinstance(value, dict):
+        errors.append(f"{path or 'config root'}: must be a mapping")
+        return None
+    if not default:  # fleet.vehicle.overrides, typed against the preset
+        return copy.deepcopy(value)
+    out = {}
+    for k, sub in default.items():
+        if k in value:
+            out[k] = _resolve(value[k], sub, _join(path, k), _join(key, k),
+                              errors, fill)
+        elif fill:
+            out[k] = copy.deepcopy(sub)
+        elif _join(key, k) not in _OPTIONAL:
+            errors.append(f"{_join(path, k)}: required")
+    for k in value:
+        if k in default:
+            continue
+        if _join(key, k) in _SHAPES:
+            out[k] = _resolve(value[k], None, _join(path, k), _join(key, k),
+                              errors)
         else:
-            out[key] = copy.deepcopy(value)
+            errors.append(f"{_join(path, k)}: unknown key")
     return out
 
 
-@dataclass(frozen=True)
-class StationSpec:
-    station_id: str
-    edge_id: str
-    max_simultaneous: int
-    slot_powers_w: tuple[float, ...]
-
-    def build(self) -> charging.ChargingStation:
-        slots = [
-            charging.Slot(f"s{i}", power)
-            for i, power in enumerate(self.slot_powers_w)
-        ]
-        return charging.ChargingStation(
-            self.station_id, self.edge_id, slots, self.max_simultaneous
-        )
+def _build(path: str, errors: list[str], make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None with its error prefixed by
+    ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        errors.append(f"{path}: {exc}")
+        return None
 
 
 @dataclass
 class ScenarioConfig:
     effective: dict
-    base_dir: Path
     seed: int
     horizon_s: float
     depot_edge: str
     fleet_size: int
     initial_soc: float
     vehicle_params: VehicleParams
-    station_specs: list[StationSpec]
+    stations: list[charging.ChargingStation]  # pristine; runs use copies
     demand: DemandProfile
     schedule_size: int
     policies: FleetPolicies
     safety_margin_soc: float
-    queue_estimate: str
     dynamics_dt_s: float
     metrics_interval_s: float
     utilization_bin_s: float
-    tick_buffer_rows: int
     environment: Environment
-    _network: network.RoadNetwork | None = field(default=None, repr=False)
-
-    def build_network(self) -> network.RoadNetwork:
-        if self._network is None:
-            self._network = _build_network(self.effective["network"], self.base_dir)
-        return self._network
+    network: network.RoadNetwork
 
     def build_stations(self) -> list[charging.ChargingStation]:
-        return [spec.build() for spec in self.station_specs]
+        return copy.deepcopy(self.stations)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.effective, sort_keys=True)
@@ -197,81 +253,67 @@ class ValidationReport:
 
 
 def _build_network(net_cfg: dict, base_dir: Path) -> network.RoadNetwork:
-    factors = net_cfg.get("hourly_speed_factors")
-    if "files" in net_cfg and net_cfg["files"]:
-        files = net_cfg["files"]
-        nodes = Path(files["nodes"])
-        edges = Path(files["edges"])
-        if not nodes.is_absolute():
-            nodes = base_dir / nodes
-        if not edges.is_absolute():
-            edges = base_dir / edges
-        return network.load_network(nodes, edges, factors)
-    grid = net_cfg["grid"]
-    if not all(_is_real(grid[key]) for key in
-               ("rows", "cols", "edge_length_m", "speed_limit_mps")):
-        raise ConfigError("grid sizes and speed limit must be finite numbers")
-    return network.generate_grid(
-        int(grid["rows"]), int(grid["cols"]),
-        float(grid["edge_length_m"]), float(grid["speed_limit_mps"]),
-        factors,
-    )
+    files, grid = net_cfg.get("files"), net_cfg["grid"]
+    factors = net_cfg["hourly_speed_factors"]
+    if (files is None) == (grid is None):
+        raise ConfigError("give exactly one of files and grid "
+                          "(grid: null to load files)")
+    if files is not None:
+        return network.load_network(base_dir / files["nodes"],
+                                    base_dir / files["edges"], factors)
+    return network.generate_grid(grid["rows"], grid["cols"],
+                                 grid["edge_length_m"], grid["speed_limit_mps"],
+                                 factors)
 
 
-def _build_vehicle_params(vcfg, errors: list[str]) -> VehicleParams | None:
-    if not isinstance(vcfg, dict) or not isinstance(vcfg.get("overrides") or {}, dict):
-        errors.append("fleet.vehicle: must be a mapping, its overrides too")
-        return None
-    preset_name = vcfg.get("preset", "compact_ev")
-    preset = VEHICLE_PRESETS.get(preset_name)
-    if preset is None:
-        errors.append(
-            f"fleet.vehicle.preset: unknown preset {preset_name!r} "
-            f"(available: {sorted(VEHICLE_PRESETS)})"
-        )
-        return None
-    merged = _deep_merge(preset, vcfg.get("overrides") or {})
-    re_cfg = merged.pop("range_extender", None)
-    try:
-        re_params = RangeExtenderParams(**re_cfg) if re_cfg else None
-    except (TypeError, ValueError) as exc:
-        errors.append(f"fleet.vehicle.range_extender: {exc}")
-        return None
-    try:
-        return VehicleParams(**merged, range_extender=re_params)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"fleet.vehicle: {exc}")
-        return None
+def _build_stations(stations_cfg: list[dict], net: network.RoadNetwork | None,
+                    errors: list[str]) -> list[charging.ChargingStation]:
+    stations: list[charging.ChargingStation] = []
+    seen: set[str] = set()
+    for i, scfg in enumerate(stations_cfg):
+        path = f"stations[{i}]"
+        sid, edge_id = scfg["station_id"], scfg["edge_id"]
+        if sid in seen:
+            errors.append(f"{path}.station_id: duplicate {sid!r}")
+            continue
+        seen.add(sid)
+        if net is not None and edge_id not in net.edges:
+            errors.append(f"{path}.edge_id: unknown edge {edge_id!r}")
+            continue
+        powers = []
+        for j, slot in enumerate(scfg["slots"]):
+            if len(slot) != 1:
+                errors.append(f"{path}.slots[{j}]: needs exactly one of "
+                              f"plug and power_w")
+            elif "power_w" in slot:
+                powers.append(slot["power_w"])
+            elif slot["plug"] in charging.PLUG_PRESETS:
+                powers.append(charging.PLUG_PRESETS[slot["plug"]])
+            else:
+                errors.append(
+                    f"{path}.slots[{j}].plug: unknown plug {slot['plug']!r} "
+                    f"(available: {sorted(charging.PLUG_PRESETS)})")
+        if len(powers) < len(scfg["slots"]):
+            continue
+        slots = [charging.Slot(f"s{j}", power) for j, power in enumerate(powers)]
+        station = _build(path, errors, charging.ChargingStation, sid, edge_id,
+                         slots, scfg.get("max_simultaneous", len(slots)))
+        if station is not None:
+            stations.append(station)
+    return stations
 
 
 def _build_demand(dcfg: dict, errors: list[str]) -> DemandProfile | None:
-    try:
-        bins = tuple(
-            (float(b["upper_m"]), float(b["weight"]))
-            for b in dcfg["distance_bins"]
-        )
-        dwell_cfg = dict(dcfg["dwell"])
-        dwell = DwellDistribution(
-            family=dwell_cfg.get("family", "lognormal"),
-            mu_log=float(dwell_cfg.get("mu_log", 7.5)),
-            sigma_log=float(dwell_cfg.get("sigma_log", 0.5)),
-            fixed_s=float(dwell_cfg.get("fixed_s", 1800.0)),
-        )
-        trips_cfg = dict(dcfg["trips_per_vehicle_per_day"])
-        trips = TripsPerDay(
-            family=trips_cfg.get("family", "poisson"),
-            mean=float(trips_cfg.get("mean", 1.0)),
-            fixed_n=int(trips_cfg.get("n", trips_cfg.get("fixed_n", 1))),
-        )
-        return DemandProfile(
-            departure_weights=tuple(float(w) for w in dcfg["departure_weights"]),
-            distance_bins=bins,
-            dwell=dwell,
-            trips_per_day=trips,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        errors.append(f"demand: {exc}")
+    dwell = _build("demand.dwell", errors, DwellDistribution, **dcfg["dwell"])
+    trips_cfg = dcfg["trips_per_vehicle_per_day"]
+    trips = _build("demand.trips_per_vehicle_per_day", errors, TripsPerDay,
+                   trips_cfg["family"], trips_cfg["mean"], trips_cfg["n"])
+    if dwell is None or trips is None:
         return None
+    bins = tuple((b["upper_m"], b["weight"]) for b in dcfg["distance_bins"])
+    return _build("demand", errors, DemandProfile,
+                  tuple(dcfg["departure_weights"]), bins,
+                  dwell=dwell, trips_per_day=trips)
 
 
 def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
@@ -285,200 +327,102 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
 
 def _validate(raw: dict, base_dir: Path) -> ValidationReport:
     errors: list[str] = []
-    if not isinstance(raw, dict):
-        return ValidationReport(False, ["config root must be a mapping"])
-    merged = _deep_merge(DEFAULTS, raw)
-    sections = [key for key in ("network", "fleet", "demand", "policies",
-                                "numerics", "environment")
-                if not isinstance(merged.get(key), dict)]
-    if sections:
-        return ValidationReport(
-            False, [f"{key}: must be a mapping" for key in sections],
-            effective=merged)
+    cfg = _resolve(raw, DEFAULTS, "", "", errors)
+    if errors:
+        return ValidationReport(False, errors)
+    vehicle = cfg["fleet"]["vehicle"]
+    preset = VEHICLE_PRESETS.get(vehicle["preset"])
+    if preset is None:
+        return ValidationReport(False, [
+            f"fleet.vehicle.preset: unknown preset {vehicle['preset']!r} "
+            f"(available: {sorted(VEHICLE_PRESETS)})"])
+    # the preset's values merged with the overrides
+    params = _resolve(vehicle["overrides"], preset, "fleet.vehicle.overrides",
+                      "fleet.vehicle.overrides", errors)
+    if errors:
+        return ValidationReport(False, errors)
 
-    if merged.get("schema_version") != SCHEMA_VERSION:
-        errors.append(
-            f"schema_version: expected {SCHEMA_VERSION}, "
-            f"got {merged.get('schema_version')!r}"
-        )
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
+                      f"got {cfg['schema_version']!r}")
+    if cfg["seed"] < 0:
+        errors.append("seed: must be non-negative")
+    if cfg["horizon_s"] < 0:
+        errors.append("horizon_s: must be non-negative")
 
-    seed = merged.get("seed")
-    if not _is_int(seed) or seed < 0:
-        errors.append("seed: must be a non-negative integer")
-        seed = 0
-
-    horizon = merged.get("horizon_s")
-    if not _is_real(horizon) or horizon < 0:
-        errors.append("horizon_s: must be a finite non-negative number")
-        horizon = 0.0
-
-    net = None
-    try:
-        net = _build_network(merged["network"], base_dir)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        errors.append(f"network: {exc}")
-
-    depot = merged.get("depot_edge")
-    if not depot or not isinstance(depot, str):
+    net = _build("network", errors, _build_network, cfg["network"], base_dir)
+    depot = cfg["depot_edge"]
+    if depot is None:
         errors.append("depot_edge: required, an edge id")
     elif net is not None and depot not in net.edges:
         errors.append(f"depot_edge: unknown edge {depot!r}")
 
-    fleet_cfg = merged["fleet"]
-    fleet_size = fleet_cfg.get("size")
-    if not _is_int(fleet_size) or fleet_size < 0:
-        errors.append("fleet.size: must be a non-negative integer")
-        fleet_size = 0
-    initial_soc = fleet_cfg.get("initial_soc", 1.0)
-    if not _is_real(initial_soc) or not 0.0 <= initial_soc <= 1.0:
-        errors.append("fleet.initial_soc: must be a number in [0, 1]")
-        initial_soc = 1.0
-    vehicle_params = _build_vehicle_params(fleet_cfg.get("vehicle") or {}, errors)
+    fleet_cfg = cfg["fleet"]
+    if fleet_cfg["size"] < 0:
+        errors.append("fleet.size: must be non-negative")
+    if not 0.0 <= fleet_cfg["initial_soc"] <= 1.0:
+        errors.append("fleet.initial_soc: must be in [0, 1]")
+    re_cfg = params.pop("range_extender")
+    range_extender = (_build("fleet.vehicle.range_extender", errors,
+                             RangeExtenderParams, **re_cfg)
+                      if re_cfg else None)
+    vehicle_params = _build("fleet.vehicle", errors, VehicleParams, **params,
+                            range_extender=range_extender)
 
-    station_specs: list[StationSpec] = []
-    seen_station_ids: set[str] = set()
-    stations_cfg = merged.get("stations") or []
-    if not isinstance(stations_cfg, list):
-        errors.append("stations: must be a list")
-        stations_cfg = []
-    for i, scfg in enumerate(stations_cfg):
-        path = f"stations[{i}]"
-        if not isinstance(scfg, dict):
-            errors.append(f"{path}: must be a mapping")
-            continue
-        sid = scfg.get("station_id")
-        if not sid or not isinstance(sid, str):
-            errors.append(f"{path}.station_id: required, a string")
-            continue
-        if sid in seen_station_ids:
-            errors.append(f"{path}.station_id: duplicate {sid!r}")
-            continue
-        seen_station_ids.add(sid)
-        edge_id = scfg.get("edge_id")
-        if not edge_id or not isinstance(edge_id, str):
-            errors.append(f"{path}.edge_id: required, an edge id")
-            continue
-        if net is not None and edge_id not in net.edges:
-            errors.append(f"{path}.edge_id: unknown edge {edge_id!r}")
-            continue
-        powers: list[float] = []
-        slots_cfg = scfg.get("slots") or []
-        if not isinstance(slots_cfg, list):
-            errors.append(f"{path}.slots: must be a list")
-            continue
-        for j, slot in enumerate(slots_cfg):
-            if not isinstance(slot, dict):
-                errors.append(f"{path}.slots[{j}]: must be a mapping")
-                continue
-            if "plug" in slot:
-                plug = (charging.PLUG_PRESETS.get(slot["plug"])
-                        if isinstance(slot["plug"], str) else None)
-                if plug is None:
-                    errors.append(
-                        f"{path}.slots[{j}].plug: unknown plug {slot['plug']!r} "
-                        f"(available: {sorted(charging.PLUG_PRESETS)})"
-                    )
-                    continue
-                powers.append(plug.power_w)
-            elif "power_w" in slot:
-                power = slot["power_w"]
-                if not _is_real(power) or power <= 0:
-                    errors.append(
-                        f"{path}.slots[{j}].power_w: must be a positive number"
-                    )
-                    continue
-                powers.append(float(power))
-            else:
-                errors.append(f"{path}.slots[{j}]: needs 'plug' or 'power_w'")
-        if not powers:
-            errors.append(f"{path}.slots: at least one valid slot required")
-            continue
-        max_sim = scfg.get("max_simultaneous", len(powers))
-        if not _is_int(max_sim) or not 1 <= max_sim <= len(powers):
-            errors.append(
-                f"{path}.max_simultaneous: must be in [1, {len(powers)}]"
-            )
-            continue
-        station_specs.append(StationSpec(sid, edge_id, max_sim, tuple(powers)))
+    stations = _build_stations(cfg["stations"], net, errors)
 
-    demand = _build_demand(merged["demand"], errors)
-    schedule_size = merged["demand"].get("schedule_size")
-    if schedule_size is None:
-        schedule_size = fleet_size
-    elif not _is_int(schedule_size) or schedule_size < 0:
-        errors.append("demand.schedule_size: must be a non-negative integer or null")
-        schedule_size = fleet_size
-    merged["demand"]["schedule_size"] = schedule_size
+    demand = _build_demand(cfg["demand"], errors)
+    if cfg["demand"]["schedule_size"] is None:
+        cfg["demand"]["schedule_size"] = fleet_cfg["size"]
+    elif cfg["demand"]["schedule_size"] < 0:
+        errors.append("demand.schedule_size: must be non-negative or null")
 
-    pcfg = merged["policies"]
-    policies = None
-    try:
-        if pcfg["routing_weight"] not in ("travel_time", "distance"):
-            raise ConfigError(
-                f"routing_weight must be 'travel_time' or 'distance', "
-                f"got {pcfg['routing_weight']!r}"
-            )
-        for key in ("dispatch_reserve_soc", "depot_charge_threshold",
-                    "target_soc", "safety_margin_soc"):
-            value = float(pcfg[key])
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"{key} must be in [0, 1], got {value}")
-        if pcfg["queue_estimate"] not in ("mean_power", "max_power"):
-            raise ConfigError(
-                f"queue_estimate must be 'mean_power' or 'max_power', "
-                f"got {pcfg['queue_estimate']!r}"
-            )
-        policies = FleetPolicies(
-            routing_weight=pcfg["routing_weight"],
-            dispatch_reserve_soc=float(pcfg["dispatch_reserve_soc"]),
-            depot_charge_threshold=float(pcfg["depot_charge_threshold"]),
-            target_soc=float(pcfg["target_soc"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(f"policies: {exc}")
+    pcfg = cfg["policies"]
+    if pcfg["routing_weight"] not in ("travel_time", "distance"):
+        errors.append(f"policies.routing_weight: must be 'travel_time' or "
+                      f"'distance', got {pcfg['routing_weight']!r}")
+    for key in ("dispatch_reserve_soc", "depot_charge_threshold",
+                "target_soc", "safety_margin_soc"):
+        if not 0.0 <= pcfg[key] <= 1.0:
+            errors.append(f"policies.{key}: must be in [0, 1]")
 
-    ncfg = merged["numerics"]
-    numerics_ok = True
-    for key in ("dynamics_dt_s", "metrics_interval_s", "utilization_bin_s"):
-        if not _is_real(ncfg.get(key)) or ncfg[key] <= 0:
-            errors.append(f"numerics.{key}: must be a finite positive number")
-            numerics_ok = False
-    if not _is_int(ncfg.get("tick_buffer_rows")) or ncfg["tick_buffer_rows"] < 1:
-        errors.append("numerics.tick_buffer_rows: must be a positive integer")
-        numerics_ok = False
+    ncfg = cfg["numerics"]
+    for key, value in ncfg.items():
+        # the clock counts whole milliseconds; a metrics interval below
+        # 0.5 ms would round to a 0 ms tick that never advances it
+        if value < 0.001:
+            errors.append(f"numerics.{key}: must be at least 0.001 s")
 
-    ecfg = merged["environment"]
-    for key in ("gravity_mps2", "air_density_kgpm3"):
-        if not _is_real(ecfg.get(key)) or ecfg[key] <= 0:
-            errors.append(f"environment.{key}: must be a finite positive number")
+    ecfg = cfg["environment"]
+    environment = _build("environment", errors, Environment,
+                         ecfg["gravity_mps2"], ecfg["air_density_kgpm3"])
 
     if errors:
-        return ValidationReport(False, errors, effective=merged)
+        return ValidationReport(False, errors)
 
     config = ScenarioConfig(
-        effective=merged,
-        base_dir=base_dir,
-        seed=seed,
-        horizon_s=float(horizon),
+        effective=cfg,
+        seed=cfg["seed"],
+        horizon_s=cfg["horizon_s"],
         depot_edge=depot,
-        fleet_size=fleet_size,
-        initial_soc=float(initial_soc),
+        fleet_size=fleet_cfg["size"],
+        initial_soc=fleet_cfg["initial_soc"],
         vehicle_params=vehicle_params,
-        station_specs=station_specs,
+        stations=stations,
         demand=demand,
-        schedule_size=schedule_size,
-        policies=policies,
-        safety_margin_soc=float(pcfg["safety_margin_soc"]),
-        queue_estimate=pcfg["queue_estimate"],
-        dynamics_dt_s=float(ncfg["dynamics_dt_s"]) if numerics_ok else 1.0,
-        metrics_interval_s=float(ncfg["metrics_interval_s"]) if numerics_ok else 10.0,
-        utilization_bin_s=float(ncfg["utilization_bin_s"]) if numerics_ok else 300.0,
-        tick_buffer_rows=int(ncfg["tick_buffer_rows"]) if numerics_ok else 100000,
-        environment=Environment(gravity=float(ecfg["gravity_mps2"]),
-                                air_density=float(ecfg["air_density_kgpm3"])),
-        _network=net,
+        schedule_size=cfg["demand"]["schedule_size"],
+        policies=FleetPolicies(pcfg["routing_weight"],
+                               pcfg["dispatch_reserve_soc"],
+                               pcfg["depot_charge_threshold"],
+                               pcfg["target_soc"]),
+        safety_margin_soc=pcfg["safety_margin_soc"],
+        dynamics_dt_s=ncfg["dynamics_dt_s"],
+        metrics_interval_s=ncfg["metrics_interval_s"],
+        utilization_bin_s=ncfg["utilization_bin_s"],
+        environment=environment,
+        network=net,
     )
-    return ValidationReport(True, [], effective=merged, config=config)
+    return ValidationReport(True, [], effective=cfg, config=config)
 
 
 def load_raw(path: str | Path) -> dict:

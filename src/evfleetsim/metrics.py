@@ -40,6 +40,8 @@ SUMMARY_HEADER = [
 ]
 UTILIZATION_HEADER = ["bin_start_s", "idle", "busy", "charging", "queued", "stranded"]
 HISTOGRAM_HEADER = ["bin_lower_m", "bin_upper_m", "airline_count", "driven_count"]
+# ticks.csv rows held in memory before they are appended to the file
+TICK_BUFFER_ROWS = 100_000
 
 _STATE_GROUP = {
     Lifecycle.IDLE: "idle",
@@ -140,13 +142,11 @@ class _VehicleFinal:
 
 class MetricsCollector:
     """Accumulates run data; tick rows stream to disk once the rows buffered
-    in memory reach ``tick_buffer_rows`` (metrics are the product, so any I/O
+    in memory reach ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O
     failure is allowed to propagate and abort the run)."""
 
-    def __init__(self, out_dir: str | Path | None = None,
-                 tick_buffer_rows: int = 100_000):
+    def __init__(self, out_dir: str | Path | None = None):
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.tick_buffer_rows = tick_buffer_rows
         # one string of formatted ticks.csv rows per recorded tick
         self._tick_chunks: list[str] = []
         self._pending_rows = 0
@@ -191,7 +191,7 @@ class MetricsCollector:
         head = f"{t_ms / MS_PER_S:.3f},"
         self._tick_chunks.append(head + head.join(tails))
         self._pending_rows += len(tails)
-        if self.out_dir is not None and self._pending_rows >= self.tick_buffer_rows:
+        if self.out_dir is not None and self._pending_rows >= TICK_BUFFER_ROWS:
             self._flush_ticks()
 
     def record_transition(self, t_ms: int, vehicle_id: str,

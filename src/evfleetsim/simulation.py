@@ -51,16 +51,15 @@ def run_scenario(
     """Run one scenario end to end and write the output files."""
     seed = config.seed if seed_override is None else seed_override
     out_dir = Path(out_dir)
-    net = config.build_network()
+    net = config.network
     horizon_ms = ms(config.horizon_s)
 
     engine = Engine(keep_event_log=event_log)
-    collector = metrics.MetricsCollector(out_dir, config.tick_buffer_rows)
+    collector = metrics.MetricsCollector(out_dir)
     manager = charging.ChargingManager(
         engine,
         config.build_stations(),
         safety_margin_soc=config.safety_margin_soc,
-        queue_estimate=config.queue_estimate,
     )
 
     vehicles = [
@@ -117,13 +116,9 @@ def run_scenario(
                 )))
             elif lifecycle is fleet.Lifecycle.CHARGING and v.session is not None:
                 s = v.session
-                inflow = s.effective_power_w * v.params.charging_efficiency
                 elapsed = max(0.0, (now - s.grant_ms) / MS_PER_S)
-                soc = min(
-                    s.target_soc,
-                    s.start_soc + inflow * elapsed / 3600.0
-                    / v.params.battery_capacity_wh,
-                )
+                _, soc = charging.session_progress(s, v.params, elapsed)
+                inflow = s.effective_power_w * v.params.charging_efficiency
                 samples.append((v.vehicle_id, lifecycle, soc,
                                 (0.0, 0.0, 0.0, -inflow, 0.0, 0.0)))
             else:

@@ -166,7 +166,7 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
     report_cfg = validate_config(default_scenario_path())
     assert report_cfg.ok
     config = report_cfg.config
-    net = config.build_network()
+    net = config.network
     # scale the schedule to ~10^4 trips (poisson mean 2.0 per vehicle-slot)
     trips = generate_day_schedule(config.seed, config.demand, 5000, net,
                                   config.depot_edge)

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import dummy_vehicle
 
-from evfleetsim.charging import (IEC_TYPE2, SCHUKO, ChargingError,
+from evfleetsim.charging import (PLUG_PRESETS, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Granted, Queued, Slot, WaitHere,
-                                 charge_duration)
+                                 charge_duration, session_progress)
 from evfleetsim.dynamics import Environment
 from evfleetsim.engine import Engine, Event, EventKind, ms
 from evfleetsim.network import Coord, Edge, RoadNetwork
@@ -17,7 +17,7 @@ ENV = Environment()
 def two_slot_station(station_id="st1", edge_id="e1", max_simultaneous=2):
     return ChargingStation(
         station_id, edge_id,
-        [Slot("s0", SCHUKO.power_w), Slot("s1", IEC_TYPE2.power_w)],
+        [Slot("s0", PLUG_PRESETS["schuko"]), Slot("s1", PLUG_PRESETS["iec_type2"])],
         max_simultaneous,
     )
 
@@ -36,8 +36,7 @@ def line_network():
 # --- plug presets and closed-form durations -----------------------------------
 
 def test_plug_presets_carry_rated_powers():
-    assert SCHUKO.power_w == 2300.0
-    assert IEC_TYPE2.power_w == 3600.0
+    assert PLUG_PRESETS == {"schuko": 2300.0, "iec_type2": 3600.0}
 
 
 def test_charge_duration_zero_deficit():
@@ -290,3 +289,22 @@ def test_truncate_active_sessions_keeps_partial_energy():
     assert s.duration_s == pytest.approx(4500.0)
     assert s.energy_wh == pytest.approx(3600.0 * 4500.0 / 3600.0)
     assert vehicle.state.soc == pytest.approx(0.5 + s.energy_wh / 18000.0)
+
+
+def test_session_progress_is_linear_and_capped_at_target():
+    engine = Engine()
+    mgr = ChargingManager(engine, [two_slot_station()])
+    vehicle = dummy_vehicle("a", soc=0.5, charging_efficiency=0.9)
+    s = mgr.request_charge(vehicle, "st1", 1.0, 0).session
+    # 3600 W at 90 % stores 3240 Wh per hour of an 18 kWh battery
+    assert session_progress(s, vehicle.params, 0.0) == (0.0, 0.5)
+    energy, soc = session_progress(s, vehicle.params, 3600.0)
+    assert energy == pytest.approx(3240.0)
+    assert soc == pytest.approx(0.5 + 3240.0 / 18000.0)
+    assert session_progress(s, vehicle.params, 2 * s.duration_s)[1] == 1.0
+
+
+def test_station_rejects_non_positive_slot_power():
+    for power in (0.0, -2300.0):
+        with pytest.raises(ChargingError, match="slot powers must be positive"):
+            ChargingStation("st1", "e1", [Slot("s0", power)], 1)

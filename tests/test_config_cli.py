@@ -13,14 +13,12 @@ from evfleetsim.config import (VEHICLE_PRESETS, ConfigError,
                                validate_config)
 from evfleetsim.simulation import run_scenario, run_scenario_path, sweep
 
+GRID = {"rows": 4, "cols": 4, "edge_length_m": 150.0, "speed_limit_mps": 12.0}
 BASE_SCENARIO = {
     "schema_version": 1,
     "seed": 7,
     "horizon_s": 6 * 3600.0,
-    "network": {
-        "grid": {"rows": 4, "cols": 4, "edge_length_m": 150.0,
-                 "speed_limit_mps": 12.0},
-    },
+    "network": {"grid": GRID},
     "depot_edge": "e00000",
     "fleet": {"size": 5, "initial_soc": 1.0,
               "vehicle": {"preset": "compact_ev", "overrides": {}}},
@@ -38,7 +36,7 @@ BASE_SCENARIO = {
     },
     "policies": {"depot_charge_threshold": 1.0},
     "numerics": {"dynamics_dt_s": 1.0, "metrics_interval_s": 30.0,
-                 "utilization_bin_s": 300.0, "tick_buffer_rows": 100000},
+                 "utilization_bin_s": 300.0},
 }
 
 
@@ -139,12 +137,36 @@ def test_effective_config_round_trips(tmp_path):
                            "overrides": {"auxiliary_power_w": float("nan")}}}},
     {"demand": {"trips_per_vehicle_per_day": {"family": "fixed", "n": -1}}},
     {"demand": {"dwell": {"family": "weibull"}}},
+    {"fleeet": {"size": 3}},
+    {"policies": {"targt_soc": 1.0}},
+    {"numerics": {"metric_interval_s": 3600}},
+    {"policies": {"queue_estimate": "mean_power"}},
+    {"numerics": {"tick_buffer_rows": 100000}},
+    {"demand": {"trips_per_vehicle_per_day": {"family": "fixed", "fixed_n": 2}}},
+    {"network": {"grid": {**GRID, "rows": 10.5}}},
+    {"demand": {"trips_per_vehicle_per_day": {"family": "fixed", "n": 2.7}}},
+    {"policies": {"target_soc": True}},
+    {"policies": {"target_soc": "1"}},
+    {"demand": {"departure_weights": ["1"] + [1.0] * 23}},
+    {"demand": {"distance_bins": [{"upper_m": "400", "weight": 1.0}]}},
+    {"demand": {"dwell": {"family": "lognormal", "mu_log": "7"}}},
+    {"fleet": {"vehicle": {"preset": "compact_ev",
+                           "overrides": {"mass_kg": True}}}},
+    {"stations": [{"station_id": "st0", "edge_id": "e00000",
+                   "max_simultaneous": 1,
+                   "slots": [{"plug": "schuko", "power_w": 3000.0}]}]},
+    {"numerics": {"metrics_interval_s": 0.0004}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
         "gravity_nan", "air_density_inf", "dwell_sigma_negative",
         "trips_mean_negative", "auxiliary_power_nan", "trips_n_negative",
-        "dwell_family_unknown"])
+        "dwell_family_unknown", "unknown_top_key", "unknown_policies_key",
+        "unknown_numerics_key", "removed_queue_estimate",
+        "removed_tick_buffer_rows", "removed_fixed_n", "grid_rows_fraction",
+        "trips_n_fraction", "target_soc_bool", "target_soc_text",
+        "departure_weight_text", "bin_upper_text", "dwell_mu_text",
+        "mass_bool", "slot_plug_and_power", "metrics_interval_below_1ms"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     assert not validate_config(path).ok
@@ -153,6 +175,60 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     assert cli.main(["validate", str(path)]) == 1
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"fleeet": {"size": 3}}, "fleeet: unknown key"),
+    ({"numerics": {"metric_interval_s": 3600}},
+     "numerics.metric_interval_s: unknown key"),
+    ({"network": {"grid": {**GRID, "rows": 10.5}}},
+     "network.grid.rows: must be an integer"),
+    ({"network": {"grid": GRID, "hourly_speed_factors": "fast"}},
+     "network.hourly_speed_factors: must be a list"),
+    ({"fleet": {"vehicle": {"preset": "compact_ev",
+                            "overrides": {"mass_kg": "1500"}}}},
+     "fleet.vehicle.overrides.mass_kg: must be a finite number"),
+    ({"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
+        "range_extender": {"power_w": 1e4, "soc_onn": 0.3}}}}},
+     "fleet.vehicle.overrides.range_extender.soc_onn: unknown key"),
+    ({"demand": {"distance_bins": [{"upper_m": 400.0}]}},
+     "demand.distance_bins[0].weight: required"),
+    ({"stations": [{"station_id": "st0", "edge_id": "e00000",
+                    "slots": [{"power_w": 2300.0, "volts": 230}]}]},
+     "stations[0].slots[0].volts: unknown key"),
+], ids=["top", "numerics", "grid_rows", "speed_factors", "override_text",
+        "range_extender_key", "bin_weight", "slot_key"])
+def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
+    report = validate_config(write_scenario(tmp_path, **overrides))
+    assert any(e.startswith(where) for e in report.errors), report.errors
+
+
+def test_missing_keys_take_their_defaults(tmp_path):
+    path = write_scenario(tmp_path, demand={
+        "dwell": {"family": "fixed"},
+        "trips_per_vehicle_per_day": {"family": "fixed"}})
+    effective = validate_config(path).effective
+    assert effective["demand"]["dwell"]["fixed_s"] == 1800.0
+    assert effective["demand"]["trips_per_vehicle_per_day"]["n"] == 1
+    assert effective["network"]["hourly_speed_factors"] is None
+    # an int where a float is expected is taken and echoed as a float
+    path = write_scenario(tmp_path, horizon_s=3600)
+    assert repr(validate_config(path).effective["horizon_s"]) == "3600.0"
+
+
+def test_vehicle_overrides_merge_into_the_preset(tmp_path):
+    preset = VEHICLE_PRESETS["compact_ev"]
+    path = write_scenario(tmp_path, fleet={"vehicle": {
+        "preset": "compact_ev",
+        "overrides": {"mass_kg": 1200, "range_extender": {"soc_on": 0.3}}}})
+    params = load_config(path).vehicle_params
+    assert params.mass_kg == 1200.0
+    assert params.drag_coefficient == preset["drag_coefficient"]
+    assert params.range_extender.soc_on == 0.3
+    assert params.range_extender.power_w == preset["range_extender"]["power_w"]
+    path = write_scenario(tmp_path, fleet={"vehicle": {
+        "preset": "compact_ev", "overrides": {"range_extender": None}}})
+    assert load_config(path).vehicle_params.range_extender is None
 
 
 def numeric_leaves(node, path=()):
@@ -210,7 +286,7 @@ def test_network_from_csv_files(tmp_path):
         fleet={"size": 1},
     )
     config = load_config(path)
-    net = config.build_network()
+    net = config.network
     assert set(net.edges) == {"f", "r"}
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from evfleetsim import metrics
 from evfleetsim.charging import ChargeSession
 from evfleetsim.dynamics import Cumulative
 from evfleetsim.engine import ms
@@ -49,7 +50,7 @@ def session(vid="v0", grant_s=0.0, dur_s=3600.0, energy=2300.0,
 # --- tick recording -------------------------------------------------------------
 
 def test_one_record_one_row_after_flush(tmp_path):
-    collector = MetricsCollector(tmp_path, tick_buffer_rows=10)
+    collector = MetricsCollector(tmp_path)
     collector.record_ticks(0, [rest()])
     collector._flush_ticks()
     rows = (tmp_path / "ticks.csv").read_text().splitlines()
@@ -58,9 +59,10 @@ def test_one_record_one_row_after_flush(tmp_path):
     assert len(rows) == 2
 
 
-def test_bulk_record_count_matches_exactly(tmp_path):
+def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
     n_ticks, per_tick = 10_000, 100
-    collector = MetricsCollector(tmp_path, tick_buffer_rows=200_000)
+    monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", 200_000)
+    collector = MetricsCollector(tmp_path)
     samples = [rest(f"v{i}") for i in range(per_tick)]
     for k in range(n_ticks):
         collector.record_ticks(k * 1000, samples)

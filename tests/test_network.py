@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from test_config_cli import write_scenario
+
+from evfleetsim.config import ConfigError, load_config
 from evfleetsim.network import (Coord, Edge, NetworkError, NoRouteError,
                                 RoadNetwork, airline_distance, generate_grid,
                                 load_network, nearest_edge, route_travel_time,
@@ -74,6 +77,28 @@ def test_load_rejects_duplicates_and_bad_values(tmp_path):
     )
     with pytest.raises(NetworkError, match="non-positive speed"):
         load_network(nodes, edges)
+
+
+# one edge row per column, the column's value left to fill in
+EDGE_ROWS = {"length_m": "e1,a,b,{},13.9,0.0",
+             "speed_limit_mps": "e1,a,b,100,{},0.0",
+             "gradient": "e1,a,b,100,13.9,{}"}
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+@pytest.mark.parametrize("column", sorted(EDGE_ROWS))
+def test_load_rejects_non_finite_edge_values(tmp_path, column, text):
+    nodes, edges = write_net(tmp_path, ["a,0,0", "b,100,0"],
+                             [EDGE_ROWS[column].format(text)])
+    with pytest.raises(NetworkError, match="edge e1: non-finite"):
+        load_network(nodes, edges)
+    path = write_scenario(
+        tmp_path,
+        network={"files": {"nodes": "nodes.csv", "edges": "edges.csv"},
+                 "grid": None},
+        depot_edge="e1", stations=[])
+    with pytest.raises(ConfigError, match="network: edge e1: non-finite"):
+        load_config(path)
 
 
 def test_curvy_edge_longer_than_airline_is_accepted(tmp_path):

@@ -8,6 +8,7 @@ import yaml
 
 from test_config_cli import BASE_SCENARIO, write_scenario
 
+from evfleetsim import metrics
 from evfleetsim.charging import ChargingManager
 from evfleetsim.engine import Engine, EventKind
 from evfleetsim.fleet import Lifecycle
@@ -217,16 +218,14 @@ def test_ticks_csv_equals_reference_writer(tmp_path, monkeypatch):
     assert result.manifest["files"]["ticks.csv"] == sum(len(s) for _, s in ticks)
 
 
-def test_ticks_csv_independent_of_flush_boundaries(tmp_path):
-    busy = dict(vehicles=5, trips_per_vehicle=4)
-    default = run_scenario_path(write_busy_scenario(tmp_path, **busy),
-                                tmp_path / "out")
+def test_ticks_csv_independent_of_flush_boundaries(tmp_path, monkeypatch):
+    path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
+    default = run_scenario_path(path, tmp_path / "out")
     expected = (tmp_path / "out" / "ticks.csv").read_bytes()
     rows_per_tick = expected.count(b"\n0.000,")
     assert rows_per_tick == 5 and default.n_stranded == 0
     for rows in (1, rows_per_tick - 1, rows_per_tick):
-        path = write_busy_scenario(tmp_path, name=f"rows_{rows}.yaml",
-                                   numerics={"tick_buffer_rows": rows}, **busy)
+        monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", rows)
         result = run_scenario_path(path, tmp_path / f"out_{rows}")
         assert (tmp_path / f"out_{rows}" / "ticks.csv").read_bytes() == expected
         assert (result.manifest["files"]["ticks.csv"]
