@@ -1,7 +1,11 @@
 """Command-line scenario runner: validate configs, run single simulations,
 and sweep fleet or infrastructure parameters.
 
-Exit codes: 0 success, 1 configuration error, 2 model error, 3 I/O error.
+Exit codes: 0 success; 1 configuration error, a ``ConfigError`` raised
+before any run starts for a malformed scenario, ``--seed`` or sweep value;
+2 model error, a run aborted at an event the model cannot explain (a
+``ModelError``, which the engine wraps in ``SimulationAborted`` naming the
+event; no event is dropped); 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from pathlib import Path
 
 import yaml
 
-from .config import (ConfigError, SWEEPABLE_PARAMS, default_scenario_path,
-                     validate_config)
-from .engine import SimulationAborted
-from .fleet import ModelError
-from .simulation import run_scenario_path, sweep
+from .config import (ConfigError, SWEEPABLE_PARAMS, build_config,
+                     default_scenario_path, load_config, load_raw)
+from .engine import ModelError, SimulationAborted
+from .simulation import run_scenario, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one scenario")
     p_run.add_argument("config", type=_config_path)
     p_run.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
+                       help="replace the configured seed")
     p_run.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory (default: ./out)")
     p_run.add_argument("--event-log", action="store_true",
@@ -81,21 +84,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    report = validate_config(args.config)
-    if report.ok:
-        print(f"OK: {args.config}")
-        print(yaml.safe_dump(report.effective, sort_keys=False), end="")
-        return EXIT_OK
-    print(f"INVALID: {args.config}", file=sys.stderr)
-    for error in report.errors:
-        print(f"  - {error}", file=sys.stderr)
-    return EXIT_CONFIG
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        print(f"INVALID: {args.config}", file=sys.stderr)
+        for error in exc.errors:
+            print(f"  - {error}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(f"OK: {args.config}")
+    print(yaml.safe_dump(config.effective, sort_keys=False), end="")
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    result = run_scenario_path(
-        args.config, args.out, seed_override=args.seed, event_log=args.event_log
-    )
+    raw = load_raw(args.config)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    config = build_config(raw, args.config.parent.resolve())
+    result = run_scenario(config, args.out, event_log=args.event_log)
     files = ", ".join(sorted(result.manifest["files"]))
     print(
         f"completed: {result.engine_summary.total_dispatched} events, "

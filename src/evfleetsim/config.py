@@ -2,6 +2,10 @@
 fleet, stations, demand, policies, numerics, and seed. Loading fills defaults,
 validates every cross-reference, and echoes the fully-resolved configuration.
 
+:func:`build_config` (a raw mapping) and :func:`load_config` (a file) are the
+only entry points. Both return a :class:`ScenarioConfig` or raise
+:class:`ConfigError` naming every problem found.
+
 ``DEFAULTS`` is the schema: one pass merges the raw YAML into it and checks
 each value against the type of its default (``_SHAPES`` adds what a default
 cannot show). The vehicle overrides are checked the same way against the
@@ -23,13 +27,19 @@ import yaml
 
 from . import charging, network
 from .dynamics import Environment, RangeExtenderParams, VehicleParams
+from .engine import ms
 from .fleet import (DemandProfile, DwellDistribution, FleetPolicies, TripsPerDay)
 
 SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    pass
+    """A scenario that cannot be built. ``errors`` lists every problem, each
+    prefixed with its key path; ``str`` joins them with ``"; "``."""
+
+    def __init__(self, *errors: str):
+        super().__init__("; ".join(errors))
+        self.errors = list(errors)
 
 
 VEHICLE_PRESETS: dict[str, dict] = {
@@ -244,14 +254,6 @@ class ScenarioConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    errors: list[str]
-    effective: dict | None = None
-    config: ScenarioConfig | None = None
-
-
 def _build_network(net_cfg: dict, base_dir: Path) -> network.RoadNetwork:
     files, grid = net_cfg.get("files"), net_cfg["grid"]
     factors = net_cfg["hourly_speed_factors"]
@@ -318,29 +320,23 @@ def _build_demand(dcfg: dict, errors: list[str]) -> DemandProfile | None:
 
 def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     """Resolve defaults and build a validated :class:`ScenarioConfig`;
-    raises :class:`ConfigError` listing every problem found."""
-    report = _validate(raw, Path(base_dir))
-    if not report.ok:
-        raise ConfigError("; ".join(report.errors))
-    return report.config
-
-
-def _validate(raw: dict, base_dir: Path) -> ValidationReport:
+    relative network files are read from ``base_dir``. Raises
+    :class:`ConfigError` listing every problem found."""
     errors: list[str] = []
     cfg = _resolve(raw, DEFAULTS, "", "", errors)
     if errors:
-        return ValidationReport(False, errors)
+        raise ConfigError(*errors)
     vehicle = cfg["fleet"]["vehicle"]
     preset = VEHICLE_PRESETS.get(vehicle["preset"])
     if preset is None:
-        return ValidationReport(False, [
+        raise ConfigError(
             f"fleet.vehicle.preset: unknown preset {vehicle['preset']!r} "
-            f"(available: {sorted(VEHICLE_PRESETS)})"])
+            f"(available: {sorted(VEHICLE_PRESETS)})")
     # the preset's values merged with the overrides
     params = _resolve(vehicle["overrides"], preset, "fleet.vehicle.overrides",
                       "fleet.vehicle.overrides", errors)
     if errors:
-        return ValidationReport(False, errors)
+        raise ConfigError(*errors)
 
     if cfg["schema_version"] != SCHEMA_VERSION:
         errors.append(f"schema_version: expected {SCHEMA_VERSION}, "
@@ -349,8 +345,10 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         errors.append("seed: must be non-negative")
     if cfg["horizon_s"] < 0:
         errors.append("horizon_s: must be non-negative")
+    _build("horizon_s", errors, ms, cfg["horizon_s"])
 
-    net = _build("network", errors, _build_network, cfg["network"], base_dir)
+    net = _build("network", errors, _build_network, cfg["network"],
+                 Path(base_dir))
     depot = cfg["depot_edge"]
     if depot is None:
         errors.append("depot_edge: required, an edge id")
@@ -392,15 +390,16 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         # 0.5 ms would round to a 0 ms tick that never advances it
         if value < 0.001:
             errors.append(f"numerics.{key}: must be at least 0.001 s")
+        _build(f"numerics.{key}", errors, ms, value)
 
     ecfg = cfg["environment"]
     environment = _build("environment", errors, Environment,
                          ecfg["gravity_mps2"], ecfg["air_density_kgpm3"])
 
     if errors:
-        return ValidationReport(False, errors)
+        raise ConfigError(*errors)
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         effective=cfg,
         seed=cfg["seed"],
         horizon_s=cfg["horizon_s"],
@@ -422,7 +421,6 @@ def _validate(raw: dict, base_dir: Path) -> ValidationReport:
         environment=environment,
         network=net,
     )
-    return ValidationReport(True, [], effective=cfg, config=config)
 
 
 def load_raw(path: str | Path) -> dict:
@@ -441,28 +439,17 @@ def load_raw(path: str | Path) -> dict:
     return raw
 
 
-def validate_config(path: str | Path) -> ValidationReport:
-    """Load, resolve defaults, and validate a scenario file. Returns a report
-    that either echoes the effective configuration or names every offending
-    key."""
-    path = Path(path)
-    try:
-        raw = load_raw(path)
-    except ConfigError as exc:
-        return ValidationReport(False, [str(exc)])
-    return _validate(raw, path.parent.resolve())
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
-    report = validate_config(path)
-    if not report.ok:
-        raise ConfigError("; ".join(report.errors))
-    return report.config
+    """Read a scenario file and build it with :func:`build_config`, relative
+    to the file's directory."""
+    path = Path(path)
+    return build_config(load_raw(path), path.parent.resolve())
 
 
 def apply_sweep_override(effective: dict, param: str, value) -> dict:
     """Return a copy of an effective config dict with one sweepable parameter
-    replaced."""
+    replaced. The value is assigned unchanged, so :func:`build_config` checks
+    its type as it checks the file's."""
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(
             f"parameter {param!r} is not sweepable (choose from "
@@ -470,23 +457,24 @@ def apply_sweep_override(effective: dict, param: str, value) -> dict:
         )
     out = copy.deepcopy(effective)
     if param == "fleet.size":
-        out["fleet"]["size"] = int(value)
+        out["fleet"]["size"] = value
     elif param == "stations.count":
-        n = int(value)
+        if type(value) is not int:
+            raise ConfigError(f"stations.count: must be an integer, "
+                              f"got {value!r}")
         stations = out.get("stations") or []
-        if not (1 <= n <= len(stations)):
+        if not (1 <= value <= len(stations)):
             raise ConfigError(
-                f"stations.count: value {n} needs 1..{len(stations)} "
+                f"stations.count: value {value} needs 1..{len(stations)} "
                 f"defined stations"
             )
-        out["stations"] = stations[:n]
+        out["stations"] = stations[:value]
     elif param == "stations.slot_power_w":
-        power = float(value)
         for station in out.get("stations") or []:
-            station["slots"] = [{"power_w": power} for _ in station["slots"]]
+            station["slots"] = [{"power_w": value} for _ in station["slots"]]
     elif param == "stations.max_simultaneous":
         for station in out.get("stations") or []:
-            station["max_simultaneous"] = int(value)
+            station["max_simultaneous"] = value
     return out
 
 

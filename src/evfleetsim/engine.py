@@ -9,21 +9,28 @@ reproduce the same dispatch sequence byte for byte.
 from __future__ import annotations
 
 import heapq
-import logging
 import time as _wallclock
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-LOG = logging.getLogger(__name__)
-
 MS_PER_S = 1000
 
 
+class ClockRangeError(ValueError):
+    """A time in seconds whose millisecond count is not finite."""
+
+
 def ms(seconds: float) -> int:
-    """Convert seconds to integer-millisecond simulation time."""
-    return int(round(seconds * MS_PER_S))
+    """Convert seconds to integer-millisecond simulation time. Every seconds
+    value the model schedules passes through here; raises
+    :class:`ClockRangeError` when ``seconds * 1000`` is not finite."""
+    try:
+        return int(round(seconds * MS_PER_S))
+    except (OverflowError, ValueError):
+        raise ClockRangeError(
+            f"{seconds!r} s does not fit the millisecond clock") from None
 
 
 def to_seconds(time_ms: int) -> float:
@@ -70,8 +77,13 @@ class SchedulingInPastError(ValueError):
     """Raised when an event is scheduled before the current clock."""
 
 
+class ModelError(RuntimeError):
+    """An impossible event: an illegal lifecycle transition, an event for an
+    unknown entity, or an event kind without a handler."""
+
+
 class SimulationAborted(RuntimeError):
-    """A handler raised an unrecoverable model error; carries the event."""
+    """An event could not be handled; carries the event and the cause."""
 
     def __init__(self, event: Event, cause: BaseException):
         super().__init__(
@@ -86,7 +98,6 @@ class SimulationAborted(RuntimeError):
 class SimulationSummary:
     end_clock_ms: int
     dispatched: Counter
-    dropped: int
     wall_clock_s: float
 
     @property
@@ -132,22 +143,18 @@ class Engine:
 
     def run_until(self, end_ms: int) -> SimulationSummary:
         """Dispatch every event with ``at <= end_ms`` in (at, sequence) order,
-        then advance the clock to ``end_ms``."""
+        then advance the clock to ``end_ms``. An event without a handler, or
+        a handler that raises, aborts the run with
+        :class:`SimulationAborted`."""
         started = _wallclock.perf_counter()
         dispatched: Counter = Counter()
-        dropped = 0
         while self._queue and self._queue[0][0] <= end_ms:
             at, _, event = heapq.heappop(self._queue)
             self._clock_ms = at
             handler = self.handlers.get(event.kind)
             if handler is None:
-                LOG.warning(
-                    "no handler for %s at t=%.3fs; event dropped",
-                    event.kind.value,
-                    to_seconds(at),
-                )
-                dropped += 1
-                continue
+                raise SimulationAborted(
+                    event, ModelError("no handler registered"))
             if self.keep_event_log:
                 self.event_log.append(
                     (at, event.sequence, event.kind.value, event.payload_str())
@@ -162,7 +169,6 @@ class Engine:
         return SimulationSummary(
             end_clock_ms=self._clock_ms,
             dispatched=dispatched,
-            dropped=dropped,
             wall_clock_s=_wallclock.perf_counter() - started,
         )
 

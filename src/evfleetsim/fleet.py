@@ -17,6 +17,14 @@ of vehicles that are no longer idle, or whose SOC has changed since, are
 skipped and dropped when they reach the top. A vehicle's SOC must therefore not
 change while it is idle: only driving and completing a charge move it, and
 neither happens in the idle state.
+
+Failure policy: an event the model cannot explain (one for an unknown vehicle
+or trip, one for a stranded vehicle other than its ``Stranded`` event, a
+segment completion without a route, a slot grant without its session, or an
+illegal lifecycle transition) raises :class:`ModelError`; the engine wraps it
+in :class:`~evfleetsim.engine.SimulationAborted`, which ends the run. No event
+is dropped. Stranding is a model outcome, not a failure: it is logged as a
+warning and the vehicle stays stranded.
 """
 
 from __future__ import annotations
@@ -30,17 +38,13 @@ from enum import Enum
 import numpy as np
 
 from . import charging, dynamics, network
-from .engine import Engine, Event, EventKind, hour_of, ms
+from .engine import Engine, Event, EventKind, ModelError, hour_of, ms
 
 LOG = logging.getLogger(__name__)
 
 
 class FleetError(ValueError):
     pass
-
-
-class ModelError(RuntimeError):
-    """An illegal lifecycle transition or broken internal assumption."""
 
 
 class Lifecycle(Enum):
@@ -70,6 +74,16 @@ class Mission(Enum):
 
 @dataclass(frozen=True)
 class DwellDistribution:
+    """Dwell time at the destination, in seconds: ``fixed_s``, or the
+    lognormal ``exp(mu_log + sigma_log * z)`` with ``z`` standard normal.
+
+    Every draw must fit the millisecond clock of :func:`~evfleetsim.engine.ms`.
+    ``fixed_s`` is converted once to check it. numpy's normal sampler never
+    returns ``|z|`` above 14, so the rule for the lognormal is
+    ``mu_log + 40 * sigma_log <= ln(1e300)`` (about 690.8): every draw then
+    stays below 1e300 s. The default 7.5/0.5 gives 27.5.
+    """
+
     family: str = "lognormal"  # or "fixed"
     mu_log: float = 7.5
     sigma_log: float = 0.5
@@ -82,6 +96,10 @@ class DwellDistribution:
                 and 0 <= self.fixed_s < math.inf):
             raise FleetError("dwell needs a finite mu_log and finite, "
                              "non-negative sigma_log and fixed_s")
+        if self.mu_log + 40 * self.sigma_log > math.log(1e300):
+            raise FleetError("dwell draws can overflow: mu_log + 40 * "
+                             "sigma_log must be at most ln(1e300)")
+        ms(self.fixed_s)
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.family == "fixed":
@@ -113,15 +131,14 @@ class DemandProfile:
     """Empirical-style demand description.
 
     ``distance_bins`` is a list of ``(upper_m, weight)`` pairs with implicit
-    lower edges (``distance_lower_m`` for the first bin); distances are drawn
-    uniformly within the chosen bin. A single bin with lower == upper is the
-    degenerate point distribution. ``departure_weights`` is one weight per
+    lower edges (0 m for the first bin); distances are drawn uniformly
+    within the chosen bin. A single bin with ``upper_m`` 0 is the degenerate
+    point distribution at the depot. ``departure_weights`` is one weight per
     hour of day.
     """
 
     departure_weights: tuple[float, ...]
     distance_bins: tuple[tuple[float, float], ...]
-    distance_lower_m: float = 0.0
     dwell: DwellDistribution = DwellDistribution()
     trips_per_day: TripsPerDay = TripsPerDay()
 
@@ -134,13 +151,9 @@ class DemandProfile:
                 "departure weights must be finite and non-negative with positive sum")
         if not self.distance_bins:
             raise FleetError("distance_bins must not be empty")
-        if self.distance_lower_m < 0:
-            raise FleetError("distance_lower_m must be non-negative")
-        degenerate = (
-            len(self.distance_bins) == 1
-            and self.distance_bins[0][0] == self.distance_lower_m
-        )
-        last = self.distance_lower_m
+        degenerate = (len(self.distance_bins) == 1
+                      and self.distance_bins[0][0] == 0.0)
+        last = 0.0
         for upper, w in self.distance_bins:
             if not (math.isfinite(upper) and math.isfinite(w)):
                 raise FleetError("distance bin edges and weights must be finite")
@@ -153,7 +166,7 @@ class DemandProfile:
             raise FleetError("distance bin weights must have positive sum")
 
     def bin_edges(self) -> list[float]:
-        return [self.distance_lower_m] + [u for u, _ in self.distance_bins]
+        return [0.0] + [u for u, _ in self.distance_bins]
 
 
 class DemandStreams:
@@ -211,8 +224,7 @@ def sample_trip(
     depart_ms = ms(hour * 3600.0 + rng.uniform(0.0, 3600.0))
 
     idx = _weighted_index(rng, [w for _, w in profile.distance_bins])
-    lower = (profile.distance_bins[idx - 1][0] if idx > 0
-             else profile.distance_lower_m)
+    lower = profile.distance_bins[idx - 1][0] if idx > 0 else 0.0
     upper = profile.distance_bins[idx][0]
     distance = rng.uniform(lower, upper)
 
@@ -387,17 +399,15 @@ class FleetController:
         if self.transition_hook is not None:
             self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, old, new)
 
-    def _alive(self, event: Event) -> Vehicle | None:
+    def _alive(self, event: Event) -> Vehicle:
+        """The event's vehicle; raises :class:`ModelError` for an unknown or
+        stranded one (its own ``Stranded`` event excepted)."""
         vid = event.payload.get("vehicle")
         vehicle = self.vehicles.get(vid)
         if vehicle is None:
-            LOG.warning("event %s references unknown vehicle %s; dropped",
-                        event.kind.value, vid)
-            return None
+            raise ModelError(f"unknown vehicle {vid!r}")
         if vehicle.lifecycle is Lifecycle.STRANDED and event.kind is not EventKind.STRANDED:
-            LOG.warning("event %s for stranded vehicle %s; dropped",
-                        event.kind.value, vid)
-            return None
+            raise ModelError(f"event for stranded vehicle: {vehicle.dump()}")
         return vehicle
 
     def _round_trip_estimate_wh(self, trip: Trip, hour: int) -> float:
@@ -489,22 +499,19 @@ class FleetController:
     # -- event handlers ---------------------------------------------------------
 
     def on_vehicle_spawn(self, event: Event) -> None:
-        trip = self.trips.get(event.payload.get("trip"))
+        trip_id = event.payload.get("trip")
+        trip = self.trips.get(trip_id)
         if trip is None or trip.status != "pending":
-            LOG.warning("spawn for unknown or non-pending trip %s; dropped",
-                        event.payload.get("trip"))
-            return
+            raise ModelError(
+                f"spawn for unknown or non-pending trip {trip_id!r}")
         if not self._try_dispatch(trip):
             self.delayed.append(trip)
 
     def on_segment_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         if vehicle.route is None:
-            LOG.warning("segment completion for %s without a route; dropped",
-                        vehicle.vehicle_id)
-            return
+            raise ModelError(
+                f"segment completion without a route: {vehicle.dump()}")
         vehicle.segment_index += 1
         if vehicle.segment_index < len(vehicle.route.edges):
             self._drive_current_segment(vehicle)
@@ -521,8 +528,6 @@ class FleetController:
 
     def on_arrive_destination(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         mission = vehicle.mission
         if mission is Mission.TRIP_OUT and vehicle.lifecycle is Lifecycle.EN_ROUTE:
             self._transition(vehicle, Lifecycle.DWELLING)
@@ -569,8 +574,6 @@ class FleetController:
 
     def on_dwell_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         if vehicle.lifecycle is not Lifecycle.DWELLING:
             raise ModelError(f"illegal dwell completion: {vehicle.dump()}")
         self._begin_route(
@@ -580,8 +583,6 @@ class FleetController:
 
     def on_charge_request(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         station_id = event.payload["station"]
         result = self.manager.request_charge(
             vehicle, station_id, self.policies.target_soc, self.engine.now_ms
@@ -615,8 +616,6 @@ class FleetController:
 
     def on_slot_granted(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         if vehicle.lifecycle not in (
             Lifecycle.RETURNING, Lifecycle.QUEUED_AT_STATION
         ):
@@ -624,9 +623,8 @@ class FleetController:
         station = self.manager.stations[event.payload["station"]]
         occ = station.occupancy.get(event.payload["slot"])
         if occ is None or occ.vehicle.vehicle_id != vehicle.vehicle_id:
-            LOG.warning("slot grant without matching session for %s; dropped",
-                        vehicle.vehicle_id)
-            return
+            raise ModelError(
+                f"slot grant without a matching session: {vehicle.dump()}")
         vehicle.session = occ.session
         vehicle.diverted_once = False
         vehicle.divert_station = None
@@ -634,8 +632,6 @@ class FleetController:
 
     def on_charge_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         if vehicle.lifecycle is not Lifecycle.CHARGING:
             raise ModelError(f"illegal charge completion: {vehicle.dump()}")
         station_id = event.payload["station"]
@@ -666,8 +662,6 @@ class FleetController:
 
     def on_stranded(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle is None:
-            return
         if vehicle.lifecycle not in BUSY_STATES:
             raise ModelError(f"illegal stranding: {vehicle.dump()}")
         if vehicle.trip is not None and vehicle.trip.status == "active":

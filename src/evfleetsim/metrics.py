@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import MS_PER_S
+from .engine import MS_PER_S, ms
 from .fleet import Lifecycle, Trip
 
 TICK_HEADER = [
@@ -277,7 +277,7 @@ class MetricsCollector:
         starts: list[float] = []
         events = self.transitions  # already in dispatch (time) order
         pointer = 0
-        bin_ms = int(round(bin_s * MS_PER_S))
+        bin_ms = ms(bin_s)
         t = 0
         while t < horizon_ms or t == 0:
             while pointer < len(events) and events[pointer][0] <= t:

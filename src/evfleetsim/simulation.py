@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, charging, dynamics, fleet, metrics
-from .config import ScenarioConfig, load_config, validate_config, apply_sweep_override, build_config, ConfigError
+from .config import (ScenarioConfig, apply_sweep_override, build_config,
+                     load_config)
 from .engine import (Engine, Event, EventKind, MS_PER_S, SimulationSummary, ms,
                      write_event_log_csv)
 
@@ -45,11 +46,9 @@ class RunResult:
 def run_scenario(
     config: ScenarioConfig,
     out_dir: str | Path,
-    seed_override: int | None = None,
     event_log: bool = False,
 ) -> RunResult:
     """Run one scenario end to end and write the output files."""
-    seed = config.seed if seed_override is None else seed_override
     out_dir = Path(out_dir)
     net = config.network
     horizon_ms = ms(config.horizon_s)
@@ -90,7 +89,7 @@ def run_scenario(
     trips: list[fleet.Trip] = []
     if config.fleet_size > 0 and config.schedule_size > 0:
         trips = fleet.generate_day_schedule(
-            seed, config.demand, config.schedule_size, net,
+            config.seed, config.demand, config.schedule_size, net,
             config.depot_edge, config.policies.routing_weight,
         )
     controller.schedule_trips(trips)
@@ -162,7 +161,7 @@ def run_scenario(
 
     collector.set_run_info(
         version=__version__,
-        seed=seed,
+        seed=config.seed,
         config_hash=config.config_hash(),
         fleet_size=config.fleet_size,
         horizon_ms=horizon_ms,
@@ -198,15 +197,6 @@ def run_scenario(
     )
 
 
-def run_scenario_path(
-    config_path: str | Path,
-    out_dir: str | Path,
-    seed_override: int | None = None,
-    event_log: bool = False,
-) -> RunResult:
-    return run_scenario(load_config(config_path), out_dir, seed_override, event_log)
-
-
 def sweep(
     config_path: str | Path,
     param: str,
@@ -218,22 +208,24 @@ def sweep(
 
     For ``fleet.size`` sweeps the schedule size is pinned to the base
     configuration's value so every run faces the identical job schedule.
+    Every value's configuration is built before the first run, so a bad
+    value raises :class:`~evfleetsim.config.ConfigError` before any output
+    is written.
     """
-    report = validate_config(config_path)
-    if not report.ok:
-        raise ConfigError("; ".join(report.errors))
-    effective = report.effective
+    effective = load_config(config_path).effective
     base_dir = Path(config_path).parent.resolve()
     pinned_schedule = effective["demand"]["schedule_size"]
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
+    configs = []
     for value in values:
         override = apply_sweep_override(effective, param, value)
         if param == "fleet.size":
             override["demand"]["schedule_size"] = pinned_schedule
-        cfg = build_config(override, base_dir)
+        configs.append(build_config(override, base_dir))
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows: list[dict] = []
+    for value, cfg in zip(values, configs):
         tag = f"{param.replace('.', '_')}_{value}"
         result = run_scenario(cfg, out_dir / tag)
         row = {"value": value}

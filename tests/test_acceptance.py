@@ -13,14 +13,14 @@ from conftest import dummy_vehicle, make_params
 
 from evfleetsim.charging import (ChargingManager, ChargingStation, Granted,
                                  Slot, charge_duration)
-from evfleetsim.config import default_scenario_path, validate_config, build_config
+from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.dynamics import Environment, VehicleState, drive_segment
 from evfleetsim.engine import Engine, Event, EventKind
 from evfleetsim.fleet import generate_day_schedule
 from evfleetsim.metrics import MetricsCollector
 from evfleetsim.network import (Edge, airline_distance, generate_grid,
                                 nearest_edge, shortest_path, snap_distance)
-from evfleetsim.simulation import run_scenario, run_scenario_path, sweep
+from evfleetsim.simulation import run_scenario, sweep
 
 ENV = Environment()
 
@@ -35,7 +35,7 @@ def bundled_run(tmp_path_factory):
     ledger, determinism, and performance criteria)."""
     out = tmp_path_factory.mktemp("bundled")
     started = time.perf_counter()
-    result = run_scenario_path(default_scenario_path(), out)
+    result = run_scenario(load_config(default_scenario_path()), out)
     elapsed = time.perf_counter() - started
     return result, elapsed
 
@@ -163,9 +163,7 @@ def test_c4_kinematic_work_oracles():
 
 
 def test_c5_distance_distribution_fig1_analogue(tmp_path):
-    report_cfg = validate_config(default_scenario_path())
-    assert report_cfg.ok
-    config = report_cfg.config
+    config = load_config(default_scenario_path())
     net = config.network
     # scale the schedule to ~10^4 trips (poisson mean 2.0 per vehicle-slot)
     trips = generate_day_schedule(config.seed, config.demand, 5000, net,
@@ -225,7 +223,7 @@ def test_c6_fleet_size_sweep_fig2_analogue(tmp_path):
 
 def test_c7_determinism_byte_identical_csvs(bundled_run, tmp_path):
     first, _ = bundled_run
-    second = run_scenario_path(default_scenario_path(), tmp_path / "again")
+    second = run_scenario(load_config(default_scenario_path()), tmp_path / "again")
     for name in sorted(first.manifest["files"]):
         assert filecmp.cmp(first.out_dir / name, second.out_dir / name,
                            shallow=False), f"{name} differs between runs"

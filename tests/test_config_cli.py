@@ -9,9 +9,8 @@ import yaml
 from evfleetsim import cli
 from evfleetsim.config import (VEHICLE_PRESETS, ConfigError,
                                apply_sweep_override, build_config,
-                               default_scenario_path, load_config, load_raw,
-                               validate_config)
-from evfleetsim.simulation import run_scenario, run_scenario_path, sweep
+                               default_scenario_path, load_config, load_raw)
+from evfleetsim.simulation import run_scenario, sweep
 
 GRID = {"rows": 4, "cols": 4, "edge_length_m": 150.0, "speed_limit_mps": 12.0}
 BASE_SCENARIO = {
@@ -52,13 +51,20 @@ def write_scenario(tmp_path, name="scenario.yaml", **overrides):
     return path
 
 
+def config_errors(path) -> list[str]:
+    """The messages of the :class:`ConfigError` that loading ``path``
+    raises."""
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    return err.value.errors
+
+
 # --- validation ----------------------------------------------------------------
 
 def test_bundled_default_scenario_validates():
-    report = validate_config(default_scenario_path())
-    assert report.ok, report.errors
-    assert report.config.fleet_size == 100
-    assert report.config.schedule_size == 100
+    config = load_config(default_scenario_path())
+    assert config.fleet_size == 100
+    assert config.schedule_size == 100
 
 
 def test_station_on_unknown_edge_named_in_error(tmp_path):
@@ -67,9 +73,8 @@ def test_station_on_unknown_edge_named_in_error(tmp_path):
         stations=[{"station_id": "st0", "edge_id": "E999",
                    "max_simultaneous": 1, "slots": [{"plug": "schuko"}]}],
     )
-    report = validate_config(path)
-    assert not report.ok
-    assert any("stations[0].edge_id" in e and "E999" in e for e in report.errors)
+    assert any("stations[0].edge_id" in e and "E999" in e
+               for e in config_errors(path))
 
 
 def test_range_extender_threshold_error_names_block(tmp_path):
@@ -80,39 +85,31 @@ def test_range_extender_threshold_error_names_block(tmp_path):
                                "power_w": 15000.0, "soc_on": 0.6,
                                "soc_off": 0.4}}}},
     )
-    report = validate_config(path)
-    assert not report.ok
-    assert any("range_extender" in e for e in report.errors)
+    assert any("range_extender" in e for e in config_errors(path))
 
 
 def test_unknown_depot_edge_rejected(tmp_path):
     path = write_scenario(tmp_path, depot_edge="nope")
-    report = validate_config(path)
-    assert not report.ok
-    assert any("depot_edge" in e for e in report.errors)
+    assert any("depot_edge" in e for e in config_errors(path))
 
 
 def test_unparseable_file_reported(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("stations: [unclosed")
-    report = validate_config(path)
-    assert not report.ok
+    assert config_errors(path)[0].startswith("cannot parse config")
 
 
 def test_missing_file_reported(tmp_path):
-    report = validate_config(tmp_path / "absent.yaml")
-    assert not report.ok
+    assert config_errors(tmp_path / "absent.yaml")[0].startswith(
+        "cannot read config")
 
 
 def test_effective_config_round_trips(tmp_path):
     path = write_scenario(tmp_path)
-    first = validate_config(path)
-    assert first.ok
+    first = load_config(path)
     echo = tmp_path / "effective.yaml"
     echo.write_text(yaml.safe_dump(first.effective))
-    second = validate_config(echo)
-    assert second.ok
-    assert second.effective == first.effective
+    assert load_config(echo).effective == first.effective
 
 
 @pytest.mark.parametrize("overrides", [
@@ -169,7 +166,6 @@ def test_effective_config_round_trips(tmp_path):
         "mass_bool", "slot_plug_and_power", "metrics_interval_below_1ms"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
-    assert not validate_config(path).ok
     with pytest.raises(ConfigError):
         load_config(path)
     assert cli.main(["validate", str(path)]) == 1
@@ -199,21 +195,21 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
 ], ids=["top", "numerics", "grid_rows", "speed_factors", "override_text",
         "range_extender_key", "bin_weight", "slot_key"])
 def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
-    report = validate_config(write_scenario(tmp_path, **overrides))
-    assert any(e.startswith(where) for e in report.errors), report.errors
+    errors = config_errors(write_scenario(tmp_path, **overrides))
+    assert any(e.startswith(where) for e in errors), errors
 
 
 def test_missing_keys_take_their_defaults(tmp_path):
     path = write_scenario(tmp_path, demand={
         "dwell": {"family": "fixed"},
         "trips_per_vehicle_per_day": {"family": "fixed"}})
-    effective = validate_config(path).effective
+    effective = load_config(path).effective
     assert effective["demand"]["dwell"]["fixed_s"] == 1800.0
     assert effective["demand"]["trips_per_vehicle_per_day"]["n"] == 1
     assert effective["network"]["hourly_speed_factors"] is None
     # an int where a float is expected is taken and echoed as a float
     path = write_scenario(tmp_path, horizon_s=3600)
-    assert repr(validate_config(path).effective["horizon_s"]) == "3600.0"
+    assert repr(load_config(path).effective["horizon_s"]) == "3600.0"
 
 
 def test_vehicle_overrides_merge_into_the_preset(tmp_path):
@@ -294,7 +290,7 @@ def test_network_from_csv_files(tmp_path):
 
 def test_run_scenario_produces_all_outputs(tmp_path):
     path = write_scenario(tmp_path)
-    result = run_scenario_path(path, tmp_path / "out")
+    result = run_scenario(load_config(path), tmp_path / "out")
     assert sorted(result.manifest["files"]) == [
         "histograms.csv", "sessions.csv", "summary.csv", "ticks.csv",
         "trips.csv", "utilization.csv",
@@ -306,33 +302,47 @@ def test_run_scenario_produces_all_outputs(tmp_path):
 
 def test_run_zero_horizon_valid_outputs(tmp_path):
     path = write_scenario(tmp_path, horizon_s=0.0)
-    result = run_scenario_path(path, tmp_path / "out")
+    result = run_scenario(load_config(path), tmp_path / "out")
     for name in result.manifest["files"]:
         assert (tmp_path / "out" / name).exists()
 
 
 def test_run_zero_fleet_headers_only(tmp_path):
     path = write_scenario(tmp_path, fleet={"size": 0})
-    result = run_scenario_path(path, tmp_path / "out")
+    result = run_scenario(load_config(path), tmp_path / "out")
     assert result.manifest["files"]["ticks.csv"] == 0
     assert result.manifest["files"]["trips.csv"] == 0
 
 
 def test_same_seed_runs_byte_identical(tmp_path):
     path = write_scenario(tmp_path)
-    r1 = run_scenario_path(path, tmp_path / "a", event_log=True)
-    r2 = run_scenario_path(path, tmp_path / "b", event_log=True)
+    r1 = run_scenario(load_config(path), tmp_path / "a", event_log=True)
+    r2 = run_scenario(load_config(path), tmp_path / "b", event_log=True)
     for name in sorted(r1.manifest["files"]) + ["events.csv"]:
         assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                            shallow=False), name
 
 
-def test_seed_override_changes_outputs(tmp_path):
+def test_cli_seed_is_the_configured_seed(tmp_path, capsys):
+    # --seed 123 runs exactly as a file with seed: 123, config_hash included
     path = write_scenario(tmp_path)
-    r1 = run_scenario_path(path, tmp_path / "a")
-    r2 = run_scenario_path(path, tmp_path / "b", seed_override=123)
+    seeded = write_scenario(tmp_path, name="seeded.yaml", seed=123)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["run", str(path), "--seed", "123",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert cli.main(["run", str(seeded), "--out", str(tmp_path / "c")]) == 0
     assert not filecmp.cmp(tmp_path / "a" / "trips.csv",
                            tmp_path / "b" / "trips.csv", shallow=False)
+    manifests = []
+    for run in "bc":
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        manifest.pop("wall_clock_s")
+        manifests.append(manifest)
+        for name in manifest["files"]:
+            assert filecmp.cmp(tmp_path / "b" / name, tmp_path / run / name,
+                               shallow=False), name
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["seed"] == 123
 
 
 # --- sweep -----------------------------------------------------------------------
@@ -346,7 +356,7 @@ def test_sweep_rejects_unknown_parameter(tmp_path):
 def test_sweep_single_value_matches_individual_run(tmp_path):
     path = write_scenario(tmp_path)
     rows = sweep(path, "fleet.size", [5], tmp_path / "s")
-    single = run_scenario_path(path, tmp_path / "single")
+    single = run_scenario(load_config(path), tmp_path / "single")
     assert rows[0]["min_idle"] == single.min_idle
     assert rows[0]["total_grid_wh"] == pytest.approx(single.total_grid_wh)
     assert (tmp_path / "s" / "sweep.csv").exists()
@@ -395,6 +405,16 @@ def test_apply_sweep_override_station_count():
     assert len(apply_sweep_override(effective, "stations.count", 1)["stations"]) == 1
     with pytest.raises(ConfigError):
         apply_sweep_override(effective, "stations.count", 3)
+    with pytest.raises(ConfigError, match="^stations.count: must be an integer"):
+        apply_sweep_override(effective, "stations.count", 1.5)
+
+
+def test_apply_sweep_override_assigns_the_value_unchanged():
+    effective = load_config(default_scenario_path()).effective
+    assert apply_sweep_override(effective, "fleet.size", 5.5)["fleet"]["size"] == 5.5
+    stations = apply_sweep_override(effective, "stations.max_simultaneous",
+                                    1.5)["stations"]
+    assert {s["max_simultaneous"] for s in stations} == {1.5}
 
 
 # --- cli --------------------------------------------------------------------------
@@ -403,9 +423,20 @@ def test_cli_validate_ok_and_invalid(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert cli.main(["validate", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "OK" in out
-    bad = write_scenario(tmp_path, name="bad.yaml", depot_edge="nope")
+    assert out.startswith(f"OK: {path}\n")
+    assert yaml.safe_load(out.split("\n", 1)[1]) == load_config(path).effective
+    bad = write_scenario(tmp_path, name="bad.yaml", depot_edge="nope",
+                         fleet={"initial_soc": 2.0})
     assert cli.main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    errors = config_errors(bad)
+    assert len(errors) == 2
+    assert captured.out == ""
+    assert captured.err == "".join(
+        [f"INVALID: {bad}\n"] + [f"  - {e}\n" for e in errors])
+    with pytest.raises(ConfigError) as err:
+        load_config(bad)
+    assert str(err.value) == "; ".join(errors)
 
 
 def test_cli_run_writes_outputs_and_event_log(tmp_path, capsys):
@@ -421,6 +452,33 @@ def test_cli_run_writes_outputs_and_event_log(tmp_path, capsys):
 
 def test_cli_missing_config_returns_config_error(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
+
+
+@pytest.mark.parametrize("overrides, args", [
+    ({"horizon_s": 1e306}, ["run"]),
+    ({"numerics": {"metrics_interval_s": 1e306}}, ["run"]),
+    ({"demand": {"dwell": {"family": "lognormal", "mu_log": 800.5}}}, ["run"]),
+    ({"demand": {"dwell": {"family": "fixed", "fixed_s": 1e306}}}, ["run"]),
+    ({}, ["run", "--seed", "-1"]),
+    ({}, ["sweep", "--param", "fleet.size", "--values", "5.5"]),
+    ({}, ["sweep", "--param", "fleet.size", "--values", "nan"]),
+    ({}, ["sweep", "--param", "fleet.size", "--values", "5,5.5"]),
+    ({}, ["sweep", "--param", "stations.count", "--values", "1.5"]),
+    ({}, ["sweep", "--param", "stations.max_simultaneous", "--values", "1.5"]),
+    ({}, ["sweep", "--param", "stations.slot_power_w", "--values", "nan"]),
+], ids=["horizon_beyond_clock", "metrics_interval_beyond_clock",
+        "dwell_mu_overflow", "dwell_fixed_beyond_clock", "negative_seed",
+        "fleet_size_fraction", "fleet_size_nan", "fleet_size_fraction_last",
+        "station_count_fraction", "max_simultaneous_fraction",
+        "slot_power_nan"])
+def test_cli_config_probes_exit_1_before_running(tmp_path, capsys, overrides,
+                                                 args):
+    path = write_scenario(tmp_path, **overrides)
+    out = tmp_path / "out"
+    argv = [args[0], str(path), *args[1:], "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
 
 
 def test_cli_sweep(tmp_path):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from evfleetsim.engine import (Engine, Event, EventKind, SchedulingInPastError,
+from evfleetsim.engine import (ClockRangeError, Engine, Event, EventKind,
+                               ModelError, SchedulingInPastError,
                                SimulationAborted, hour_of, ms)
 
 
@@ -18,6 +19,13 @@ def test_time_conversion_is_exact_milliseconds():
     assert ms(0.0015) == 2  # rounds, not truncates
     assert hour_of(ms(3600.0)) == 1
     assert hour_of(ms(25 * 3600.0)) == 1
+
+
+@pytest.mark.parametrize("seconds", [1e306, -1e306, float("inf"),
+                                     float("nan")])
+def test_time_conversion_rejects_what_the_clock_cannot_hold(seconds):
+    with pytest.raises(ClockRangeError, match="millisecond clock"):
+        ms(seconds)
 
 
 def test_schedule_and_fire_at_time():
@@ -117,6 +125,18 @@ def test_handler_failure_aborts_with_event_identified():
     with pytest.raises(SimulationAborted) as err:
         engine.run_until(ms(5))
     assert err.value.event.kind is EventKind.STRANDED
+    assert "vehicle=v1" in str(err.value)
+
+
+def test_event_without_handler_aborts_the_run():
+    engine = Engine()
+    engine.on(EventKind.METRICS_TICK, lambda e: None)
+    engine.schedule(Event(EventKind.METRICS_TICK), ms(1))
+    engine.schedule(Event(EventKind.CHARGE_REQUEST, {"vehicle": "v1"}), ms(2))
+    with pytest.raises(SimulationAborted, match="ChargeRequest") as err:
+        engine.run_until(ms(5))
+    assert err.value.event.kind is EventKind.CHARGE_REQUEST
+    assert isinstance(err.value.cause, ModelError)
     assert "vehicle=v1" in str(err.value)
 
 

@@ -11,7 +11,7 @@ from evfleetsim import dynamics
 
 from evfleetsim.charging import ChargingManager, ChargingStation, Slot
 from evfleetsim.dynamics import Environment, VehicleState
-from evfleetsim.engine import Engine, Event, EventKind, ms
+from evfleetsim.engine import Engine, Event, EventKind, SimulationAborted, ms
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               FleetController, FleetError, FleetPolicies,
                               Lifecycle, ModelError, Trip, TripsPerDay,
@@ -47,19 +47,34 @@ def test_profile_rejects_bad_weights_and_bins():
 
 
 def test_degenerate_single_point_distance_bin():
-    prof = DemandProfile(
-        departure_weights=tuple([1.0] * 24),
-        distance_bins=((500.0, 1.0),),
-        distance_lower_m=500.0,
-        dwell=DwellDistribution(family="fixed", fixed_s=60.0),
-        trips_per_day=TripsPerDay(family="fixed", fixed_n=1),
-    )
+    prof = profile(bins=((0.0, 1.0),))
+    assert prof.bin_edges() == [0.0, 0.0]
     net = generate_grid(8, 8, 200.0, 10.0)
     depot = sorted(net.edges)[0]
     streams = DemandStreams(1)
     for i in range(50):
         trip = sample_trip(streams, prof, depot, net, f"t{i}")
-        assert trip.sampled_airline_m == 500.0
+        assert trip.sampled_airline_m == 0.0
+    with pytest.raises(FleetError, match="strictly increasing"):
+        profile(bins=((0.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mu_log": 800.5},
+    {"mu_log": 7.5, "sigma_log": 18.0},
+    {"family": "fixed", "fixed_s": 1e306},
+], ids=["mu_log", "sigma_log", "fixed_s"])
+def test_dwell_rejects_draws_beyond_the_clock(kwargs):
+    with pytest.raises(ValueError):
+        DwellDistribution(**kwargs)
+
+
+def test_dwell_draws_at_the_bound_fit_the_clock():
+    # mu_log + 40 * sigma_log = 690 < ln(1e300): the largest allowed spread
+    dwell = DwellDistribution(mu_log=650.0, sigma_log=1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(20_000):
+        ms(dwell.sample(rng))  # raises ClockRangeError beyond the clock
 
 
 def test_two_bin_frequencies_within_3_sigma():
@@ -290,11 +305,44 @@ def test_illegal_transition_raises_model_error():
         )
 
 
-def test_events_for_unknown_vehicles_are_dropped():
+def _strand(ctrl, vehicles):
+    vehicles[0].lifecycle = Lifecycle.STRANDED
+
+
+def _complete_trip(ctrl, vehicles):
+    ctrl.trips["t1"] = Trip("t1", 0, ctrl.depot_edge, 100.0, 10.0,
+                            status="completed")
+
+
+def _return(ctrl, vehicles):
+    vehicles[0].lifecycle = Lifecycle.RETURNING
+
+
+@pytest.mark.parametrize("setup, kind, payload, match", [
+    (None, EventKind.SEGMENT_COMPLETE, {"vehicle": "ghost"},
+     "unknown vehicle 'ghost'"),
+    (_strand, EventKind.DWELL_COMPLETE, {"vehicle": "v0"},
+     "event for stranded vehicle"),
+    (None, EventKind.VEHICLE_SPAWN, {"trip": "t9"}, "non-pending trip 't9'"),
+    (_complete_trip, EventKind.VEHICLE_SPAWN, {"trip": "t1"},
+     "non-pending trip 't1'"),
+    (None, EventKind.SEGMENT_COMPLETE, {"vehicle": "v0"}, "without a route"),
+    (_return, EventKind.SLOT_GRANTED,
+     {"vehicle": "v0", "station": "st", "slot": "s0"},
+     "without a matching session"),
+], ids=["unknown_vehicle", "stranded_vehicle", "unknown_trip",
+        "non_pending_trip", "segment_without_route", "grant_without_session"])
+def test_impossible_events_raise_model_error(setup, kind, payload, match):
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(n_vehicles=1)
-    ctrl.on_segment_complete(
-        Event(EventKind.SEGMENT_COMPLETE, {"vehicle": "ghost"}, at=0, sequence=0)
-    )  # no exception: dropped with a warning
+    if setup is not None:
+        setup(ctrl, vehicles)
+    with pytest.raises(ModelError, match=match):
+        engine.handlers[kind](Event(kind, dict(payload), at=0, sequence=0))
+    engine.schedule(Event(kind, dict(payload)), ms(1))
+    with pytest.raises(SimulationAborted, match=kind.value) as err:
+        engine.run_until(ms(2))
+    assert err.value.event.kind is kind
+    assert isinstance(err.value.cause, ModelError)
 
 
 def test_stranded_vehicle_is_terminal():
@@ -316,11 +364,12 @@ def test_stranded_vehicle_is_terminal():
     engine.run_until(ms(3600))
     assert vehicles[0].lifecycle is Lifecycle.STRANDED
     assert trip.status == "stranded"
-    # further events for it are dropped, not fatal
-    ctrl.on_dwell_complete(
-        Event(EventKind.DWELL_COMPLETE, {"vehicle": "v0"}, at=engine.now_ms,
-              sequence=0)
-    )
+    # any further event for it is impossible
+    with pytest.raises(ModelError, match="stranded vehicle"):
+        ctrl.on_dwell_complete(
+            Event(EventKind.DWELL_COMPLETE, {"vehicle": "v0"},
+                  at=engine.now_ms, sequence=0)
+        )
 
 
 def test_queue_then_slot_granted_fifo_at_depot():

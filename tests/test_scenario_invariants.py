@@ -10,12 +10,13 @@ from test_config_cli import BASE_SCENARIO, write_scenario
 
 from evfleetsim import metrics
 from evfleetsim.charging import ChargingManager
+from evfleetsim.config import load_config
 from evfleetsim.engine import Engine, EventKind
 from evfleetsim.fleet import Lifecycle
 from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
                                 state_periods)
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
-from evfleetsim.simulation import run_scenario_path
+from evfleetsim.simulation import run_scenario
 
 
 def write_busy_scenario(tmp_path, name="scenario.yaml", vehicles=3,
@@ -45,7 +46,7 @@ def write_busy_scenario(tmp_path, name="scenario.yaml", vehicles=3,
 
 @pytest.fixture()
 def busy_run(tmp_path):
-    return run_scenario_path(write_busy_scenario(tmp_path), tmp_path / "out")
+    return run_scenario(load_config(write_busy_scenario(tmp_path)), tmp_path / "out")
 
 
 def test_periods_tile_horizon_for_every_vehicle(busy_run):
@@ -106,7 +107,7 @@ def test_infinite_battery_preset_never_strands_never_charges(tmp_path):
         policies={"depot_charge_threshold": 0.95},
         demand={"trips_per_vehicle_per_day": {"family": "fixed", "n": 3}},
     )
-    result = run_scenario_path(path, tmp_path / "out")
+    result = run_scenario(load_config(path), tmp_path / "out")
     assert result.n_stranded == 0
     assert len(result.manager.sessions) == 0
     for v in result.vehicles:
@@ -137,7 +138,7 @@ def run_checking_consistency(monkeypatch, path, out_dir):
 
     monkeypatch.setattr(ChargingManager, "__init__", recording_init)
     monkeypatch.setattr(Engine, "on", checking_on)
-    result = run_scenario_path(path, out_dir)
+    result = run_scenario(load_config(path), out_dir)
     assert managers == [result.manager]
     assert len(checked) == result.engine_summary.total_dispatched
     return result, set(checked)
@@ -165,7 +166,7 @@ def test_range_extender_switches_without_events(tmp_path):
                "vehicle": {"preset": "compact_ev",
                            "overrides": {"battery_capacity_wh": 1000.0}}},
     )
-    result = run_scenario_path(path, tmp_path / "out", event_log=True)
+    result = run_scenario(load_config(path), tmp_path / "out", event_log=True)
     with open(tmp_path / "out" / "events.csv", newline="") as fh:
         kinds = [row["kind"] for row in csv.DictReader(fh)]
     assert "RangeExtenderToggle" not in kinds
@@ -205,7 +206,7 @@ def test_ticks_csv_equals_reference_writer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MetricsCollector, "record_ticks", capture)
     path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
-    result = run_scenario_path(path, tmp_path / "out")
+    result = run_scenario(load_config(path), tmp_path / "out")
     kinds = {(lifecycle, motion is None)
              for _, samples in ticks for _, lifecycle, _, motion in samples}
     assert {(Lifecycle.EN_ROUTE, False), (Lifecycle.CHARGING, False),
@@ -220,13 +221,13 @@ def test_ticks_csv_equals_reference_writer(tmp_path, monkeypatch):
 
 def test_ticks_csv_independent_of_flush_boundaries(tmp_path, monkeypatch):
     path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
-    default = run_scenario_path(path, tmp_path / "out")
+    default = run_scenario(load_config(path), tmp_path / "out")
     expected = (tmp_path / "out" / "ticks.csv").read_bytes()
     rows_per_tick = expected.count(b"\n0.000,")
     assert rows_per_tick == 5 and default.n_stranded == 0
     for rows in (1, rows_per_tick - 1, rows_per_tick):
         monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", rows)
-        result = run_scenario_path(path, tmp_path / f"out_{rows}")
+        result = run_scenario(load_config(path), tmp_path / f"out_{rows}")
         assert (tmp_path / f"out_{rows}" / "ticks.csv").read_bytes() == expected
         assert (result.manifest["files"]["ticks.csv"]
                 == default.manifest["files"]["ticks.csv"])
