@@ -8,9 +8,10 @@ Charging is constant-power (no taper), so completion times are exact:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from . import dynamics, network
+from . import network
 from .engine import MS_PER_S, Engine, Event, EventKind, ms
 
 
@@ -321,13 +322,14 @@ class ChargingManager:
         current_station_id: str,
         net: network.RoadNetwork,
         at_ms: int,
-        env: dynamics.Environment,
+        route_energy_wh: Callable[[network.Route, int], float],
     ) -> WaitHere | DivertTo:
         """Decide between waiting at a saturated station and driving to an
         alternative, comparing local wait against travel time plus the
         alternative's wait on the current occupancy snapshot. Only
-        alternatives reachable with the SOC safety margin are considered;
-        ties favor waiting."""
+        alternatives reachable with the SOC safety margin are considered,
+        by the estimate ``route_energy_wh(route, hour)`` of the vehicle's
+        battery energy for a route; ties favor waiting."""
         current = self.stations[current_station_id]
         queued_ahead = max(0, len(current.queue) - 1)  # the decider sits at the tail
         wait_here = self.estimate_wait_s(current, at_ms, queued_ahead)
@@ -347,7 +349,7 @@ class ChargingManager:
                 )
             except network.NoRouteError:
                 continue
-            energy = dynamics.estimate_route_energy(net, route, params, env, hour)
+            energy = route_energy_wh(route, hour)
             if energy > budget_wh:
                 continue
             cost = network.route_travel_time(net, route, hour) + self.estimate_wait_s(

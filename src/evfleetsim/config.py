@@ -366,6 +366,18 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                       if re_cfg else None)
     vehicle_params = _build("fleet.vehicle", errors, VehicleParams, **params,
                             range_extender=range_extender)
+    if net is not None and vehicle_params is not None:
+        # drive_segment cannot plan an edge that is shorter than the
+        # braking distance from its speed limit to standstill
+        d_max = vehicle_params.max_deceleration_mps2
+        for eid in sorted(net.edges):
+            e = net.edges[eid]
+            if e.speed_limit_mps * e.speed_limit_mps / (2.0 * d_max) > e.length_m:
+                errors.append(
+                    f"network, fleet.vehicle.max_deceleration_mps2: edge "
+                    f"{eid} ({e.length_m:g} m) is shorter than the braking "
+                    f"distance from its speed limit to standstill")
+                break
 
     stations = _build_stations(cfg["stations"], net, errors)
 

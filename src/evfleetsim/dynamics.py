@@ -263,6 +263,10 @@ class DriveTrace:
 
     ``time_s`` marks the start of each step; ``v``/``a`` are the exact step
     averages; ``soc`` is the state at the end of the step.
+
+    Every array is read-only. :func:`drive_segment` hands the arrays of its
+    memoised plans to every vehicle that drives the same edge geometry, so
+    one vehicle's trace may share them with another's.
     """
 
     time_s: np.ndarray
@@ -294,38 +298,41 @@ class SegmentResult:
     battery_delta_wh: float  # negative = net discharge, equals capacity * dSOC
 
 
-def drive_segment(
-    state: VehicleState,
-    edge,
-    v_entry: float,
-    v_exit_target: float,
-    params: VehicleParams,
-    env: Environment,
-    dt: float,
-    speed_factor: float = 1.0,
-) -> SegmentResult:
-    """Drive one edge with a trapezoidal velocity profile and integrate the
-    power-flow chain into the vehicle state.
+@dataclass(frozen=True)
+class _SegmentPlan:
+    """The part of :func:`drive_segment` that does not depend on the state
+    of charge: the velocity profile, its steps and the power flows before
+    the range extender. Its arrays are read-only, so plans can be shared."""
 
-    ``edge`` needs ``edge_id``, ``length_m``, ``speed_limit_mps`` and
-    ``gradient`` attributes. The vehicle accelerates at its limit toward
-    ``speed_limit * speed_factor``, cruises, and decelerates so the exit speed
-    does not exceed ``v_exit_target``; if the edge is too short to reach the
-    target the exit speed is whatever acceleration achieves. Entering faster
-    than braking allows raises :class:`InfeasibleSegmentError`. When the
-    battery empties and the range extender cannot carry the demand, the
-    segment is truncated and flagged stranded.
-    """
-    if dt <= 0:
-        raise DynamicsError("dt must be positive")
-    if not (0.0 < speed_factor <= 1.0):
-        raise DynamicsError("speed_factor must be in (0, 1]")
-    v_cruise = edge.speed_limit_mps * speed_factor
-    if v_entry > v_cruise * (1.0 + 1e-9):
-        raise DynamicsError(
-            f"entry speed {v_entry:.2f} exceeds effective limit {v_cruise:.2f}"
-        )
+    duration_s: float
+    v_out: float
+    distance_m: float
+    time_s: np.ndarray
+    dts: np.ndarray
+    hours: np.ndarray
+    pos: np.ndarray
+    v_bar: np.ndarray
+    a_bar: np.ndarray
+    p_trac: np.ndarray
+    p_recup: np.ndarray
+    p_consume: np.ndarray
+    p_net0: np.ndarray
+    cum_wh_s: np.ndarray  # cumsum(p_net0 * dts): battery energy out, in W*s
+    zeros: np.ndarray
+    # the energy sums of a drive without range extender and clamping
+    consumed_wh: float
+    recuperated_wh: float
+    battery_delta_wh: float
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
+def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
+                  params: VehicleParams, env: Environment,
+                  dt: float) -> _SegmentPlan:
     profile = _plan_profile(
         edge.length_m, v_entry, v_exit_target, v_cruise,
         params.max_acceleration_mps2, params.max_deceleration_mps2,
@@ -339,7 +346,6 @@ def drive_segment(
     else:
         bounds[-1] = total
     dts = np.diff(bounds)
-    n = len(dts)
 
     pos = profile.position(bounds)
     vel = profile.velocity(bounds)
@@ -356,40 +362,134 @@ def drive_segment(
     )
     p_consume = p_drive + params.auxiliary_power_w
     p_net0 = p_consume - p_recup  # before range extender
+    hours = dts / S_PER_H
+    return _SegmentPlan(
+        duration_s=total,
+        v_out=profile.v_out,
+        distance_m=float(pos[-1]),
+        time_s=bounds[:-1].copy(),
+        dts=dts,
+        hours=hours,
+        pos=pos,
+        v_bar=v_bar,
+        a_bar=a_bar,
+        p_trac=p_trac,
+        p_recup=p_recup,
+        p_consume=p_consume,
+        p_net0=p_net0,
+        cum_wh_s=np.cumsum(p_net0 * dts),
+        zeros=np.zeros(len(dts)),
+        consumed_wh=float(np.dot(p_consume, hours)),
+        recuperated_wh=float(np.dot(p_recup, hours)),
+        battery_delta_wh=float(-np.dot(p_net0, hours)),
+    )
 
+
+def drive_segment(
+    state: VehicleState,
+    edge,
+    v_entry: float,
+    v_exit_target: float,
+    params: VehicleParams,
+    env: Environment,
+    dt: float,
+    speed_factor: float = 1.0,
+    plans: dict | None = None,
+) -> SegmentResult:
+    """Drive one edge with a trapezoidal velocity profile and integrate the
+    power-flow chain into the vehicle state.
+
+    ``edge`` needs ``edge_id``, ``length_m``, ``speed_limit_mps`` and
+    ``gradient`` attributes. The vehicle accelerates at its limit toward
+    ``speed_limit * speed_factor``, cruises, and decelerates so the exit speed
+    does not exceed ``v_exit_target``; if the edge is too short to reach the
+    target the exit speed is whatever acceleration achieves. Entering faster
+    than braking allows raises :class:`InfeasibleSegmentError`. When the
+    battery empties and the range extender cannot carry the demand, the
+    segment is truncated and flagged stranded.
+
+    ``plans`` memoises the part of the work that does not depend on the
+    state of charge. It is keyed by the edge's geometry and the drive,
+    ``(length_m, speed_limit_mps, gradient, v_entry, v_exit_target,
+    speed_factor)``, not by edge id, so its size is bounded by the distinct
+    edge geometries and speeds of the network, not by fleet size or
+    simulated time. A caller must pass one ``plans`` mapping only with one
+    ``params``, ``env`` and ``dt``. Without ``plans`` the plan is built for this call alone;
+    the result is the same to the last bit.
+    """
+    if dt <= 0:
+        raise DynamicsError("dt must be positive")
+    if not (0.0 < speed_factor <= 1.0):
+        raise DynamicsError("speed_factor must be in (0, 1]")
+    v_cruise = edge.speed_limit_mps * speed_factor
+    if v_entry > v_cruise * (1.0 + 1e-9):
+        raise DynamicsError(
+            f"entry speed {v_entry:.2f} exceeds effective limit {v_cruise:.2f}"
+        )
+
+    if plans is None:
+        plans = {}
+    key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
+           v_exit_target, speed_factor)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _plan_segment(edge, v_entry, v_exit_target,
+                                          v_cruise, params, env, dt)
+
+    dts = plan.dts
+    n = len(dts)
     cap = params.battery_capacity_wh
     soc0 = state.soc
     re = params.range_extender
-    stranded = False
-
-    re_power_arr = np.zeros(n)
-    p_net_eff = p_net0.copy()
     flag = state.range_extender_on
+    re_on = re is not None and flag
 
-    fast = False
-    if re is None:
-        soc_traj = soc0 - np.cumsum(p_net0 * dts) / (cap * S_PER_H)
-        fast = soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
-        flag = False
-    elif not flag:
-        soc_traj = soc0 - np.cumsum(p_net0 * dts) / (cap * S_PER_H)
-        fast = (soc_traj.min() >= re.soc_on and soc_traj.max() <= 1.0
-                and soc0 >= re.soc_on)
-    else:
-        p_net1 = p_net0 - re.power_w
+    # zero steps (a vanishing edge) take the step loop, which does nothing
+    if re_on:
+        p_net1 = plan.p_net0 - re.power_w
         soc_traj = soc0 - np.cumsum(p_net1 * dts) / (cap * S_PER_H)
-        fast = (0.0 < soc_traj.min() and soc_traj.max() < re.soc_off
+        fast = (n > 0 and 0.0 < soc_traj.min() and soc_traj.max() < re.soc_off
                 and soc0 < re.soc_off)
-        if fast:
-            re_power_arr[:] = re.power_w
-            p_net_eff = p_net1
+    else:
+        soc_traj = soc0 - plan.cum_wh_s / (cap * S_PER_H)
+        if re is None:
+            fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
+        else:
+            fast = (n > 0 and soc_traj.min() >= re.soc_on
+                    and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
+        flag = False
 
-    if not fast:
-        # step loop handling relay switching and clamping at the SOC bounds
+    stranded = False
+    time_s, v_bar, a_bar, p_trac = plan.time_s, plan.v_bar, plan.a_bar, plan.p_trac
+    duration = plan.duration_s
+    distance = plan.distance_m
+    exit_velocity = plan.v_out
+    if fast:
+        soc_traj.setflags(write=False)
+        p_recup = plan.p_recup
+        consumed_wh = plan.consumed_wh
+        recuperated_wh = plan.recuperated_wh
+        if re_on:
+            re_power_arr = np.full(n, re.power_w)
+            p_net_eff = p_net1
+            range_extended_wh = float(np.dot(re_power_arr, plan.hours))
+            battery_delta_wh = float(-np.dot(p_net1, plan.hours))
+            re_power_arr.setflags(write=False)
+            p_net_eff.setflags(write=False)
+        else:
+            re_power_arr = plan.zeros
+            p_net_eff = plan.p_net0
+            range_extended_wh = 0.0
+            battery_delta_wh = plan.battery_delta_wh
+    else:
+        # step loop handling relay switching and clamping at the SOC bounds;
+        # it writes into copies of the shared plan arrays
+        p_net0, p_consume = plan.p_net0, plan.p_consume
+        p_recup = plan.p_recup.copy()
+        p_net_eff = p_net0.copy()
+        re_power_arr = np.zeros(n)
         soc_traj = np.empty(n)
         soc = soc0
-        steps_done = n
-        trunc_dt = None
         for k in range(n):
             dt_k = dts[k]
             re_power, flag = range_extender_step(soc, flag, params)
@@ -402,7 +502,7 @@ def drive_segment(
                     p_net_eff[k] = p_net
                     soc = 0.0
                     soc_traj[k] = soc
-                    steps_done = k + 1
+                    n = k + 1
                     trunc_dt = max(t_empty, 0.0)
                     stranded = True
                     break
@@ -424,38 +524,33 @@ def drive_segment(
             re_power_arr[k] = re_power
             p_net_eff[k] = p_net
             soc_traj[k] = soc
+        for arr in (p_recup, p_net_eff, re_power_arr, soc_traj):
+            arr.setflags(write=False)
+        hours = plan.hours
         if stranded:
-            n = steps_done
             dts = dts[:n].copy()
-            if trunc_dt is not None:
-                dts[-1] = trunc_dt
-            bounds = bounds[: n + 1]
-            v_bar, a_bar = v_bar[:n], a_bar[:n]
+            dts[-1] = trunc_dt
+            dts.setflags(write=False)
+            hours = dts / S_PER_H
+            time_s, v_bar, a_bar = time_s[:n], v_bar[:n], a_bar[:n]
             p_trac, p_recup = p_trac[:n], p_recup[:n]
             p_consume = p_consume[:n]
             re_power_arr, p_net_eff = re_power_arr[:n], p_net_eff[:n]
             soc_traj = soc_traj[:n]
+            duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
+            distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
+            exit_velocity = 0.0
+        consumed_wh = float(np.dot(p_consume, hours))
+        recuperated_wh = float(np.dot(p_recup, hours))
+        range_extended_wh = float(np.dot(re_power_arr, hours))
+        battery_delta_wh = float(-np.dot(p_net_eff, hours))
 
-    hours = dts / S_PER_H
-    consumed_wh = float(np.dot(p_consume, hours))
-    recuperated_wh = float(np.dot(p_recup, hours))
-    range_extended_wh = float(np.dot(re_power_arr, hours))
-    battery_delta_wh = float(-np.dot(p_net_eff, hours))
     fuel_l = 0.0
     if re is not None:
         fuel_l = re.specific_fuel_l_per_kwh * range_extended_wh / 1000.0
 
-    if stranded:
-        duration = float(bounds[-2] + dts[-1]) if n > 1 else float(dts[-1])
-        distance = float(pos[n - 1] + v_bar[n - 1] * dts[-1])
-        exit_velocity = 0.0
-    else:
-        duration = total
-        distance = float(pos[-1])
-        exit_velocity = profile.v_out
-
     trace = DriveTrace(
-        time_s=bounds[:-1].copy(),
+        time_s=time_s,
         dt_s=dts,
         v_mps=v_bar,
         a_mps2=a_bar,

@@ -7,11 +7,12 @@ highest SOC that can cover the round trip plus a reserve; jobs with no feasible
 vehicle wait for the next vehicle to become available.
 
 All vehicles of a fleet share one :class:`~evfleetsim.dynamics.VehicleParams`
-(the controller rejects a mixed fleet), so the round-trip energy estimate
-depends only on the trip and the hour and is computed once per dispatch
-attempt. The dispatch budget is monotone in SOC, so the idle vehicle with the
-highest SOC (ties to the smallest id) is feasible exactly when any idle vehicle
-is, and it is the only one checked. The controller finds it in a heap of
+(the controller rejects a mixed fleet), so the energy estimate of a route
+depends only on the route and the hour; the controller memoises it for
+dispatch and for the divert decisions of the charging manager. The dispatch
+budget is monotone in SOC, so the idle vehicle with the highest SOC (ties to
+the smallest id) is feasible exactly when any idle vehicle is, and it is the
+only one checked. The controller finds it in a heap of
 ``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes idle; entries
 of vehicles that are no longer idle, or whose SOC has changed since, are
 skipped and dropped when they reach the top. A vehicle's SOC must therefore not
@@ -361,6 +362,11 @@ class FleetController:
         self.transition_hook = transition_hook
         self.trips: dict[str, Trip] = {}
         self.delayed: list[Trip] = []
+        # memos valid because params, env and dt are the same for the whole
+        # fleet: drive_segment plans keyed by edge geometry (see there), and
+        # route energy estimates keyed by (route edges, hour)
+        self.plans: dict = {}
+        self._route_energy: dict[tuple[tuple[str, ...], int], float] = {}
         depot_stations = sorted(
             sid for sid, st in manager.stations.items() if st.edge_id == depot_edge
         )
@@ -410,12 +416,15 @@ class FleetController:
             raise ModelError(f"event for stranded vehicle: {vehicle.dump()}")
         return vehicle
 
-    def _round_trip_estimate_wh(self, trip: Trip, hour: int) -> float:
-        out = dynamics.estimate_route_energy(self.net, trip.outbound,
-                                             self.params, self.env, hour)
-        back = dynamics.estimate_route_energy(self.net, trip.return_route,
-                                              self.params, self.env, hour)
-        return out + back
+    def route_energy_wh(self, route: network.Route, hour: int) -> float:
+        """:func:`~evfleetsim.dynamics.estimate_route_energy` of ``route`` at
+        ``hour`` for the fleet's vehicles, memoised."""
+        key = (tuple(route.edges), hour)
+        energy = self._route_energy.get(key)
+        if energy is None:
+            energy = self._route_energy[key] = dynamics.estimate_route_energy(
+                self.net, route, self.params, self.env, hour)
+        return energy
 
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
                      mission: Mission, state: Lifecycle) -> None:
@@ -444,7 +453,7 @@ class FleetController:
 
         result = dynamics.drive_segment(
             vehicle.state, edge, v_entry, v_exit,
-            vehicle.params, self.env, self.dt, factor,
+            vehicle.params, self.env, self.dt, factor, self.plans,
         )
         vehicle.trace = result.trace
         vehicle.trace_start_ms = now
@@ -485,7 +494,9 @@ class FleetController:
         now = self.engine.now_ms
         budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
                   * self.params.battery_capacity_wh)
-        if budget < self._round_trip_estimate_wh(trip, hour_of(now)):
+        hour = hour_of(now)
+        if budget < (self.route_energy_wh(trip.outbound, hour)
+                     + self.route_energy_wh(trip.return_route, hour)):
             return False
         heapq.heappop(heap)
         trip.vehicle_id = best.vehicle_id
@@ -602,7 +613,8 @@ class FleetController:
         decision: charging.WaitHere | charging.DivertTo = charging.WaitHere()
         if not vehicle.diverted_once:
             decision = self.manager.select_station(
-                vehicle, station_id, self.net, self.engine.now_ms, self.env
+                vehicle, station_id, self.net, self.engine.now_ms,
+                self.route_energy_wh,
             )
         if isinstance(decision, charging.DivertTo):
             self.manager.leave_queue(vehicle.vehicle_id, station_id)

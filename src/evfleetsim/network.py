@@ -100,6 +100,14 @@ class RoadNetwork:
         for nid, c in self.nodes.items():
             if not (math.isfinite(c.x) and math.isfinite(c.y)):
                 raise NetworkError(f"node {nid}: non-finite coordinates")
+        if self.nodes:
+            # nearest_edge squares coordinate differences
+            xs = [c.x for c in self.nodes.values()]
+            ys = [c.y for c in self.nodes.values()]
+            width, height = max(xs) - min(xs), max(ys) - min(ys)
+            if not math.isfinite(width * width + height * height):
+                raise NetworkError("node coordinates span too far: the "
+                                   "square of their extent is not finite")
         for eid, e in self.edges.items():
             for n in (e.from_node, e.to_node):
                 if n not in self.nodes:

@@ -7,7 +7,7 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Granted, Queued, Slot, WaitHere,
                                  charge_duration, session_progress)
-from evfleetsim.dynamics import Environment
+from evfleetsim.dynamics import Environment, estimate_route_energy
 from evfleetsim.engine import Engine, Event, EventKind, ms
 from evfleetsim.network import Coord, Edge, RoadNetwork
 
@@ -217,6 +217,11 @@ def test_randomized_service_order_equals_arrival_order():
 
 # --- wait-or-divert ---------------------------------------------------------------
 
+def route_energy(net, vehicle):
+    return lambda route, hour: estimate_route_energy(net, route, vehicle.params,
+                                                     ENV, hour)
+
+
 def saturated_manager(net):
     engine = Engine()
     st_a = two_slot_station("A", "e1")
@@ -235,7 +240,8 @@ def test_select_station_waits_when_no_alternative():
     mgr.request_charge(dummy_vehicle("o1"), "A", 1.0, 0)
     mgr.request_charge(dummy_vehicle("o2"), "A", 1.0, 0)
     net = line_network()
-    decision = mgr.select_station(dummy_vehicle("me", soc=0.5), "A", net, 0, ENV)
+    me = dummy_vehicle("me", soc=0.5)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
     assert isinstance(decision, WaitHere)
 
 
@@ -245,7 +251,7 @@ def test_select_station_diverts_to_free_nearby_station():
     me = dummy_vehicle("me", soc=0.5)
     queued = mgr.request_charge(me, "A", 1.0, 0)
     assert isinstance(queued, Queued)
-    decision = mgr.select_station(me, "A", net, 0, ENV)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
     assert isinstance(decision, DivertTo)
     assert decision.station_id == "B"
     assert decision.route.edges == ["e1", "e2"]
@@ -257,7 +263,7 @@ def test_select_station_respects_energy_feasibility_gate():
     # soc barely above the safety margin: cannot reach B
     me = dummy_vehicle("me", soc=0.0501)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, ENV)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
     assert isinstance(decision, WaitHere)
 
 
@@ -273,7 +279,7 @@ def test_select_station_prefers_waiting_when_local_wait_short():
         mgr.request_charge(vehicle, "A", 1.0, 0)
     me = dummy_vehicle("me", soc=0.5)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, ENV)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
     assert isinstance(decision, WaitHere)
 
 

@@ -466,11 +466,14 @@ def test_cli_missing_config_returns_config_error(tmp_path):
     ({}, ["sweep", "--param", "stations.count", "--values", "1.5"]),
     ({}, ["sweep", "--param", "stations.max_simultaneous", "--values", "1.5"]),
     ({}, ["sweep", "--param", "stations.slot_power_w", "--values", "nan"]),
+    ({"network": {"grid": {**GRID, "edge_length_m": 1e300}}}, ["run"]),
+    ({"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
+        "max_deceleration_mps2": 1e-300}}}}, ["run"]),
 ], ids=["horizon_beyond_clock", "metrics_interval_beyond_clock",
         "dwell_mu_overflow", "dwell_fixed_beyond_clock", "negative_seed",
         "fleet_size_fraction", "fleet_size_nan", "fleet_size_fraction_last",
         "station_count_fraction", "max_simultaneous_fraction",
-        "slot_power_nan"])
+        "slot_power_nan", "grid_extent_overflow", "edges_shorter_than_braking"])
 def test_cli_config_probes_exit_1_before_running(tmp_path, capsys, overrides,
                                                  args):
     path = write_scenario(tmp_path, **overrides)

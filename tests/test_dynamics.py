@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evfleetsim.dynamics import (DynamicsError, Environment,
+from evfleetsim.dynamics import (DriveTrace, DynamicsError, Environment,
                                  InfeasibleSegmentError, RangeExtenderParams,
-                                 VehicleParams, VehicleState, drive_segment,
-                                 estimate_route_energy, range_extender_step,
-                                 traction_power)
+                                 SegmentResult, VehicleParams, VehicleState,
+                                 drive_segment, estimate_route_energy,
+                                 range_extender_step, traction_power)
 from evfleetsim.network import Edge, generate_grid, shortest_path
 
 ENV = Environment()
@@ -504,3 +507,117 @@ def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
             v_prev = result.exit_velocity
         actual = (0.9 - state.soc) * params.battery_capacity_wh
         assert estimate >= actual - 1e-6
+
+
+def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():
+    # a 1e-300 m edge lasts far less than one step: zero steps
+    params = make_params(range_extender=RE)
+    for plans in (None, {}):
+        state = VehicleState(soc=0.5)
+        result = drive_segment(state, flat_edge(1e-300, 14.0), 0.0, 0.0,
+                               params, ENV, 1.0, plans=plans)
+        assert len(result.trace) == 0 and len(result.trace.soc) == 0
+        assert not result.stranded
+        assert state.soc == 0.5 and not state.range_extender_on
+        assert result.consumed_wh == result.battery_delta_wh == 0.0
+        assert result.duration_s < 1e-9
+
+
+# --- memoised plans ---------------------------------------------------------------------
+# drive_segment through a plan memo must give the uncached result to the last bit
+
+def assert_same_result(memo, fresh):
+    for f in dataclasses.fields(SegmentResult):
+        if f.name != "trace":
+            assert getattr(memo, f.name) == getattr(fresh, f.name), f.name
+    for f in dataclasses.fields(DriveTrace):
+        a, b = getattr(memo.trace, f.name), getattr(fresh.trace, f.name)
+        if not isinstance(a, np.ndarray):
+            assert a == b, f.name
+            continue
+        assert np.array_equal(a, b), f.name
+        for array in (a, b):  # plan arrays are shared between vehicles
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+
+def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
+                                params, soc, re_on):
+    """Drive ``edge`` through a plan memo that an earlier drive of the
+    same edge filled, and without a memo; both results must be equal.
+    Returns the memoised result and the state after it."""
+    plans = {}
+    try:
+        drive_segment(VehicleState(soc=0.5), edge, v_entry, v_exit, params,
+                      ENV, dt, speed_factor, plans)
+    except InfeasibleSegmentError:
+        assert plans == {}  # an infeasible plan is not stored
+        with pytest.raises(InfeasibleSegmentError):
+            drive_segment(VehicleState(soc=soc), edge, v_entry, v_exit,
+                          params, ENV, dt, speed_factor)
+        return None, None
+    assert len(plans) == 1
+    memo_state = VehicleState(soc=soc, range_extender_on=re_on)
+    fresh_state = VehicleState(soc=soc, range_extender_on=re_on)
+    memo = drive_segment(memo_state, edge, v_entry, v_exit, params, ENV, dt,
+                         speed_factor, plans)
+    fresh = drive_segment(fresh_state, edge, v_entry, v_exit, params, ENV,
+                          dt, speed_factor)
+    assert len(plans) == 1
+    assert_same_result(memo, fresh)
+    assert memo_state == fresh_state
+    # the energy sums, formed as the integrator forms them from its steps
+    trace = memo.trace
+    hours = trace.dt_s / 3600.0
+    assert memo.recuperated_wh == float(np.dot(trace.p_recup_w, hours))
+    assert memo.range_extended_wh == float(np.dot(trace.p_re_w, hours))
+    assert memo.battery_delta_wh == float(-np.dot(trace.p_battery_w, hours))
+    return memo, memo_state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.floats(0.5, 600.0),
+    speed_limit=st.floats(2.0, 30.0),
+    gradient=st.one_of(st.sampled_from([0.0, -0.3, 0.3]),
+                       st.floats(-0.3, 0.3)),
+    speed_factor=st.floats(0.2, 1.0),
+    entry_fraction=st.floats(0.0, 1.0),
+    v_exit=st.floats(0.0, 30.0),
+    dt=st.sampled_from([0.25, 1.0, 2.5]),
+    capacity_wh=st.sampled_from([2.0, 20.0, 200.0, 18000.0]),
+    range_extender=st.sampled_from([None, RE]),
+    soc=st.one_of(st.sampled_from([0.0, 0.2, 0.4, 1.0]), st.floats(0.0, 1.0)),
+    re_on=st.booleans(),
+)
+def test_memoised_plan_gives_the_uncached_result(
+        length, speed_limit, gradient, speed_factor, entry_fraction, v_exit,
+        dt, capacity_wh, range_extender, soc, re_on):
+    params = make_params(battery_capacity_wh=capacity_wh,
+                         range_extender=range_extender)
+    drive_with_and_without_memo(
+        flat_edge(length, speed_limit, gradient),
+        entry_fraction * speed_limit * speed_factor, v_exit, speed_factor, dt,
+        params, soc, re_on)
+
+
+@pytest.mark.parametrize("regime", ["stranding", "relay_on", "relay_off",
+                                    "full_battery"])
+def test_memoised_plan_covers_the_step_loop(regime):
+    # the draws above reach each branch of the step loop; these pin one each
+    soc, re_on, gradient, re = {
+        "stranding": (0.3, False, 0.1, None),
+        "relay_on": (0.25, False, 0.1, RE),
+        "relay_off": (0.35, True, -0.3, RE),
+        "full_battery": (0.999, False, -0.3, None),
+    }[regime]
+    params = make_params(battery_capacity_wh=20.0, range_extender=re)
+    result, state = drive_with_and_without_memo(
+        flat_edge(400.0, 14.0, gradient), 0.0, 0.0, 1.0, 1.0, params, soc,
+        re_on)
+    if regime == "stranding":
+        assert result.stranded and state.soc == 0.0
+    elif regime == "full_battery":
+        assert state.soc == 1.0 and not result.stranded
+    else:
+        assert state.range_extender_on is not re_on

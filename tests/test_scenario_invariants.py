@@ -2,6 +2,9 @@
 
 import copy
 import csv
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -12,7 +15,7 @@ from evfleetsim import metrics
 from evfleetsim.charging import ChargingManager
 from evfleetsim.config import load_config
 from evfleetsim.engine import Engine, EventKind
-from evfleetsim.fleet import Lifecycle
+from evfleetsim.fleet import FleetController, Lifecycle
 from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
                                 state_periods)
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
@@ -231,6 +234,76 @@ def test_ticks_csv_independent_of_flush_boundaries(tmp_path, monkeypatch):
         assert (tmp_path / f"out_{rows}" / "ticks.csv").read_bytes() == expected
         assert (result.manifest["files"]["ticks.csv"]
                 == default.manifest["files"]["ticks.csv"])
+
+
+# --- memoised drive plans and the benchmark's tracer --------------------------
+
+class NeverStores(dict):
+    """A plan memo that forgets every plan: each drive is planned afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def run_recording_controllers(monkeypatch, path, out_dir, plans=None):
+    """Run a scenario; returns the result and its controllers, whose plan
+    memo is replaced by ``plans()`` when that is given."""
+    controllers = []
+    init = FleetController.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if plans is not None:
+            self.plans = plans()
+        controllers.append(self)
+
+    monkeypatch.setattr(FleetController, "__init__", recording_init)
+    return run_scenario(load_config(path), out_dir), controllers
+
+
+def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
+    path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
+    memo, (memo_ctrl,) = run_recording_controllers(
+        monkeypatch, path, tmp_path / "memo")
+    fresh, (fresh_ctrl,) = run_recording_controllers(
+        monkeypatch, path, tmp_path / "fresh", plans=NeverStores)
+    segments = memo.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
+    assert 0 < len(memo_ctrl.plans) < segments
+    assert len(fresh_ctrl.plans) == 0
+    assert any(s.station_id == "st1" for s in memo.manager.sessions)  # diverted
+
+    for name in memo.manifest["files"]:
+        assert ((tmp_path / "memo" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
+    manifests = [json.loads((tmp_path / run / "manifest.json").read_text())
+                 for run in ("memo", "fresh")]
+    for manifest in manifests:
+        del manifest["wall_clock_s"]
+    assert manifests[0] == manifests[1]
+
+
+def load_bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_sees_the_dynamics_calls(tmp_path):
+    # the benchmark's per-layer metrics patch these module functions; a
+    # refactor that calls around them would silently zero the metrics
+    tracing = load_bench_tracing()
+    tracer = tracing.Tracer("busy_run")
+    with tracing.traced(tracer):
+        result = run_scenario(load_config(write_busy_scenario(tmp_path)),
+                              tmp_path / "out")
+    totals = tracer.totals()
+    segments = result.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
+    assert segments > 0
+    assert totals["dynamics.drive_segment"][0] >= segments
+    assert totals["dynamics.estimate_route_energy"][0] > 0
+    assert tracer.counters["dynamics.trace_samples"] > 0
 
 
 # --- grouped metrics against per-vehicle reference filters -------------------
