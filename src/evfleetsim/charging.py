@@ -12,7 +12,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import network
-from .engine import MS_PER_S, Engine, Event, EventKind, ms
+from .dynamics import VehicleParams
+from .engine import MS_PER_S, Engine, Event, EventKind, hour_of, ms
 
 
 class ChargingError(ValueError):
@@ -90,23 +91,8 @@ class ChargingStation:
 
 
 @dataclass(frozen=True)
-class Granted:
-    station_id: str
-    slot_id: str
-    vehicle_id: str
-    completion_ms: int
-    session: ChargeSession
-
-
-@dataclass(frozen=True)
 class Queued:
-    station_id: str
-    position: int  # 1-based
-
-
-@dataclass(frozen=True)
-class WaitHere:
-    pass
+    position: int  # 1-based, in the station's queue
 
 
 @dataclass(frozen=True)
@@ -143,15 +129,20 @@ def session_progress(session: ChargeSession, params,
 
 class ChargingManager:
     """Controls all stations; grants the highest-power free slot, queues FIFO
-    when a station is saturated, and schedules completion events."""
+    when a station is saturated, and schedules completion events.
+
+    All vehicles share ``params``, the fleet's one vehicle model; of a
+    vehicle the manager reads only ``vehicle_id`` and ``state``."""
 
     def __init__(
         self,
         engine: Engine,
         stations: list[ChargingStation],
+        params: VehicleParams,
         safety_margin_soc: float = 0.05,
     ):
         self.engine = engine
+        self.params = params
         self.stations: dict[str, ChargingStation] = {}
         for st in stations:
             if st.station_id in self.stations:
@@ -171,8 +162,8 @@ class ChargingManager:
         target_soc: float,
         enqueue_ms: int,
         at_ms: int,
-    ) -> Granted:
-        params = vehicle.params
+    ) -> ChargeSession:
+        params = self.params
         deficit = (target_soc - vehicle.state.soc) * params.battery_capacity_wh
         duration = charge_duration(
             deficit, slot.power_w, params.max_charging_power_w,
@@ -205,14 +196,13 @@ class ChargingManager:
         self.sessions.append(session)
         self._engaged.add(vehicle.vehicle_id)
         assert len(station.occupancy) <= station.max_simultaneous
-        return Granted(
-            station.station_id, slot.slot_id, vehicle.vehicle_id, completion, session
-        )
+        return session
 
     def request_charge(
         self, vehicle, station_id: str, target_soc: float, at_ms: int
-    ) -> Granted | Queued:
-        """Grant the best free slot, or append to the station's FIFO queue."""
+    ) -> ChargeSession | Queued:
+        """Grant the best free slot and return its session, or append to the
+        station's FIFO queue."""
         station = self.stations.get(station_id)
         if station is None:
             raise ChargingError(f"unknown station {station_id}")
@@ -231,29 +221,22 @@ class ChargingManager:
             )
         station.queue.append(_QueueEntry(vehicle, target_soc, at_ms))
         self._engaged.add(vehicle.vehicle_id)
-        return Queued(station_id, len(station.queue))
-
-    def complete_session(self, station_id: str, slot_id: str) -> ChargeSession:
-        """Finalize the session in a slot: set the vehicle's SOC to the target.
-        Call :meth:`release_slot` afterwards to free the slot."""
-        station = self.stations[station_id]
-        occ = station.occupancy.get(slot_id)
-        if occ is None:
-            raise ChargingError(f"slot {slot_id} at {station_id} is not occupied")
-        occ.session.completed = True
-        occ.vehicle.state.soc = occ.session.target_soc
-        return occ.session
+        return Queued(len(station.queue))
 
     def release_slot(
         self, station_id: str, slot_id: str, at_ms: int
-    ) -> Granted | None:
-        """Free a slot; if vehicles are waiting, grant it to the queue head."""
+    ) -> ChargeSession | None:
+        """Complete the session in a slot (the vehicle's SOC becomes its
+        target) and free the slot; if vehicles are waiting, grant it to the
+        queue head and return the new session."""
         station = self.stations.get(station_id)
         if station is None:
             raise ChargingError(f"unknown station {station_id}")
         occ = station.occupancy.pop(slot_id, None)
         if occ is None:
             raise ChargingError(f"releasing free slot {slot_id} at {station_id}")
+        occ.session.completed = True
+        occ.vehicle.state.soc = occ.session.target_soc
         self._engaged.discard(occ.vehicle.vehicle_id)
         if not station.queue:
             return None
@@ -282,7 +265,7 @@ class ChargingManager:
                 elapsed = max(0.0, (at_ms - s.grant_ms) / MS_PER_S)
                 elapsed = min(elapsed, s.duration_s)
                 s.energy_wh, occ.vehicle.state.soc = session_progress(
-                    s, occ.vehicle.params, elapsed)
+                    s, self.params, elapsed)
                 s.duration_s = elapsed
                 s.complete_ms = at_ms
                 s.truncated = True
@@ -291,20 +274,19 @@ class ChargingManager:
     # -- wait-or-divert policy ------------------------------------------------
 
     def estimate_wait_s(self, station: ChargingStation, at_ms: int,
-                        queued_ahead: int | None = None) -> float:
+                        queued_ahead: int) -> float:
         """Expected wait before a slot frees: remaining occupant time plus the
-        estimated demand of vehicles queued ahead, shared over the servers."""
+        estimated demand of the first ``queued_ahead`` queued vehicles,
+        shared over the servers."""
         remaining = sum(
             max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
             for occ in station.occupancy.values()
         )
-        if queued_ahead is None:
-            queued_ahead = len(station.queue)
         # queued vehicles are assumed to charge at the mean slot power
         est_power = sum(s.power_w for s in station.slots) / len(station.slots)
+        params = self.params
         queued_s = 0.0
         for entry in station.queue[:queued_ahead]:
-            params = entry.vehicle.params
             deficit = max(
                 0.0,
                 (entry.target_soc - entry.vehicle.state.soc)
@@ -323,10 +305,10 @@ class ChargingManager:
         net: network.RoadNetwork,
         at_ms: int,
         route_energy_wh: Callable[[network.Route, int], float],
-    ) -> WaitHere | DivertTo:
-        """Decide between waiting at a saturated station and driving to an
-        alternative, comparing local wait against travel time plus the
-        alternative's wait on the current occupancy snapshot. Only
+    ) -> DivertTo | None:
+        """Decide between waiting at a saturated station (``None``) and
+        driving to an alternative, comparing local wait against travel time
+        plus the alternative's wait on the current occupancy snapshot. Only
         alternatives reachable with the SOC safety margin are considered,
         by the estimate ``route_energy_wh(route, hour)`` of the vehicle's
         battery energy for a route; ties favor waiting."""
@@ -334,9 +316,9 @@ class ChargingManager:
         queued_ahead = max(0, len(current.queue) - 1)  # the decider sits at the tail
         wait_here = self.estimate_wait_s(current, at_ms, queued_ahead)
 
-        hour = (at_ms // (3600 * MS_PER_S)) % 24
-        params = vehicle.params
-        budget_wh = (vehicle.state.soc - self.safety_margin_soc) * params.battery_capacity_wh
+        hour = hour_of(at_ms)
+        budget_wh = ((vehicle.state.soc - self.safety_margin_soc)
+                     * self.params.battery_capacity_wh)
 
         best: tuple[float, str, network.Route] | None = None
         for sid in sorted(self.stations):
@@ -353,14 +335,13 @@ class ChargingManager:
             if energy > budget_wh:
                 continue
             cost = network.route_travel_time(net, route, hour) + self.estimate_wait_s(
-                station, at_ms
-            )
+                station, at_ms, len(station.queue))
             if best is None or cost < best[0]:
                 best = (cost, sid, route)
 
         if best is not None and best[0] < wait_here:
             return DivertTo(best[1], best[2])
-        return WaitHere()
+        return None
 
     # -- invariants -----------------------------------------------------------
 

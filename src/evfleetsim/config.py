@@ -380,8 +380,31 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                 break
 
     stations = _build_stations(cfg["stations"], net, errors)
+    if vehicle_params is not None:
+        # every session, at most a full-battery charge, must fit the clock
+        for st in stations:
+            for slot in st.slots:
+                full_s = charging.charge_duration(
+                    vehicle_params.battery_capacity_wh, slot.power_w,
+                    vehicle_params.max_charging_power_w,
+                    vehicle_params.charging_efficiency)
+                _build(f"stations, fleet.vehicle.max_charging_power_w: full "
+                       f"charge at slot {slot.slot_id} of {st.station_id!r}",
+                       errors, ms, full_s)
 
     demand = _build_demand(cfg["demand"], errors)
+    if net is not None and net.nodes and demand is not None:
+        # nearest_edge squares the offset of a trip destination, at most the
+        # largest distance bin away from the depot, from every node
+        reach = max(upper for upper, _ in demand.distance_bins)
+        xs = [c.x for c in net.nodes.values()]
+        ys = [c.y for c in net.nodes.values()]
+        dx = reach + (max(xs) - min(xs))
+        dy = reach + (max(ys) - min(ys))
+        if not math.isfinite(dx * dx + dy * dy):
+            errors.append(
+                f"demand.distance_bins: upper_m {reach:g} reaches too far "
+                f"beyond the network: the square of the offset is not finite")
     if cfg["demand"]["schedule_size"] is None:
         cfg["demand"]["schedule_size"] = fleet_cfg["size"]
     elif cfg["demand"]["schedule_size"] < 0:

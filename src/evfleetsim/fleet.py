@@ -6,8 +6,9 @@ and routed out and back. Dispatch assigns each job to the idle vehicle with the
 highest SOC that can cover the round trip plus a reserve; jobs with no feasible
 vehicle wait for the next vehicle to become available.
 
-All vehicles of a fleet share one :class:`~evfleetsim.dynamics.VehicleParams`
-(the controller rejects a mixed fleet), so the energy estimate of a route
+A fleet has one vehicle model: the controller and the charging manager each
+hold its one :class:`~evfleetsim.dynamics.VehicleParams`, and a
+:class:`Vehicle` carries only its state. So the energy estimate of a route
 depends only on the route and the hour; the controller memoises it for
 dispatch and for the divert decisions of the charging manager. The dispatch
 budget is monotone in SOC, so the idle vehicle with the highest SOC (ties to
@@ -295,7 +296,6 @@ def generate_day_schedule(
 @dataclass
 class Vehicle:
     vehicle_id: str
-    params: dynamics.VehicleParams
     state: dynamics.VehicleState
     lifecycle: Lifecycle = Lifecycle.IDLE
     mission: Mission | None = None
@@ -339,17 +339,16 @@ class FleetController:
         vehicles: list[Vehicle],
         depot_edge: str,
         env: dynamics.Environment,
+        params: dynamics.VehicleParams,
         policies: FleetPolicies,
         dynamics_dt_s: float,
         transition_hook=None,
     ):
-        if any(v.params != vehicles[0].params for v in vehicles[1:]):
-            raise FleetError("all vehicles of a fleet must share one VehicleParams")
         self.engine = engine
         self.net = net
         self.manager = manager
         self.vehicles = {v.vehicle_id: v for v in vehicles}
-        self.params = vehicles[0].params if vehicles else None
+        self.params = params
         # (-soc, vehicle_id) per entry into IDLE; stale entries are dropped
         # lazily by _try_dispatch
         self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
@@ -453,7 +452,7 @@ class FleetController:
 
         result = dynamics.drive_segment(
             vehicle.state, edge, v_entry, v_exit,
-            vehicle.params, self.env, self.dt, factor, self.plans,
+            self.params, self.env, self.dt, factor, self.plans,
         )
         vehicle.trace = result.trace
         vehicle.trace_start_ms = now
@@ -598,7 +597,7 @@ class FleetController:
         result = self.manager.request_charge(
             vehicle, station_id, self.policies.target_soc, self.engine.now_ms
         )
-        if isinstance(result, charging.Granted):
+        if isinstance(result, charging.ChargeSession):
             self.engine.schedule(
                 Event(
                     EventKind.SLOT_GRANTED,
@@ -610,21 +609,19 @@ class FleetController:
             return
         # queued: decide between waiting and diverting (at most one divert
         # per charging need, to rule out station ping-pong)
-        decision: charging.WaitHere | charging.DivertTo = charging.WaitHere()
+        divert = None
         if not vehicle.diverted_once:
-            decision = self.manager.select_station(
+            divert = self.manager.select_station(
                 vehicle, station_id, self.net, self.engine.now_ms,
                 self.route_energy_wh,
             )
-        if isinstance(decision, charging.DivertTo):
-            self.manager.leave_queue(vehicle.vehicle_id, station_id)
-            vehicle.diverted_once = True
-            vehicle.divert_station = decision.station_id
-            self._begin_route(
-                vehicle, decision.route, Mission.DIVERT, Lifecycle.RETURNING
-            )
-        else:
+        if divert is None:
             self._transition(vehicle, Lifecycle.QUEUED_AT_STATION)
+            return
+        self.manager.leave_queue(vehicle.vehicle_id, station_id)
+        vehicle.diverted_once = True
+        vehicle.divert_station = divert.station_id
+        self._begin_route(vehicle, divert.route, Mission.DIVERT, Lifecycle.RETURNING)
 
     def on_slot_granted(self, event: Event) -> None:
         vehicle = self._alive(event)
@@ -648,7 +645,6 @@ class FleetController:
             raise ModelError(f"illegal charge completion: {vehicle.dump()}")
         station_id = event.payload["station"]
         slot_id = event.payload["slot"]
-        self.manager.complete_session(station_id, slot_id)
         vehicle.session = None
         next_grant = self.manager.release_slot(station_id, slot_id, self.engine.now_ms)
         if next_grant is not None:

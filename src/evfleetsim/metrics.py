@@ -141,12 +141,13 @@ class _VehicleFinal:
 
 
 class MetricsCollector:
-    """Accumulates run data; tick rows stream to disk once the rows buffered
-    in memory reach ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O
-    failure is allowed to propagate and abort the run)."""
+    """Accumulates run data for the output directory ``out_dir``; tick rows
+    stream to disk once the rows buffered in memory reach
+    ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O failure is
+    allowed to propagate and abort the run)."""
 
-    def __init__(self, out_dir: str | Path | None = None):
-        self.out_dir = Path(out_dir) if out_dir is not None else None
+    def __init__(self, out_dir: str | Path):
+        self.out_dir = Path(out_dir)
         # one string of formatted ticks.csv rows per recorded tick
         self._tick_chunks: list[str] = []
         self._pending_rows = 0
@@ -191,7 +192,7 @@ class MetricsCollector:
         head = f"{t_ms / MS_PER_S:.3f},"
         self._tick_chunks.append(head + head.join(tails))
         self._pending_rows += len(tails)
-        if self.out_dir is not None and self._pending_rows >= TICK_BUFFER_ROWS:
+        if self._pending_rows >= TICK_BUFFER_ROWS:
             self._flush_ticks()
 
     def record_transition(self, t_ms: int, vehicle_id: str,
@@ -225,8 +226,6 @@ class MetricsCollector:
     # -- tick streaming ---------------------------------------------------------
 
     def _flush_ticks(self) -> None:
-        if self.out_dir is None:
-            return
         if self._ticks_path is None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             self._ticks_path = self.out_dir / "ticks.csv"
@@ -318,15 +317,14 @@ class MetricsCollector:
 
     # -- export --------------------------------------------------------------------
 
-    def export_all(self, out_dir: str | Path, histogram_edges: list[float],
+    def export_all(self, histogram_edges: list[float],
                    utilization_bin_s: float = 300.0) -> dict:
-        """Write all CSVs plus ``manifest.json``; returns the manifest dict.
+        """Write all CSVs plus ``manifest.json`` to ``out_dir``; returns the
+        manifest dict.
 
         ``histogram_edges`` are the base bin edges of ``histograms.csv``,
         extended by :func:`covering_edges` to the realised distances."""
-        out = Path(out_dir)
-        if self.out_dir is None:
-            self.out_dir = out
+        out = self.out_dir
         out.mkdir(parents=True, exist_ok=True)
         horizon_ms = self.run_info.get("horizon_ms", 0)
         files: dict[str, int] = {}

@@ -55,16 +55,17 @@ def run_scenario(
 
     engine = Engine(keep_event_log=event_log)
     collector = metrics.MetricsCollector(out_dir)
+    params = config.vehicle_params
     manager = charging.ChargingManager(
         engine,
         config.build_stations(),
+        params,
         safety_margin_soc=config.safety_margin_soc,
     )
 
     vehicles = [
         fleet.Vehicle(
             vehicle_id=f"v{i:04d}",
-            params=config.vehicle_params,
             state=dynamics.VehicleState(
                 soc=config.initial_soc, edge_id=config.depot_edge
             ),
@@ -78,6 +79,7 @@ def run_scenario(
         vehicles=vehicles,
         depot_edge=config.depot_edge,
         env=config.environment,
+        params=params,
         policies=config.policies,
         dynamics_dt_s=config.dynamics_dt_s,
         transition_hook=collector.record_transition,
@@ -116,8 +118,8 @@ def run_scenario(
             elif lifecycle is fleet.Lifecycle.CHARGING and v.session is not None:
                 s = v.session
                 elapsed = max(0.0, (now - s.grant_ms) / MS_PER_S)
-                _, soc = charging.session_progress(s, v.params, elapsed)
-                inflow = s.effective_power_w * v.params.charging_efficiency
+                _, soc = charging.session_progress(s, params, elapsed)
+                inflow = s.effective_power_w * params.charging_efficiency
                 samples.append((v.vehicle_id, lifecycle, soc,
                                 (0.0, 0.0, 0.0, -inflow, 0.0, 0.0)))
             else:
@@ -140,7 +142,7 @@ def run_scenario(
         collector.record_vehicle_final(
             v.vehicle_id, v.state.cumulative,
             soc_start=config.initial_soc, soc_end=v.state.soc,
-            n_trips=v.n_trips, capacity_wh=v.params.battery_capacity_wh,
+            n_trips=v.n_trips, capacity_wh=params.battery_capacity_wh,
         )
     collector.set_trips(trips)
     collector.set_sessions(manager.sessions)
@@ -173,7 +175,6 @@ def run_scenario(
         wall_clock_s=summary.wall_clock_s,
     )
     manifest = collector.export_all(
-        out_dir,
         histogram_edges=config.demand.bin_edges(),
         utilization_bin_s=config.utilization_bin_s,
     )

@@ -27,13 +27,12 @@ def make_params(**overrides):
 
 @dataclass
 class DummyVehicle:
-    """Minimal stand-in satisfying the charging manager's vehicle contract."""
+    """Minimal stand-in satisfying the charging manager's vehicle contract:
+    a ``vehicle_id`` and a ``state``."""
 
     vehicle_id: str
     state: VehicleState
-    params: VehicleParams
 
 
-def dummy_vehicle(vehicle_id="v0", soc=0.5, **param_overrides):
-    return DummyVehicle(vehicle_id, VehicleState(soc=soc),
-                        make_params(**param_overrides))
+def dummy_vehicle(vehicle_id="v0", soc=0.5):
+    return DummyVehicle(vehicle_id, VehicleState(soc=soc))

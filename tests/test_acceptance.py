@@ -11,8 +11,8 @@ import pytest
 
 from conftest import dummy_vehicle, make_params
 
-from evfleetsim.charging import (ChargingManager, ChargingStation, Granted,
-                                 Slot, charge_duration)
+from evfleetsim.charging import (ChargeSession, ChargingManager,
+                                 ChargingStation, Slot, charge_duration)
 from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.dynamics import Environment, VehicleState, drive_segment
 from evfleetsim.engine import Engine, Event, EventKind
@@ -49,13 +49,13 @@ def test_c1_plug_rate_fidelity():
 
     engine = Engine()
     station = ChargingStation("st", "e", [Slot("s0", 11000.0)], 1)
-    mgr = ChargingManager(engine, [station])
+    mgr = ChargingManager(engine, [station], make_params())
     # soc 0.75 keeps the deficit exactly representable: 4500 Wh of 18 kWh
     vehicle = dummy_vehicle("v", soc=0.75)
     granted = mgr.request_charge(vehicle, "st", 1.0, 0)
-    assert granted.session.effective_power_w == 3600.0  # vehicle cap binds
-    assert granted.session.duration_s == 4500.0
-    assert granted.completion_ms == 4_500_000
+    assert granted.effective_power_w == 3600.0  # vehicle cap binds
+    assert granted.duration_s == 4500.0
+    assert granted.complete_ms == 4_500_000
     report(1, "plug rates 2300/3600 W and the vehicle cap are exact")
 
 
@@ -67,7 +67,7 @@ def test_c2_simultaneity_and_fifo_randomized():
         station = ChargingStation(
             "st", "e", [Slot("s0", 2300.0), Slot("s1", 3600.0)], 2
         )
-        mgr = ChargingManager(engine, [station])
+        mgr = ChargingManager(engine, [station], make_params())
         n = int(rng.integers(3, 12))
         vehicles = {
             f"v{i}": dummy_vehicle(f"v{i}", soc=float(rng.uniform(0.3, 0.95)))
@@ -79,12 +79,11 @@ def test_c2_simultaneity_and_fifo_randomized():
             vid = event.payload["vehicle"]
             arrivals.append(vid)
             if isinstance(mgr.request_charge(vehicles[vid], "st", 1.0,
-                                             engine.now_ms), Granted):
+                                             engine.now_ms), ChargeSession):
                 grants.append(vid)
             assert len(station.occupancy) <= 2
 
         def on_complete(event):
-            mgr.complete_session("st", event.payload["slot"])
             handoff = mgr.release_slot("st", event.payload["slot"], engine.now_ms)
             if handoff is not None:
                 grants.append(handoff.vehicle_id)
@@ -197,7 +196,7 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
     collector = MetricsCollector(tmp_path)
     collector.set_trips(trips)
     collector.set_run_info(horizon_ms=0)
-    manifest = collector.export_all(tmp_path, config.demand.bin_edges())
+    manifest = collector.export_all(config.demand.bin_edges())
     lines = (tmp_path / "histograms.csv").read_text().splitlines()
     assert lines[0] == "bin_lower_m,bin_upper_m,airline_count,driven_count"
     airline_col = [int(l.split(",")[2]) for l in lines[1:]]

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import dummy_vehicle
+from conftest import dummy_vehicle, make_params
 
-from evfleetsim.charging import (PLUG_PRESETS, ChargingError,
+from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
-                                 Granted, Queued, Slot, WaitHere,
-                                 charge_duration, session_progress)
+                                 Queued, Slot, charge_duration,
+                                 session_progress)
 from evfleetsim.dynamics import Environment, estimate_route_energy
 from evfleetsim.engine import Engine, Event, EventKind, ms
 from evfleetsim.network import Coord, Edge, RoadNetwork
 
 ENV = Environment()
+PARAMS = make_params()
 
 
 def two_slot_station(station_id="st1", edge_id="e1", max_simultaneous=2):
@@ -59,9 +60,9 @@ def test_charge_duration_efficiency_lengthens():
 
 def test_empty_station_grants_best_slot():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     result = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 1.0, 0)
-    assert isinstance(result, Granted)
+    assert isinstance(result, ChargeSession)
     assert result.slot_id == "s1"  # 3600 W beats 2300 W
     mgr.assert_consistent()
 
@@ -71,33 +72,33 @@ def test_highest_power_tie_broken_by_lowest_slot_id():
     station = ChargingStation(
         "st1", "e1", [Slot("s0", 3600.0), Slot("s1", 3600.0)], 2
     )
-    mgr = ChargingManager(engine, [station])
+    mgr = ChargingManager(engine, [station], PARAMS)
     result = mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
     assert result.slot_id == "s0"
 
 
 def test_third_vehicle_queues_at_two_slot_station():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
     result = mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
-    assert result == Queued("st1", 1)
+    assert result == Queued(1)
     mgr.assert_consistent()
 
 
 def test_max_simultaneous_below_slot_count():
     engine = Engine()
     station = two_slot_station(max_simultaneous=1)
-    mgr = ChargingManager(engine, [station])
-    assert isinstance(mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0), Granted)
+    mgr = ChargingManager(engine, [station], PARAMS)
+    assert isinstance(mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0), ChargeSession)
     assert isinstance(mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0), Queued)
     assert len(station.occupancy) == 1
 
 
 def test_double_request_is_an_error():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a")
     mgr.request_charge(vehicle, "st1", 1.0, 0)
     with pytest.raises(ChargingError, match="already charging"):
@@ -106,21 +107,21 @@ def test_double_request_is_an_error():
 
 def test_unknown_station_is_an_error():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     with pytest.raises(ChargingError, match="unknown station"):
         mgr.request_charge(dummy_vehicle("a"), "nope", 1.0, 0)
 
 
 def test_completion_time_and_energy_closed_form():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a", soc=0.5)  # deficit 9000 Wh
     result = mgr.request_charge(vehicle, "st1", 1.0, 0)
-    assert result.session.effective_power_w == 3600.0
-    assert result.session.duration_s == pytest.approx(9000.0 * 3600.0 / 3600.0)
-    assert result.completion_ms == ms(9000.0)
+    assert result.effective_power_w == 3600.0
+    assert result.duration_s == pytest.approx(9000.0 * 3600.0 / 3600.0)
+    assert result.complete_ms == ms(9000.0)
     # conservation at the plug, closed form
-    s = result.session
+    s = result
     assert s.energy_wh == pytest.approx(
         s.effective_power_w * s.duration_s * 1.0 / 3600.0, rel=1e-9
     )
@@ -129,29 +130,32 @@ def test_completion_time_and_energy_closed_form():
 def test_release_grants_fifo_head_and_errors_on_free_slot():
     engine = Engine()
     station = two_slot_station()
-    mgr = ChargingManager(engine, [station])
-    g_a = mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
+    mgr = ChargingManager(engine, [station], PARAMS)
+    a = dummy_vehicle("a", soc=0.5)
+    g_a = mgr.request_charge(a, "st1", 0.9, 0)
     mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("d"), "st1", 1.0, 0)
     assert [e.vehicle.vehicle_id for e in station.queue] == ["c", "d"]
-    mgr.complete_session("st1", g_a.slot_id)
     handoff = mgr.release_slot("st1", g_a.slot_id, ms(10))
-    assert isinstance(handoff, Granted)
+    assert g_a.completed and not g_a.truncated
+    assert a.state.soc == 0.9
+    assert isinstance(handoff, ChargeSession)
     assert handoff.vehicle_id == "c"
     assert handoff.slot_id == g_a.slot_id
+    assert handoff.enqueue_ms == 0 and handoff.grant_ms == ms(10)
+    assert not handoff.completed
     assert [e.vehicle.vehicle_id for e in station.queue] == ["d"]
-    with pytest.raises(ChargingError, match="not occupied"):
-        mgr.complete_session("st1", "s9")
-    mgr.complete_session("st1", handoff.slot_id)
     mgr.release_slot("st1", handoff.slot_id, ms(20))
-    # d went in; release remaining occupants, then releasing again is an error
+    assert [e.vehicle.vehicle_id for e in station.queue] == []
     mgr.assert_consistent()
+    with pytest.raises(ChargingError, match="releasing free slot"):
+        mgr.release_slot("st1", "s9", ms(30))
 
 
 def test_release_free_slot_is_an_error():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     with pytest.raises(ChargingError, match="releasing free slot"):
         mgr.release_slot("st1", "s0", 0)
 
@@ -159,7 +163,7 @@ def test_release_free_slot_is_an_error():
 def test_leave_queue_removes_vehicle():
     engine = Engine()
     station = two_slot_station()
-    mgr = ChargingManager(engine, [station])
+    mgr = ChargingManager(engine, [station], PARAMS)
     mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
@@ -177,7 +181,7 @@ def test_randomized_service_order_equals_arrival_order():
     for case in range(100):
         engine = Engine()
         station = two_slot_station()
-        mgr = ChargingManager(engine, [station])
+        mgr = ChargingManager(engine, [station], PARAMS)
         n = int(rng.integers(3, 15))
         vehicles = {
             f"v{i}": dummy_vehicle(f"v{i}", soc=float(rng.uniform(0.2, 0.9)))
@@ -190,13 +194,12 @@ def test_randomized_service_order_equals_arrival_order():
             vid = event.payload["vehicle"]
             arrivals.append(vid)
             result = mgr.request_charge(vehicles[vid], "st1", 1.0, engine.now_ms)
-            if isinstance(result, Granted):
+            if isinstance(result, ChargeSession):
                 grants.append(vid)
             assert len(station.occupancy) <= station.max_simultaneous
             mgr.assert_consistent()
 
         def on_complete(event):
-            mgr.complete_session("st1", event.payload["slot"])
             handoff = mgr.release_slot("st1", event.payload["slot"], engine.now_ms)
             if handoff is not None:
                 grants.append(handoff.vehicle_id)
@@ -217,16 +220,16 @@ def test_randomized_service_order_equals_arrival_order():
 
 # --- wait-or-divert ---------------------------------------------------------------
 
-def route_energy(net, vehicle):
-    return lambda route, hour: estimate_route_energy(net, route, vehicle.params,
-                                                     ENV, hour)
+def route_energy(net):
+    return lambda route, hour: estimate_route_energy(net, route, PARAMS, ENV,
+                                                     hour)
 
 
 def saturated_manager(net):
     engine = Engine()
     st_a = two_slot_station("A", "e1")
     st_b = two_slot_station("B", "e2")
-    mgr = ChargingManager(engine, [st_a, st_b])
+    mgr = ChargingManager(engine, [st_a, st_b], PARAMS)
     # occupy both slots of A with sessions lasting an hour or more
     for vid in ("o1", "o2"):
         mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 1.0, 0)
@@ -236,13 +239,13 @@ def saturated_manager(net):
 def test_select_station_waits_when_no_alternative():
     engine = Engine()
     st_a = two_slot_station("A", "e1")
-    mgr = ChargingManager(engine, [st_a])
+    mgr = ChargingManager(engine, [st_a], PARAMS)
     mgr.request_charge(dummy_vehicle("o1"), "A", 1.0, 0)
     mgr.request_charge(dummy_vehicle("o2"), "A", 1.0, 0)
     net = line_network()
     me = dummy_vehicle("me", soc=0.5)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
-    assert isinstance(decision, WaitHere)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    assert decision is None
 
 
 def test_select_station_diverts_to_free_nearby_station():
@@ -251,7 +254,7 @@ def test_select_station_diverts_to_free_nearby_station():
     me = dummy_vehicle("me", soc=0.5)
     queued = mgr.request_charge(me, "A", 1.0, 0)
     assert isinstance(queued, Queued)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
     assert isinstance(decision, DivertTo)
     assert decision.station_id == "B"
     assert decision.route.edges == ["e1", "e2"]
@@ -263,8 +266,8 @@ def test_select_station_respects_energy_feasibility_gate():
     # soc barely above the safety margin: cannot reach B
     me = dummy_vehicle("me", soc=0.0501)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
-    assert isinstance(decision, WaitHere)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    assert decision is None
 
 
 def test_select_station_prefers_waiting_when_local_wait_short():
@@ -272,25 +275,25 @@ def test_select_station_prefers_waiting_when_local_wait_short():
     engine = Engine()
     st_a = two_slot_station("A", "e1")
     st_b = two_slot_station("B", "e2")
-    mgr = ChargingManager(engine, [st_a, st_b])
+    mgr = ChargingManager(engine, [st_a, st_b], PARAMS)
     # occupants almost done: local wait ~ 5 s, divert costs >= 120 s travel
     for vid in ("o1", "o2"):
         vehicle = dummy_vehicle(vid, soc=0.9998)
         mgr.request_charge(vehicle, "A", 1.0, 0)
     me = dummy_vehicle("me", soc=0.5)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net, me))
-    assert isinstance(decision, WaitHere)
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    assert decision is None
 
 
 def test_truncate_active_sessions_keeps_partial_energy():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
+    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a", soc=0.5)
     granted = mgr.request_charge(vehicle, "st1", 1.0, 0)
-    assert granted.session.duration_s == pytest.approx(9000.0)
+    assert granted.duration_s == pytest.approx(9000.0)
     mgr.truncate_active_sessions(ms(4500.0))
-    s = granted.session
+    s = granted
     assert s.truncated
     assert s.duration_s == pytest.approx(4500.0)
     assert s.energy_wh == pytest.approx(3600.0 * 4500.0 / 3600.0)
@@ -299,15 +302,15 @@ def test_truncate_active_sessions_keeps_partial_energy():
 
 def test_session_progress_is_linear_and_capped_at_target():
     engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()])
-    vehicle = dummy_vehicle("a", soc=0.5, charging_efficiency=0.9)
-    s = mgr.request_charge(vehicle, "st1", 1.0, 0).session
+    params = make_params(charging_efficiency=0.9)
+    mgr = ChargingManager(engine, [two_slot_station()], params)
+    s = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 1.0, 0)
     # 3600 W at 90 % stores 3240 Wh per hour of an 18 kWh battery
-    assert session_progress(s, vehicle.params, 0.0) == (0.0, 0.5)
-    energy, soc = session_progress(s, vehicle.params, 3600.0)
+    assert session_progress(s, params, 0.0) == (0.0, 0.5)
+    energy, soc = session_progress(s, params, 3600.0)
     assert energy == pytest.approx(3240.0)
     assert soc == pytest.approx(0.5 + 3240.0 / 18000.0)
-    assert session_progress(s, vehicle.params, 2 * s.duration_s)[1] == 1.0
+    assert session_progress(s, params, 2 * s.duration_s)[1] == 1.0
 
 
 def test_station_rejects_non_positive_slot_power():

@@ -153,6 +153,13 @@ def test_effective_config_round_trips(tmp_path):
                    "max_simultaneous": 1,
                    "slots": [{"plug": "schuko", "power_w": 3000.0}]}]},
     {"numerics": {"metrics_interval_s": 0.0004}},
+    {"demand": {"distance_bins": [{"upper_m": 1e300, "weight": 1.0}]}},
+    {"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
+        "max_charging_power_w": 1e-300}}}},
+    {"stations": [{"station_id": "st0", "edge_id": "e00000",
+                   "slots": [{"power_w": 1e-300}, {"power_w": 1e-300}]}]},
+    {"stations": [{"station_id": "st0", "edge_id": "e00000",
+                   "slots": [{"power_w": 1e-300}, {"plug": "iec_type2"}]}]},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
@@ -163,7 +170,9 @@ def test_effective_config_round_trips(tmp_path):
         "removed_tick_buffer_rows", "removed_fixed_n", "grid_rows_fraction",
         "trips_n_fraction", "target_soc_bool", "target_soc_text",
         "departure_weight_text", "bin_upper_text", "dwell_mu_text",
-        "mass_bool", "slot_plug_and_power", "metrics_interval_below_1ms"])
+        "mass_bool", "slot_plug_and_power", "metrics_interval_below_1ms",
+        "distance_bin_beyond_float_range", "vehicle_charge_beyond_clock",
+        "slot_charges_beyond_clock", "one_slot_charge_beyond_clock"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ConfigError):
@@ -192,11 +201,26 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     ({"stations": [{"station_id": "st0", "edge_id": "e00000",
                     "slots": [{"power_w": 2300.0, "volts": 230}]}]},
      "stations[0].slots[0].volts: unknown key"),
+    ({"demand": {"distance_bins": [{"upper_m": 1e300, "weight": 1.0}]}},
+     "demand.distance_bins: upper_m 1e+300 reaches too far"),
+    ({"stations": [{"station_id": "st0", "edge_id": "e00000",
+                    "slots": [{"plug": "iec_type2"}, {"power_w": 1e-300}]}]},
+     "stations, fleet.vehicle.max_charging_power_w: full charge at slot s1 "
+     "of 'st0'"),
 ], ids=["top", "numerics", "grid_rows", "speed_factors", "override_text",
-        "range_extender_key", "bin_weight", "slot_key"])
+        "range_extender_key", "bin_weight", "slot_key", "distance_bin_reach",
+        "slot_charge_beyond_clock"])
 def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
     errors = config_errors(write_scenario(tmp_path, **overrides))
     assert any(e.startswith(where) for e in errors), errors
+
+
+def test_far_distance_bin_still_runs(tmp_path, capsys):
+    # 1e150 m squared stays finite, so nearest_edge still ranks the edges
+    path = write_scenario(tmp_path, demand={
+        "distance_bins": [{"upper_m": 1e150, "weight": 1.0}]})
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_missing_keys_take_their_defaults(tmp_path):

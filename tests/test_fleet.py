@@ -177,16 +177,16 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
     stations = []
     if with_station:
         stations = [ChargingStation("st", depot, [Slot("s0", 3600.0)], 1)]
-    mgr = ChargingManager(engine, stations)
     params = params or make_params()
+    mgr = ChargingManager(engine, stations, params)
     socs = soc if isinstance(soc, list) else [soc] * n_vehicles
     vehicles = [
-        Vehicle(f"v{i}", params, VehicleState(soc=socs[i], edge_id=depot))
+        Vehicle(f"v{i}", VehicleState(soc=socs[i], edge_id=depot))
         for i in range(n_vehicles)
     ]
     transitions = []
     ctrl = FleetController(
-        engine, net, mgr, vehicles, depot, ENV,
+        engine, net, mgr, vehicles, depot, ENV, params,
         policies or FleetPolicies(), 1.0,
         transition_hook=lambda t, vid, old, new: transitions.append((t, vid, old, new)),
     )
@@ -396,7 +396,7 @@ def test_queue_then_slot_granted_fifo_at_depot():
 
 # --- dispatch index -------------------------------------------------------------
 
-def reference_dispatch(vehicles, trip, reserve, net, hour=0):
+def reference_dispatch(vehicles, params, trip, reserve, net, hour=0):
     """The full scan dispatch is checked against: every idle vehicle in id
     order with its own round-trip estimate; the feasible vehicle with the
     highest SOC wins, ties to the first."""
@@ -404,10 +404,10 @@ def reference_dispatch(vehicles, trip, reserve, net, hour=0):
     for v in sorted(vehicles, key=lambda v: v.vehicle_id):
         if v.lifecycle is not Lifecycle.IDLE:
             continue
-        budget = (v.state.soc - reserve) * v.params.battery_capacity_wh
+        budget = (v.state.soc - reserve) * params.battery_capacity_wh
         need = (
-            dynamics.estimate_route_energy(net, trip.outbound, v.params, ENV, hour)
-            + dynamics.estimate_route_energy(net, trip.return_route, v.params,
+            dynamics.estimate_route_energy(net, trip.outbound, params, ENV, hour)
+            + dynamics.estimate_route_energy(net, trip.return_route, params,
                                              ENV, hour)
         )
         if budget < need:
@@ -463,20 +463,6 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
             ctrl._transition(v, Lifecycle.IDLE)
 
     for trip in trips:
-        expected = reference_dispatch(vehicles, trip, reserve, net)
+        expected = reference_dispatch(vehicles, params, trip, reserve, net)
         assert ctrl._try_dispatch(trip) is (expected is not None)
         assert trip.vehicle_id == (expected.vehicle_id if expected else None)
-
-
-def test_mixed_vehicle_params_rejected():
-    net = generate_grid(3, 3, 100.0, 10.0)
-    depot = sorted(net.edges)[0]
-    engine = Engine()
-    vehicles = [
-        Vehicle("v0", make_params(), VehicleState(soc=1.0, edge_id=depot)),
-        Vehicle("v1", make_params(battery_capacity_wh=2000.0),
-                VehicleState(soc=1.0, edge_id=depot)),
-    ]
-    with pytest.raises(FleetError, match="share one VehicleParams"):
-        FleetController(engine, net, ChargingManager(engine, []), vehicles,
-                        depot, ENV, FleetPolicies(), 1.0)

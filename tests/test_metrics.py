@@ -66,23 +66,23 @@ def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
     samples = [rest(f"v{i}") for i in range(per_tick)]
     for k in range(n_ticks):
         collector.record_ticks(k * 1000, samples)
-    manifest = collector.export_all(tmp_path, [0.0, 1000.0])
+    manifest = collector.export_all([0.0, 1000.0])
     n = n_ticks * per_tick
     assert manifest["files"]["ticks.csv"] == n
     with open(tmp_path / "ticks.csv") as fh:
         assert sum(1 for _ in fh) == n + 1
 
 
-def test_non_finite_tick_rejected():
-    collector = MetricsCollector()
+def test_non_finite_tick_rejected(tmp_path):
+    collector = MetricsCollector(tmp_path)
     with pytest.raises(MetricsError, match="non-finite v_mps=nan in tick for v7"):
         collector.record_ticks(0, [rest("v0"), moving("v7", v_mps=float("nan"))])
     with pytest.raises(MetricsError, match="non-finite p_battery_w=inf in tick for v3"):
         collector.record_ticks(0, [moving("v3", p_battery_w=float("inf"))])
 
 
-def test_non_finite_rest_sample_rejected():
-    collector = MetricsCollector()
+def test_non_finite_rest_sample_rejected(tmp_path):
+    collector = MetricsCollector(tmp_path)
     with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v0"):
         collector.record_ticks(0, [rest("v0", soc=float("nan"))])
     # the same vehicle after its row at rest was cached
@@ -126,33 +126,33 @@ def test_covering_edges_extend_by_whole_bins():
     assert covering_edges([0.0, 0.0], []) == [0.0, 250.0]
 
 
-def test_histogram_bin_placement():
-    collector = MetricsCollector()
+def test_histogram_bin_placement(tmp_path):
+    collector = MetricsCollector(tmp_path)
     collector.set_trips([make_trip("t0", 400.0, 520.0)])
     edges, airline, driven = collector.distance_histogram([0.0, 500.0, 1000.0])
     assert airline.tolist() == [1, 0]
     assert driven.tolist() == [0, 1]
 
 
-def test_histogram_totals_equal_accepted_trips():
+def test_histogram_totals_equal_accepted_trips(tmp_path):
     trips = [make_trip(f"t{i}", 100.0 + i * 90.0, 200.0 + i * 95.0)
              for i in range(20)]
     trips.append(Trip("rej", 0, "e0", 500.0, 10.0, status="rejected"))
-    collector = MetricsCollector()
+    collector = MetricsCollector(tmp_path)
     collector.set_trips(trips)
     edges, airline, driven = collector.distance_histogram([0.0, 800.0, 1600.0, 2400.0])
     assert int(airline.sum()) == 20
     assert int(driven.sum()) == 20
 
 
-def test_driven_dominates_airline_per_trip():
+def test_driven_dominates_airline_per_trip(tmp_path):
     # oracle: pairwise comparison over the trip log
     rng = np.random.default_rng(4)
     trips = []
     for i in range(200):
         airline = float(rng.uniform(50, 2000))
         trips.append(make_trip(f"t{i}", airline, airline * float(rng.uniform(1.0, 1.8))))
-    collector = MetricsCollector()
+    collector = MetricsCollector(tmp_path)
     collector.set_trips(trips)
     for trip in collector.accepted_trips():
         assert trip.outbound.total_length_m >= trip.sampled_airline_m
@@ -165,16 +165,16 @@ def start_idle(collector, vids, t=0):
         collector.record_transition(t, vid, None, Lifecycle.IDLE)
 
 
-def test_nobody_dispatched_all_idle():
-    collector = MetricsCollector()
+def test_nobody_dispatched_all_idle(tmp_path):
+    collector = MetricsCollector(tmp_path)
     start_idle(collector, ["v0", "v1", "v2"])
     series = collector.unused_vehicles_series(60.0, ms(600.0))
     assert all(c == 3 for c in series.counts["idle"])
     assert series.min_idle == 3
 
 
-def test_one_vehicle_busy_whole_run():
-    collector = MetricsCollector()
+def test_one_vehicle_busy_whole_run(tmp_path):
+    collector = MetricsCollector(tmp_path)
     start_idle(collector, ["v0", "v1"])
     collector.record_transition(0, "v0", Lifecycle.IDLE, Lifecycle.EN_ROUTE)
     series = collector.unused_vehicles_series(60.0, ms(600.0))
@@ -183,9 +183,9 @@ def test_one_vehicle_busy_whole_run():
     assert series.min_idle == 1
 
 
-def test_partition_sums_to_fleet_size():
+def test_partition_sums_to_fleet_size(tmp_path):
     rng = np.random.default_rng(9)
-    collector = MetricsCollector()
+    collector = MetricsCollector(tmp_path)
     vids = [f"v{i}" for i in range(7)]
     start_idle(collector, vids)
     states = list(Lifecycle)
@@ -211,7 +211,7 @@ def test_never_moved_vehicle_summary(tmp_path):
     start_idle(collector, ["v0"])
     collector.set_run_info(horizon_ms=ms(1000.0))
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 0, 18000.0)
-    collector.export_all(tmp_path, [0.0, 1000.0])
+    collector.export_all([0.0, 1000.0])
     # no energy, no distance, no trips; idle from 0 to 1000 s, nothing else
     wh, s = f"{0.0:.6f}", f"{0.0:.3f}"
     assert summary_rows(tmp_path) == [
@@ -233,7 +233,7 @@ def test_energy_identity_and_fuel_definition(tmp_path):
     collector.record_vehicle_final("v0", cum, soc0, soc1, 3, cap)
     collector.set_sessions([session("v0", grant_s=100.0, dur_s=900.0, energy=grid)])
     collector.set_run_info(horizon_ms=ms(4000.0))
-    collector.export_all(tmp_path, [0.0, 1000.0])
+    collector.export_all([0.0, 1000.0])
     row = summary_rows(tmp_path)[0]
     assert row == ",".join(
         ["v0"] + [f"{x:.6f}" for x in (consumed, recup, re, grid, rate * re / 1000.0)]
@@ -245,8 +245,8 @@ def test_energy_identity_and_fuel_definition(tmp_path):
     assert collector.energy_ledger_error() < 1e-9
 
 
-def test_periods_tile_horizon():
-    collector = MetricsCollector()
+def test_periods_tile_horizon(tmp_path):
+    collector = MetricsCollector(tmp_path)
     start_idle(collector, ["v0"])
     seq = [(100.0, Lifecycle.EN_ROUTE), (200.0, Lifecycle.DWELLING),
            (250.0, Lifecycle.RETURNING), (400.0, Lifecycle.CHARGING),
@@ -274,7 +274,7 @@ def test_export_manifest_lists_six_files(tmp_path):
     collector.set_sessions([session()])
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 1, 18000.0)
     collector.set_run_info(horizon_ms=ms(600.0), seed=1)
-    manifest = collector.export_all(tmp_path, [0.0, 250.0])
+    manifest = collector.export_all([0.0, 250.0])
     assert sorted(manifest["files"]) == [
         "histograms.csv", "sessions.csv", "summary.csv", "ticks.csv",
         "trips.csv", "utilization.csv",
@@ -289,7 +289,7 @@ def test_export_manifest_lists_six_files(tmp_path):
 def test_export_empty_scenario_headers_only(tmp_path):
     collector = MetricsCollector(tmp_path)
     collector.set_run_info(horizon_ms=0)
-    manifest = collector.export_all(tmp_path, [0.0, 1000.0])
+    manifest = collector.export_all([0.0, 1000.0])
     for name in ("ticks.csv", "trips.csv", "sessions.csv", "summary.csv",
                  "histograms.csv"):
         lines = (tmp_path / name).read_text().splitlines()
@@ -305,7 +305,7 @@ def test_summary_csv_schema(tmp_path):
     start_idle(collector, ["v0"])
     collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 0, 18000.0)
     collector.set_run_info(horizon_ms=ms(100.0))
-    collector.export_all(tmp_path, [0.0, 1000.0])
+    collector.export_all([0.0, 1000.0])
     with open(tmp_path / "summary.csv") as fh:
         header = next(csv.reader(fh))
     assert header == ["vehicle_id", "consumed_wh", "recuperated_wh",

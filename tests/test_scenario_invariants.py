@@ -291,8 +291,9 @@ def load_bench_tracing():
 
 
 def test_bench_tracer_sees_the_dynamics_calls(tmp_path):
-    # the benchmark's per-layer metrics patch these module functions; a
-    # refactor that calls around them would silently zero the metrics
+    # the benchmark's per-layer metrics patch these module functions and
+    # charging manager methods and read their results; a refactor that calls
+    # around them would silently zero the metrics
     tracing = load_bench_tracing()
     tracer = tracing.Tracer("busy_run")
     with tracing.traced(tracer):
@@ -304,6 +305,12 @@ def test_bench_tracer_sees_the_dynamics_calls(tmp_path):
     assert totals["dynamics.drive_segment"][0] >= segments
     assert totals["dynamics.estimate_route_energy"][0] > 0
     assert tracer.counters["dynamics.trace_samples"] > 0
+    # request_charge returns Queued and select_station DivertTo on this run
+    assert tracer.counters["charging.peak_queue"] >= 1
+    assert tracer.counters["charging.diverts"] >= 1
+    completes = result.engine_summary.dispatched[EventKind.CHARGE_COMPLETE]
+    assert completes > 0
+    assert totals["charging.release_slot"][0] == completes
 
 
 # --- grouped metrics against per-vehicle reference filters -------------------
