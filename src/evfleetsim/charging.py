@@ -2,18 +2,23 @@
 individual power ratings, a simultaneity limit, the FIFO charging manager,
 closed-form session scheduling, and the vehicle-side wait-or-divert policy.
 
+A :class:`ChargingStation` is a frozen layout; the :class:`ChargingManager`
+owns every station's queue and occupied slots, and schedules no event.
+
 Charging is constant-power (no taper), so completion times are exact:
 ``duration = deficit * 3600 / (min(slot, vehicle) * efficiency)``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 from . import network
 from .dynamics import VehicleParams
-from .engine import MS_PER_S, Engine, Event, EventKind, hour_of, ms
+from .engine import MS_PER_S, hour_of, ms
 
 
 class ChargingError(ValueError):
@@ -60,14 +65,14 @@ class _QueueEntry:
     enqueue_ms: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChargingStation:
+    """A station's fixed layout; the manager holds its run state."""
+
     station_id: str
     edge_id: str
-    slots: list[Slot]
+    slots: tuple[Slot, ...]
     max_simultaneous: int
-    queue: list[_QueueEntry] = field(default_factory=list)
-    occupancy: dict[str, _Occupied] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.slots:
@@ -82,12 +87,6 @@ class ChargingStation:
                 f"station {self.station_id}: max_simultaneous must be in "
                 f"[1, {len(self.slots)}]"
             )
-
-    def free_slots(self) -> list[Slot]:
-        return [s for s in self.slots if s.slot_id not in self.occupancy]
-
-    def has_capacity(self) -> bool:
-        return bool(self.free_slots()) and len(self.occupancy) < self.max_simultaneous
 
 
 @dataclass(frozen=True)
@@ -128,20 +127,20 @@ def session_progress(session: ChargeSession, params,
 
 
 class ChargingManager:
-    """Controls all stations; grants the highest-power free slot, queues FIFO
-    when a station is saturated, and schedules completion events.
+    """Owns every station's FIFO queue (``queues``) and occupied slots
+    (``occupancy``), keyed by station id; grants the highest-power free slot
+    or queues. It schedules nothing: the caller schedules the events of each
+    session it is returned.
 
     All vehicles share ``params``, the fleet's one vehicle model; of a
     vehicle the manager reads only ``vehicle_id`` and ``state``."""
 
     def __init__(
         self,
-        engine: Engine,
         stations: list[ChargingStation],
         params: VehicleParams,
         safety_margin_soc: float = 0.05,
     ):
-        self.engine = engine
         self.params = params
         self.stations: dict[str, ChargingStation] = {}
         for st in stations:
@@ -149,6 +148,10 @@ class ChargingManager:
                 raise ChargingError(f"duplicate station id {st.station_id}")
             self.stations[st.station_id] = st
         self.safety_margin_soc = safety_margin_soc
+        self.queues: dict[str, deque[_QueueEntry]] = {
+            sid: deque() for sid in self.stations}
+        self.occupancy: dict[str, dict[str, _Occupied]] = {
+            sid: {} for sid in self.stations}
         self.sessions: list[ChargeSession] = []
         self._engaged: set[str] = set()  # vehicles in any queue or slot
 
@@ -169,33 +172,24 @@ class ChargingManager:
             deficit, slot.power_w, params.max_charging_power_w,
             params.charging_efficiency,
         )
-        completion = at_ms + ms(duration)
         session = ChargeSession(
             station_id=station.station_id,
             slot_id=slot.slot_id,
             vehicle_id=vehicle.vehicle_id,
             enqueue_ms=enqueue_ms,
             grant_ms=at_ms,
-            complete_ms=completion,
+            complete_ms=at_ms + ms(duration),
             duration_s=duration,
             effective_power_w=min(slot.power_w, params.max_charging_power_w),
             energy_wh=deficit,
             start_soc=vehicle.state.soc,
             target_soc=target_soc,
         )
-        self.engine.schedule(
-            Event(
-                EventKind.CHARGE_COMPLETE,
-                {"vehicle": vehicle.vehicle_id,
-                 "station": station.station_id,
-                 "slot": slot.slot_id},
-            ),
-            completion,
-        )
-        station.occupancy[slot.slot_id] = _Occupied(vehicle, session)
+        occupancy = self.occupancy[station.station_id]
+        occupancy[slot.slot_id] = _Occupied(vehicle, session)
         self.sessions.append(session)
         self._engaged.add(vehicle.vehicle_id)
-        assert len(station.occupancy) <= station.max_simultaneous
+        assert len(occupancy) <= station.max_simultaneous
         return session
 
     def request_charge(
@@ -214,14 +208,18 @@ class ChargingManager:
             raise ChargingError(
                 f"target soc {target_soc} not above current {vehicle.state.soc}"
             )
-        if station.has_capacity():
-            slot = min(station.free_slots(), key=lambda s: (-s.power_w, s.slot_id))
+        occupancy = self.occupancy[station_id]
+        # below the limit a slot is free: the limit is at most the slot count
+        if len(occupancy) < station.max_simultaneous:
+            slot = min((s for s in station.slots if s.slot_id not in occupancy),
+                       key=lambda s: (-s.power_w, s.slot_id))
             return self._start_session(
                 station, slot, vehicle, target_soc, at_ms, at_ms
             )
-        station.queue.append(_QueueEntry(vehicle, target_soc, at_ms))
+        queue = self.queues[station_id]
+        queue.append(_QueueEntry(vehicle, target_soc, at_ms))
         self._engaged.add(vehicle.vehicle_id)
-        return Queued(len(station.queue))
+        return Queued(len(queue))
 
     def release_slot(
         self, station_id: str, slot_id: str, at_ms: int
@@ -232,15 +230,16 @@ class ChargingManager:
         station = self.stations.get(station_id)
         if station is None:
             raise ChargingError(f"unknown station {station_id}")
-        occ = station.occupancy.pop(slot_id, None)
+        occ = self.occupancy[station_id].pop(slot_id, None)
         if occ is None:
             raise ChargingError(f"releasing free slot {slot_id} at {station_id}")
         occ.session.completed = True
         occ.vehicle.state.soc = occ.session.target_soc
         self._engaged.discard(occ.vehicle.vehicle_id)
-        if not station.queue:
+        queue = self.queues[station_id]
+        if not queue:
             return None
-        entry = station.queue.pop(0)
+        entry = queue.popleft()
         self._engaged.discard(entry.vehicle.vehicle_id)
         slot = next(s for s in station.slots if s.slot_id == slot_id)
         return self._start_session(
@@ -248,19 +247,19 @@ class ChargingManager:
         )
 
     def leave_queue(self, vehicle_id: str, station_id: str) -> None:
-        station = self.stations[station_id]
-        before = len(station.queue)
-        station.queue = [e for e in station.queue if e.vehicle.vehicle_id != vehicle_id]
-        if len(station.queue) == before:
+        queue = self.queues[station_id]
+        queued = [e.vehicle.vehicle_id for e in queue]
+        if vehicle_id not in queued:
             raise ChargingError(f"{vehicle_id} is not queued at {station_id}")
+        del queue[queued.index(vehicle_id)]
         self._engaged.discard(vehicle_id)
 
     def truncate_active_sessions(self, at_ms: int) -> None:
         """At the simulation horizon, convert in-progress sessions into partial
         ones so the energy ledger stays exact."""
-        for station in self.stations.values():
-            for slot_id in sorted(station.occupancy):
-                occ = station.occupancy[slot_id]
+        for occupancy in self.occupancy.values():
+            for slot_id in sorted(occupancy):
+                occ = occupancy[slot_id]
                 s = occ.session
                 elapsed = max(0.0, (at_ms - s.grant_ms) / MS_PER_S)
                 elapsed = min(elapsed, s.duration_s)
@@ -280,13 +279,13 @@ class ChargingManager:
         shared over the servers."""
         remaining = sum(
             max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
-            for occ in station.occupancy.values()
+            for occ in self.occupancy[station.station_id].values()
         )
         # queued vehicles are assumed to charge at the mean slot power
         est_power = sum(s.power_w for s in station.slots) / len(station.slots)
         params = self.params
         queued_s = 0.0
-        for entry in station.queue[:queued_ahead]:
+        for entry in islice(self.queues[station.station_id], queued_ahead):
             deficit = max(
                 0.0,
                 (entry.target_soc - entry.vehicle.state.soc)
@@ -313,7 +312,8 @@ class ChargingManager:
         by the estimate ``route_energy_wh(route, hour)`` of the vehicle's
         battery energy for a route; ties favor waiting."""
         current = self.stations[current_station_id]
-        queued_ahead = max(0, len(current.queue) - 1)  # the decider sits at the tail
+        # the decider sits at the tail
+        queued_ahead = max(0, len(self.queues[current_station_id]) - 1)
         wait_here = self.estimate_wait_s(current, at_ms, queued_ahead)
 
         hour = hour_of(at_ms)
@@ -335,7 +335,7 @@ class ChargingManager:
             if energy > budget_wh:
                 continue
             cost = network.route_travel_time(net, route, hour) + self.estimate_wait_s(
-                station, at_ms, len(station.queue))
+                station, at_ms, len(self.queues[sid]))
             if best is None or cost < best[0]:
                 best = (cost, sid, route)
 
@@ -349,15 +349,16 @@ class ChargingManager:
         """Global scan: simultaneity limits hold and no vehicle appears twice
         across queues and occupancies. Intended for test builds."""
         seen: set[str] = set()
-        for station in self.stations.values():
-            assert len(station.occupancy) <= station.max_simultaneous, (
-                f"{station.station_id}: occupancy over limit"
+        for sid, station in self.stations.items():
+            occupancy = self.occupancy[sid]
+            assert len(occupancy) <= station.max_simultaneous, (
+                f"{sid}: occupancy over limit"
             )
-            for occ in station.occupancy.values():
+            for occ in occupancy.values():
                 vid = occ.vehicle.vehicle_id
                 assert vid not in seen, f"{vid} appears twice"
                 seen.add(vid)
-            for entry in station.queue:
+            for entry in self.queues[sid]:
                 vid = entry.vehicle.vehicle_id
                 assert vid not in seen, f"{vid} appears twice"
                 seen.add(vid)

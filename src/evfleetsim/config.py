@@ -26,7 +26,8 @@ from pathlib import Path
 import yaml
 
 from . import charging, network
-from .dynamics import Environment, RangeExtenderParams, VehicleParams
+from .dynamics import (Environment, RangeExtenderParams, VehicleParams,
+                       traction_power)
 from .engine import ms
 from .fleet import (DemandProfile, DwellDistribution, FleetPolicies, TripsPerDay)
 
@@ -235,7 +236,7 @@ class ScenarioConfig:
     fleet_size: int
     initial_soc: float
     vehicle_params: VehicleParams
-    stations: list[charging.ChargingStation]  # pristine; runs use copies
+    stations: list[charging.ChargingStation]
     demand: DemandProfile
     schedule_size: int
     policies: FleetPolicies
@@ -245,9 +246,6 @@ class ScenarioConfig:
     utilization_bin_s: float
     environment: Environment
     network: network.RoadNetwork
-
-    def build_stations(self) -> list[charging.ChargingStation]:
-        return copy.deepcopy(self.stations)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.effective, sort_keys=True)
@@ -297,7 +295,8 @@ def _build_stations(stations_cfg: list[dict], net: network.RoadNetwork | None,
                     f"(available: {sorted(charging.PLUG_PRESETS)})")
         if len(powers) < len(scfg["slots"]):
             continue
-        slots = [charging.Slot(f"s{j}", power) for j, power in enumerate(powers)]
+        slots = tuple(charging.Slot(f"s{j}", power)
+                      for j, power in enumerate(powers))
         station = _build(path, errors, charging.ChargingStation, sid, edge_id,
                          slots, scfg.get("max_simultaneous", len(slots)))
         if station is not None:
@@ -307,9 +306,8 @@ def _build_stations(stations_cfg: list[dict], net: network.RoadNetwork | None,
 
 def _build_demand(dcfg: dict, errors: list[str]) -> DemandProfile | None:
     dwell = _build("demand.dwell", errors, DwellDistribution, **dcfg["dwell"])
-    trips_cfg = dcfg["trips_per_vehicle_per_day"]
     trips = _build("demand.trips_per_vehicle_per_day", errors, TripsPerDay,
-                   trips_cfg["family"], trips_cfg["mean"], trips_cfg["n"])
+                   **dcfg["trips_per_vehicle_per_day"])
     if dwell is None or trips is None:
         return None
     bins = tuple((b["upper_m"], b["weight"]) for b in dcfg["distance_bins"])
@@ -366,10 +364,16 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                       if re_cfg else None)
     vehicle_params = _build("fleet.vehicle", errors, VehicleParams, **params,
                             range_extender=range_extender)
+    ecfg = cfg["environment"]
+    environment = _build("environment", errors, Environment,
+                         ecfg["gravity_mps2"], ecfg["air_density_kgpm3"])
     if net is not None and vehicle_params is not None:
         # drive_segment cannot plan an edge that is shorter than the
-        # braking distance from its speed limit to standstill
+        # braking distance from its speed limit to standstill, nor one on
+        # which the traction power at full acceleration or braking from the
+        # speed limit is not finite
         d_max = vehicle_params.max_deceleration_mps2
+        accelerations = (vehicle_params.max_acceleration_mps2, -d_max)
         for eid in sorted(net.edges):
             e = net.edges[eid]
             if e.speed_limit_mps * e.speed_limit_mps / (2.0 * d_max) > e.length_m:
@@ -377,6 +381,14 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                     f"network, fleet.vehicle.max_deceleration_mps2: edge "
                     f"{eid} ({e.length_m:g} m) is shorter than the braking "
                     f"distance from its speed limit to standstill")
+                break
+            if environment is not None and not all(math.isfinite(
+                    traction_power(e.speed_limit_mps, a, e.gradient,
+                                   vehicle_params, environment))
+                    for a in accelerations):
+                errors.append(
+                    f"network, environment, fleet.vehicle: the traction "
+                    f"power at the speed limit of edge {eid} is not finite")
                 break
 
     stations = _build_stations(cfg["stations"], net, errors)
@@ -426,10 +438,6 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         if value < 0.001:
             errors.append(f"numerics.{key}: must be at least 0.001 s")
         _build(f"numerics.{key}", errors, ms, value)
-
-    ecfg = cfg["environment"]
-    environment = _build("environment", errors, Environment,
-                         ecfg["gravity_mps2"], ecfg["air_density_kgpm3"])
 
     if errors:
         raise ConfigError(*errors)

@@ -96,7 +96,6 @@ class SimulationAborted(RuntimeError):
 
 @dataclass
 class SimulationSummary:
-    end_clock_ms: int
     dispatched: Counter
     wall_clock_s: float
 
@@ -167,7 +166,6 @@ class Engine:
         if end_ms > self._clock_ms:
             self._clock_ms = end_ms
         return SimulationSummary(
-            end_clock_ms=self._clock_ms,
             dispatched=dispatched,
             wall_clock_s=_wallclock.perf_counter() - started,
         )

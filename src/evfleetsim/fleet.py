@@ -20,6 +20,9 @@ skipped and dropped when they reach the top. A vehicle's SOC must therefore not
 change while it is idle: only driving and completing a charge move it, and
 neither happens in the idle state.
 
+The controller schedules every event of a charging episode; the charging
+manager only grants slots and returns the sessions it starts.
+
 Failure policy: an event the model cannot explain (one for an unknown vehicle
 or trip, one for a stranded vehicle other than its ``Stranded`` event, a
 segment completion without a route, a slot grant without its session, or an
@@ -83,13 +86,13 @@ class DwellDistribution:
     ``fixed_s`` is converted once to check it. numpy's normal sampler never
     returns ``|z|`` above 14, so the rule for the lognormal is
     ``mu_log + 40 * sigma_log <= ln(1e300)`` (about 690.8): every draw then
-    stays below 1e300 s. The default 7.5/0.5 gives 27.5.
+    stays below 1e300 s. The configured default 7.5/0.5 gives 27.5.
     """
 
-    family: str = "lognormal"  # or "fixed"
-    mu_log: float = 7.5
-    sigma_log: float = 0.5
-    fixed_s: float = 1800.0
+    family: str  # "lognormal" or "fixed"
+    mu_log: float
+    sigma_log: float
+    fixed_s: float
 
     def __post_init__(self):
         if self.family not in ("lognormal", "fixed"):
@@ -111,20 +114,20 @@ class DwellDistribution:
 
 @dataclass(frozen=True)
 class TripsPerDay:
-    family: str = "poisson"  # or "fixed"
-    mean: float = 1.0
-    fixed_n: int = 1
+    family: str  # "poisson" or "fixed"
+    mean: float
+    n: int
 
     def __post_init__(self):
         if self.family not in ("poisson", "fixed"):
             raise FleetError(f"unknown trips-per-day family {self.family!r}")
-        if not (0 <= self.mean < math.inf and self.fixed_n >= 0):
+        if not (0 <= self.mean < math.inf and self.n >= 0):
             raise FleetError("trips per day need a finite, non-negative mean "
                              "and a non-negative n")
 
     def sample(self, rng: np.random.Generator) -> int:
         if self.family == "fixed":
-            return self.fixed_n
+            return self.n
         return int(rng.poisson(self.mean))
 
 
@@ -141,8 +144,8 @@ class DemandProfile:
 
     departure_weights: tuple[float, ...]
     distance_bins: tuple[tuple[float, float], ...]
-    dwell: DwellDistribution = DwellDistribution()
-    trips_per_day: TripsPerDay = TripsPerDay()
+    dwell: DwellDistribution
+    trips_per_day: TripsPerDay
 
     def __post_init__(self):
         if len(self.departure_weights) != 24:
@@ -191,7 +194,6 @@ def _weighted_index(rng: np.random.Generator, weights) -> int:
 class Trip:
     trip_id: str
     depart_ms: int
-    origin_edge: str
     sampled_airline_m: float
     dwell_s: float
     destination_point: network.Coord | None = None
@@ -241,7 +243,6 @@ def sample_trip(
     trip = Trip(
         trip_id=trip_id,
         depart_ms=depart_ms,
-        origin_edge=depot_edge,
         sampled_airline_m=distance,
         dwell_s=dwell_s,
         destination_point=dest_point,
@@ -304,7 +305,7 @@ class Vehicle:
     segment_index: int = 0
     trace_start_ms: int = 0
     trace: dynamics.DriveTrace | None = None
-    session: charging.ChargeSession | None = None
+    session: charging.ChargeSession | None = None  # grant to ChargeComplete
     divert_station: str | None = None
     diverted_once: bool = False
     n_trips: int = 0
@@ -342,7 +343,7 @@ class FleetController:
         params: dynamics.VehicleParams,
         policies: FleetPolicies,
         dynamics_dt_s: float,
-        transition_hook=None,
+        transition_hook,
     ):
         self.engine = engine
         self.net = net
@@ -401,8 +402,7 @@ class FleetController:
         if new is Lifecycle.IDLE:
             heapq.heappush(self._idle_heap,
                            (-vehicle.state.soc, vehicle.vehicle_id))
-        if self.transition_hook is not None:
-            self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, old, new)
+        self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, old, new)
 
     def _alive(self, event: Event) -> Vehicle:
         """The event's vehicle; raises :class:`ModelError` for an unknown or
@@ -414,6 +414,16 @@ class FleetController:
         if vehicle.lifecycle is Lifecycle.STRANDED and event.kind is not EventKind.STRANDED:
             raise ModelError(f"event for stranded vehicle: {vehicle.dump()}")
         return vehicle
+
+    def _grant(self, vehicle: Vehicle, session: charging.ChargeSession) -> None:
+        """Hand ``vehicle`` its session; schedule its end, then its grant."""
+        vehicle.session = session
+        payload = {"vehicle": vehicle.vehicle_id,
+                   "station": session.station_id, "slot": session.slot_id}
+        self.engine.schedule(Event(EventKind.CHARGE_COMPLETE, payload),
+                             session.complete_ms)
+        self.engine.schedule(Event(EventKind.SLOT_GRANTED, dict(payload)),
+                             self.engine.now_ms)
 
     def route_energy_wh(self, route: network.Route, hour: int) -> float:
         """:func:`~evfleetsim.dynamics.estimate_route_energy` of ``route`` at
@@ -598,14 +608,7 @@ class FleetController:
             vehicle, station_id, self.policies.target_soc, self.engine.now_ms
         )
         if isinstance(result, charging.ChargeSession):
-            self.engine.schedule(
-                Event(
-                    EventKind.SLOT_GRANTED,
-                    {"vehicle": vehicle.vehicle_id, "station": station_id,
-                     "slot": result.slot_id},
-                ),
-                self.engine.now_ms,
-            )
+            self._grant(vehicle, result)
             return
         # queued: decide between waiting and diverting (at most one divert
         # per charging need, to rule out station ping-pong)
@@ -629,12 +632,11 @@ class FleetController:
             Lifecycle.RETURNING, Lifecycle.QUEUED_AT_STATION
         ):
             raise ModelError(f"illegal slot grant: {vehicle.dump()}")
-        station = self.manager.stations[event.payload["station"]]
-        occ = station.occupancy.get(event.payload["slot"])
-        if occ is None or occ.vehicle.vehicle_id != vehicle.vehicle_id:
+        session = vehicle.session
+        if (session is None or session.station_id != event.payload["station"]
+                or session.slot_id != event.payload["slot"]):
             raise ModelError(
                 f"slot grant without a matching session: {vehicle.dump()}")
-        vehicle.session = occ.session
         vehicle.diverted_once = False
         vehicle.divert_station = None
         self._transition(vehicle, Lifecycle.CHARGING)
@@ -646,16 +648,9 @@ class FleetController:
         station_id = event.payload["station"]
         slot_id = event.payload["slot"]
         vehicle.session = None
-        next_grant = self.manager.release_slot(station_id, slot_id, self.engine.now_ms)
-        if next_grant is not None:
-            self.engine.schedule(
-                Event(
-                    EventKind.SLOT_GRANTED,
-                    {"vehicle": next_grant.vehicle_id,
-                     "station": station_id, "slot": next_grant.slot_id},
-                ),
-                self.engine.now_ms,
-            )
+        handoff = self.manager.release_slot(station_id, slot_id, self.engine.now_ms)
+        if handoff is not None:
+            self._grant(self.vehicles[handoff.vehicle_id], handoff)
         station_edge = self.manager.stations[station_id].edge_id
         if station_edge == self.depot_edge:
             self._set_idle(vehicle)

@@ -114,7 +114,6 @@ def covering_edges(base_edges, trips) -> list[float]:
 
 @dataclass
 class UtilizationSeries:
-    bin_s: float
     bin_starts_s: list[float]
     counts: dict[str, list[int]]
 
@@ -291,7 +290,7 @@ class MetricsCollector:
             t += bin_ms
             if bin_ms == 0:
                 break
-        return UtilizationSeries(bin_s=bin_s, bin_starts_s=starts, counts=counts)
+        return UtilizationSeries(bin_starts_s=starts, counts=counts)
 
     def _transitions_by_vehicle(self) -> dict[str, list]:
         return _group_by_vehicle(self.transitions, lambda t: t[1])

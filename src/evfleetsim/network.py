@@ -58,8 +58,6 @@ class Route:
 
     edges: list[str]
     total_length_m: float
-    origin: str
-    destination: str
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -329,7 +327,7 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str,
             raise NetworkError(f"unknown edge {eid}")
     if from_edge == to_edge:
         e = net.edges[from_edge]
-        return Route([from_edge], e.length_m, from_edge, to_edge)
+        return Route([from_edge], e.length_m)
 
     source = net.edges[from_edge].to_node
     target = net.edges[to_edge].from_node
@@ -366,7 +364,7 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str,
 
     edge_list = [from_edge] + middle + [to_edge]
     total = sum(net.edges[eid].length_m for eid in edge_list)
-    return Route(edge_list, total, from_edge, to_edge)
+    return Route(edge_list, total)
 
 
 def route_travel_time(net: RoadNetwork, route: Route, hour: int = 0) -> float:

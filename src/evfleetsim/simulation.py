@@ -57,11 +57,7 @@ def run_scenario(
     collector = metrics.MetricsCollector(out_dir)
     params = config.vehicle_params
     manager = charging.ChargingManager(
-        engine,
-        config.build_stations(),
-        params,
-        safety_margin_soc=config.safety_margin_soc,
-    )
+        config.stations, params, safety_margin_soc=config.safety_margin_soc)
 
     vehicles = [
         fleet.Vehicle(

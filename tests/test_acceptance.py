@@ -47,9 +47,8 @@ def test_c1_plug_rate_fidelity():
     assert charge_duration(3600.0, 3600.0, 1e9, 1.0) == 3600.0
     assert charge_duration(3600.0, 11000.0, 3600.0, 1.0) == 3600.0
 
-    engine = Engine()
-    station = ChargingStation("st", "e", [Slot("s0", 11000.0)], 1)
-    mgr = ChargingManager(engine, [station], make_params())
+    station = ChargingStation("st", "e", (Slot("s0", 11000.0),), 1)
+    mgr = ChargingManager([station], make_params())
     # soc 0.75 keeps the deficit exactly representable: 4500 Wh of 18 kWh
     vehicle = dummy_vehicle("v", soc=0.75)
     granted = mgr.request_charge(vehicle, "st", 1.0, 0)
@@ -65,9 +64,10 @@ def test_c2_simultaneity_and_fifo_randomized():
     for case in range(1000):
         engine = Engine()
         station = ChargingStation(
-            "st", "e", [Slot("s0", 2300.0), Slot("s1", 3600.0)], 2
+            "st", "e", (Slot("s0", 2300.0), Slot("s1", 3600.0)), 2
         )
-        mgr = ChargingManager(engine, [station], make_params())
+        mgr = ChargingManager([station], make_params())
+        occupancy = mgr.occupancy["st"]
         n = int(rng.integers(3, 12))
         vehicles = {
             f"v{i}": dummy_vehicle(f"v{i}", soc=float(rng.uniform(0.3, 0.95)))
@@ -75,19 +75,26 @@ def test_c2_simultaneity_and_fifo_randomized():
         }
         arrivals, grants = [], []
 
+        def grant(session):
+            # the fleet controller's part: schedule the session's end
+            grants.append(session.vehicle_id)
+            engine.schedule(Event(EventKind.CHARGE_COMPLETE,
+                                  {"slot": session.slot_id}),
+                            session.complete_ms)
+
         def on_request(event):
             vid = event.payload["vehicle"]
             arrivals.append(vid)
-            if isinstance(mgr.request_charge(vehicles[vid], "st", 1.0,
-                                             engine.now_ms), ChargeSession):
-                grants.append(vid)
-            assert len(station.occupancy) <= 2
+            result = mgr.request_charge(vehicles[vid], "st", 1.0, engine.now_ms)
+            if isinstance(result, ChargeSession):
+                grant(result)
+            assert len(occupancy) <= 2
 
         def on_complete(event):
             handoff = mgr.release_slot("st", event.payload["slot"], engine.now_ms)
             if handoff is not None:
-                grants.append(handoff.vehicle_id)
-            assert len(station.occupancy) <= 2
+                grant(handoff)
+            assert len(occupancy) <= 2
 
         engine.on(EventKind.CHARGE_REQUEST, on_request)
         engine.on(EventKind.CHARGE_COMPLETE, on_complete)

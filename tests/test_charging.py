@@ -18,7 +18,7 @@ PARAMS = make_params()
 def two_slot_station(station_id="st1", edge_id="e1", max_simultaneous=2):
     return ChargingStation(
         station_id, edge_id,
-        [Slot("s0", PLUG_PRESETS["schuko"]), Slot("s1", PLUG_PRESETS["iec_type2"])],
+        (Slot("s0", PLUG_PRESETS["schuko"]), Slot("s1", PLUG_PRESETS["iec_type2"])),
         max_simultaneous,
     )
 
@@ -59,8 +59,7 @@ def test_charge_duration_efficiency_lengthens():
 # --- request / grant / queue ----------------------------------------------------
 
 def test_empty_station_grants_best_slot():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     result = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 1.0, 0)
     assert isinstance(result, ChargeSession)
     assert result.slot_id == "s1"  # 3600 W beats 2300 W
@@ -68,18 +67,16 @@ def test_empty_station_grants_best_slot():
 
 
 def test_highest_power_tie_broken_by_lowest_slot_id():
-    engine = Engine()
     station = ChargingStation(
-        "st1", "e1", [Slot("s0", 3600.0), Slot("s1", 3600.0)], 2
+        "st1", "e1", (Slot("s0", 3600.0), Slot("s1", 3600.0)), 2
     )
-    mgr = ChargingManager(engine, [station], PARAMS)
+    mgr = ChargingManager([station], PARAMS)
     result = mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
     assert result.slot_id == "s0"
 
 
 def test_third_vehicle_queues_at_two_slot_station():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
     result = mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
@@ -88,17 +85,15 @@ def test_third_vehicle_queues_at_two_slot_station():
 
 
 def test_max_simultaneous_below_slot_count():
-    engine = Engine()
     station = two_slot_station(max_simultaneous=1)
-    mgr = ChargingManager(engine, [station], PARAMS)
+    mgr = ChargingManager([station], PARAMS)
     assert isinstance(mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0), ChargeSession)
     assert isinstance(mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0), Queued)
-    assert len(station.occupancy) == 1
+    assert len(mgr.occupancy["st1"]) == 1
 
 
 def test_double_request_is_an_error():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a")
     mgr.request_charge(vehicle, "st1", 1.0, 0)
     with pytest.raises(ChargingError, match="already charging"):
@@ -106,15 +101,13 @@ def test_double_request_is_an_error():
 
 
 def test_unknown_station_is_an_error():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     with pytest.raises(ChargingError, match="unknown station"):
         mgr.request_charge(dummy_vehicle("a"), "nope", 1.0, 0)
 
 
 def test_completion_time_and_energy_closed_form():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a", soc=0.5)  # deficit 9000 Wh
     result = mgr.request_charge(vehicle, "st1", 1.0, 0)
     assert result.effective_power_w == 3600.0
@@ -128,15 +121,13 @@ def test_completion_time_and_energy_closed_form():
 
 
 def test_release_grants_fifo_head_and_errors_on_free_slot():
-    engine = Engine()
-    station = two_slot_station()
-    mgr = ChargingManager(engine, [station], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     a = dummy_vehicle("a", soc=0.5)
     g_a = mgr.request_charge(a, "st1", 0.9, 0)
     mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("d"), "st1", 1.0, 0)
-    assert [e.vehicle.vehicle_id for e in station.queue] == ["c", "d"]
+    assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["c", "d"]
     handoff = mgr.release_slot("st1", g_a.slot_id, ms(10))
     assert g_a.completed and not g_a.truncated
     assert a.state.soc == 0.9
@@ -145,33 +136,42 @@ def test_release_grants_fifo_head_and_errors_on_free_slot():
     assert handoff.slot_id == g_a.slot_id
     assert handoff.enqueue_ms == 0 and handoff.grant_ms == ms(10)
     assert not handoff.completed
-    assert [e.vehicle.vehicle_id for e in station.queue] == ["d"]
+    assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["d"]
     mgr.release_slot("st1", handoff.slot_id, ms(20))
-    assert [e.vehicle.vehicle_id for e in station.queue] == []
+    assert not mgr.queues["st1"]
     mgr.assert_consistent()
     with pytest.raises(ChargingError, match="releasing free slot"):
         mgr.release_slot("st1", "s9", ms(30))
 
 
 def test_release_free_slot_is_an_error():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     with pytest.raises(ChargingError, match="releasing free slot"):
         mgr.release_slot("st1", "s0", 0)
 
 
 def test_leave_queue_removes_vehicle():
-    engine = Engine()
-    station = two_slot_station()
-    mgr = ChargingManager(engine, [station], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
     mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
-    mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
+    for vid in ("c", "d", "e"):
+        mgr.request_charge(dummy_vehicle(vid), "st1", 1.0, 0)
+    mgr.leave_queue("d", "st1")  # from the middle, in place
+    assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["c", "e"]
     mgr.leave_queue("c", "st1")
-    assert station.queue == []
+    mgr.leave_queue("e", "st1")
+    assert not mgr.queues["st1"]
     with pytest.raises(ChargingError):
         mgr.leave_queue("c", "st1")
     mgr.assert_consistent()
+
+
+def schedule_completion(engine, session):
+    """Schedule the ChargeComplete of a session the manager returned, as the
+    fleet controller does."""
+    engine.schedule(Event(EventKind.CHARGE_COMPLETE, {
+        "vehicle": session.vehicle_id, "station": session.station_id,
+        "slot": session.slot_id}), session.complete_ms)
 
 
 def test_randomized_service_order_equals_arrival_order():
@@ -181,7 +181,8 @@ def test_randomized_service_order_equals_arrival_order():
     for case in range(100):
         engine = Engine()
         station = two_slot_station()
-        mgr = ChargingManager(engine, [station], PARAMS)
+        mgr = ChargingManager([station], PARAMS)
+        occupancy = mgr.occupancy["st1"]
         n = int(rng.integers(3, 15))
         vehicles = {
             f"v{i}": dummy_vehicle(f"v{i}", soc=float(rng.uniform(0.2, 0.9)))
@@ -196,14 +197,16 @@ def test_randomized_service_order_equals_arrival_order():
             result = mgr.request_charge(vehicles[vid], "st1", 1.0, engine.now_ms)
             if isinstance(result, ChargeSession):
                 grants.append(vid)
-            assert len(station.occupancy) <= station.max_simultaneous
+                schedule_completion(engine, result)
+            assert len(occupancy) <= station.max_simultaneous
             mgr.assert_consistent()
 
         def on_complete(event):
             handoff = mgr.release_slot("st1", event.payload["slot"], engine.now_ms)
             if handoff is not None:
                 grants.append(handoff.vehicle_id)
-            assert len(station.occupancy) <= station.max_simultaneous
+                schedule_completion(engine, handoff)
+            assert len(occupancy) <= station.max_simultaneous
             mgr.assert_consistent()
 
         engine.on(EventKind.CHARGE_REQUEST, on_request)
@@ -225,21 +228,18 @@ def route_energy(net):
                                                      hour)
 
 
-def saturated_manager(net):
-    engine = Engine()
-    st_a = two_slot_station("A", "e1")
-    st_b = two_slot_station("B", "e2")
-    mgr = ChargingManager(engine, [st_a, st_b], PARAMS)
+def saturated_manager():
+    mgr = ChargingManager(
+        [two_slot_station("A", "e1"), two_slot_station("B", "e2")], PARAMS)
     # occupy both slots of A with sessions lasting an hour or more
     for vid in ("o1", "o2"):
         mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 1.0, 0)
-    return engine, mgr, st_a, st_b
+    return mgr
 
 
 def test_select_station_waits_when_no_alternative():
-    engine = Engine()
     st_a = two_slot_station("A", "e1")
-    mgr = ChargingManager(engine, [st_a], PARAMS)
+    mgr = ChargingManager([st_a], PARAMS)
     mgr.request_charge(dummy_vehicle("o1"), "A", 1.0, 0)
     mgr.request_charge(dummy_vehicle("o2"), "A", 1.0, 0)
     net = line_network()
@@ -250,7 +250,7 @@ def test_select_station_waits_when_no_alternative():
 
 def test_select_station_diverts_to_free_nearby_station():
     net = line_network()
-    engine, mgr, st_a, st_b = saturated_manager(net)
+    mgr = saturated_manager()
     me = dummy_vehicle("me", soc=0.5)
     queued = mgr.request_charge(me, "A", 1.0, 0)
     assert isinstance(queued, Queued)
@@ -262,7 +262,7 @@ def test_select_station_diverts_to_free_nearby_station():
 
 def test_select_station_respects_energy_feasibility_gate():
     net = line_network()
-    engine, mgr, st_a, st_b = saturated_manager(net)
+    mgr = saturated_manager()
     # soc barely above the safety margin: cannot reach B
     me = dummy_vehicle("me", soc=0.0501)
     mgr.request_charge(me, "A", 1.0, 0)
@@ -272,10 +272,9 @@ def test_select_station_respects_energy_feasibility_gate():
 
 def test_select_station_prefers_waiting_when_local_wait_short():
     net = line_network()
-    engine = Engine()
     st_a = two_slot_station("A", "e1")
     st_b = two_slot_station("B", "e2")
-    mgr = ChargingManager(engine, [st_a, st_b], PARAMS)
+    mgr = ChargingManager([st_a, st_b], PARAMS)
     # occupants almost done: local wait ~ 5 s, divert costs >= 120 s travel
     for vid in ("o1", "o2"):
         vehicle = dummy_vehicle(vid, soc=0.9998)
@@ -287,8 +286,7 @@ def test_select_station_prefers_waiting_when_local_wait_short():
 
 
 def test_truncate_active_sessions_keeps_partial_energy():
-    engine = Engine()
-    mgr = ChargingManager(engine, [two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a", soc=0.5)
     granted = mgr.request_charge(vehicle, "st1", 1.0, 0)
     assert granted.duration_s == pytest.approx(9000.0)
@@ -301,9 +299,8 @@ def test_truncate_active_sessions_keeps_partial_energy():
 
 
 def test_session_progress_is_linear_and_capped_at_target():
-    engine = Engine()
     params = make_params(charging_efficiency=0.9)
-    mgr = ChargingManager(engine, [two_slot_station()], params)
+    mgr = ChargingManager([two_slot_station()], params)
     s = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 1.0, 0)
     # 3600 W at 90 % stores 3240 Wh per hour of an 18 kWh battery
     assert session_progress(s, params, 0.0) == (0.0, 0.5)
@@ -316,4 +313,4 @@ def test_session_progress_is_linear_and_capped_at_target():
 def test_station_rejects_non_positive_slot_power():
     for power in (0.0, -2300.0):
         with pytest.raises(ChargingError, match="slot powers must be positive"):
-            ChargingStation("st1", "e1", [Slot("s0", power)], 1)
+            ChargingStation("st1", "e1", (Slot("s0", power),), 1)

@@ -160,6 +160,7 @@ def test_effective_config_round_trips(tmp_path):
                    "slots": [{"power_w": 1e-300}, {"power_w": 1e-300}]}]},
     {"stations": [{"station_id": "st0", "edge_id": "e00000",
                    "slots": [{"power_w": 1e-300}, {"plug": "iec_type2"}]}]},
+    {"environment": {"gravity_mps2": 1e306}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
@@ -172,7 +173,8 @@ def test_effective_config_round_trips(tmp_path):
         "departure_weight_text", "bin_upper_text", "dwell_mu_text",
         "mass_bool", "slot_plug_and_power", "metrics_interval_below_1ms",
         "distance_bin_beyond_float_range", "vehicle_charge_beyond_clock",
-        "slot_charges_beyond_clock", "one_slot_charge_beyond_clock"])
+        "slot_charges_beyond_clock", "one_slot_charge_beyond_clock",
+        "gravity_overflows_traction"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ConfigError):
@@ -207,9 +209,12 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
                     "slots": [{"plug": "iec_type2"}, {"power_w": 1e-300}]}]},
      "stations, fleet.vehicle.max_charging_power_w: full charge at slot s1 "
      "of 'st0'"),
+    ({"environment": {"gravity_mps2": 1e306}},
+     "network, environment, fleet.vehicle: the traction power at the speed "
+     "limit of edge e00000 is not finite"),
 ], ids=["top", "numerics", "grid_rows", "speed_factors", "override_text",
         "range_extender_key", "bin_weight", "slot_key", "distance_bin_reach",
-        "slot_charge_beyond_clock"])
+        "slot_charge_beyond_clock", "gravity_overflows_traction"])
 def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
     errors = config_errors(write_scenario(tmp_path, **overrides))
     assert any(e.startswith(where) for e in errors), errors
@@ -339,12 +344,17 @@ def test_run_zero_fleet_headers_only(tmp_path):
 
 
 def test_same_seed_runs_byte_identical(tmp_path):
+    # run c reuses run a's config object: a run must leave it as it was
     path = write_scenario(tmp_path)
-    r1 = run_scenario(load_config(path), tmp_path / "a", event_log=True)
-    r2 = run_scenario(load_config(path), tmp_path / "b", event_log=True)
+    config = load_config(path)
+    r1 = run_scenario(config, tmp_path / "a", event_log=True)
+    run_scenario(load_config(path), tmp_path / "b", event_log=True)
+    run_scenario(config, tmp_path / "c", event_log=True)
+    assert r1.manager.sessions
     for name in sorted(r1.manifest["files"]) + ["events.csv"]:
-        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
-                           shallow=False), name
+        for run in "bc":
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / run / name,
+                               shallow=False), (run, name)
 
 
 def test_cli_seed_is_the_configured_seed(tmp_path, capsys):

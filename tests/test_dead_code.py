@@ -1,7 +1,8 @@
 """Guard against dead code in the package: every module-level import is read
 in its module, and every module-level name, function, method and class is
 referenced somewhere in the package outside its own definition.
-``__init__.py`` only re-exports, so its names count neither way.
+``__init__.py`` only re-exports, so its names count neither way. Every field
+of a package dataclass is named somewhere in the package or its tests.
 """
 
 import ast
@@ -12,6 +13,7 @@ import evfleetsim
 
 PACKAGE = Path(evfleetsim.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 # reached only from outside the package, on purpose: the brute-force oracle
 # of nearest_edge in the tests, and two gates of the benchmark
@@ -105,3 +107,39 @@ def test_every_definition_is_referenced():
                 unreferenced.append(f"{module}:{node.lineno} {name}")
     assert not unreferenced, unreferenced
     assert KEEP <= defined, "a keeper that is gone must leave the list"
+
+
+def named(tree) -> set[str]:
+    """Every attribute read and every string constant in ``tree``. Strings
+    count because some fields are read by name, as ``sweep`` reads the
+    ``RunResult`` fields listed in ``SWEEP_HEADER``."""
+    names = set()
+    for child in ast.walk(tree):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            names.add(child.attr)
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            names.add(child.value)
+    return names
+
+
+def is_dataclass(node) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    package = Package()
+    names = set().union(*map(named, package.trees.values()),
+                        *(named(ast.parse(p.read_text())) for p in TESTS))
+    unread = []
+    for module, tree in package.trees.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in names):
+                    unread.append(f"{module}:{stmt.lineno} "
+                                  f"{node.name}.{stmt.target.id}")
+    assert not unread, unread

@@ -10,6 +10,7 @@ from conftest import make_params
 from evfleetsim import dynamics
 
 from evfleetsim.charging import ChargingManager, ChargingStation, Slot
+from evfleetsim.config import DEFAULTS
 from evfleetsim.dynamics import Environment, VehicleState
 from evfleetsim.engine import Engine, Event, EventKind, SimulationAborted, ms
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
@@ -22,14 +23,20 @@ from evfleetsim.network import (Coord, Edge, RoadNetwork, airline_distance,
 ENV = Environment()
 
 
+def dwell(**kwargs):
+    """A dwell distribution: the schema's defaults with ``kwargs`` set."""
+    return DwellDistribution(**{**DEFAULTS["demand"]["dwell"], **kwargs})
+
+
 def profile(bins=((400.0, 1.0), (800.0, 1.0)), weights=None, **kwargs):
     if weights is None:
         weights = [1.0] * 24
     return DemandProfile(
         departure_weights=tuple(weights),
         distance_bins=tuple(bins),
-        dwell=kwargs.pop("dwell", DwellDistribution(family="fixed", fixed_s=60.0)),
-        trips_per_day=kwargs.pop("trips", TripsPerDay(family="fixed", fixed_n=1)),
+        dwell=kwargs.pop("dwell", dwell(family="fixed", fixed_s=60.0)),
+        trips_per_day=kwargs.pop("trips", TripsPerDay(family="fixed", mean=0.0,
+                                                      n=1)),
     )
 
 
@@ -66,15 +73,15 @@ def test_degenerate_single_point_distance_bin():
 ], ids=["mu_log", "sigma_log", "fixed_s"])
 def test_dwell_rejects_draws_beyond_the_clock(kwargs):
     with pytest.raises(ValueError):
-        DwellDistribution(**kwargs)
+        dwell(**kwargs)
 
 
 def test_dwell_draws_at_the_bound_fit_the_clock():
     # mu_log + 40 * sigma_log = 690 < ln(1e300): the largest allowed spread
-    dwell = DwellDistribution(mu_log=650.0, sigma_log=1.0)
+    widest = dwell(mu_log=650.0, sigma_log=1.0)
     rng = np.random.default_rng(5)
     for _ in range(20_000):
-        ms(dwell.sample(rng))  # raises ClockRangeError beyond the clock
+        ms(widest.sample(rng))  # raises ClockRangeError beyond the clock
 
 
 def test_two_bin_frequencies_within_3_sigma():
@@ -134,7 +141,7 @@ def test_rejected_destination_counted_not_resampled():
 def test_day_schedule_fixed_trip_count_and_sorted():
     net = generate_grid(4, 4, 200.0, 10.0)
     depot = sorted(net.edges)[0]
-    prof = profile(trips=TripsPerDay(family="fixed", fixed_n=2))
+    prof = profile(trips=TripsPerDay(family="fixed", mean=0.0, n=2))
     trips = generate_day_schedule(5, prof, 1, net, depot)
     assert len(trips) == 2
     fleet10 = generate_day_schedule(5, prof, 10, net, depot)
@@ -146,7 +153,7 @@ def test_day_schedule_fixed_trip_count_and_sorted():
 def test_day_schedule_deterministic_under_seed():
     net = generate_grid(4, 4, 200.0, 10.0)
     depot = sorted(net.edges)[0]
-    prof = profile(trips=TripsPerDay(family="poisson", mean=1.5))
+    prof = profile(trips=TripsPerDay(family="poisson", mean=1.5, n=0))
 
     def snapshot(seed):
         return [
@@ -176,9 +183,9 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
     engine = Engine()
     stations = []
     if with_station:
-        stations = [ChargingStation("st", depot, [Slot("s0", 3600.0)], 1)]
+        stations = [ChargingStation("st", depot, (Slot("s0", 3600.0),), 1)]
     params = params or make_params()
-    mgr = ChargingManager(engine, stations, params)
+    mgr = ChargingManager(stations, params)
     socs = soc if isinstance(soc, list) else [soc] * n_vehicles
     vehicles = [
         Vehicle(f"v{i}", VehicleState(soc=socs[i], edge_id=depot))
@@ -197,7 +204,7 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
 def make_trip(net, depot, dest_edge, depart_s=10.0, dwell_s=30.0, tid="t1"):
     out = shortest_path(net, depot, dest_edge, "distance")
     back = shortest_path(net, dest_edge, depot, "distance")
-    return Trip(tid, ms(depart_s), depot, out.total_length_m, dwell_s,
+    return Trip(tid, ms(depart_s), out.total_length_m, dwell_s,
                 destination_point=net.edge_midpoint(dest_edge),
                 destination_edge=dest_edge, outbound=out, return_route=back)
 
@@ -286,7 +293,7 @@ def test_trip_accounting_partition():
         make_trip(net, depot, dest, depart_s=float(5 + i), tid=f"t{i}")
         for i in range(6)
     ]
-    trips[5] = Trip("t5", ms(50.0), depot, 100.0, 10.0, status="rejected")
+    trips[5] = Trip("t5", ms(50.0), 100.0, 10.0, status="rejected")
     ctrl.schedule_trips(trips)
     engine.run_until(ms(120))  # stop early: some trips still active/pending
     dispatched = sum(1 for t in trips if t.dispatch_ms is not None)
@@ -310,8 +317,7 @@ def _strand(ctrl, vehicles):
 
 
 def _complete_trip(ctrl, vehicles):
-    ctrl.trips["t1"] = Trip("t1", 0, ctrl.depot_edge, 100.0, 10.0,
-                            status="completed")
+    ctrl.trips["t1"] = Trip("t1", 0, 100.0, 10.0, status="completed")
 
 
 def _return(ctrl, vehicles):

@@ -26,10 +26,10 @@ def moving(vid="v0", soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
 
 def make_trip(tid, airline, driven, status="completed", depart_s=100.0,
               vehicle_id="v0"):
-    trip = Trip(tid, ms(depart_s), "e0", airline, 60.0,
+    trip = Trip(tid, ms(depart_s), airline, 60.0,
                 destination_edge="e1",
-                outbound=Route(["e0", "e1"], driven, "e0", "e1"),
-                return_route=Route(["e1", "e0"], driven, "e1", "e0"),
+                outbound=Route(["e0", "e1"], driven),
+                return_route=Route(["e1", "e0"], driven),
                 status=status)
     trip.vehicle_id = vehicle_id
     return trip
@@ -137,7 +137,7 @@ def test_histogram_bin_placement(tmp_path):
 def test_histogram_totals_equal_accepted_trips(tmp_path):
     trips = [make_trip(f"t{i}", 100.0 + i * 90.0, 200.0 + i * 95.0)
              for i in range(20)]
-    trips.append(Trip("rej", 0, "e0", 500.0, 10.0, status="rejected"))
+    trips.append(Trip("rej", 0, 500.0, 10.0, status="rejected"))
     collector = MetricsCollector(tmp_path)
     collector.set_trips(trips)
     edges, airline, driven = collector.distance_histogram([0.0, 800.0, 1600.0, 2400.0])

@@ -121,6 +121,22 @@ def test_global_energy_ledger_balances(busy_run):
     assert busy_run.collector.energy_ledger_error() < 1e-6
 
 
+def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
+    # the fleet schedules a session's ChargeComplete and then its
+    # SlotGranted, back to back: consecutive sequence numbers, one payload
+    result = run_scenario(load_config(write_busy_scenario(tmp_path)),
+                          tmp_path / "out", event_log=True)
+    with open(tmp_path / "out" / "events.csv", newline="") as fh:
+        rows = {int(row["sequence"]): row for row in csv.DictReader(fh)}
+    completes = [row for row in rows.values() if row["kind"] == "ChargeComplete"]
+    assert len(completes) == sum(not s.truncated for s in result.manager.sessions)
+    assert completes
+    for row in completes:
+        granted = rows[int(row["sequence"]) + 1]
+        assert granted["kind"] == "SlotGranted"
+        assert granted["payload"] == row["payload"]
+
+
 def run_checking_consistency(monkeypatch, path, out_dir):
     """Run a scenario and call ChargingManager.assert_consistent after every
     dispatched event; returns the result and the kinds checked."""
