@@ -32,6 +32,10 @@ from .engine import ms
 from .fleet import (DemandProfile, DwellDistribution, FleetPolicies, TripsPerDay)
 
 SCHEMA_VERSION = 1
+# the most vehicles a fleet, and the most schedules a demand, may have: ten
+# times the largest fleet run so far (10,000 vehicles); at 2**63 the run
+# never ends
+MAX_VEHICLES = 100_000
 
 
 class ConfigError(ValueError):
@@ -354,8 +358,8 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         errors.append(f"depot_edge: unknown edge {depot!r}")
 
     fleet_cfg = cfg["fleet"]
-    if fleet_cfg["size"] < 0:
-        errors.append("fleet.size: must be non-negative")
+    if not 0 <= fleet_cfg["size"] <= MAX_VEHICLES:
+        errors.append(f"fleet.size: must be in [0, {MAX_VEHICLES}]")
     if not 0.0 <= fleet_cfg["initial_soc"] <= 1.0:
         errors.append("fleet.initial_soc: must be in [0, 1]")
     re_cfg = params.pop("range_extender")
@@ -419,8 +423,9 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                 f"beyond the network: the square of the offset is not finite")
     if cfg["demand"]["schedule_size"] is None:
         cfg["demand"]["schedule_size"] = fleet_cfg["size"]
-    elif cfg["demand"]["schedule_size"] < 0:
-        errors.append("demand.schedule_size: must be non-negative or null")
+    elif not 0 <= cfg["demand"]["schedule_size"] <= MAX_VEHICLES:
+        errors.append(f"demand.schedule_size: must be in [0, {MAX_VEHICLES}] "
+                      f"or null")
 
     pcfg = cfg["policies"]
     if pcfg["routing_weight"] not in ("travel_time", "distance"):

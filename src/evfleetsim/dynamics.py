@@ -21,6 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 S_PER_H = 3600.0
+# the gentlest acceleration and braking a vehicle may have, below any road
+# vehicle's (a loaded heavy truck manages about 0.3 m/s^2); a gentler one
+# stretches a drive over more steps than a plan can hold (1e-300 m/s^2
+# asks for about 2e151 on a 150 m edge)
+MIN_ACCELERATION_MPS2 = 0.1
 
 
 class DynamicsError(ValueError):
@@ -86,12 +91,17 @@ class VehicleParams:
             "rolling_coefficient": self.rolling_coefficient,
             "battery_capacity_wh": self.battery_capacity_wh,
             "max_charging_power_w": self.max_charging_power_w,
-            "max_acceleration_mps2": self.max_acceleration_mps2,
-            "max_deceleration_mps2": self.max_deceleration_mps2,
         }
         for name, value in positive.items():
             if not 0 < value < math.inf:
                 raise DynamicsError(f"{name} must be finite and positive")
+        for name, value in (
+            ("max_acceleration_mps2", self.max_acceleration_mps2),
+            ("max_deceleration_mps2", self.max_deceleration_mps2),
+        ):
+            if not MIN_ACCELERATION_MPS2 <= value < math.inf:
+                raise DynamicsError(f"{name} must be finite and at least "
+                                    f"{MIN_ACCELERATION_MPS2} m/s^2")
         for name, value in (
             ("drivetrain_efficiency", self.drivetrain_efficiency),
             ("recuperation_efficiency", self.recuperation_efficiency),
@@ -273,7 +283,6 @@ class DriveTrace:
     dt_s: np.ndarray
     v_mps: np.ndarray
     a_mps2: np.ndarray
-    gradient: float
     p_traction_w: np.ndarray
     p_battery_w: np.ndarray
     p_recup_w: np.ndarray
@@ -286,16 +295,13 @@ class DriveTrace:
 
 @dataclass
 class SegmentResult:
+    """What :func:`drive_segment` hands back besides what it adds to the
+    vehicle state: the trace to sample, how long the drive takes, and
+    whether the vehicle stranded on the edge."""
+
     trace: DriveTrace
     duration_s: float
-    distance_m: float
-    exit_velocity: float
     stranded: bool
-    consumed_wh: float
-    recuperated_wh: float
-    range_extended_wh: float
-    fuel_l: float
-    battery_delta_wh: float  # negative = net discharge, equals capacity * dSOC
 
 
 @dataclass(frozen=True)
@@ -322,7 +328,6 @@ class _SegmentPlan:
     # the energy sums of a drive without range extender and clamping
     consumed_wh: float
     recuperated_wh: float
-    battery_delta_wh: float
 
     def __post_init__(self):
         for value in vars(self).values():
@@ -381,7 +386,6 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         zeros=np.zeros(len(dts)),
         consumed_wh=float(np.dot(p_consume, hours)),
         recuperated_wh=float(np.dot(p_recup, hours)),
-        battery_delta_wh=float(-np.dot(p_net0, hours)),
     )
 
 
@@ -393,8 +397,8 @@ def drive_segment(
     params: VehicleParams,
     env: Environment,
     dt: float,
-    speed_factor: float = 1.0,
-    plans: dict | None = None,
+    speed_factor: float,
+    plans: dict,
 ) -> SegmentResult:
     """Drive one edge with a trapezoidal velocity profile and integrate the
     power-flow chain into the vehicle state.
@@ -414,8 +418,8 @@ def drive_segment(
     speed_factor)``, not by edge id, so its size is bounded by the distinct
     edge geometries and speeds of the network, not by fleet size or
     simulated time. A caller must pass one ``plans`` mapping only with one
-    ``params``, ``env`` and ``dt``. Without ``plans`` the plan is built for this call alone;
-    the result is the same to the last bit.
+    ``params``, ``env`` and ``dt``; an empty mapping plans the drive afresh,
+    with the same result to the last bit.
     """
     if dt <= 0:
         raise DynamicsError("dt must be positive")
@@ -427,8 +431,6 @@ def drive_segment(
             f"entry speed {v_entry:.2f} exceeds effective limit {v_cruise:.2f}"
         )
 
-    if plans is None:
-        plans = {}
     key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
            v_exit_target, speed_factor)
     plan = plans.get(key)
@@ -473,14 +475,12 @@ def drive_segment(
             re_power_arr = np.full(n, re.power_w)
             p_net_eff = p_net1
             range_extended_wh = float(np.dot(re_power_arr, plan.hours))
-            battery_delta_wh = float(-np.dot(p_net1, plan.hours))
             re_power_arr.setflags(write=False)
             p_net_eff.setflags(write=False)
         else:
             re_power_arr = plan.zeros
             p_net_eff = plan.p_net0
             range_extended_wh = 0.0
-            battery_delta_wh = plan.battery_delta_wh
     else:
         # step loop handling relay switching and clamping at the SOC bounds;
         # it writes into copies of the shared plan arrays
@@ -543,7 +543,6 @@ def drive_segment(
         consumed_wh = float(np.dot(p_consume, hours))
         recuperated_wh = float(np.dot(p_recup, hours))
         range_extended_wh = float(np.dot(re_power_arr, hours))
-        battery_delta_wh = float(-np.dot(p_net_eff, hours))
 
     fuel_l = 0.0
     if re is not None:
@@ -554,7 +553,6 @@ def drive_segment(
         dt_s=dts,
         v_mps=v_bar,
         a_mps2=a_bar,
-        gradient=edge.gradient,
         p_traction_w=p_trac,
         p_battery_w=p_net_eff,
         p_recup_w=p_recup,
@@ -573,18 +571,7 @@ def drive_segment(
     state.cumulative.fuel_liters += fuel_l
     state.cumulative.distance_m += distance
 
-    return SegmentResult(
-        trace=trace,
-        duration_s=duration,
-        distance_m=distance,
-        exit_velocity=exit_velocity,
-        stranded=stranded,
-        consumed_wh=consumed_wh,
-        recuperated_wh=recuperated_wh,
-        range_extended_wh=range_extended_wh,
-        fuel_l=fuel_l,
-        battery_delta_wh=battery_delta_wh,
-    )
+    return SegmentResult(trace=trace, duration_s=duration, stranded=stranded)
 
 
 def estimate_route_energy(net, route, params: VehicleParams, env: Environment,

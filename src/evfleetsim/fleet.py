@@ -112,6 +112,12 @@ class DwellDistribution:
         return float(rng.lognormal(self.mu_log, self.sigma_log))
 
 
+# the most trips one vehicle may be given per day (one every 86 s); numpy's
+# Poisson sampler fails far above it (a mean of 1e300 raises), and a count
+# of 2**63 samples a schedule without end
+MAX_TRIPS_PER_DAY = 1000
+
+
 @dataclass(frozen=True)
 class TripsPerDay:
     family: str  # "poisson" or "fixed"
@@ -121,9 +127,10 @@ class TripsPerDay:
     def __post_init__(self):
         if self.family not in ("poisson", "fixed"):
             raise FleetError(f"unknown trips-per-day family {self.family!r}")
-        if not (0 <= self.mean < math.inf and self.n >= 0):
-            raise FleetError("trips per day need a finite, non-negative mean "
-                             "and a non-negative n")
+        if not (0 <= self.mean <= MAX_TRIPS_PER_DAY
+                and 0 <= self.n <= MAX_TRIPS_PER_DAY):
+            raise FleetError(f"trips per day need a mean and an n in "
+                             f"[0, {MAX_TRIPS_PER_DAY}]")
 
     def sample(self, rng: np.random.Generator) -> int:
         if self.family == "fixed":
@@ -306,8 +313,7 @@ class Vehicle:
     trace_start_ms: int = 0
     trace: dynamics.DriveTrace | None = None
     session: charging.ChargeSession | None = None  # grant to ChargeComplete
-    divert_station: str | None = None
-    diverted_once: bool = False
+    divert_station: str | None = None  # from a divert to its slot grant
     n_trips: int = 0
 
     def dump(self) -> str:
@@ -613,7 +619,7 @@ class FleetController:
         # queued: decide between waiting and diverting (at most one divert
         # per charging need, to rule out station ping-pong)
         divert = None
-        if not vehicle.diverted_once:
+        if vehicle.divert_station is None:
             divert = self.manager.select_station(
                 vehicle, station_id, self.net, self.engine.now_ms,
                 self.route_energy_wh,
@@ -622,7 +628,6 @@ class FleetController:
             self._transition(vehicle, Lifecycle.QUEUED_AT_STATION)
             return
         self.manager.leave_queue(vehicle.vehicle_id, station_id)
-        vehicle.diverted_once = True
         vehicle.divert_station = divert.station_id
         self._begin_route(vehicle, divert.route, Mission.DIVERT, Lifecycle.RETURNING)
 
@@ -637,7 +642,6 @@ class FleetController:
                 or session.slot_id != event.payload["slot"]):
             raise ModelError(
                 f"slot grant without a matching session: {vehicle.dump()}")
-        vehicle.diverted_once = False
         vehicle.divert_station = None
         self._transition(vehicle, Lifecycle.CHARGING)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import MS_PER_S, ms
-from .fleet import Lifecycle, Trip
+from .fleet import Lifecycle, Trip, Vehicle
 
 TICK_HEADER = [
     "t_s", "vehicle_id", "state", "v_mps", "a_mps2", "soc",
@@ -126,26 +126,26 @@ class UtilizationSeries:
         return min(idle) if idle else 0
 
 
-@dataclass
-class _VehicleFinal:
-    consumed_wh: float
-    recuperated_wh: float
-    range_extended_wh: float
-    fuel_liters: float
-    distance_m: float
-    soc_start: float
-    soc_end: float
-    n_trips: int
-    capacity_wh: float
-
-
 class MetricsCollector:
-    """Accumulates run data for the output directory ``out_dir``; tick rows
-    stream to disk once the rows buffered in memory reach
-    ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O failure is
-    allowed to propagate and abort the run)."""
+    """Collects a run's data for the output directory ``out_dir``.
 
-    def __init__(self, out_dir: str | Path):
+    It is built before the run with the run's ``vehicles``, its ``trips``,
+    the charging manager's ``sessions`` list and the fleet's battery
+    capacity ``capacity_wh``, and keeps references to all three lists, not
+    copies. It notes each vehicle's starting SOC and logs its initial
+    ``IDLE`` transition itself. During the run it records the ticks and
+    transitions it is handed; at the end :meth:`export_all` and
+    :meth:`energy_ledger_error` read each vehicle's energy, distance and SOC
+    from its ``state`` and its trip count from ``n_trips``, and the trips
+    and sessions as they stand then.
+
+    Tick rows stream to disk once the rows buffered in memory reach
+    ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O failure is
+    allowed to propagate and abort the run).
+    """
+
+    def __init__(self, out_dir: str | Path, vehicles: list[Vehicle],
+                 trips: list[Trip], sessions: list, capacity_wh: float):
         self.out_dir = Path(out_dir)
         # one string of formatted ticks.csv rows per recorded tick
         self._tick_chunks: list[str] = []
@@ -154,11 +154,13 @@ class MetricsCollector:
         self._ticks_path: Path | None = None
         # vehicle_id -> (lifecycle, soc, row tail) of its last row at rest
         self._rest_rows: dict[str, tuple[Lifecycle, float, str]] = {}
-        self.transitions: list[tuple[int, str, Lifecycle | None, Lifecycle]] = []
-        self.trips: list[Trip] = []
-        self.sessions: list = []
-        self.finals: dict[str, _VehicleFinal] = {}
-        self.run_info: dict = {}
+        self.vehicles = vehicles
+        self.trips = trips
+        self.sessions = sessions
+        self.capacity_wh = capacity_wh
+        self._soc_start = {v.vehicle_id: v.state.soc for v in vehicles}
+        self.transitions: list[tuple[int, str, Lifecycle | None, Lifecycle]] = [
+            (0, v.vehicle_id, None, Lifecycle.IDLE) for v in vehicles]
 
     # -- recording ------------------------------------------------------------
 
@@ -197,30 +199,6 @@ class MetricsCollector:
     def record_transition(self, t_ms: int, vehicle_id: str,
                           old: Lifecycle | None, new: Lifecycle) -> None:
         self.transitions.append((t_ms, vehicle_id, old, new))
-
-    def record_vehicle_final(self, vehicle_id: str, cumulative,
-                             soc_start: float, soc_end: float,
-                             n_trips: int, capacity_wh: float) -> None:
-        self.finals[vehicle_id] = _VehicleFinal(
-            consumed_wh=cumulative.consumed_wh,
-            recuperated_wh=cumulative.recuperated_wh,
-            range_extended_wh=cumulative.range_extended_wh,
-            fuel_liters=cumulative.fuel_liters,
-            distance_m=cumulative.distance_m,
-            soc_start=soc_start,
-            soc_end=soc_end,
-            n_trips=n_trips,
-            capacity_wh=capacity_wh,
-        )
-
-    def set_trips(self, trips: list[Trip]) -> None:
-        self.trips = list(trips)
-
-    def set_sessions(self, sessions: list) -> None:
-        self.sessions = list(sessions)
-
-    def set_run_info(self, **info) -> None:
-        self.run_info.update(info)
 
     # -- tick streaming ---------------------------------------------------------
 
@@ -305,27 +283,31 @@ class MetricsCollector:
         rhs = 0.0
         scale = 0.0
         sessions = self._sessions_by_vehicle()
-        for vid, final in self.finals.items():
-            grid = sum(s.energy_wh for s in sessions.get(vid, []))
-            lhs += grid + final.range_extended_wh + final.recuperated_wh - final.consumed_wh
-            rhs += final.capacity_wh * (final.soc_end - final.soc_start)
-            scale += final.consumed_wh + grid + final.range_extended_wh + final.recuperated_wh
+        for v in self.vehicles:
+            c = v.state.cumulative
+            grid = sum(s.energy_wh for s in sessions.get(v.vehicle_id, []))
+            lhs += grid + c.range_extended_wh + c.recuperated_wh - c.consumed_wh
+            rhs += self.capacity_wh * (v.state.soc - self._soc_start[v.vehicle_id])
+            scale += c.consumed_wh + grid + c.range_extended_wh + c.recuperated_wh
         if scale == 0.0:
             return abs(lhs - rhs)
         return abs(lhs - rhs) / scale
 
     # -- export --------------------------------------------------------------------
 
-    def export_all(self, histogram_edges: list[float],
+    def export_all(self, run_info: dict, horizon_ms: int,
+                   histogram_edges: list[float],
                    utilization_bin_s: float = 300.0) -> dict:
         """Write all CSVs plus ``manifest.json`` to ``out_dir``; returns the
-        manifest dict.
+        manifest dict: ``run_info`` with the horizon, the row count of each
+        file and the overdimension margin added.
 
-        ``histogram_edges`` are the base bin edges of ``histograms.csv``,
-        extended by :func:`covering_edges` to the realised distances."""
+        ``horizon_ms`` ends the last state period and the last utilization
+        bin. ``histogram_edges`` are the base bin edges of
+        ``histograms.csv``, extended by :func:`covering_edges` to the
+        realised distances."""
         out = self.out_dir
         out.mkdir(parents=True, exist_ok=True)
-        horizon_ms = self.run_info.get("horizon_ms", 0)
         files: dict[str, int] = {}
 
         self._flush_ticks()
@@ -367,8 +349,8 @@ class MetricsCollector:
         with open(out / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_HEADER)
-            for vid in sorted(self.finals):
-                final = self.finals[vid]
+            for v in sorted(self.vehicles, key=lambda v: v.vehicle_id):
+                vid, c = v.vehicle_id, v.state.cumulative
                 grid = sum(s.energy_wh for s in sessions.get(vid, []))
                 seconds = {s.value: 0.0 for s in Lifecycle}
                 for state, start, end in state_periods(
@@ -376,17 +358,17 @@ class MetricsCollector:
                     seconds[state] += end - start
                 writer.writerow([
                     vid,
-                    f"{final.consumed_wh:.6f}", f"{final.recuperated_wh:.6f}",
-                    f"{final.range_extended_wh:.6f}",
+                    f"{c.consumed_wh:.6f}", f"{c.recuperated_wh:.6f}",
+                    f"{c.range_extended_wh:.6f}",
                     f"{grid:.6f}",
-                    f"{final.fuel_liters:.6f}", f"{final.distance_m:.3f}",
-                    final.n_trips,
+                    f"{c.fuel_liters:.6f}", f"{c.distance_m:.3f}",
+                    v.n_trips,
                     f"{seconds[Lifecycle.IDLE.value]:.3f}",
                     f"{seconds[Lifecycle.CHARGING.value]:.3f}",
                     f"{seconds[Lifecycle.QUEUED_AT_STATION.value]:.3f}",
                     f"{seconds[Lifecycle.EN_ROUTE.value] + seconds[Lifecycle.RETURNING.value]:.3f}",
                 ])
-        files["summary.csv"] = len(self.finals)
+        files["summary.csv"] = len(self.vehicles)
 
         series = self.unused_vehicles_series(utilization_bin_s, horizon_ms)
         with open(out / "utilization.csv", "w", newline="") as fh:
@@ -413,8 +395,7 @@ class MetricsCollector:
                 ])
         files["histograms.csv"] = len(edges) - 1
 
-        manifest = dict(self.run_info)
-        manifest.pop("horizon_ms", None)
+        manifest = dict(run_info)
         manifest["horizon_s"] = horizon_ms / MS_PER_S
         manifest["files"] = files
         manifest["min_idle"] = series.min_idle

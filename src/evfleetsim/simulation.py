@@ -1,6 +1,7 @@
-"""Scenario assembly and execution: build the network, stations, fleet, and
-demand schedule from a configuration, run the event loop to the horizon, and
-export all collected metrics."""
+"""Scenario execution: from a :class:`~evfleetsim.config.ScenarioConfig`,
+whose network and stations :func:`~evfleetsim.config.build_config` has
+built, assemble the fleet, the charging manager and the demand schedule, run
+the event loop to the horizon, and export all collected metrics."""
 
 from __future__ import annotations
 
@@ -54,7 +55,6 @@ def run_scenario(
     horizon_ms = ms(config.horizon_s)
 
     engine = Engine(keep_event_log=event_log)
-    collector = metrics.MetricsCollector(out_dir)
     params = config.vehicle_params
     manager = charging.ChargingManager(
         config.stations, params, safety_margin_soc=config.safety_margin_soc)
@@ -68,6 +68,14 @@ def run_scenario(
         )
         for i in range(config.fleet_size)
     ]
+    trips: list[fleet.Trip] = []
+    if config.fleet_size > 0 and config.schedule_size > 0:
+        trips = fleet.generate_day_schedule(
+            config.seed, config.demand, config.schedule_size, net,
+            config.depot_edge, config.policies.routing_weight,
+        )
+    collector = metrics.MetricsCollector(
+        out_dir, vehicles, trips, manager.sessions, params.battery_capacity_wh)
     controller = fleet.FleetController(
         engine=engine,
         net=net,
@@ -81,15 +89,6 @@ def run_scenario(
         transition_hook=collector.record_transition,
     )
     controller.register_handlers()
-    for v in vehicles:
-        collector.record_transition(0, v.vehicle_id, None, fleet.Lifecycle.IDLE)
-
-    trips: list[fleet.Trip] = []
-    if config.fleet_size > 0 and config.schedule_size > 0:
-        trips = fleet.generate_day_schedule(
-            config.seed, config.demand, config.schedule_size, net,
-            config.depot_edge, config.policies.routing_weight,
-        )
     controller.schedule_trips(trips)
 
     tick_ms = ms(config.metrics_interval_s)
@@ -134,14 +133,6 @@ def run_scenario(
     summary = engine.run_until(horizon_ms)
 
     manager.truncate_active_sessions(horizon_ms)
-    for v in vehicles:
-        collector.record_vehicle_final(
-            v.vehicle_id, v.state.cumulative,
-            soc_start=config.initial_soc, soc_end=v.state.soc,
-            n_trips=v.n_trips, capacity_wh=params.battery_capacity_wh,
-        )
-    collector.set_trips(trips)
-    collector.set_sessions(manager.sessions)
 
     n_stranded = sum(
         1 for v in vehicles if v.lifecycle is fleet.Lifecycle.STRANDED
@@ -157,12 +148,11 @@ def run_scenario(
     total_grid_wh = float(sum(s.energy_wh for s in manager.sessions))
     total_fuel_l = float(sum(v.state.cumulative.fuel_liters for v in vehicles))
 
-    collector.set_run_info(
+    run_info = dict(
         version=__version__,
         seed=config.seed,
         config_hash=config.config_hash(),
         fleet_size=config.fleet_size,
-        horizon_ms=horizon_ms,
         n_events=summary.total_dispatched,
         n_trips=len(trips),
         n_stranded=n_stranded,
@@ -171,6 +161,7 @@ def run_scenario(
         wall_clock_s=summary.wall_clock_s,
     )
     manifest = collector.export_all(
+        run_info, horizon_ms,
         histogram_edges=config.demand.bin_edges(),
         utilization_bin_s=config.utilization_bin_s,
     )

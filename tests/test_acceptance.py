@@ -120,7 +120,6 @@ def test_c3_energy_conservation_random_trips_and_fleet_ledger(bundled_run):
         state = VehicleState(soc=float(rng.uniform(0.6, 0.95)))
         soc0 = state.soc
         integral_wh = 0.0
-        flows_wh = 0.0
         v_prev = 0.0
         for _ in range(int(rng.integers(1, 10))):
             v_lim = float(rng.uniform(8, 25))
@@ -128,11 +127,12 @@ def test_c3_energy_conservation_random_trips_and_fleet_ledger(bundled_run):
                         float(rng.uniform(-0.06, 0.06)))
             result = drive_segment(state, edge, min(v_prev, v_lim),
                                    float(rng.uniform(0, v_lim)),
-                                   params, ENV, 1.0)
-            integral_wh += result.battery_delta_wh
-            flows_wh += result.consumed_wh + result.recuperated_wh
-            v_prev = result.exit_velocity
+                                   params, ENV, 1.0, 1.0, {})
+            integral_wh += float(-np.dot(result.trace.p_battery_w,
+                                         result.trace.dt_s / 3600.0))
+            v_prev = state.velocity
         delta_wh = (state.soc - soc0) * params.battery_capacity_wh
+        flows_wh = state.cumulative.consumed_wh + state.cumulative.recuperated_wh
         # capacity*dSOC*3600 J vs the integral of battery power, relative to
         # total moved energy
         scale = max(flows_wh, 1e-9)
@@ -151,16 +151,16 @@ def test_c4_kinematic_work_oracles():
     params = make_params(auxiliary_power_w=0.0)
     v, d = 15.0, 900.0
     flat = Edge("f", "a", "b", d, v, 0.0)
-    res = drive_segment(VehicleState(soc=0.9), flat, v, v, params, ENV, 1.0)
+    res = drive_segment(VehicleState(soc=0.9), flat, v, v, params, ENV, 1.0, 1.0, {})
     work = float(np.dot(res.trace.p_traction_w, res.trace.dt_s))
     expected = (0.01 * 1500.0 * 9.81 + 0.5 * 1.2 * 0.3 * 2.2 * v * v) * d
     assert abs(work - expected) / expected < 1e-4
 
     grad = 0.05
     up = drive_segment(VehicleState(soc=0.9), Edge("u", "a", "b", d, v, grad),
-                       v, v, params, ENV, 1.0)
+                       v, v, params, ENV, 1.0, 1.0, {})
     down = drive_segment(VehicleState(soc=0.9), Edge("d", "a", "b", d, v, -grad),
-                         v, v, params, ENV, 1.0)
+                         v, v, params, ENV, 1.0, 1.0, {})
     e_up = float(np.dot(up.trace.p_traction_w, up.trace.dt_s))
     e_down = float(np.dot(down.trace.p_traction_w, down.trace.dt_s))
     expected_diff = 2.0 * 1500.0 * 9.81 * math.sin(math.atan(grad)) * d
@@ -200,10 +200,9 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
         assert route.total_length_m >= t.sampled_airline_m - slack - 1e-9
 
     # (c) exported paired histograms are aligned, non-degenerate, plot-ready
-    collector = MetricsCollector(tmp_path)
-    collector.set_trips(trips)
-    collector.set_run_info(horizon_ms=0)
-    manifest = collector.export_all(config.demand.bin_edges())
+    collector = MetricsCollector(tmp_path, [], trips, [],
+                                 config.vehicle_params.battery_capacity_wh)
+    manifest = collector.export_all({}, 0, config.demand.bin_edges())
     lines = (tmp_path / "histograms.csv").read_text().splitlines()
     assert lines[0] == "bin_lower_m,bin_upper_m,airline_count,driven_count"
     airline_col = [int(l.split(",")[2]) for l in lines[1:]]

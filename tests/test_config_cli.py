@@ -7,9 +7,13 @@ import pytest
 import yaml
 
 from evfleetsim import cli
-from evfleetsim.config import (VEHICLE_PRESETS, ConfigError,
+from evfleetsim.config import (MAX_VEHICLES, VEHICLE_PRESETS, ConfigError,
                                apply_sweep_override, build_config,
                                default_scenario_path, load_config, load_raw)
+from evfleetsim.dynamics import MIN_ACCELERATION_MPS2
+from evfleetsim.fleet import MAX_TRIPS_PER_DAY
+from evfleetsim.network import (MAX_EDGE_LENGTH_M, MAX_GRID_NODES,
+                                NetworkError, generate_grid)
 from evfleetsim.simulation import run_scenario, sweep
 
 GRID = {"rows": 4, "cols": 4, "edge_length_m": 150.0, "speed_limit_mps": 12.0}
@@ -156,11 +160,22 @@ def test_effective_config_round_trips(tmp_path):
     {"demand": {"distance_bins": [{"upper_m": 1e300, "weight": 1.0}]}},
     {"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
         "max_charging_power_w": 1e-300}}}},
+    {"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
+        "max_acceleration_mps2": 1e-300}}}},
     {"stations": [{"station_id": "st0", "edge_id": "e00000",
                    "slots": [{"power_w": 1e-300}, {"power_w": 1e-300}]}]},
     {"stations": [{"station_id": "st0", "edge_id": "e00000",
                    "slots": [{"power_w": 1e-300}, {"plug": "iec_type2"}]}]},
     {"environment": {"gravity_mps2": 1e306}},
+    {"network": {"grid": {**GRID, "rows": 2**63}}},
+    {"network": {"grid": {**GRID, "cols": 2**63}}},
+    {"network": {"grid": {**GRID, "edge_length_m": 2.0**63}}},
+    {"demand": {"schedule_size": 2**63}},
+    {"demand": {"trips_per_vehicle_per_day": {"family": "fixed",
+                                              "n": 2**63}}},
+    {"demand": {"trips_per_vehicle_per_day": {"family": "poisson",
+                                              "mean": 1e300}}},
+    {"fleet": {"size": 2**63}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
@@ -173,8 +188,12 @@ def test_effective_config_round_trips(tmp_path):
         "departure_weight_text", "bin_upper_text", "dwell_mu_text",
         "mass_bool", "slot_plug_and_power", "metrics_interval_below_1ms",
         "distance_bin_beyond_float_range", "vehicle_charge_beyond_clock",
-        "slot_charges_beyond_clock", "one_slot_charge_beyond_clock",
-        "gravity_overflows_traction"])
+        "acceleration_beyond_plan", "slot_charges_beyond_clock",
+        "one_slot_charge_beyond_clock", "gravity_overflows_traction",
+        "grid_rows_beyond_max", "grid_cols_beyond_max",
+        "edge_length_beyond_max", "schedule_size_beyond_max",
+        "trips_n_beyond_max", "trips_mean_beyond_max",
+        "fleet_size_beyond_max"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ConfigError):
@@ -218,6 +237,24 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
 def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
     errors = config_errors(write_scenario(tmp_path, **overrides))
     assert any(e.startswith(where) for e in errors), errors
+
+
+def test_counts_at_their_maximum_validate(tmp_path):
+    path = write_scenario(
+        tmp_path,
+        network={"grid": {**GRID, "edge_length_m": MAX_EDGE_LENGTH_M}},
+        fleet={"size": MAX_VEHICLES, "vehicle": {
+            "preset": "compact_ev", "overrides": {
+                "max_acceleration_mps2": MIN_ACCELERATION_MPS2,
+                "max_deceleration_mps2": MIN_ACCELERATION_MPS2}}},
+        demand={"schedule_size": MAX_VEHICLES,
+                "trips_per_vehicle_per_day": {
+                    "family": "poisson", "mean": float(MAX_TRIPS_PER_DAY),
+                    "n": MAX_TRIPS_PER_DAY}})
+    config = load_config(path)
+    assert config.fleet_size == config.schedule_size == MAX_VEHICLES
+    with pytest.raises(NetworkError):
+        generate_grid(2, MAX_GRID_NODES // 2 + 1, 100.0, 10.0)
 
 
 def test_far_distance_bin_still_runs(tmp_path, capsys):

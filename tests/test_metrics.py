@@ -6,12 +6,24 @@ import pytest
 
 from evfleetsim import metrics
 from evfleetsim.charging import ChargeSession
-from evfleetsim.dynamics import Cumulative
+from evfleetsim.dynamics import Cumulative, VehicleState
 from evfleetsim.engine import ms
-from evfleetsim.fleet import Lifecycle, Trip
+from evfleetsim.fleet import Lifecycle, Trip, Vehicle
 from evfleetsim.metrics import (TICK_HEADER, MetricsCollector, MetricsError,
                                 covering_edges, state_periods)
 from evfleetsim.network import Route
+
+
+CAPACITY_WH = 18000.0
+
+
+def collector_for(out_dir, vehicles=(), trips=(), sessions=()):
+    return MetricsCollector(out_dir, list(vehicles), list(trips),
+                            list(sessions), CAPACITY_WH)
+
+
+def fleet_of(*vids, soc=1.0):
+    return [Vehicle(vid, VehicleState(soc=soc)) for vid in vids]
 
 
 def rest(vid="v0", soc=0.5, lifecycle=Lifecycle.IDLE):
@@ -50,7 +62,7 @@ def session(vid="v0", grant_s=0.0, dur_s=3600.0, energy=2300.0,
 # --- tick recording -------------------------------------------------------------
 
 def test_one_record_one_row_after_flush(tmp_path):
-    collector = MetricsCollector(tmp_path)
+    collector = collector_for(tmp_path)
     collector.record_ticks(0, [rest()])
     collector._flush_ticks()
     rows = (tmp_path / "ticks.csv").read_text().splitlines()
@@ -62,11 +74,11 @@ def test_one_record_one_row_after_flush(tmp_path):
 def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
     n_ticks, per_tick = 10_000, 100
     monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", 200_000)
-    collector = MetricsCollector(tmp_path)
+    collector = collector_for(tmp_path)
     samples = [rest(f"v{i}") for i in range(per_tick)]
     for k in range(n_ticks):
         collector.record_ticks(k * 1000, samples)
-    manifest = collector.export_all([0.0, 1000.0])
+    manifest = collector.export_all({}, 0, [0.0, 1000.0])
     n = n_ticks * per_tick
     assert manifest["files"]["ticks.csv"] == n
     with open(tmp_path / "ticks.csv") as fh:
@@ -74,7 +86,7 @@ def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
 
 
 def test_non_finite_tick_rejected(tmp_path):
-    collector = MetricsCollector(tmp_path)
+    collector = collector_for(tmp_path)
     with pytest.raises(MetricsError, match="non-finite v_mps=nan in tick for v7"):
         collector.record_ticks(0, [rest("v0"), moving("v7", v_mps=float("nan"))])
     with pytest.raises(MetricsError, match="non-finite p_battery_w=inf in tick for v3"):
@@ -82,7 +94,7 @@ def test_non_finite_tick_rejected(tmp_path):
 
 
 def test_non_finite_rest_sample_rejected(tmp_path):
-    collector = MetricsCollector(tmp_path)
+    collector = collector_for(tmp_path)
     with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v0"):
         collector.record_ticks(0, [rest("v0", soc=float("nan"))])
     # the same vehicle after its row at rest was cached
@@ -94,7 +106,7 @@ def test_non_finite_rest_sample_rejected(tmp_path):
 
 def test_rest_rows_follow_state_and_soc(tmp_path):
     # a reused row must change with the lifecycle and with the sign of zero
-    collector = MetricsCollector(tmp_path)
+    collector = collector_for(tmp_path)
     soc, queued = 0.25, Lifecycle.QUEUED_AT_STATION
     collector.record_ticks(0, [rest("v0", soc)])
     collector.record_ticks(1000, [rest("v0", soc, queued)])
@@ -127,8 +139,7 @@ def test_covering_edges_extend_by_whole_bins():
 
 
 def test_histogram_bin_placement(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    collector.set_trips([make_trip("t0", 400.0, 520.0)])
+    collector = collector_for(tmp_path, trips=[make_trip("t0", 400.0, 520.0)])
     edges, airline, driven = collector.distance_histogram([0.0, 500.0, 1000.0])
     assert airline.tolist() == [1, 0]
     assert driven.tolist() == [0, 1]
@@ -138,8 +149,7 @@ def test_histogram_totals_equal_accepted_trips(tmp_path):
     trips = [make_trip(f"t{i}", 100.0 + i * 90.0, 200.0 + i * 95.0)
              for i in range(20)]
     trips.append(Trip("rej", 0, 500.0, 10.0, status="rejected"))
-    collector = MetricsCollector(tmp_path)
-    collector.set_trips(trips)
+    collector = collector_for(tmp_path, trips=trips)
     edges, airline, driven = collector.distance_histogram([0.0, 800.0, 1600.0, 2400.0])
     assert int(airline.sum()) == 20
     assert int(driven.sum()) == 20
@@ -152,30 +162,22 @@ def test_driven_dominates_airline_per_trip(tmp_path):
     for i in range(200):
         airline = float(rng.uniform(50, 2000))
         trips.append(make_trip(f"t{i}", airline, airline * float(rng.uniform(1.0, 1.8))))
-    collector = MetricsCollector(tmp_path)
-    collector.set_trips(trips)
+    collector = collector_for(tmp_path, trips=trips)
     for trip in collector.accepted_trips():
         assert trip.outbound.total_length_m >= trip.sampled_airline_m
 
 
 # --- utilization -----------------------------------------------------------------
 
-def start_idle(collector, vids, t=0):
-    for vid in vids:
-        collector.record_transition(t, vid, None, Lifecycle.IDLE)
-
-
 def test_nobody_dispatched_all_idle(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0", "v1", "v2"])
+    collector = collector_for(tmp_path, fleet_of("v0", "v1", "v2"))
     series = collector.unused_vehicles_series(60.0, ms(600.0))
     assert all(c == 3 for c in series.counts["idle"])
     assert series.min_idle == 3
 
 
 def test_one_vehicle_busy_whole_run(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0", "v1"])
+    collector = collector_for(tmp_path, fleet_of("v0", "v1"))
     collector.record_transition(0, "v0", Lifecycle.IDLE, Lifecycle.EN_ROUTE)
     series = collector.unused_vehicles_series(60.0, ms(600.0))
     assert all(c == 1 for c in series.counts["idle"])
@@ -185,9 +187,8 @@ def test_one_vehicle_busy_whole_run(tmp_path):
 
 def test_partition_sums_to_fleet_size(tmp_path):
     rng = np.random.default_rng(9)
-    collector = MetricsCollector(tmp_path)
     vids = [f"v{i}" for i in range(7)]
-    start_idle(collector, vids)
+    collector = collector_for(tmp_path, fleet_of(*vids))
     states = list(Lifecycle)
     t = 0
     for _ in range(300):
@@ -207,11 +208,8 @@ def summary_rows(out_dir):
 
 
 def test_never_moved_vehicle_summary(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0"])
-    collector.set_run_info(horizon_ms=ms(1000.0))
-    collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 0, 18000.0)
-    collector.export_all([0.0, 1000.0])
+    collector = collector_for(tmp_path, fleet_of("v0"))
+    collector.export_all({}, ms(1000.0), [0.0, 1000.0])
     # no energy, no distance, no trips; idle from 0 to 1000 s, nothing else
     wh, s = f"{0.0:.6f}", f"{0.0:.3f}"
     assert summary_rows(tmp_path) == [
@@ -220,20 +218,23 @@ def test_never_moved_vehicle_summary(tmp_path):
 
 def test_energy_identity_and_fuel_definition(tmp_path):
     # grid + recup + re - consumed = capacity * dSOC; fuel = rate * re_kwh
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0"])
-    cap = 18000.0
+    cap = CAPACITY_WH
     consumed, recup, re, grid = 4000.0, 600.0, 1200.0, 1500.0
     soc0 = 0.9
     soc1 = soc0 + (grid + recup + re - consumed) / cap
     rate = 0.28
-    cum = Cumulative(consumed_wh=consumed, recuperated_wh=recup,
-                     range_extended_wh=re, fuel_liters=rate * re / 1000.0,
-                     distance_m=12000.0)
-    collector.record_vehicle_final("v0", cum, soc0, soc1, 3, cap)
-    collector.set_sessions([session("v0", grant_s=100.0, dur_s=900.0, energy=grid)])
-    collector.set_run_info(horizon_ms=ms(4000.0))
-    collector.export_all([0.0, 1000.0])
+    vehicles = fleet_of("v0", soc=soc0)
+    collector = collector_for(
+        tmp_path, vehicles,
+        sessions=[session("v0", grant_s=100.0, dur_s=900.0, energy=grid)])
+    # the run moves the vehicle's state after the collector is built
+    v0 = vehicles[0]
+    v0.state.soc = soc1
+    v0.state.cumulative = Cumulative(
+        consumed_wh=consumed, recuperated_wh=recup, range_extended_wh=re,
+        fuel_liters=rate * re / 1000.0, distance_m=12000.0)
+    v0.n_trips = 3
+    collector.export_all({}, ms(4000.0), [0.0, 1000.0])
     row = summary_rows(tmp_path)[0]
     assert row == ",".join(
         ["v0"] + [f"{x:.6f}" for x in (consumed, recup, re, grid, rate * re / 1000.0)]
@@ -246,8 +247,7 @@ def test_energy_identity_and_fuel_definition(tmp_path):
 
 
 def test_periods_tile_horizon(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0"])
+    collector = collector_for(tmp_path, fleet_of("v0"))
     seq = [(100.0, Lifecycle.EN_ROUTE), (200.0, Lifecycle.DWELLING),
            (250.0, Lifecycle.RETURNING), (400.0, Lifecycle.CHARGING),
            (500.0, Lifecycle.IDLE)]
@@ -267,14 +267,13 @@ def test_periods_tile_horizon(tmp_path):
 # --- export ------------------------------------------------------------------------
 
 def test_export_manifest_lists_six_files(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0"])
+    vehicles = fleet_of("v0")
+    vehicles[0].n_trips = 1
+    collector = collector_for(tmp_path, vehicles,
+                              [make_trip("t0", 400.0, 520.0)], [session()])
     collector.record_ticks(0, [rest()])
-    collector.set_trips([make_trip("t0", 400.0, 520.0)])
-    collector.set_sessions([session()])
-    collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 1, 18000.0)
-    collector.set_run_info(horizon_ms=ms(600.0), seed=1)
-    manifest = collector.export_all([0.0, 250.0])
+    manifest = collector.export_all({"seed": 1}, ms(600.0), [0.0, 250.0])
+    assert manifest["seed"] == 1 and manifest["horizon_s"] == 600.0
     assert sorted(manifest["files"]) == [
         "histograms.csv", "sessions.csv", "summary.csv", "ticks.csv",
         "trips.csv", "utilization.csv",
@@ -287,9 +286,8 @@ def test_export_manifest_lists_six_files(tmp_path):
 
 
 def test_export_empty_scenario_headers_only(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    collector.set_run_info(horizon_ms=0)
-    manifest = collector.export_all([0.0, 1000.0])
+    collector = collector_for(tmp_path)
+    manifest = collector.export_all({}, 0, [0.0, 1000.0])
     for name in ("ticks.csv", "trips.csv", "sessions.csv", "summary.csv",
                  "histograms.csv"):
         lines = (tmp_path / name).read_text().splitlines()
@@ -301,11 +299,8 @@ def test_export_empty_scenario_headers_only(tmp_path):
 
 
 def test_summary_csv_schema(tmp_path):
-    collector = MetricsCollector(tmp_path)
-    start_idle(collector, ["v0"])
-    collector.record_vehicle_final("v0", Cumulative(), 1.0, 1.0, 0, 18000.0)
-    collector.set_run_info(horizon_ms=ms(100.0))
-    collector.export_all([0.0, 1000.0])
+    collector = collector_for(tmp_path, fleet_of("v0"))
+    collector.export_all({}, ms(100.0), [0.0, 1000.0])
     with open(tmp_path / "summary.csv") as fh:
         header = next(csv.reader(fh))
     assert header == ["vehicle_id", "consumed_wh", "recuperated_wh",

@@ -14,7 +14,7 @@ from test_config_cli import BASE_SCENARIO, write_scenario
 from evfleetsim import metrics
 from evfleetsim.charging import ChargingManager
 from evfleetsim.config import load_config
-from evfleetsim.engine import Engine, EventKind
+from evfleetsim.engine import Engine, EventKind, ms
 from evfleetsim.fleet import FleetController, Lifecycle
 from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
                                 state_periods)
@@ -54,7 +54,7 @@ def busy_run(tmp_path):
 
 def test_periods_tile_horizon_for_every_vehicle(busy_run):
     result = busy_run
-    horizon_ms = result.collector.run_info["horizon_ms"]
+    horizon_ms = ms(result.manifest["horizon_s"])
     for v in result.vehicles:
         periods = state_periods([t for t in result.collector.transitions
                                  if t[1] == v.vehicle_id], horizon_ms)
@@ -82,7 +82,7 @@ def test_charging_periods_disjoint_per_vehicle_and_slot(busy_run):
 
 def test_vehicle_in_exactly_one_state_at_all_times(busy_run):
     result = busy_run
-    horizon_ms = result.collector.run_info["horizon_ms"]
+    horizon_ms = ms(result.manifest["horizon_s"])
     series = result.collector.unused_vehicles_series(600.0, horizon_ms)
     for i in range(len(series.bin_starts_s)):
         assert sum(series.counts[g][i] for g in series.counts) == 3
@@ -351,13 +351,15 @@ def reference_grid_wh(sessions, vehicle_id):
 
 def test_grouped_metrics_equal_reference_filters(busy_run):
     collector = busy_run.collector
-    horizon_ms = collector.run_info["horizon_ms"]
-    sessions = collector.sessions
+    config = load_config(busy_run.out_dir.parent / "scenario.yaml")
+    horizon_ms = ms(config.horizon_s)
+    sessions = busy_run.manager.sessions
+    vehicles = sorted(busy_run.vehicles, key=lambda v: v.vehicle_id)
     assert len({s.vehicle_id for s in sessions}) > 1
 
     expected = []
-    for vid in sorted(collector.finals):
-        final = collector.finals[vid]
+    for v in vehicles:
+        vid, final = v.vehicle_id, v.state.cumulative
         periods = reference_state_periods(collector.transitions, vid, horizon_ms)
         own = [t for t in collector.transitions if t[1] == vid]
         assert state_periods(own, horizon_ms) == periods
@@ -369,7 +371,7 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
             f"{final.range_extended_wh:.6f}",
             f"{reference_grid_wh(sessions, vid):.6f}",
             f"{final.fuel_liters:.6f}", f"{final.distance_m:.3f}",
-            str(final.n_trips), f"{seconds['idle']:.3f}",
+            str(v.n_trips), f"{seconds['idle']:.3f}",
             f"{seconds['charging']:.3f}", f"{seconds['queued']:.3f}",
             f"{seconds['en_route'] + seconds['returning']:.3f}",
         ]))
@@ -377,10 +379,12 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
     assert summary == expected
 
     lhs = rhs = scale = 0.0
-    for vid, final in collector.finals.items():
-        grid = reference_grid_wh(sessions, vid)
+    capacity_wh = config.vehicle_params.battery_capacity_wh
+    for v in busy_run.vehicles:
+        final = v.state.cumulative
+        grid = reference_grid_wh(sessions, v.vehicle_id)
         lhs += grid + final.range_extended_wh + final.recuperated_wh - final.consumed_wh
-        rhs += final.capacity_wh * (final.soc_end - final.soc_start)
+        rhs += capacity_wh * (v.state.soc - config.initial_soc)
         scale += final.consumed_wh + grid + final.range_extended_wh + final.recuperated_wh
     assert collector.energy_ledger_error() == abs(lhs - rhs) / scale
 
