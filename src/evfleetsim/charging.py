@@ -327,8 +327,7 @@ class ChargingManager:
             station = self.stations[sid]
             try:
                 route = network.shortest_path(
-                    net, current.edge_id, station.edge_id, "travel_time", hour
-                )
+                    net, current.edge_id, station.edge_id, "travel_time")
             except network.NoRouteError:
                 continue
             energy = route_energy_wh(route, hour)

@@ -36,6 +36,10 @@ SCHEMA_VERSION = 1
 # times the largest fleet run so far (10,000 vehicles); at 2**63 the run
 # never ends
 MAX_VEHICLES = 100_000
+# the longest horizon a run may have: the demand model schedules one day, and
+# a week leaves room for the last charges; at 1e300 s the metrics tick
+# reschedules itself up to 3e298 times and the run never ends
+MAX_HORIZON_S = 7 * 86400.0
 
 
 class ConfigError(ValueError):
@@ -345,9 +349,8 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                       f"got {cfg['schema_version']!r}")
     if cfg["seed"] < 0:
         errors.append("seed: must be non-negative")
-    if cfg["horizon_s"] < 0:
-        errors.append("horizon_s: must be non-negative")
-    _build("horizon_s", errors, ms, cfg["horizon_s"])
+    if not 0 <= cfg["horizon_s"] <= MAX_HORIZON_S:
+        errors.append(f"horizon_s: must be in [0, {MAX_HORIZON_S:g}]")
 
     net = _build("network", errors, _build_network, cfg["network"],
                  Path(base_dir))

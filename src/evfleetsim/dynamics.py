@@ -26,6 +26,12 @@ S_PER_H = 3600.0
 # stretches a drive over more steps than a plan can hold (1e-300 m/s^2
 # asks for about 2e151 on a 150 m edge)
 MIN_ACCELERATION_MPS2 = 0.1
+# the largest battery a vehicle may have, ten times the infinite_battery
+# preset: the energy ledger reads battery energy back from the SOC, so its
+# error grows with the capacity; a 2 h five-vehicle run closes it to 7.5e-10
+# at 1e10 Wh, but only to 3.1e-6 at 1e13 Wh and to 0.61 at 1e18 Wh, against
+# a bound of 1e-6
+MAX_BATTERY_CAPACITY_WH = 1e10
 
 
 class DynamicsError(ValueError):
@@ -95,6 +101,9 @@ class VehicleParams:
         for name, value in positive.items():
             if not 0 < value < math.inf:
                 raise DynamicsError(f"{name} must be finite and positive")
+        if self.battery_capacity_wh > MAX_BATTERY_CAPACITY_WH:
+            raise DynamicsError(f"battery_capacity_wh must be at most "
+                                f"{MAX_BATTERY_CAPACITY_WH:g} Wh")
         for name, value in (
             ("max_acceleration_mps2", self.max_acceleration_mps2),
             ("max_deceleration_mps2", self.max_deceleration_mps2),

@@ -39,6 +39,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -146,7 +147,7 @@ class DemandProfile:
     lower edges (0 m for the first bin); distances are drawn uniformly
     within the chosen bin. A single bin with ``upper_m`` 0 is the degenerate
     point distribution at the depot. ``departure_weights`` is one weight per
-    hour of day.
+    hour of day. Both weight lists are normalised once, at the first draw.
     """
 
     departure_weights: tuple[float, ...]
@@ -180,6 +181,14 @@ class DemandProfile:
     def bin_edges(self) -> list[float]:
         return [0.0] + [u for u, _ in self.distance_bins]
 
+    @cached_property
+    def departure_p(self) -> np.ndarray:
+        return _normalised(self.departure_weights)
+
+    @cached_property
+    def distance_p(self) -> np.ndarray:
+        return _normalised([w for _, w in self.distance_bins])
+
 
 class DemandStreams:
     """Independent named RNG streams split from one master seed, so sweeps
@@ -192,9 +201,9 @@ class DemandStreams:
         self.dwell = np.random.default_rng(children[2])
 
 
-def _weighted_index(rng: np.random.Generator, weights) -> int:
+def _normalised(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    return int(rng.choice(len(w), p=w / w.sum()))
+    return w / w.sum()
 
 
 @dataclass
@@ -224,17 +233,17 @@ def sample_trip(
     depot_edge: str,
     net: network.RoadNetwork,
     trip_id: str,
-    routing_weight: str = "travel_time",
+    routing_weight: str,
 ) -> Trip:
     """Draw one job: depart time from the hourly histogram, airline distance
     from the binned distribution, bearing uniform, destination snapped to the
     nearest edge. Unroutable destinations mark the trip rejected (not
     resampled, so the output distance distribution stays unbiased)."""
     rng = streams.schedule
-    hour = _weighted_index(rng, profile.departure_weights)
+    hour = int(rng.choice(24, p=profile.departure_p))
     depart_ms = ms(hour * 3600.0 + rng.uniform(0.0, 3600.0))
 
-    idx = _weighted_index(rng, [w for _, w in profile.distance_bins])
+    idx = int(rng.choice(len(profile.distance_bins), p=profile.distance_p))
     lower = profile.distance_bins[idx - 1][0] if idx > 0 else 0.0
     upper = profile.distance_bins[idx][0]
     distance = rng.uniform(lower, upper)
@@ -257,11 +266,9 @@ def sample_trip(
     trip.destination_edge = network.nearest_edge(net, dest_point)
     try:
         trip.outbound = network.shortest_path(
-            net, depot_edge, trip.destination_edge, routing_weight, hour
-        )
+            net, depot_edge, trip.destination_edge, routing_weight)
         trip.return_route = network.shortest_path(
-            net, trip.destination_edge, depot_edge, routing_weight, hour
-        )
+            net, trip.destination_edge, depot_edge, routing_weight)
     except network.NoRouteError:
         trip.status = "rejected"
     return trip
@@ -273,7 +280,7 @@ def generate_day_schedule(
     fleet_size: int,
     net: network.RoadNetwork,
     depot_edge: str,
-    routing_weight: str = "travel_time",
+    routing_weight: str,
 ) -> list[Trip]:
     """Sample each vehicle's trip count and its trips, then sort globally by
     departure time. Deterministic for a given seed."""
@@ -285,12 +292,8 @@ def generate_day_schedule(
     for _ in range(fleet_size):
         n = profile.trips_per_day.sample(streams.schedule)
         for _ in range(n):
-            trips.append(
-                sample_trip(
-                    streams, profile, depot_edge, net,
-                    f"t{counter:06d}", routing_weight,
-                )
-            )
+            trips.append(sample_trip(streams, profile, depot_edge, net,
+                                     f"t{counter:06d}", routing_weight))
             counter += 1
     trips.sort(key=lambda t: (t.depart_ms, t.trip_id))
     return trips
@@ -659,10 +662,8 @@ class FleetController:
         if station_edge == self.depot_edge:
             self._set_idle(vehicle)
         else:
-            route = network.shortest_path(
-                self.net, station_edge, self.depot_edge,
-                self.policies.routing_weight, hour_of(self.engine.now_ms),
-            )
+            route = network.shortest_path(self.net, station_edge, self.depot_edge,
+                                          self.policies.routing_weight)
             self._begin_route(
                 vehicle, route, Mission.RETURN_HOME, Lifecycle.RETURNING
             )

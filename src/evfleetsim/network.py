@@ -3,7 +3,7 @@ nearest-edge lookup, and shortest-path routing.
 
 Coordinates are planar meters. Edges are directed; an undirected street is two
 directed edges. Hourly congestion is a multiplicative speed factor in (0, 1]
-applied uniformly to all edges.
+applied uniformly to all edges: it scales travel times, not routes.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class RoadNetwork:
     """Immutable after construction; safe to share read-only.
 
     The only state that grows is the memo of :func:`shortest_path` results,
-    keyed by ``(from_edge, to_edge, weight, hour)``. It is valid because the
-    graph and its speed factors never change.
+    keyed by ``(from_edge, to_edge, weight)``. It is valid because the graph
+    never changes.
     """
 
     def __init__(
@@ -99,7 +99,7 @@ class RoadNetwork:
         for eid in sorted(edges):
             self.adjacency[edges[eid].from_node].append(eid)
         self._geom: tuple | None = None
-        self._routes: dict[tuple[str, str, str, int], Route] = {}
+        self._routes: dict[tuple[str, str, str], Route] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -303,36 +303,33 @@ def snap_distance(net: RoadNetwork, p: Coord, edge_id: str) -> float:
     return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
 
 
-def _edge_weight(net: RoadNetwork, edge: Edge, weight: str, hour: int) -> float:
+def _edge_weight(edge: Edge, weight: str) -> float:
     if weight == "distance":
         return edge.length_m
     if weight == "travel_time":
-        return edge.length_m / (edge.speed_limit_mps * net.speed_factor(hour))
+        return edge.length_m / edge.speed_limit_mps
     raise NetworkError(f"unknown routing weight {weight!r}")
 
 
-def shortest_path(
-    net: RoadNetwork,
-    from_edge: str,
-    to_edge: str,
-    weight: str = "travel_time",
-    hour: int = 0,
-) -> Route:
+def shortest_path(net: RoadNetwork, from_edge: str, to_edge: str,
+                  weight: str) -> Route:
     """Minimal-weight route from the end of ``from_edge`` to the start of
     ``to_edge``, inclusive of both edges (Dijkstra; weights are nonnegative).
+
+    Routes take no hour: congestion slows every edge alike, so it changes
+    when a vehicle arrives but not which way it drives.
 
     Routes are memoised on ``net``: a repeated query returns the same
     :class:`Route` object. Failed queries are not memoised.
     """
-    key = (from_edge, to_edge, weight, hour)
+    key = (from_edge, to_edge, weight)
     route = net._routes.get(key)
     if route is None:
-        route = net._routes[key] = _dijkstra(net, from_edge, to_edge, weight, hour)
+        route = net._routes[key] = _dijkstra(net, from_edge, to_edge, weight)
     return route
 
 
-def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str,
-              hour: int) -> Route:
+def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Route:
     for eid in (from_edge, to_edge):
         if eid not in net.edges:
             raise NetworkError(f"unknown edge {eid}")
@@ -356,7 +353,7 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str,
             break
         for eid in net.adjacency[node]:
             e = net.edges[eid]
-            nd = d + _edge_weight(net, e, weight, hour)
+            nd = d + _edge_weight(e, weight)
             if nd < dist.get(e.to_node, math.inf):
                 dist[e.to_node] = nd
                 prev_edge[e.to_node] = eid

@@ -173,7 +173,8 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
     net = config.network
     # scale the schedule to ~10^4 trips (poisson mean 2.0 per vehicle-slot)
     trips = generate_day_schedule(config.seed, config.demand, 5000, net,
-                                  config.depot_edge)
+                                  config.depot_edge,
+                                  config.policies.routing_weight)
     n_total = len(trips)
     assert n_total > 9000
 
@@ -249,11 +250,10 @@ def test_c8_routing_oracles():
         if frm == to:
             continue
         route = shortest_path(net, frm, to, "distance")
-        got = sum(_edge_weight(net, net.edges[e], "distance", 0)
-                  for e in route.edges)
+        got = sum(_edge_weight(net.edges[e], "distance") for e in route.edges)
         expected = (
             bellman_ford(net, net.edges[frm].to_node,
-                         net.edges[to].from_node, "distance", 0)
+                         net.edges[to].from_node, lambda e: e.length_m)
             + net.edges[frm].length_m + net.edges[to].length_m
         )
         assert abs(got - expected) <= 1e-9 * max(1.0, expected)

@@ -7,10 +7,10 @@ import pytest
 import yaml
 
 from evfleetsim import cli
-from evfleetsim.config import (MAX_VEHICLES, VEHICLE_PRESETS, ConfigError,
-                               apply_sweep_override, build_config,
+from evfleetsim.config import (MAX_HORIZON_S, MAX_VEHICLES, VEHICLE_PRESETS,
+                               ConfigError, apply_sweep_override, build_config,
                                default_scenario_path, load_config, load_raw)
-from evfleetsim.dynamics import MIN_ACCELERATION_MPS2
+from evfleetsim.dynamics import MAX_BATTERY_CAPACITY_WH, MIN_ACCELERATION_MPS2
 from evfleetsim.fleet import MAX_TRIPS_PER_DAY
 from evfleetsim.network import (MAX_EDGE_LENGTH_M, MAX_GRID_NODES,
                                 NetworkError, generate_grid)
@@ -176,6 +176,9 @@ def test_effective_config_round_trips(tmp_path):
     {"demand": {"trips_per_vehicle_per_day": {"family": "poisson",
                                               "mean": 1e300}}},
     {"fleet": {"size": 2**63}},
+    {"horizon_s": 1e300},
+    {"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
+        "battery_capacity_wh": 1e300}}}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
@@ -193,7 +196,8 @@ def test_effective_config_round_trips(tmp_path):
         "grid_rows_beyond_max", "grid_cols_beyond_max",
         "edge_length_beyond_max", "schedule_size_beyond_max",
         "trips_n_beyond_max", "trips_mean_beyond_max",
-        "fleet_size_beyond_max"])
+        "fleet_size_beyond_max", "horizon_beyond_max",
+        "battery_capacity_beyond_max"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ConfigError):
@@ -242,9 +246,11 @@ def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
 def test_counts_at_their_maximum_validate(tmp_path):
     path = write_scenario(
         tmp_path,
+        horizon_s=MAX_HORIZON_S,
         network={"grid": {**GRID, "edge_length_m": MAX_EDGE_LENGTH_M}},
         fleet={"size": MAX_VEHICLES, "vehicle": {
             "preset": "compact_ev", "overrides": {
+                "battery_capacity_wh": MAX_BATTERY_CAPACITY_WH,
                 "max_acceleration_mps2": MIN_ACCELERATION_MPS2,
                 "max_deceleration_mps2": MIN_ACCELERATION_MPS2}}},
         demand={"schedule_size": MAX_VEHICLES,
@@ -253,6 +259,8 @@ def test_counts_at_their_maximum_validate(tmp_path):
                     "n": MAX_TRIPS_PER_DAY}})
     config = load_config(path)
     assert config.fleet_size == config.schedule_size == MAX_VEHICLES
+    assert config.horizon_s == MAX_HORIZON_S
+    assert config.vehicle_params.battery_capacity_wh == MAX_BATTERY_CAPACITY_WH
     with pytest.raises(NetworkError):
         generate_grid(2, MAX_GRID_NODES // 2 + 1, 100.0, 10.0)
 

@@ -59,6 +59,7 @@ VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.sampled_from([-1, -0.5]),  # negative
     st.sampled_from([0.5, 2.5]),  # non-integer
+    st.sampled_from([1e300]),  # magnitude
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )

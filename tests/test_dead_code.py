@@ -2,7 +2,8 @@
 in its module, and every module-level name, function, method and class is
 referenced somewhere in the package outside its own definition.
 ``__init__.py`` only re-exports, so its names count neither way. Every field
-of a package dataclass is named somewhere in the package or its tests.
+of a package dataclass is named somewhere in the package or its tests, and
+every parameter of a package function is read in its body.
 """
 
 import ast
@@ -19,7 +20,11 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # of nearest_edge in the tests, and two gates of the benchmark
 KEEP = {"snap_distance", "assert_consistent", "energy_ledger_error"}
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# parameters no body reads, on purpose: Engine.on handlers take the event
+UNREAD_PARAMETERS = {"simulation.py run_scenario.on_tick(event)"}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def reads(node) -> Counter:
@@ -143,3 +148,30 @@ def test_every_dataclass_field_is_read():
                     unread.append(f"{module}:{stmt.lineno} "
                                   f"{node.name}.{stmt.target.id}")
     assert not unread, unread
+
+
+def functions(node, prefix=""):
+    """(qualified name, node) of every function and method in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, DEFINITIONS):
+            name = f"{prefix}{child.name}."
+        if isinstance(child, FUNCTIONS):
+            yield name[:-1], child
+        yield from functions(child, name)
+
+
+def test_every_parameter_is_read():
+    package = Package()
+    unread = []
+    for module, tree in package.trees.items():
+        for qualname, node in functions(tree):
+            loaded = {child.id for stmt in node.body for child in ast.walk(stmt)
+                      if isinstance(child, ast.Name)
+                      and isinstance(child.ctx, ast.Load)}
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            unread += [f"{module} {qualname}({param.arg})" for param in params
+                       if param.arg not in loaded]
+    assert set(unread) == UNREAD_PARAMETERS, unread

@@ -60,7 +60,7 @@ def test_degenerate_single_point_distance_bin():
     depot = sorted(net.edges)[0]
     streams = DemandStreams(1)
     for i in range(50):
-        trip = sample_trip(streams, prof, depot, net, f"t{i}")
+        trip = sample_trip(streams, prof, depot, net, f"t{i}", "travel_time")
         assert trip.sampled_airline_m == 0.0
     with pytest.raises(FleetError, match="strictly increasing"):
         profile(bins=((0.0, 1.0), (0.0, 1.0)))
@@ -93,7 +93,7 @@ def test_two_bin_frequencies_within_3_sigma():
     hi = 0
     n = 10_000
     for i in range(n):
-        trip = sample_trip(streams, prof, depot, net, f"t{i}")
+        trip = sample_trip(streams, prof, depot, net, f"t{i}", "travel_time")
         if trip.sampled_airline_m > 100.0:
             hi += 1
     assert 7500 - 130 <= hi <= 7500 + 130
@@ -106,7 +106,7 @@ def test_driven_route_at_least_airline_minus_snap_slack():
     streams = DemandStreams(23)
     depot_point = net.edge_midpoint(depot)
     for i in range(300):
-        trip = sample_trip(streams, prof, depot, net, f"t{i}")
+        trip = sample_trip(streams, prof, depot, net, f"t{i}", "travel_time")
         if trip.status == "rejected":
             continue
         route = trip.outbound
@@ -133,7 +133,8 @@ def test_rejected_destination_counted_not_resampled():
     prof = profile(bins=((5000.0, 1.0),))
     streams = DemandStreams(3)
     statuses = {
-        sample_trip(streams, prof, "home", net, f"t{i}").status for i in range(80)
+        sample_trip(streams, prof, "home", net, f"t{i}", "travel_time").status
+        for i in range(80)
     }
     assert "rejected" in statuses
 
@@ -142,9 +143,10 @@ def test_day_schedule_fixed_trip_count_and_sorted():
     net = generate_grid(4, 4, 200.0, 10.0)
     depot = sorted(net.edges)[0]
     prof = profile(trips=TripsPerDay(family="fixed", mean=0.0, n=2))
-    trips = generate_day_schedule(5, prof, 1, net, depot)
+    trips = generate_day_schedule(5, prof, 1, net, depot, "travel_time")
     assert len(trips) == 2
-    fleet10 = generate_day_schedule(5, prof, 10, net, depot)
+    fleet10 = generate_day_schedule(5, prof, 10, net, depot,
+                                    "travel_time")
     assert len(fleet10) == 20
     departs = [t.depart_ms for t in fleet10]
     assert departs == sorted(departs)
@@ -159,7 +161,8 @@ def test_day_schedule_deterministic_under_seed():
         return [
             (t.trip_id, t.depart_ms, t.sampled_airline_m, t.destination_edge,
              t.dwell_s, t.status)
-            for t in generate_day_schedule(seed, prof, 20, net, depot)
+            for t in generate_day_schedule(seed, prof, 20, net, depot,
+                                             "travel_time")
         ]
 
     assert snapshot(11) == snapshot(11)
@@ -169,7 +172,8 @@ def test_day_schedule_deterministic_under_seed():
 def test_day_schedule_requires_positive_fleet():
     net = generate_grid(2, 2, 100.0, 10.0)
     with pytest.raises(FleetError):
-        generate_day_schedule(1, profile(), 0, net, sorted(net.edges)[0])
+        generate_day_schedule(1, profile(), 0, net, sorted(net.edges)[0],
+                              "travel_time")
 
 
 # --- lifecycle ------------------------------------------------------------------

@@ -222,17 +222,16 @@ def test_shortest_path_raises_when_unreachable():
         shortest_path(net, "e1", "e2", "distance")
 
 
-def bellman_ford(net, source, target, weight, hour):
-    # independent oracle: |V|-1 rounds of full edge relaxation
-    from evfleetsim.network import _edge_weight
-
+def bellman_ford(net, source, target, cost):
+    # independent oracle: |V|-1 rounds of full edge relaxation over the
+    # weights cost(edge), which the caller computes from the edge itself
     dist = {n: math.inf for n in net.nodes}
     dist[source] = 0.0
     for _ in range(len(net.nodes) - 1):
         changed = False
         for eid in sorted(net.edges):
             e = net.edges[eid]
-            w = _edge_weight(net, e, weight, hour)
+            w = cost(e)
             if dist[e.from_node] + w < dist[e.to_node]:
                 dist[e.to_node] = dist[e.from_node] + w
                 changed = True
@@ -245,20 +244,22 @@ def random_network(rng, max_nodes=50):
     rows = int(rng.integers(2, 6))
     cols = int(rng.integers(2, 6))
     net = generate_grid(rows, cols, 100.0, 13.9)
-    # randomize lengths (>= node distance) and speeds to decorrelate weights
+    # randomize lengths (>= node distance) and speeds to decorrelate weights,
+    # and give each hour its own congestion factor in (0.2, 1]
     edges = {}
     for eid, e in net.edges.items():
         stretch = 1.0 + float(rng.uniform(0.0, 2.0))
         speed = float(rng.uniform(5.0, 30.0))
         edges[eid] = Edge(eid, e.from_node, e.to_node,
                           e.length_m * stretch, speed, 0.0)
-    return RoadNetwork(dict(net.nodes), edges)
+    factors = [1.0 - float(f) for f in rng.uniform(0.0, 0.8, 24)]
+    return RoadNetwork(dict(net.nodes), edges, factors)
 
 
 @pytest.mark.parametrize("weight", ["distance", "travel_time"])
 def test_shortest_path_weight_matches_bellman_ford(weight):
-    from evfleetsim.network import _edge_weight
-
+    # one route per query serves every hour: its travel time at each hour's
+    # congestion factor is the least over the hour-scaled edge weights
     rng = np.random.default_rng(123)
     for _ in range(40):
         net = random_network(rng)
@@ -268,13 +269,17 @@ def test_shortest_path_weight_matches_bellman_ford(weight):
         if frm == to:
             continue
         route = shortest_path(net, frm, to, weight)
-        got = sum(_edge_weight(net, net.edges[e], weight, 0) for e in route.edges)
-        middle = bellman_ford(
-            net, net.edges[frm].to_node, net.edges[to].from_node, weight, 0
-        )
-        expected = (middle + _edge_weight(net, net.edges[frm], weight, 0)
-                    + _edge_weight(net, net.edges[to], weight, 0))
-        assert got == pytest.approx(expected, rel=1e-9)
+        if weight == "distance":
+            costs = [lambda e: e.length_m]
+        else:
+            costs = [lambda e, f=f: e.length_m / (e.speed_limit_mps * f)
+                     for f in net.hourly_speed_factors]
+        for cost in costs:
+            got = sum(cost(net.edges[e]) for e in route.edges)
+            middle = bellman_ford(net, net.edges[frm].to_node,
+                                  net.edges[to].from_node, cost)
+            expected = middle + cost(net.edges[frm]) + cost(net.edges[to])
+            assert got == pytest.approx(expected, rel=1e-9)
 
 
 def test_route_edges_are_connected_and_length_consistent():
@@ -300,6 +305,6 @@ def test_travel_time_uses_congestion_factor():
     factors[8] = 0.5
     net = generate_grid(2, 2, 100.0, 10.0, factors)
     eid = sorted(net.edges)[0]
-    route = shortest_path(net, eid, eid)
+    route = shortest_path(net, eid, eid, "travel_time")
     assert route_travel_time(net, route, hour=0) == pytest.approx(10.0)
     assert route_travel_time(net, route, hour=8) == pytest.approx(20.0)
