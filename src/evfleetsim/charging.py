@@ -63,6 +63,9 @@ class _QueueEntry:
     vehicle: object
     target_soc: float
     enqueue_ms: int
+    # estimated seconds to charge at the station's mean slot power; fixed
+    # while queued, since a queued vehicle is at rest
+    charge_s: float
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,9 @@ class ChargingManager:
                 station, slot, vehicle, target_soc, at_ms, at_ms
             )
         queue = self.queues[station_id]
-        queue.append(_QueueEntry(vehicle, target_soc, at_ms))
+        queue.append(_QueueEntry(vehicle, target_soc, at_ms,
+                                 self._queued_charge_s(station, vehicle,
+                                                       target_soc)))
         self._engaged.add(vehicle.vehicle_id)
         return Queued(len(queue))
 
@@ -272,29 +277,29 @@ class ChargingManager:
 
     # -- wait-or-divert policy ------------------------------------------------
 
+    def _queued_charge_s(self, station: ChargingStation, vehicle,
+                         target_soc: float) -> float:
+        """Estimated seconds a queued ``vehicle`` will charge to
+        ``target_soc`` at ``station``, assuming the mean slot power."""
+        est_power = sum(s.power_w for s in station.slots) / len(station.slots)
+        params = self.params
+        deficit = max(
+            0.0, (target_soc - vehicle.state.soc) * params.battery_capacity_wh)
+        return charge_duration(deficit, est_power, params.max_charging_power_w,
+                               params.charging_efficiency)
+
     def estimate_wait_s(self, station: ChargingStation, at_ms: int,
                         queued_ahead: int) -> float:
         """Expected wait before a slot frees: remaining occupant time plus the
-        estimated demand of the first ``queued_ahead`` queued vehicles,
+        estimated charge time of the first ``queued_ahead`` queued vehicles,
         shared over the servers."""
         remaining = sum(
             max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
             for occ in self.occupancy[station.station_id].values()
         )
-        # queued vehicles are assumed to charge at the mean slot power
-        est_power = sum(s.power_w for s in station.slots) / len(station.slots)
-        params = self.params
         queued_s = 0.0
         for entry in islice(self.queues[station.station_id], queued_ahead):
-            deficit = max(
-                0.0,
-                (entry.target_soc - entry.vehicle.state.soc)
-                * params.battery_capacity_wh,
-            )
-            queued_s += charge_duration(
-                deficit, est_power, params.max_charging_power_w,
-                params.charging_efficiency,
-            )
+            queued_s += entry.charge_s
         return (remaining + queued_s) / station.max_simultaneous
 
     def select_station(
@@ -345,8 +350,9 @@ class ChargingManager:
     # -- invariants -----------------------------------------------------------
 
     def assert_consistent(self) -> None:
-        """Global scan: simultaneity limits hold and no vehicle appears twice
-        across queues and occupancies. Intended for test builds."""
+        """Global scan: simultaneity limits hold, no vehicle appears twice
+        across queues and occupancies, and every queued charge time equals
+        a fresh estimate. Intended for test builds."""
         seen: set[str] = set()
         for sid, station in self.stations.items():
             occupancy = self.occupancy[sid]
@@ -361,4 +367,7 @@ class ChargingManager:
                 vid = entry.vehicle.vehicle_id
                 assert vid not in seen, f"{vid} appears twice"
                 seen.add(vid)
+                assert entry.charge_s == self._queued_charge_s(
+                    station, entry.vehicle, entry.target_soc), (
+                    f"{vid}: stale queued charge time")
         assert seen == self._engaged

@@ -159,9 +159,9 @@ class DemandProfile:
         if len(self.departure_weights) != 24:
             raise FleetError("departure_weights needs exactly 24 values")
         if (not all(math.isfinite(w) and w >= 0 for w in self.departure_weights)
-                or sum(self.departure_weights) <= 0):
-            raise FleetError(
-                "departure weights must be finite and non-negative with positive sum")
+                or not 0 < sum(self.departure_weights) < math.inf):
+            raise FleetError("departure weights must be finite and "
+                             "non-negative with a positive, finite sum")
         if not self.distance_bins:
             raise FleetError("distance_bins must not be empty")
         degenerate = (len(self.distance_bins) == 1
@@ -175,8 +175,9 @@ class DemandProfile:
             if w < 0:
                 raise FleetError("distance bin weights must be non-negative")
             last = upper
-        if sum(w for _, w in self.distance_bins) <= 0:
-            raise FleetError("distance bin weights must have positive sum")
+        if not 0 < sum(w for _, w in self.distance_bins) < math.inf:
+            raise FleetError(
+                "distance bin weights must have a positive, finite sum")
 
     def bin_edges(self) -> list[float]:
         return [0.0] + [u for u, _ in self.distance_bins]

@@ -1,7 +1,7 @@
 """Run data collection and exports: per-tick vehicle records, lifecycle
-transition log, trip/session logs, power-flow summaries, distance histograms,
-and the idle-fleet (overdimensioning) time series. Everything is written as
-CSV so any external tool can plot it.
+transition log, trip/session logs, per-vehicle energy and time summaries,
+distance histograms, and the idle-fleet (overdimensioning) time series.
+Everything is written as CSV so any external tool can plot it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import MS_PER_S, ms
+from .charging import session_progress
+from .dynamics import VehicleParams
+from .engine import MS_PER_S, Engine, Event, EventKind, ms
 from .fleet import Lifecycle, Trip, Vehicle
 
 TICK_HEADER = [
@@ -22,9 +24,8 @@ TICK_HEADER = [
     "p_traction_w", "p_battery_w", "p_recup_w", "p_re_w",
 ]
 _TICK_VALUES = TICK_HEADER[3:]
-# (v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w, p_re_w) of a vehicle
-# with no drive trace and no charging session
-_AT_REST = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# the states in which a vehicle's ticks.csv row changes without a transition
+_LIVE_STATES = (Lifecycle.EN_ROUTE, Lifecycle.RETURNING, Lifecycle.CHARGING)
 TRIP_HEADER = [
     "trip_id", "vehicle_id", "depart_t", "airline_m", "driven_out_m",
     "driven_return_m", "dwell_s", "delay_s", "status",
@@ -58,18 +59,38 @@ class MetricsError(ValueError):
     pass
 
 
-def _row_tail(vehicle_id: str, lifecycle: Lifecycle, soc: float,
-              motion) -> str:
-    """One ``ticks.csv`` row without its time field, with the ``\\r\\n``
-    terminator of :func:`csv.writer`."""
+def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams) -> str:
+    """``vehicle``'s ``ticks.csv`` row at ``t_ms`` without its time field,
+    with the ``\\r\\n`` terminator of :func:`csv.writer`: its trace sample,
+    charging session or state at rest. Every value must be finite; the id
+    and lifecycle value must not need CSV quoting."""
+    lifecycle = vehicle.lifecycle
+    tr = vehicle.trace
+    if tr is not None and len(tr) > 0:
+        offset = (t_ms - vehicle.trace_start_ms) / MS_PER_S
+        i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
+        i = min(max(i, 0), len(tr) - 1)
+        soc = float(tr.soc[i])
+        motion = (float(tr.v_mps[i]), float(tr.a_mps2[i]),
+                  float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
+                  float(tr.p_recup_w[i]), float(tr.p_re_w[i]))
+    elif lifecycle is Lifecycle.CHARGING and vehicle.session is not None:
+        s = vehicle.session
+        elapsed = max(0.0, (t_ms - s.grant_ms) / MS_PER_S)
+        _, soc = session_progress(s, params, elapsed)
+        inflow = s.effective_power_w * params.charging_efficiency
+        motion = (0.0, 0.0, 0.0, -inflow, 0.0, 0.0)
+    else:
+        soc, motion = vehicle.state.soc, (0.0,) * 6
     v, a, p_traction, p_battery, p_recup, p_re = motion
     for name, value in zip(_TICK_VALUES,
                            (v, a, soc, p_traction, p_battery, p_recup, p_re)):
         if not math.isfinite(value):
             raise MetricsError(
-                f"non-finite {name}={value} in tick for {vehicle_id}")
-    return (f"{vehicle_id},{lifecycle.value},{v:.4f},{a:.4f},{soc:.9f},"
-            f"{p_traction:.3f},{p_battery:.3f},{p_recup:.3f},{p_re:.3f}\r\n")
+                f"non-finite {name}={value} in tick for {vehicle.vehicle_id}")
+    return (f"{vehicle.vehicle_id},{lifecycle.value},{v:.4f},{a:.4f},"
+            f"{soc:.9f},{p_traction:.3f},{p_battery:.3f},{p_recup:.3f},"
+            f"{p_re:.3f}\r\n")
 
 
 def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
@@ -130,14 +151,23 @@ class MetricsCollector:
     """Collects a run's data for the output directory ``out_dir``.
 
     It is built before the run with the run's ``vehicles``, its ``trips``,
-    the charging manager's ``sessions`` list and the fleet's battery
-    capacity ``capacity_wh``, and keeps references to all three lists, not
-    copies. It notes each vehicle's starting SOC and logs its initial
-    ``IDLE`` transition itself. During the run it records the ticks and
-    transitions it is handed; at the end :meth:`export_all` and
-    :meth:`energy_ledger_error` read each vehicle's energy, distance and SOC
-    from its ``state`` and its trip count from ``n_trips``, and the trips
-    and sessions as they stand then.
+    the charging manager's ``sessions`` list and the fleet's one vehicle
+    model ``params``, and keeps references to all three lists, not copies.
+    It notes each vehicle's starting SOC and logs its initial ``IDLE``
+    transition itself. During the run it records the ticks that
+    :meth:`schedule_ticks` schedules and the transitions it is handed; at
+    the end :meth:`export_all` and :meth:`energy_ledger_error` read each
+    vehicle's energy, distance and SOC from its ``state`` and its trip
+    count from ``n_trips``, and the trips and sessions as they stand then.
+
+    It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, and a
+    tick formats again only the *live* vehicles. The invariant: a vehicle's
+    row can change between ticks only while it is ``EN_ROUTE``,
+    ``RETURNING`` or ``CHARGING``, or if it transitioned since the last tick
+    (a finished session's SOC is set in the handler that moves the vehicle
+    on, and the horizon cuts sessions after the last tick). Every vehicle
+    starts live, :meth:`record_transition` makes it live, and it leaves once
+    a tick has formatted it in any other state, never while it drives.
 
     Tick rows stream to disk once the rows buffered in memory reach
     ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O failure is
@@ -145,53 +175,60 @@ class MetricsCollector:
     """
 
     def __init__(self, out_dir: str | Path, vehicles: list[Vehicle],
-                 trips: list[Trip], sessions: list, capacity_wh: float):
+                 trips: list[Trip], sessions: list, params: VehicleParams):
         self.out_dir = Path(out_dir)
         # one string of formatted ticks.csv rows per recorded tick
         self._tick_chunks: list[str] = []
         self._pending_rows = 0
         self._ticks_flushed = 0
         self._ticks_path: Path | None = None
-        # vehicle_id -> (lifecycle, soc, row tail) of its last row at rest
-        self._rest_rows: dict[str, tuple[Lifecycle, float, str]] = {}
+        # vehicle index -> last row tail, in vehicle order; none if stranded
+        self._tails = dict.fromkeys(range(len(vehicles)), "")
+        self._live = set(self._tails)
+        self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
         self.trips = trips
         self.sessions = sessions
-        self.capacity_wh = capacity_wh
+        self.params = params
         self._soc_start = {v.vehicle_id: v.state.soc for v in vehicles}
         self.transitions: list[tuple[int, str, Lifecycle | None, Lifecycle]] = [
             (0, v.vehicle_id, None, Lifecycle.IDLE) for v in vehicles]
 
     # -- recording ------------------------------------------------------------
 
-    def record_ticks(self, t_ms: int, samples) -> None:
-        """Record one ``ticks.csv`` row per sample, in the given order.
+    def schedule_ticks(self, engine: Engine, interval_ms: int,
+                       horizon_ms: int) -> None:
+        """Handle ``MetricsTick`` on ``engine``: a tick at 0 ms and then one
+        every ``interval_ms`` up to ``horizon_ms``, each scheduled by the
+        one before. A run without vehicles has no ticks."""
 
-        Each sample is ``(vehicle_id, lifecycle, soc, motion)``. ``motion``
-        is ``None`` for a vehicle at rest (no drive trace, no charging
-        session), else ``(v_mps, a_mps2, p_traction_w, p_battery_w,
-        p_recup_w, p_re_w)``. Every value must be finite. Vehicle ids and
-        lifecycle values are written as they are, so they must not need CSV
-        quoting.
-        """
-        tails = []
-        rest_rows = self._rest_rows
-        for vehicle_id, lifecycle, soc, motion in samples:
-            if motion is not None:
-                tails.append(_row_tail(vehicle_id, lifecycle, soc, motion))
-                continue
-            # keyed on the identity of the soc object: the same object
-            # formats to the same bytes, and a cached soc was checked finite
-            cached = rest_rows.get(vehicle_id)
-            if cached is None or cached[0] is not lifecycle or cached[1] is not soc:
-                cached = rest_rows[vehicle_id] = (
-                    lifecycle, soc,
-                    _row_tail(vehicle_id, lifecycle, soc, _AT_REST))
-            tails.append(cached[2])
+        def on_tick(event: Event) -> None:
+            self.record_ticks(engine.now_ms)
+            nxt = engine.now_ms + interval_ms
+            if nxt <= horizon_ms:
+                engine.schedule(Event(EventKind.METRICS_TICK), nxt)
+
+        engine.on(EventKind.METRICS_TICK, on_tick)
+        if self.vehicles:
+            engine.schedule(Event(EventKind.METRICS_TICK), 0)
+
+    def record_ticks(self, t_ms: int) -> None:
+        """Record the ``ticks.csv`` rows at ``t_ms``: one per vehicle that is
+        not stranded, in vehicle order. Only the live vehicles are formatted
+        again."""
+        tails, live = self._tails, self._live
+        for i in sorted(live):
+            vehicle = self.vehicles[i]
+            if vehicle.lifecycle is Lifecycle.STRANDED:
+                del tails[i]
+            else:
+                tails[i] = _row_tail(vehicle, t_ms, self.params)
+            if vehicle.lifecycle not in _LIVE_STATES:
+                live.discard(i)
         if not tails:
             return
         head = f"{t_ms / MS_PER_S:.3f},"
-        self._tick_chunks.append(head + head.join(tails))
+        self._tick_chunks.append(head + head.join(tails.values()))
         self._pending_rows += len(tails)
         if self._pending_rows >= TICK_BUFFER_ROWS:
             self._flush_ticks()
@@ -199,6 +236,7 @@ class MetricsCollector:
     def record_transition(self, t_ms: int, vehicle_id: str,
                           old: Lifecycle | None, new: Lifecycle) -> None:
         self.transitions.append((t_ms, vehicle_id, old, new))
+        self._live.add(self._index[vehicle_id])
 
     # -- tick streaming ---------------------------------------------------------
 
@@ -270,9 +308,6 @@ class MetricsCollector:
                 break
         return UtilizationSeries(bin_starts_s=starts, counts=counts)
 
-    def _transitions_by_vehicle(self) -> dict[str, list]:
-        return _group_by_vehicle(self.transitions, lambda t: t[1])
-
     def _sessions_by_vehicle(self) -> dict[str, list]:
         return _group_by_vehicle(self.sessions, lambda s: s.vehicle_id)
 
@@ -287,7 +322,8 @@ class MetricsCollector:
             c = v.state.cumulative
             grid = sum(s.energy_wh for s in sessions.get(v.vehicle_id, []))
             lhs += grid + c.range_extended_wh + c.recuperated_wh - c.consumed_wh
-            rhs += self.capacity_wh * (v.state.soc - self._soc_start[v.vehicle_id])
+            rhs += (self.params.battery_capacity_wh
+                    * (v.state.soc - self._soc_start[v.vehicle_id]))
             scale += c.consumed_wh + grid + c.range_extended_wh + c.recuperated_wh
         if scale == 0.0:
             return abs(lhs - rhs)
@@ -344,7 +380,7 @@ class MetricsCollector:
                 ])
         files["sessions.csv"] = len(self.sessions)
 
-        transitions = self._transitions_by_vehicle()
+        transitions = _group_by_vehicle(self.transitions, lambda t: t[1])
         sessions = self._sessions_by_vehicle()
         with open(out / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -9,8 +9,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, charging, dynamics, fleet, metrics
 from .config import (ScenarioConfig, apply_sweep_override, build_config,
                      load_config)
@@ -75,7 +73,7 @@ def run_scenario(
             config.depot_edge, config.policies.routing_weight,
         )
     collector = metrics.MetricsCollector(
-        out_dir, vehicles, trips, manager.sessions, params.battery_capacity_wh)
+        out_dir, vehicles, trips, manager.sessions, params)
     controller = fleet.FleetController(
         engine=engine,
         net=net,
@@ -91,43 +89,9 @@ def run_scenario(
     controller.register_handlers()
     controller.schedule_trips(trips)
 
-    tick_ms = ms(config.metrics_interval_s)
-
-    def on_tick(event: Event) -> None:
-        now = engine.now_ms
-        samples = []
-        for v in vehicles:
-            lifecycle = v.lifecycle
-            if lifecycle is fleet.Lifecycle.STRANDED:
-                continue
-            tr = v.trace
-            if tr is not None and len(tr) > 0:
-                offset = (now - v.trace_start_ms) / MS_PER_S
-                i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
-                i = min(max(i, 0), len(tr) - 1)
-                samples.append((v.vehicle_id, lifecycle, float(tr.soc[i]), (
-                    float(tr.v_mps[i]), float(tr.a_mps2[i]),
-                    float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
-                    float(tr.p_recup_w[i]), float(tr.p_re_w[i]),
-                )))
-            elif lifecycle is fleet.Lifecycle.CHARGING and v.session is not None:
-                s = v.session
-                elapsed = max(0.0, (now - s.grant_ms) / MS_PER_S)
-                _, soc = charging.session_progress(s, params, elapsed)
-                inflow = s.effective_power_w * params.charging_efficiency
-                samples.append((v.vehicle_id, lifecycle, soc,
-                                (0.0, 0.0, 0.0, -inflow, 0.0, 0.0)))
-            else:
-                samples.append((v.vehicle_id, lifecycle, v.state.soc, None))
-        collector.record_ticks(now, samples)
-        nxt = now + tick_ms
-        if nxt <= horizon_ms:
-            engine.schedule(Event(EventKind.METRICS_TICK), nxt)
-
-    engine.on(EventKind.METRICS_TICK, on_tick)
+    collector.schedule_ticks(engine, ms(config.metrics_interval_s),
+                             horizon_ms)
     engine.on(EventKind.SIMULATION_END, lambda event: None)
-    if horizon_ms >= 0 and config.fleet_size > 0:
-        engine.schedule(Event(EventKind.METRICS_TICK), 0)
     engine.schedule(Event(EventKind.SIMULATION_END), horizon_ms)
 
     summary = engine.run_until(horizon_ms)

@@ -202,7 +202,7 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
 
     # (c) exported paired histograms are aligned, non-degenerate, plot-ready
     collector = MetricsCollector(tmp_path, [], trips, [],
-                                 config.vehicle_params.battery_capacity_wh)
+                                 config.vehicle_params)
     manifest = collector.export_all({}, 0, config.demand.bin_edges())
     lines = (tmp_path / "histograms.csv").read_text().splitlines()
     assert lines[0] == "bin_lower_m,bin_upper_m,airline_count,driven_count"

@@ -179,6 +179,9 @@ def test_effective_config_round_trips(tmp_path):
     {"horizon_s": 1e300},
     {"fleet": {"vehicle": {"preset": "compact_ev", "overrides": {
         "battery_capacity_wh": 1e300}}}},
+    {"demand": {"departure_weights": [1e308] * 24}},
+    {"demand": {"distance_bins": [{"upper_m": 400.0, "weight": 1e308},
+                                  {"upper_m": 800.0, "weight": 1e308}]}},
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
@@ -197,7 +200,8 @@ def test_effective_config_round_trips(tmp_path):
         "edge_length_beyond_max", "schedule_size_beyond_max",
         "trips_n_beyond_max", "trips_mean_beyond_max",
         "fleet_size_beyond_max", "horizon_beyond_max",
-        "battery_capacity_beyond_max"])
+        "battery_capacity_beyond_max", "departure_weights_sum_overflows",
+        "distance_weights_sum_overflows"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ConfigError):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_params
 from evfleetsim import metrics
 from evfleetsim.charging import ChargeSession
-from evfleetsim.dynamics import Cumulative, VehicleState
+from evfleetsim.dynamics import Cumulative, DriveTrace, VehicleState
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip, Vehicle
 from evfleetsim.metrics import (TICK_HEADER, MetricsCollector, MetricsError,
@@ -19,21 +20,34 @@ CAPACITY_WH = 18000.0
 
 def collector_for(out_dir, vehicles=(), trips=(), sessions=()):
     return MetricsCollector(out_dir, list(vehicles), list(trips),
-                            list(sessions), CAPACITY_WH)
+                            list(sessions),
+                            make_params(battery_capacity_wh=CAPACITY_WH))
 
 
 def fleet_of(*vids, soc=1.0):
     return [Vehicle(vid, VehicleState(soc=soc)) for vid in vids]
 
 
-def rest(vid="v0", soc=0.5, lifecycle=Lifecycle.IDLE):
-    return (vid, lifecycle, soc, None)
+def transition(collector, t_ms, vehicle, new):
+    """Move ``vehicle`` to ``new`` and tell ``collector``, as the fleet
+    controller does."""
+    old, vehicle.lifecycle = vehicle.lifecycle, new
+    collector.record_transition(t_ms, vehicle.vehicle_id, old, new)
 
 
-def moving(vid="v0", soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
-           p_battery_w=5300.0, p_recup_w=0.0, p_re_w=0.0):
-    return (vid, Lifecycle.EN_ROUTE, soc,
-            (v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w, p_re_w))
+def drive(vehicle, soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
+          p_battery_w=5300.0, p_recup_w=0.0, p_re_w=0.0, start_ms=0):
+    """Give ``vehicle`` a one-sample drive trace starting at ``start_ms``."""
+    vehicle.trace_start_ms = start_ms
+    vehicle.trace = DriveTrace(*(np.array([x]) for x in (
+        0.0, 1.0, v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w,
+        p_re_w, soc)))
+
+
+def driving(vid="v0", **sample):
+    vehicle = Vehicle(vid, VehicleState(soc=0.5), Lifecycle.EN_ROUTE)
+    drive(vehicle, **sample)
+    return vehicle
 
 
 def make_trip(tid, airline, driven, status="completed", depart_s=100.0,
@@ -61,9 +75,13 @@ def session(vid="v0", grant_s=0.0, dur_s=3600.0, energy=2300.0,
 
 # --- tick recording -------------------------------------------------------------
 
+def tick_rows(out_dir):
+    return (out_dir / "ticks.csv").read_text().splitlines()[1:]
+
+
 def test_one_record_one_row_after_flush(tmp_path):
-    collector = collector_for(tmp_path)
-    collector.record_ticks(0, [rest()])
+    collector = collector_for(tmp_path, fleet_of("v0", soc=0.5))
+    collector.record_ticks(0)
     collector._flush_ticks()
     rows = (tmp_path / "ticks.csv").read_text().splitlines()
     assert rows[0] == ",".join(TICK_HEADER)
@@ -74,10 +92,10 @@ def test_one_record_one_row_after_flush(tmp_path):
 def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
     n_ticks, per_tick = 10_000, 100
     monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", 200_000)
-    collector = collector_for(tmp_path)
-    samples = [rest(f"v{i}") for i in range(per_tick)]
+    collector = collector_for(
+        tmp_path, fleet_of(*(f"v{i}" for i in range(per_tick)), soc=0.5))
     for k in range(n_ticks):
-        collector.record_ticks(k * 1000, samples)
+        collector.record_ticks(k * 1000)
     manifest = collector.export_all({}, 0, [0.0, 1000.0])
     n = n_ticks * per_tick
     assert manifest["files"]["ticks.csv"] == n
@@ -86,42 +104,100 @@ def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
 
 
 def test_non_finite_tick_rejected(tmp_path):
-    collector = collector_for(tmp_path)
+    collector = collector_for(
+        tmp_path, fleet_of("v0") + [driving("v7", v_mps=float("nan"))])
     with pytest.raises(MetricsError, match="non-finite v_mps=nan in tick for v7"):
-        collector.record_ticks(0, [rest("v0"), moving("v7", v_mps=float("nan"))])
+        collector.record_ticks(0)
+    collector = collector_for(tmp_path, [driving("v3", p_battery_w=float("inf"))])
     with pytest.raises(MetricsError, match="non-finite p_battery_w=inf in tick for v3"):
-        collector.record_ticks(0, [moving("v3", p_battery_w=float("inf"))])
+        collector.record_ticks(0)
 
 
 def test_non_finite_rest_sample_rejected(tmp_path):
-    collector = collector_for(tmp_path)
+    collector = collector_for(tmp_path, fleet_of("v0", soc=float("nan")))
     with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v0"):
-        collector.record_ticks(0, [rest("v0", soc=float("nan"))])
-    # the same vehicle after its row at rest was cached
-    collector.record_ticks(0, [rest("v1", soc=0.5)])
-    collector.record_ticks(10_000, [rest("v1", soc=0.5)])
+        collector.record_ticks(0)
+    # the same vehicle after its row at rest was kept from tick to tick
+    (v1,) = vehicles = fleet_of("v1", soc=0.5)
+    collector = collector_for(tmp_path, vehicles)
+    collector.record_ticks(0)
+    collector.record_ticks(10_000)
+    v1.state.soc = float("nan")
+    transition(collector, 15_000, v1, Lifecycle.QUEUED_AT_STATION)
     with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v1"):
-        collector.record_ticks(20_000, [rest("v1", soc=float("nan"))])
+        collector.record_ticks(20_000)
 
 
 def test_rest_rows_follow_state_and_soc(tmp_path):
-    # a reused row must change with the lifecycle and with the sign of zero
-    collector = collector_for(tmp_path)
-    soc, queued = 0.25, Lifecycle.QUEUED_AT_STATION
-    collector.record_ticks(0, [rest("v0", soc)])
-    collector.record_ticks(1000, [rest("v0", soc, queued)])
-    collector.record_ticks(2000, [rest("v0", 0.0, queued)])
-    collector.record_ticks(3000, [rest("v0", -0.0, queued)])
-    collector.record_ticks(4000, [rest("v0", 0.0, queued)])
+    # a kept row must change with the lifecycle and with the sign of zero
+    (v0,) = vehicles = fleet_of("v0", soc=0.25)
+    collector = collector_for(tmp_path, vehicles)
+    idle, queued = Lifecycle.IDLE, Lifecycle.QUEUED_AT_STATION
+    collector.record_ticks(0)
+    transition(collector, 500, v0, queued)
+    collector.record_ticks(1000)
+    for t_ms, soc in ((2000, 0.0), (3000, -0.0), (4000, 0.0)):
+        # out of the queue and back within one millisecond
+        v0.state.soc = soc
+        transition(collector, t_ms - 1, v0, idle)
+        transition(collector, t_ms - 1, v0, queued)
+        collector.record_ticks(t_ms)
+    collector.record_ticks(5000)
     collector._flush_ticks()
-    rows = [line.split(",")[:3] + [line.split(",")[5]] for line in
-            (tmp_path / "ticks.csv").read_text().splitlines()[1:]]
+    rows = [line.split(",")[:3] + [line.split(",")[5]]
+            for line in tick_rows(tmp_path)]
     assert rows == [
         ["0.000", "v0", "idle", "0.250000000"],
         ["1.000", "v0", "queued", "0.250000000"],
         ["2.000", "v0", "queued", "0.000000000"],
         ["3.000", "v0", "queued", "-0.000000000"],
         ["4.000", "v0", "queued", "0.000000000"],
+        ["5.000", "v0", "queued", "0.000000000"],
+    ]
+
+
+def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
+    formatted = []
+    row_tail = metrics._row_tail
+
+    def counting(vehicle, t_ms, params):
+        formatted.append((t_ms, vehicle.vehicle_id))
+        return row_tail(vehicle, t_ms, params)
+
+    monkeypatch.setattr(metrics, "_row_tail", counting)
+    v0, v1, v2 = vehicles = fleet_of("v0", "v1", "v2", soc=0.5)
+    collector = collector_for(tmp_path, vehicles)
+    collector.record_ticks(0)
+    transition(collector, 500, v1, Lifecycle.EN_ROUTE)
+    drive(v1, start_ms=500)
+    collector.record_ticks(1000)
+    # still driving, now without a trace sample (as between two segments)
+    v1.trace = None
+    collector.record_ticks(2000)
+    drive(v1, soc=0.4, start_ms=2500)
+    collector.record_ticks(3000)
+    v1.trace = None
+    transition(collector, 3500, v1, Lifecycle.IDLE)
+    transition(collector, 3500, v2, Lifecycle.EN_ROUTE)
+    v2.lifecycle = Lifecycle.STRANDED
+    collector.record_ticks(4000)
+    collector.record_ticks(5000)
+    assert formatted == [(0, "v0"), (0, "v1"), (0, "v2"), (1000, "v1"),
+                         (2000, "v1"), (3000, "v1"), (4000, "v1")]
+    collector._flush_ticks()
+    rows = [",".join(line.split(",")[:3] + line.split(",")[5:6])
+            for line in tick_rows(tmp_path)]
+    assert rows == [
+        "0.000,v0,idle,0.500000000", "0.000,v1,idle,0.500000000",
+        "0.000,v2,idle,0.500000000",
+        "1.000,v0,idle,0.500000000", "1.000,v1,en_route,0.500000000",
+        "1.000,v2,idle,0.500000000",
+        "2.000,v0,idle,0.500000000", "2.000,v1,en_route,0.500000000",
+        "2.000,v2,idle,0.500000000",
+        "3.000,v0,idle,0.500000000", "3.000,v1,en_route,0.400000000",
+        "3.000,v2,idle,0.500000000",
+        "4.000,v0,idle,0.500000000", "4.000,v1,idle,0.500000000",
+        "5.000,v0,idle,0.500000000", "5.000,v1,idle,0.500000000",
     ]
 
 
@@ -271,7 +347,7 @@ def test_export_manifest_lists_six_files(tmp_path):
     vehicles[0].n_trips = 1
     collector = collector_for(tmp_path, vehicles,
                               [make_trip("t0", 400.0, 520.0)], [session()])
-    collector.record_ticks(0, [rest()])
+    collector.record_ticks(0)
     manifest = collector.export_all({"seed": 1}, ms(600.0), [0.0, 250.0])
     assert manifest["seed"] == 1 and manifest["horizon_s"] == 600.0
     assert sorted(manifest["files"]) == [

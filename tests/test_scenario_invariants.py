@@ -4,15 +4,17 @@ import copy
 import csv
 import importlib.util
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from test_config_cli import BASE_SCENARIO, write_scenario
 
-from evfleetsim import metrics
-from evfleetsim.charging import ChargingManager
+from evfleetsim import dynamics, metrics
+from evfleetsim.charging import ChargingManager, session_progress
 from evfleetsim.config import load_config
 from evfleetsim.engine import Engine, EventKind, ms
 from evfleetsim.fleet import FleetController, Lifecycle
@@ -197,45 +199,143 @@ def test_range_extender_switches_without_events(tmp_path):
         assert any(float(row["p_re_w"]) > 0.0 for row in csv.DictReader(fh))
 
 
-# --- ticks.csv against a csv.writer reference ----------------------------------
+# --- ticks.csv against an every-vehicle reference sampler ------------------------
 
-def write_reference_ticks(path, ticks):
-    """ticks.csv as csv.writer writes it, one row per sample of each tick."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TICK_HEADER)
-        for t_ms, samples in ticks:
-            for vehicle_id, lifecycle, soc, motion in samples:
-                v, a, p_traction, p_battery, p_recup, p_re = motion or (0.0,) * 6
-                writer.writerow([
-                    f"{t_ms / 1000:.3f}", vehicle_id, lifecycle.value,
-                    f"{v:.4f}", f"{a:.4f}", f"{soc:.9f}",
-                    f"{p_traction:.3f}", f"{p_battery:.3f}",
-                    f"{p_recup:.3f}", f"{p_re:.3f}",
-                ])
+class ReferenceSampler:
+    """Samples every vehicle that is not stranded on every ``MetricsTick``
+    from its trace, its charging session or its state at rest, and writes
+    the rows with :mod:`csv`; the collector's own rows must equal them."""
+
+    def __init__(self, monkeypatch):
+        self.ticks = []  # (t_ms, [(vehicle_id, lifecycle, soc, motion)])
+        record_ticks = MetricsCollector.record_ticks
+
+        def sample_then_record(collector, t_ms):
+            self.ticks.append((t_ms, [
+                self.sample(v, collector.params, t_ms)
+                for v in collector.vehicles
+                if v.lifecycle is not Lifecycle.STRANDED]))
+            record_ticks(collector, t_ms)
+
+        monkeypatch.setattr(MetricsCollector, "record_ticks",
+                            sample_then_record)
+
+    @staticmethod
+    def sample(v, params, now):
+        tr = v.trace
+        if tr is not None and len(tr) > 0:
+            offset = (now - v.trace_start_ms) / 1000
+            i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
+            i = min(max(i, 0), len(tr) - 1)
+            return (v.vehicle_id, v.lifecycle, float(tr.soc[i]), (
+                float(tr.v_mps[i]), float(tr.a_mps2[i]),
+                float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
+                float(tr.p_recup_w[i]), float(tr.p_re_w[i])))
+        if v.lifecycle is Lifecycle.CHARGING and v.session is not None:
+            s = v.session
+            elapsed = max(0.0, (now - s.grant_ms) / 1000)
+            _, soc = session_progress(s, params, elapsed)
+            inflow = s.effective_power_w * params.charging_efficiency
+            return (v.vehicle_id, v.lifecycle, soc,
+                    (0.0, 0.0, 0.0, -inflow, 0.0, 0.0))
+        return (v.vehicle_id, v.lifecycle, v.state.soc, None)
+
+    def kinds(self) -> set:
+        """(lifecycle, at rest) of every sample."""
+        return {(lifecycle, motion is None)
+                for _, samples in self.ticks
+                for _, lifecycle, _, motion in samples}
+
+    def write(self, path) -> int:
+        """Write the reference ticks.csv; returns its row count."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TICK_HEADER)
+            for t_ms, samples in self.ticks:
+                for vehicle_id, lifecycle, soc, motion in samples:
+                    v, a, p_traction, p_battery, p_recup, p_re = (
+                        motion or (0.0,) * 6)
+                    writer.writerow([
+                        f"{t_ms / 1000:.3f}", vehicle_id, lifecycle.value,
+                        f"{v:.4f}", f"{a:.4f}", f"{soc:.9f}",
+                        f"{p_traction:.3f}", f"{p_battery:.3f}",
+                        f"{p_recup:.3f}", f"{p_re:.3f}",
+                    ])
+        return sum(len(samples) for _, samples in self.ticks)
 
 
-def test_ticks_csv_equals_reference_writer(tmp_path, monkeypatch):
-    ticks = []
-    record_ticks = MetricsCollector.record_ticks
-
-    def capture(self, t_ms, samples):
-        ticks.append((t_ms, list(samples)))
-        record_ticks(self, t_ms, samples)
-
-    monkeypatch.setattr(MetricsCollector, "record_ticks", capture)
-    path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
-    result = run_scenario(load_config(path), tmp_path / "out")
-    kinds = {(lifecycle, motion is None)
-             for _, samples in ticks for _, lifecycle, _, motion in samples}
-    assert {(Lifecycle.EN_ROUTE, False), (Lifecycle.CHARGING, False),
-            (Lifecycle.QUEUED_AT_STATION, True), (Lifecycle.IDLE, True)} <= kinds
-    assert any(s.station_id == "st1" for s in result.manager.sessions)  # diverted
-
-    write_reference_ticks(tmp_path / "reference.csv", ticks)
-    assert ((tmp_path / "out" / "ticks.csv").read_bytes()
+def assert_ticks_equal_reference(result, sampler, tmp_path):
+    rows = sampler.write(tmp_path / "reference.csv")
+    assert ((result.out_dir / "ticks.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
-    assert result.manifest["files"]["ticks.csv"] == sum(len(s) for _, s in ticks)
+    assert result.manifest["files"]["ticks.csv"] == rows
+    dispatched = result.engine_summary.dispatched[EventKind.METRICS_TICK]
+    assert len(sampler.ticks) == dispatched > 0
+
+
+FINE_TICKS = {"dynamics_dt_s": 1.0, "metrics_interval_s": 5.0,
+              "utilization_bin_s": 300.0}
+
+
+@pytest.mark.parametrize("vehicles, trips, numerics", [
+    (5, 4, {}), (3, 3, {"numerics": FINE_TICKS})], ids=["busy", "divert"])
+def test_ticks_csv_equals_reference_writer(tmp_path, monkeypatch, vehicles,
+                                           trips, numerics):
+    path = write_busy_scenario(tmp_path, vehicles=vehicles,
+                               trips_per_vehicle=trips, **numerics)
+    sampler = ReferenceSampler(monkeypatch)
+    result = run_scenario(load_config(path), tmp_path / "out")
+    assert {(Lifecycle.EN_ROUTE, False), (Lifecycle.RETURNING, False),
+            (Lifecycle.CHARGING, False), (Lifecycle.DWELLING, True),
+            (Lifecycle.IDLE, True)} <= sampler.kinds()
+    if vehicles == 5:
+        assert (Lifecycle.QUEUED_AT_STATION, True) in sampler.kinds()
+    assert any(s.station_id == "st1" for s in result.manager.sessions)
+    assert_ticks_equal_reference(result, sampler, tmp_path)
+
+
+def test_ticks_csv_equals_reference_with_a_stranded_vehicle(tmp_path,
+                                                            monkeypatch):
+    # dispatch that sees every route as free sends 1 kWh batteries without
+    # range extender out until they strand
+    monkeypatch.setattr(FleetController, "route_energy_wh",
+                        lambda self, route, hour: 0.0)
+    path = write_busy_scenario(tmp_path, numerics=FINE_TICKS)
+    raw = yaml.safe_load(path.read_text())
+    raw["fleet"].update(initial_soc=0.15, vehicle={
+        "preset": "compact_ev", "overrides": {
+            "battery_capacity_wh": 1000.0, "range_extender": None}})
+    path.write_text(yaml.safe_dump(raw))
+    sampler = ReferenceSampler(monkeypatch)
+    result = run_scenario(load_config(path), tmp_path / "out")
+    assert 0 < result.n_stranded < 3
+    assert_ticks_equal_reference(result, sampler, tmp_path)
+    assert len(sampler.ticks[-1][1]) == 3 - result.n_stranded
+
+
+def test_ticks_csv_equals_reference_across_an_empty_trace(tmp_path,
+                                                          monkeypatch):
+    # a segment without trace samples (as on an edge that vanishes within
+    # one millisecond) leaves its vehicle driving: the ticks during the
+    # depot edge show it at rest, the later ones its next segment's trace
+    drive_segment = dynamics.drive_segment
+
+    def no_samples_on_the_depot_edge(state, edge, *args):
+        result = drive_segment(state, edge, *args)
+        if edge.edge_id == "e00000":
+            empty = np.empty(0)
+            result = replace(result, trace=dynamics.DriveTrace(
+                *(empty for _ in fields(dynamics.DriveTrace))))
+        return result
+
+    monkeypatch.setattr(dynamics, "drive_segment",
+                        no_samples_on_the_depot_edge)
+    path = write_busy_scenario(tmp_path, numerics=FINE_TICKS)
+    sampler = ReferenceSampler(monkeypatch)
+    result = run_scenario(load_config(path), tmp_path / "out")
+    assert {(Lifecycle.EN_ROUTE, True), (Lifecycle.EN_ROUTE, False),
+            (Lifecycle.RETURNING, True)} <= sampler.kinds()
+    assert_ticks_equal_reference(result, sampler, tmp_path)
 
 
 def test_ticks_csv_independent_of_flush_boundaries(tmp_path, monkeypatch):
@@ -327,6 +427,20 @@ def test_bench_tracer_sees_the_dynamics_calls(tmp_path):
     completes = result.engine_summary.dispatched[EventKind.CHARGE_COMPLETE]
     assert completes > 0
     assert totals["charging.release_slot"][0] == completes
+    # the tick handler is the collector's; its span keeps the layer's name
+    ticks = result.engine_summary.dispatched[EventKind.METRICS_TICK]
+    assert ticks > 0
+    assert totals["simulation.tick_sample"][0] == ticks
+    assert totals["metrics.record_ticks"][0] == ticks
+    assert (totals["metrics.record_transition"][0]
+            == len(result.collector.transitions) - len(result.vehicles))
+    layers = tracing.layer_metrics(
+        tracer, {"trips_dispatched": 1,
+                 "tick_rows": result.manifest["files"]["ticks.csv"]}, 1.0)
+    assert layers["simulation.tick_sample.s"] > 0.0
+    assert 0.0 < layers["simulation.tick_sample.self_s"] < (
+        layers["simulation.tick_sample.s"])
+    assert layers["metrics.self_s"] > 0.0
 
 
 # --- grouped metrics against per-vehicle reference filters -------------------
