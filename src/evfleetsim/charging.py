@@ -309,13 +309,15 @@ class ChargingManager:
         net: network.RoadNetwork,
         at_ms: int,
         route_energy_wh: Callable[[network.Route, int], float],
+        route_travel_s: Callable[[network.Route, int], float],
     ) -> DivertTo | None:
         """Decide between waiting at a saturated station (``None``) and
-        driving to an alternative, comparing local wait against travel time
-        plus the alternative's wait on the current occupancy snapshot. Only
-        alternatives reachable with the SOC safety margin are considered,
-        by the estimate ``route_energy_wh(route, hour)`` of the vehicle's
-        battery energy for a route; ties favor waiting."""
+        driving to an alternative, comparing local wait against the travel
+        time ``route_travel_s(route, hour)`` plus the alternative's wait on
+        the current occupancy snapshot. Only alternatives reachable with the
+        SOC safety margin are considered, by the estimate
+        ``route_energy_wh(route, hour)`` of the vehicle's battery energy for
+        a route; ties favor waiting."""
         current = self.stations[current_station_id]
         # the decider sits at the tail
         queued_ahead = max(0, len(self.queues[current_station_id]) - 1)
@@ -338,7 +340,7 @@ class ChargingManager:
             energy = route_energy_wh(route, hour)
             if energy > budget_wh:
                 continue
-            cost = network.route_travel_time(net, route, hour) + self.estimate_wait_s(
+            cost = route_travel_s(route, hour) + self.estimate_wait_s(
                 station, at_ms, len(self.queues[sid]))
             if best is None or cost < best[0]:
                 best = (cost, sid, route)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -281,7 +282,15 @@ class DriveTrace:
     """Fixed-step samples over one edge; the last step may be shorter.
 
     ``time_s`` marks the start of each step; ``v``/``a`` are the exact step
-    averages; ``soc`` is the state at the end of the step.
+    averages. The state of charge at the end of step ``i`` is
+    ``soc0 - soc_drop[i] / soc_scale``, read one element at a time with
+    these IEEE operations. A drive that neither clamps nor switches stores
+    its starting SOC, its plan's cumulative battery energy in W*s and the
+    capacity in W*s, so it builds no SOC array. The step loop stores its
+    own SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
+    -1.0``, which gives every element back exactly, signed zeros included:
+    dividing by -1 negates, and ``-0.0 + x`` is ``x``. :attr:`soc` builds
+    the whole column on first access.
 
     Every array is read-only. :func:`drive_segment` hands the arrays of its
     memoised plans to every vehicle that drives the same edge geometry, so
@@ -296,10 +305,19 @@ class DriveTrace:
     p_battery_w: np.ndarray
     p_recup_w: np.ndarray
     p_re_w: np.ndarray
-    soc: np.ndarray
+    soc0: float
+    soc_drop: np.ndarray
+    soc_scale: float
 
     def __len__(self) -> int:
         return len(self.time_s)
+
+    @cached_property
+    def soc(self) -> np.ndarray:
+        """The state of charge at the end of each step, read-only."""
+        soc = self.soc0 - self.soc_drop / self.soc_scale
+        soc.setflags(write=False)
+        return soc
 
 
 @dataclass
@@ -313,11 +331,48 @@ class SegmentResult:
     stranded: bool
 
 
+def _freeze(obj) -> None:
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class _Flows:
+    """The battery side of a drive that neither clamps at a SOC bound nor
+    switches the range extender: battery and range-extender power per step,
+    the cumulative battery energy out, its extremes and last value, and the
+    range-extender energy. Its arrays are read-only."""
+
+    p_battery: np.ndarray
+    p_re: np.ndarray
+    cum_wh_s: np.ndarray  # cumsum(p_battery * dts): battery energy out, in W*s
+    cum_min: float
+    cum_max: float
+    cum_last: float
+    range_extended_wh: float
+
+    def __post_init__(self):
+        _freeze(self)
+
+
+def _flows(p_battery: np.ndarray, p_re: np.ndarray, dts: np.ndarray,
+           hours: np.ndarray) -> _Flows:
+    cum = np.cumsum(p_battery * dts)
+    # a vanishing edge has no step; its drive never reads the extremes
+    ends = ((float(cum.min()), float(cum.max()), float(cum[-1])) if len(cum)
+            else (0.0, 0.0, 0.0))
+    return _Flows(p_battery, p_re, cum, *ends,
+                  range_extended_wh=float(np.dot(p_re, hours)))
+
+
 @dataclass(frozen=True)
 class _SegmentPlan:
     """The part of :func:`drive_segment` that does not depend on the state
-    of charge: the velocity profile, its steps and the power flows before
-    the range extender. Its arrays are read-only, so plans can be shared."""
+    of charge: the velocity profile, its steps, the power flows before the
+    range extender, and the battery side of a drive with the range extender
+    off (``relay_off``) and, for a vehicle that has one, on (``relay_on``,
+    else ``None``). Its arrays are read-only, so plans can be shared."""
 
     duration_s: float
     v_out: float
@@ -331,17 +386,14 @@ class _SegmentPlan:
     p_trac: np.ndarray
     p_recup: np.ndarray
     p_consume: np.ndarray
-    p_net0: np.ndarray
-    cum_wh_s: np.ndarray  # cumsum(p_net0 * dts): battery energy out, in W*s
-    zeros: np.ndarray
+    relay_off: _Flows
+    relay_on: _Flows | None
     # the energy sums of a drive without range extender and clamping
     consumed_wh: float
     recuperated_wh: float
 
     def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+        _freeze(self)
 
 
 def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
@@ -377,6 +429,7 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     p_consume = p_drive + params.auxiliary_power_w
     p_net0 = p_consume - p_recup  # before range extender
     hours = dts / S_PER_H
+    re = params.range_extender
     return _SegmentPlan(
         duration_s=total,
         v_out=profile.v_out,
@@ -390,9 +443,10 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         p_trac=p_trac,
         p_recup=p_recup,
         p_consume=p_consume,
-        p_net0=p_net0,
-        cum_wh_s=np.cumsum(p_net0 * dts),
-        zeros=np.zeros(len(dts)),
+        relay_off=_flows(p_net0, np.zeros(len(dts)), dts, hours),
+        relay_on=(None if re is None else
+                  _flows(p_net0 - re.power_w, np.full(len(dts), re.power_w),
+                         dts, hours)),
         consumed_wh=float(np.dot(p_consume, hours)),
         recuperated_wh=float(np.dot(p_recup, hours)),
     )
@@ -429,6 +483,17 @@ def drive_segment(
     simulated time. A caller must pass one ``plans`` mapping only with one
     ``params``, ``env`` and ``dt``; an empty mapping plans the drive afresh,
     with the same result to the last bit.
+
+    A drive whose SOC stays inside its bounds and its relay band all the
+    way takes the plan's flows unchanged: it runs no numpy operation and
+    builds no array. Whether it does is decided from the extremes of the
+    plan's cumulative battery energy ``cum``. The SOC after step ``i`` is
+    ``soc0 - cum[i] / c`` with ``c`` the capacity in W*s. Division by a
+    positive ``c`` and subtraction from ``soc0`` are each correctly rounded
+    and monotone, so the smallest of these SOCs is exactly ``soc0 -
+    max(cum) / c`` and the largest exactly ``soc0 - min(cum) / c``, bit for
+    bit what the minimum and maximum of the elementwise array would be.
+    Otherwise a step loop switches the relay and clamps at empty or full.
     """
     if dt <= 0:
         raise DynamicsError("dt must be positive")
@@ -450,25 +515,23 @@ def drive_segment(
     dts = plan.dts
     n = len(dts)
     cap = params.battery_capacity_wh
+    c = cap * S_PER_H
     soc0 = state.soc
     re = params.range_extender
-    flag = state.range_extender_on
-    re_on = re is not None and flag
+    flag = re_on = re is not None and state.range_extender_on
 
     # zero steps (a vanishing edge) take the step loop, which does nothing
+    flows = plan.relay_on if re_on else plan.relay_off
+    lowest = soc0 - flows.cum_max / c
+    highest = soc0 - flows.cum_min / c
     if re_on:
-        p_net1 = plan.p_net0 - re.power_w
-        soc_traj = soc0 - np.cumsum(p_net1 * dts) / (cap * S_PER_H)
-        fast = (n > 0 and 0.0 < soc_traj.min() and soc_traj.max() < re.soc_off
+        fast = (n > 0 and 0.0 < lowest and highest < re.soc_off
                 and soc0 < re.soc_off)
+    elif re is None:
+        fast = n > 0 and lowest > 0.0 and highest <= 1.0
     else:
-        soc_traj = soc0 - plan.cum_wh_s / (cap * S_PER_H)
-        if re is None:
-            fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
-        else:
-            fast = (n > 0 and soc_traj.min() >= re.soc_on
-                    and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
-        flag = False
+        fast = (n > 0 and lowest >= re.soc_on and highest <= 1.0
+                and soc0 >= re.soc_on)
 
     stranded = False
     time_s, v_bar, a_bar, p_trac = plan.time_s, plan.v_bar, plan.a_bar, plan.p_trac
@@ -476,24 +539,17 @@ def drive_segment(
     distance = plan.distance_m
     exit_velocity = plan.v_out
     if fast:
-        soc_traj.setflags(write=False)
         p_recup = plan.p_recup
+        p_net_eff, re_power_arr = flows.p_battery, flows.p_re
+        soc_base, soc_drop, soc_scale = soc0, flows.cum_wh_s, c
+        final_soc = soc0 - flows.cum_last / c
         consumed_wh = plan.consumed_wh
         recuperated_wh = plan.recuperated_wh
-        if re_on:
-            re_power_arr = np.full(n, re.power_w)
-            p_net_eff = p_net1
-            range_extended_wh = float(np.dot(re_power_arr, plan.hours))
-            re_power_arr.setflags(write=False)
-            p_net_eff.setflags(write=False)
-        else:
-            re_power_arr = plan.zeros
-            p_net_eff = plan.p_net0
-            range_extended_wh = 0.0
+        range_extended_wh = flows.range_extended_wh
     else:
         # step loop handling relay switching and clamping at the SOC bounds;
         # it writes into copies of the shared plan arrays
-        p_net0, p_consume = plan.p_net0, plan.p_consume
+        p_net0, p_consume = plan.relay_off.p_battery, plan.p_consume
         p_recup = plan.p_recup.copy()
         p_net_eff = p_net0.copy()
         re_power_arr = np.zeros(n)
@@ -549,6 +605,8 @@ def drive_segment(
             duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
             distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
             exit_velocity = 0.0
+        soc_base, soc_drop, soc_scale = -0.0, soc_traj, -1.0
+        final_soc = float(soc_traj[-1]) if n > 0 else soc0
         consumed_wh = float(np.dot(p_consume, hours))
         recuperated_wh = float(np.dot(p_recup, hours))
         range_extended_wh = float(np.dot(re_power_arr, hours))
@@ -566,10 +624,11 @@ def drive_segment(
         p_battery_w=p_net_eff,
         p_recup_w=p_recup,
         p_re_w=re_power_arr,
-        soc=soc_traj,
+        soc0=soc_base,
+        soc_drop=soc_drop,
+        soc_scale=soc_scale,
     )
 
-    final_soc = float(soc_traj[-1]) if n > 0 else soc0
     state.soc = final_soc
     state.velocity = exit_velocity
     state.edge_id = edge.edge_id

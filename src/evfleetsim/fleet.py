@@ -374,9 +374,10 @@ class FleetController:
         self.delayed: list[Trip] = []
         # memos valid because params, env and dt are the same for the whole
         # fleet: drive_segment plans keyed by edge geometry (see there), and
-        # route energy estimates keyed by (route edges, hour)
+        # route energy estimates and travel times keyed by (route edges, hour)
         self.plans: dict = {}
         self._route_energy: dict[tuple[tuple[str, ...], int], float] = {}
+        self._route_travel: dict[tuple[tuple[str, ...], int], float] = {}
         depot_stations = sorted(
             sid for sid, st in manager.stations.items() if st.edge_id == depot_edge
         )
@@ -444,6 +445,16 @@ class FleetController:
             energy = self._route_energy[key] = dynamics.estimate_route_energy(
                 self.net, route, self.params, self.env, hour)
         return energy
+
+    def route_travel_s(self, route: network.Route, hour: int) -> float:
+        """:func:`~evfleetsim.network.route_travel_time` of ``route`` at
+        ``hour``, memoised."""
+        key = (tuple(route.edges), hour)
+        travel = self._route_travel.get(key)
+        if travel is None:
+            travel = self._route_travel[key] = network.route_travel_time(
+                self.net, route, hour)
+        return travel
 
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
                      mission: Mission, state: Lifecycle) -> None:
@@ -626,7 +637,7 @@ class FleetController:
         if vehicle.divert_station is None:
             divert = self.manager.select_station(
                 vehicle, station_id, self.net, self.engine.now_ms,
-                self.route_energy_wh,
+                self.route_energy_wh, self.route_travel_s,
             )
         if divert is None:
             self._transition(vehicle, Lifecycle.QUEUED_AT_STATION)

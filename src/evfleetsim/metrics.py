@@ -62,15 +62,18 @@ class MetricsError(ValueError):
 def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams) -> str:
     """``vehicle``'s ``ticks.csv`` row at ``t_ms`` without its time field,
     with the ``\\r\\n`` terminator of :func:`csv.writer`: its trace sample,
-    charging session or state at rest. Every value must be finite; the id
-    and lifecycle value must not need CSV quoting."""
+    charging session or state at rest. A trace sample's SOC is read as the
+    scalar ``soc0 - soc_drop[i] / soc_scale`` (see
+    :class:`~evfleetsim.dynamics.DriveTrace`), so no SOC column is built.
+    Every value must be finite; the id and lifecycle value must not need
+    CSV quoting."""
     lifecycle = vehicle.lifecycle
     tr = vehicle.trace
     if tr is not None and len(tr) > 0:
         offset = (t_ms - vehicle.trace_start_ms) / MS_PER_S
         i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
         i = min(max(i, 0), len(tr) - 1)
-        soc = float(tr.soc[i])
+        soc = tr.soc0 - float(tr.soc_drop[i]) / tr.soc_scale
         motion = (float(tr.v_mps[i]), float(tr.a_mps2[i]),
                   float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
                   float(tr.p_recup_w[i]), float(tr.p_re_w[i]))

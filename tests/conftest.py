@@ -1,6 +1,4 @@
-from dataclasses import dataclass, field
-
-import pytest
+from dataclasses import dataclass
 
 from evfleetsim.dynamics import VehicleParams, VehicleState
 

@@ -9,7 +9,7 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  session_progress)
 from evfleetsim.dynamics import Environment, estimate_route_energy
 from evfleetsim.engine import Engine, Event, EventKind, ms
-from evfleetsim.network import Coord, Edge, RoadNetwork
+from evfleetsim.network import Coord, Edge, RoadNetwork, route_travel_time
 
 ENV = Environment()
 PARAMS = make_params()
@@ -228,6 +228,10 @@ def route_energy(net):
                                                      hour)
 
 
+def route_travel(net):
+    return lambda route, hour: route_travel_time(net, route, hour)
+
+
 def saturated_manager():
     mgr = ChargingManager(
         [two_slot_station("A", "e1"), two_slot_station("B", "e2")], PARAMS)
@@ -244,7 +248,7 @@ def test_select_station_waits_when_no_alternative():
     mgr.request_charge(dummy_vehicle("o2"), "A", 1.0, 0)
     net = line_network()
     me = dummy_vehicle("me", soc=0.5)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
     assert decision is None
 
 
@@ -254,7 +258,7 @@ def test_select_station_diverts_to_free_nearby_station():
     me = dummy_vehicle("me", soc=0.5)
     queued = mgr.request_charge(me, "A", 1.0, 0)
     assert isinstance(queued, Queued)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
     assert isinstance(decision, DivertTo)
     assert decision.station_id == "B"
     assert decision.route.edges == ["e1", "e2"]
@@ -266,7 +270,7 @@ def test_select_station_respects_energy_feasibility_gate():
     # soc barely above the safety margin: cannot reach B
     me = dummy_vehicle("me", soc=0.0501)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
     assert decision is None
 
 
@@ -281,7 +285,7 @@ def test_select_station_prefers_waiting_when_local_wait_short():
         mgr.request_charge(vehicle, "A", 1.0, 0)
     me = dummy_vehicle("me", soc=0.5)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net))
+    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
     assert decision is None
 
 

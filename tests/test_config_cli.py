@@ -1,7 +1,6 @@
 import copy
 import filecmp
 import json
-from pathlib import Path
 
 import pytest
 import yaml

@@ -1,6 +1,7 @@
 """Guard against dead code in the package: every module-level import is read
-in its module, and every module-level name, function, method and class is
-referenced somewhere in the package outside its own definition.
+in its module (in the test modules too), and every module-level name,
+function, method and class is referenced somewhere in the package outside
+its own definition.
 ``__init__.py`` only re-exports, so its names count neither way. Every field
 of a package dataclass is named somewhere in the package or its tests, and
 every parameter of a package function is read in its body.
@@ -94,6 +95,17 @@ def test_module_level_names_are_read():
                     else package.referenced(module, node, name))
             if not used:
                 unused.append(f"{module}:{node.lineno} {name}")
+    assert not unused, unused
+
+
+def test_test_module_imports_are_read():
+    unused = []
+    for path in TESTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        counts = reads(tree)
+        unused += [f"{path.name}:{node.lineno} {name}"
+                   for name, node, is_import in module_bindings(tree)
+                   if is_import and not counts[name]]
     assert not unused, unused
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evfleetsim import dynamics
 from evfleetsim.dynamics import (DriveTrace, DynamicsError, Environment,
                                  InfeasibleSegmentError, RangeExtenderParams,
                                  SegmentResult, VehicleParams, VehicleState,
@@ -540,16 +541,26 @@ def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():
 # drive_segment through a filled plan memo must give the result of a fresh
 # one to the last bit
 
+def bits(x):
+    """The bytes of a float or array, so that equality is bit for bit
+    (signed zeros included)."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def assert_same_result(memo, fresh):
     for f in dataclasses.fields(SegmentResult):
         if f.name != "trace":
             assert getattr(memo, f.name) == getattr(fresh, f.name), f.name
-    for f in dataclasses.fields(DriveTrace):
-        a, b = getattr(memo.trace, f.name), getattr(fresh.trace, f.name)
-        assert np.array_equal(a, b), f.name
-        for array in (a, b):  # plan arrays are shared between vehicles
-            with pytest.raises(ValueError):
-                array[...] = 0.0
+    names = [f.name for f in dataclasses.fields(DriveTrace)] + ["soc"]
+    for name in names:
+        a, b = getattr(memo.trace, name), getattr(fresh.trace, name)
+        assert bits(a) == bits(b), name
+        if isinstance(a, np.ndarray):
+            for array in (a, b):  # plan arrays are shared between vehicles
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+        else:
+            assert isinstance(a, float) and isinstance(b, float), name
 
 
 def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
@@ -633,3 +644,131 @@ def test_memoised_plan_covers_the_step_loop(regime):
         assert state.soc == 1.0 and not result.stranded
     else:
         assert state.range_extender_on is not re_on
+
+
+# --- the scalar fast path ---------------------------------------------------------
+# a drive that neither clamps nor switches reads its plan's flows without
+# forming an array; it must agree bit for bit with the array formulas
+
+RELAY = {"absent": (None, False), "off": (RE, False), "on": (RE, True)}
+
+
+def array_fast_path(plan, soc0, params, re_on):
+    """The fast path in its array form: whether it applies, the SOC after
+    each step and the energy sums (consumed, recuperated, range-extended)."""
+    cap = params.battery_capacity_wh
+    re = params.range_extender
+    n = len(plan.dts)
+    p_net0 = plan.p_consume - plan.p_recup
+    if re_on:
+        p_net1 = p_net0 - re.power_w
+        soc_traj = soc0 - np.cumsum(p_net1 * plan.dts) / (cap * 3600.0)
+        fast = (n > 0 and 0.0 < soc_traj.min() and soc_traj.max() < re.soc_off
+                and soc0 < re.soc_off)
+        range_extended_wh = float(np.dot(np.full(n, re.power_w), plan.hours))
+    else:
+        soc_traj = soc0 - np.cumsum(p_net0 * plan.dts) / (cap * 3600.0)
+        if re is None:
+            fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
+        else:
+            fast = (n > 0 and soc_traj.min() >= re.soc_on
+                    and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
+        range_extended_wh = 0.0
+    sums = (float(np.dot(plan.p_consume, plan.hours)),
+            float(np.dot(plan.p_recup, plan.hours)), range_extended_wh)
+    return bool(fast), soc_traj, sums
+
+
+def plan_flows(plan, re_on):
+    return plan.relay_on if re_on else plan.relay_off
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.floats(0.5, 600.0),
+    speed_limit=st.floats(2.0, 30.0),
+    gradient=st.one_of(st.sampled_from([0.0, -0.3, 0.3]),
+                       st.floats(-0.3, 0.3)),
+    v_exit=st.floats(0.0, 30.0),
+    capacity_wh=st.sampled_from([2.0, 20.0, 200.0, 18000.0, 1e10]),
+    relay=st.sampled_from(sorted(RELAY)),
+    soc=st.one_of(st.sampled_from([0.0, 0.2, 0.4, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_scalar_fast_path_matches_the_array_formulas(
+        length, speed_limit, gradient, v_exit, capacity_wh, relay, soc):
+    re, re_on = RELAY[relay]
+    params = make_params(battery_capacity_wh=capacity_wh, range_extender=re)
+    edge = flat_edge(length, speed_limit, gradient)
+    plans = {}
+    try:
+        drive_segment(VehicleState(soc=0.5), edge, 0.0, v_exit, params, ENV,
+                      1.0, 1.0, plans)
+    except InfeasibleSegmentError:
+        return
+    (plan,) = plans.values()
+    fast, soc_traj, (consumed, recuperated, extended) = array_fast_path(
+        plan, soc, params, re_on)
+    flows = plan_flows(plan, re_on)
+    for memo in (plans, {}):
+        state = VehicleState(soc=soc, range_extender_on=re_on)
+        result = drive_segment(state, edge, 0.0, v_exit, params, ENV, 1.0,
+                               1.0, memo)
+        trace = result.trace
+        # the fast path hands over the plan's cumulative energy, the step
+        # loop its own SOC array
+        assert (trace.soc_scale > 0.0) is fast
+        if not fast:
+            continue
+        assert (trace.soc_drop is flows.cum_wh_s) is (memo is plans)
+        assert bits(trace.soc) == bits(soc_traj)
+        assert bits(state.soc) == bits(soc_traj[-1])
+        assert state.range_extender_on is re_on
+        assert not result.stranded
+        c = state.cumulative
+        assert bits(c.consumed_wh) == bits(0.0 + consumed)
+        assert bits(c.recuperated_wh) == bits(0.0 + recuperated)
+        assert bits(c.range_extended_wh) == bits(0.0 + extended)
+        fuel = 0.0 if re is None else re.specific_fuel_l_per_kwh * extended / 1000.0
+        assert bits(c.fuel_liters) == bits(0.0 + fuel)
+        assert bits(c.distance_m) == bits(0.0 + plan.distance_m)
+
+
+class NoNumpy:
+    """Stands in for the numpy module: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def plan_arrays(plan):
+    flows = [plan.relay_off] + [plan.relay_on] * (plan.relay_on is not None)
+    return [value for part in (plan, *flows) for value in vars(part).values()
+            if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("relay", sorted(RELAY))
+def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
+                                                              monkeypatch):
+    re, re_on = RELAY[relay]
+    params = make_params(range_extender=re)
+    edge = flat_edge(400.0, 14.0, 0.02)
+    plans = {}
+    drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, params, ENV, 1.0,
+                  1.0, plans)
+    (plan,) = plans.values()
+    soc = 0.3 if re_on else 0.5
+    state = VehicleState(soc=soc, range_extender_on=re_on)
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "np", NoNumpy())
+        result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0,
+                               plans)
+    own = plan_arrays(plan)
+    trace = result.trace
+    for f in dataclasses.fields(DriveTrace):
+        value = getattr(trace, f.name)
+        if isinstance(value, np.ndarray):
+            assert any(value is array for array in own), f.name
+    # the fast path: the SOC is derived from the plan's cumulative energy
+    assert trace.soc0 == soc and trace.soc_scale == 18000.0 * 3600.0
+    assert state.soc == soc - plan_flows(plan, re_on).cum_last / trace.soc_scale
+    assert state.range_extender_on is re_on

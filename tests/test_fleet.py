@@ -18,7 +18,7 @@ from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               Lifecycle, ModelError, Trip, TripsPerDay,
                               Vehicle, generate_day_schedule, sample_trip)
 from evfleetsim.network import (Coord, Edge, RoadNetwork, airline_distance,
-                                generate_grid, shortest_path, snap_distance)
+                                generate_grid, shortest_path)
 
 ENV = Environment()
 

@@ -1,5 +1,4 @@
 import csv
-import math
 
 import numpy as np
 import pytest
@@ -37,11 +36,12 @@ def transition(collector, t_ms, vehicle, new):
 
 def drive(vehicle, soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
           p_battery_w=5300.0, p_recup_w=0.0, p_re_w=0.0, start_ms=0):
-    """Give ``vehicle`` a one-sample drive trace starting at ``start_ms``."""
+    """Give ``vehicle`` a one-sample drive trace starting at ``start_ms``
+    that ends at ``soc``, stored as the step loop stores it."""
     vehicle.trace_start_ms = start_ms
     vehicle.trace = DriveTrace(*(np.array([x]) for x in (
         0.0, 1.0, v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w,
-        p_re_w, soc)))
+        p_re_w)), soc0=-0.0, soc_drop=np.array([soc]), soc_scale=-1.0)
 
 
 def driving(vid="v0", **sample):

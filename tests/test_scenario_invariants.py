@@ -1,6 +1,5 @@
 """Cross-module invariants checked on whole scenario runs."""
 
-import copy
 import csv
 import importlib.util
 import json
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from test_config_cli import BASE_SCENARIO, write_scenario
+from test_config_cli import write_scenario
 
 from evfleetsim import dynamics, metrics
 from evfleetsim.charging import ChargingManager, session_progress
@@ -355,22 +354,24 @@ def test_ticks_csv_independent_of_flush_boundaries(tmp_path, monkeypatch):
 # --- memoised drive plans and the benchmark's tracer --------------------------
 
 class NeverStores(dict):
-    """A plan memo that forgets every plan: each drive is planned afresh."""
+    """A memo that forgets every entry: each value is computed afresh."""
 
     def __setitem__(self, key, value):
         pass
 
 
-def run_recording_controllers(monkeypatch, path, out_dir, plans=None):
+def run_recording_controllers(monkeypatch, path, out_dir, memo=None):
     """Run a scenario; returns the result and its controllers, whose plan
-    memo is replaced by ``plans()`` when that is given."""
+    and route travel-time memos are replaced by ``memo()`` when that is
+    given."""
     controllers = []
     init = FleetController.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if plans is not None:
-            self.plans = plans()
+        if memo is not None:
+            self.plans = memo()
+            self._route_travel = memo()
         controllers.append(self)
 
     monkeypatch.setattr(FleetController, "__init__", recording_init)
@@ -382,10 +383,11 @@ def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
     memo, (memo_ctrl,) = run_recording_controllers(
         monkeypatch, path, tmp_path / "memo")
     fresh, (fresh_ctrl,) = run_recording_controllers(
-        monkeypatch, path, tmp_path / "fresh", plans=NeverStores)
+        monkeypatch, path, tmp_path / "fresh", memo=NeverStores)
     segments = memo.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
     assert 0 < len(memo_ctrl.plans) < segments
-    assert len(fresh_ctrl.plans) == 0
+    assert len(memo_ctrl._route_travel) > 0
+    assert len(fresh_ctrl.plans) == len(fresh_ctrl._route_travel) == 0
     assert any(s.station_id == "st1" for s in memo.manager.sessions)  # diverted
 
     for name in memo.manifest["files"]:
