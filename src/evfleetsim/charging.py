@@ -157,6 +157,8 @@ class ChargingManager:
             sid: {} for sid in self.stations}
         self.sessions: list[ChargeSession] = []
         self._engaged: set[str] = set()  # vehicles in any queue or slot
+        # (current station, hour) -> its divert candidates (select_station)
+        self._divert: dict[tuple[str, int], list[tuple]] = {}
 
     # -- slot lifecycle -----------------------------------------------------
 
@@ -317,31 +319,49 @@ class ChargingManager:
         the current occupancy snapshot. Only alternatives reachable with the
         SOC safety margin are considered, by the estimate
         ``route_energy_wh(route, hour)`` of the vehicle's battery energy for
-        a route; ties favor waiting."""
+        a route; ties favor waiting.
+
+        The alternatives of a ``(current station, hour)`` (each reachable
+        station with its route, energy estimate and travel time) are built
+        once, at the first decision with that key, and memoised; an
+        unreachable station is left out then and not searched again. The
+        memo is valid because none of this depends on the vehicle or the
+        queues: the stations are fixed, the network never changes, and the
+        estimates depend only on the route and the hour for the fleet's one
+        vehicle model. So a manager must always be asked with the same
+        ``net``, ``route_energy_wh`` and ``route_travel_s``. Each decision
+        then runs only the budget filter and :meth:`estimate_wait_s`."""
         current = self.stations[current_station_id]
         # the decider sits at the tail
         queued_ahead = max(0, len(self.queues[current_station_id]) - 1)
         wait_here = self.estimate_wait_s(current, at_ms, queued_ahead)
 
         hour = hour_of(at_ms)
+        key = (current_station_id, hour)
+        candidates = self._divert.get(key)
+        if candidates is None:
+            candidates = []
+            for sid in sorted(self.stations):
+                if sid == current_station_id:
+                    continue
+                try:
+                    route = network.shortest_path(
+                        net, current.edge_id, self.stations[sid].edge_id,
+                        "travel_time")
+                except network.NoRouteError:
+                    continue
+                candidates.append((sid, route, route_energy_wh(route, hour),
+                                   route_travel_s(route, hour)))
+            self._divert[key] = candidates
+
         budget_wh = ((vehicle.state.soc - self.safety_margin_soc)
                      * self.params.battery_capacity_wh)
-
         best: tuple[float, str, network.Route] | None = None
-        for sid in sorted(self.stations):
-            if sid == current_station_id:
-                continue
-            station = self.stations[sid]
-            try:
-                route = network.shortest_path(
-                    net, current.edge_id, station.edge_id, "travel_time")
-            except network.NoRouteError:
-                continue
-            energy = route_energy_wh(route, hour)
+        for sid, route, energy, travel in candidates:
             if energy > budget_wh:
                 continue
-            cost = route_travel_s(route, hour) + self.estimate_wait_s(
-                station, at_ms, len(self.queues[sid]))
+            cost = travel + self.estimate_wait_s(
+                self.stations[sid], at_ms, len(self.queues[sid]))
             if best is None or cost < best[0]:
                 best = (cost, sid, route)
 

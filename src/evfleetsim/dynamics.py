@@ -341,8 +341,8 @@ def _freeze(obj) -> None:
 class _Flows:
     """The battery side of a drive that neither clamps at a SOC bound nor
     switches the range extender: battery and range-extender power per step,
-    the cumulative battery energy out, its extremes and last value, and the
-    range-extender energy. Its arrays are read-only."""
+    the cumulative battery energy out, its extremes and last value, the
+    range-extender energy and the fuel it burns. Its arrays are read-only."""
 
     p_battery: np.ndarray
     p_re: np.ndarray
@@ -351,19 +351,23 @@ class _Flows:
     cum_max: float
     cum_last: float
     range_extended_wh: float
+    fuel_l: float
 
     def __post_init__(self):
         _freeze(self)
 
 
 def _flows(p_battery: np.ndarray, p_re: np.ndarray, dts: np.ndarray,
-           hours: np.ndarray) -> _Flows:
+           hours: np.ndarray, re: RangeExtenderParams | None) -> _Flows:
     cum = np.cumsum(p_battery * dts)
-    # a vanishing edge has no step; its drive never reads the extremes
+    # a vanishing edge has no step: extremes of -inf and +inf put every SOC
+    # outside its bounds, so its drive takes the step loop
     ends = ((float(cum.min()), float(cum.max()), float(cum[-1])) if len(cum)
-            else (0.0, 0.0, 0.0))
-    return _Flows(p_battery, p_re, cum, *ends,
-                  range_extended_wh=float(np.dot(p_re, hours)))
+            else (-math.inf, math.inf, 0.0))
+    range_extended_wh = float(np.dot(p_re, hours))
+    fuel_l = (0.0 if re is None else
+              re.specific_fuel_l_per_kwh * range_extended_wh / 1000.0)
+    return _Flows(p_battery, p_re, cum, *ends, range_extended_wh, fuel_l)
 
 
 @dataclass(frozen=True)
@@ -443,10 +447,10 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         p_trac=p_trac,
         p_recup=p_recup,
         p_consume=p_consume,
-        relay_off=_flows(p_net0, np.zeros(len(dts)), dts, hours),
+        relay_off=_flows(p_net0, np.zeros(len(dts)), dts, hours, re),
         relay_on=(None if re is None else
                   _flows(p_net0 - re.power_w, np.full(len(dts), re.power_w),
-                         dts, hours)),
+                         dts, hours, re)),
         consumed_wh=float(np.dot(p_consume, hours)),
         recuperated_wh=float(np.dot(p_recup, hours)),
     )
@@ -484,9 +488,15 @@ def drive_segment(
     ``params``, ``env`` and ``dt``; an empty mapping plans the drive afresh,
     with the same result to the last bit.
 
+    Checks: ``dt`` is checked on every call. The ``speed_factor`` range and
+    the entry speed against the effective limit depend only on the plan
+    key, so they run when a plan is built. A key that fails them, or whose
+    profile is infeasible, never gets a plan, so every call with it raises.
+
     A drive whose SOC stays inside its bounds and its relay band all the
     way takes the plan's flows unchanged: it runs no numpy operation and
-    builds no array. Whether it does is decided from the extremes of the
+    builds no array, and it reads the trace and the state update straight
+    from the plan. Whether it does is decided from the extremes of the
     plan's cumulative battery energy ``cum``. The SOC after step ``i`` is
     ``soc0 - cum[i] / c`` with ``c`` the capacity in W*s. Division by a
     positive ``c`` and subtraction from ``soc0`` are each correctly rounded
@@ -497,119 +507,124 @@ def drive_segment(
     """
     if dt <= 0:
         raise DynamicsError("dt must be positive")
-    if not (0.0 < speed_factor <= 1.0):
-        raise DynamicsError("speed_factor must be in (0, 1]")
-    v_cruise = edge.speed_limit_mps * speed_factor
-    if v_entry > v_cruise * (1.0 + 1e-9):
-        raise DynamicsError(
-            f"entry speed {v_entry:.2f} exceeds effective limit {v_cruise:.2f}"
-        )
-
     key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
            v_exit_target, speed_factor)
     plan = plans.get(key)
     if plan is None:
+        if not (0.0 < speed_factor <= 1.0):
+            raise DynamicsError("speed_factor must be in (0, 1]")
+        v_cruise = edge.speed_limit_mps * speed_factor
+        if v_entry > v_cruise * (1.0 + 1e-9):
+            raise DynamicsError(
+                f"entry speed {v_entry:.2f} exceeds effective limit "
+                f"{v_cruise:.2f}")
         plan = plans[key] = _plan_segment(edge, v_entry, v_exit_target,
                                           v_cruise, params, env, dt)
 
-    dts = plan.dts
-    n = len(dts)
-    cap = params.battery_capacity_wh
-    c = cap * S_PER_H
+    c = params.battery_capacity_wh * S_PER_H
     soc0 = state.soc
     re = params.range_extender
-    flag = re_on = re is not None and state.range_extender_on
-
-    # zero steps (a vanishing edge) take the step loop, which does nothing
+    re_on = re is not None and state.range_extender_on
     flows = plan.relay_on if re_on else plan.relay_off
     lowest = soc0 - flows.cum_max / c
     highest = soc0 - flows.cum_min / c
     if re_on:
-        fast = (n > 0 and 0.0 < lowest and highest < re.soc_off
-                and soc0 < re.soc_off)
+        fast = 0.0 < lowest and highest < re.soc_off and soc0 < re.soc_off
     elif re is None:
-        fast = n > 0 and lowest > 0.0 and highest <= 1.0
+        fast = lowest > 0.0 and highest <= 1.0
     else:
-        fast = (n > 0 and lowest >= re.soc_on and highest <= 1.0
-                and soc0 >= re.soc_on)
+        fast = lowest >= re.soc_on and highest <= 1.0 and soc0 >= re.soc_on
+    if fast:
+        state.soc = soc0 - flows.cum_last / c
+        state.velocity = plan.v_out
+        state.edge_id = edge.edge_id
+        state.range_extender_on = re_on
+        cumulative = state.cumulative
+        cumulative.consumed_wh += plan.consumed_wh
+        cumulative.recuperated_wh += plan.recuperated_wh
+        cumulative.range_extended_wh += flows.range_extended_wh
+        cumulative.fuel_liters += flows.fuel_l
+        cumulative.distance_m += plan.distance_m
+        return SegmentResult(
+            DriveTrace(plan.time_s, plan.dts, plan.v_bar, plan.a_bar,
+                       plan.p_trac, flows.p_battery, plan.p_recup, flows.p_re,
+                       soc0, flows.cum_wh_s, c),
+            plan.duration_s, False)
+    return _drive_steps(state, edge, plan, params, re_on)
 
+
+def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
+                 params: VehicleParams, flag: bool) -> SegmentResult:
+    """The step loop of :func:`drive_segment`: it switches the range
+    extender relay (``flag`` is its state on entry) and clamps at empty or
+    full, writing into copies of the shared plan arrays."""
+    dts = plan.dts
+    n = len(dts)
+    cap = params.battery_capacity_wh
+    soc0 = state.soc
+    re = params.range_extender
     stranded = False
     time_s, v_bar, a_bar, p_trac = plan.time_s, plan.v_bar, plan.a_bar, plan.p_trac
     duration = plan.duration_s
     distance = plan.distance_m
     exit_velocity = plan.v_out
-    if fast:
-        p_recup = plan.p_recup
-        p_net_eff, re_power_arr = flows.p_battery, flows.p_re
-        soc_base, soc_drop, soc_scale = soc0, flows.cum_wh_s, c
-        final_soc = soc0 - flows.cum_last / c
-        consumed_wh = plan.consumed_wh
-        recuperated_wh = plan.recuperated_wh
-        range_extended_wh = flows.range_extended_wh
-    else:
-        # step loop handling relay switching and clamping at the SOC bounds;
-        # it writes into copies of the shared plan arrays
-        p_net0, p_consume = plan.relay_off.p_battery, plan.p_consume
-        p_recup = plan.p_recup.copy()
-        p_net_eff = p_net0.copy()
-        re_power_arr = np.zeros(n)
-        soc_traj = np.empty(n)
-        soc = soc0
-        for k in range(n):
-            dt_k = dts[k]
-            re_power, flag = range_extender_step(soc, flag, params)
-            p_net = p_net0[k] - re_power
-            if p_net > 0.0:
-                t_empty = soc * cap * S_PER_H / p_net
-                if t_empty < dt_k * (1.0 - 1e-12):
-                    # battery empties mid-step: truncate and strand
-                    re_power_arr[k] = re_power
-                    p_net_eff[k] = p_net
-                    soc = 0.0
-                    soc_traj[k] = soc
-                    n = k + 1
-                    trunc_dt = max(t_empty, 0.0)
-                    stranded = True
-                    break
-                soc -= p_net * dt_k / (cap * S_PER_H)
-            elif p_net < 0.0:
-                t_full = (1.0 - soc) * cap * S_PER_H / (-p_net)
-                if t_full < dt_k * (1.0 - 1e-12):
-                    # battery full mid-step: curtail inflow for the remainder
-                    frac = t_full / dt_k
-                    absorbed_re = min(re_power, p_consume[k])
-                    re_power_arr[k] = re_power * frac + absorbed_re * (1.0 - frac)
-                    p_recup[k] = p_recup[k] * frac + (
-                        p_consume[k] - absorbed_re) * (1.0 - frac)
-                    p_net_eff[k] = p_consume[k] - p_recup[k] - re_power_arr[k]
-                    soc = 1.0
-                    soc_traj[k] = soc
-                    continue
-                soc -= p_net * dt_k / (cap * S_PER_H)
-            re_power_arr[k] = re_power
-            p_net_eff[k] = p_net
-            soc_traj[k] = soc
-        for arr in (p_recup, p_net_eff, re_power_arr, soc_traj):
-            arr.setflags(write=False)
-        hours = plan.hours
-        if stranded:
-            dts = dts[:n].copy()
-            dts[-1] = trunc_dt
-            dts.setflags(write=False)
-            hours = dts / S_PER_H
-            time_s, v_bar, a_bar = time_s[:n], v_bar[:n], a_bar[:n]
-            p_trac, p_recup = p_trac[:n], p_recup[:n]
-            p_consume = p_consume[:n]
-            re_power_arr, p_net_eff = re_power_arr[:n], p_net_eff[:n]
-            soc_traj = soc_traj[:n]
-            duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
-            distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
-            exit_velocity = 0.0
-        soc_base, soc_drop, soc_scale = -0.0, soc_traj, -1.0
-        final_soc = float(soc_traj[-1]) if n > 0 else soc0
-        consumed_wh = float(np.dot(p_consume, hours))
-        recuperated_wh = float(np.dot(p_recup, hours))
-        range_extended_wh = float(np.dot(re_power_arr, hours))
+    p_net0, p_consume = plan.relay_off.p_battery, plan.p_consume
+    p_recup = plan.p_recup.copy()
+    p_net_eff = p_net0.copy()
+    re_power_arr = np.zeros(n)
+    soc_traj = np.empty(n)
+    soc = soc0
+    for k in range(n):
+        dt_k = dts[k]
+        re_power, flag = range_extender_step(soc, flag, params)
+        p_net = p_net0[k] - re_power
+        if p_net > 0.0:
+            t_empty = soc * cap * S_PER_H / p_net
+            if t_empty < dt_k * (1.0 - 1e-12):
+                # battery empties mid-step: truncate and strand
+                re_power_arr[k] = re_power
+                p_net_eff[k] = p_net
+                soc = 0.0
+                soc_traj[k] = soc
+                n = k + 1
+                trunc_dt = max(t_empty, 0.0)
+                stranded = True
+                break
+            soc -= p_net * dt_k / (cap * S_PER_H)
+        elif p_net < 0.0:
+            t_full = (1.0 - soc) * cap * S_PER_H / (-p_net)
+            if t_full < dt_k * (1.0 - 1e-12):
+                # battery full mid-step: curtail inflow for the remainder
+                frac = t_full / dt_k
+                absorbed_re = min(re_power, p_consume[k])
+                re_power_arr[k] = re_power * frac + absorbed_re * (1.0 - frac)
+                p_recup[k] = p_recup[k] * frac + (
+                    p_consume[k] - absorbed_re) * (1.0 - frac)
+                p_net_eff[k] = p_consume[k] - p_recup[k] - re_power_arr[k]
+                soc = 1.0
+                soc_traj[k] = soc
+                continue
+            soc -= p_net * dt_k / (cap * S_PER_H)
+        re_power_arr[k] = re_power
+        p_net_eff[k] = p_net
+        soc_traj[k] = soc
+    for arr in (p_recup, p_net_eff, re_power_arr, soc_traj):
+        arr.setflags(write=False)
+    hours = plan.hours
+    if stranded:
+        dts = dts[:n].copy()
+        dts[-1] = trunc_dt
+        dts.setflags(write=False)
+        hours = dts / S_PER_H
+        time_s, v_bar, a_bar = time_s[:n], v_bar[:n], a_bar[:n]
+        p_trac, p_recup = p_trac[:n], p_recup[:n]
+        p_consume = p_consume[:n]
+        re_power_arr, p_net_eff = re_power_arr[:n], p_net_eff[:n]
+        soc_traj = soc_traj[:n]
+        duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
+        distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
+        exit_velocity = 0.0
+    range_extended_wh = float(np.dot(re_power_arr, hours))
 
     fuel_l = 0.0
     if re is not None:
@@ -624,17 +639,17 @@ def drive_segment(
         p_battery_w=p_net_eff,
         p_recup_w=p_recup,
         p_re_w=re_power_arr,
-        soc0=soc_base,
-        soc_drop=soc_drop,
-        soc_scale=soc_scale,
+        soc0=-0.0,
+        soc_drop=soc_traj,
+        soc_scale=-1.0,
     )
 
-    state.soc = final_soc
+    state.soc = float(soc_traj[-1]) if n > 0 else soc0
     state.velocity = exit_velocity
     state.edge_id = edge.edge_id
     state.range_extender_on = flag
-    state.cumulative.consumed_wh += consumed_wh
-    state.cumulative.recuperated_wh += recuperated_wh
+    state.cumulative.consumed_wh += float(np.dot(p_consume, hours))
+    state.cumulative.recuperated_wh += float(np.dot(p_recup, hours))
     state.cumulative.range_extended_wh += range_extended_wh
     state.cumulative.fuel_liters += fuel_l
     state.cumulative.distance_m += distance

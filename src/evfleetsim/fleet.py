@@ -34,6 +34,7 @@ warning and the vehicle stays stranded.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import logging
 import math
@@ -54,6 +55,8 @@ class FleetError(ValueError):
 
 
 class Lifecycle(Enum):
+    __hash__ = object.__hash__  # as EventKind: no Python-level hash per lookup
+
     IDLE = "idle"
     EN_ROUTE = "en_route"
     DWELLING = "dwelling"
@@ -67,6 +70,8 @@ BUSY_STATES = (Lifecycle.EN_ROUTE, Lifecycle.DWELLING, Lifecycle.RETURNING)
 
 
 class Mission(Enum):
+    __hash__ = object.__hash__  # as EventKind: no Python-level hash per lookup
+
     TRIP_OUT = "trip_out"
     TRIP_RETURN = "trip_return"
     DIVERT = "divert"
@@ -147,7 +152,8 @@ class DemandProfile:
     lower edges (0 m for the first bin); distances are drawn uniformly
     within the chosen bin. A single bin with ``upper_m`` 0 is the degenerate
     point distribution at the depot. ``departure_weights`` is one weight per
-    hour of day. Both weight lists are normalised once, at the first draw.
+    hour of day. Each weight list becomes a cumulative distribution once, at
+    the first draw (see :func:`draw_index`).
     """
 
     departure_weights: tuple[float, ...]
@@ -183,12 +189,12 @@ class DemandProfile:
         return [0.0] + [u for u, _ in self.distance_bins]
 
     @cached_property
-    def departure_p(self) -> np.ndarray:
-        return _normalised(self.departure_weights)
+    def departure_cdf(self) -> list[float]:
+        return cumulative(self.departure_weights)
 
     @cached_property
-    def distance_p(self) -> np.ndarray:
-        return _normalised([w for _, w in self.distance_bins])
+    def distance_cdf(self) -> list[float]:
+        return cumulative([w for _, w in self.distance_bins])
 
 
 class DemandStreams:
@@ -202,9 +208,23 @@ class DemandStreams:
         self.dwell = np.random.default_rng(children[2])
 
 
-def _normalised(weights) -> np.ndarray:
+def cumulative(weights) -> list[float]:
+    """The cumulative distribution of non-negative ``weights`` with a
+    positive sum, formed with the float operations of
+    ``numpy.random.Generator.choice``: normalise, ``cumsum``, then divide
+    by the last element."""
     w = np.asarray(weights, dtype=float)
-    return w / w.sum()
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_index(rng: np.random.Generator, cdf: list[float]) -> int:
+    """Draw an index with the probabilities of ``cdf``: the same index as
+    ``rng.choice(len(cdf), p=p)`` for the weights ``p`` of ``cdf``, and the
+    same single ``random()`` draw from the stream, without the array work of
+    ``choice``. Weights of zero are never drawn."""
+    return bisect.bisect_right(cdf, rng.random())
 
 
 @dataclass
@@ -241,10 +261,10 @@ def sample_trip(
     nearest edge. Unroutable destinations mark the trip rejected (not
     resampled, so the output distance distribution stays unbiased)."""
     rng = streams.schedule
-    hour = int(rng.choice(24, p=profile.departure_p))
+    hour = draw_index(rng, profile.departure_cdf)
     depart_ms = ms(hour * 3600.0 + rng.uniform(0.0, 3600.0))
 
-    idx = int(rng.choice(len(profile.distance_bins), p=profile.distance_p))
+    idx = draw_index(rng, profile.distance_cdf)
     lower = profile.distance_bins[idx - 1][0] if idx > 0 else 0.0
     upper = profile.distance_bins[idx][0]
     distance = rng.uniform(lower, upper)
@@ -312,7 +332,8 @@ class Vehicle:
     lifecycle: Lifecycle = Lifecycle.IDLE
     mission: Mission | None = None
     trip: Trip | None = None
-    route: network.Route | None = None
+    # the route being driven, as FleetController.route_legs gives it
+    legs: tuple[tuple[network.Edge, float | None], ...] | None = None
     segment_index: int = 0
     trace_start_ms: int = 0
     trace: dynamics.DriveTrace | None = None
@@ -373,9 +394,11 @@ class FleetController:
         self.trips: dict[str, Trip] = {}
         self.delayed: list[Trip] = []
         # memos valid because params, env and dt are the same for the whole
-        # fleet: drive_segment plans keyed by edge geometry (see there), and
-        # route energy estimates and travel times keyed by (route edges, hour)
+        # fleet and the network never changes: drive_segment plans keyed by
+        # edge geometry (see there), route energy estimates and travel times
+        # keyed by (route edges, hour), and route legs keyed by route edges
         self.plans: dict = {}
+        self._route_legs: dict[tuple[str, ...], tuple] = {}
         self._route_energy: dict[tuple[tuple[str, ...], int], float] = {}
         self._route_travel: dict[tuple[tuple[str, ...], int], float] = {}
         depot_stations = sorted(
@@ -456,9 +479,22 @@ class FleetController:
                 self.net, route, hour)
         return travel
 
+    def route_legs(self, route: network.Route
+                   ) -> tuple[tuple[network.Edge, float | None], ...]:
+        """Each edge of ``route`` with the speed limit of the edge after it
+        (``None`` for the last edge), memoised: the per-edge drive reads its
+        edges and the next limits without a network lookup."""
+        key = tuple(route.edges)
+        legs = self._route_legs.get(key)
+        if legs is None:
+            edges = [self.net.edges[eid] for eid in key]
+            limits = [e.speed_limit_mps for e in edges[1:]] + [None]
+            legs = self._route_legs[key] = tuple(zip(edges, limits))
+        return legs
+
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
                      mission: Mission, state: Lifecycle) -> None:
-        vehicle.route = route
+        vehicle.legs = self.route_legs(route)
         vehicle.segment_index = 0
         vehicle.mission = mission
         vehicle.state.velocity = 0.0
@@ -467,19 +503,11 @@ class FleetController:
 
     def _drive_current_segment(self, vehicle: Vehicle) -> None:
         now = self.engine.now_ms
-        hour = hour_of(now)
-        factor = self.net.speed_factor(hour)
-        route = vehicle.route
-        edge = self.net.edges[route.edges[vehicle.segment_index]]
-        if vehicle.segment_index + 1 < len(route.edges):
-            next_eid = route.edges[vehicle.segment_index + 1]
-            v_exit = min(
-                edge.speed_limit_mps * factor,
-                self.net.edges[next_eid].speed_limit_mps * factor,
-            )
-        else:
-            v_exit = 0.0
-        v_entry = min(vehicle.state.velocity, edge.speed_limit_mps * factor)
+        factor = self.net.speed_factor(hour_of(now))
+        edge, next_limit = vehicle.legs[vehicle.segment_index]
+        limit = edge.speed_limit_mps * factor
+        v_exit = 0.0 if next_limit is None else min(limit, next_limit * factor)
+        v_entry = min(vehicle.state.velocity, limit)
 
         result = dynamics.drive_segment(
             vehicle.state, edge, v_entry, v_exit,
@@ -495,7 +523,7 @@ class FleetController:
 
     def _set_idle(self, vehicle: Vehicle) -> None:
         vehicle.mission = None
-        vehicle.route = None
+        vehicle.legs = None
         vehicle.trace = None
         vehicle.trip = None
         vehicle.state.velocity = 0.0
@@ -550,11 +578,12 @@ class FleetController:
 
     def on_segment_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle.route is None:
+        legs = vehicle.legs
+        if legs is None:
             raise ModelError(
                 f"segment completion without a route: {vehicle.dump()}")
         vehicle.segment_index += 1
-        if vehicle.segment_index < len(vehicle.route.edges):
+        if vehicle.segment_index < len(legs):
             self._drive_current_segment(vehicle)
         else:
             vehicle.trace = None
@@ -562,7 +591,7 @@ class FleetController:
                 Event(
                     EventKind.ARRIVE_DESTINATION,
                     {"vehicle": vehicle.vehicle_id,
-                     "edge": vehicle.route.edges[-1]},
+                     "edge": legs[-1][0].edge_id},
                 ),
                 self.engine.now_ms,
             )
@@ -687,7 +716,7 @@ class FleetController:
         if vehicle.trip is not None and vehicle.trip.status == "active":
             vehicle.trip.status = "stranded"
         vehicle.trace = None
-        vehicle.route = None
+        vehicle.legs = None
         LOG.warning("vehicle %s stranded on edge %s at t=%.1fs",
                     vehicle.vehicle_id, event.payload.get("edge"),
                     self.engine.now_s)

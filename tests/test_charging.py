@@ -3,6 +3,7 @@ import pytest
 
 from conftest import dummy_vehicle, make_params
 
+from evfleetsim import network
 from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Queued, Slot, charge_duration,
@@ -287,6 +288,69 @@ def test_select_station_prefers_waiting_when_local_wait_short():
     mgr.request_charge(me, "A", 1.0, 0)
     decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
     assert decision is None
+
+
+# the alternatives are memoised per (current station, hour): congested at
+# hour 1, the divert to B takes 2400 s instead of 120 s; station C sits on
+# a road that A cannot reach
+SLOW_HOUR_1 = [1.0, 0.05] + [1.0] * 22
+
+
+def divert_network():
+    net = line_network()
+    nodes = {**net.nodes, "n8": Coord(0, 5000), "n9": Coord(600, 5000)}
+    edges = {**net.edges, "e9": Edge("e9", "n8", "n9", 600.0, 10.0, 0.0)}
+    return RoadNetwork(nodes, edges, SLOW_HOUR_1)
+
+
+def divert_manager():
+    mgr = ChargingManager([two_slot_station("A", "e1"),
+                           two_slot_station("B", "e2"),
+                           two_slot_station("C", "e9")], PARAMS)
+    for vid in ("o1", "o2"):
+        mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 1.0, 0)
+    return mgr
+
+
+def test_select_station_memo_decides_as_a_fresh_memo_across_hours():
+    net = divert_network()
+    mgr = divert_manager()
+    me = dummy_vehicle("me", soc=0.5)
+    mgr.request_charge(me, "A", 1.0, 0)
+    decisions = []
+    for at_s in (0, 1800, 3599.999, 3600, 5000, 0, 3700):
+        at = ms(at_s)
+        decision = mgr.select_station(me, "A", net, at, route_energy(net),
+                                      route_travel(net))
+        fresh = divert_manager()
+        fresh.request_charge(dummy_vehicle("me", soc=0.5), "A", 1.0, 0)
+        assert decision == fresh.select_station(
+            me, "A", net, at, route_energy(net), route_travel(net))
+        decisions.append(None if decision is None else decision.station_id)
+    # the wait at A shrinks through hour 0; B is cheap then, dear in hour 1
+    assert decisions == ["B", "B", "B", None, None, "B", None]
+
+
+def test_select_station_searches_an_unreachable_station_once_per_key(
+        monkeypatch):
+    net = divert_network()
+    mgr = divert_manager()
+    me = dummy_vehicle("me", soc=0.5)
+    mgr.request_charge(me, "A", 1.0, 0)
+    searches = []
+    dijkstra = network._dijkstra
+
+    def counted(net, from_edge, to_edge, weight):
+        searches.append(to_edge)
+        return dijkstra(net, from_edge, to_edge, weight)
+
+    monkeypatch.setattr(network, "_dijkstra", counted)
+    for at_s in (0, 10, 20, 3600, 3610, 30):
+        mgr.select_station(me, "A", net, ms(at_s), route_energy(net),
+                           route_travel(net))
+    # one search per (station, hour) for C; the route to B is memoised on
+    # the network, so it is searched once
+    assert sorted(searches) == ["e2", "e9", "e9"]
 
 
 def test_truncate_active_sessions_keeps_partial_energy():

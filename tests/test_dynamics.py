@@ -772,3 +772,49 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
     assert trace.soc0 == soc and trace.soc_scale == 18000.0 * 3600.0
     assert state.soc == soc - plan_flows(plan, re_on).cum_last / trace.soc_scale
     assert state.range_extender_on is re_on
+
+
+# --- checks on a memo hit ---------------------------------------------------------
+# the speed_factor range and the entry speed depend only on the plan key, so
+# they run when a plan is built; a key that fails them never gets a plan and
+# raises on every call, even beside a valid plan for the same edge
+
+
+def memo_with_one_plan(edge):
+    plans = {}
+    drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, make_params(), ENV,
+                  1.0, 1.0, plans)
+    assert len(plans) == 1
+    return plans
+
+
+@pytest.mark.parametrize("speed_factor", [0.0, 1.5, math.nan])
+def test_bad_speed_factor_raises_beside_a_memoised_plan(speed_factor):
+    edge = flat_edge(200.0, 10.0)
+    plans = memo_with_one_plan(edge)
+    for _ in range(2):
+        with pytest.raises(DynamicsError, match="speed_factor"):
+            drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0,
+                          make_params(), ENV, 1.0, speed_factor, plans)
+    assert len(plans) == 1
+
+
+def test_too_fast_entry_raises_beside_a_memoised_plan():
+    edge = flat_edge(200.0, 10.0)
+    plans = memo_with_one_plan(edge)
+    for _ in range(2):
+        with pytest.raises(DynamicsError, match="entry speed"):
+            drive_segment(VehicleState(soc=0.5, velocity=12.0), edge, 12.0,
+                          0.0, make_params(), ENV, 1.0, 1.0, plans)
+    assert len(plans) == 1
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_non_positive_dt_raises_on_a_plan_hit(dt):
+    edge = flat_edge(200.0, 10.0)
+    plans = memo_with_one_plan(edge)
+    state = VehicleState(soc=0.5)
+    with pytest.raises(DynamicsError, match="dt must be positive"):
+        drive_segment(state, edge, 0.0, 0.0, make_params(), ENV, dt, 1.0,
+                      plans)
+    assert state == VehicleState(soc=0.5)

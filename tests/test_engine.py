@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -168,3 +169,24 @@ def test_identical_runs_produce_identical_event_logs():
         return engine.event_log
 
     assert run() == run()
+
+
+def test_dispatched_counts_the_kinds_of_the_event_log():
+    # three kinds fire, one of them only from a handler; the others have a
+    # handler but never fire and must have no entry, not a zero
+    rng = random.Random(5)
+    engine = Engine(keep_event_log=True)
+    for kind in EventKind:
+        engine.on(kind, lambda e: None)
+    engine.on(EventKind.CHARGE_REQUEST, lambda e: engine.schedule(
+        Event(EventKind.SLOT_GRANTED), e.at + 1))
+    for _ in range(500):
+        kind = rng.choice([EventKind.SEGMENT_COMPLETE, EventKind.CHARGE_REQUEST])
+        engine.schedule(Event(kind), rng.randrange(0, 1000))
+    summary = engine.run_until(2000)
+    logged = Counter(kind for _, _, kind, _ in engine.event_log)
+    assert {k.value: n for k, n in summary.dispatched.items()} == logged
+    assert set(summary.dispatched) == {EventKind.SEGMENT_COMPLETE,
+                                       EventKind.CHARGE_REQUEST,
+                                       EventKind.SLOT_GRANTED}
+    assert summary.total_dispatched == len(engine.event_log) > 500

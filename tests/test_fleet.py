@@ -16,7 +16,8 @@ from evfleetsim.engine import Engine, Event, EventKind, SimulationAborted, ms
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               FleetController, FleetError, FleetPolicies,
                               Lifecycle, ModelError, Trip, TripsPerDay,
-                              Vehicle, generate_day_schedule, sample_trip)
+                              Vehicle, cumulative, draw_index,
+                              generate_day_schedule, sample_trip)
 from evfleetsim.network import (Coord, Edge, RoadNetwork, airline_distance,
                                 generate_grid, shortest_path)
 
@@ -476,3 +477,27 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
         expected = reference_dispatch(vehicles, params, trip, reserve, net)
         assert ctrl._try_dispatch(trip) is (expected is not None)
         assert trip.vehicle_id == (expected.vehicle_id if expected else None)
+
+
+# --- categorical draws ------------------------------------------------------------
+# sample_trip draws the hour and the distance bin by bisecting a cumulative
+# distribution; it must take the index and the stream position of
+# Generator.choice
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                     min_size=1, max_size=30).filter(lambda w: sum(w) > 0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_index_matches_generator_choice(weights, seed):
+    w = np.asarray(weights)
+    p = w / w.sum()
+    cdf = cumulative(weights)
+    ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        index = draw_index(ours, cdf)
+        assert index == int(numpy_rng.choice(len(weights), p=p))
+        assert weights[index] > 0.0
+    # both generators have consumed the same stream
+    assert ours.random() == numpy_rng.random()

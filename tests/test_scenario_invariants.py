@@ -3,6 +3,9 @@
 import csv
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -361,9 +364,9 @@ class NeverStores(dict):
 
 
 def run_recording_controllers(monkeypatch, path, out_dir, memo=None):
-    """Run a scenario; returns the result and its controllers, whose plan
-    and route travel-time memos are replaced by ``memo()`` when that is
-    given."""
+    """Run a scenario; returns the result and its controllers, whose plan,
+    route travel-time and route-leg memos, and whose charging manager's
+    divert memo, are replaced by ``memo()`` when that is given."""
     controllers = []
     init = FleetController.__init__
 
@@ -372,6 +375,8 @@ def run_recording_controllers(monkeypatch, path, out_dir, memo=None):
         if memo is not None:
             self.plans = memo()
             self._route_travel = memo()
+            self._route_legs = memo()
+            self.manager._divert = memo()
         controllers.append(self)
 
     monkeypatch.setattr(FleetController, "__init__", recording_init)
@@ -387,7 +392,10 @@ def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
     segments = memo.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
     assert 0 < len(memo_ctrl.plans) < segments
     assert len(memo_ctrl._route_travel) > 0
+    assert len(memo_ctrl._route_legs) > 0
+    assert len(memo_ctrl.manager._divert) > 0
     assert len(fresh_ctrl.plans) == len(fresh_ctrl._route_travel) == 0
+    assert len(fresh_ctrl._route_legs) == len(fresh_ctrl.manager._divert) == 0
     assert any(s.station_id == "st1" for s in memo.manager.sessions)  # diverted
 
     for name in memo.manifest["files"]:
@@ -398,6 +406,32 @@ def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
     for manifest in manifests:
         del manifest["wall_clock_s"]
     assert manifests[0] == manifests[1]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # the event kinds and lifecycle states hash by identity and strings by
+    # PYTHONHASHSEED; no output may depend on either, so two processes with
+    # different hash seeds must write the same files, events.csv included
+    # (manifest.json differs only in its wall_clock_s)
+    path = write_busy_scenario(tmp_path)
+    src = Path(dynamics.__file__).resolve().parents[1]
+    for seed in "01":
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-m", "evfleetsim.cli", "run",
+                        str(path), "--out", str(tmp_path / seed),
+                        "--event-log"], env=env, check=True,
+                       capture_output=True)
+    names = sorted(p.name for p in (tmp_path / "0").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "events.csv" in names and "ticks.csv" in names
+    for name in names:
+        first, second = ((tmp_path / seed / name).read_bytes()
+                         for seed in "01")
+        if name == "manifest.json":
+            first, second = (json.loads(m) for m in (first, second))
+            assert first.pop("wall_clock_s") >= 0.0
+            second.pop("wall_clock_s")
+        assert first == second, name
 
 
 def load_bench_tracing():
