@@ -1,9 +1,13 @@
 """Charging infrastructure: stations bound to road edges, slots with
 individual power ratings, a simultaneity limit, the FIFO charging manager,
-closed-form session scheduling, and the vehicle-side wait-or-divert policy.
+closed-form session scheduling, and the wait-or-divert comparison.
 
 A :class:`ChargingStation` is a frozen layout; the :class:`ChargingManager`
-owns every station's queue and occupied slots, and schedules no event.
+owns every station's queue and occupied slots, and schedules no event. The
+manager is a station model only: it knows no road network, no hour and no
+SOC budget. The fleet controller builds, memoises and filters the divert
+alternatives (routes, energy estimates, travel times); the manager compares
+their travel time plus wait with the wait at the current station.
 
 Charging is constant-power (no taper), so completion times are exact:
 ``duration = deficit * 3600 / (min(slot, vehicle) * efficiency)``.
@@ -12,13 +16,12 @@ Charging is constant-power (no taper), so completion times are exact:
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
 from . import network
 from .dynamics import VehicleParams
-from .engine import MS_PER_S, hour_of, ms
+from .engine import MS_PER_S, ms
 
 
 class ChargingError(ValueError):
@@ -138,27 +141,19 @@ class ChargingManager:
     All vehicles share ``params``, the fleet's one vehicle model; of a
     vehicle the manager reads only ``vehicle_id`` and ``state``."""
 
-    def __init__(
-        self,
-        stations: list[ChargingStation],
-        params: VehicleParams,
-        safety_margin_soc: float = 0.05,
-    ):
+    def __init__(self, stations: list[ChargingStation], params: VehicleParams):
         self.params = params
         self.stations: dict[str, ChargingStation] = {}
         for st in stations:
             if st.station_id in self.stations:
                 raise ChargingError(f"duplicate station id {st.station_id}")
             self.stations[st.station_id] = st
-        self.safety_margin_soc = safety_margin_soc
         self.queues: dict[str, deque[_QueueEntry]] = {
             sid: deque() for sid in self.stations}
         self.occupancy: dict[str, dict[str, _Occupied]] = {
             sid: {} for sid in self.stations}
         self.sessions: list[ChargeSession] = []
         self._engaged: set[str] = set()  # vehicles in any queue or slot
-        # (current station, hour) -> its divert candidates (select_station)
-        self._divert: dict[tuple[str, int], list[tuple]] = {}
 
     # -- slot lifecycle -----------------------------------------------------
 
@@ -306,67 +301,30 @@ class ChargingManager:
 
     def select_station(
         self,
-        vehicle,
         current_station_id: str,
-        net: network.RoadNetwork,
         at_ms: int,
-        route_energy_wh: Callable[[network.Route, int], float],
-        route_travel_s: Callable[[network.Route, int], float],
+        alternatives: list[tuple[DivertTo, float]],
     ) -> DivertTo | None:
         """Decide between waiting at a saturated station (``None``) and
-        driving to an alternative, comparing local wait against the travel
-        time ``route_travel_s(route, hour)`` plus the alternative's wait on
-        the current occupancy snapshot. Only alternatives reachable with the
-        SOC safety margin are considered, by the estimate
-        ``route_energy_wh(route, hour)`` of the vehicle's battery energy for
-        a route; ties favor waiting.
-
-        The alternatives of a ``(current station, hour)`` (each reachable
-        station with its route, energy estimate and travel time) are built
-        once, at the first decision with that key, and memoised; an
-        unreachable station is left out then and not searched again. The
-        memo is valid because none of this depends on the vehicle or the
-        queues: the stations are fixed, the network never changes, and the
-        estimates depend only on the route and the hour for the fleet's one
-        vehicle model. So a manager must always be asked with the same
-        ``net``, ``route_energy_wh`` and ``route_travel_s``. Each decision
-        then runs only the budget filter and :meth:`estimate_wait_s`."""
-        current = self.stations[current_station_id]
+        one of ``alternatives``, pairs of a divert and its travel time in
+        seconds: the local wait is compared with the travel time plus the
+        alternative's wait on the current occupancy snapshot. The first
+        cheapest alternative is chosen; ties favor waiting. The caller gives
+        only the alternatives the vehicle can reach."""
         # the decider sits at the tail
         queued_ahead = max(0, len(self.queues[current_station_id]) - 1)
-        wait_here = self.estimate_wait_s(current, at_ms, queued_ahead)
-
-        hour = hour_of(at_ms)
-        key = (current_station_id, hour)
-        candidates = self._divert.get(key)
-        if candidates is None:
-            candidates = []
-            for sid in sorted(self.stations):
-                if sid == current_station_id:
-                    continue
-                try:
-                    route = network.shortest_path(
-                        net, current.edge_id, self.stations[sid].edge_id,
-                        "travel_time")
-                except network.NoRouteError:
-                    continue
-                candidates.append((sid, route, route_energy_wh(route, hour),
-                                   route_travel_s(route, hour)))
-            self._divert[key] = candidates
-
-        budget_wh = ((vehicle.state.soc - self.safety_margin_soc)
-                     * self.params.battery_capacity_wh)
-        best: tuple[float, str, network.Route] | None = None
-        for sid, route, energy, travel in candidates:
-            if energy > budget_wh:
-                continue
+        wait_here = self.estimate_wait_s(
+            self.stations[current_station_id], at_ms, queued_ahead)
+        best: tuple[float, DivertTo] | None = None
+        for divert, travel in alternatives:
+            sid = divert.station_id
             cost = travel + self.estimate_wait_s(
                 self.stations[sid], at_ms, len(self.queues[sid]))
             if best is None or cost < best[0]:
-                best = (cost, sid, route)
+                best = (cost, divert)
 
         if best is not None and best[0] < wait_here:
-            return DivertTo(best[1], best[2])
+            return best[1]
         return None
 
     # -- invariants -----------------------------------------------------------

@@ -248,7 +248,6 @@ class ScenarioConfig:
     demand: DemandProfile
     schedule_size: int
     policies: FleetPolicies
-    safety_margin_soc: float
     dynamics_dt_s: float
     metrics_interval_s: float
     utilization_bin_s: float
@@ -461,11 +460,7 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         stations=stations,
         demand=demand,
         schedule_size=cfg["demand"]["schedule_size"],
-        policies=FleetPolicies(pcfg["routing_weight"],
-                               pcfg["dispatch_reserve_soc"],
-                               pcfg["depot_charge_threshold"],
-                               pcfg["target_soc"]),
-        safety_margin_soc=pcfg["safety_margin_soc"],
+        policies=FleetPolicies(**pcfg),
         dynamics_dt_s=ncfg["dynamics_dt_s"],
         metrics_interval_s=ncfg["metrics_interval_s"],
         utilization_bin_s=ncfg["utilization_bin_s"],

@@ -658,18 +658,19 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
 
 
 def estimate_route_energy(net, route, params: VehicleParams, env: Environment,
-                          hour: int = 0) -> float:
+                          speed_factor: float) -> float:
     """Conservative battery-energy estimate (Wh) for driving a route.
 
-    Uses steady cruising at each edge's effective speed plus one launch from
-    standstill; downhill recuperation credit is deliberately ignored so the
-    estimate errs on the safe side for feasibility gates.
+    Uses steady cruising at each edge's speed limit scaled by
+    ``speed_factor`` plus one launch from standstill; downhill recuperation
+    credit is deliberately ignored so the estimate errs on the safe side for
+    feasibility gates.
     """
     total_j = 0.0
     v_first = None
     for eid in route.edges:
         e = net.edges[eid]
-        v = net.effective_speed(eid, hour)
+        v = e.speed_limit_mps * speed_factor
         if v_first is None:
             v_first = v
         p_wheel = traction_power(v, 0.0, e.gradient, params, env)

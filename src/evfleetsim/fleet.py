@@ -8,17 +8,19 @@ vehicle wait for the next vehicle to become available.
 
 A fleet has one vehicle model: the controller and the charging manager each
 hold its one :class:`~evfleetsim.dynamics.VehicleParams`, and a
-:class:`Vehicle` carries only its state. So the energy estimate of a route
-depends only on the route and the hour; the controller memoises it for
-dispatch and for the divert decisions of the charging manager. The dispatch
-budget is monotone in SOC, so the idle vehicle with the highest SOC (ties to
-the smallest id) is feasible exactly when any idle vehicle is, and it is the
-only one checked. The controller finds it in a heap of
+:class:`Vehicle` carries only its state. Congestion enters once, where the
+controller maps the hour to the network's speed factor; so a fact derived from
+a route depends only on the route and the factor. The controller owns and
+memoises them all, the divert alternatives too: it hands the charging manager
+those within the vehicle's SOC budget, and the manager only compares waits. The
+dispatch budget is monotone in SOC, so the idle vehicle with the highest SOC
+(ties to the smallest id) is feasible exactly when any idle vehicle is, and it
+is the only one checked. The controller finds it in a heap of
 ``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes idle; entries
 of vehicles that are no longer idle, or whose SOC has changed since, are
-skipped and dropped when they reach the top. A vehicle's SOC must therefore not
-change while it is idle: only driving and completing a charge move it, and
-neither happens in the idle state.
+skipped and dropped when they reach the top. A vehicle's SOC must therefore not change
+while it is idle: only driving and completing a charge move it, and neither
+happens in the idle state.
 
 The controller schedules every event of a charging episode; the charging
 manager only grants slots and returns the sessions it starts.
@@ -357,6 +359,8 @@ class FleetPolicies:
     dispatch_reserve_soc: float = 0.10
     depot_charge_threshold: float = 0.95
     target_soc: float = 1.0
+    # SOC kept in reserve when choosing a station to divert to
+    safety_margin_soc: float = 0.05
 
 
 class FleetController:
@@ -394,13 +398,14 @@ class FleetController:
         self.trips: dict[str, Trip] = {}
         self.delayed: list[Trip] = []
         # memos valid because params, env and dt are the same for the whole
-        # fleet and the network never changes: drive_segment plans keyed by
-        # edge geometry (see there), route energy estimates and travel times
-        # keyed by (route edges, hour), and route legs keyed by route edges
+        # fleet and the network and stations never change: drive_segment
+        # plans keyed by edge geometry (see there), route legs by route
+        # edges, energy estimates by (route edges, speed factor), and divert
+        # alternatives, travel times included, by (station, speed factor)
         self.plans: dict = {}
         self._route_legs: dict[tuple[str, ...], tuple] = {}
-        self._route_energy: dict[tuple[tuple[str, ...], int], float] = {}
-        self._route_travel: dict[tuple[tuple[str, ...], int], float] = {}
+        self._route_energy: dict[tuple[tuple[str, ...], float], float] = {}
+        self._divert: dict[tuple[str, float], list[tuple]] = {}
         depot_stations = sorted(
             sid for sid, st in manager.stations.items() if st.edge_id == depot_edge
         )
@@ -459,32 +464,68 @@ class FleetController:
         self.engine.schedule(Event(EventKind.SLOT_GRANTED, dict(payload)),
                              self.engine.now_ms)
 
-    def route_energy_wh(self, route: network.Route, hour: int) -> float:
+    def _speed_factor(self) -> float:
+        """The network's speed factor at the current hour: the one place
+        the clock becomes congestion."""
+        return self.net.speed_factor(hour_of(self.engine.now_ms))
+
+    def route_energy_wh(self, route: network.Route, factor: float) -> float:
         """:func:`~evfleetsim.dynamics.estimate_route_energy` of ``route`` at
-        ``hour`` for the fleet's vehicles, memoised."""
-        key = (tuple(route.edges), hour)
+        speed factor ``factor`` for the fleet's vehicles, memoised."""
+        key = (route.edges, factor)
         energy = self._route_energy.get(key)
         if energy is None:
             energy = self._route_energy[key] = dynamics.estimate_route_energy(
-                self.net, route, self.params, self.env, hour)
+                self.net, route, self.params, self.env, factor)
         return energy
 
-    def route_travel_s(self, route: network.Route, hour: int) -> float:
-        """:func:`~evfleetsim.network.route_travel_time` of ``route`` at
-        ``hour``, memoised."""
-        key = (tuple(route.edges), hour)
-        travel = self._route_travel.get(key)
-        if travel is None:
-            travel = self._route_travel[key] = network.route_travel_time(
-                self.net, route, hour)
-        return travel
+    def divert_alternatives(self, station_id: str, factor: float
+                            ) -> list[tuple[charging.DivertTo, float, float]]:
+        """Each station reachable from ``station_id``, in id order, as
+        ``(divert, energy_wh, travel_s)`` of its route at speed factor
+        ``factor``; memoised, so an unreachable station is searched once per
+        key. Divert legs are routed by ``"travel_time"`` whatever
+        ``policies.routing_weight`` says: the decision compares travel
+        times."""
+        key = (station_id, factor)
+        alternatives = self._divert.get(key)
+        if alternatives is None:
+            stations = self.manager.stations
+            here = stations[station_id].edge_id
+            alternatives = self._divert[key] = []
+            for sid in sorted(stations):
+                if sid == station_id:
+                    continue
+                try:
+                    route = network.shortest_path(
+                        self.net, here, stations[sid].edge_id, "travel_time")
+                except network.NoRouteError:
+                    continue
+                alternatives.append((
+                    charging.DivertTo(sid, route),
+                    self.route_energy_wh(route, factor),
+                    network.route_travel_time(self.net, route, factor)))
+        return alternatives
+
+    def _select_divert(self, vehicle: Vehicle, station_id: str
+                       ) -> charging.DivertTo | None:
+        """Wait at ``station_id`` (``None``) or divert to an alternative the
+        vehicle reaches with ``policies.safety_margin_soc`` left over."""
+        budget = ((vehicle.state.soc - self.policies.safety_margin_soc)
+                  * self.params.battery_capacity_wh)
+        reachable = [
+            (divert, travel) for divert, energy, travel
+            in self.divert_alternatives(station_id, self._speed_factor())
+            if energy <= budget]
+        return self.manager.select_station(station_id, self.engine.now_ms,
+                                           reachable)
 
     def route_legs(self, route: network.Route
                    ) -> tuple[tuple[network.Edge, float | None], ...]:
         """Each edge of ``route`` with the speed limit of the edge after it
         (``None`` for the last edge), memoised: the per-edge drive reads its
         edges and the next limits without a network lookup."""
-        key = tuple(route.edges)
+        key = route.edges
         legs = self._route_legs.get(key)
         if legs is None:
             edges = [self.net.edges[eid] for eid in key]
@@ -503,7 +544,7 @@ class FleetController:
 
     def _drive_current_segment(self, vehicle: Vehicle) -> None:
         now = self.engine.now_ms
-        factor = self.net.speed_factor(hour_of(now))
+        factor = self._speed_factor()
         edge, next_limit = vehicle.legs[vehicle.segment_index]
         limit = edge.speed_limit_mps * factor
         v_exit = 0.0 if next_limit is None else min(limit, next_limit * factor)
@@ -552,9 +593,9 @@ class FleetController:
         now = self.engine.now_ms
         budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
                   * self.params.battery_capacity_wh)
-        hour = hour_of(now)
-        if budget < (self.route_energy_wh(trip.outbound, hour)
-                     + self.route_energy_wh(trip.return_route, hour)):
+        factor = self._speed_factor()
+        if budget < (self.route_energy_wh(trip.outbound, factor)
+                     + self.route_energy_wh(trip.return_route, factor)):
             return False
         heapq.heappop(heap)
         trip.vehicle_id = best.vehicle_id
@@ -664,10 +705,7 @@ class FleetController:
         # per charging need, to rule out station ping-pong)
         divert = None
         if vehicle.divert_station is None:
-            divert = self.manager.select_station(
-                vehicle, station_id, self.net, self.engine.now_ms,
-                self.route_energy_wh, self.route_travel_s,
-            )
+            divert = self._select_divert(vehicle, station_id)
         if divert is None:
             self._transition(vehicle, Lifecycle.QUEUED_AT_STATION)
             return

@@ -55,16 +55,16 @@ def airline_distance(a: Coord, b: Coord) -> float:
     return math.hypot(b.x - a.x, b.y - a.y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Route:
-    """An ordered list of edge ids; consecutive edges share a node.
+    """An ordered tuple of edge ids; consecutive edges share a node.
 
     :func:`shortest_path` memoises its routes on the network and hands the
-    same object to every caller that asks for the same route, so a route
-    must not be mutated.
+    same object to every caller that asks for the same route; the edges are
+    a tuple, so no caller can change them, and they serve as a memo key.
     """
 
-    edges: list[str]
+    edges: tuple[str, ...]
     total_length_m: float
 
     def __len__(self) -> int:
@@ -137,11 +137,9 @@ class RoadNetwork:
                 )
 
     def speed_factor(self, hour: int) -> float:
+        """The congestion factor of an hour of day; below the fleet
+        controller every drive and estimate takes the factor."""
         return self.hourly_speed_factors[hour % 24]
-
-    def effective_speed(self, edge_id: str, hour: int) -> float:
-        e = self.edges[edge_id]
-        return e.speed_limit_mps * self.speed_factor(hour)
 
     def edge_midpoint(self, edge_id: str) -> Coord:
         e = self.edges[edge_id]
@@ -335,7 +333,7 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Ro
             raise NetworkError(f"unknown edge {eid}")
     if from_edge == to_edge:
         e = net.edges[from_edge]
-        return Route([from_edge], e.length_m)
+        return Route((from_edge,), e.length_m)
 
     source = net.edges[from_edge].to_node
     target = net.edges[to_edge].from_node
@@ -370,14 +368,17 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Ro
         node = net.edges[eid].from_node
     middle.reverse()
 
-    edge_list = [from_edge] + middle + [to_edge]
+    edge_list = (from_edge, *middle, to_edge)
     total = sum(net.edges[eid].length_m for eid in edge_list)
     return Route(edge_list, total)
 
 
-def route_travel_time(net: RoadNetwork, route: Route, hour: int = 0) -> float:
-    """Free-flow travel time of a route in seconds at the given hour."""
+def route_travel_time(net: RoadNetwork, route: Route,
+                      speed_factor: float) -> float:
+    """Travel time of a route in seconds with every speed limit scaled by
+    ``speed_factor`` (see :meth:`RoadNetwork.speed_factor`)."""
+    edges = net.edges
     return sum(
-        net.edges[eid].length_m / net.effective_speed(eid, hour)
+        edges[eid].length_m / (edges[eid].speed_limit_mps * speed_factor)
         for eid in route.edges
     )

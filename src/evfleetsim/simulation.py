@@ -54,8 +54,7 @@ def run_scenario(
 
     engine = Engine(keep_event_log=event_log)
     params = config.vehicle_params
-    manager = charging.ChargingManager(
-        config.stations, params, safety_margin_soc=config.safety_margin_soc)
+    manager = charging.ChargingManager(config.stations, params)
 
     vehicles = [
         fleet.Vehicle(

@@ -8,9 +8,10 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Queued, Slot, charge_duration,
                                  session_progress)
-from evfleetsim.dynamics import Environment, estimate_route_energy
+from evfleetsim.dynamics import Environment
 from evfleetsim.engine import Engine, Event, EventKind, ms
-from evfleetsim.network import Coord, Edge, RoadNetwork, route_travel_time
+from evfleetsim.fleet import FleetController, FleetPolicies
+from evfleetsim.network import Coord, Edge, RoadNetwork
 
 ENV = Environment()
 PARAMS = make_params()
@@ -223,14 +224,20 @@ def test_randomized_service_order_equals_arrival_order():
 
 
 # --- wait-or-divert ---------------------------------------------------------------
+# the controller builds and filters the divert alternatives, the manager
+# compares the waits
 
-def route_energy(net):
-    return lambda route, hour: estimate_route_energy(net, route, PARAMS, ENV,
-                                                     hour)
+def divert_controller(net, mgr):
+    return FleetController(Engine(), net, mgr, [], "e1", ENV, PARAMS,
+                           FleetPolicies(), 1.0, lambda *args: None)
 
 
-def route_travel(net):
-    return lambda route, hour: route_travel_time(net, route, hour)
+def decide(ctrl, vehicle, at_ms=0):
+    """``ctrl``'s wait-or-divert decision for ``vehicle``, queued at A, at
+    ``at_ms``: the controller's clock is set by a fresh, empty engine."""
+    ctrl.engine = Engine()
+    ctrl.engine.run_until(at_ms)
+    return ctrl._select_divert(vehicle, "A")
 
 
 def saturated_manager():
@@ -249,8 +256,9 @@ def test_select_station_waits_when_no_alternative():
     mgr.request_charge(dummy_vehicle("o2"), "A", 1.0, 0)
     net = line_network()
     me = dummy_vehicle("me", soc=0.5)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
-    assert decision is None
+    assert divert_controller(net, mgr).divert_alternatives("A", 1.0) == []
+    assert mgr.select_station("A", 0, []) is None
+    assert decide(divert_controller(net, mgr), me) is None
 
 
 def test_select_station_diverts_to_free_nearby_station():
@@ -259,10 +267,10 @@ def test_select_station_diverts_to_free_nearby_station():
     me = dummy_vehicle("me", soc=0.5)
     queued = mgr.request_charge(me, "A", 1.0, 0)
     assert isinstance(queued, Queued)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
+    decision = decide(divert_controller(net, mgr), me)
     assert isinstance(decision, DivertTo)
     assert decision.station_id == "B"
-    assert decision.route.edges == ["e1", "e2"]
+    assert decision.route.edges == ("e1", "e2")
 
 
 def test_select_station_respects_energy_feasibility_gate():
@@ -271,7 +279,7 @@ def test_select_station_respects_energy_feasibility_gate():
     # soc barely above the safety margin: cannot reach B
     me = dummy_vehicle("me", soc=0.0501)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
+    decision = decide(divert_controller(net, mgr), me)
     assert decision is None
 
 
@@ -286,13 +294,13 @@ def test_select_station_prefers_waiting_when_local_wait_short():
         mgr.request_charge(vehicle, "A", 1.0, 0)
     me = dummy_vehicle("me", soc=0.5)
     mgr.request_charge(me, "A", 1.0, 0)
-    decision = mgr.select_station(me, "A", net, 0, route_energy(net), route_travel(net))
+    decision = decide(divert_controller(net, mgr), me)
     assert decision is None
 
 
-# the alternatives are memoised per (current station, hour): congested at
-# hour 1, the divert to B takes 2400 s instead of 120 s; station C sits on
-# a road that A cannot reach
+# the alternatives are memoised per (current station, speed factor):
+# congested at hour 1, the divert to B takes 2400 s instead of 120 s; hours
+# 0 and 2 share a factor; station C sits on a road that A cannot reach
 SLOW_HOUR_1 = [1.0, 0.05] + [1.0] * 22
 
 
@@ -317,15 +325,15 @@ def test_select_station_memo_decides_as_a_fresh_memo_across_hours():
     mgr = divert_manager()
     me = dummy_vehicle("me", soc=0.5)
     mgr.request_charge(me, "A", 1.0, 0)
+    ctrl = divert_controller(net, mgr)
     decisions = []
     for at_s in (0, 1800, 3599.999, 3600, 5000, 0, 3700):
         at = ms(at_s)
-        decision = mgr.select_station(me, "A", net, at, route_energy(net),
-                                      route_travel(net))
+        decision = decide(ctrl, me, at)
         fresh = divert_manager()
         fresh.request_charge(dummy_vehicle("me", soc=0.5), "A", 1.0, 0)
-        assert decision == fresh.select_station(
-            me, "A", net, at, route_energy(net), route_travel(net))
+        assert decision == decide(divert_controller(divert_network(), fresh),
+                                  me, at)
         decisions.append(None if decision is None else decision.station_id)
     # the wait at A shrinks through hour 0; B is cheap then, dear in hour 1
     assert decisions == ["B", "B", "B", None, None, "B", None]
@@ -345,12 +353,35 @@ def test_select_station_searches_an_unreachable_station_once_per_key(
         return dijkstra(net, from_edge, to_edge, weight)
 
     monkeypatch.setattr(network, "_dijkstra", counted)
+    ctrl = divert_controller(net, mgr)
     for at_s in (0, 10, 20, 3600, 3610, 30):
-        mgr.select_station(me, "A", net, ms(at_s), route_energy(net),
-                           route_travel(net))
-    # one search per (station, hour) for C; the route to B is memoised on
+        decide(ctrl, me, ms(at_s))
+    # one search per (station, factor) for C; the route to B is memoised on
     # the network, so it is searched once
     assert sorted(searches) == ["e2", "e9", "e9"]
+
+
+def test_hours_with_equal_factors_share_the_controller_memos():
+    net = divert_network()
+    mgr = divert_manager()
+    me = dummy_vehicle("me", soc=0.5)
+    mgr.request_charge(me, "A", 1.0, 0)
+    ctrl = divert_controller(net, mgr)
+    assert net.speed_factor(0) == net.speed_factor(2) != net.speed_factor(1)
+
+    def sizes():
+        return len(ctrl._route_energy), len(ctrl._divert)
+
+    decide(ctrl, me, ms(0))
+    # one reachable alternative (B): one energy estimate, one divert entry
+    # (which holds the travel time)
+    assert sizes() == (1, 1)
+    alternatives = ctrl._divert["A", 1.0]
+    decide(ctrl, me, ms(2 * 3600.0))
+    assert sizes() == (1, 1)
+    assert ctrl._divert["A", 1.0] is alternatives
+    decide(ctrl, me, ms(3600.0))
+    assert sizes() == (2, 2)
 
 
 def test_truncate_active_sessions_keeps_partial_energy():

@@ -2,12 +2,17 @@
 in its module (in the test modules too), and every module-level name,
 function, method and class is referenced somewhere in the package outside
 its own definition.
-``__init__.py`` only re-exports, so its names count neither way. Every field
-of a package dataclass is named somewhere in the package or its tests, and
-every parameter of a package function is read in its body.
+``__init__.py`` holds only the docstring and ``__version__``, so it is not
+scanned. Every field of a package dataclass is named somewhere in the package
+or its tests, and every parameter of a package function is read in its body.
+Two architecture guards ride along: importing the package loads no submodule,
+and congestion enters once, in the fleet controller.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -187,3 +192,34 @@ def test_every_parameter_is_read():
             unread += [f"{module} {qualname}({param.arg})" for param in params
                        if param.arg not in loaded]
     assert set(unread) == UNREAD_PARAMETERS, unread
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, evfleetsim; print(sorted(m for m in sys.modules "
+            "if m.startswith('evfleetsim.')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_congestion_enters_once():
+    """Only the network maps an hour to a speed factor, and only the fleet
+    controller asks for an hour (``engine.hour_of``); every other function
+    takes the factor."""
+    package = Package()
+    offences = []
+    for module, tree in package.trees.items():
+        for qualname, node in functions(tree):
+            args = node.args
+            if (f"{module} {qualname}" != "network.py RoadNetwork.speed_factor"
+                    and any(a.arg == "hour" for a in (
+                        *args.posonlyargs, *args.args, *args.kwonlyargs))):
+                offences.append(f"{module} {qualname}(hour)")
+        if module != "fleet.py":
+            offences += [
+                f"{module}:{child.lineno} hour_of" for child in ast.walk(tree)
+                if isinstance(child, ast.Call)
+                and "hour_of" in (getattr(child.func, "id", None),
+                                  getattr(child.func, "attr", None))]
+    assert not offences, offences

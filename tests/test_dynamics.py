@@ -12,7 +12,8 @@ from evfleetsim.dynamics import (DriveTrace, DynamicsError, Environment,
                                  SegmentResult, VehicleParams, VehicleState,
                                  drive_segment, estimate_route_energy,
                                  range_extender_step, traction_power)
-from evfleetsim.network import Edge, generate_grid, shortest_path
+from evfleetsim.network import (Edge, RoadNetwork, generate_grid,
+                                route_travel_time, shortest_path)
 
 ENV = Environment()
 
@@ -511,7 +512,8 @@ def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
         frm = ids[int(rng.integers(0, len(ids)))]
         to = ids[int(rng.integers(0, len(ids)))]
         route = shortest_path(net, frm, to, "distance")
-        estimate = estimate_route_energy(net, route, params, ENV)
+        estimate = estimate_route_energy(net, route, params, ENV,
+                                         net.speed_factor(0))
         state = VehicleState(soc=0.9)
         v_prev = 0.0
         for i, eid in enumerate(route.edges):
@@ -522,6 +524,72 @@ def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
             v_prev = state.velocity
         actual = (0.9 - state.soc) * params.battery_capacity_wh
         assert estimate >= actual - 1e-6
+
+
+# the estimates take the hour's speed factor; at net.speed_factor(h) they must
+# equal, bit for bit, the hour-based estimates they replaced, which scaled
+# each speed limit by factors[h]
+
+def energy_at_hour(net, route, params, factors, hour):
+    total_j = 0.0
+    v_first = None
+    for eid in route.edges:
+        e = net.edges[eid]
+        v = e.speed_limit_mps * factors[hour]
+        if v_first is None:
+            v_first = v
+        p_wheel = traction_power(v, 0.0, e.gradient, params, ENV)
+        p_batt = params.auxiliary_power_w
+        if p_wheel > 0:
+            p_batt += p_wheel / params.drivetrain_efficiency
+        total_j += p_batt * (e.length_m / v)
+    if v_first is not None:
+        total_j += (0.5 * params.mass_kg * v_first * v_first
+                    / params.drivetrain_efficiency)
+    return total_j / 3600.0
+
+
+def travel_at_hour(net, route, factors, hour):
+    return sum(net.edges[eid].length_m
+               / (net.edges[eid].speed_limit_mps * factors[hour])
+               for eid in route.edges)
+
+
+@st.composite
+def congested_networks(draw):
+    """A small grid with random lengths, speed limits and gradients, and 24
+    hourly factors drawn from a pool of at most six, so factors repeat."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    grid = generate_grid(rows, cols, draw(st.floats(10.0, 500.0)), 10.0)
+    edges = {
+        eid: dataclasses.replace(
+            e, length_m=e.length_m * draw(st.floats(1.0, 3.0)),
+            speed_limit_mps=draw(st.floats(0.5, 40.0)),
+            gradient=draw(st.floats(-0.3, 0.3)))
+        for eid, e in sorted(grid.edges.items())}
+    pool = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+    factors = draw(st.lists(st.sampled_from(pool), min_size=24, max_size=24))
+    return RoadNetwork(grid.nodes, edges, factors), factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(net_factors=congested_networks(), data=st.data())
+def test_estimates_at_the_hours_factor_equal_the_hourly_estimates(
+        net_factors, data):
+    net, factors = net_factors
+    assert len(set(factors)) < 24
+    ids = sorted(net.edges)
+    params = make_params()
+    for _ in range(3):
+        frm, to = (data.draw(st.sampled_from(ids)) for _ in range(2))
+        weight = data.draw(st.sampled_from(["travel_time", "distance"]))
+        route = shortest_path(net, frm, to, weight)
+        for hour in range(24):
+            factor = net.speed_factor(hour)
+            assert (estimate_route_energy(net, route, params, ENV, factor)
+                    == energy_at_hour(net, route, params, factors, hour))
+            assert (route_travel_time(net, route, factor)
+                    == travel_at_hour(net, route, factors, hour))
 
 
 def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():

@@ -412,14 +412,16 @@ def reference_dispatch(vehicles, params, trip, reserve, net, hour=0):
     order with its own round-trip estimate; the feasible vehicle with the
     highest SOC wins, ties to the first."""
     best = None
+    factor = net.speed_factor(hour)
     for v in sorted(vehicles, key=lambda v: v.vehicle_id):
         if v.lifecycle is not Lifecycle.IDLE:
             continue
         budget = (v.state.soc - reserve) * params.battery_capacity_wh
         need = (
-            dynamics.estimate_route_energy(net, trip.outbound, params, ENV, hour)
+            dynamics.estimate_route_energy(net, trip.outbound, params, ENV,
+                                           factor)
             + dynamics.estimate_route_energy(net, trip.return_route, params,
-                                             ENV, hour)
+                                             ENV, factor)
         )
         if budget < need:
             continue
@@ -457,9 +459,11 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
     edges = sorted(net.edges)
     trips = [make_trip(net, depot, edges[d], tid=f"t{i}")
              for i, d in enumerate(destinations)]
-    need = (dynamics.estimate_route_energy(net, trips[0].outbound, params, ENV, 0)
+    factor = net.speed_factor(0)
+    need = (dynamics.estimate_route_energy(net, trips[0].outbound, params, ENV,
+                                           factor)
             + dynamics.estimate_route_energy(net, trips[0].return_route, params,
-                                             ENV, 0))
+                                             ENV, factor))
     for v, (kind, (how, x)) in zip(vehicles, specs):
         if kind == "idle":
             continue

@@ -54,8 +54,8 @@ def make_trip(tid, airline, driven, status="completed", depart_s=100.0,
               vehicle_id="v0"):
     trip = Trip(tid, ms(depart_s), airline, 60.0,
                 destination_edge="e1",
-                outbound=Route(["e0", "e1"], driven),
-                return_route=Route(["e1", "e0"], driven),
+                outbound=Route(("e0", "e1"), driven),
+                return_route=Route(("e1", "e0"), driven),
                 status=status)
     trip.vehicle_id = vehicle_id
     return trip

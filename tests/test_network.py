@@ -200,7 +200,7 @@ def test_shortest_path_from_equals_to():
     net = generate_grid(2, 2, 100.0, 13.9)
     eid = sorted(net.edges)[0]
     route = shortest_path(net, eid, eid, "distance")
-    assert route.edges == [eid]
+    assert route.edges == (eid,)
     assert route.total_length_m == net.edges[eid].length_m
 
 
@@ -208,7 +208,7 @@ def test_shortest_path_avoids_heavy_edge():
     net = triangle_net()
     route = shortest_path(net, "start", "end", "distance")
     assert "ac" not in route.edges
-    assert route.edges == ["start", "ab", "bc", "end"]
+    assert route.edges == ("start", "ab", "bc", "end")
 
 
 def test_shortest_path_raises_when_unreachable():
@@ -306,5 +306,7 @@ def test_travel_time_uses_congestion_factor():
     net = generate_grid(2, 2, 100.0, 10.0, factors)
     eid = sorted(net.edges)[0]
     route = shortest_path(net, eid, eid, "travel_time")
-    assert route_travel_time(net, route, hour=0) == pytest.approx(10.0)
-    assert route_travel_time(net, route, hour=8) == pytest.approx(20.0)
+    assert (route_travel_time(net, route, net.speed_factor(0))
+            == pytest.approx(10.0))
+    assert (route_travel_time(net, route, net.speed_factor(8))
+            == pytest.approx(20.0))

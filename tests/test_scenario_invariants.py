@@ -301,7 +301,7 @@ def test_ticks_csv_equals_reference_with_a_stranded_vehicle(tmp_path,
     # dispatch that sees every route as free sends 1 kWh batteries without
     # range extender out until they strand
     monkeypatch.setattr(FleetController, "route_energy_wh",
-                        lambda self, route, hour: 0.0)
+                        lambda self, route, factor: 0.0)
     path = write_busy_scenario(tmp_path, numerics=FINE_TICKS)
     raw = yaml.safe_load(path.read_text())
     raw["fleet"].update(initial_soc=0.15, vehicle={
@@ -363,20 +363,29 @@ class NeverStores(dict):
         pass
 
 
+MEMOS = ("plans", "_route_energy", "_route_legs", "_divert")
+
+
+def memo_sizes(ctrl):
+    """The entry count of each controller memo and of the network's route
+    memo."""
+    return ([len(getattr(ctrl, name)) for name in MEMOS]
+            + [len(ctrl.net._routes)])
+
+
 def run_recording_controllers(monkeypatch, path, out_dir, memo=None):
-    """Run a scenario; returns the result and its controllers, whose plan,
-    route travel-time and route-leg memos, and whose charging manager's
-    divert memo, are replaced by ``memo()`` when that is given."""
+    """Run a scenario; returns the result and its controllers. When ``memo``
+    is given, every memo of a controller (``MEMOS``) and the network's route
+    memo are replaced by ``memo()`` as the controller is built."""
     controllers = []
     init = FleetController.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         if memo is not None:
-            self.plans = memo()
-            self._route_travel = memo()
-            self._route_legs = memo()
-            self.manager._divert = memo()
+            for name in MEMOS:
+                setattr(self, name, memo())
+            self.net._routes = memo()
         controllers.append(self)
 
     monkeypatch.setattr(FleetController, "__init__", recording_init)
@@ -391,11 +400,9 @@ def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
         monkeypatch, path, tmp_path / "fresh", memo=NeverStores)
     segments = memo.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
     assert 0 < len(memo_ctrl.plans) < segments
-    assert len(memo_ctrl._route_travel) > 0
-    assert len(memo_ctrl._route_legs) > 0
-    assert len(memo_ctrl.manager._divert) > 0
-    assert len(fresh_ctrl.plans) == len(fresh_ctrl._route_travel) == 0
-    assert len(fresh_ctrl._route_legs) == len(fresh_ctrl.manager._divert) == 0
+    sizes = memo_sizes(memo_ctrl)
+    assert all(size > 0 for size in sizes), sizes
+    assert memo_sizes(fresh_ctrl) == [0] * (len(MEMOS) + 1)
     assert any(s.station_id == "st1" for s in memo.manager.sessions)  # diverted
 
     for name in memo.manifest["files"]:
@@ -575,5 +582,5 @@ def test_repeated_route_query_returns_equal_route():
     for query, route in zip(queries, first):
         assert shortest_path(net, *query) is route
         assert shortest_path(fresh(), *query) == route
-    assert first[0].edges == ["in", "ac", "cd", "out"]
-    assert first[1].edges == ["in", "ab", "bd", "out"]
+    assert first[0].edges == ("in", "ac", "cd", "out")
+    assert first[1].edges == ("in", "ab", "bd", "out")
