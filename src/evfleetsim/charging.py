@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 from . import network
 from .dynamics import VehicleParams
@@ -110,7 +109,7 @@ def charge_duration(
     deficit_wh: float,
     slot_power_w: float,
     vehicle_max_w: float,
-    charging_efficiency: float = 1.0,
+    charging_efficiency: float,
 ) -> float:
     """Seconds to replace ``deficit_wh`` at constant effective power."""
     if deficit_wh < 0:
@@ -192,11 +191,12 @@ class ChargingManager:
         assert len(occupancy) <= station.max_simultaneous
         return session
 
-    def request_charge(
-        self, vehicle, station_id: str, target_soc: float, at_ms: int
-    ) -> ChargeSession | Queued:
-        """Grant the best free slot and return its session, or append to the
-        station's FIFO queue."""
+    def would_queue(self, vehicle, station_id: str, target_soc: float) -> bool:
+        """Whether a request of ``vehicle`` to charge to ``target_soc`` at
+        ``station_id`` would queue: every slot the simultaneity limit allows
+        is taken. Raises :class:`ChargingError` for a request that
+        :meth:`request_charge` refuses: an unknown station, a vehicle
+        already charging or queued, or a target not above its SOC."""
         station = self.stations.get(station_id)
         if station is None:
             raise ChargingError(f"unknown station {station_id}")
@@ -208,9 +208,19 @@ class ChargingManager:
             raise ChargingError(
                 f"target soc {target_soc} not above current {vehicle.state.soc}"
             )
-        occupancy = self.occupancy[station_id]
-        # below the limit a slot is free: the limit is at most the slot count
-        if len(occupancy) < station.max_simultaneous:
+        return len(self.occupancy[station_id]) >= station.max_simultaneous
+
+    def request_charge(
+        self, vehicle, station_id: str, target_soc: float, at_ms: int
+    ) -> ChargeSession | Queued:
+        """Grant the best free slot and return its session, or append to the
+        station's FIFO queue."""
+        full = self.would_queue(vehicle, station_id, target_soc)
+        station = self.stations[station_id]
+        if not full:
+            # below the limit a slot is free: the limit is at most the slot
+            # count
+            occupancy = self.occupancy[station_id]
             slot = min((s for s in station.slots if s.slot_id not in occupancy),
                        key=lambda s: (-s.power_w, s.slot_id))
             return self._start_session(
@@ -248,14 +258,6 @@ class ChargingManager:
             station, slot, entry.vehicle, entry.target_soc, entry.enqueue_ms, at_ms
         )
 
-    def leave_queue(self, vehicle_id: str, station_id: str) -> None:
-        queue = self.queues[station_id]
-        queued = [e.vehicle.vehicle_id for e in queue]
-        if vehicle_id not in queued:
-            raise ChargingError(f"{vehicle_id} is not queued at {station_id}")
-        del queue[queued.index(vehicle_id)]
-        self._engaged.discard(vehicle_id)
-
     def truncate_active_sessions(self, at_ms: int) -> None:
         """At the simulation horizon, convert in-progress sessions into partial
         ones so the energy ledger stays exact."""
@@ -285,17 +287,16 @@ class ChargingManager:
         return charge_duration(deficit, est_power, params.max_charging_power_w,
                                params.charging_efficiency)
 
-    def estimate_wait_s(self, station: ChargingStation, at_ms: int,
-                        queued_ahead: int) -> float:
-        """Expected wait before a slot frees: remaining occupant time plus the
-        estimated charge time of the first ``queued_ahead`` queued vehicles,
-        shared over the servers."""
+    def estimate_wait_s(self, station: ChargingStation, at_ms: int) -> float:
+        """Expected wait before a slot frees for a vehicle joining the
+        queue: remaining occupant time plus the estimated charge time of
+        every queued vehicle, shared over the servers."""
         remaining = sum(
             max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
             for occ in self.occupancy[station.station_id].values()
         )
         queued_s = 0.0
-        for entry in islice(self.queues[station.station_id], queued_ahead):
+        for entry in self.queues[station.station_id]:
             queued_s += entry.charge_s
         return (remaining + queued_s) / station.max_simultaneous
 
@@ -305,21 +306,19 @@ class ChargingManager:
         at_ms: int,
         alternatives: list[tuple[DivertTo, float]],
     ) -> DivertTo | None:
-        """Decide between waiting at a saturated station (``None``) and
+        """Decide, for a vehicle that finds a station full and has not yet
+        queued there, between joining its queue (``None``) and
         one of ``alternatives``, pairs of a divert and its travel time in
         seconds: the local wait is compared with the travel time plus the
         alternative's wait on the current occupancy snapshot. The first
         cheapest alternative is chosen; ties favor waiting. The caller gives
         only the alternatives the vehicle can reach."""
-        # the decider sits at the tail
-        queued_ahead = max(0, len(self.queues[current_station_id]) - 1)
-        wait_here = self.estimate_wait_s(
-            self.stations[current_station_id], at_ms, queued_ahead)
+        wait_here = self.estimate_wait_s(self.stations[current_station_id],
+                                         at_ms)
         best: tuple[float, DivertTo] | None = None
         for divert, travel in alternatives:
             sid = divert.station_id
-            cost = travel + self.estimate_wait_s(
-                self.stations[sid], at_ms, len(self.queues[sid]))
+            cost = travel + self.estimate_wait_s(self.stations[sid], at_ms)
             if best is None or cost < best[0]:
                 best = (cost, divert)
 

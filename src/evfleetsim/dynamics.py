@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -289,8 +288,7 @@ class DriveTrace:
     capacity in W*s, so it builds no SOC array. The step loop stores its
     own SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
     -1.0``, which gives every element back exactly, signed zeros included:
-    dividing by -1 negates, and ``-0.0 + x`` is ``x``. :attr:`soc` builds
-    the whole column on first access.
+    dividing by -1 negates, and ``-0.0 + x`` is ``x``.
 
     Every array is read-only. :func:`drive_segment` hands the arrays of its
     memoised plans to every vehicle that drives the same edge geometry, so
@@ -311,13 +309,6 @@ class DriveTrace:
 
     def __len__(self) -> int:
         return len(self.time_s)
-
-    @cached_property
-    def soc(self) -> np.ndarray:
-        """The state of charge at the end of each step, read-only."""
-        soc = self.soc0 - self.soc_drop / self.soc_scale
-        soc.setflags(write=False)
-        return soc
 
 
 @dataclass

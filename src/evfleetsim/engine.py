@@ -33,10 +33,6 @@ def ms(seconds: float) -> int:
             f"{seconds!r} s does not fit the millisecond clock") from None
 
 
-def to_seconds(time_ms: int) -> float:
-    return time_ms / MS_PER_S
-
-
 def hour_of(time_ms: int) -> int:
     """Hour-of-day (0..23) for a simulation timestamp."""
     return (time_ms // (3600 * MS_PER_S)) % 24
@@ -91,7 +87,7 @@ class SimulationAborted(RuntimeError):
 
     def __init__(self, event: Event, cause: BaseException):
         super().__init__(
-            f"handler for {event.kind.value} at t={to_seconds(event.at):.3f}s "
+            f"handler for {event.kind.value} at t={event.at / MS_PER_S:.3f}s "
             f"(seq={event.sequence}, {event.payload_str()}) failed: {cause}"
         )
         self.event = event
@@ -125,7 +121,7 @@ class Engine:
 
     @property
     def now_s(self) -> float:
-        return to_seconds(self._clock_ms)
+        return self._clock_ms / MS_PER_S
 
     def on(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
         self.handlers[kind] = handler
@@ -193,5 +189,5 @@ def write_event_log_csv(engine: Engine, path) -> int:
         writer = csv.writer(fh)
         writer.writerow(["time_s", "sequence", "kind", "payload"])
         for at, seq, kind, payload in engine.event_log:
-            writer.writerow([f"{to_seconds(at):.3f}", seq, kind, payload])
+            writer.writerow([f"{at / MS_PER_S:.3f}", seq, kind, payload])
     return len(engine.event_log)

@@ -695,23 +695,23 @@ class FleetController:
     def on_charge_request(self, event: Event) -> None:
         vehicle = self._alive(event)
         station_id = event.payload["station"]
+        target_soc = self.policies.target_soc
+        # a full station: wait or divert, before queueing (at most one
+        # divert per charging need, to rule out station ping-pong)
+        if (self.manager.would_queue(vehicle, station_id, target_soc)
+                and vehicle.divert_station is None):
+            divert = self._select_divert(vehicle, station_id)
+            if divert is not None:
+                vehicle.divert_station = divert.station_id
+                self._begin_route(vehicle, divert.route, Mission.DIVERT,
+                                  Lifecycle.RETURNING)
+                return
         result = self.manager.request_charge(
-            vehicle, station_id, self.policies.target_soc, self.engine.now_ms
-        )
+            vehicle, station_id, target_soc, self.engine.now_ms)
         if isinstance(result, charging.ChargeSession):
             self._grant(vehicle, result)
-            return
-        # queued: decide between waiting and diverting (at most one divert
-        # per charging need, to rule out station ping-pong)
-        divert = None
-        if vehicle.divert_station is None:
-            divert = self._select_divert(vehicle, station_id)
-        if divert is None:
+        else:
             self._transition(vehicle, Lifecycle.QUEUED_AT_STATION)
-            return
-        self.manager.leave_queue(vehicle.vehicle_id, station_id)
-        vehicle.divert_station = divert.station_id
-        self._begin_route(vehicle, divert.route, Mission.DIVERT, Lifecycle.RETURNING)
 
     def on_slot_granted(self, event: Event) -> None:
         vehicle = self._alive(event)

@@ -336,7 +336,7 @@ class MetricsCollector:
 
     def export_all(self, run_info: dict, horizon_ms: int,
                    histogram_edges: list[float],
-                   utilization_bin_s: float = 300.0) -> dict:
+                   utilization_bin_s: float) -> dict:
         """Write all CSVs plus ``manifest.json`` to ``out_dir``; returns the
         manifest dict: ``run_info`` with the horizon, the row count of each
         file and the overdimension margin added.
@@ -344,7 +344,8 @@ class MetricsCollector:
         ``horizon_ms`` ends the last state period and the last utilization
         bin. ``histogram_edges`` are the base bin edges of
         ``histograms.csv``, extended by :func:`covering_edges` to the
-        realised distances."""
+        realised distances. ``utilization_bin_s`` is the bin width of
+        ``utilization.csv``."""
         out = self.out_dir
         out.mkdir(parents=True, exist_ok=True)
         files: dict[str, int] = {}

@@ -1,6 +1,7 @@
+from collections import defaultdict
 from dataclasses import dataclass
 
-from evfleetsim.dynamics import VehicleParams, VehicleState
+from evfleetsim.dynamics import DriveTrace, VehicleParams, VehicleState
 
 
 def make_params(**overrides):
@@ -34,3 +35,32 @@ class DummyVehicle:
 
 def dummy_vehicle(vehicle_id="v0", soc=0.5):
     return DummyVehicle(vehicle_id, VehicleState(soc=soc))
+
+
+def trace_soc(trace: DriveTrace):
+    """The state of charge at the end of each step of ``trace``, read-only:
+    ``soc0 - soc_drop / soc_scale``, the IEEE operations by which the
+    package reads one element."""
+    soc = trace.soc0 - trace.soc_drop / trace.soc_scale
+    soc.setflags(write=False)
+    return soc
+
+
+def vehicle_ledger_errors(result, config) -> dict[str, float]:
+    """Each vehicle's own energy ledger after the run ``result`` of
+    ``config``: the imbalance of grid + range extender + recuperation -
+    consumed against capacity * dSOC, relative to the energy it moved
+    (absolute if it moved none), keyed by vehicle id."""
+    grid_wh: dict[str, float] = defaultdict(float)
+    for session in result.manager.sessions:
+        grid_wh[session.vehicle_id] += session.energy_wh
+    capacity_wh = config.vehicle_params.battery_capacity_wh
+    errors = {}
+    for v in result.vehicles:
+        c = v.state.cumulative
+        inflow = grid_wh[v.vehicle_id] + c.range_extended_wh + c.recuperated_wh
+        imbalance = abs(inflow - c.consumed_wh
+                        - capacity_wh * (v.state.soc - config.initial_soc))
+        scale = inflow + c.consumed_wh
+        errors[v.vehicle_id] = imbalance / scale if scale else imbalance
+    return errors

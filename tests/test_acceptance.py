@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import dummy_vehicle, make_params
+from conftest import dummy_vehicle, make_params, vehicle_ledger_errors
 
 from evfleetsim.charging import (ChargeSession, ChargingManager,
                                  ChargingStation, Slot, charge_duration)
@@ -142,9 +142,14 @@ def test_c3_energy_conservation_random_trips_and_fleet_ledger(bundled_run):
     result, _ = bundled_run
     ledger = result.collector.energy_ledger_error()
     assert ledger < 1e-6
+    per_vehicle = vehicle_ledger_errors(
+        result, load_config(default_scenario_path()))
+    assert len(per_vehicle) == len(result.vehicles)
+    assert max(per_vehicle.values()) < 1e-6
     assert len(result.manager.sessions) > 0
     assert elapsed < 30.0
-    report(3, f"200 random trips conserve energy; fleet ledger error {ledger:.2e}")
+    report(3, f"200 random trips conserve energy; fleet ledger error "
+              f"{ledger:.2e}, worst vehicle {max(per_vehicle.values()):.2e}")
 
 
 def test_c4_kinematic_work_oracles():
@@ -203,7 +208,7 @@ def test_c5_distance_distribution_fig1_analogue(tmp_path):
     # (c) exported paired histograms are aligned, non-degenerate, plot-ready
     collector = MetricsCollector(tmp_path, [], trips, [],
                                  config.vehicle_params)
-    manifest = collector.export_all({}, 0, config.demand.bin_edges())
+    manifest = collector.export_all({}, 0, config.demand.bin_edges(), 300.0)
     lines = (tmp_path / "histograms.csv").read_text().splitlines()
     assert lines[0] == "bin_lower_m,bin_upper_m,airline_count,driven_count"
     airline_col = [int(l.split(",")[2]) for l in lines[1:]]

@@ -8,9 +8,10 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Queued, Slot, charge_duration,
                                  session_progress)
-from evfleetsim.dynamics import Environment
+from evfleetsim.dynamics import Environment, VehicleState
 from evfleetsim.engine import Engine, Event, EventKind, ms
-from evfleetsim.fleet import FleetController, FleetPolicies
+from evfleetsim.fleet import (FleetController, FleetPolicies, Lifecycle,
+                              Mission, Vehicle)
 from evfleetsim.network import Coord, Edge, RoadNetwork
 
 ENV = Environment()
@@ -43,7 +44,7 @@ def test_plug_presets_carry_rated_powers():
 
 
 def test_charge_duration_zero_deficit():
-    assert charge_duration(0.0, 2300.0, 3600.0) == 0.0
+    assert charge_duration(0.0, 2300.0, 3600.0, 1.0) == 0.0
 
 
 def test_charge_duration_schuko_hour():
@@ -108,6 +109,19 @@ def test_unknown_station_is_an_error():
         mgr.request_charge(dummy_vehicle("a"), "nope", 1.0, 0)
 
 
+def test_would_queue_says_full_and_changes_nothing():
+    mgr = ChargingManager([two_slot_station()], PARAMS)
+    a, b, c = (dummy_vehicle(vid) for vid in "abc")
+    assert not mgr.would_queue(a, "st1", 1.0)
+    mgr.request_charge(a, "st1", 1.0, 0)
+    assert not mgr.would_queue(b, "st1", 1.0)
+    mgr.request_charge(b, "st1", 1.0, 0)
+    assert mgr.would_queue(c, "st1", 1.0)
+    assert not mgr.queues["st1"] and len(mgr.sessions) == 2
+    mgr.assert_consistent()
+    assert mgr.request_charge(c, "st1", 1.0, 0) == Queued(1)
+
+
 def test_completion_time_and_energy_closed_form():
     mgr = ChargingManager([two_slot_station()], PARAMS)
     vehicle = dummy_vehicle("a", soc=0.5)  # deficit 9000 Wh
@@ -150,22 +164,6 @@ def test_release_free_slot_is_an_error():
     mgr = ChargingManager([two_slot_station()], PARAMS)
     with pytest.raises(ChargingError, match="releasing free slot"):
         mgr.release_slot("st1", "s0", 0)
-
-
-def test_leave_queue_removes_vehicle():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
-    mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
-    mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
-    for vid in ("c", "d", "e"):
-        mgr.request_charge(dummy_vehicle(vid), "st1", 1.0, 0)
-    mgr.leave_queue("d", "st1")  # from the middle, in place
-    assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["c", "e"]
-    mgr.leave_queue("c", "st1")
-    mgr.leave_queue("e", "st1")
-    assert not mgr.queues["st1"]
-    with pytest.raises(ChargingError):
-        mgr.leave_queue("c", "st1")
-    mgr.assert_consistent()
 
 
 def schedule_completion(engine, session):
@@ -227,14 +225,15 @@ def test_randomized_service_order_equals_arrival_order():
 # the controller builds and filters the divert alternatives, the manager
 # compares the waits
 
-def divert_controller(net, mgr):
-    return FleetController(Engine(), net, mgr, [], "e1", ENV, PARAMS,
-                           FleetPolicies(), 1.0, lambda *args: None)
+def divert_controller(net, mgr, vehicles=()):
+    return FleetController(Engine(), net, mgr, list(vehicles), "e1", ENV,
+                           PARAMS, FleetPolicies(), 1.0, lambda *args: None)
 
 
 def decide(ctrl, vehicle, at_ms=0):
-    """``ctrl``'s wait-or-divert decision for ``vehicle``, queued at A, at
-    ``at_ms``: the controller's clock is set by a fresh, empty engine."""
+    """``ctrl``'s wait-or-divert decision for ``vehicle``, which finds A
+    full, at ``at_ms``: the controller's clock is set by a fresh, empty
+    engine."""
     ctrl.engine = Engine()
     ctrl.engine.run_until(at_ms)
     return ctrl._select_divert(vehicle, "A")
@@ -265,8 +264,7 @@ def test_select_station_diverts_to_free_nearby_station():
     net = line_network()
     mgr = saturated_manager()
     me = dummy_vehicle("me", soc=0.5)
-    queued = mgr.request_charge(me, "A", 1.0, 0)
-    assert isinstance(queued, Queued)
+    assert mgr.would_queue(me, "A", 1.0)
     decision = decide(divert_controller(net, mgr), me)
     assert isinstance(decision, DivertTo)
     assert decision.station_id == "B"
@@ -278,7 +276,6 @@ def test_select_station_respects_energy_feasibility_gate():
     mgr = saturated_manager()
     # soc barely above the safety margin: cannot reach B
     me = dummy_vehicle("me", soc=0.0501)
-    mgr.request_charge(me, "A", 1.0, 0)
     decision = decide(divert_controller(net, mgr), me)
     assert decision is None
 
@@ -293,7 +290,6 @@ def test_select_station_prefers_waiting_when_local_wait_short():
         vehicle = dummy_vehicle(vid, soc=0.9998)
         mgr.request_charge(vehicle, "A", 1.0, 0)
     me = dummy_vehicle("me", soc=0.5)
-    mgr.request_charge(me, "A", 1.0, 0)
     decision = decide(divert_controller(net, mgr), me)
     assert decision is None
 
@@ -324,16 +320,13 @@ def test_select_station_memo_decides_as_a_fresh_memo_across_hours():
     net = divert_network()
     mgr = divert_manager()
     me = dummy_vehicle("me", soc=0.5)
-    mgr.request_charge(me, "A", 1.0, 0)
     ctrl = divert_controller(net, mgr)
     decisions = []
     for at_s in (0, 1800, 3599.999, 3600, 5000, 0, 3700):
         at = ms(at_s)
         decision = decide(ctrl, me, at)
-        fresh = divert_manager()
-        fresh.request_charge(dummy_vehicle("me", soc=0.5), "A", 1.0, 0)
-        assert decision == decide(divert_controller(divert_network(), fresh),
-                                  me, at)
+        assert decision == decide(
+            divert_controller(divert_network(), divert_manager()), me, at)
         decisions.append(None if decision is None else decision.station_id)
     # the wait at A shrinks through hour 0; B is cheap then, dear in hour 1
     assert decisions == ["B", "B", "B", None, None, "B", None]
@@ -344,7 +337,6 @@ def test_select_station_searches_an_unreachable_station_once_per_key(
     net = divert_network()
     mgr = divert_manager()
     me = dummy_vehicle("me", soc=0.5)
-    mgr.request_charge(me, "A", 1.0, 0)
     searches = []
     dijkstra = network._dijkstra
 
@@ -365,7 +357,6 @@ def test_hours_with_equal_factors_share_the_controller_memos():
     net = divert_network()
     mgr = divert_manager()
     me = dummy_vehicle("me", soc=0.5)
-    mgr.request_charge(me, "A", 1.0, 0)
     ctrl = divert_controller(net, mgr)
     assert net.speed_factor(0) == net.speed_factor(2) != net.speed_factor(1)
 
@@ -382,6 +373,55 @@ def test_hours_with_equal_factors_share_the_controller_memos():
     assert ctrl._divert["A", 1.0] is alternatives
     decide(ctrl, me, ms(3600.0))
     assert sizes() == (2, 2)
+
+
+def fleet_vehicle(soc):
+    """A fleet vehicle arriving at station A on ``e1``."""
+    return Vehicle("me", VehicleState(soc=soc, edge_id="e1"),
+                   Lifecycle.RETURNING)
+
+
+def charge_request(ctrl, vehicle, station_id="A"):
+    ctrl.on_charge_request(Event(EventKind.CHARGE_REQUEST, {
+        "vehicle": vehicle.vehicle_id, "station": station_id}))
+
+
+def test_a_diverting_vehicle_never_joins_the_queue(monkeypatch):
+    mgr = saturated_manager()
+    me = fleet_vehicle(0.7)
+    ctrl = divert_controller(line_network(), mgr, [me])
+    requests = []
+    monkeypatch.setattr(mgr, "request_charge",
+                        lambda *args: requests.append(args))
+    charge_request(ctrl, me)
+    assert requests == []
+    assert me.divert_station == "B" and me.mission is Mission.DIVERT
+    assert me.lifecycle is Lifecycle.RETURNING
+    assert not mgr.queues["A"]
+    mgr.assert_consistent()
+
+
+@pytest.mark.parametrize("check", ["unknown station", "already charging",
+                                   "not above current"])
+def test_every_request_check_runs_for_a_vehicle_that_would_divert(check):
+    mgr = saturated_manager()
+    me = fleet_vehicle(0.7)
+    ctrl = divert_controller(line_network(), mgr, [me])
+    station_id = "A"
+    if check == "unknown station":
+        station_id = "nope"
+    elif check == "already charging":
+        mgr.request_charge(me, "B", 1.0, 0)
+    else:
+        me.state.soc = 1.0
+    # were the request valid, the vehicle would divert from A to B
+    assert ctrl._select_divert(me, "A").station_id == "B"
+    with pytest.raises(ChargingError, match=check):
+        charge_request(ctrl, me, station_id)
+    assert me.divert_station is None and me.mission is None
+    assert me.lifecycle is Lifecycle.RETURNING
+    assert not mgr.queues["A"]
+    mgr.assert_consistent()
 
 
 def test_truncate_active_sessions_keeps_partial_energy():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import trace_soc
+
 from evfleetsim import dynamics
 from evfleetsim.dynamics import (DriveTrace, DynamicsError, Environment,
                                  InfeasibleSegmentError, RangeExtenderParams,
@@ -202,7 +204,7 @@ def test_integrate_soc_identity():
     # no recuperation and no hotel load: zero net power while coasting
     params = make_params(auxiliary_power_w=0.0, max_recuperation_power_w=0.0)
     state, result = downhill(params, soc=0.5)
-    assert np.all(result.trace.soc == 0.5)
+    assert np.all(trace_soc(result.trace) == 0.5)
     assert state.soc == 0.5
 
 
@@ -215,7 +217,7 @@ def test_integrate_soc_exact_depletion_clamps_at_zero():
                            params, ENV, 1.0, 1.0, {})
     assert result.stranded
     assert state.soc == 0.0
-    assert float(result.trace.soc.min()) == 0.0
+    assert float(trace_soc(result.trace).min()) == 0.0
     assert result.duration_s == pytest.approx(5.0, rel=1e-9)
     assert battery_wh(result.trace) == pytest.approx(-50.0, rel=1e-9)
 
@@ -234,7 +236,7 @@ def test_integrate_soc_clamps_at_one():
     params = make_params(auxiliary_power_w=0.0)
     state, result = downhill(params, soc=0.99, length=2000.0)
     assert state.soc == 1.0
-    assert float(result.trace.soc.max()) == 1.0
+    assert float(trace_soc(result.trace).max()) == 1.0
     assert (1.0 - 0.99) * 18000.0 == pytest.approx(battery_wh(result.trace),
                                                    rel=1e-9)
 
@@ -332,7 +334,7 @@ def test_trace_is_consistent_with_scalar_power_chain():
         assert p_b == pytest.approx(float(tr.p_battery_w[i]), rel=1e-9)
         soc -= p_b * float(tr.dt_s[i]) / (params.battery_capacity_wh * 3600.0)
         soc = min(1.0, max(0.0, soc))
-        assert soc == pytest.approx(float(tr.soc[i]), abs=1e-12)
+        assert soc == pytest.approx(float(trace_soc(tr)[i]), abs=1e-12)
 
 
 def test_flat_edge_work_matches_closed_form():
@@ -386,8 +388,8 @@ def test_soc_stays_in_bounds_over_random_parameterizations():
                          float(rng.uniform(-0.15, 0.15)))
         result = drive_segment(state, edge, 0.0, 0.0, params, ENV,
                                float(rng.uniform(0.2, 2.0)), 1.0, {})
-        assert 0.0 <= float(result.trace.soc.min())
-        assert float(result.trace.soc.max()) <= 1.0
+        assert 0.0 <= float(trace_soc(result.trace).min())
+        assert float(trace_soc(result.trace).max()) <= 1.0
         assert 0.0 <= state.soc <= 1.0
         # recuperation inflow never exceeds its bounds at any sample
         bound = np.minimum(
@@ -432,7 +434,7 @@ def test_soc_monotone_without_recuperation_on_nonnegative_gradient():
     for length, grad in [(400, 0.0), (300, 0.03), (500, 0.0), (200, 0.08)]:
         result = drive_segment(state, flat_edge(float(length), 14.0, grad),
                                0.0, 0.0, params, ENV, 0.5, 1.0, {})
-        soc_values = result.trace.soc
+        soc_values = trace_soc(result.trace)
         assert float(soc_values[0]) <= prev
         assert np.all(np.diff(soc_values) <= 1e-15)
         prev = float(soc_values[-1])
@@ -483,7 +485,7 @@ def test_recuperation_clamp_at_full_battery_keeps_ledger_exact():
     state = VehicleState(soc=1.0)
     edge = flat_edge(800.0, 14.0, gradient=-0.12)  # steep downhill from full
     result = drive_segment(state, edge, 14.0, 14.0, params, ENV, 1.0, 1.0, {})
-    assert float(result.trace.soc.max()) <= 1.0
+    assert float(trace_soc(result.trace).max()) <= 1.0
     delta = (state.soc - 1.0) * params.battery_capacity_wh
     integral_wh = battery_wh(result.trace)
     assert delta == pytest.approx(integral_wh, abs=1e-9)
@@ -500,7 +502,8 @@ def test_trace_timestamps_fixed_step():
     t = result.trace.time_s
     assert np.all(np.diff(t) > 0)
     assert np.allclose(np.diff(t)[:-1], 1.0)
-    assert len(result.trace) == len(result.trace.dt_s) == len(result.trace.soc)
+    assert (len(result.trace) == len(result.trace.dt_s)
+            == len(trace_soc(result.trace)))
 
 
 def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
@@ -598,7 +601,7 @@ def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():
     state = VehicleState(soc=0.5)
     result = drive_segment(state, flat_edge(1e-300, 14.0), 0.0, 0.0,
                            params, ENV, 1.0, 1.0, {})
-    assert len(result.trace) == 0 and len(result.trace.soc) == 0
+    assert len(result.trace) == 0 and len(trace_soc(result.trace)) == 0
     assert not result.stranded
     assert state.soc == 0.5 and not state.range_extender_on
     assert state.cumulative.consumed_wh == battery_wh(result.trace) == 0.0
@@ -619,9 +622,11 @@ def assert_same_result(memo, fresh):
     for f in dataclasses.fields(SegmentResult):
         if f.name != "trace":
             assert getattr(memo, f.name) == getattr(fresh, f.name), f.name
-    names = [f.name for f in dataclasses.fields(DriveTrace)] + ["soc"]
-    for name in names:
-        a, b = getattr(memo.trace, name), getattr(fresh.trace, name)
+    columns = {f.name: (getattr(memo.trace, f.name),
+                        getattr(fresh.trace, f.name))
+               for f in dataclasses.fields(DriveTrace)}
+    columns["soc"] = trace_soc(memo.trace), trace_soc(fresh.trace)
+    for name, (a, b) in columns.items():
         assert bits(a) == bits(b), name
         if isinstance(a, np.ndarray):
             for array in (a, b):  # plan arrays are shared between vehicles
@@ -788,7 +793,7 @@ def test_scalar_fast_path_matches_the_array_formulas(
         if not fast:
             continue
         assert (trace.soc_drop is flows.cum_wh_s) is (memo is plans)
-        assert bits(trace.soc) == bits(soc_traj)
+        assert bits(trace_soc(trace)) == bits(soc_traj)
         assert bits(state.soc) == bits(soc_traj[-1])
         assert state.range_extender_on is re_on
         assert not result.stranded

@@ -96,7 +96,7 @@ def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
         tmp_path, fleet_of(*(f"v{i}" for i in range(per_tick)), soc=0.5))
     for k in range(n_ticks):
         collector.record_ticks(k * 1000)
-    manifest = collector.export_all({}, 0, [0.0, 1000.0])
+    manifest = collector.export_all({}, 0, [0.0, 1000.0], 300.0)
     n = n_ticks * per_tick
     assert manifest["files"]["ticks.csv"] == n
     with open(tmp_path / "ticks.csv") as fh:
@@ -285,7 +285,7 @@ def summary_rows(out_dir):
 
 def test_never_moved_vehicle_summary(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0"))
-    collector.export_all({}, ms(1000.0), [0.0, 1000.0])
+    collector.export_all({}, ms(1000.0), [0.0, 1000.0], 300.0)
     # no energy, no distance, no trips; idle from 0 to 1000 s, nothing else
     wh, s = f"{0.0:.6f}", f"{0.0:.3f}"
     assert summary_rows(tmp_path) == [
@@ -310,7 +310,7 @@ def test_energy_identity_and_fuel_definition(tmp_path):
         consumed_wh=consumed, recuperated_wh=recup, range_extended_wh=re,
         fuel_liters=rate * re / 1000.0, distance_m=12000.0)
     v0.n_trips = 3
-    collector.export_all({}, ms(4000.0), [0.0, 1000.0])
+    collector.export_all({}, ms(4000.0), [0.0, 1000.0], 300.0)
     row = summary_rows(tmp_path)[0]
     assert row == ",".join(
         ["v0"] + [f"{x:.6f}" for x in (consumed, recup, re, grid, rate * re / 1000.0)]
@@ -348,7 +348,7 @@ def test_export_manifest_lists_six_files(tmp_path):
     collector = collector_for(tmp_path, vehicles,
                               [make_trip("t0", 400.0, 520.0)], [session()])
     collector.record_ticks(0)
-    manifest = collector.export_all({"seed": 1}, ms(600.0), [0.0, 250.0])
+    manifest = collector.export_all({"seed": 1}, ms(600.0), [0.0, 250.0], 300.0)
     assert manifest["seed"] == 1 and manifest["horizon_s"] == 600.0
     assert sorted(manifest["files"]) == [
         "histograms.csv", "sessions.csv", "summary.csv", "ticks.csv",
@@ -363,7 +363,7 @@ def test_export_manifest_lists_six_files(tmp_path):
 
 def test_export_empty_scenario_headers_only(tmp_path):
     collector = collector_for(tmp_path)
-    manifest = collector.export_all({}, 0, [0.0, 1000.0])
+    manifest = collector.export_all({}, 0, [0.0, 1000.0], 300.0)
     for name in ("ticks.csv", "trips.csv", "sessions.csv", "summary.csv",
                  "histograms.csv"):
         lines = (tmp_path / name).read_text().splitlines()
@@ -376,7 +376,7 @@ def test_export_empty_scenario_headers_only(tmp_path):
 
 def test_summary_csv_schema(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0"))
-    collector.export_all({}, ms(100.0), [0.0, 1000.0])
+    collector.export_all({}, ms(100.0), [0.0, 1000.0], 300.0)
     with open(tmp_path / "summary.csv") as fh:
         header = next(csv.reader(fh))
     assert header == ["vehicle_id", "consumed_wh", "recuperated_wh",

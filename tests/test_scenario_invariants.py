@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict, deque
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import trace_soc, vehicle_ledger_errors
 from test_config_cli import write_scenario
 
 from evfleetsim import dynamics, metrics
-from evfleetsim.charging import ChargingManager, session_progress
+from evfleetsim.charging import ChargingManager, Queued, session_progress
 from evfleetsim.config import load_config
 from evfleetsim.engine import Engine, EventKind, ms
 from evfleetsim.fleet import FleetController, Lifecycle
@@ -125,6 +127,19 @@ def test_global_energy_ledger_balances(busy_run):
     assert busy_run.collector.energy_ledger_error() < 1e-6
 
 
+@pytest.mark.parametrize("vehicles,trips_per_vehicle", [(3, 3), (5, 4)],
+                         ids=["busy_run", "divert_5x4"])
+def test_energy_ledger_closes_per_vehicle(tmp_path, vehicles,
+                                          trips_per_vehicle):
+    config = load_config(write_busy_scenario(
+        tmp_path, vehicles=vehicles, trips_per_vehicle=trips_per_vehicle))
+    result = run_scenario(config, tmp_path / "out")
+    errors = vehicle_ledger_errors(result, config)
+    assert len(errors) == vehicles
+    assert max(errors.values()) < 1e-6
+    assert len({s.vehicle_id for s in result.manager.sessions}) > 1
+
+
 def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
     # the fleet schedules a session's ChargeComplete and then its
     # SlotGranted, back to back: consecutive sequence numbers, one payload
@@ -141,9 +156,10 @@ def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
         assert granted["payload"] == row["payload"]
 
 
-def run_checking_consistency(monkeypatch, path, out_dir):
-    """Run a scenario and call ChargingManager.assert_consistent after every
-    dispatched event; returns the result and the kinds checked."""
+def run_checking_consistency(monkeypatch, path, out_dir, check=None):
+    """Run a scenario and call ChargingManager.assert_consistent, and
+    ``check(manager)`` if given, after every dispatched event; returns the
+    result and the kinds checked."""
     managers, checked = [], []
     init, on = ChargingManager.__init__, Engine.on
 
@@ -156,6 +172,8 @@ def run_checking_consistency(monkeypatch, path, out_dir):
             handler(event)
             for manager in managers:
                 manager.assert_consistent()
+                if check is not None:
+                    check(manager)
             checked.append(event.kind)
         on(self, kind, checked_handler)
 
@@ -178,6 +196,53 @@ def test_charging_manager_consistent_after_every_event(
     assert {EventKind.CHARGE_REQUEST, EventKind.SLOT_GRANTED,
             EventKind.CHARGE_COMPLETE} <= kinds
     assert any(s.station_id == "st1" for s in result.manager.sessions)  # diverted
+
+
+@pytest.mark.parametrize("vehicles,trips_per_vehicle", [(3, 3), (5, 4)],
+                         ids=["busy_run", "divert_5x4"])
+def test_a_queued_vehicle_leaves_only_by_a_grant_from_the_head(
+        tmp_path, monkeypatch, vehicles, trips_per_vehicle):
+    # model queues: a request answered with Queued appends its vehicle, a
+    # slot release that hands the slot on pops the head; after every event
+    # the manager's queues must equal the model's
+    model: dict[str, deque] = defaultdict(deque)
+    counts = {"queued": 0, "granted": 0}
+    request, release = ChargingManager.request_charge, ChargingManager.release_slot
+
+    def recording_request(self, vehicle, station_id, target_soc, at_ms):
+        result = request(self, vehicle, station_id, target_soc, at_ms)
+        if isinstance(result, Queued):
+            model[station_id].append(vehicle.vehicle_id)
+            assert result.position == len(model[station_id])
+            counts["queued"] += 1
+        return result
+
+    def recording_release(self, station_id, slot_id, at_ms):
+        handoff = release(self, station_id, slot_id, at_ms)
+        if handoff is not None:
+            assert handoff.vehicle_id == model[station_id].popleft()
+            counts["granted"] += 1
+        return handoff
+
+    def queues_equal_the_model(manager):
+        for sid, queue in manager.queues.items():
+            assert [e.vehicle.vehicle_id for e in queue] == list(model[sid])
+
+    monkeypatch.setattr(ChargingManager, "request_charge", recording_request)
+    monkeypatch.setattr(ChargingManager, "release_slot", recording_release)
+    path = write_busy_scenario(tmp_path, vehicles=vehicles,
+                               trips_per_vehicle=trips_per_vehicle)
+    result, _ = run_checking_consistency(monkeypatch, path, tmp_path / "out",
+                                         queues_equal_the_model)
+    queues_equal_the_model(result.manager)
+    waiting = {vid for queue in model.values() for vid in queue}
+    assert counts["queued"] == counts["granted"] + len(waiting)
+    for v in result.vehicles:
+        assert (v.lifecycle is Lifecycle.QUEUED_AT_STATION) is (
+            v.vehicle_id in waiting)
+    # on the 3x3 run the one vehicle that finds a station full diverts, so
+    # nothing queues; 5x4 queues and grants from the queues
+    assert (counts["granted"] > 0) is (vehicles == 5)
 
 
 def test_range_extender_switches_without_events(tmp_path):
@@ -229,7 +294,7 @@ class ReferenceSampler:
             offset = (now - v.trace_start_ms) / 1000
             i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
             i = min(max(i, 0), len(tr) - 1)
-            return (v.vehicle_id, v.lifecycle, float(tr.soc[i]), (
+            return (v.vehicle_id, v.lifecycle, float(trace_soc(tr)[i]), (
                 float(tr.v_mps[i]), float(tr.a_mps2[i]),
                 float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
                 float(tr.p_recup_w[i]), float(tr.p_re_w[i])))
@@ -456,8 +521,8 @@ def test_bench_tracer_sees_the_dynamics_calls(tmp_path):
     tracing = load_bench_tracing()
     tracer = tracing.Tracer("busy_run")
     with tracing.traced(tracer):
-        result = run_scenario(load_config(write_busy_scenario(tmp_path)),
-                              tmp_path / "out")
+        result = run_scenario(load_config(write_busy_scenario(
+            tmp_path, vehicles=5, trips_per_vehicle=4)), tmp_path / "out")
     totals = tracer.totals()
     segments = result.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
     assert segments > 0
