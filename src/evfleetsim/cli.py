@@ -5,7 +5,9 @@ Exit codes: 0 success; 1 configuration error, a ``ConfigError`` raised
 before any run starts for a malformed scenario, ``--seed`` or sweep value;
 2 model error, a run aborted at an event the model cannot explain (a
 ``ModelError``, which the engine wraps in ``SimulationAborted`` naming the
-event; no event is dropped); 3 I/O error.
+event; no event is dropped); 3 I/O error, an ``OSError`` writing the
+outputs: an unwritable ``--out`` before any event runs, or a failed write
+that aborts the run.
 """
 
 from __future__ import annotations
@@ -140,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationAborted, ModelError) as exc:
+        if isinstance(exc, SimulationAborted) and isinstance(exc.cause, OSError):
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except OSError as exc:

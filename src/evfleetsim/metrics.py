@@ -41,8 +41,8 @@ SUMMARY_HEADER = [
 ]
 UTILIZATION_HEADER = ["bin_start_s", "idle", "busy", "charging", "queued", "stranded"]
 HISTOGRAM_HEADER = ["bin_lower_m", "bin_upper_m", "airline_count", "driven_count"]
-# ticks.csv rows held in memory before they are appended to the file
-TICK_BUFFER_ROWS = 100_000
+# bytes of ticks.csv text held by the open file before it writes them out
+TICK_WRITE_BUFFER_BYTES = 1 << 16
 
 _STATE_GROUP = {
     Lifecycle.IDLE: "idle",
@@ -59,41 +59,61 @@ class MetricsError(ValueError):
     pass
 
 
-def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams) -> str:
+def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
+              session_texts: dict[str, tuple]) -> str:
     """``vehicle``'s ``ticks.csv`` row at ``t_ms`` without its time field,
     with the ``\\r\\n`` terminator of :func:`csv.writer`: its trace sample,
     charging session or state at rest. A trace sample's SOC is read as the
     scalar ``soc0 - soc_drop[i] / soc_scale`` (see
     :class:`~evfleetsim.dynamics.DriveTrace`), so no SOC column is built.
+    A charging row's text around its SOC is the same for the whole session:
+    ``session_texts`` maps the vehicle id to its session and that text, and
+    the text is formatted again only for a different session object.
     Every value must be finite; the id and lifecycle value must not need
     CSV quoting."""
     lifecycle = vehicle.lifecycle
     tr = vehicle.trace
     if tr is not None and len(tr) > 0:
         offset = (t_ms - vehicle.trace_start_ms) / MS_PER_S
-        i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
+        i = int(tr.time_s.searchsorted(offset, "right")) - 1
         i = min(max(i, 0), len(tr) - 1)
-        soc = tr.soc0 - float(tr.soc_drop[i]) / tr.soc_scale
-        motion = (float(tr.v_mps[i]), float(tr.a_mps2[i]),
-                  float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
-                  float(tr.p_recup_w[i]), float(tr.p_re_w[i]))
+        soc = tr.soc0 - tr.soc_drop.item(i) / tr.soc_scale
+        v, a = tr.v_mps.item(i), tr.a_mps2.item(i)
+        p_traction, p_battery = tr.p_traction_w.item(i), tr.p_battery_w.item(i)
+        p_recup, p_re = tr.p_recup_w.item(i), tr.p_re_w.item(i)
     elif lifecycle is Lifecycle.CHARGING and vehicle.session is not None:
         s = vehicle.session
         elapsed = max(0.0, (t_ms - s.grant_ms) / MS_PER_S)
         _, soc = session_progress(s, params, elapsed)
-        inflow = s.effective_power_w * params.charging_efficiency
-        motion = (0.0, 0.0, 0.0, -inflow, 0.0, 0.0)
+        cached = session_texts.get(vehicle.vehicle_id)
+        if cached is None or cached[0] is not s:
+            p_battery = -(s.effective_power_w * params.charging_efficiency)
+            cached = session_texts[vehicle.vehicle_id] = (
+                s, p_battery,
+                f"{vehicle.vehicle_id},{lifecycle.value},0.0000,0.0000,",
+                f",0.000,{p_battery:.3f},0.000,0.000\r\n")
+        _, p_battery, before, after = cached
+        if not math.isfinite(soc + p_battery):
+            _reject_non_finite(vehicle, (0.0, 0.0, soc, 0.0, p_battery, 0.0, 0.0))
+        return f"{before}{soc:.9f}{after}"
     else:
-        soc, motion = vehicle.state.soc, (0.0,) * 6
-    v, a, p_traction, p_battery, p_recup, p_re = motion
-    for name, value in zip(_TICK_VALUES,
-                           (v, a, soc, p_traction, p_battery, p_recup, p_re)):
-        if not math.isfinite(value):
-            raise MetricsError(
-                f"non-finite {name}={value} in tick for {vehicle.vehicle_id}")
+        soc = vehicle.state.soc
+        v = a = p_traction = p_battery = p_recup = p_re = 0.0
+    if not math.isfinite(v + a + soc + p_traction + p_battery + p_recup + p_re):
+        _reject_non_finite(vehicle, (v, a, soc, p_traction, p_battery, p_recup,
+                                    p_re))
     return (f"{vehicle.vehicle_id},{lifecycle.value},{v:.4f},{a:.4f},"
             f"{soc:.9f},{p_traction:.3f},{p_battery:.3f},{p_recup:.3f},"
             f"{p_re:.3f}\r\n")
+
+
+def _reject_non_finite(vehicle: Vehicle, values) -> None:
+    """Raise :class:`MetricsError` naming the first non-finite of a tick
+    row's ``values``; a sum that overflowed from finite values passes."""
+    for name, value in zip(_TICK_VALUES, values):
+        if not math.isfinite(value):
+            raise MetricsError(
+                f"non-finite {name}={value} in tick for {vehicle.vehicle_id}")
 
 
 def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
@@ -172,19 +192,26 @@ class MetricsCollector:
     starts live, :meth:`record_transition` makes it live, and it leaves once
     a tick has formatted it in any other state, never while it drives.
 
-    Tick rows stream to disk once the rows buffered in memory reach
-    ``TICK_BUFFER_ROWS`` (metrics are the product, so any I/O failure is
-    allowed to propagate and abort the run).
+    ``ticks.csv`` is a stream. The constructor creates ``out_dir``, opens
+    the file with a write buffer of ``TICK_WRITE_BUFFER_BYTES`` and writes
+    its header, so an unwritable ``out_dir`` fails before the run starts.
+    Each recorded tick is written at once; no rows are held beyond the
+    file's buffer. :meth:`close` flushes and closes the file: it is called
+    by :meth:`export_all`, and by the runner on every way out of a run.
+    Metrics are the product, so any I/O failure is allowed to propagate and
+    abort the run.
     """
 
     def __init__(self, out_dir: str | Path, vehicles: list[Vehicle],
                  trips: list[Trip], sessions: list, params: VehicleParams):
         self.out_dir = Path(out_dir)
-        # one string of formatted ticks.csv rows per recorded tick
-        self._tick_chunks: list[str] = []
-        self._pending_rows = 0
-        self._ticks_flushed = 0
-        self._ticks_path: Path | None = None
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self._ticks = open(self.out_dir / "ticks.csv", "w", newline="",
+                           buffering=TICK_WRITE_BUFFER_BYTES)
+        self._ticks.write(",".join(TICK_HEADER) + "\r\n")
+        self._tick_rows = 0
+        # vehicle id -> (session, p_battery, text before SOC, text after)
+        self._session_texts: dict[str, tuple] = {}
         # vehicle index -> last row tail, in vehicle order; none if stranded
         self._tails = dict.fromkeys(range(len(vehicles)), "")
         self._live = set(self._tails)
@@ -216,7 +243,7 @@ class MetricsCollector:
             engine.schedule(Event(EventKind.METRICS_TICK), 0)
 
     def record_ticks(self, t_ms: int) -> None:
-        """Record the ``ticks.csv`` rows at ``t_ms``: one per vehicle that is
+        """Write the ``ticks.csv`` rows at ``t_ms``: one per vehicle that is
         not stranded, in vehicle order. Only the live vehicles are formatted
         again."""
         tails, live = self._tails, self._live
@@ -225,35 +252,26 @@ class MetricsCollector:
             if vehicle.lifecycle is Lifecycle.STRANDED:
                 del tails[i]
             else:
-                tails[i] = _row_tail(vehicle, t_ms, self.params)
+                tails[i] = _row_tail(vehicle, t_ms, self.params,
+                                     self._session_texts)
             if vehicle.lifecycle not in _LIVE_STATES:
                 live.discard(i)
         if not tails:
             return
         head = f"{t_ms / MS_PER_S:.3f},"
-        self._tick_chunks.append(head + head.join(tails.values()))
-        self._pending_rows += len(tails)
-        if self._pending_rows >= TICK_BUFFER_ROWS:
-            self._flush_ticks()
+        self._ticks.write(head)
+        self._ticks.write(head.join(tails.values()))
+        self._tick_rows += len(tails)
 
     def record_transition(self, t_ms: int, vehicle_id: str,
                           old: Lifecycle | None, new: Lifecycle) -> None:
+        i = self._index[vehicle_id]  # an unknown id raises KeyError
         self.transitions.append((t_ms, vehicle_id, old, new))
-        self._live.add(self._index[vehicle_id])
+        self._live.add(i)
 
-    # -- tick streaming ---------------------------------------------------------
-
-    def _flush_ticks(self) -> None:
-        if self._ticks_path is None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            self._ticks_path = self.out_dir / "ticks.csv"
-            with open(self._ticks_path, "w", newline="") as fh:
-                fh.write(",".join(TICK_HEADER) + "\r\n")
-        with open(self._ticks_path, "a", newline="") as fh:
-            fh.writelines(self._tick_chunks)
-        self._ticks_flushed += self._pending_rows
-        self._pending_rows = 0
-        self._tick_chunks.clear()
+    def close(self) -> None:
+        """Write out and close ``ticks.csv``; closing again does nothing."""
+        self._ticks.close()
 
     # -- analyses ----------------------------------------------------------------
 
@@ -290,7 +308,7 @@ class MetricsCollector:
         # running per-group counts; a vehicle counts as idle until its
         # first transition
         current = {g: 0 for g in counts}
-        current["idle"] = len({t[1] for t in self.transitions})
+        current["idle"] = len(self.vehicles)
         starts: list[float] = []
         events = self.transitions  # already in dispatch (time) order
         pointer = 0
@@ -347,11 +365,8 @@ class MetricsCollector:
         realised distances. ``utilization_bin_s`` is the bin width of
         ``utilization.csv``."""
         out = self.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-        files: dict[str, int] = {}
-
-        self._flush_ticks()
-        files["ticks.csv"] = self._ticks_flushed
+        self.close()
+        files: dict[str, int] = {"ticks.csv": self._tick_rows}
 
         with open(out / "trips.csv", "w", newline="") as fh:
             writer = csv.writer(fh)

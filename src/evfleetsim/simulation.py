@@ -73,63 +73,66 @@ def run_scenario(
         )
     collector = metrics.MetricsCollector(
         out_dir, vehicles, trips, manager.sessions, params)
-    controller = fleet.FleetController(
-        engine=engine,
-        net=net,
-        manager=manager,
-        vehicles=vehicles,
-        depot_edge=config.depot_edge,
-        env=config.environment,
-        params=params,
-        policies=config.policies,
-        dynamics_dt_s=config.dynamics_dt_s,
-        transition_hook=collector.record_transition,
-    )
-    controller.register_handlers()
-    controller.schedule_trips(trips)
+    try:
+        controller = fleet.FleetController(
+            engine=engine,
+            net=net,
+            manager=manager,
+            vehicles=vehicles,
+            depot_edge=config.depot_edge,
+            env=config.environment,
+            params=params,
+            policies=config.policies,
+            dynamics_dt_s=config.dynamics_dt_s,
+            transition_hook=collector.record_transition,
+        )
+        controller.register_handlers()
+        controller.schedule_trips(trips)
 
-    collector.schedule_ticks(engine, ms(config.metrics_interval_s),
-                             horizon_ms)
-    engine.on(EventKind.SIMULATION_END, lambda event: None)
-    engine.schedule(Event(EventKind.SIMULATION_END), horizon_ms)
+        collector.schedule_ticks(engine, ms(config.metrics_interval_s),
+                                 horizon_ms)
+        engine.on(EventKind.SIMULATION_END, lambda event: None)
+        engine.schedule(Event(EventKind.SIMULATION_END), horizon_ms)
 
-    summary = engine.run_until(horizon_ms)
+        summary = engine.run_until(horizon_ms)
 
-    manager.truncate_active_sessions(horizon_ms)
+        manager.truncate_active_sessions(horizon_ms)
 
-    n_stranded = sum(
-        1 for v in vehicles if v.lifecycle is fleet.Lifecycle.STRANDED
-    )
-    n_delayed = sum(
-        1 for t in trips
-        if t.delay_ms > 0 or (t.status == "pending" and t.depart_ms <= horizon_ms)
-    )
-    waits = [
-        (s.grant_ms - s.enqueue_ms) / MS_PER_S for s in manager.sessions
-    ]
-    mean_wait_s = float(sum(waits) / len(waits)) if waits else 0.0
-    total_grid_wh = float(sum(s.energy_wh for s in manager.sessions))
-    total_fuel_l = float(sum(v.state.cumulative.fuel_liters for v in vehicles))
+        n_stranded = sum(
+            1 for v in vehicles if v.lifecycle is fleet.Lifecycle.STRANDED
+        )
+        n_delayed = sum(
+            1 for t in trips
+            if t.delay_ms > 0 or (t.status == "pending" and t.depart_ms <= horizon_ms)
+        )
+        waits = [
+            (s.grant_ms - s.enqueue_ms) / MS_PER_S for s in manager.sessions
+        ]
+        mean_wait_s = float(sum(waits) / len(waits)) if waits else 0.0
+        total_grid_wh = float(sum(s.energy_wh for s in manager.sessions))
+        total_fuel_l = float(sum(v.state.cumulative.fuel_liters for v in vehicles))
 
-    run_info = dict(
-        version=__version__,
-        seed=config.seed,
-        config_hash=config.config_hash(),
-        fleet_size=config.fleet_size,
-        n_events=summary.total_dispatched,
-        n_trips=len(trips),
-        n_stranded=n_stranded,
-        n_delayed=n_delayed,
-        mean_wait_s=mean_wait_s,
-        wall_clock_s=summary.wall_clock_s,
-    )
-    manifest = collector.export_all(
-        run_info, horizon_ms,
-        histogram_edges=config.demand.bin_edges(),
-        utilization_bin_s=config.utilization_bin_s,
-    )
-    if event_log:
-        write_event_log_csv(engine, out_dir / "events.csv")
+        run_info = dict(
+            version=__version__,
+            seed=config.seed,
+            config_hash=config.config_hash(),
+            fleet_size=config.fleet_size,
+            n_events=summary.total_dispatched,
+            n_trips=len(trips),
+            n_stranded=n_stranded,
+            n_delayed=n_delayed,
+            mean_wait_s=mean_wait_s,
+            wall_clock_s=summary.wall_clock_s,
+        )
+        manifest = collector.export_all(
+            run_info, horizon_ms,
+            histogram_edges=config.demand.bin_edges(),
+            utilization_bin_s=config.utilization_bin_s,
+        )
+        if event_log:
+            write_event_log_csv(engine, out_dir / "events.csv")
+    finally:
+        collector.close()
 
     return RunResult(
         out_dir=out_dir,

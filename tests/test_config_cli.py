@@ -1,15 +1,19 @@
 import copy
+import errno
 import filecmp
 import json
+import os
+from pathlib import Path
 
 import pytest
 import yaml
 
-from evfleetsim import cli
+from evfleetsim import cli, metrics
 from evfleetsim.config import (MAX_HORIZON_S, MAX_VEHICLES, VEHICLE_PRESETS,
                                ConfigError, apply_sweep_override, build_config,
                                default_scenario_path, load_config, load_raw)
 from evfleetsim.dynamics import MAX_BATTERY_CAPACITY_WH, MIN_ACCELERATION_MPS2
+from evfleetsim.engine import Engine
 from evfleetsim.fleet import MAX_TRIPS_PER_DAY
 from evfleetsim.network import (MAX_EDGE_LENGTH_M, MAX_GRID_NODES,
                                 NetworkError, generate_grid)
@@ -530,6 +534,49 @@ def test_cli_run_writes_outputs_and_event_log(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert len(manifest["files"]) == 6
+
+
+def test_cli_unwritable_out_is_an_io_error_before_any_event(
+        tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(Engine, "run_until",
+                        lambda self, end_ms: ran.append(end_ms))
+    path = write_scenario(tmp_path)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("I/O error:")
+    assert ran == []
+
+
+def test_cli_failed_tick_write_is_an_io_error(tmp_path, capsys, monkeypatch):
+    # ticks.csv takes the header and the tick at 0 s; writing the tick at
+    # 30 s fails as on a full disk
+    real_open = open
+
+    def open_failing_ticks(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        if Path(file).name == "ticks.csv":
+            write = fh.write
+
+            def failing_write(text):
+                if text.startswith("30.000,"):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return write(text)
+
+            fh.write = failing_write
+        return fh
+
+    monkeypatch.setattr(metrics, "open", open_failing_ticks, raising=False)
+    path = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: handler for MetricsTick at t=30.000s")
+    assert err.rstrip().endswith(os.strerror(errno.ENOSPC))
+    rows = (out / "ticks.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_missing_config_returns_config_error(tmp_path):

@@ -1,11 +1,12 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_params
 from evfleetsim import metrics
-from evfleetsim.charging import ChargeSession
+from evfleetsim.charging import ChargeSession, session_progress
 from evfleetsim.dynamics import Cumulative, DriveTrace, VehicleState
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip, Vehicle
@@ -17,10 +18,24 @@ from evfleetsim.network import Route
 CAPACITY_WH = 18000.0
 
 
+# the collectors collector_for built in the running test
+_collectors = []
+
+
+@pytest.fixture(autouse=True)
+def close_collectors():
+    """Close each test's collectors, and so their open ``ticks.csv``."""
+    yield
+    while _collectors:
+        _collectors.pop().close()
+
+
 def collector_for(out_dir, vehicles=(), trips=(), sessions=()):
-    return MetricsCollector(out_dir, list(vehicles), list(trips),
-                            list(sessions),
-                            make_params(battery_capacity_wh=CAPACITY_WH))
+    collector = MetricsCollector(out_dir, list(vehicles), list(trips),
+                                 list(sessions),
+                                 make_params(battery_capacity_wh=CAPACITY_WH))
+    _collectors.append(collector)
+    return collector
 
 
 def fleet_of(*vids, soc=1.0):
@@ -82,16 +97,15 @@ def tick_rows(out_dir):
 def test_one_record_one_row_after_flush(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0", soc=0.5))
     collector.record_ticks(0)
-    collector._flush_ticks()
+    collector.close()
     rows = (tmp_path / "ticks.csv").read_text().splitlines()
     assert rows[0] == ",".join(TICK_HEADER)
     assert rows[1] == "0.000,v0,idle,0.0000,0.0000,0.500000000,0.000,0.000,0.000,0.000"
     assert len(rows) == 2
 
 
-def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
+def test_bulk_record_count_matches_exactly(tmp_path):
     n_ticks, per_tick = 10_000, 100
-    monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", 200_000)
     collector = collector_for(
         tmp_path, fleet_of(*(f"v{i}" for i in range(per_tick)), soc=0.5))
     for k in range(n_ticks):
@@ -103,6 +117,23 @@ def test_bulk_record_count_matches_exactly(tmp_path, monkeypatch):
         assert sum(1 for _ in fh) == n + 1
 
 
+def test_recording_ticks_holds_no_rows_in_memory(tmp_path):
+    # 5,000 ticks of 100 vehicles at rest are 500,000 rows (about 33 MB)
+    vehicles = fleet_of(*(f"v{i:04d}" for i in range(100)), soc=0.5)
+    tracemalloc.start()
+    try:
+        collector = collector_for(tmp_path, vehicles)
+        for k in range(5000):
+            collector.record_ticks(k * 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    collector.close()
+    assert peak < 1 << 20
+    with open(tmp_path / "ticks.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 500_000
+
+
 def test_non_finite_tick_rejected(tmp_path):
     collector = collector_for(
         tmp_path, fleet_of("v0") + [driving("v7", v_mps=float("nan"))])
@@ -110,6 +141,12 @@ def test_non_finite_tick_rejected(tmp_path):
         collector.record_ticks(0)
     collector = collector_for(tmp_path, [driving("v3", p_battery_w=float("inf"))])
     with pytest.raises(MetricsError, match="non-finite p_battery_w=inf in tick for v3"):
+        collector.record_ticks(0)
+    (v5,) = vehicles = fleet_of("v5")
+    v5.lifecycle, v5.session = Lifecycle.CHARGING, session("v5")
+    v5.session.effective_power_w = float("inf")
+    collector = collector_for(tmp_path, vehicles)
+    with pytest.raises(MetricsError, match="non-finite p_battery_w=-inf in tick for v5"):
         collector.record_ticks(0)
 
 
@@ -143,7 +180,7 @@ def test_rest_rows_follow_state_and_soc(tmp_path):
         transition(collector, t_ms - 1, v0, queued)
         collector.record_ticks(t_ms)
     collector.record_ticks(5000)
-    collector._flush_ticks()
+    collector.close()
     rows = [line.split(",")[:3] + [line.split(",")[5]]
             for line in tick_rows(tmp_path)]
     assert rows == [
@@ -160,9 +197,9 @@ def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
     formatted = []
     row_tail = metrics._row_tail
 
-    def counting(vehicle, t_ms, params):
+    def counting(vehicle, t_ms, *args):
         formatted.append((t_ms, vehicle.vehicle_id))
-        return row_tail(vehicle, t_ms, params)
+        return row_tail(vehicle, t_ms, *args)
 
     monkeypatch.setattr(metrics, "_row_tail", counting)
     v0, v1, v2 = vehicles = fleet_of("v0", "v1", "v2", soc=0.5)
@@ -184,7 +221,7 @@ def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
     collector.record_ticks(5000)
     assert formatted == [(0, "v0"), (0, "v1"), (0, "v2"), (1000, "v1"),
                          (2000, "v1"), (3000, "v1"), (4000, "v1")]
-    collector._flush_ticks()
+    collector.close()
     rows = [",".join(line.split(",")[:3] + line.split(",")[5:6])
             for line in tick_rows(tmp_path)]
     assert rows == [
@@ -199,6 +236,34 @@ def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
         "4.000,v0,idle,0.500000000", "4.000,v1,idle,0.500000000",
         "5.000,v0,idle,0.500000000", "5.000,v1,idle,0.500000000",
     ]
+
+
+def test_charging_rows_follow_each_session(tmp_path):
+    # the text around the SOC is formatted once per session object
+    (v0,) = vehicles = fleet_of("v0", soc=0.5)
+    v0.lifecycle = Lifecycle.CHARGING
+    params = make_params(battery_capacity_wh=CAPACITY_WH)
+    collector = collector_for(tmp_path, vehicles)
+    slow = session(grant_s=0.0, energy=2300.0)
+    fast = session(grant_s=2.0, energy=3600.0)
+    v0.session = slow
+    collector.record_ticks(0)
+    collector.record_ticks(1000)
+    v0.session = fast
+    collector.record_ticks(3000)
+    v0.session = slow
+    collector.record_ticks(4000)
+    collector.close()
+
+    def row(t_s, s, elapsed_s):
+        _, soc = session_progress(s, params, elapsed_s)
+        inflow = s.effective_power_w * params.charging_efficiency
+        return (f"{t_s:.3f},v0,charging,0.0000,0.0000,{soc:.9f},0.000,"
+                f"{-inflow:.3f},0.000,0.000")
+
+    assert tick_rows(tmp_path) == [row(0.0, slow, 0.0), row(1.0, slow, 1.0),
+                                   row(3.0, fast, 1.0), row(4.0, slow, 4.0)]
+    assert row(1.0, slow, 1.0) != row(1.0, fast, 1.0)
 
 
 # --- distance histogram -----------------------------------------------------------

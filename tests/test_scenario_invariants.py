@@ -20,7 +20,8 @@ from test_config_cli import write_scenario
 from evfleetsim import dynamics, metrics
 from evfleetsim.charging import ChargingManager, Queued, session_progress
 from evfleetsim.config import load_config
-from evfleetsim.engine import Engine, EventKind, ms
+from evfleetsim.engine import (Engine, EventKind, ModelError,
+                               SimulationAborted, ms)
 from evfleetsim.fleet import FleetController, Lifecycle
 from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
                                 state_periods)
@@ -406,17 +407,52 @@ def test_ticks_csv_equals_reference_across_an_empty_trace(tmp_path,
 
 
 def test_ticks_csv_independent_of_flush_boundaries(tmp_path, monkeypatch):
+    # write buffers below one row, about one tick and the production size
     path = write_busy_scenario(tmp_path, vehicles=5, trips_per_vehicle=4)
     default = run_scenario(load_config(path), tmp_path / "out")
     expected = (tmp_path / "out" / "ticks.csv").read_bytes()
-    rows_per_tick = expected.count(b"\n0.000,")
-    assert rows_per_tick == 5 and default.n_stranded == 0
-    for rows in (1, rows_per_tick - 1, rows_per_tick):
-        monkeypatch.setattr(metrics, "TICK_BUFFER_ROWS", rows)
-        result = run_scenario(load_config(path), tmp_path / f"out_{rows}")
-        assert (tmp_path / f"out_{rows}" / "ticks.csv").read_bytes() == expected
+    lines = expected.splitlines(keepends=True)
+    first_tick = [line for line in lines if line.startswith(b"0.000,")]
+    assert len(first_tick) == 5 and default.n_stranded == 0
+    tick_bytes = sum(map(len, first_tick))
+    assert 16 < min(map(len, lines))
+    for size in (16, tick_bytes - 1, tick_bytes):
+        monkeypatch.setattr(metrics, "TICK_WRITE_BUFFER_BYTES", size)
+        result = run_scenario(load_config(path), tmp_path / f"out_{size}")
+        assert (tmp_path / f"out_{size}" / "ticks.csv").read_bytes() == expected
         assert (result.manifest["files"]["ticks.csv"]
                 == default.manifest["files"]["ticks.csv"])
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open files in /proc/self/fd")
+def test_an_aborted_run_closes_ticks_csv_with_whole_rows(tmp_path,
+                                                         monkeypatch):
+    def fail(self, event):
+        raise ModelError("dwell without a plan")
+
+    path = write_busy_scenario(tmp_path, numerics=FINE_TICKS)
+    monkeypatch.setattr(FleetController, "on_dwell_complete", fail)
+    before = open_fds()
+    with pytest.raises(SimulationAborted, match="DwellComplete") as err:
+        run_scenario(load_config(path), tmp_path / "out")
+    assert open_fds() == before
+    assert err.value.event.at > 0
+    text = (tmp_path / "out" / "ticks.csv").read_bytes().decode()
+    header, *rows = text.split("\r\n")
+    assert header == ",".join(TICK_HEADER)
+    assert rows.pop() == ""  # the file ends with a whole row
+    assert len(rows) % 3 == 0 and len(rows) > 3
+    assert all(len(row.split(",")) == len(TICK_HEADER) for row in rows)
+    # every tick before the failing event, and no later one
+    interval_ms = ms(FINE_TICKS["metrics_interval_s"])
+    last_t_ms = ms(float(rows[-1].split(",")[0]))
+    assert 0 <= err.value.event.at - last_t_ms <= interval_ms
+    assert len(rows) == 3 * (last_t_ms // interval_ms + 1)
 
 
 # --- memoised drive plans and the benchmark's tracer --------------------------
