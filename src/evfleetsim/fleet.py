@@ -253,15 +253,13 @@ class Trip:
 def sample_trip(
     streams: DemandStreams,
     profile: DemandProfile,
-    depot_edge: str,
-    net: network.RoadNetwork,
+    depot_point: network.Coord,
     trip_id: str,
-    routing_weight: str,
 ) -> Trip:
     """Draw one job: depart time from the hourly histogram, airline distance
-    from the binned distribution, bearing uniform, destination snapped to the
-    nearest edge. Unroutable destinations mark the trip rejected (not
-    resampled, so the output distance distribution stays unbiased)."""
+    from the binned distribution, bearing uniform from ``depot_point``. The
+    trip carries only its destination point; :func:`generate_day_schedule`
+    snaps and routes it."""
     rng = streams.schedule
     hour = draw_index(rng, profile.departure_cdf)
     depart_ms = ms(hour * 3600.0 + rng.uniform(0.0, 3600.0))
@@ -274,27 +272,17 @@ def sample_trip(
     bearing = streams.bearing.uniform(0.0, 2.0 * math.pi)
     dwell_s = profile.dwell.sample(streams.dwell)
 
-    depot_point = net.edge_midpoint(depot_edge)
     dest_point = network.Coord(
         depot_point.x + distance * math.cos(bearing),
         depot_point.y + distance * math.sin(bearing),
     )
-    trip = Trip(
+    return Trip(
         trip_id=trip_id,
         depart_ms=depart_ms,
         sampled_airline_m=distance,
         dwell_s=dwell_s,
         destination_point=dest_point,
     )
-    trip.destination_edge = network.nearest_edge(net, dest_point)
-    try:
-        trip.outbound = network.shortest_path(
-            net, depot_edge, trip.destination_edge, routing_weight)
-        trip.return_route = network.shortest_path(
-            net, trip.destination_edge, depot_edge, routing_weight)
-    except network.NoRouteError:
-        trip.status = "rejected"
-    return trip
 
 
 def generate_day_schedule(
@@ -305,19 +293,41 @@ def generate_day_schedule(
     depot_edge: str,
     routing_weight: str,
 ) -> list[Trip]:
-    """Sample each vehicle's trip count and its trips, then sort globally by
-    departure time. Deterministic for a given seed."""
+    """Sample the day's jobs in three passes, then sort them globally by
+    departure time. Deterministic for a given seed.
+
+    1. Draw: each vehicle's trip count, then its trips
+       (:func:`sample_trip`), all from the seed's streams.
+    2. Snap: every destination point to its nearest edge, in one
+       :func:`~evfleetsim.network.nearest_edge` call.
+    3. Route: each trip out and back by ``routing_weight``. An unroutable
+       destination marks the trip rejected; it is not resampled, so the
+       output distance distribution stays unbiased.
+
+    Snapping and routing draw no random numbers, so the streams see the
+    same calls in the same order as when each trip is drawn, snapped and
+    routed in turn."""
     if fleet_size < 1:
         raise FleetError("fleet_size must be >= 1")
     streams = DemandStreams(seed)
+    depot_point = net.edge_midpoint(depot_edge)
     trips: list[Trip] = []
-    counter = 0
     for _ in range(fleet_size):
         n = profile.trips_per_day.sample(streams.schedule)
         for _ in range(n):
-            trips.append(sample_trip(streams, profile, depot_edge, net,
-                                     f"t{counter:06d}", routing_weight))
-            counter += 1
+            trips.append(sample_trip(streams, profile, depot_point,
+                                     f"t{len(trips):06d}"))
+    snapped = network.nearest_edge(
+        net, [trip.destination_point for trip in trips])
+    for trip, edge in zip(trips, snapped):
+        trip.destination_edge = edge
+        try:
+            trip.outbound = network.shortest_path(
+                net, depot_edge, edge, routing_weight)
+            trip.return_route = network.shortest_path(
+                net, edge, depot_edge, routing_weight)
+        except network.NoRouteError:
+            trip.status = "rejected"
     trips.sort(key=lambda t: (t.depart_ms, t.trip_id))
     return trips
 

@@ -53,6 +53,9 @@ _STATE_GROUP = {
     Lifecycle.QUEUED_AT_STATION: "queued",
     Lifecycle.STRANDED: "stranded",
 }
+# each state's value, read once: ``Lifecycle.value`` is a Python-level
+# descriptor call on every read
+_STATE_VALUE = {state: state.value for state in Lifecycle}
 
 
 class MetricsError(ValueError):
@@ -134,11 +137,13 @@ def state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float]
     start = 0
     for t_ms, _, _, new in transitions:
         if current is not None and t_ms > start:
-            periods.append((current.value, start / MS_PER_S, t_ms / MS_PER_S))
+            periods.append((_STATE_VALUE[current], start / MS_PER_S,
+                            t_ms / MS_PER_S))
         current = new
         start = t_ms
     if current is not None and horizon_ms > start:
-        periods.append((current.value, start / MS_PER_S, horizon_ms / MS_PER_S))
+        periods.append((_STATE_VALUE[current], start / MS_PER_S,
+                        horizon_ms / MS_PER_S))
     return periods
 
 
@@ -401,13 +406,17 @@ class MetricsCollector:
 
         transitions = _group_by_vehicle(self.transitions, lambda t: t[1])
         sessions = self._sessions_by_vehicle()
+        zero_seconds = dict.fromkeys(_STATE_VALUE.values(), 0.0)
+        idle, charging, queued, en_route, returning = map(_STATE_VALUE.get, (
+            Lifecycle.IDLE, Lifecycle.CHARGING, Lifecycle.QUEUED_AT_STATION,
+            Lifecycle.EN_ROUTE, Lifecycle.RETURNING))
         with open(out / "summary.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(SUMMARY_HEADER)
             for v in sorted(self.vehicles, key=lambda v: v.vehicle_id):
                 vid, c = v.vehicle_id, v.state.cumulative
                 grid = sum(s.energy_wh for s in sessions.get(vid, []))
-                seconds = {s.value: 0.0 for s in Lifecycle}
+                seconds = zero_seconds.copy()
                 for state, start, end in state_periods(
                         transitions.get(vid, []), horizon_ms):
                     seconds[state] += end - start
@@ -418,10 +427,9 @@ class MetricsCollector:
                     f"{grid:.6f}",
                     f"{c.fuel_liters:.6f}", f"{c.distance_m:.3f}",
                     v.n_trips,
-                    f"{seconds[Lifecycle.IDLE.value]:.3f}",
-                    f"{seconds[Lifecycle.CHARGING.value]:.3f}",
-                    f"{seconds[Lifecycle.QUEUED_AT_STATION.value]:.3f}",
-                    f"{seconds[Lifecycle.EN_ROUTE.value] + seconds[Lifecycle.RETURNING.value]:.3f}",
+                    f"{seconds[idle]:.3f}", f"{seconds[charging]:.3f}",
+                    f"{seconds[queued]:.3f}",
+                    f"{seconds[en_route] + seconds[returning]:.3f}",
                 ])
         files["summary.csv"] = len(self.vehicles)
 

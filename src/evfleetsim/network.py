@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,10 @@ class RoadNetwork:
     """Immutable after construction; safe to share read-only.
 
     The only state that grows is the memo of :func:`shortest_path` results,
-    keyed by ``(from_edge, to_edge, weight)``. It is valid because the graph
-    never changes.
+    keyed by ``(from_edge, to_edge, weight)``. Two caches are built once, on
+    first use: the edge geometry of :func:`nearest_edge` and, per routing
+    weight, the arc table of the route search. All three are valid because
+    the graph never changes.
     """
 
     def __init__(
@@ -99,6 +102,8 @@ class RoadNetwork:
         for eid in sorted(edges):
             self.adjacency[edges[eid].from_node].append(eid)
         self._geom: tuple | None = None
+        # weight -> node -> (to_node, weight, edge_id, ...), see _arcs
+        self._arc_tables: dict[str, dict[str, tuple]] = {}
         self._routes: dict[tuple[str, str, str], Route] = {}
         self._validate()
 
@@ -106,14 +111,10 @@ class RoadNetwork:
         for nid, c in self.nodes.items():
             if not (math.isfinite(c.x) and math.isfinite(c.y)):
                 raise NetworkError(f"node {nid}: non-finite coordinates")
-        if self.nodes:
-            # nearest_edge squares coordinate differences
-            xs = [c.x for c in self.nodes.values()]
-            ys = [c.y for c in self.nodes.values()]
-            width, height = max(xs) - min(xs), max(ys) - min(ys)
-            if not math.isfinite(width * width + height * height):
-                raise NetworkError("node coordinates span too far: the "
-                                   "square of their extent is not finite")
+        # nearest_edge squares coordinate differences
+        if self.nodes and not math.isfinite(self._extent_sq()):
+            raise NetworkError("node coordinates span too far: the "
+                               "square of their extent is not finite")
         for eid, e in self.edges.items():
             for n in (e.from_node, e.to_node):
                 if n not in self.nodes:
@@ -146,9 +147,16 @@ class RoadNetwork:
         a, b = self.nodes[e.from_node], self.nodes[e.to_node]
         return Coord((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
 
+    def _extent_sq(self) -> float:
+        """The squared diagonal of the nodes' bounding box."""
+        xs = [c.x for c in self.nodes.values()]
+        ys = [c.y for c in self.nodes.values()]
+        width, height = max(xs) - min(xs), max(ys) - min(ys)
+        return width * width + height * height
+
     def _geometry(self):
-        # cached per-edge endpoint arrays, sorted by edge id so that argmin
-        # tie-breaks resolve to the smallest id
+        # cached per-edge endpoint arrays, sorted by edge id so that the
+        # first of tied candidates is the smallest id
         if self._geom is None:
             ids = sorted(self.edges)
             ax = np.empty(len(ids))
@@ -162,7 +170,10 @@ class RoadNetwork:
             dx = bx - ax
             dy = by - ay
             seg_sq = dx * dx + dy * dy
-            self._geom = (ids, ax, ay, dx, dy, np.maximum(seg_sq, 1e-300))
+            # the squared absolute tie slack of nearest_edge
+            tie_sq = NEAREST_TIE_REL ** 2 * self._extent_sq()
+            self._geom = (ids, ax, ay, dx, dy, np.maximum(seg_sq, 1e-300),
+                          tie_sq)
         return self._geom
 
 
@@ -264,29 +275,69 @@ def generate_grid(
     return RoadNetwork(nodes, edges, hourly_speed_factors)
 
 
-NEAREST_TIE_REL = 1e-9  # distances this close count as tied
+# distances this close count as tied: relative to the nearest, or relative
+# to the network's extent (the diagonal of its nodes' bounding box)
+NEAREST_TIE_REL = 1e-9
+# point-to-edge distances that nearest_edge computes in one array pass: 11
+# points at a time on the bundled 360-edge grid, in arrays of 32 KiB; larger
+# chunks were faster but raised the peak resident memory of a run (see
+# CHANGES.md). A larger network takes fewer points per pass, so the arrays
+# of a pass stay this size
+SNAP_CHUNK_CELLS = 4096
 
 
-def nearest_edge(net: RoadNetwork, p: Coord) -> str:
-    """Edge minimizing point-to-segment distance; ties go to the smallest id.
+def nearest_edge(net: RoadNetwork, points: Sequence[Coord]) -> list[str]:
+    """The edge minimizing point-to-segment distance for each of ``points``,
+    in order; ties go to the smallest id.
 
     Two mathematically equal distances (e.g. the two directions of the same
-    street) can differ by rounding, so anything within ``NEAREST_TIE_REL``
-    of the minimum counts as tied.
+    street) can differ by rounding, so a squared distance counts as tied
+    when it is within ``2 * NEAREST_TIE_REL`` of the point's minimum plus
+    the square of ``NEAREST_TIE_REL`` times the network's extent. The
+    absolute part ties a point on a street to both its directions, where
+    one distance rounds to zero and the other does not.
+
+    The points are snapped in chunks of ``SNAP_CHUNK_CELLS // len(net.edges)``
+    (at least one), one array pass per chunk. Every distance takes the same
+    elementwise float operations whatever the chunk, so a point snaps to the
+    same edge alone or in any batch. An empty network raises
+    :class:`NetworkError`, even for no points.
     """
     if not net.edges:
         raise NetworkError("nearest_edge on empty network")
-    ids, ax, ay, dx, dy, seg_sq = net._geometry()
-    px = p.x - ax
-    py = p.y - ay
-    t = np.clip((px * dx + py * dy) / seg_sq, 0.0, 1.0)
-    ex = px - t * dx
-    ey = py - t * dy
-    dist_sq = ex * ex + ey * ey
-    d_min = float(dist_sq.min())
-    threshold = d_min * (1.0 + 2.0 * NEAREST_TIE_REL) + 1e-300
-    candidates = np.flatnonzero(dist_sq <= threshold)
-    return min(ids[int(i)] for i in candidates)
+    ids, ax, ay, dx, dy, seg_sq, tie_sq = net._geometry()
+    n_edges = len(ids)
+    step = max(1, SNAP_CHUNK_CELLS // n_edges)
+    snapped: list[str] = []
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        # one row per point, one column per edge; in place where the value
+        # is the same, so that a pass holds four arrays of its size:
+        # t = clip((px * dx + py * dy) / seg_sq, 0, 1), ex = px - t * dx,
+        # ey = py - t * dy and dist_sq = ex * ex + ey * ey
+        px = np.array([p.x for p in chunk])[:, None] - ax
+        py = np.array([p.y for p in chunk])[:, None] - ay
+        t = px * dx
+        t += py * dy
+        t /= seg_sq
+        np.clip(t, 0.0, 1.0, out=t)
+        px -= t * dx
+        py -= t * dy
+        del t
+        px *= px
+        py *= py
+        px += py
+        dist_sq = px
+        threshold = (dist_sq.min(axis=1) * (1.0 + 2.0 * NEAREST_TIE_REL)
+                     + tie_sq)
+        # candidates in row-major order, at least one per row: the first of
+        # each row is the point's smallest candidate id, as the ids are sorted
+        row = -1
+        for hit in np.flatnonzero(dist_sq <= threshold[:, None]).tolist():
+            if hit // n_edges != row:
+                row = hit // n_edges
+                snapped.append(ids[hit - row * n_edges])
+    return snapped
 
 
 def snap_distance(net: RoadNetwork, p: Coord, edge_id: str) -> float:
@@ -327,6 +378,23 @@ def shortest_path(net: RoadNetwork, from_edge: str, to_edge: str,
     return route
 
 
+def _arcs(net: RoadNetwork, weight: str) -> dict[str, tuple]:
+    """The arc table of ``weight``: for each node, its outgoing edges in
+    edge-id order as one flat tuple of ``to_node, weight, edge_id`` triples
+    (one tuple per node, not per arc, to keep the table small). Built on
+    the first search with ``weight`` and kept on ``net``; an unknown weight
+    raises :class:`NetworkError`."""
+    table = net._arc_tables.get(weight)
+    if table is None:
+        edges = net.edges
+        table = {node: tuple(field for eid in out for field in (
+                     edges[eid].to_node, _edge_weight(edges[eid], weight),
+                     eid))
+                 for node, out in net.adjacency.items()}
+        net._arc_tables[weight] = table
+    return table
+
+
 def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Route:
     for eid in (from_edge, to_edge):
         if eid not in net.edges:
@@ -335,29 +403,31 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Ro
         e = net.edges[from_edge]
         return Route((from_edge,), e.length_m)
 
+    arcs = _arcs(net, weight)
     source = net.edges[from_edge].to_node
     target = net.edges[to_edge].from_node
 
     dist: dict[str, float] = {source: 0.0}
     prev_edge: dict[str, str] = {}
-    visited: set[str] = set()
     frontier: list[tuple[float, str]] = [(0.0, source)]
+    pop, push, reached, inf = heapq.heappop, heapq.heappush, dist.get, math.inf
     while frontier:
-        d, node = heapq.heappop(frontier)
-        if node in visited:
+        d, node = pop(frontier)
+        # a node is pushed only when its distance strictly falls, and no
+        # weight is negative: the entry at its distance is popped before any
+        # it could still get and only once; an entry above it is stale
+        if d > dist[node]:
             continue
-        visited.add(node)
         if node == target:
             break
-        for eid in net.adjacency[node]:
-            e = net.edges[eid]
-            nd = d + _edge_weight(e, weight)
-            if nd < dist.get(e.to_node, math.inf):
-                dist[e.to_node] = nd
-                prev_edge[e.to_node] = eid
-                heapq.heappush(frontier, (nd, e.to_node))
-
-    if target not in visited and target != source:
+        fields = iter(arcs[node])
+        for to_node, w, eid in zip(fields, fields, fields):
+            nd = d + w
+            if nd < reached(to_node, inf):
+                dist[to_node] = nd
+                prev_edge[to_node] = eid
+                push(frontier, (nd, to_node))
+    else:
         raise NoRouteError(f"no route from {from_edge} to {to_edge}")
 
     middle: list[str] = []

@@ -272,7 +272,7 @@ def test_c8_routing_oracles():
         d_min = min(dists.values())
         ties = [eid for eid, d in dists.items()
                 if d <= d_min * (1.0 + 1e-9) + 1e-150]
-        assert nearest_edge(net, p) == min(ties)
+        assert nearest_edge(net, [p]) == [min(ties)]
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     report(8, f"Dijkstra matches Bellman-Ford; nearest-edge matches scan ({elapsed:.1f}s)")

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_params
+from test_network import reference_route
 
-from evfleetsim import dynamics
+from evfleetsim import dynamics, fleet
 
 from evfleetsim.charging import ChargingManager, ChargingStation, Slot
-from evfleetsim.config import DEFAULTS
+from evfleetsim.config import (DEFAULTS, build_config, default_scenario_path,
+                               load_raw)
 from evfleetsim.dynamics import Environment, VehicleState
 from evfleetsim.engine import Engine, Event, EventKind, SimulationAborted, ms
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
@@ -18,8 +22,9 @@ from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               Lifecycle, ModelError, Trip, TripsPerDay,
                               Vehicle, cumulative, draw_index,
                               generate_day_schedule, sample_trip)
-from evfleetsim.network import (Coord, Edge, RoadNetwork, airline_distance,
-                                generate_grid, shortest_path)
+from evfleetsim.network import (Coord, Edge, NoRouteError, RoadNetwork,
+                                airline_distance, generate_grid, nearest_edge,
+                                shortest_path)
 
 ENV = Environment()
 
@@ -61,7 +66,7 @@ def test_degenerate_single_point_distance_bin():
     depot = sorted(net.edges)[0]
     streams = DemandStreams(1)
     for i in range(50):
-        trip = sample_trip(streams, prof, depot, net, f"t{i}", "travel_time")
+        trip = sample_trip(streams, prof, net.edge_midpoint(depot), f"t{i}")
         assert trip.sampled_airline_m == 0.0
     with pytest.raises(FleetError, match="strictly increasing"):
         profile(bins=((0.0, 1.0), (0.0, 1.0)))
@@ -90,11 +95,11 @@ def test_two_bin_frequencies_within_3_sigma():
     prof = profile(bins=((100.0, 1.0), (200.0, 3.0)))
     streams = DemandStreams(7)
     net = generate_grid(4, 4, 200.0, 10.0)
-    depot = sorted(net.edges)[0]
+    depot_point = net.edge_midpoint(sorted(net.edges)[0])
     hi = 0
     n = 10_000
     for i in range(n):
-        trip = sample_trip(streams, prof, depot, net, f"t{i}", "travel_time")
+        trip = sample_trip(streams, prof, depot_point, f"t{i}")
         if trip.sampled_airline_m > 100.0:
             hi += 1
     assert 7500 - 130 <= hi <= 7500 + 130
@@ -104,10 +109,10 @@ def test_driven_route_at_least_airline_minus_snap_slack():
     net = generate_grid(6, 6, 150.0, 10.0)
     depot = sorted(net.edges)[180 // 2]
     prof = profile(bins=((200.0, 1.0), (500.0, 2.0), (900.0, 1.0)))
-    streams = DemandStreams(23)
     depot_point = net.edge_midpoint(depot)
-    for i in range(300):
-        trip = sample_trip(streams, prof, depot, net, f"t{i}", "travel_time")
+    # one trip for each of 300 vehicles: the draws of 300 trips in a row
+    for trip in generate_day_schedule(23, prof, 300, net, depot,
+                                      "travel_time"):
         if trip.status == "rejected":
             continue
         route = trip.outbound
@@ -132,11 +137,8 @@ def test_rejected_destination_counted_not_resampled():
     }
     net = RoadNetwork(nodes, edges)
     prof = profile(bins=((5000.0, 1.0),))
-    streams = DemandStreams(3)
-    statuses = {
-        sample_trip(streams, prof, "home", net, f"t{i}", "travel_time").status
-        for i in range(80)
-    }
+    statuses = {trip.status for trip in generate_day_schedule(
+        3, prof, 80, net, "home", "travel_time")}
     assert "rejected" in statuses
 
 
@@ -168,6 +170,75 @@ def test_day_schedule_deterministic_under_seed():
 
     assert snapshot(11) == snapshot(11)
     assert snapshot(11) != snapshot(12)
+
+
+def load_bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_schedule(streams, profile, fleet_size, net, depot_edge, weight):
+    """The day's trips drawn, snapped and routed one at a time, each before
+    the next is drawn, and sorted as the schedule is."""
+    trips = []
+    for _ in range(fleet_size):
+        for _ in range(profile.trips_per_day.sample(streams.schedule)):
+            rng = streams.schedule
+            hour = draw_index(rng, profile.departure_cdf)
+            depart_ms = ms(hour * 3600.0 + rng.uniform(0.0, 3600.0))
+            idx = draw_index(rng, profile.distance_cdf)
+            lower = profile.distance_bins[idx - 1][0] if idx > 0 else 0.0
+            distance = rng.uniform(lower, profile.distance_bins[idx][0])
+            bearing = streams.bearing.uniform(0.0, 2.0 * math.pi)
+            dwell_s = profile.dwell.sample(streams.dwell)
+            depot = net.edge_midpoint(depot_edge)
+            point = Coord(depot.x + distance * math.cos(bearing),
+                          depot.y + distance * math.sin(bearing))
+            trip = Trip(f"t{len(trips):06d}", depart_ms, distance, dwell_s,
+                        destination_point=point)
+            [trip.destination_edge] = nearest_edge(net, [point])
+            try:
+                trip.outbound = reference_route(
+                    net, depot_edge, trip.destination_edge, weight)
+                trip.return_route = reference_route(
+                    net, trip.destination_edge, depot_edge, weight)
+            except NoRouteError:
+                trip.status = "rejected"
+            trips.append(trip)
+    trips.sort(key=lambda t: (t.depart_ms, t.trip_id))
+    return trips
+
+
+@pytest.mark.parametrize("seed", [42, 1003])
+@pytest.mark.parametrize("workload", ["bundled_day", "charging_divert"])
+def test_day_schedule_equals_trip_by_trip_reference(monkeypatch, workload,
+                                                    seed):
+    path = default_scenario_path()
+    raw = load_bench_workloads().scenario(workload, load_raw(path), seed)
+    config = build_config(raw, path.parent)
+    made = []
+
+    class RecordedStreams(DemandStreams):
+        def __init__(self, master_seed):
+            super().__init__(master_seed)
+            made.append(self)
+
+    monkeypatch.setattr(fleet, "DemandStreams", RecordedStreams)
+    args = (config.demand, config.schedule_size, config.network,
+            config.depot_edge, config.policies.routing_weight)
+    trips = generate_day_schedule(config.seed, *args)
+    streams = DemandStreams(config.seed)
+    expected = reference_schedule(streams, *args)
+    assert len(trips) == len(expected) > 0
+    for trip, ref in zip(trips, expected):
+        assert trip == ref
+    [bulk_streams] = made
+    for name in ("schedule", "bearing", "dwell"):
+        assert (getattr(bulk_streams, name).bit_generator.state
+                == getattr(streams, name).bit_generator.state)
 
 
 def test_day_schedule_requires_positive_fleet():

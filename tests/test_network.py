@@ -1,15 +1,20 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_config_cli import write_scenario
 
+from evfleetsim import network
 from evfleetsim.config import ConfigError, load_config
 from evfleetsim.network import (Coord, Edge, NetworkError, NoRouteError,
-                                RoadNetwork, airline_distance, generate_grid,
-                                load_network, nearest_edge, route_travel_time,
-                                shortest_path, snap_distance)
+                                RoadNetwork, Route, _edge_weight,
+                                airline_distance, generate_grid, load_network,
+                                nearest_edge, route_travel_time, shortest_path,
+                                snap_distance)
 
 
 def write_net(tmp_path, nodes_rows, edges_rows):
@@ -142,7 +147,7 @@ def test_grid_passes_load_time_validation():
 
 def test_nearest_edge_point_on_edge():
     net = generate_grid(2, 2, 100.0, 13.9)
-    eid = nearest_edge(net, Coord(50.0, 0.0))
+    [eid] = nearest_edge(net, [Coord(50.0, 0.0)])
     e = net.edges[eid]
     assert {e.from_node, e.to_node} == {"n0_0", "n0_1"}
 
@@ -155,30 +160,78 @@ def test_nearest_edge_tie_broken_by_smallest_id():
         "E7": Edge("E7", "c", "d", 100.0, 10.0, 0.0),
     }
     net = RoadNetwork(nodes, edges)
-    assert nearest_edge(net, Coord(50.0, 5.0)) == "E3"
+    assert nearest_edge(net, [Coord(50.0, 5.0)]) == ["E3"]
+
+
+def brute_nearest(net, p):
+    # scalar exhaustive scan with the documented tie tolerance: relative to
+    # the nearest distance and to the diagonal of the nodes' bounding box
+    xs = [c.x for c in net.nodes.values()]
+    ys = [c.y for c in net.nodes.values()]
+    extent = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    dists = {eid: snap_distance(net, p, eid) for eid in net.edges}
+    d_min = min(dists.values())
+    ties = [eid for eid, d in dists.items()
+            if d <= d_min * (1.0 + 1e-9) + 1e-9 * extent]
+    return min(ties)
 
 
 def test_nearest_edge_matches_exhaustive_scan():
     rng = np.random.default_rng(7)
     net = generate_grid(5, 5, 100.0, 13.9)
+    points = [Coord(rng.uniform(-50, 450), rng.uniform(-50, 450))
+              for _ in range(300)]
+    assert nearest_edge(net, points) == [brute_nearest(net, p) for p in points]
 
-    def brute(p):
-        # scalar exhaustive scan with the documented tie tolerance
-        dists = {eid: snap_distance(net, p, eid) for eid in net.edges}
-        d_min = min(dists.values())
-        ties = [eid for eid, d in dists.items()
-                if d <= d_min * (1.0 + 1e-9) + 1e-150]
-        return min(ties)
 
-    for _ in range(300):
-        p = Coord(rng.uniform(-50, 450), rng.uniform(-50, 450))
-        assert nearest_edge(net, p) == brute(p)
+@pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1), (1, 0),
+                                           (1, 1), (0, 1000)],
+                         ids=["0", "1", "chunk-1", "chunk", "chunk+1", "1000"])
+def test_nearest_edge_batches_match_exhaustive_scan(chunks, extra):
+    net = generate_grid(5, 5, 100.0, 13.9)
+    chunk = network.SNAP_CHUNK_CELLS // len(net.edges)  # points per pass
+    assert chunk > 2  # so that the sizes around it differ
+    n = chunks * chunk + extra
+    rng = np.random.default_rng(n)
+    # inside the grid, on its north-south streets and nodes, and beyond it
+    # on every side
+    points = [Coord(float(x), float(y))
+              for x, y in rng.uniform(-600.0, 1000.0, (n, 2))]
+    points[::3] = [Coord(float(rng.integers(0, 5)) * 100.0,
+                         float(rng.uniform(0.0, 400.0)))
+                   for _ in points[::3]]
+    assert nearest_edge(net, points) == [brute_nearest(net, p) for p in points]
+
+
+def test_nearest_edge_breaks_ties_between_directions_and_streets():
+    net = generate_grid(4, 4, 100.0, 13.9)
+    # block centres (four streets tie), nodes (up to eight edges), midpoints
+    # and off-centre points beside a street (its two directions tie), and
+    # points beyond each corner
+    points = [Coord(x + 50.0, y + 50.0) for x in (0.0, 100.0, 200.0)
+              for y in (0.0, 100.0, 200.0)]
+    points += [Coord(x, y) for x in (0.0, 100.0, 300.0)
+               for y in (0.0, 200.0, 300.0)]
+    points += [Coord(0.1 * k + 0.3, 100.0 + 1.0 / 3.0 * k) for k in range(40)]
+    points += [Coord(-250.0, -250.0), Coord(550.0, -3.0), Coord(550.0, 550.0),
+               Coord(-0.1, 700.0)]
+    got = nearest_edge(net, points)
+    assert got == [brute_nearest(net, p) for p in points]
+    assert got == [nearest_edge(net, [p])[0] for p in points]
+    # every pick is the smaller id of its street's two directions
+    for eid in got:
+        e = net.edges[eid]
+        twin = next(o for o in net.edges.values()
+                    if (o.from_node, o.to_node) == (e.to_node, e.from_node))
+        assert eid < twin.edge_id
 
 
 def test_nearest_edge_rejects_empty_network():
     net = RoadNetwork({"a": Coord(0, 0)}, {})
     with pytest.raises(NetworkError):
-        nearest_edge(net, Coord(0, 0))
+        nearest_edge(net, [Coord(0, 0)])
+    with pytest.raises(NetworkError):
+        nearest_edge(net, [])
 
 
 # --- shortest path -------------------------------------------------------------
@@ -280,6 +333,100 @@ def test_shortest_path_weight_matches_bellman_ford(weight):
                                   net.edges[to].from_node, cost)
             expected = middle + cost(net.edges[frm]) + cost(net.edges[to])
             assert got == pytest.approx(expected, rel=1e-9)
+
+
+def reference_route(net, from_edge, to_edge, weight):
+    """The route search relaxing edge by edge: early-stopping Dijkstra that
+    looks each edge up and asks ``_edge_weight`` for its weight."""
+    for eid in (from_edge, to_edge):
+        if eid not in net.edges:
+            raise NetworkError(f"unknown edge {eid}")
+    if from_edge == to_edge:
+        return Route((from_edge,), net.edges[from_edge].length_m)
+    source = net.edges[from_edge].to_node
+    target = net.edges[to_edge].from_node
+    dist, prev_edge, visited = {source: 0.0}, {}, set()
+    frontier = [(0.0, source)]
+    while frontier:
+        d, node = heapq.heappop(frontier)
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == target:
+            break
+        for eid in net.adjacency[node]:
+            e = net.edges[eid]
+            nd = d + _edge_weight(e, weight)
+            if nd < dist.get(e.to_node, math.inf):
+                dist[e.to_node] = nd
+                prev_edge[e.to_node] = eid
+                heapq.heappush(frontier, (nd, e.to_node))
+    if target not in visited and target != source:
+        raise NoRouteError(f"no route from {from_edge} to {to_edge}")
+    middle, node = [], target
+    while node != source:
+        middle.append(prev_edge[node])
+        node = net.edges[prev_edge[node]].from_node
+    edge_list = (from_edge, *reversed(middle), to_edge)
+    return Route(edge_list, sum(net.edges[e].length_m for e in edge_list))
+
+
+def assert_routes_match_reference(net):
+    """``shortest_path`` on ``net`` gives the reference's route edges and
+    length, or ``NoRouteError`` with it, for every ordered edge pair and
+    both weights."""
+    for weight in ("distance", "travel_time"):
+        for frm in net.edges:
+            for to in net.edges:
+                try:
+                    expected = reference_route(net, frm, to, weight)
+                except NoRouteError:
+                    with pytest.raises(NoRouteError):
+                        shortest_path(net, frm, to, weight)
+                    continue
+                route = shortest_path(net, frm, to, weight)
+                assert route.edges == expected.edges, (frm, to, weight)
+                assert route.total_length_m == expected.total_length_m
+
+
+def test_routes_match_reference_on_a_grid_of_ties():
+    # equal lengths and speeds: most pairs have many shortest routes, and
+    # the pop order alone decides which one is found
+    assert_routes_match_reference(generate_grid(4, 4, 100.0, 13.9))
+
+
+@st.composite
+def networks_with_an_island(draw):
+    """A grid of 2-3 x 2-4 nodes 100 m apart whose streets each have one or
+    both directions, with lengths and speeds from short lists (so that
+    routes tie), plus a two-way street no grid node reaches."""
+    rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    nodes = {f"n{r}_{c}": Coord(100.0 * c, 100.0 * r)
+             for r in range(rows) for c in range(cols)}
+    streets = [(f"n{r}_{c}", f"n{r}_{c + 1}") for r in range(rows)
+               for c in range(cols - 1)]
+    streets += [(f"n{r}_{c}", f"n{r + 1}_{c}") for r in range(rows - 1)
+                for c in range(cols)]
+    nodes["i0"], nodes["i1"] = Coord(5000.0, 0.0), Coord(5100.0, 0.0)
+    streets.append(("i0", "i1"))
+    edges = {}
+    for a, b in streets:
+        way = "both" if a == "i0" else draw(st.sampled_from(["ab", "ba",
+                                                               "both"]))
+        pairs = {"ab": [(a, b)], "ba": [(b, a)], "both": [(a, b), (b, a)]}
+        for frm, to in pairs[way]:
+            # a drawn prefix shuffles the id order, and so the search order
+            eid = f"e{draw(st.integers(0, 999)):03d}_{len(edges)}"
+            edges[eid] = Edge(eid, frm, to,
+                              100.0 * draw(st.sampled_from([1.0, 1.5, 2.0])),
+                              draw(st.sampled_from([10.0, 13.9, 20.0])), 0.0)
+    return RoadNetwork(nodes, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks_with_an_island())
+def test_routes_match_reference_on_drawn_networks(net):
+    assert_routes_match_reference(net)
 
 
 def test_route_edges_are_connected_and_length_consistent():

@@ -587,6 +587,25 @@ def test_bench_tracer_sees_the_dynamics_calls(tmp_path):
     assert layers["metrics.self_s"] > 0.0
 
 
+def test_bench_tracer_sees_the_schedule_snap_and_routes(tmp_path):
+    # the schedule snaps and routes through the module functions the
+    # benchmark patches: one nearest_edge call for the day, and the two
+    # shortest_path calls of every accepted trip under its span
+    tracing = load_bench_tracing()
+    tracer = tracing.Tracer("schedule")
+    with tracing.traced(tracer):
+        result = run_scenario(load_config(write_busy_scenario(
+            tmp_path, vehicles=5, trips_per_vehicle=4)), tmp_path / "out")
+    accepted = [t for t in result.trips if t.status != "rejected"]
+    rejected = len(result.trips) - len(accepted)
+    assert len(accepted) == 20
+    schedule = "fleet.generate_day_schedule"
+    assert tracer.totals()[schedule][0] == 1
+    assert tracer.calls_under("network.nearest_edge", schedule) == 1
+    assert (tracer.calls_under("network.shortest_path", schedule)
+            == 2 * len(accepted) + rejected)
+
+
 # --- grouped metrics against per-vehicle reference filters -------------------
 
 def reference_state_periods(transitions, vehicle_id, horizon_ms):
