@@ -63,7 +63,6 @@ class _Occupied:
 @dataclass
 class _QueueEntry:
     vehicle: object
-    target_soc: float
     enqueue_ms: int
     # estimated seconds to charge at the station's mean slot power; fixed
     # while queued, since a queued vehicle is at rest
@@ -137,11 +136,15 @@ class ChargingManager:
     or queues. It schedules nothing: the caller schedules the events of each
     session it is returned.
 
-    All vehicles share ``params``, the fleet's one vehicle model; of a
+    All vehicles share ``params``, the fleet's one vehicle model, and
+    ``target_soc``, the fleet's one charging target: every session charges
+    to it, and each session keeps it as its own ``target_soc``. Of a
     vehicle the manager reads only ``vehicle_id`` and ``state``."""
 
-    def __init__(self, stations: list[ChargingStation], params: VehicleParams):
+    def __init__(self, stations: list[ChargingStation], params: VehicleParams,
+                 target_soc: float):
         self.params = params
+        self.target_soc = target_soc
         self.stations: dict[str, ChargingStation] = {}
         for st in stations:
             if st.station_id in self.stations:
@@ -161,12 +164,12 @@ class ChargingManager:
         station: ChargingStation,
         slot: Slot,
         vehicle,
-        target_soc: float,
         enqueue_ms: int,
         at_ms: int,
     ) -> ChargeSession:
         params = self.params
-        deficit = (target_soc - vehicle.state.soc) * params.battery_capacity_wh
+        deficit = ((self.target_soc - vehicle.state.soc)
+                   * params.battery_capacity_wh)
         duration = charge_duration(
             deficit, slot.power_w, params.max_charging_power_w,
             params.charging_efficiency,
@@ -182,7 +185,7 @@ class ChargingManager:
             effective_power_w=min(slot.power_w, params.max_charging_power_w),
             energy_wh=deficit,
             start_soc=vehicle.state.soc,
-            target_soc=target_soc,
+            target_soc=self.target_soc,
         )
         occupancy = self.occupancy[station.station_id]
         occupancy[slot.slot_id] = _Occupied(vehicle, session)
@@ -191,10 +194,10 @@ class ChargingManager:
         assert len(occupancy) <= station.max_simultaneous
         return session
 
-    def would_queue(self, vehicle, station_id: str, target_soc: float) -> bool:
-        """Whether a request of ``vehicle`` to charge to ``target_soc`` at
-        ``station_id`` would queue: every slot the simultaneity limit allows
-        is taken. Raises :class:`ChargingError` for a request that
+    def would_queue(self, vehicle, station_id: str) -> bool:
+        """Whether a request of ``vehicle`` to charge at ``station_id``
+        would queue: every slot the simultaneity limit allows is taken.
+        Raises :class:`ChargingError` for a request that
         :meth:`request_charge` refuses: an unknown station, a vehicle
         already charging or queued, or a target not above its SOC."""
         station = self.stations.get(station_id)
@@ -204,18 +207,17 @@ class ChargingManager:
             raise ChargingError(
                 f"vehicle {vehicle.vehicle_id} already charging or queued"
             )
-        if target_soc <= vehicle.state.soc:
-            raise ChargingError(
-                f"target soc {target_soc} not above current {vehicle.state.soc}"
-            )
+        if self.target_soc <= vehicle.state.soc:
+            raise ChargingError(f"target soc {self.target_soc} not above "
+                                f"current {vehicle.state.soc}")
         return len(self.occupancy[station_id]) >= station.max_simultaneous
 
     def request_charge(
-        self, vehicle, station_id: str, target_soc: float, at_ms: int
+        self, vehicle, station_id: str, at_ms: int
     ) -> ChargeSession | Queued:
         """Grant the best free slot and return its session, or append to the
         station's FIFO queue."""
-        full = self.would_queue(vehicle, station_id, target_soc)
+        full = self.would_queue(vehicle, station_id)
         station = self.stations[station_id]
         if not full:
             # below the limit a slot is free: the limit is at most the slot
@@ -223,13 +225,10 @@ class ChargingManager:
             occupancy = self.occupancy[station_id]
             slot = min((s for s in station.slots if s.slot_id not in occupancy),
                        key=lambda s: (-s.power_w, s.slot_id))
-            return self._start_session(
-                station, slot, vehicle, target_soc, at_ms, at_ms
-            )
+            return self._start_session(station, slot, vehicle, at_ms, at_ms)
         queue = self.queues[station_id]
-        queue.append(_QueueEntry(vehicle, target_soc, at_ms,
-                                 self._queued_charge_s(station, vehicle,
-                                                       target_soc)))
+        queue.append(_QueueEntry(vehicle, at_ms,
+                                 self._queued_charge_s(station, vehicle)))
         self._engaged.add(vehicle.vehicle_id)
         return Queued(len(queue))
 
@@ -254,9 +253,8 @@ class ChargingManager:
         entry = queue.popleft()
         self._engaged.discard(entry.vehicle.vehicle_id)
         slot = next(s for s in station.slots if s.slot_id == slot_id)
-        return self._start_session(
-            station, slot, entry.vehicle, entry.target_soc, entry.enqueue_ms, at_ms
-        )
+        return self._start_session(station, slot, entry.vehicle,
+                                   entry.enqueue_ms, at_ms)
 
     def truncate_active_sessions(self, at_ms: int) -> None:
         """At the simulation horizon, convert in-progress sessions into partial
@@ -276,14 +274,13 @@ class ChargingManager:
 
     # -- wait-or-divert policy ------------------------------------------------
 
-    def _queued_charge_s(self, station: ChargingStation, vehicle,
-                         target_soc: float) -> float:
-        """Estimated seconds a queued ``vehicle`` will charge to
-        ``target_soc`` at ``station``, assuming the mean slot power."""
+    def _queued_charge_s(self, station: ChargingStation, vehicle) -> float:
+        """Estimated seconds a queued ``vehicle`` will charge to the target
+        at ``station``, assuming the mean slot power."""
         est_power = sum(s.power_w for s in station.slots) / len(station.slots)
         params = self.params
-        deficit = max(
-            0.0, (target_soc - vehicle.state.soc) * params.battery_capacity_wh)
+        deficit = max(0.0, ((self.target_soc - vehicle.state.soc)
+                            * params.battery_capacity_wh))
         return charge_duration(deficit, est_power, params.max_charging_power_w,
                                params.charging_efficiency)
 
@@ -347,6 +344,6 @@ class ChargingManager:
                 assert vid not in seen, f"{vid} appears twice"
                 seen.add(vid)
                 assert entry.charge_s == self._queued_charge_s(
-                    station, entry.vehicle, entry.target_soc), (
+                    station, entry.vehicle), (
                     f"{vid}: stale queued charge time")
         assert seen == self._engaged

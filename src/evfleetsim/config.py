@@ -433,6 +433,19 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     if pcfg["routing_weight"] not in ("travel_time", "distance"):
         errors.append(f"policies.routing_weight: must be 'travel_time' or "
                       f"'distance', got {pcfg['routing_weight']!r}")
+    elif net is not None and depot in net.edges:
+        # a vehicle that charges away from the depot drives home from the
+        # station; the run reuses these memoised routes
+        for st in stations:
+            if st.edge_id == depot:
+                continue
+            try:
+                network.shortest_path(net, st.edge_id, depot,
+                                      pcfg["routing_weight"])
+            except network.NoRouteError:
+                errors.append(f"stations: station {st.station_id!r} on edge "
+                              f"{st.edge_id!r} has no route back to the "
+                              f"depot edge {depot!r}")
     for key in ("dispatch_reserve_soc", "depot_charge_threshold",
                 "target_soc", "safety_margin_soc"):
         if not 0.0 <= pcfg[key] <= 1.0:

@@ -447,16 +447,27 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     )
 
 
+class DriveModel:
+    """The fleet's one vehicle model, environment and drive time step
+    ``dt`` (s), with ``plans``, the memo of :func:`drive_segment` that is
+    valid only for these three. ``dt`` is checked once, here."""
+
+    def __init__(self, params: VehicleParams, env: Environment, dt: float):
+        if dt <= 0:
+            raise DynamicsError("dt must be positive")
+        self.params = params
+        self.env = env
+        self.dt = dt
+        self.plans: dict = {}
+
+
 def drive_segment(
     state: VehicleState,
     edge,
     v_entry: float,
     v_exit_target: float,
-    params: VehicleParams,
-    env: Environment,
-    dt: float,
     speed_factor: float,
-    plans: dict,
+    model: DriveModel,
 ) -> SegmentResult:
     """Drive one edge with a trapezoidal velocity profile and integrate the
     power-flow chain into the vehicle state.
@@ -470,19 +481,20 @@ def drive_segment(
     battery empties and the range extender cannot carry the demand, the
     segment is truncated and flagged stranded.
 
-    ``plans`` memoises the part of the work that does not depend on the
-    state of charge. It is keyed by the edge's geometry and the drive,
+    ``model.plans`` memoises the part of the work that does not depend on
+    the state of charge. It is keyed by the edge's geometry and the drive,
     ``(length_m, speed_limit_mps, gradient, v_entry, v_exit_target,
     speed_factor)``, not by edge id, so its size is bounded by the distinct
     edge geometries and speeds of the network, not by fleet size or
-    simulated time. A caller must pass one ``plans`` mapping only with one
-    ``params``, ``env`` and ``dt``; an empty mapping plans the drive afresh,
-    with the same result to the last bit.
+    simulated time. The memo lives on the model, so it only ever serves
+    the one vehicle model, environment and ``dt`` it was filled with; a
+    fresh model plans the drive afresh, with the same result to the last
+    bit.
 
-    Checks: ``dt`` is checked on every call. The ``speed_factor`` range and
-    the entry speed against the effective limit depend only on the plan
-    key, so they run when a plan is built. A key that fails them, or whose
-    profile is infeasible, never gets a plan, so every call with it raises.
+    Checks: the ``speed_factor`` range and the entry speed against the
+    effective limit depend only on the plan key, so they run when a plan
+    is built. A key that fails them, or whose profile is infeasible, never
+    gets a plan, so every call with it raises.
 
     A drive whose SOC stays inside its bounds and its relay band all the
     way takes the plan's flows unchanged: it runs no numpy operation and
@@ -496,11 +508,10 @@ def drive_segment(
     bit what the minimum and maximum of the elementwise array would be.
     Otherwise a step loop switches the relay and clamps at empty or full.
     """
-    if dt <= 0:
-        raise DynamicsError("dt must be positive")
+    params = model.params
     key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
            v_exit_target, speed_factor)
-    plan = plans.get(key)
+    plan = model.plans.get(key)
     if plan is None:
         if not (0.0 < speed_factor <= 1.0):
             raise DynamicsError("speed_factor must be in (0, 1]")
@@ -509,8 +520,9 @@ def drive_segment(
             raise DynamicsError(
                 f"entry speed {v_entry:.2f} exceeds effective limit "
                 f"{v_cruise:.2f}")
-        plan = plans[key] = _plan_segment(edge, v_entry, v_exit_target,
-                                          v_cruise, params, env, dt)
+        plan = model.plans[key] = _plan_segment(
+            edge, v_entry, v_exit_target, v_cruise, params, model.env,
+            model.dt)
 
     c = params.battery_capacity_wh * S_PER_H
     soc0 = state.soc
@@ -648,7 +660,7 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
     return SegmentResult(trace=trace, duration_s=duration, stranded=stranded)
 
 
-def estimate_route_energy(net, route, params: VehicleParams, env: Environment,
+def estimate_route_energy(route, params: VehicleParams, env: Environment,
                           speed_factor: float) -> float:
     """Conservative battery-energy estimate (Wh) for driving a route.
 
@@ -659,8 +671,7 @@ def estimate_route_energy(net, route, params: VehicleParams, env: Environment,
     """
     total_j = 0.0
     v_first = None
-    for eid in route.edges:
-        e = net.edges[eid]
+    for e, _ in route.legs:
         v = e.speed_limit_mps * speed_factor
         if v_first is None:
             v_first = v

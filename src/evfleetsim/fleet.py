@@ -6,21 +6,24 @@ and routed out and back. Dispatch assigns each job to the idle vehicle with the
 highest SOC that can cover the round trip plus a reserve; jobs with no feasible
 vehicle wait for the next vehicle to become available.
 
-A fleet has one vehicle model: the controller and the charging manager each
-hold its one :class:`~evfleetsim.dynamics.VehicleParams`, and a
-:class:`Vehicle` carries only its state. Congestion enters once, where the
+Each run constant is bound once, where its owner is built: the controller's
+:class:`~evfleetsim.dynamics.DriveModel` holds the fleet's one vehicle model,
+environment and drive time step with the memo of drive plans; the charging
+manager holds the vehicle model and the fleet's one target SOC; and each
+:class:`~evfleetsim.network.Route` carries its legs, which the vehicles drive.
+A :class:`Vehicle` carries only its state. Congestion enters once, where the
 controller maps the hour to the network's speed factor; so a fact derived from
 a route depends only on the route and the factor. The controller owns and
-memoises them all, the divert alternatives too: it hands the charging manager
-those within the vehicle's SOC budget, and the manager only compares waits. The
-dispatch budget is monotone in SOC, so the idle vehicle with the highest SOC
-(ties to the smallest id) is feasible exactly when any idle vehicle is, and it
-is the only one checked. The controller finds it in a heap of
-``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes idle; entries
-of vehicles that are no longer idle, or whose SOC has changed since, are
-skipped and dropped when they reach the top. A vehicle's SOC must therefore not change
-while it is idle: only driving and completing a charge move it, and neither
-happens in the idle state.
+memoises the energy estimates and the divert alternatives: it hands the
+charging manager those within the vehicle's SOC budget, and the manager only
+compares waits. The dispatch budget is monotone in SOC, so the idle vehicle
+with the highest SOC (ties to the smallest id) is feasible exactly when any
+idle vehicle is, and it is the only one checked. The controller finds it in a
+heap of ``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes
+idle; entries of vehicles that are no longer idle, or whose SOC has changed
+since, are skipped and dropped when they reach the top. A vehicle's SOC must
+therefore not change while it is idle: only driving and completing a charge
+move it, and neither happens in the idle state.
 
 The controller schedules every event of a charging episode; the charging
 manager only grants slots and returns the sessions it starts.
@@ -344,7 +347,7 @@ class Vehicle:
     lifecycle: Lifecycle = Lifecycle.IDLE
     mission: Mission | None = None
     trip: Trip | None = None
-    # the route being driven, as FleetController.route_legs gives it
+    # the legs of the route being driven (see network.Route)
     legs: tuple[tuple[network.Edge, float | None], ...] | None = None
     segment_index: int = 0
     trace_start_ms: int = 0
@@ -384,36 +387,29 @@ class FleetController:
         manager: charging.ChargingManager,
         vehicles: list[Vehicle],
         depot_edge: str,
-        env: dynamics.Environment,
-        params: dynamics.VehicleParams,
+        model: dynamics.DriveModel,
         policies: FleetPolicies,
-        dynamics_dt_s: float,
         transition_hook,
     ):
         self.engine = engine
         self.net = net
         self.manager = manager
         self.vehicles = {v.vehicle_id: v for v in vehicles}
-        self.params = params
+        self.model = model
         # (-soc, vehicle_id) per entry into IDLE; stale entries are dropped
         # lazily by _try_dispatch
         self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
                            if v.lifecycle is Lifecycle.IDLE]
         heapq.heapify(self._idle_heap)
         self.depot_edge = depot_edge
-        self.env = env
         self.policies = policies
-        self.dt = dynamics_dt_s
         self.transition_hook = transition_hook
         self.trips: dict[str, Trip] = {}
         self.delayed: list[Trip] = []
-        # memos valid because params, env and dt are the same for the whole
-        # fleet and the network and stations never change: drive_segment
-        # plans keyed by edge geometry (see there), route legs by route
-        # edges, energy estimates by (route edges, speed factor), and divert
-        # alternatives, travel times included, by (station, speed factor)
-        self.plans: dict = {}
-        self._route_legs: dict[tuple[str, ...], tuple] = {}
+        # memos valid because the model is the whole fleet's and the network
+        # and stations never change: energy estimates by (route edges, speed
+        # factor), and divert alternatives, travel times included, by
+        # (station, speed factor); the drive plans are the model's
         self._route_energy: dict[tuple[tuple[str, ...], float], float] = {}
         self._divert: dict[tuple[str, float], list[tuple]] = {}
         depot_stations = sorted(
@@ -486,7 +482,7 @@ class FleetController:
         energy = self._route_energy.get(key)
         if energy is None:
             energy = self._route_energy[key] = dynamics.estimate_route_energy(
-                self.net, route, self.params, self.env, factor)
+                route, self.model.params, self.model.env, factor)
         return energy
 
     def divert_alternatives(self, station_id: str, factor: float
@@ -514,7 +510,7 @@ class FleetController:
                 alternatives.append((
                     charging.DivertTo(sid, route),
                     self.route_energy_wh(route, factor),
-                    network.route_travel_time(self.net, route, factor)))
+                    network.route_travel_time(route, factor)))
         return alternatives
 
     def _select_divert(self, vehicle: Vehicle, station_id: str
@@ -522,7 +518,7 @@ class FleetController:
         """Wait at ``station_id`` (``None``) or divert to an alternative the
         vehicle reaches with ``policies.safety_margin_soc`` left over."""
         budget = ((vehicle.state.soc - self.policies.safety_margin_soc)
-                  * self.params.battery_capacity_wh)
+                  * self.model.params.battery_capacity_wh)
         reachable = [
             (divert, travel) for divert, energy, travel
             in self.divert_alternatives(station_id, self._speed_factor())
@@ -530,22 +526,9 @@ class FleetController:
         return self.manager.select_station(station_id, self.engine.now_ms,
                                            reachable)
 
-    def route_legs(self, route: network.Route
-                   ) -> tuple[tuple[network.Edge, float | None], ...]:
-        """Each edge of ``route`` with the speed limit of the edge after it
-        (``None`` for the last edge), memoised: the per-edge drive reads its
-        edges and the next limits without a network lookup."""
-        key = route.edges
-        legs = self._route_legs.get(key)
-        if legs is None:
-            edges = [self.net.edges[eid] for eid in key]
-            limits = [e.speed_limit_mps for e in edges[1:]] + [None]
-            legs = self._route_legs[key] = tuple(zip(edges, limits))
-        return legs
-
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
                      mission: Mission, state: Lifecycle) -> None:
-        vehicle.legs = self.route_legs(route)
+        vehicle.legs = route.legs
         vehicle.segment_index = 0
         vehicle.mission = mission
         vehicle.state.velocity = 0.0
@@ -560,10 +543,8 @@ class FleetController:
         v_exit = 0.0 if next_limit is None else min(limit, next_limit * factor)
         v_entry = min(vehicle.state.velocity, limit)
 
-        result = dynamics.drive_segment(
-            vehicle.state, edge, v_entry, v_exit,
-            self.params, self.env, self.dt, factor, self.plans,
-        )
+        result = dynamics.drive_segment(vehicle.state, edge, v_entry, v_exit,
+                                        factor, self.model)
         vehicle.trace = result.trace
         vehicle.trace_start_ms = now
         kind = EventKind.STRANDED if result.stranded else EventKind.SEGMENT_COMPLETE
@@ -602,7 +583,7 @@ class FleetController:
             return False
         now = self.engine.now_ms
         budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
-                  * self.params.battery_capacity_wh)
+                  * self.model.params.battery_capacity_wh)
         factor = self._speed_factor()
         if budget < (self.route_energy_wh(trip.outbound, factor)
                      + self.route_energy_wh(trip.return_route, factor)):
@@ -705,10 +686,9 @@ class FleetController:
     def on_charge_request(self, event: Event) -> None:
         vehicle = self._alive(event)
         station_id = event.payload["station"]
-        target_soc = self.policies.target_soc
         # a full station: wait or divert, before queueing (at most one
         # divert per charging need, to rule out station ping-pong)
-        if (self.manager.would_queue(vehicle, station_id, target_soc)
+        if (self.manager.would_queue(vehicle, station_id)
                 and vehicle.divert_station is None):
             divert = self._select_divert(vehicle, station_id)
             if divert is not None:
@@ -716,8 +696,8 @@ class FleetController:
                 self._begin_route(vehicle, divert.route, Mission.DIVERT,
                                   Lifecycle.RETURNING)
                 return
-        result = self.manager.request_charge(
-            vehicle, station_id, target_soc, self.engine.now_ms)
+        result = self.manager.request_charge(vehicle, station_id,
+                                             self.engine.now_ms)
         if isinstance(result, charging.ChargeSession):
             self._grant(vehicle, result)
         else:

@@ -303,9 +303,10 @@ class MetricsCollector:
     def unused_vehicles_series(self, bin_s: float, horizon_ms: int) -> UtilizationSeries:
         """Per-bin lifecycle counts sampled at each bin start; ``idle`` is the
         unused-vehicle series, and its minimum over the run is the
-        overdimension margin."""
-        if bin_s <= 0:
-            raise MetricsError("bin width must be positive")
+        overdimension margin. A bin is at least 1 ms wide: a narrower one
+        would round to a 0 ms step of the clock."""
+        if not bin_s >= 0.001:
+            raise MetricsError("bin width must be at least 1 ms")
         state: dict[str, str] = {}
         counts: dict[str, list[int]] = {
             g: [] for g in ("idle", "busy", "charging", "queued", "stranded")
@@ -330,8 +331,6 @@ class MetricsCollector:
             for g in counts:
                 counts[g].append(current[g])
             t += bin_ms
-            if bin_ms == 0:
-                break
         return UtilizationSeries(bin_starts_s=starts, counts=counts)
 
     def _sessions_by_vehicle(self) -> dict[str, list]:

@@ -58,15 +58,30 @@ def airline_distance(a: Coord, b: Coord) -> float:
 
 @dataclass(frozen=True)
 class Route:
-    """An ordered tuple of edge ids; consecutive edges share a node.
+    """An ordered tuple of edge ids, consecutive edges sharing a node, and
+    its ``legs``: each :class:`Edge` with the speed limit of the edge after
+    it (``None`` for the last edge). Everything that drives, estimates or
+    times a route reads its legs, so none of it looks an edge up again.
 
-    :func:`shortest_path` memoises its routes on the network and hands the
-    same object to every caller that asks for the same route; the edges are
-    a tuple, so no caller can change them, and they serve as a memo key.
+    :meth:`through` builds every route of a network from its edge ids, so
+    that step has one place. :func:`shortest_path` memoises its routes on
+    the network and hands the same object to every caller that asks for the
+    same route; the edges are a tuple, so no caller can change them, and
+    they serve as a memo key.
     """
 
     edges: tuple[str, ...]
     total_length_m: float
+    legs: tuple[tuple[Edge, float | None], ...]
+
+    @classmethod
+    def through(cls, net: RoadNetwork, edge_ids: tuple[str, ...]) -> Route:
+        """The route along ``edge_ids`` of ``net``; its length is the sum
+        of the edge lengths in route order."""
+        edges = [net.edges[eid] for eid in edge_ids]
+        limits = [e.speed_limit_mps for e in edges[1:]] + [None]
+        return cls(edge_ids, sum(e.length_m for e in edges),
+                   tuple(zip(edges, limits)))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -400,8 +415,7 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Ro
         if eid not in net.edges:
             raise NetworkError(f"unknown edge {eid}")
     if from_edge == to_edge:
-        e = net.edges[from_edge]
-        return Route((from_edge,), e.length_m)
+        return Route.through(net, (from_edge,))
 
     arcs = _arcs(net, weight)
     source = net.edges[from_edge].to_node
@@ -438,17 +452,11 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Ro
         node = net.edges[eid].from_node
     middle.reverse()
 
-    edge_list = (from_edge, *middle, to_edge)
-    total = sum(net.edges[eid].length_m for eid in edge_list)
-    return Route(edge_list, total)
+    return Route.through(net, (from_edge, *middle, to_edge))
 
 
-def route_travel_time(net: RoadNetwork, route: Route,
-                      speed_factor: float) -> float:
+def route_travel_time(route: Route, speed_factor: float) -> float:
     """Travel time of a route in seconds with every speed limit scaled by
     ``speed_factor`` (see :meth:`RoadNetwork.speed_factor`)."""
-    edges = net.edges
-    return sum(
-        edges[eid].length_m / (edges[eid].speed_limit_mps * speed_factor)
-        for eid in route.edges
-    )
+    return sum(e.length_m / (e.speed_limit_mps * speed_factor)
+               for e, _ in route.legs)

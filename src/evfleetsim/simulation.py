@@ -54,7 +54,8 @@ def run_scenario(
 
     engine = Engine(keep_event_log=event_log)
     params = config.vehicle_params
-    manager = charging.ChargingManager(config.stations, params)
+    manager = charging.ChargingManager(config.stations, params,
+                                       config.policies.target_soc)
 
     vehicles = [
         fleet.Vehicle(
@@ -80,10 +81,9 @@ def run_scenario(
             manager=manager,
             vehicles=vehicles,
             depot_edge=config.depot_edge,
-            env=config.environment,
-            params=params,
+            model=dynamics.DriveModel(params, config.environment,
+                                      config.dynamics_dt_s),
             policies=config.policies,
-            dynamics_dt_s=config.dynamics_dt_s,
             transition_hook=collector.record_transition,
         )
         controller.register_handlers()

@@ -14,7 +14,8 @@ from conftest import dummy_vehicle, make_params, vehicle_ledger_errors
 from evfleetsim.charging import (ChargeSession, ChargingManager,
                                  ChargingStation, Slot, charge_duration)
 from evfleetsim.config import default_scenario_path, load_config
-from evfleetsim.dynamics import Environment, VehicleState, drive_segment
+from evfleetsim.dynamics import (DriveModel, Environment, VehicleState,
+                                 drive_segment)
 from evfleetsim.engine import Engine, Event, EventKind
 from evfleetsim.fleet import generate_day_schedule
 from evfleetsim.metrics import MetricsCollector
@@ -48,10 +49,10 @@ def test_c1_plug_rate_fidelity():
     assert charge_duration(3600.0, 11000.0, 3600.0, 1.0) == 3600.0
 
     station = ChargingStation("st", "e", (Slot("s0", 11000.0),), 1)
-    mgr = ChargingManager([station], make_params())
+    mgr = ChargingManager([station], make_params(), 1.0)
     # soc 0.75 keeps the deficit exactly representable: 4500 Wh of 18 kWh
     vehicle = dummy_vehicle("v", soc=0.75)
-    granted = mgr.request_charge(vehicle, "st", 1.0, 0)
+    granted = mgr.request_charge(vehicle, "st", 0)
     assert granted.effective_power_w == 3600.0  # vehicle cap binds
     assert granted.duration_s == 4500.0
     assert granted.complete_ms == 4_500_000
@@ -66,7 +67,7 @@ def test_c2_simultaneity_and_fifo_randomized():
         station = ChargingStation(
             "st", "e", (Slot("s0", 2300.0), Slot("s1", 3600.0)), 2
         )
-        mgr = ChargingManager([station], make_params())
+        mgr = ChargingManager([station], make_params(), 1.0)
         occupancy = mgr.occupancy["st"]
         n = int(rng.integers(3, 12))
         vehicles = {
@@ -85,7 +86,7 @@ def test_c2_simultaneity_and_fifo_randomized():
         def on_request(event):
             vid = event.payload["vehicle"]
             arrivals.append(vid)
-            result = mgr.request_charge(vehicles[vid], "st", 1.0, engine.now_ms)
+            result = mgr.request_charge(vehicles[vid], "st", engine.now_ms)
             if isinstance(result, ChargeSession):
                 grant(result)
             assert len(occupancy) <= 2
@@ -126,8 +127,8 @@ def test_c3_energy_conservation_random_trips_and_fleet_ledger(bundled_run):
             edge = Edge("e", "a", "b", float(rng.uniform(100, 1200)), v_lim,
                         float(rng.uniform(-0.06, 0.06)))
             result = drive_segment(state, edge, min(v_prev, v_lim),
-                                   float(rng.uniform(0, v_lim)),
-                                   params, ENV, 1.0, 1.0, {})
+                                   float(rng.uniform(0, v_lim)), 1.0,
+                                   DriveModel(params, ENV, 1.0))
             integral_wh += float(-np.dot(result.trace.p_battery_w,
                                          result.trace.dt_s / 3600.0))
             v_prev = state.velocity
@@ -156,16 +157,18 @@ def test_c4_kinematic_work_oracles():
     params = make_params(auxiliary_power_w=0.0)
     v, d = 15.0, 900.0
     flat = Edge("f", "a", "b", d, v, 0.0)
-    res = drive_segment(VehicleState(soc=0.9), flat, v, v, params, ENV, 1.0, 1.0, {})
+    res = drive_segment(VehicleState(soc=0.9), flat, v, v, 1.0,
+                        DriveModel(params, ENV, 1.0))
     work = float(np.dot(res.trace.p_traction_w, res.trace.dt_s))
     expected = (0.01 * 1500.0 * 9.81 + 0.5 * 1.2 * 0.3 * 2.2 * v * v) * d
     assert abs(work - expected) / expected < 1e-4
 
     grad = 0.05
     up = drive_segment(VehicleState(soc=0.9), Edge("u", "a", "b", d, v, grad),
-                       v, v, params, ENV, 1.0, 1.0, {})
-    down = drive_segment(VehicleState(soc=0.9), Edge("d", "a", "b", d, v, -grad),
-                         v, v, params, ENV, 1.0, 1.0, {})
+                       v, v, 1.0, DriveModel(params, ENV, 1.0))
+    down = drive_segment(VehicleState(soc=0.9),
+                         Edge("d", "a", "b", d, v, -grad), v, v, 1.0,
+                         DriveModel(params, ENV, 1.0))
     e_up = float(np.dot(up.trace.p_traction_w, up.trace.dt_s))
     e_down = float(np.dot(down.trace.p_traction_w, down.trace.dt_s))
     expected_diff = 2.0 * 1500.0 * 9.81 * math.sin(math.atan(grad)) * d

@@ -8,7 +8,7 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Queued, Slot, charge_duration,
                                  session_progress)
-from evfleetsim.dynamics import Environment, VehicleState
+from evfleetsim.dynamics import DriveModel, Environment, VehicleState
 from evfleetsim.engine import Engine, Event, EventKind, ms
 from evfleetsim.fleet import (FleetController, FleetPolicies, Lifecycle,
                               Mission, Vehicle)
@@ -62,8 +62,8 @@ def test_charge_duration_efficiency_lengthens():
 # --- request / grant / queue ----------------------------------------------------
 
 def test_empty_station_grants_best_slot():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
-    result = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 1.0, 0)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
+    result = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 0)
     assert isinstance(result, ChargeSession)
     assert result.slot_id == "s1"  # 3600 W beats 2300 W
     mgr.assert_consistent()
@@ -73,59 +73,60 @@ def test_highest_power_tie_broken_by_lowest_slot_id():
     station = ChargingStation(
         "st1", "e1", (Slot("s0", 3600.0), Slot("s1", 3600.0)), 2
     )
-    mgr = ChargingManager([station], PARAMS)
-    result = mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
+    mgr = ChargingManager([station], PARAMS, 1.0)
+    result = mgr.request_charge(dummy_vehicle("a"), "st1", 0)
     assert result.slot_id == "s0"
 
 
 def test_third_vehicle_queues_at_two_slot_station():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
-    mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0)
-    mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
-    result = mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
+    mgr.request_charge(dummy_vehicle("a"), "st1", 0)
+    mgr.request_charge(dummy_vehicle("b"), "st1", 0)
+    result = mgr.request_charge(dummy_vehicle("c"), "st1", 0)
     assert result == Queued(1)
     mgr.assert_consistent()
 
 
 def test_max_simultaneous_below_slot_count():
     station = two_slot_station(max_simultaneous=1)
-    mgr = ChargingManager([station], PARAMS)
-    assert isinstance(mgr.request_charge(dummy_vehicle("a"), "st1", 1.0, 0), ChargeSession)
-    assert isinstance(mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0), Queued)
+    mgr = ChargingManager([station], PARAMS, 1.0)
+    assert isinstance(mgr.request_charge(dummy_vehicle("a"), "st1", 0),
+                      ChargeSession)
+    assert isinstance(mgr.request_charge(dummy_vehicle("b"), "st1", 0), Queued)
     assert len(mgr.occupancy["st1"]) == 1
 
 
 def test_double_request_is_an_error():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
     vehicle = dummy_vehicle("a")
-    mgr.request_charge(vehicle, "st1", 1.0, 0)
+    mgr.request_charge(vehicle, "st1", 0)
     with pytest.raises(ChargingError, match="already charging"):
-        mgr.request_charge(vehicle, "st1", 1.0, 0)
+        mgr.request_charge(vehicle, "st1", 0)
 
 
 def test_unknown_station_is_an_error():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
     with pytest.raises(ChargingError, match="unknown station"):
-        mgr.request_charge(dummy_vehicle("a"), "nope", 1.0, 0)
+        mgr.request_charge(dummy_vehicle("a"), "nope", 0)
 
 
 def test_would_queue_says_full_and_changes_nothing():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
     a, b, c = (dummy_vehicle(vid) for vid in "abc")
-    assert not mgr.would_queue(a, "st1", 1.0)
-    mgr.request_charge(a, "st1", 1.0, 0)
-    assert not mgr.would_queue(b, "st1", 1.0)
-    mgr.request_charge(b, "st1", 1.0, 0)
-    assert mgr.would_queue(c, "st1", 1.0)
+    assert not mgr.would_queue(a, "st1")
+    mgr.request_charge(a, "st1", 0)
+    assert not mgr.would_queue(b, "st1")
+    mgr.request_charge(b, "st1", 0)
+    assert mgr.would_queue(c, "st1")
     assert not mgr.queues["st1"] and len(mgr.sessions) == 2
     mgr.assert_consistent()
-    assert mgr.request_charge(c, "st1", 1.0, 0) == Queued(1)
+    assert mgr.request_charge(c, "st1", 0) == Queued(1)
 
 
 def test_completion_time_and_energy_closed_form():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
     vehicle = dummy_vehicle("a", soc=0.5)  # deficit 9000 Wh
-    result = mgr.request_charge(vehicle, "st1", 1.0, 0)
+    result = mgr.request_charge(vehicle, "st1", 0)
     assert result.effective_power_w == 3600.0
     assert result.duration_s == pytest.approx(9000.0 * 3600.0 / 3600.0)
     assert result.complete_ms == ms(9000.0)
@@ -137,12 +138,12 @@ def test_completion_time_and_energy_closed_form():
 
 
 def test_release_grants_fifo_head_and_errors_on_free_slot():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 0.9)
     a = dummy_vehicle("a", soc=0.5)
-    g_a = mgr.request_charge(a, "st1", 0.9, 0)
-    mgr.request_charge(dummy_vehicle("b"), "st1", 1.0, 0)
-    mgr.request_charge(dummy_vehicle("c"), "st1", 1.0, 0)
-    mgr.request_charge(dummy_vehicle("d"), "st1", 1.0, 0)
+    g_a = mgr.request_charge(a, "st1", 0)
+    mgr.request_charge(dummy_vehicle("b"), "st1", 0)
+    mgr.request_charge(dummy_vehicle("c"), "st1", 0)
+    mgr.request_charge(dummy_vehicle("d"), "st1", 0)
     assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["c", "d"]
     handoff = mgr.release_slot("st1", g_a.slot_id, ms(10))
     assert g_a.completed and not g_a.truncated
@@ -161,7 +162,7 @@ def test_release_grants_fifo_head_and_errors_on_free_slot():
 
 
 def test_release_free_slot_is_an_error():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
     with pytest.raises(ChargingError, match="releasing free slot"):
         mgr.release_slot("st1", "s0", 0)
 
@@ -181,7 +182,7 @@ def test_randomized_service_order_equals_arrival_order():
     for case in range(100):
         engine = Engine()
         station = two_slot_station()
-        mgr = ChargingManager([station], PARAMS)
+        mgr = ChargingManager([station], PARAMS, 1.0)
         occupancy = mgr.occupancy["st1"]
         n = int(rng.integers(3, 15))
         vehicles = {
@@ -194,7 +195,7 @@ def test_randomized_service_order_equals_arrival_order():
         def on_request(event):
             vid = event.payload["vehicle"]
             arrivals.append(vid)
-            result = mgr.request_charge(vehicles[vid], "st1", 1.0, engine.now_ms)
+            result = mgr.request_charge(vehicles[vid], "st1", engine.now_ms)
             if isinstance(result, ChargeSession):
                 grants.append(vid)
                 schedule_completion(engine, result)
@@ -226,8 +227,9 @@ def test_randomized_service_order_equals_arrival_order():
 # compares the waits
 
 def divert_controller(net, mgr, vehicles=()):
-    return FleetController(Engine(), net, mgr, list(vehicles), "e1", ENV,
-                           PARAMS, FleetPolicies(), 1.0, lambda *args: None)
+    return FleetController(Engine(), net, mgr, list(vehicles), "e1",
+                           DriveModel(PARAMS, ENV, 1.0), FleetPolicies(),
+                           lambda *args: None)
 
 
 def decide(ctrl, vehicle, at_ms=0):
@@ -241,18 +243,19 @@ def decide(ctrl, vehicle, at_ms=0):
 
 def saturated_manager():
     mgr = ChargingManager(
-        [two_slot_station("A", "e1"), two_slot_station("B", "e2")], PARAMS)
+        [two_slot_station("A", "e1"), two_slot_station("B", "e2")], PARAMS,
+        1.0)
     # occupy both slots of A with sessions lasting an hour or more
     for vid in ("o1", "o2"):
-        mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 1.0, 0)
+        mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 0)
     return mgr
 
 
 def test_select_station_waits_when_no_alternative():
     st_a = two_slot_station("A", "e1")
-    mgr = ChargingManager([st_a], PARAMS)
-    mgr.request_charge(dummy_vehicle("o1"), "A", 1.0, 0)
-    mgr.request_charge(dummy_vehicle("o2"), "A", 1.0, 0)
+    mgr = ChargingManager([st_a], PARAMS, 1.0)
+    mgr.request_charge(dummy_vehicle("o1"), "A", 0)
+    mgr.request_charge(dummy_vehicle("o2"), "A", 0)
     net = line_network()
     me = dummy_vehicle("me", soc=0.5)
     assert divert_controller(net, mgr).divert_alternatives("A", 1.0) == []
@@ -264,7 +267,7 @@ def test_select_station_diverts_to_free_nearby_station():
     net = line_network()
     mgr = saturated_manager()
     me = dummy_vehicle("me", soc=0.5)
-    assert mgr.would_queue(me, "A", 1.0)
+    assert mgr.would_queue(me, "A")
     decision = decide(divert_controller(net, mgr), me)
     assert isinstance(decision, DivertTo)
     assert decision.station_id == "B"
@@ -284,11 +287,11 @@ def test_select_station_prefers_waiting_when_local_wait_short():
     net = line_network()
     st_a = two_slot_station("A", "e1")
     st_b = two_slot_station("B", "e2")
-    mgr = ChargingManager([st_a, st_b], PARAMS)
+    mgr = ChargingManager([st_a, st_b], PARAMS, 1.0)
     # occupants almost done: local wait ~ 5 s, divert costs >= 120 s travel
     for vid in ("o1", "o2"):
         vehicle = dummy_vehicle(vid, soc=0.9998)
-        mgr.request_charge(vehicle, "A", 1.0, 0)
+        mgr.request_charge(vehicle, "A", 0)
     me = dummy_vehicle("me", soc=0.5)
     decision = decide(divert_controller(net, mgr), me)
     assert decision is None
@@ -310,9 +313,9 @@ def divert_network():
 def divert_manager():
     mgr = ChargingManager([two_slot_station("A", "e1"),
                            two_slot_station("B", "e2"),
-                           two_slot_station("C", "e9")], PARAMS)
+                           two_slot_station("C", "e9")], PARAMS, 1.0)
     for vid in ("o1", "o2"):
-        mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 1.0, 0)
+        mgr.request_charge(dummy_vehicle(vid, soc=0.8), "A", 0)
     return mgr
 
 
@@ -411,7 +414,7 @@ def test_every_request_check_runs_for_a_vehicle_that_would_divert(check):
     if check == "unknown station":
         station_id = "nope"
     elif check == "already charging":
-        mgr.request_charge(me, "B", 1.0, 0)
+        mgr.request_charge(me, "B", 0)
     else:
         me.state.soc = 1.0
     # were the request valid, the vehicle would divert from A to B
@@ -425,9 +428,9 @@ def test_every_request_check_runs_for_a_vehicle_that_would_divert(check):
 
 
 def test_truncate_active_sessions_keeps_partial_energy():
-    mgr = ChargingManager([two_slot_station()], PARAMS)
+    mgr = ChargingManager([two_slot_station()], PARAMS, 1.0)
     vehicle = dummy_vehicle("a", soc=0.5)
-    granted = mgr.request_charge(vehicle, "st1", 1.0, 0)
+    granted = mgr.request_charge(vehicle, "st1", 0)
     assert granted.duration_s == pytest.approx(9000.0)
     mgr.truncate_active_sessions(ms(4500.0))
     s = granted
@@ -439,8 +442,8 @@ def test_truncate_active_sessions_keeps_partial_energy():
 
 def test_session_progress_is_linear_and_capped_at_target():
     params = make_params(charging_efficiency=0.9)
-    mgr = ChargingManager([two_slot_station()], params)
-    s = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 1.0, 0)
+    mgr = ChargingManager([two_slot_station()], params, 1.0)
+    s = mgr.request_charge(dummy_vehicle("a", soc=0.5), "st1", 0)
     # 3600 W at 90 % stores 3240 Wh per hour of an 18 kWh battery
     assert session_progress(s, params, 0.0) == (0.0, 0.5)
     energy, soc = session_progress(s, params, 3600.0)

@@ -119,6 +119,34 @@ def test_effective_config_round_trips(tmp_path):
     assert load_config(echo).effective == first.effective
 
 
+# a station with no route back to the depot: edge s leads to a node no edge
+# leaves. Ten vehicles charge at the one-slot depot station after each trip,
+# so some divert to station st1 on s; before build_config checked the way
+# home, the first to charge there aborted the run
+NO_ROUTE_HOME = {
+    "network": {"files": {"nodes": "line_nodes.csv",
+                          "edges": "line_edges.csv"}, "grid": None},
+    "depot_edge": "d",
+    "horizon_s": 24 * 3600.0,
+    "fleet": {"size": 10},
+    "stations": [{"station_id": "st0", "edge_id": "d",
+                  "slots": [{"plug": "schuko"}]},
+                 {"station_id": "st1", "edge_id": "s",
+                  "slots": [{"plug": "schuko"}]}],
+    "demand": {"departure_weights": [0.0] * 8 + [1.0] + [0.0] * 15,
+               "dwell": {"family": "fixed", "fixed_s": 60.0},
+               "trips_per_vehicle_per_day": {"family": "fixed", "n": 3}},
+}
+
+
+def write_no_route_home_network(tmp_path):
+    (tmp_path / "line_nodes.csv").write_text(
+        "node_id,x_m,y_m\nn0,0,0\nn1,250,0\nn2,500,0\n")
+    (tmp_path / "line_edges.csv").write_text(
+        "edge_id,from_node,to_node,length_m,speed_limit_mps,gradient\n"
+        "d,n0,n1,250,13.9,0\nr,n1,n0,250,13.9,0\ns,n1,n2,250,13.9,0\n")
+
+
 @pytest.mark.parametrize("overrides", [
     {"fleet": {"initial_soc": "abc"}},
     {"stations": [{"station_id": "st0", "edge_id": "e00000",
@@ -185,6 +213,7 @@ def test_effective_config_round_trips(tmp_path):
     {"demand": {"departure_weights": [1e308] * 24}},
     {"demand": {"distance_bins": [{"upper_m": 400.0, "weight": 1e308},
                                   {"upper_m": 800.0, "weight": 1e308}]}},
+    NO_ROUTE_HOME,
 ], ids=["initial_soc_text", "slot_power_text", "station_not_mapping",
         "fleet_size_bool", "dt_nan", "horizon_inf", "departure_weight_nan",
         "bin_upper_nan", "fleet_not_mapping", "station_id_list",
@@ -204,8 +233,9 @@ def test_effective_config_round_trips(tmp_path):
         "trips_n_beyond_max", "trips_mean_beyond_max",
         "fleet_size_beyond_max", "horizon_beyond_max",
         "battery_capacity_beyond_max", "departure_weights_sum_overflows",
-        "distance_weights_sum_overflows"])
+        "distance_weights_sum_overflows", "station_without_route_home"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
+    write_no_route_home_network(tmp_path)
     path = write_scenario(tmp_path, **overrides)
     with pytest.raises(ConfigError):
         load_config(path)
@@ -242,10 +272,14 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     ({"environment": {"gravity_mps2": 1e306}},
      "network, environment, fleet.vehicle: the traction power at the speed "
      "limit of edge e00000 is not finite"),
+    (NO_ROUTE_HOME, "stations: station 'st1' on edge 's' has no route back "
+     "to the depot edge 'd'"),
 ], ids=["top", "numerics", "grid_rows", "speed_factors", "override_text",
         "range_extender_key", "bin_weight", "slot_key", "distance_bin_reach",
-        "slot_charge_beyond_clock", "gravity_overflows_traction"])
+        "slot_charge_beyond_clock", "gravity_overflows_traction",
+        "station_without_route_home"])
 def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
+    write_no_route_home_network(tmp_path)
     errors = config_errors(write_scenario(tmp_path, **overrides))
     assert any(e.startswith(where) for e in errors), errors
 

@@ -5,8 +5,11 @@ its own definition.
 ``__init__.py`` holds only the docstring and ``__version__``, so it is not
 scanned. Every field of a package dataclass is named somewhere in the package
 or its tests, and every parameter of a package function is read in its body.
-Two architecture guards ride along: importing the package loads no submodule,
-and congestion enters once, in the fleet controller.
+Four architecture guards ride along: importing the package loads no
+submodule, congestion enters once, in the fleet controller, only the network
+and the config builder index a network's edges (everything else reads a
+route's legs), and no function takes a ``plans`` memo (the drive model owns
+it).
 """
 
 import ast
@@ -222,4 +225,32 @@ def test_congestion_enters_once():
                 if isinstance(child, ast.Call)
                 and "hour_of" in (getattr(child.func, "id", None),
                                   getattr(child.func, "attr", None))]
+    assert not offences, offences
+
+
+def test_only_the_network_and_config_index_network_edges():
+    """Outside ``network.py`` and ``config.py`` no code indexes an
+    ``edges`` attribute: a route carries its edges in its legs."""
+    package = Package()
+    offences = [
+        f"{module}:{child.lineno}"
+        for module, tree in package.trees.items()
+        if module not in ("network.py", "config.py")
+        for child in ast.walk(tree)
+        if isinstance(child, ast.Subscript)
+        and isinstance(child.value, ast.Attribute)
+        and child.value.attr == "edges"]
+    assert not offences, offences
+
+
+def test_no_function_takes_a_plans_memo():
+    """The drive plans belong to the drive model: a function takes the
+    model, never the memo."""
+    package = Package()
+    offences = [
+        f"{module} {qualname}"
+        for module, tree in package.trees.items()
+        for qualname, node in functions(tree)
+        if any(a.arg == "plans" for a in (
+            *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))]
     assert not offences, offences

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from conftest import trace_soc
 
 from evfleetsim import dynamics
-from evfleetsim.dynamics import (DriveTrace, DynamicsError, Environment,
-                                 InfeasibleSegmentError, RangeExtenderParams,
-                                 SegmentResult, VehicleParams, VehicleState,
-                                 drive_segment, estimate_route_energy,
-                                 range_extender_step, traction_power)
+from evfleetsim.dynamics import (DriveModel, DriveTrace, DynamicsError,
+                                 Environment, InfeasibleSegmentError,
+                                 RangeExtenderParams, SegmentResult,
+                                 VehicleParams, VehicleState, drive_segment,
+                                 estimate_route_energy, range_extender_step,
+                                 traction_power)
 from evfleetsim.network import (Edge, RoadNetwork, generate_grid,
                                 route_travel_time, shortest_path)
 
@@ -88,8 +89,8 @@ def test_traction_power_gradient_terms():
 
 def downhill(params, soc=0.5, length=200.0, v=10.0, gradient=-0.1):
     state = VehicleState(soc=soc)
-    result = drive_segment(state, flat_edge(length, v, gradient), v, v,
-                           params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, flat_edge(length, v, gradient), v, v, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert np.all(result.trace.p_traction_w < 0.0)
     return state, result
 
@@ -127,7 +128,8 @@ def test_recuperation_power_never_exceeds_bounds():
         edge = flat_edge(float(rng.uniform(20.0, 500.0)), v,
                          float(rng.uniform(-0.3, 0.05)))
         result = drive_segment(VehicleState(soc=float(rng.uniform(0.1, 0.9))),
-                               edge, 0.0, 0.0, params, ENV, 1.0, 1.0, {})
+                               edge, 0.0, 0.0, 1.0,
+                               DriveModel(params, ENV, 1.0))
         tr = result.trace
         assert np.all(tr.p_recup_w >= 0.0)
         assert np.all(tr.p_recup_w <= np.minimum(
@@ -154,8 +156,8 @@ def test_range_extender_fuel_for_generated_energy():
     # on for the whole 10 s edge: 0.3 l/kWh * 12 kW * 10 s
     params = make_params(range_extender=RE)
     state = VehicleState(soc=0.3, range_extender_on=True)
-    result = drive_segment(state, flat_edge(100.0, 10.0), 10.0, 10.0,
-                           params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, flat_edge(100.0, 10.0), 10.0, 10.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert np.all(result.trace.p_re_w == 12000.0)
     assert state.cumulative.range_extended_wh == pytest.approx(
         12000.0 * 10.0 / 3600.0)
@@ -214,7 +216,7 @@ def test_integrate_soc_exact_depletion_clamps_at_zero():
                          max_recuperation_power_w=0.0)
     state = VehicleState(soc=0.5)
     result = drive_segment(state, flat_edge(200.0, 10.0, -0.1), 10.0, 10.0,
-                           params, ENV, 1.0, 1.0, {})
+                           1.0, DriveModel(params, ENV, 1.0))
     assert result.stranded
     assert state.soc == 0.0
     assert float(trace_soc(result.trace).min()) == 0.0
@@ -247,7 +249,8 @@ def test_pure_cruise_segment():
     params = make_params()
     state = VehicleState(soc=0.9)
     edge = flat_edge(100.0, 10.0)
-    result = drive_segment(state, edge, 10.0, 10.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 10.0, 10.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert result.duration_s == pytest.approx(10.0)
     assert np.allclose(result.trace.a_mps2, 0.0)
     assert np.allclose(result.trace.v_mps, 10.0)
@@ -260,7 +263,8 @@ def test_trapezoid_kinematics_oracle():
     params = make_params()
     state = VehicleState(soc=0.9)
     edge = flat_edge(200.0, 10.0)
-    result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert result.duration_s == pytest.approx(30.0, abs=1e-9)
     assert state.cumulative.distance_m == pytest.approx(200.0, abs=1e-3)
     assert state.velocity == 0.0
@@ -271,7 +275,8 @@ def test_triangular_profile_when_edge_too_short_for_cruise():
     params = make_params()
     state = VehicleState(soc=0.9)
     edge = flat_edge(50.0, 10.0)
-    result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 0.5, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 0.5))
     v_peak = math.sqrt(50.0)  # closed form for a = d = 1
     assert result.duration_s == pytest.approx(2 * v_peak, rel=1e-9)
     assert float(result.trace.v_mps.max()) < 10.0
@@ -282,7 +287,7 @@ def test_unreachable_exit_target_ends_slower():
     params = make_params()
     state = VehicleState(soc=0.9)
     edge = flat_edge(10.0, 20.0)
-    drive_segment(state, edge, 0.0, 20.0, params, ENV, 0.1, 1.0, {})
+    drive_segment(state, edge, 0.0, 20.0, 1.0, DriveModel(params, ENV, 0.1))
     assert state.velocity == pytest.approx(math.sqrt(20.0), rel=1e-9)
     assert state.cumulative.distance_m == pytest.approx(10.0, abs=1e-3)
 
@@ -292,7 +297,8 @@ def test_infeasible_braking_raises():
     state = VehicleState(soc=0.9)
     edge = flat_edge(10.0, 20.0)
     with pytest.raises(InfeasibleSegmentError):
-        drive_segment(state, edge, 20.0, 0.0, params, ENV, 1.0, 1.0, {})
+        drive_segment(state, edge, 20.0, 0.0, 1.0,
+                      DriveModel(params, ENV, 1.0))
 
 
 def test_segment_energy_matches_soc_delta_exactly():
@@ -300,7 +306,8 @@ def test_segment_energy_matches_soc_delta_exactly():
     params = make_params()
     state = VehicleState(soc=0.8)
     edge = flat_edge(300.0, 13.9)
-    result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     delta_wh = (state.soc - 0.8) * params.battery_capacity_wh
     integral_wh = battery_wh(result.trace)
     assert delta_wh == pytest.approx(integral_wh, rel=1e-9, abs=1e-9)
@@ -323,7 +330,8 @@ def test_trace_is_consistent_with_scalar_power_chain():
     params = make_params()
     state = VehicleState(soc=0.8)
     edge = flat_edge(250.0, 13.9, gradient=0.02)
-    result = drive_segment(state, edge, 0.0, 5.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 5.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     tr = result.trace
     soc = 0.8
     for i in range(len(tr)):
@@ -343,7 +351,8 @@ def test_flat_edge_work_matches_closed_form():
     state = VehicleState(soc=0.9)
     v, d = 15.0, 600.0
     edge = flat_edge(d, v)
-    result = drive_segment(state, edge, v, v, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, v, v, 1.0,
+                           DriveModel(params, ENV, 1.0))
     work = float(np.dot(result.trace.p_traction_w, result.trace.dt_s))
     expected = (0.01 * 1500.0 * 9.81 + 0.5 * 1.2 * 0.3 * 2.2 * v * v) * d
     assert work == pytest.approx(expected, rel=1e-4)
@@ -353,10 +362,10 @@ def test_gradient_asymmetry_matches_closed_form():
     # oracle: E_up - E_down = 2*m*g*sin(atan(grad))*d at equal constant speed
     params = make_params(auxiliary_power_w=0.0)
     v, d, grad = 12.0, 500.0, 0.04
-    up = drive_segment(VehicleState(soc=0.9), flat_edge(d, v, grad), v, v,
-                       params, ENV, 1.0, 1.0, {})
+    up = drive_segment(VehicleState(soc=0.9), flat_edge(d, v, grad), v, v, 1.0,
+                       DriveModel(params, ENV, 1.0))
     down = drive_segment(VehicleState(soc=0.9), flat_edge(d, v, -grad), v, v,
-                         params, ENV, 1.0, 1.0, {})
+                         1.0, DriveModel(params, ENV, 1.0))
     e_up = float(np.dot(up.trace.p_traction_w, up.trace.dt_s))
     e_down = float(np.dot(down.trace.p_traction_w, down.trace.dt_s))
     expected = 2.0 * 1500.0 * 9.81 * math.sin(math.atan(grad)) * d
@@ -386,8 +395,9 @@ def test_soc_stays_in_bounds_over_random_parameterizations():
         v_lim = float(rng.uniform(5, 30))
         edge = flat_edge(float(rng.uniform(50, 2000)), v_lim,
                          float(rng.uniform(-0.15, 0.15)))
-        result = drive_segment(state, edge, 0.0, 0.0, params, ENV,
-                               float(rng.uniform(0.2, 2.0)), 1.0, {})
+        dt = float(rng.uniform(0.2, 2.0))
+        result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                               DriveModel(params, ENV, dt))
         assert 0.0 <= float(trace_soc(result.trace).min())
         assert float(trace_soc(result.trace).max()) <= 1.0
         assert 0.0 <= state.soc <= 1.0
@@ -417,7 +427,7 @@ def test_energy_conservation_over_random_trips():
                              float(rng.uniform(-0.05, 0.05)))
             v_exit = float(rng.uniform(0, v_lim))
             result = drive_segment(state, edge, min(v_prev, v_lim), v_exit,
-                                   params, ENV, 1.0, 1.0, {})
+                                   1.0, DriveModel(params, ENV, 1.0))
             total_net_wh += battery_wh(result.trace)
             v_prev = state.velocity
             if result.stranded:
@@ -433,7 +443,7 @@ def test_soc_monotone_without_recuperation_on_nonnegative_gradient():
     prev = 1.0
     for length, grad in [(400, 0.0), (300, 0.03), (500, 0.0), (200, 0.08)]:
         result = drive_segment(state, flat_edge(float(length), 14.0, grad),
-                               0.0, 0.0, params, ENV, 0.5, 1.0, {})
+                               0.0, 0.0, 1.0, DriveModel(params, ENV, 0.5))
         soc_values = trace_soc(result.trace)
         assert float(soc_values[0]) <= prev
         assert np.all(np.diff(soc_values) <= 1e-15)
@@ -444,7 +454,8 @@ def test_stranding_truncates_segment():
     params = make_params(battery_capacity_wh=100.0, auxiliary_power_w=0.0)
     state = VehicleState(soc=0.05)  # 5 Wh: nowhere near enough for 2 km
     edge = flat_edge(2000.0, 15.0)
-    result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert result.stranded
     assert state.soc == 0.0
     assert state.cumulative.distance_m < 2000.0
@@ -458,7 +469,8 @@ def test_range_extender_can_sustain_demand_at_empty_battery():
     params = make_params(range_extender=re, auxiliary_power_w=0.0)
     state = VehicleState(soc=0.02, range_extender_on=True)
     edge = flat_edge(1000.0, 10.0)
-    result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert not result.stranded
     c = state.cumulative
     assert c.distance_m == pytest.approx(1000.0, abs=1e-3)
@@ -473,7 +485,8 @@ def test_range_extender_toggles_show_in_trace():
                          auxiliary_power_w=0.0)
     state = VehicleState(soc=0.55, range_extender_on=False)
     edge = flat_edge(3000.0, 15.0)
-    result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     on = result.trace.p_re_w > 0.0
     assert not on[0] and on.any()  # switched on during the edge
     # and switched off again, or still on at the end
@@ -484,7 +497,8 @@ def test_recuperation_clamp_at_full_battery_keeps_ledger_exact():
     params = make_params(auxiliary_power_w=50.0)
     state = VehicleState(soc=1.0)
     edge = flat_edge(800.0, 14.0, gradient=-0.12)  # steep downhill from full
-    result = drive_segment(state, edge, 14.0, 14.0, params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, edge, 14.0, 14.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert float(trace_soc(result.trace).max()) <= 1.0
     delta = (state.soc - 1.0) * params.battery_capacity_wh
     integral_wh = battery_wh(result.trace)
@@ -497,8 +511,8 @@ def test_recuperation_clamp_at_full_battery_keeps_ledger_exact():
 def test_trace_timestamps_fixed_step():
     params = make_params()
     state = VehicleState(soc=0.7)
-    result = drive_segment(state, flat_edge(123.0, 9.0), 0.0, 0.0,
-                           params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, flat_edge(123.0, 9.0), 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     t = result.trace.time_s
     assert np.all(np.diff(t) > 0)
     assert np.allclose(np.diff(t)[:-1], 1.0)
@@ -515,15 +529,15 @@ def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
         frm = ids[int(rng.integers(0, len(ids)))]
         to = ids[int(rng.integers(0, len(ids)))]
         route = shortest_path(net, frm, to, "distance")
-        estimate = estimate_route_energy(net, route, params, ENV,
+        estimate = estimate_route_energy(route, params, ENV,
                                          net.speed_factor(0))
         state = VehicleState(soc=0.9)
         v_prev = 0.0
         for i, eid in enumerate(route.edges):
             edge = net.edges[eid]
             v_exit = 0.0 if i == len(route.edges) - 1 else edge.speed_limit_mps
-            drive_segment(state, edge, v_prev, v_exit, params, ENV, 1.0, 1.0,
-                          {})
+            drive_segment(state, edge, v_prev, v_exit, 1.0,
+                          DriveModel(params, ENV, 1.0))
             v_prev = state.velocity
         actual = (0.9 - state.soc) * params.battery_capacity_wh
         assert estimate >= actual - 1e-6
@@ -589,9 +603,9 @@ def test_estimates_at_the_hours_factor_equal_the_hourly_estimates(
         route = shortest_path(net, frm, to, weight)
         for hour in range(24):
             factor = net.speed_factor(hour)
-            assert (estimate_route_energy(net, route, params, ENV, factor)
+            assert (estimate_route_energy(route, params, ENV, factor)
                     == energy_at_hour(net, route, params, factors, hour))
-            assert (route_travel_time(net, route, factor)
+            assert (route_travel_time(route, factor)
                     == travel_at_hour(net, route, factors, hour))
 
 
@@ -599,8 +613,8 @@ def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():
     # a 1e-300 m edge lasts far less than one step: zero steps
     params = make_params(range_extender=RE)
     state = VehicleState(soc=0.5)
-    result = drive_segment(state, flat_edge(1e-300, 14.0), 0.0, 0.0,
-                           params, ENV, 1.0, 1.0, {})
+    result = drive_segment(state, flat_edge(1e-300, 14.0), 0.0, 0.0, 1.0,
+                           DriveModel(params, ENV, 1.0))
     assert len(result.trace) == 0 and len(trace_soc(result.trace)) == 0
     assert not result.stranded
     assert state.soc == 0.5 and not state.range_extender_on
@@ -641,24 +655,24 @@ def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
     """Drive ``edge`` through a plan memo that an earlier drive of the
     same edge filled, and through a fresh memo; both results must be equal.
     Returns the memoised result and the state after it."""
-    plans = {}
+    model = DriveModel(params, ENV, dt)
     try:
-        drive_segment(VehicleState(soc=0.5), edge, v_entry, v_exit, params,
-                      ENV, dt, speed_factor, plans)
+        drive_segment(VehicleState(soc=0.5), edge, v_entry, v_exit,
+                      speed_factor, model)
     except InfeasibleSegmentError:
-        assert plans == {}  # an infeasible plan is not stored
+        assert model.plans == {}  # an infeasible plan is not stored
         with pytest.raises(InfeasibleSegmentError):
             drive_segment(VehicleState(soc=soc), edge, v_entry, v_exit,
-                          params, ENV, dt, speed_factor, {})
+                          speed_factor, DriveModel(params, ENV, dt))
         return None, None
-    assert len(plans) == 1
+    assert len(model.plans) == 1
     memo_state = VehicleState(soc=soc, range_extender_on=re_on)
     fresh_state = VehicleState(soc=soc, range_extender_on=re_on)
-    memo = drive_segment(memo_state, edge, v_entry, v_exit, params, ENV, dt,
-                         speed_factor, plans)
-    fresh = drive_segment(fresh_state, edge, v_entry, v_exit, params, ENV,
-                          dt, speed_factor, {})
-    assert len(plans) == 1
+    memo = drive_segment(memo_state, edge, v_entry, v_exit, speed_factor,
+                         model)
+    fresh = drive_segment(fresh_state, edge, v_entry, v_exit, speed_factor,
+                          DriveModel(params, ENV, dt))
+    assert len(model.plans) == 1
     assert_same_result(memo, fresh)
     assert memo_state == fresh_state
     # the energy sums added to the state, formed as the integrator forms
@@ -772,27 +786,25 @@ def test_scalar_fast_path_matches_the_array_formulas(
     re, re_on = RELAY[relay]
     params = make_params(battery_capacity_wh=capacity_wh, range_extender=re)
     edge = flat_edge(length, speed_limit, gradient)
-    plans = {}
+    model = DriveModel(params, ENV, 1.0)
     try:
-        drive_segment(VehicleState(soc=0.5), edge, 0.0, v_exit, params, ENV,
-                      1.0, 1.0, plans)
+        drive_segment(VehicleState(soc=0.5), edge, 0.0, v_exit, 1.0, model)
     except InfeasibleSegmentError:
         return
-    (plan,) = plans.values()
+    (plan,) = model.plans.values()
     fast, soc_traj, (consumed, recuperated, extended) = array_fast_path(
         plan, soc, params, re_on)
     flows = plan_flows(plan, re_on)
-    for memo in (plans, {}):
+    for memo in (model, DriveModel(params, ENV, 1.0)):
         state = VehicleState(soc=soc, range_extender_on=re_on)
-        result = drive_segment(state, edge, 0.0, v_exit, params, ENV, 1.0,
-                               1.0, memo)
+        result = drive_segment(state, edge, 0.0, v_exit, 1.0, memo)
         trace = result.trace
         # the fast path hands over the plan's cumulative energy, the step
         # loop its own SOC array
         assert (trace.soc_scale > 0.0) is fast
         if not fast:
             continue
-        assert (trace.soc_drop is flows.cum_wh_s) is (memo is plans)
+        assert (trace.soc_drop is flows.cum_wh_s) is (memo is model)
         assert bits(trace_soc(trace)) == bits(soc_traj)
         assert bits(state.soc) == bits(soc_traj[-1])
         assert state.range_extender_on is re_on
@@ -825,16 +837,14 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
     re, re_on = RELAY[relay]
     params = make_params(range_extender=re)
     edge = flat_edge(400.0, 14.0, 0.02)
-    plans = {}
-    drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, params, ENV, 1.0,
-                  1.0, plans)
-    (plan,) = plans.values()
+    model = DriveModel(params, ENV, 1.0)
+    drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, 1.0, model)
+    (plan,) = model.plans.values()
     soc = 0.3 if re_on else 0.5
     state = VehicleState(soc=soc, range_extender_on=re_on)
     with monkeypatch.context() as patched:
         patched.setattr(dynamics, "np", NoNumpy())
-        result = drive_segment(state, edge, 0.0, 0.0, params, ENV, 1.0, 1.0,
-                               plans)
+        result = drive_segment(state, edge, 0.0, 0.0, 1.0, model)
     own = plan_arrays(plan)
     trace = result.trace
     for f in dataclasses.fields(DriveTrace):
@@ -853,41 +863,35 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
 # raises on every call, even beside a valid plan for the same edge
 
 
-def memo_with_one_plan(edge):
-    plans = {}
-    drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, make_params(), ENV,
-                  1.0, 1.0, plans)
-    assert len(plans) == 1
-    return plans
+def model_with_one_plan(edge):
+    model = DriveModel(make_params(), ENV, 1.0)
+    drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, 1.0, model)
+    assert len(model.plans) == 1
+    return model
 
 
 @pytest.mark.parametrize("speed_factor", [0.0, 1.5, math.nan])
 def test_bad_speed_factor_raises_beside_a_memoised_plan(speed_factor):
     edge = flat_edge(200.0, 10.0)
-    plans = memo_with_one_plan(edge)
+    model = model_with_one_plan(edge)
     for _ in range(2):
         with pytest.raises(DynamicsError, match="speed_factor"):
             drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0,
-                          make_params(), ENV, 1.0, speed_factor, plans)
-    assert len(plans) == 1
+                          speed_factor, model)
+    assert len(model.plans) == 1
 
 
 def test_too_fast_entry_raises_beside_a_memoised_plan():
     edge = flat_edge(200.0, 10.0)
-    plans = memo_with_one_plan(edge)
+    model = model_with_one_plan(edge)
     for _ in range(2):
         with pytest.raises(DynamicsError, match="entry speed"):
             drive_segment(VehicleState(soc=0.5, velocity=12.0), edge, 12.0,
-                          0.0, make_params(), ENV, 1.0, 1.0, plans)
-    assert len(plans) == 1
+                          0.0, 1.0, model)
+    assert len(model.plans) == 1
 
 
 @pytest.mark.parametrize("dt", [0.0, -1.0])
-def test_non_positive_dt_raises_on_a_plan_hit(dt):
-    edge = flat_edge(200.0, 10.0)
-    plans = memo_with_one_plan(edge)
-    state = VehicleState(soc=0.5)
+def test_drive_model_rejects_a_non_positive_dt(dt):
     with pytest.raises(DynamicsError, match="dt must be positive"):
-        drive_segment(state, edge, 0.0, 0.0, make_params(), ENV, dt, 1.0,
-                      plans)
-    assert state == VehicleState(soc=0.5)
+        DriveModel(make_params(), ENV, dt)

@@ -15,7 +15,7 @@ from evfleetsim import dynamics, fleet
 from evfleetsim.charging import ChargingManager, ChargingStation, Slot
 from evfleetsim.config import (DEFAULTS, build_config, default_scenario_path,
                                load_raw)
-from evfleetsim.dynamics import Environment, VehicleState
+from evfleetsim.dynamics import DriveModel, Environment, VehicleState
 from evfleetsim.engine import Engine, Event, EventKind, SimulationAborted, ms
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               FleetController, FleetError, FleetPolicies,
@@ -261,7 +261,8 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
     if with_station:
         stations = [ChargingStation("st", depot, (Slot("s0", 3600.0),), 1)]
     params = params or make_params()
-    mgr = ChargingManager(stations, params)
+    policies = policies or FleetPolicies()
+    mgr = ChargingManager(stations, params, policies.target_soc)
     socs = soc if isinstance(soc, list) else [soc] * n_vehicles
     vehicles = [
         Vehicle(f"v{i}", VehicleState(soc=socs[i], edge_id=depot))
@@ -269,8 +270,8 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
     ]
     transitions = []
     ctrl = FleetController(
-        engine, net, mgr, vehicles, depot, ENV, params,
-        policies or FleetPolicies(), 1.0,
+        engine, net, mgr, vehicles, depot, DriveModel(params, ENV, 1.0),
+        policies,
         transition_hook=lambda t, vid, old, new: transitions.append((t, vid, old, new)),
     )
     ctrl.register_handlers()
@@ -489,10 +490,9 @@ def reference_dispatch(vehicles, params, trip, reserve, net, hour=0):
             continue
         budget = (v.state.soc - reserve) * params.battery_capacity_wh
         need = (
-            dynamics.estimate_route_energy(net, trip.outbound, params, ENV,
-                                           factor)
-            + dynamics.estimate_route_energy(net, trip.return_route, params,
-                                             ENV, factor)
+            dynamics.estimate_route_energy(trip.outbound, params, ENV, factor)
+            + dynamics.estimate_route_energy(trip.return_route, params, ENV,
+                                             factor)
         )
         if budget < need:
             continue
@@ -531,9 +531,9 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
     trips = [make_trip(net, depot, edges[d], tid=f"t{i}")
              for i, d in enumerate(destinations)]
     factor = net.speed_factor(0)
-    need = (dynamics.estimate_route_energy(net, trips[0].outbound, params, ENV,
+    need = (dynamics.estimate_route_energy(trips[0].outbound, params, ENV,
                                            factor)
-            + dynamics.estimate_route_energy(net, trips[0].return_route, params,
+            + dynamics.estimate_route_energy(trips[0].return_route, params,
                                              ENV, factor))
     for v, (kind, (how, x)) in zip(vehicles, specs):
         if kind == "idle":

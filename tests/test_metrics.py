@@ -69,8 +69,8 @@ def make_trip(tid, airline, driven, status="completed", depart_s=100.0,
               vehicle_id="v0"):
     trip = Trip(tid, ms(depart_s), airline, 60.0,
                 destination_edge="e1",
-                outbound=Route(("e0", "e1"), driven),
-                return_route=Route(("e1", "e0"), driven),
+                outbound=Route(("e0", "e1"), driven, ()),
+                return_route=Route(("e1", "e0"), driven, ()),
                 status=status)
     trip.vehicle_id = vehicle_id
     return trip
@@ -324,6 +324,20 @@ def test_one_vehicle_busy_whole_run(tmp_path):
     assert all(c == 1 for c in series.counts["idle"])
     assert all(c == 1 for c in series.counts["busy"])
     assert series.min_idle == 1
+
+
+@pytest.mark.parametrize("bin_s", [0.0004, 0.0, -60.0])
+def test_utilization_bin_under_one_ms_raises(tmp_path, bin_s):
+    # 0.0004 s rounds to a 0 ms step, which would give a single bin
+    collector = collector_for(tmp_path, fleet_of("v0"))
+    with pytest.raises(MetricsError, match="at least 1 ms"):
+        collector.unused_vehicles_series(bin_s, ms(600.0))
+
+
+def test_one_ms_utilization_bins(tmp_path):
+    collector = collector_for(tmp_path, fleet_of("v0"))
+    series = collector.unused_vehicles_series(0.001, 5)
+    assert series.bin_starts_s == [0.0, 0.001, 0.002, 0.003, 0.004]
 
 
 def test_partition_sums_to_fleet_size(tmp_path):

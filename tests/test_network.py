@@ -342,7 +342,7 @@ def reference_route(net, from_edge, to_edge, weight):
         if eid not in net.edges:
             raise NetworkError(f"unknown edge {eid}")
     if from_edge == to_edge:
-        return Route((from_edge,), net.edges[from_edge].length_m)
+        return reference_route_of(net, (from_edge,))
     source = net.edges[from_edge].to_node
     target = net.edges[to_edge].from_node
     dist, prev_edge, visited = {source: 0.0}, {}, set()
@@ -367,8 +367,18 @@ def reference_route(net, from_edge, to_edge, weight):
     while node != source:
         middle.append(prev_edge[node])
         node = net.edges[prev_edge[node]].from_node
-    edge_list = (from_edge, *reversed(middle), to_edge)
-    return Route(edge_list, sum(net.edges[e].length_m for e in edge_list))
+    return reference_route_of(net, (from_edge, *reversed(middle), to_edge))
+
+
+def reference_route_of(net, edge_list):
+    """The route along ``edge_list``: its length summed in route order, and
+    each edge paired with the next edge's speed limit (``None`` last)."""
+    after = (*edge_list[1:], None)
+    legs = tuple((net.edges[a], None if b is None
+                  else net.edges[b].speed_limit_mps)
+                 for a, b in zip(edge_list, after))
+    return Route(edge_list, sum(net.edges[e].length_m for e in edge_list),
+                 legs)
 
 
 def assert_routes_match_reference(net):
@@ -387,6 +397,7 @@ def assert_routes_match_reference(net):
                 route = shortest_path(net, frm, to, weight)
                 assert route.edges == expected.edges, (frm, to, weight)
                 assert route.total_length_m == expected.total_length_m
+                assert route.legs == expected.legs
 
 
 def test_routes_match_reference_on_a_grid_of_ties():
@@ -453,7 +464,7 @@ def test_travel_time_uses_congestion_factor():
     net = generate_grid(2, 2, 100.0, 10.0, factors)
     eid = sorted(net.edges)[0]
     route = shortest_path(net, eid, eid, "travel_time")
-    assert (route_travel_time(net, route, net.speed_factor(0))
+    assert (route_travel_time(route, net.speed_factor(0))
             == pytest.approx(10.0))
-    assert (route_travel_time(net, route, net.speed_factor(8))
+    assert (route_travel_time(route, net.speed_factor(8))
             == pytest.approx(20.0))

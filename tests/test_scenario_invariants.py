@@ -210,8 +210,8 @@ def test_a_queued_vehicle_leaves_only_by_a_grant_from_the_head(
     counts = {"queued": 0, "granted": 0}
     request, release = ChargingManager.request_charge, ChargingManager.release_slot
 
-    def recording_request(self, vehicle, station_id, target_soc, at_ms):
-        result = request(self, vehicle, station_id, target_soc, at_ms)
+    def recording_request(self, vehicle, station_id, at_ms):
+        result = request(self, vehicle, station_id, at_ms)
         if isinstance(result, Queued):
             model[station_id].append(vehicle.vehicle_id)
             assert result.position == len(model[station_id])
@@ -464,29 +464,45 @@ class NeverStores(dict):
         pass
 
 
-MEMOS = ("plans", "_route_energy", "_route_legs", "_divert")
+# every memo of a run, by owner; the fresh run swaps each for a NeverStores
+MEMOS = {"controller": ("_route_energy", "_divert"),
+         "model": ("plans",),
+         "network": ("_routes", "_arc_tables")}
+# the owners' dicts that are not memos: run state and the road graph
+NOT_MEMOS = {"controller": {"vehicles", "trips"},
+             "model": set(),
+             "network": {"nodes", "edges", "adjacency"}}
+
+
+def memo_owners(ctrl):
+    return {"controller": ctrl, "model": ctrl.model, "network": ctrl.net}
 
 
 def memo_sizes(ctrl):
-    """The entry count of each controller memo and of the network's route
-    memo."""
-    return ([len(getattr(ctrl, name)) for name in MEMOS]
-            + [len(ctrl.net._routes)])
+    """The entry count of each memo, by ``owner.name``."""
+    owners = memo_owners(ctrl)
+    return {f"{owner}.{name}": len(getattr(owners[owner], name))
+            for owner, names in MEMOS.items() for name in names}
 
 
 def run_recording_controllers(monkeypatch, path, out_dir, memo=None):
-    """Run a scenario; returns the result and its controllers. When ``memo``
-    is given, every memo of a controller (``MEMOS``) and the network's route
-    memo are replaced by ``memo()`` as the controller is built."""
+    """Run a scenario; returns the result and its controllers. As each
+    controller is built, every dict of the controller, its drive model and
+    its network must be a memo or named in ``NOT_MEMOS``, so a new memo
+    cannot escape the comparison; when ``memo`` is given, each memo is
+    replaced by ``memo()``."""
     controllers = []
     init = FleetController.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        if memo is not None:
-            for name in MEMOS:
-                setattr(self, name, memo())
-            self.net._routes = memo()
+        for owner, obj in memo_owners(self).items():
+            dicts = {name for name, value in vars(obj).items()
+                     if isinstance(value, dict)}
+            assert dicts == set(MEMOS[owner]) | NOT_MEMOS[owner], owner
+            if memo is not None:
+                for name in MEMOS[owner]:
+                    setattr(obj, name, memo())
         controllers.append(self)
 
     monkeypatch.setattr(FleetController, "__init__", recording_init)
@@ -500,10 +516,10 @@ def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
     fresh, (fresh_ctrl,) = run_recording_controllers(
         monkeypatch, path, tmp_path / "fresh", memo=NeverStores)
     segments = memo.engine_summary.dispatched[EventKind.SEGMENT_COMPLETE]
-    assert 0 < len(memo_ctrl.plans) < segments
+    assert 0 < len(memo_ctrl.model.plans) < segments
     sizes = memo_sizes(memo_ctrl)
-    assert all(size > 0 for size in sizes), sizes
-    assert memo_sizes(fresh_ctrl) == [0] * (len(MEMOS) + 1)
+    assert all(size > 0 for size in sizes.values()), sizes
+    assert set(memo_sizes(fresh_ctrl).values()) == {0}
     assert any(s.station_id == "st1" for s in memo.manager.sessions)  # diverted
 
     for name in memo.manifest["files"]:
