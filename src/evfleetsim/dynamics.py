@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import ms
+
 S_PER_H = 3600.0
 # the gentlest acceleration and braking a vehicle may have, below any road
 # vehicle's (a loaded heavy truck manages about 0.3 m/s^2); a gentler one
@@ -276,23 +278,25 @@ def _plan_profile(
     return _Profile(v_in, v_peak, v_out, t_acc, t_cruise, t_dec, a_max, d_max)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DriveTrace:
     """Fixed-step samples over one edge; the last step may be shorter.
 
     ``time_s`` marks the start of each step; ``v``/``a`` are the exact step
     averages. The state of charge at the end of step ``i`` is
     ``soc0 - soc_drop[i] / soc_scale``, read one element at a time with
-    these IEEE operations. A drive that neither clamps nor switches stores
-    its starting SOC, its plan's cumulative battery energy in W*s and the
-    capacity in W*s, so it builds no SOC array. The step loop stores its
-    own SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
-    -1.0``, which gives every element back exactly, signed zeros included:
+    these IEEE operations. A drive that neither clamps nor switches gets
+    the trace its plan shares with every vehicle that drives it: it holds
+    the plan's cumulative battery energy in W*s as ``soc_drop``, the
+    capacity in W*s as ``soc_scale``, and ``soc0 = None``, as the base is
+    the entry SOC of each vehicle, which the vehicle keeps (see
+    :class:`~evfleetsim.fleet.Vehicle`). The step loop stores its own SOC
+    array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale = -1.0``,
+    which gives every element back exactly, signed zeros included:
     dividing by -1 negates, and ``-0.0 + x`` is ``x``.
 
-    Every array is read-only. :func:`drive_segment` hands the arrays of its
-    memoised plans to every vehicle that drives the same edge geometry, so
-    one vehicle's trace may share them with another's.
+    A trace and every array in it are read-only; a step-loop trace shares
+    the plan arrays that the loop does not change.
     """
 
     time_s: np.ndarray
@@ -303,7 +307,7 @@ class DriveTrace:
     p_battery_w: np.ndarray
     p_recup_w: np.ndarray
     p_re_w: np.ndarray
-    soc0: float
+    soc0: float | None
     soc_drop: np.ndarray
     soc_scale: float
 
@@ -311,14 +315,16 @@ class DriveTrace:
         return len(self.time_s)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SegmentResult:
     """What :func:`drive_segment` hands back besides what it adds to the
-    vehicle state: the trace to sample, how long the drive takes, and
-    whether the vehicle stranded on the edge."""
+    vehicle state: the trace to sample, how long the drive takes on the
+    millisecond clock (:func:`~evfleetsim.engine.ms` of its duration in
+    seconds), and whether the vehicle stranded on the edge. Read-only: a
+    plan's result is shared by every vehicle that drives the plan."""
 
     trace: DriveTrace
-    duration_s: float
+    duration_ms: int
     stranded: bool
 
 
@@ -331,34 +337,16 @@ def _freeze(obj) -> None:
 @dataclass(frozen=True)
 class _Flows:
     """The battery side of a drive that neither clamps at a SOC bound nor
-    switches the range extender: battery and range-extender power per step,
-    the cumulative battery energy out, its extremes and last value, the
-    range-extender energy and the fuel it burns. Its arrays are read-only."""
+    switches the range extender: the extremes and last value of the
+    cumulative battery energy out, the range-extender energy and the fuel
+    it burns, and the result every such drive returns."""
 
-    p_battery: np.ndarray
-    p_re: np.ndarray
-    cum_wh_s: np.ndarray  # cumsum(p_battery * dts): battery energy out, in W*s
     cum_min: float
     cum_max: float
     cum_last: float
     range_extended_wh: float
     fuel_l: float
-
-    def __post_init__(self):
-        _freeze(self)
-
-
-def _flows(p_battery: np.ndarray, p_re: np.ndarray, dts: np.ndarray,
-           hours: np.ndarray, re: RangeExtenderParams | None) -> _Flows:
-    cum = np.cumsum(p_battery * dts)
-    # a vanishing edge has no step: extremes of -inf and +inf put every SOC
-    # outside its bounds, so its drive takes the step loop
-    ends = ((float(cum.min()), float(cum.max()), float(cum[-1])) if len(cum)
-            else (-math.inf, math.inf, 0.0))
-    range_extended_wh = float(np.dot(p_re, hours))
-    fuel_l = (0.0 if re is None else
-              re.specific_fuel_l_per_kwh * range_extended_wh / 1000.0)
-    return _Flows(p_battery, p_re, cum, *ends, range_extended_wh, fuel_l)
+    result: SegmentResult
 
 
 @dataclass(frozen=True)
@@ -424,12 +412,32 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     p_consume = p_drive + params.auxiliary_power_w
     p_net0 = p_consume - p_recup  # before range extender
     hours = dts / S_PER_H
+    time_s = bounds[:-1].copy()
     re = params.range_extender
+    c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
+    duration_ms = ms(total)
+
+    def flows(p_battery: np.ndarray, p_re: np.ndarray) -> _Flows:
+        cum = np.cumsum(p_battery * dts)  # battery energy out, in W*s
+        for array in (p_battery, p_re, cum):
+            array.setflags(write=False)
+        # a vanishing edge has no step: extremes of -inf and +inf put every
+        # SOC outside its bounds, so its drive takes the step loop
+        ends = ((float(cum.min()), float(cum.max()), float(cum[-1]))
+                if len(cum) else (-math.inf, math.inf, 0.0))
+        range_extended_wh = float(np.dot(p_re, hours))
+        fuel_l = (0.0 if re is None else
+                  re.specific_fuel_l_per_kwh * range_extended_wh / 1000.0)
+        trace = DriveTrace(time_s, dts, v_bar, a_bar, p_trac, p_battery,
+                           p_recup, p_re, None, cum, c)
+        return _Flows(*ends, range_extended_wh, fuel_l,
+                      SegmentResult(trace, duration_ms, False))
+
     return _SegmentPlan(
         duration_s=total,
         v_out=profile.v_out,
         distance_m=float(pos[-1]),
-        time_s=bounds[:-1].copy(),
+        time_s=time_s,
         dts=dts,
         hours=hours,
         pos=pos,
@@ -438,10 +446,9 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         p_trac=p_trac,
         p_recup=p_recup,
         p_consume=p_consume,
-        relay_off=_flows(p_net0, np.zeros(len(dts)), dts, hours, re),
+        relay_off=flows(p_net0, np.zeros(len(dts))),
         relay_on=(None if re is None else
-                  _flows(p_net0 - re.power_w, np.full(len(dts), re.power_w),
-                         dts, hours, re)),
+                  flows(p_net0 - re.power_w, np.full(len(dts), re.power_w))),
         consumed_wh=float(np.dot(p_consume, hours)),
         recuperated_wh=float(np.dot(p_recup, hours)),
     )
@@ -497,16 +504,22 @@ def drive_segment(
     gets a plan, so every call with it raises.
 
     A drive whose SOC stays inside its bounds and its relay band all the
-    way takes the plan's flows unchanged: it runs no numpy operation and
-    builds no array, and it reads the trace and the state update straight
-    from the plan. Whether it does is decided from the extremes of the
-    plan's cumulative battery energy ``cum``. The SOC after step ``i`` is
-    ``soc0 - cum[i] / c`` with ``c`` the capacity in W*s. Division by a
-    positive ``c`` and subtraction from ``soc0`` are each correctly rounded
-    and monotone, so the smallest of these SOCs is exactly ``soc0 -
-    max(cum) / c`` and the largest exactly ``soc0 - min(cum) / c``, bit for
-    bit what the minimum and maximum of the elementwise array would be.
-    Otherwise a step loop switches the relay and clamps at empty or full.
+    way (the fast path) takes the plan's flows unchanged: it runs no numpy
+    operation and builds no object. It adds the plan's sums to the state
+    and returns the result the plan built for its relay state, the same
+    object for every vehicle that drives the plan. That result's trace
+    holds no entry SOC (``soc0`` is ``None``): the caller keeps the SOC
+    the vehicle entered with, ``state.soc`` before the call, to read the
+    trace's SOC from (see :class:`DriveTrace`). Whether a drive takes the
+    fast path is decided from the extremes of the plan's cumulative
+    battery energy ``cum``. The SOC after step ``i`` is ``soc0 - cum[i] /
+    c`` with ``soc0`` the entry SOC and ``c`` the capacity in W*s. Division
+    by a positive ``c`` and subtraction from ``soc0`` are each correctly
+    rounded and monotone, so the smallest of these SOCs is exactly ``soc0
+    - max(cum) / c`` and the largest exactly ``soc0 - min(cum) / c``, bit
+    for bit what the minimum and maximum of the elementwise array would
+    be. Otherwise a step loop switches the relay and clamps at empty or
+    full, and returns a result of its own.
     """
     params = model.params
     key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
@@ -548,11 +561,7 @@ def drive_segment(
         cumulative.range_extended_wh += flows.range_extended_wh
         cumulative.fuel_liters += flows.fuel_l
         cumulative.distance_m += plan.distance_m
-        return SegmentResult(
-            DriveTrace(plan.time_s, plan.dts, plan.v_bar, plan.a_bar,
-                       plan.p_trac, flows.p_battery, plan.p_recup, flows.p_re,
-                       soc0, flows.cum_wh_s, c),
-            plan.duration_s, False)
+        return flows.result
     return _drive_steps(state, edge, plan, params, re_on)
 
 
@@ -560,7 +569,8 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
                  params: VehicleParams, flag: bool) -> SegmentResult:
     """The step loop of :func:`drive_segment`: it switches the range
     extender relay (``flag`` is its state on entry) and clamps at empty or
-    full, writing into copies of the shared plan arrays."""
+    full, writing into copies of the shared plan arrays. It builds a
+    result of its own, with the vehicle's SOC array in its trace."""
     dts = plan.dts
     n = len(dts)
     cap = params.battery_capacity_wh
@@ -571,7 +581,8 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
     duration = plan.duration_s
     distance = plan.distance_m
     exit_velocity = plan.v_out
-    p_net0, p_consume = plan.relay_off.p_battery, plan.p_consume
+    p_net0 = plan.relay_off.result.trace.p_battery_w
+    p_consume = plan.p_consume
     p_recup = plan.p_recup.copy()
     p_net_eff = p_net0.copy()
     re_power_arr = np.zeros(n)
@@ -657,7 +668,8 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
     state.cumulative.fuel_liters += fuel_l
     state.cumulative.distance_m += distance
 
-    return SegmentResult(trace=trace, duration_s=duration, stranded=stranded)
+    return SegmentResult(trace=trace, duration_ms=ms(duration),
+                         stranded=stranded)
 
 
 def estimate_route_energy(route, params: VehicleParams, env: Environment,

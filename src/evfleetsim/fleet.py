@@ -340,7 +340,7 @@ def generate_day_schedule(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Vehicle:
     vehicle_id: str
     state: dynamics.VehicleState
@@ -351,6 +351,10 @@ class Vehicle:
     legs: tuple[tuple[network.Edge, float | None], ...] | None = None
     segment_index: int = 0
     trace_start_ms: int = 0
+    # the SOC the vehicle entered its current edge with, recorded before
+    # each drive: a shared trace's SOC is read from it (see
+    # dynamics.DriveTrace)
+    trace_soc0: float = 0.0
     trace: dynamics.DriveTrace | None = None
     session: charging.ChargeSession | None = None  # grant to ChargeComplete
     divert_station: str | None = None  # from a divert to its slot grant
@@ -396,6 +400,9 @@ class FleetController:
         self.manager = manager
         self.vehicles = {v.vehicle_id: v for v in vehicles}
         self.model = model
+        # the speed factor of each hour of the day, read once
+        self._hourly_factors = tuple(net.speed_factor(hour)
+                                     for hour in range(24))
         # (-soc, vehicle_id) per entry into IDLE; stale entries are dropped
         # lazily by _try_dispatch
         self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
@@ -470,10 +477,10 @@ class FleetController:
         self.engine.schedule(Event(EventKind.SLOT_GRANTED, dict(payload)),
                              self.engine.now_ms)
 
-    def _speed_factor(self) -> float:
-        """The network's speed factor at the current hour: the one place
-        the clock becomes congestion."""
-        return self.net.speed_factor(hour_of(self.engine.now_ms))
+    def _speed_factor(self, now_ms: int) -> float:
+        """The network's speed factor at time ``now_ms``: the one place the
+        clock becomes congestion."""
+        return self._hourly_factors[hour_of(now_ms)]
 
     def route_energy_wh(self, route: network.Route, factor: float) -> float:
         """:func:`~evfleetsim.dynamics.estimate_route_energy` of ``route`` at
@@ -519,12 +526,12 @@ class FleetController:
         vehicle reaches with ``policies.safety_margin_soc`` left over."""
         budget = ((vehicle.state.soc - self.policies.safety_margin_soc)
                   * self.model.params.battery_capacity_wh)
+        now = self.engine.now_ms
         reachable = [
             (divert, travel) for divert, energy, travel
-            in self.divert_alternatives(station_id, self._speed_factor())
+            in self.divert_alternatives(station_id, self._speed_factor(now))
             if energy <= budget]
-        return self.manager.select_station(station_id, self.engine.now_ms,
-                                           reachable)
+        return self.manager.select_station(station_id, now, reachable)
 
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
                      mission: Mission, state: Lifecycle) -> None:
@@ -537,20 +544,21 @@ class FleetController:
 
     def _drive_current_segment(self, vehicle: Vehicle) -> None:
         now = self.engine.now_ms
-        factor = self._speed_factor()
+        factor = self._speed_factor(now)
         edge, next_limit = vehicle.legs[vehicle.segment_index]
         limit = edge.speed_limit_mps * factor
         v_exit = 0.0 if next_limit is None else min(limit, next_limit * factor)
-        v_entry = min(vehicle.state.velocity, limit)
-
-        result = dynamics.drive_segment(vehicle.state, edge, v_entry, v_exit,
-                                        factor, self.model)
+        state = vehicle.state
+        v_entry = min(state.velocity, limit)
+        vehicle.trace_soc0 = state.soc
+        result = dynamics.drive_segment(state, edge, v_entry, v_exit, factor,
+                                        self.model)
         vehicle.trace = result.trace
         vehicle.trace_start_ms = now
         kind = EventKind.STRANDED if result.stranded else EventKind.SEGMENT_COMPLETE
         self.engine.schedule(
             Event(kind, {"vehicle": vehicle.vehicle_id, "edge": edge.edge_id}),
-            now + ms(result.duration_s),
+            now + result.duration_ms,
         )
 
     def _set_idle(self, vehicle: Vehicle) -> None:
@@ -584,7 +592,7 @@ class FleetController:
         now = self.engine.now_ms
         budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
                   * self.model.params.battery_capacity_wh)
-        factor = self._speed_factor()
+        factor = self._speed_factor(now)
         if budget < (self.route_energy_wh(trip.outbound, factor)
                      + self.route_energy_wh(trip.return_route, factor)):
             return False

@@ -68,7 +68,9 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
     with the ``\\r\\n`` terminator of :func:`csv.writer`: its trace sample,
     charging session or state at rest. A trace sample's SOC is read as the
     scalar ``soc0 - soc_drop[i] / soc_scale`` (see
-    :class:`~evfleetsim.dynamics.DriveTrace`), so no SOC column is built.
+    :class:`~evfleetsim.dynamics.DriveTrace`), so no SOC column is built;
+    a shared trace has no ``soc0``, and its base is the SOC the vehicle
+    entered the edge with, ``vehicle.trace_soc0``.
     A charging row's text around its SOC is the same for the whole session:
     ``session_texts`` maps the vehicle id to its session and that text, and
     the text is formatted again only for a different session object.
@@ -80,7 +82,10 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         offset = (t_ms - vehicle.trace_start_ms) / MS_PER_S
         i = int(tr.time_s.searchsorted(offset, "right")) - 1
         i = min(max(i, 0), len(tr) - 1)
-        soc = tr.soc0 - tr.soc_drop.item(i) / tr.soc_scale
+        soc0 = tr.soc0
+        if soc0 is None:
+            soc0 = vehicle.trace_soc0
+        soc = soc0 - tr.soc_drop.item(i) / tr.soc_scale
         v, a = tr.v_mps.item(i), tr.a_mps2.item(i)
         p_traction, p_battery = tr.p_traction_w.item(i), tr.p_battery_w.item(i)
         p_recup, p_re = tr.p_recup_w.item(i), tr.p_re_w.item(i)

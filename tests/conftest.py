@@ -37,11 +37,14 @@ def dummy_vehicle(vehicle_id="v0", soc=0.5):
     return DummyVehicle(vehicle_id, VehicleState(soc=soc))
 
 
-def trace_soc(trace: DriveTrace):
-    """The state of charge at the end of each step of ``trace``, read-only:
-    ``soc0 - soc_drop / soc_scale``, the IEEE operations by which the
-    package reads one element."""
-    soc = trace.soc0 - trace.soc_drop / trace.soc_scale
+def trace_soc(trace: DriveTrace, entry_soc: float):
+    """The state of charge at the end of each step of ``trace``, driven
+    from ``entry_soc``, read-only: ``soc0 - soc_drop / soc_scale``, the
+    IEEE operations by which the package reads one element. A shared trace
+    has no ``soc0``; its base is ``entry_soc``, as the package's is the
+    vehicle's ``trace_soc0``."""
+    soc0 = entry_soc if trace.soc0 is None else trace.soc0
+    soc = soc0 - trace.soc_drop / trace.soc_scale
     soc.setflags(write=False)
     return soc
 

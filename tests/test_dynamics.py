@@ -15,6 +15,7 @@ from evfleetsim.dynamics import (DriveModel, DriveTrace, DynamicsError,
                                  VehicleParams, VehicleState, drive_segment,
                                  estimate_route_energy, range_extender_step,
                                  traction_power)
+from evfleetsim.engine import ms
 from evfleetsim.network import (Edge, RoadNetwork, generate_grid,
                                 route_travel_time, shortest_path)
 
@@ -43,6 +44,12 @@ def make_params(**overrides):
 
 def flat_edge(length=100.0, speed=10.0, gradient=0.0, eid="e"):
     return Edge(eid, "a", "b", length, speed, gradient)
+
+
+def drive_time_s(trace):
+    """How long the drive of ``trace`` takes, in seconds: the sum of its
+    steps."""
+    return float(np.sum(trace.dt_s))
 
 
 def battery_wh(trace):
@@ -206,7 +213,7 @@ def test_integrate_soc_identity():
     # no recuperation and no hotel load: zero net power while coasting
     params = make_params(auxiliary_power_w=0.0, max_recuperation_power_w=0.0)
     state, result = downhill(params, soc=0.5)
-    assert np.all(trace_soc(result.trace) == 0.5)
+    assert np.all(trace_soc(result.trace, 0.5) == 0.5)
     assert state.soc == 0.5
 
 
@@ -219,8 +226,9 @@ def test_integrate_soc_exact_depletion_clamps_at_zero():
                            1.0, DriveModel(params, ENV, 1.0))
     assert result.stranded
     assert state.soc == 0.0
-    assert float(trace_soc(result.trace).min()) == 0.0
-    assert result.duration_s == pytest.approx(5.0, rel=1e-9)
+    assert float(trace_soc(result.trace, 0.5).min()) == 0.0
+    assert drive_time_s(result.trace) == pytest.approx(5.0, rel=1e-9)
+    assert result.duration_ms == 5000
     assert battery_wh(result.trace) == pytest.approx(-50.0, rel=1e-9)
 
 
@@ -238,7 +246,7 @@ def test_integrate_soc_clamps_at_one():
     params = make_params(auxiliary_power_w=0.0)
     state, result = downhill(params, soc=0.99, length=2000.0)
     assert state.soc == 1.0
-    assert float(trace_soc(result.trace).max()) == 1.0
+    assert float(trace_soc(result.trace, 0.99).max()) == 1.0
     assert (1.0 - 0.99) * 18000.0 == pytest.approx(battery_wh(result.trace),
                                                    rel=1e-9)
 
@@ -251,7 +259,8 @@ def test_pure_cruise_segment():
     edge = flat_edge(100.0, 10.0)
     result = drive_segment(state, edge, 10.0, 10.0, 1.0,
                            DriveModel(params, ENV, 1.0))
-    assert result.duration_s == pytest.approx(10.0)
+    assert drive_time_s(result.trace) == pytest.approx(10.0)
+    assert result.duration_ms == 10_000
     assert np.allclose(result.trace.a_mps2, 0.0)
     assert np.allclose(result.trace.v_mps, 10.0)
     assert state.cumulative.distance_m == pytest.approx(100.0, abs=1e-3)
@@ -265,7 +274,8 @@ def test_trapezoid_kinematics_oracle():
     edge = flat_edge(200.0, 10.0)
     result = drive_segment(state, edge, 0.0, 0.0, 1.0,
                            DriveModel(params, ENV, 1.0))
-    assert result.duration_s == pytest.approx(30.0, abs=1e-9)
+    assert drive_time_s(result.trace) == pytest.approx(30.0, abs=1e-9)
+    assert result.duration_ms == 30_000
     assert state.cumulative.distance_m == pytest.approx(200.0, abs=1e-3)
     assert state.velocity == 0.0
     assert float(result.trace.v_mps.max()) <= 10.0 + 1e-9
@@ -278,7 +288,8 @@ def test_triangular_profile_when_edge_too_short_for_cruise():
     result = drive_segment(state, edge, 0.0, 0.0, 1.0,
                            DriveModel(params, ENV, 0.5))
     v_peak = math.sqrt(50.0)  # closed form for a = d = 1
-    assert result.duration_s == pytest.approx(2 * v_peak, rel=1e-9)
+    assert drive_time_s(result.trace) == pytest.approx(2 * v_peak, rel=1e-9)
+    assert result.duration_ms == round(2000 * v_peak)
     assert float(result.trace.v_mps.max()) < 10.0
     assert state.cumulative.distance_m == pytest.approx(50.0, abs=1e-3)
 
@@ -342,7 +353,7 @@ def test_trace_is_consistent_with_scalar_power_chain():
         assert p_b == pytest.approx(float(tr.p_battery_w[i]), rel=1e-9)
         soc -= p_b * float(tr.dt_s[i]) / (params.battery_capacity_wh * 3600.0)
         soc = min(1.0, max(0.0, soc))
-        assert soc == pytest.approx(float(trace_soc(tr)[i]), abs=1e-12)
+        assert soc == pytest.approx(float(trace_soc(tr, 0.8)[i]), abs=1e-12)
 
 
 def test_flat_edge_work_matches_closed_form():
@@ -390,7 +401,8 @@ def test_soc_stays_in_bounds_over_random_parameterizations():
             auxiliary_power_w=float(rng.uniform(0, 1000)),
             range_extender=re,
         )
-        state = VehicleState(soc=float(rng.uniform(0.0, 1.0)),
+        soc0 = float(rng.uniform(0.0, 1.0))
+        state = VehicleState(soc=soc0,
                              range_extender_on=bool(rng.random() < 0.3 and re))
         v_lim = float(rng.uniform(5, 30))
         edge = flat_edge(float(rng.uniform(50, 2000)), v_lim,
@@ -398,8 +410,8 @@ def test_soc_stays_in_bounds_over_random_parameterizations():
         dt = float(rng.uniform(0.2, 2.0))
         result = drive_segment(state, edge, 0.0, 0.0, 1.0,
                                DriveModel(params, ENV, dt))
-        assert 0.0 <= float(trace_soc(result.trace).min())
-        assert float(trace_soc(result.trace).max()) <= 1.0
+        assert 0.0 <= float(trace_soc(result.trace, soc0).min())
+        assert float(trace_soc(result.trace, soc0).max()) <= 1.0
         assert 0.0 <= state.soc <= 1.0
         # recuperation inflow never exceeds its bounds at any sample
         bound = np.minimum(
@@ -442,9 +454,10 @@ def test_soc_monotone_without_recuperation_on_nonnegative_gradient():
     state = VehicleState(soc=0.9)
     prev = 1.0
     for length, grad in [(400, 0.0), (300, 0.03), (500, 0.0), (200, 0.08)]:
+        entry_soc = state.soc
         result = drive_segment(state, flat_edge(float(length), 14.0, grad),
                                0.0, 0.0, 1.0, DriveModel(params, ENV, 0.5))
-        soc_values = trace_soc(result.trace)
+        soc_values = trace_soc(result.trace, entry_soc)
         assert float(soc_values[0]) <= prev
         assert np.all(np.diff(soc_values) <= 1e-15)
         prev = float(soc_values[-1])
@@ -459,7 +472,7 @@ def test_stranding_truncates_segment():
     assert result.stranded
     assert state.soc == 0.0
     assert state.cumulative.distance_m < 2000.0
-    assert result.duration_s < 2000.0 / 15.0 + 30.0
+    assert drive_time_s(result.trace) < 2000.0 / 15.0 + 30.0
     # flows stay ledger-exact even through the truncated step
     assert battery_wh(result.trace) == pytest.approx(-5.0, rel=1e-9)
 
@@ -499,7 +512,7 @@ def test_recuperation_clamp_at_full_battery_keeps_ledger_exact():
     edge = flat_edge(800.0, 14.0, gradient=-0.12)  # steep downhill from full
     result = drive_segment(state, edge, 14.0, 14.0, 1.0,
                            DriveModel(params, ENV, 1.0))
-    assert float(trace_soc(result.trace).max()) <= 1.0
+    assert float(trace_soc(result.trace, 1.0).max()) <= 1.0
     delta = (state.soc - 1.0) * params.battery_capacity_wh
     integral_wh = battery_wh(result.trace)
     assert delta == pytest.approx(integral_wh, abs=1e-9)
@@ -517,7 +530,7 @@ def test_trace_timestamps_fixed_step():
     assert np.all(np.diff(t) > 0)
     assert np.allclose(np.diff(t)[:-1], 1.0)
     assert (len(result.trace) == len(result.trace.dt_s)
-            == len(trace_soc(result.trace)))
+            == len(trace_soc(result.trace, 0.7)))
 
 
 def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
@@ -615,11 +628,11 @@ def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():
     state = VehicleState(soc=0.5)
     result = drive_segment(state, flat_edge(1e-300, 14.0), 0.0, 0.0, 1.0,
                            DriveModel(params, ENV, 1.0))
-    assert len(result.trace) == 0 and len(trace_soc(result.trace)) == 0
+    assert len(result.trace) == 0 and len(trace_soc(result.trace, 0.5)) == 0
     assert not result.stranded
     assert state.soc == 0.5 and not state.range_extender_on
     assert state.cumulative.consumed_wh == battery_wh(result.trace) == 0.0
-    assert result.duration_s < 1e-9
+    assert result.duration_ms == 0
 
 
 # --- memoised plans ---------------------------------------------------------------------
@@ -632,15 +645,19 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def assert_same_result(memo, fresh):
+def assert_same_result(memo, fresh, entry_soc):
     for f in dataclasses.fields(SegmentResult):
         if f.name != "trace":
             assert getattr(memo, f.name) == getattr(fresh, f.name), f.name
     columns = {f.name: (getattr(memo.trace, f.name),
                         getattr(fresh.trace, f.name))
                for f in dataclasses.fields(DriveTrace)}
-    columns["soc"] = trace_soc(memo.trace), trace_soc(fresh.trace)
+    columns["soc"] = (trace_soc(memo.trace, entry_soc),
+                      trace_soc(fresh.trace, entry_soc))
     for name, (a, b) in columns.items():
+        if a is None:  # the entry SOC of a shared trace is the vehicle's
+            assert name == "soc0" and b is None
+            continue
         assert bits(a) == bits(b), name
         if isinstance(a, np.ndarray):
             for array in (a, b):  # plan arrays are shared between vehicles
@@ -648,6 +665,11 @@ def assert_same_result(memo, fresh):
                     array[...] = 0.0
         else:
             assert isinstance(a, float) and isinstance(b, float), name
+    for result in (memo, fresh):  # and so are plan results
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.stranded = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.trace.soc0 = 0.5
 
 
 def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
@@ -673,7 +695,7 @@ def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
     fresh = drive_segment(fresh_state, edge, v_entry, v_exit, speed_factor,
                           DriveModel(params, ENV, dt))
     assert len(model.plans) == 1
-    assert_same_result(memo, fresh)
+    assert_same_result(memo, fresh, soc)
     assert memo_state == fresh_state
     # the energy sums added to the state, formed as the integrator forms
     # them from its steps
@@ -799,13 +821,14 @@ def test_scalar_fast_path_matches_the_array_formulas(
         state = VehicleState(soc=soc, range_extender_on=re_on)
         result = drive_segment(state, edge, 0.0, v_exit, 1.0, memo)
         trace = result.trace
-        # the fast path hands over the plan's cumulative energy, the step
-        # loop its own SOC array
+        # the fast path hands over the plan's result, the step loop a
+        # result with its own SOC array
         assert (trace.soc_scale > 0.0) is fast
+        assert (trace.soc0 is None) is fast
         if not fast:
             continue
-        assert (trace.soc_drop is flows.cum_wh_s) is (memo is model)
-        assert bits(trace_soc(trace)) == bits(soc_traj)
+        assert (result is flows.result) is (memo is model)
+        assert bits(trace_soc(trace, soc)) == bits(soc_traj)
         assert bits(state.soc) == bits(soc_traj[-1])
         assert state.range_extender_on is re_on
         assert not result.stranded
@@ -825,12 +848,6 @@ class NoNumpy:
         raise AssertionError(f"numpy.{name} used")
 
 
-def plan_arrays(plan):
-    flows = [plan.relay_off] + [plan.relay_on] * (plan.relay_on is not None)
-    return [value for part in (plan, *flows) for value in vars(part).values()
-            if isinstance(value, np.ndarray)]
-
-
 @pytest.mark.parametrize("relay", sorted(RELAY))
 def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
                                                               monkeypatch):
@@ -845,15 +862,21 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
     with monkeypatch.context() as patched:
         patched.setattr(dynamics, "np", NoNumpy())
         result = drive_segment(state, edge, 0.0, 0.0, 1.0, model)
-    own = plan_arrays(plan)
+    # the fast path builds nothing: it returns the result the plan built
+    # for the relay state, over the plan's own arrays
+    flows = plan_flows(plan, re_on)
+    assert result is flows.result
     trace = result.trace
-    for f in dataclasses.fields(DriveTrace):
-        value = getattr(trace, f.name)
-        if isinstance(value, np.ndarray):
-            assert any(value is array for array in own), f.name
-    # the fast path: the SOC is derived from the plan's cumulative energy
-    assert trace.soc0 == soc and trace.soc_scale == 18000.0 * 3600.0
-    assert state.soc == soc - plan_flows(plan, re_on).cum_last / trace.soc_scale
+    for name, own in (("time_s", plan.time_s), ("dt_s", plan.dts),
+                      ("v_mps", plan.v_bar), ("a_mps2", plan.a_bar),
+                      ("p_traction_w", plan.p_trac),
+                      ("p_recup_w", plan.p_recup)):
+        assert getattr(trace, name) is own, name
+    # the SOC is derived from the plan's cumulative energy and the entry
+    # SOC, which the trace leaves to the vehicle
+    assert trace.soc0 is None and trace.soc_scale == 18000.0 * 3600.0
+    assert result.duration_ms == ms(plan.duration_s)
+    assert state.soc == soc - flows.cum_last / trace.soc_scale
     assert state.range_extender_on is re_on
 
 

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import math
 from pathlib import Path
@@ -16,12 +17,14 @@ from evfleetsim.charging import ChargingManager, ChargingStation, Slot
 from evfleetsim.config import (DEFAULTS, build_config, default_scenario_path,
                                load_raw)
 from evfleetsim.dynamics import DriveModel, Environment, VehicleState
-from evfleetsim.engine import Engine, Event, EventKind, SimulationAborted, ms
+from evfleetsim.engine import (Engine, Event, EventKind, SimulationAborted,
+                               hour_of, ms)
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               FleetController, FleetError, FleetPolicies,
-                              Lifecycle, ModelError, Trip, TripsPerDay,
-                              Vehicle, cumulative, draw_index,
+                              Lifecycle, Mission, ModelError, Trip,
+                              TripsPerDay, Vehicle, cumulative, draw_index,
                               generate_day_schedule, sample_trip)
+from evfleetsim.metrics import MetricsCollector
 from evfleetsim.network import (Coord, Edge, NoRouteError, RoadNetwork,
                                 airline_distance, generate_grid, nearest_edge,
                                 shortest_path)
@@ -251,10 +254,10 @@ def test_day_schedule_requires_positive_fleet():
 # --- lifecycle ------------------------------------------------------------------
 
 def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
-              policies=None):
+              policies=None, hourly_speed_factors=None):
     """``soc`` is one value for every vehicle or a list with one per vehicle;
     SOCs are set before the controller indexes the idle vehicles."""
-    net = generate_grid(3, 3, 100.0, 10.0)
+    net = generate_grid(3, 3, 100.0, 10.0, hourly_speed_factors)
     depot = sorted(net.edges)[0]
     engine = Engine()
     stations = []
@@ -475,6 +478,89 @@ def test_queue_then_slot_granted_fifo_at_depot():
     enqueue_order = [s.enqueue_ms for s in mgr.sessions]
     assert enqueue_order == sorted(enqueue_order)
     assert all(v.lifecycle is Lifecycle.IDLE for v in vehicles)
+
+
+# --- the drive of one edge ------------------------------------------------------
+# vehicles that drive one plan without clamping get the one result the plan
+# built, and each reads its trace's SOC from the SOC it entered the edge
+# with; the factor of a drive is that of the hour the drive starts in
+
+
+def recording_drives(monkeypatch):
+    """Record every call of ``dynamics.drive_segment`` the controller makes,
+    as ``(speed_factor, result)``."""
+    drives = []
+    drive_segment = dynamics.drive_segment
+
+    def recording(state, edge, v_entry, v_exit, speed_factor, model):
+        result = drive_segment(state, edge, v_entry, v_exit, speed_factor,
+                               model)
+        drives.append((speed_factor, result))
+        return result
+
+    monkeypatch.setattr(dynamics, "drive_segment", recording)
+    return drives
+
+
+def test_vehicles_on_one_plan_share_its_result_and_read_their_own_soc(
+        tmp_path, monkeypatch):
+    entry_socs = [0.9, 0.6, 1e-6]  # the last empties within the first step
+    engine, net, mgr, ctrl, vehicles, _, depot = build_sim(
+        n_vehicles=3, soc=entry_socs)
+    drives = recording_drives(monkeypatch)
+    route = shortest_path(net, depot, sorted(net.edges)[10], "distance")
+    for vehicle in vehicles:
+        ctrl._begin_route(vehicle, route, Mission.TRIP_OUT,
+                          Lifecycle.EN_ROUTE)
+    (_, shared), (_, other), (_, stranded) = drives
+    (plan,) = ctrl.model.plans.values()
+    assert shared is other is plan.relay_off.result
+    assert vehicles[0].trace is vehicles[1].trace is shared.trace
+    assert shared.trace.soc0 is None
+    # the drive that strands gets a result of its own, and the arrays the
+    # step loop writes are its own too
+    assert stranded.stranded and stranded is not shared
+    assert stranded.trace.soc0 == -0.0
+    for name in ("p_battery_w", "p_recup_w", "p_re_w", "soc_drop"):
+        assert not np.shares_memory(getattr(stranded.trace, name),
+                                    getattr(shared.trace, name)), name
+
+    # a tick in the middle of the edge: each vehicle on the shared trace
+    # gets the SOC of its own entry SOC
+    collector = MetricsCollector(tmp_path, vehicles, [], mgr.sessions,
+                                 ctrl.model.params)
+    t_ms = shared.duration_ms // 2
+    collector.record_ticks(t_ms)
+    collector.close()
+    with open(tmp_path / "ticks.csv", newline="") as fh:
+        soc = {row["vehicle_id"]: row["soc"] for row in csv.DictReader(fh)}
+    trace = shared.trace
+    i = int(np.searchsorted(trace.time_s, t_ms / 1000.0, side="right")) - 1
+    assert 0 < i < len(trace) - 1
+    cum_wh_s = np.cumsum(trace.p_battery_w * trace.dt_s)
+    c = ctrl.model.params.battery_capacity_wh * 3600.0
+    for vehicle, entry_soc in zip(vehicles[:2], entry_socs):
+        assert soc[vehicle.vehicle_id] == f"{entry_soc - cum_wh_s[i] / c:.9f}"
+    assert soc["v0"] != soc["v1"]
+    assert soc["v2"] == "0.000000000"
+
+
+def test_a_drive_takes_the_factor_of_the_hour_it_starts_in(monkeypatch):
+    factors = [1.0 - hour / 100.0 for hour in range(24)]
+    engine, net, mgr, ctrl, vehicles, _, depot = build_sim(
+        n_vehicles=3, hourly_speed_factors=factors)
+    drives = recording_drives(monkeypatch)
+    # a trip home from here ends idle, whatever the clock then reads
+    route = shortest_path(net, sorted(net.edges)[10], depot, "distance")
+    starts = [(3_599_999, 0), (3_600_000, 1), (86_400_000, 0)]
+    for vehicle, (t_ms, hour) in zip(vehicles, starts):
+        engine.run_until(t_ms)
+        assert engine.now_ms == t_ms and hour_of(t_ms) == hour
+        first = len(drives)
+        ctrl._begin_route(vehicle, route, Mission.RETURN_HOME,
+                          Lifecycle.RETURNING)
+        factor, _ = drives[first]
+        assert factor == net.speed_factor(hour_of(t_ms)) == factors[hour]
 
 
 # --- dispatch index -------------------------------------------------------------

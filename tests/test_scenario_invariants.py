@@ -19,7 +19,7 @@ from test_config_cli import write_scenario
 
 from evfleetsim import dynamics, metrics
 from evfleetsim.charging import ChargingManager, Queued, session_progress
-from evfleetsim.config import load_config
+from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.engine import (Engine, EventKind, ModelError,
                                SimulationAborted, ms)
 from evfleetsim.fleet import FleetController, Lifecycle
@@ -295,7 +295,8 @@ class ReferenceSampler:
             offset = (now - v.trace_start_ms) / 1000
             i = int(np.searchsorted(tr.time_s, offset, side="right")) - 1
             i = min(max(i, 0), len(tr) - 1)
-            return (v.vehicle_id, v.lifecycle, float(trace_soc(tr)[i]), (
+            soc = float(trace_soc(tr, v.trace_soc0)[i])
+            return (v.vehicle_id, v.lifecycle, soc, (
                 float(tr.v_mps[i]), float(tr.a_mps2[i]),
                 float(tr.p_traction_w[i]), float(tr.p_battery_w[i]),
                 float(tr.p_recup_w[i]), float(tr.p_re_w[i])))
@@ -530,6 +531,20 @@ def test_plan_memo_leaves_every_output_byte_equal(tmp_path, monkeypatch):
     for manifest in manifests:
         del manifest["wall_clock_s"]
     assert manifests[0] == manifests[1]
+
+
+def test_every_plan_of_the_bundled_run_rounds_its_duration_once(
+        tmp_path, monkeypatch):
+    # a plan's shared result carries its duration on the millisecond clock,
+    # rounded as the clock rounds every time it schedules
+    _, (ctrl,) = run_recording_controllers(
+        monkeypatch, default_scenario_path(), tmp_path / "out")
+    plans = list(ctrl.model.plans.values())
+    assert plans
+    for plan in plans:
+        for flows in (plan.relay_off, plan.relay_on):
+            if flows is not None:
+                assert flows.result.duration_ms == ms(plan.duration_s)
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
