@@ -16,7 +16,7 @@ reconcile to float precision even across clamping at the 0/1 bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -278,6 +278,14 @@ def _plan_profile(
     return _Profile(v_in, v_peak, v_out, t_acc, t_cruise, t_dec, a_max, d_max)
 
 
+def _freeze(obj) -> None:
+    """Make every array field of the dataclass ``obj`` read-only."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 @dataclass(frozen=True, slots=True)
 class DriveTrace:
     """Fixed-step samples over one edge; the last step may be shorter.
@@ -295,8 +303,9 @@ class DriveTrace:
     which gives every element back exactly, signed zeros included:
     dividing by -1 negates, and ``-0.0 + x`` is ``x``.
 
-    A trace and every array in it are read-only; a step-loop trace shares
-    the plan arrays that the loop does not change.
+    A trace and every array in it are read-only: the arrays are frozen
+    here, where the trace is built. A step-loop trace shares the plan
+    arrays that the loop does not change.
     """
 
     time_s: np.ndarray
@@ -310,6 +319,9 @@ class DriveTrace:
     soc0: float | None
     soc_drop: np.ndarray
     soc_scale: float
+
+    def __post_init__(self):
+        _freeze(self)
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -326,12 +338,6 @@ class SegmentResult:
     trace: DriveTrace
     duration_ms: int
     stranded: bool
-
-
-def _freeze(obj) -> None:
-    for value in vars(obj).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -355,19 +361,15 @@ class _SegmentPlan:
     of charge: the velocity profile, its steps, the power flows before the
     range extender, and the battery side of a drive with the range extender
     off (``relay_off``) and, for a vehicle that has one, on (``relay_on``,
-    else ``None``). Its arrays are read-only, so plans can be shared."""
+    else ``None``). The per-step arrays both share are kept once, in
+    ``relay_off.result.trace``. Its arrays are read-only, so plans can be
+    shared."""
 
     duration_s: float
     v_out: float
     distance_m: float
-    time_s: np.ndarray
-    dts: np.ndarray
     hours: np.ndarray
     pos: np.ndarray
-    v_bar: np.ndarray
-    a_bar: np.ndarray
-    p_trac: np.ndarray
-    p_recup: np.ndarray
     p_consume: np.ndarray
     relay_off: _Flows
     relay_on: _Flows | None
@@ -419,8 +421,6 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
 
     def flows(p_battery: np.ndarray, p_re: np.ndarray) -> _Flows:
         cum = np.cumsum(p_battery * dts)  # battery energy out, in W*s
-        for array in (p_battery, p_re, cum):
-            array.setflags(write=False)
         # a vanishing edge has no step: extremes of -inf and +inf put every
         # SOC outside its bounds, so its drive takes the step loop
         ends = ((float(cum.min()), float(cum.max()), float(cum[-1]))
@@ -437,14 +437,8 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         duration_s=total,
         v_out=profile.v_out,
         distance_m=float(pos[-1]),
-        time_s=time_s,
-        dts=dts,
         hours=hours,
         pos=pos,
-        v_bar=v_bar,
-        a_bar=a_bar,
-        p_trac=p_trac,
-        p_recup=p_recup,
         p_consume=p_consume,
         relay_off=flows(p_net0, np.zeros(len(dts))),
         relay_on=(None if re is None else
@@ -571,19 +565,21 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
     extender relay (``flag`` is its state on entry) and clamps at empty or
     full, writing into copies of the shared plan arrays. It builds a
     result of its own, with the vehicle's SOC array in its trace."""
-    dts = plan.dts
+    shared = plan.relay_off.result.trace
+    dts = shared.dt_s
     n = len(dts)
     cap = params.battery_capacity_wh
     soc0 = state.soc
     re = params.range_extender
     stranded = False
-    time_s, v_bar, a_bar, p_trac = plan.time_s, plan.v_bar, plan.a_bar, plan.p_trac
+    time_s, v_bar, a_bar = shared.time_s, shared.v_mps, shared.a_mps2
+    p_trac = shared.p_traction_w
     duration = plan.duration_s
     distance = plan.distance_m
     exit_velocity = plan.v_out
-    p_net0 = plan.relay_off.result.trace.p_battery_w
+    p_net0 = shared.p_battery_w
     p_consume = plan.p_consume
-    p_recup = plan.p_recup.copy()
+    p_recup = shared.p_recup_w.copy()
     p_net_eff = p_net0.copy()
     re_power_arr = np.zeros(n)
     soc_traj = np.empty(n)
@@ -622,13 +618,10 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
         re_power_arr[k] = re_power
         p_net_eff[k] = p_net
         soc_traj[k] = soc
-    for arr in (p_recup, p_net_eff, re_power_arr, soc_traj):
-        arr.setflags(write=False)
     hours = plan.hours
     if stranded:
         dts = dts[:n].copy()
         dts[-1] = trunc_dt
-        dts.setflags(write=False)
         hours = dts / S_PER_H
         time_s, v_bar, a_bar = time_s[:n], v_bar[:n], a_bar[:n]
         p_trac, p_recup = p_trac[:n], p_recup[:n]

@@ -4,6 +4,10 @@ Simulation time is kept in integer milliseconds so that events scheduled at
 the same nominal instant compare exactly equal on every platform.  Ties are
 broken by insertion order, which makes every run with the same inputs
 reproduce the same dispatch sequence byte for byte.
+
+The engine writes no file. With ``keep_event_log`` it keeps one
+``(at_ms, sequence, kind, payload)`` tuple per dispatched event in
+``event_log``; the runner writes them out as ``events.csv``.
 """
 
 from __future__ import annotations
@@ -177,17 +181,3 @@ class Engine:
             wall_clock_s=_wallclock.perf_counter() - started,
         )
 
-
-def write_event_log_csv(engine: Engine, path) -> int:
-    """Dump the engine's event log as ``time,sequence,kind,payload-ids`` CSV.
-
-    Returns the number of data rows written.
-    """
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "sequence", "kind", "payload"])
-        for at, seq, kind, payload in engine.event_log:
-            writer.writerow([f"{at / MS_PER_S:.3f}", seq, kind, payload])
-    return len(engine.event_log)

@@ -400,9 +400,7 @@ class FleetController:
         self.manager = manager
         self.vehicles = {v.vehicle_id: v for v in vehicles}
         self.model = model
-        # the speed factor of each hour of the day, read once
-        self._hourly_factors = tuple(net.speed_factor(hour)
-                                     for hour in range(24))
+        self._hourly_factors = net.hourly_speed_factors
         # (-soc, vehicle_id) per entry into IDLE; stale entries are dropped
         # lazily by _try_dispatch
         self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
@@ -449,12 +447,11 @@ class FleetController:
     # -- helpers --------------------------------------------------------------
 
     def _transition(self, vehicle: Vehicle, new: Lifecycle) -> None:
-        old = vehicle.lifecycle
         vehicle.lifecycle = new
         if new is Lifecycle.IDLE:
             heapq.heappush(self._idle_heap,
                            (-vehicle.state.soc, vehicle.vehicle_id))
-        self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, old, new)
+        self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, new)
 
     def _alive(self, event: Event) -> Vehicle:
         """The event's vehicle; raises :class:`ModelError` for an unknown or

@@ -1,7 +1,8 @@
 """Run data collection and exports: per-tick vehicle records, lifecycle
 transition log, trip/session logs, per-vehicle energy and time summaries,
 distance histograms, and the idle-fleet (overdimensioning) time series.
-Everything is written as CSV so any external tool can plot it.
+Everything is written as CSV in one dialect, that of :func:`write_csv`,
+so any external tool can plot it.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def _reject_non_finite(vehicle: Vehicle, values) -> None:
                 f"non-finite {name}={value} in tick for {vehicle.vehicle_id}")
 
 
+def write_csv(path, header, rows) -> int:
+    """Write ``header`` and then each of ``rows`` to ``path`` with
+    :func:`csv.writer`, streaming them; returns the number of rows. Every
+    CSV output but ``ticks.csv``, which formats its rows by hand on the hot
+    path in the same dialect, is written here."""
+    n = 0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for n, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return n
+
+
 def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
     """Items grouped by ``vehicle_id(item)`` in one pass; each group keeps
     the original order, so sums over a group match a filtered scan bit for
@@ -140,7 +155,7 @@ def state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float]
     periods: list[tuple[str, float, float]] = []
     current: Lifecycle | None = None
     start = 0
-    for t_ms, _, _, new in transitions:
+    for t_ms, _, new in transitions:
         if current is not None and t_ms > start:
             periods.append((_STATE_VALUE[current], start / MS_PER_S,
                             t_ms / MS_PER_S))
@@ -231,8 +246,8 @@ class MetricsCollector:
         self.sessions = sessions
         self.params = params
         self._soc_start = {v.vehicle_id: v.state.soc for v in vehicles}
-        self.transitions: list[tuple[int, str, Lifecycle | None, Lifecycle]] = [
-            (0, v.vehicle_id, None, Lifecycle.IDLE) for v in vehicles]
+        self.transitions: list[tuple[int, str, Lifecycle]] = [
+            (0, v.vehicle_id, Lifecycle.IDLE) for v in vehicles]
 
     # -- recording ------------------------------------------------------------
 
@@ -274,9 +289,9 @@ class MetricsCollector:
         self._tick_rows += len(tails)
 
     def record_transition(self, t_ms: int, vehicle_id: str,
-                          old: Lifecycle | None, new: Lifecycle) -> None:
+                          new: Lifecycle) -> None:
         i = self._index[vehicle_id]  # an unknown id raises KeyError
-        self.transitions.append((t_ms, vehicle_id, old, new))
+        self.transitions.append((t_ms, vehicle_id, new))
         self._live.add(i)
 
     def close(self) -> None:
@@ -327,7 +342,7 @@ class MetricsCollector:
         t = 0
         while t < horizon_ms or t == 0:
             while pointer < len(events) and events[pointer][0] <= t:
-                _, vid, _, new = events[pointer]
+                _, vid, new = events[pointer]
                 current[state.get(vid, "idle")] -= 1
                 state[vid] = _STATE_GROUP[new]
                 current[state[vid]] += 1
@@ -361,6 +376,47 @@ class MetricsCollector:
 
     # -- export --------------------------------------------------------------------
 
+    def _trip_rows(self, horizon_ms: int):
+        for t in self.trips:
+            if t.status == "pending":
+                delay_s = max(0.0, (horizon_ms - t.depart_ms) / MS_PER_S)
+            else:
+                delay_s = t.delay_ms / MS_PER_S
+            yield (
+                t.trip_id, t.vehicle_id or "",
+                f"{t.depart_ms / MS_PER_S:.3f}",
+                f"{t.sampled_airline_m:.3f}",
+                f"{t.outbound.total_length_m:.3f}" if t.outbound else "",
+                f"{t.return_route.total_length_m:.3f}" if t.return_route else "",
+                f"{t.dwell_s:.1f}", f"{delay_s:.3f}", t.status,
+            )
+
+    def _summary_rows(self, horizon_ms: int):
+        transitions = _group_by_vehicle(self.transitions, lambda t: t[1])
+        sessions = self._sessions_by_vehicle()
+        zero_seconds = dict.fromkeys(_STATE_VALUE.values(), 0.0)
+        idle, charging, queued, en_route, returning = map(_STATE_VALUE.get, (
+            Lifecycle.IDLE, Lifecycle.CHARGING, Lifecycle.QUEUED_AT_STATION,
+            Lifecycle.EN_ROUTE, Lifecycle.RETURNING))
+        for v in sorted(self.vehicles, key=lambda v: v.vehicle_id):
+            vid, c = v.vehicle_id, v.state.cumulative
+            grid = sum(s.energy_wh for s in sessions.get(vid, []))
+            seconds = zero_seconds.copy()
+            for state, start, end in state_periods(
+                    transitions.get(vid, []), horizon_ms):
+                seconds[state] += end - start
+            yield (
+                vid,
+                f"{c.consumed_wh:.6f}", f"{c.recuperated_wh:.6f}",
+                f"{c.range_extended_wh:.6f}",
+                f"{grid:.6f}",
+                f"{c.fuel_liters:.6f}", f"{c.distance_m:.3f}",
+                v.n_trips,
+                f"{seconds[idle]:.3f}", f"{seconds[charging]:.3f}",
+                f"{seconds[queued]:.3f}",
+                f"{seconds[en_route] + seconds[returning]:.3f}",
+            )
+
     def export_all(self, run_info: dict, horizon_ms: int,
                    histogram_edges: list[float],
                    utilization_bin_s: float) -> dict:
@@ -375,92 +431,31 @@ class MetricsCollector:
         ``utilization.csv``."""
         out = self.out_dir
         self.close()
-        files: dict[str, int] = {"ticks.csv": self._tick_rows}
-
-        with open(out / "trips.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRIP_HEADER)
-            for t in self.trips:
-                if t.status == "pending":
-                    delay_s = max(0.0, (horizon_ms - t.depart_ms) / MS_PER_S)
-                else:
-                    delay_s = t.delay_ms / MS_PER_S
-                writer.writerow([
-                    t.trip_id, t.vehicle_id or "",
-                    f"{t.depart_ms / MS_PER_S:.3f}",
-                    f"{t.sampled_airline_m:.3f}",
-                    f"{t.outbound.total_length_m:.3f}" if t.outbound else "",
-                    f"{t.return_route.total_length_m:.3f}" if t.return_route else "",
-                    f"{t.dwell_s:.1f}", f"{delay_s:.3f}", t.status,
-                ])
-        files["trips.csv"] = len(self.trips)
-
-        with open(out / "sessions.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SESSION_HEADER)
-            for s in self.sessions:
-                writer.writerow([
-                    s.station_id, s.slot_id, s.vehicle_id,
-                    f"{s.enqueue_ms / MS_PER_S:.3f}",
-                    f"{s.grant_ms / MS_PER_S:.3f}",
-                    f"{s.complete_ms / MS_PER_S:.3f}",
-                    f"{s.energy_wh:.6f}",
-                ])
-        files["sessions.csv"] = len(self.sessions)
-
-        transitions = _group_by_vehicle(self.transitions, lambda t: t[1])
-        sessions = self._sessions_by_vehicle()
-        zero_seconds = dict.fromkeys(_STATE_VALUE.values(), 0.0)
-        idle, charging, queued, en_route, returning = map(_STATE_VALUE.get, (
-            Lifecycle.IDLE, Lifecycle.CHARGING, Lifecycle.QUEUED_AT_STATION,
-            Lifecycle.EN_ROUTE, Lifecycle.RETURNING))
-        with open(out / "summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_HEADER)
-            for v in sorted(self.vehicles, key=lambda v: v.vehicle_id):
-                vid, c = v.vehicle_id, v.state.cumulative
-                grid = sum(s.energy_wh for s in sessions.get(vid, []))
-                seconds = zero_seconds.copy()
-                for state, start, end in state_periods(
-                        transitions.get(vid, []), horizon_ms):
-                    seconds[state] += end - start
-                writer.writerow([
-                    vid,
-                    f"{c.consumed_wh:.6f}", f"{c.recuperated_wh:.6f}",
-                    f"{c.range_extended_wh:.6f}",
-                    f"{grid:.6f}",
-                    f"{c.fuel_liters:.6f}", f"{c.distance_m:.3f}",
-                    v.n_trips,
-                    f"{seconds[idle]:.3f}", f"{seconds[charging]:.3f}",
-                    f"{seconds[queued]:.3f}",
-                    f"{seconds[en_route] + seconds[returning]:.3f}",
-                ])
-        files["summary.csv"] = len(self.vehicles)
-
         series = self.unused_vehicles_series(utilization_bin_s, horizon_ms)
-        with open(out / "utilization.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(UTILIZATION_HEADER)
-            for i, start in enumerate(series.bin_starts_s):
-                writer.writerow([
-                    f"{start:.1f}",
-                    series.counts["idle"][i], series.counts["busy"][i],
-                    series.counts["charging"][i], series.counts["queued"][i],
-                    series.counts["stranded"][i],
-                ])
-        files["utilization.csv"] = len(series.bin_starts_s)
-
         edges, airline_counts, driven_counts = self.distance_histogram(
             covering_edges(histogram_edges, self.accepted_trips()))
-        with open(out / "histograms.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(HISTOGRAM_HEADER)
-            for i in range(len(edges) - 1):
-                writer.writerow([
-                    f"{edges[i]:.1f}", f"{edges[i + 1]:.1f}",
-                    int(airline_counts[i]), int(driven_counts[i]),
-                ])
-        files["histograms.csv"] = len(edges) - 1
+        # file name -> header and a lazy iterable of its rows
+        tables = {
+            "trips.csv": (TRIP_HEADER, self._trip_rows(horizon_ms)),
+            "sessions.csv": (SESSION_HEADER, (
+                (s.station_id, s.slot_id, s.vehicle_id,
+                 f"{s.enqueue_ms / MS_PER_S:.3f}",
+                 f"{s.grant_ms / MS_PER_S:.3f}",
+                 f"{s.complete_ms / MS_PER_S:.3f}", f"{s.energy_wh:.6f}")
+                for s in self.sessions)),
+            "summary.csv": (SUMMARY_HEADER, self._summary_rows(horizon_ms)),
+            "utilization.csv": (UTILIZATION_HEADER, (
+                (f"{start:.1f}", *counts) for start, *counts in zip(
+                    series.bin_starts_s,
+                    *map(series.counts.get, UTILIZATION_HEADER[1:])))),
+            "histograms.csv": (HISTOGRAM_HEADER, (
+                (f"{lower:.1f}", f"{upper:.1f}", int(airline), int(driven))
+                for lower, upper, airline, driven in zip(
+                    edges[:-1], edges[1:], airline_counts, driven_counts))),
+        }
+        files = {"ticks.csv": self._tick_rows}
+        for name, (header, rows) in tables.items():
+            files[name] = write_csv(out / name, header, rows)
 
         manifest = dict(run_info)
         manifest["horizon_s"] = horizon_ms / MS_PER_S

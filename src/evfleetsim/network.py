@@ -152,11 +152,6 @@ class RoadNetwork:
                     f"({e.length_m} < {straight})"
                 )
 
-    def speed_factor(self, hour: int) -> float:
-        """The congestion factor of an hour of day; below the fleet
-        controller every drive and estimate takes the factor."""
-        return self.hourly_speed_factors[hour % 24]
-
     def edge_midpoint(self, edge_id: str) -> Coord:
         e = self.edges[edge_id]
         a, b = self.nodes[e.from_node], self.nodes[e.to_node]
@@ -457,6 +452,6 @@ def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Ro
 
 def route_travel_time(route: Route, speed_factor: float) -> float:
     """Travel time of a route in seconds with every speed limit scaled by
-    ``speed_factor`` (see :meth:`RoadNetwork.speed_factor`)."""
+    ``speed_factor`` (see ``RoadNetwork.hourly_speed_factors``)."""
     return sum(e.length_m / (e.speed_limit_mps * speed_factor)
                for e, _ in route.legs)

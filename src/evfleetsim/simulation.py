@@ -5,15 +5,13 @@ the event loop to the horizon, and export all collected metrics."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, charging, dynamics, fleet, metrics
 from .config import (ScenarioConfig, apply_sweep_override, build_config,
                      load_config)
-from .engine import (Engine, Event, EventKind, MS_PER_S, SimulationSummary, ms,
-                     write_event_log_csv)
+from .engine import Engine, Event, EventKind, MS_PER_S, SimulationSummary, ms
 
 # "value" is the swept parameter's value; the other columns name RunResult
 # fields
@@ -23,6 +21,7 @@ SWEEP_HEADER = [
 ]
 _SWEEP_FORMATS = {"mean_wait_s": ".3f", "total_grid_wh": ".6f",
                   "total_fuel_l": ".6f"}
+EVENT_HEADER = ["time_s", "sequence", "kind", "payload"]
 
 
 @dataclass
@@ -130,7 +129,9 @@ def run_scenario(
             utilization_bin_s=config.utilization_bin_s,
         )
         if event_log:
-            write_event_log_csv(engine, out_dir / "events.csv")
+            metrics.write_csv(out_dir / "events.csv", EVENT_HEADER, (
+                (f"{at / MS_PER_S:.3f}", seq, kind, payload)
+                for at, seq, kind, payload in engine.event_log))
     finally:
         collector.close()
 
@@ -186,10 +187,7 @@ def sweep(
         row.update((name, getattr(result, name)) for name in SWEEP_HEADER[1:])
         rows.append(row)
 
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([format(row[name], _SWEEP_FORMATS.get(name, ""))
-                             for name in SWEEP_HEADER])
+    metrics.write_csv(out_dir / "sweep.csv", SWEEP_HEADER, (
+        [format(row[name], _SWEEP_FORMATS.get(name, ""))
+         for name in SWEEP_HEADER] for row in rows))
     return rows

@@ -361,7 +361,8 @@ def test_hours_with_equal_factors_share_the_controller_memos():
     mgr = divert_manager()
     me = dummy_vehicle("me", soc=0.5)
     ctrl = divert_controller(net, mgr)
-    assert net.speed_factor(0) == net.speed_factor(2) != net.speed_factor(1)
+    factors = net.hourly_speed_factors
+    assert factors[0] == factors[2] != factors[1]
 
     def sizes():
         return len(ctrl._route_energy), len(ctrl._divert)

@@ -613,6 +613,20 @@ def test_cli_failed_tick_write_is_an_io_error(tmp_path, capsys, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, name", [
+    (["run", "--event-log"], "events.csv"),
+    (["sweep", "--param", "fleet.size", "--values", "5"], "sweep.csv"),
+])
+def test_cli_failed_csv_write_is_an_io_error(tmp_path, capsys, command, name):
+    # a directory in the file's place makes its open fail after the run
+    path = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [command[0], str(path), *command[1:], "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
 def test_cli_missing_config_returns_config_error(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
 

@@ -5,11 +5,11 @@ its own definition.
 ``__init__.py`` holds only the docstring and ``__version__``, so it is not
 scanned. Every field of a package dataclass is named somewhere in the package
 or its tests, and every parameter of a package function is read in its body.
-Four architecture guards ride along: importing the package loads no
+Five architecture guards ride along: importing the package loads no
 submodule, congestion enters once, in the fleet controller, only the network
 and the config builder index a network's edges (everything else reads a
-route's legs), and no function takes a ``plans`` memo (the drive model owns
-it).
+route's legs), no function takes a ``plans`` memo (the drive model owns
+it), and only the metrics module writes CSV (the engine imports no ``csv``).
 """
 
 import ast
@@ -207,17 +207,17 @@ def test_package_import_loads_no_submodule():
 
 
 def test_congestion_enters_once():
-    """Only the network maps an hour to a speed factor, and only the fleet
-    controller asks for an hour (``engine.hour_of``); every other function
-    takes the factor."""
+    """The network holds the speed factor of each hour, and only the fleet
+    controller asks for an hour (``engine.hour_of``) to index them; no
+    function takes an hour, every one below the controller takes the
+    factor."""
     package = Package()
     offences = []
     for module, tree in package.trees.items():
         for qualname, node in functions(tree):
             args = node.args
-            if (f"{module} {qualname}" != "network.py RoadNetwork.speed_factor"
-                    and any(a.arg == "hour" for a in (
-                        *args.posonlyargs, *args.args, *args.kwonlyargs))):
+            if any(a.arg == "hour" for a in (
+                    *args.posonlyargs, *args.args, *args.kwonlyargs)):
                 offences.append(f"{module} {qualname}(hour)")
         if module != "fleet.py":
             offences += [
@@ -253,4 +253,23 @@ def test_no_function_takes_a_plans_memo():
         for qualname, node in functions(tree)
         if any(a.arg == "plans" for a in (
             *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))]
+    assert not offences, offences
+
+
+def test_only_the_metrics_module_writes_csv():
+    """Every CSV output goes through ``metrics.write_csv``: no other module
+    uses ``csv.writer``, and the engine does not import ``csv`` at all."""
+    package = Package()
+    offences = [
+        f"{module}:{child.lineno} csv.writer"
+        for module, tree in package.trees.items() if module != "metrics.py"
+        for child in ast.walk(tree)
+        if (isinstance(child, ast.Attribute) and child.attr == "writer"
+            and getattr(child.value, "id", None) == "csv")
+        or (isinstance(child, ast.ImportFrom) and child.module == "csv")]
+    offences += [
+        f"engine.py:{child.lineno} import csv"
+        for child in ast.walk(package.trees["engine.py"])
+        if isinstance(child, ast.Import)
+        and any(alias.name == "csv" for alias in child.names)]
     assert not offences, offences

@@ -543,7 +543,7 @@ def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
         to = ids[int(rng.integers(0, len(ids)))]
         route = shortest_path(net, frm, to, "distance")
         estimate = estimate_route_energy(route, params, ENV,
-                                         net.speed_factor(0))
+                                         net.hourly_speed_factors[0])
         state = VehicleState(soc=0.9)
         v_prev = 0.0
         for i, eid in enumerate(route.edges):
@@ -556,9 +556,9 @@ def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
         assert estimate >= actual - 1e-6
 
 
-# the estimates take the hour's speed factor; at net.speed_factor(h) they must
-# equal, bit for bit, the hour-based estimates they replaced, which scaled
-# each speed limit by factors[h]
+# the estimates take the hour's speed factor; at net.hourly_speed_factors[h]
+# they must equal, bit for bit, the hour-based estimates they replaced, which
+# scaled each speed limit by factors[h]
 
 def energy_at_hour(net, route, params, factors, hour):
     total_j = 0.0
@@ -615,7 +615,7 @@ def test_estimates_at_the_hours_factor_equal_the_hourly_estimates(
         weight = data.draw(st.sampled_from(["travel_time", "distance"]))
         route = shortest_path(net, frm, to, weight)
         for hour in range(24):
-            factor = net.speed_factor(hour)
+            factor = net.hourly_speed_factors[hour]
             assert (estimate_route_energy(route, params, ENV, factor)
                     == energy_at_hour(net, route, params, factors, hour))
             assert (route_travel_time(route, factor)
@@ -767,16 +767,18 @@ def array_fast_path(plan, soc0, params, re_on):
     each step and the energy sums (consumed, recuperated, range-extended)."""
     cap = params.battery_capacity_wh
     re = params.range_extender
-    n = len(plan.dts)
-    p_net0 = plan.p_consume - plan.p_recup
+    shared = plan.relay_off.result.trace
+    dts = shared.dt_s
+    n = len(dts)
+    p_net0 = plan.p_consume - shared.p_recup_w
     if re_on:
         p_net1 = p_net0 - re.power_w
-        soc_traj = soc0 - np.cumsum(p_net1 * plan.dts) / (cap * 3600.0)
+        soc_traj = soc0 - np.cumsum(p_net1 * dts) / (cap * 3600.0)
         fast = (n > 0 and 0.0 < soc_traj.min() and soc_traj.max() < re.soc_off
                 and soc0 < re.soc_off)
         range_extended_wh = float(np.dot(np.full(n, re.power_w), plan.hours))
     else:
-        soc_traj = soc0 - np.cumsum(p_net0 * plan.dts) / (cap * 3600.0)
+        soc_traj = soc0 - np.cumsum(p_net0 * dts) / (cap * 3600.0)
         if re is None:
             fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
         else:
@@ -784,7 +786,7 @@ def array_fast_path(plan, soc0, params, re_on):
                     and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
         range_extended_wh = 0.0
     sums = (float(np.dot(plan.p_consume, plan.hours)),
-            float(np.dot(plan.p_recup, plan.hours)), range_extended_wh)
+            float(np.dot(shared.p_recup_w, plan.hours)), range_extended_wh)
     return bool(fast), soc_traj, sums
 
 
@@ -863,15 +865,19 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
         patched.setattr(dynamics, "np", NoNumpy())
         result = drive_segment(state, edge, 0.0, 0.0, 1.0, model)
     # the fast path builds nothing: it returns the result the plan built
-    # for the relay state, over the plan's own arrays
+    # for the relay state, whose trace shares the plan's per-step arrays
+    # with the relay-off trace; every array of it is read-only
     flows = plan_flows(plan, re_on)
     assert result is flows.result
     trace = result.trace
-    for name, own in (("time_s", plan.time_s), ("dt_s", plan.dts),
-                      ("v_mps", plan.v_bar), ("a_mps2", plan.a_bar),
-                      ("p_traction_w", plan.p_trac),
-                      ("p_recup_w", plan.p_recup)):
-        assert getattr(trace, name) is own, name
+    shared = plan.relay_off.result.trace
+    for name in ("time_s", "dt_s", "v_mps", "a_mps2", "p_traction_w",
+                 "p_recup_w"):
+        assert getattr(trace, name) is getattr(shared, name), name
+    for field in dataclasses.fields(trace):
+        value = getattr(trace, field.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, field.name
     # the SOC is derived from the plan's cumulative energy and the entry
     # SOC, which the trace leaves to the vehicle
     assert trace.soc0 is None and trace.soc_scale == 18000.0 * 3600.0

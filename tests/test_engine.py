@@ -3,9 +3,13 @@ from collections import Counter
 
 import pytest
 
+from test_config_cli import write_scenario
+
+from evfleetsim.config import load_config
 from evfleetsim.engine import (ClockRangeError, Engine, Event, EventKind,
                                ModelError, SchedulingInPastError,
                                SimulationAborted, hour_of, ms)
+from evfleetsim.simulation import run_scenario
 
 
 def make_engine(log):
@@ -142,18 +146,24 @@ def test_event_without_handler_aborts_the_run():
 
 
 def test_event_log_rows_match_dispatch(tmp_path):
-    from evfleetsim.engine import write_event_log_csv
-
-    engine = Engine(keep_event_log=True)
-    engine.on(EventKind.METRICS_TICK, lambda e: None)
-    engine.schedule(Event(EventKind.METRICS_TICK, {"vehicle": "v2"}), ms(1))
-    engine.schedule(Event(EventKind.METRICS_TICK), ms(2))
-    engine.run_until(ms(2))
-    path = tmp_path / "events.csv"
-    assert write_event_log_csv(engine, path) == 2
-    lines = path.read_text().splitlines()
+    # the runner writes the engine's event log as events.csv: one row per
+    # dispatched event, in dispatch order
+    result = run_scenario(load_config(write_scenario(tmp_path)),
+                          tmp_path / "out", event_log=True)
+    lines = (tmp_path / "out" / "events.csv").read_text().splitlines()
     assert lines[0] == "time_s,sequence,kind,payload"
-    assert lines[1] == "1.000,0,MetricsTick,vehicle=v2"
+    # every trip's spawn is scheduled before the first tick, at 0 s
+    spawns = [t for t in result.trips if t.status != "rejected"]
+    assert min(t.depart_ms for t in spawns) > 0
+    assert lines[1] == f"0.000,{len(spawns)},MetricsTick,"
+    seq, first = min(enumerate(spawns), key=lambda s: s[1].depart_ms)
+    assert (next(line for line in lines if ",VehicleSpawn," in line)
+            == f"{first.depart_ms / 1000:.3f},{seq},VehicleSpawn,"
+               f"trip={first.trip_id}")
+    assert len(lines) - 1 == result.engine_summary.total_dispatched
+    kinds = Counter(line.split(",")[2] for line in lines[1:])
+    assert kinds == {k.value: n
+                     for k, n in result.engine_summary.dispatched.items()}
 
 
 def test_identical_runs_produce_identical_event_logs():

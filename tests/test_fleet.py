@@ -275,7 +275,7 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
     ctrl = FleetController(
         engine, net, mgr, vehicles, depot, DriveModel(params, ENV, 1.0),
         policies,
-        transition_hook=lambda t, vid, old, new: transitions.append((t, vid, old, new)),
+        transition_hook=lambda t, vid, new: transitions.append((t, vid, new)),
     )
     ctrl.register_handlers()
     return engine, net, mgr, ctrl, vehicles, transitions, depot
@@ -300,7 +300,7 @@ def test_trip_lifecycle_idle_enroute_dwell_return_charge_idle():
     engine.run_until(ms(3600))
     assert trip.status == "completed"
     assert trip.vehicle_id == "v0"
-    states = [new for _, vid, _, new in transitions if vid == "v0"]
+    states = [new for _, vid, new in transitions if vid == "v0"]
     assert states[0] is Lifecycle.EN_ROUTE
     assert Lifecycle.DWELLING in states
     assert Lifecycle.RETURNING in states
@@ -317,7 +317,7 @@ def test_vehicle_goes_idle_without_charging_when_soc_high():
     trip = make_trip(net, depot, sorted(net.edges)[4])
     ctrl.schedule_trips([trip])
     engine.run_until(ms(3600))
-    states = [new for _, vid, _, new in transitions]
+    states = [new for _, vid, new in transitions]
     assert Lifecycle.CHARGING not in states
     assert len(mgr.sessions) == 0
     assert trip.status == "completed"
@@ -560,7 +560,8 @@ def test_a_drive_takes_the_factor_of_the_hour_it_starts_in(monkeypatch):
         ctrl._begin_route(vehicle, route, Mission.RETURN_HOME,
                           Lifecycle.RETURNING)
         factor, _ = drives[first]
-        assert factor == net.speed_factor(hour_of(t_ms)) == factors[hour]
+        assert (factor == net.hourly_speed_factors[hour_of(t_ms)]
+                == factors[hour])
 
 
 # --- dispatch index -------------------------------------------------------------
@@ -570,7 +571,7 @@ def reference_dispatch(vehicles, params, trip, reserve, net, hour=0):
     order with its own round-trip estimate; the feasible vehicle with the
     highest SOC wins, ties to the first."""
     best = None
-    factor = net.speed_factor(hour)
+    factor = net.hourly_speed_factors[hour]
     for v in sorted(vehicles, key=lambda v: v.vehicle_id):
         if v.lifecycle is not Lifecycle.IDLE:
             continue
@@ -616,7 +617,7 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
     edges = sorted(net.edges)
     trips = [make_trip(net, depot, edges[d], tid=f"t{i}")
              for i, d in enumerate(destinations)]
-    factor = net.speed_factor(0)
+    factor = net.hourly_speed_factors[0]
     need = (dynamics.estimate_route_energy(trips[0].outbound, params, ENV,
                                            factor)
             + dynamics.estimate_route_energy(trips[0].return_route, params,

@@ -45,8 +45,8 @@ def fleet_of(*vids, soc=1.0):
 def transition(collector, t_ms, vehicle, new):
     """Move ``vehicle`` to ``new`` and tell ``collector``, as the fleet
     controller does."""
-    old, vehicle.lifecycle = vehicle.lifecycle, new
-    collector.record_transition(t_ms, vehicle.vehicle_id, old, new)
+    vehicle.lifecycle = new
+    collector.record_transition(t_ms, vehicle.vehicle_id, new)
 
 
 def drive(vehicle, soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
@@ -319,7 +319,7 @@ def test_nobody_dispatched_all_idle(tmp_path):
 
 def test_one_vehicle_busy_whole_run(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0", "v1"))
-    collector.record_transition(0, "v0", Lifecycle.IDLE, Lifecycle.EN_ROUTE)
+    collector.record_transition(0, "v0", Lifecycle.EN_ROUTE)
     series = collector.unused_vehicles_series(60.0, ms(600.0))
     assert all(c == 1 for c in series.counts["idle"])
     assert all(c == 1 for c in series.counts["busy"])
@@ -349,7 +349,7 @@ def test_partition_sums_to_fleet_size(tmp_path):
     for _ in range(300):
         t += int(rng.integers(1, 5000))
         vid = vids[int(rng.integers(0, len(vids)))]
-        collector.record_transition(t, vid, None,
+        collector.record_transition(t, vid,
                                     states[int(rng.integers(0, len(states)))])
     series = collector.unused_vehicles_series(120.0, t + 1000)
     for i in range(len(series.bin_starts_s)):
@@ -406,10 +406,8 @@ def test_periods_tile_horizon(tmp_path):
     seq = [(100.0, Lifecycle.EN_ROUTE), (200.0, Lifecycle.DWELLING),
            (250.0, Lifecycle.RETURNING), (400.0, Lifecycle.CHARGING),
            (500.0, Lifecycle.IDLE)]
-    prev = Lifecycle.IDLE
     for t_s, new in seq:
-        collector.record_transition(ms(t_s), "v0", prev, new)
-        prev = new
+        collector.record_transition(ms(t_s), "v0", new)
     periods = state_periods(collector.transitions, ms(1000.0))
     assert periods[0] == ("idle", 0.0, 100.0)
     assert periods[-1] == ("idle", 500.0, 1000.0)

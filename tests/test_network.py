@@ -464,7 +464,7 @@ def test_travel_time_uses_congestion_factor():
     net = generate_grid(2, 2, 100.0, 10.0, factors)
     eid = sorted(net.edges)[0]
     route = shortest_path(net, eid, eid, "travel_time")
-    assert (route_travel_time(route, net.speed_factor(0))
+    assert (route_travel_time(route, net.hourly_speed_factors[0])
             == pytest.approx(10.0))
-    assert (route_travel_time(route, net.speed_factor(8))
+    assert (route_travel_time(route, net.hourly_speed_factors[8])
             == pytest.approx(20.0))

@@ -642,7 +642,7 @@ def test_bench_tracer_sees_the_schedule_snap_and_routes(tmp_path):
 def reference_state_periods(transitions, vehicle_id, horizon_ms):
     periods = []
     current, start = None, 0
-    for t_ms, vid, _, new in transitions:
+    for t_ms, vid, new in transitions:
         if vid != vehicle_id:
             continue
         if current is not None and t_ms > start:
@@ -703,7 +703,7 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
         assert series.bin_starts_s == [t / 1000.0 for t in starts_ms]
         for i, start_ms in enumerate(starts_ms):
             state = dict.fromkeys(vehicle_ids, "idle")
-            for t_ms, vid, _, new in collector.transitions:
+            for t_ms, vid, new in collector.transitions:
                 if t_ms <= start_ms:
                     state[vid] = _STATE_GROUP[new]
             for group, counts in series.counts.items():
