@@ -142,7 +142,6 @@ class Cumulative:
 class VehicleState:
     soc: float
     velocity: float = 0.0
-    edge_id: str | None = None
     range_extender_on: bool = False
     cumulative: Cumulative = field(default_factory=Cumulative)
 
@@ -473,8 +472,8 @@ def drive_segment(
     """Drive one edge with a trapezoidal velocity profile and integrate the
     power-flow chain into the vehicle state.
 
-    ``edge`` needs ``edge_id``, ``length_m``, ``speed_limit_mps`` and
-    ``gradient`` attributes. The vehicle accelerates at its limit toward
+    ``edge`` needs ``length_m``, ``speed_limit_mps`` and ``gradient``
+    attributes. The vehicle accelerates at its limit toward
     ``speed_limit * speed_factor``, cruises, and decelerates so the exit speed
     does not exceed ``v_exit_target``; if the edge is too short to reach the
     target the exit speed is whatever acceleration achieves. Entering faster
@@ -547,7 +546,6 @@ def drive_segment(
     if fast:
         state.soc = soc0 - flows.cum_last / c
         state.velocity = plan.v_out
-        state.edge_id = edge.edge_id
         state.range_extender_on = re_on
         cumulative = state.cumulative
         cumulative.consumed_wh += plan.consumed_wh
@@ -556,10 +554,10 @@ def drive_segment(
         cumulative.fuel_liters += flows.fuel_l
         cumulative.distance_m += plan.distance_m
         return flows.result
-    return _drive_steps(state, edge, plan, params, re_on)
+    return _drive_steps(state, plan, params, re_on)
 
 
-def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
+def _drive_steps(state: VehicleState, plan: _SegmentPlan,
                  params: VehicleParams, flag: bool) -> SegmentResult:
     """The step loop of :func:`drive_segment`: it switches the range
     extender relay (``flag`` is its state on entry) and clamps at empty or
@@ -653,7 +651,6 @@ def _drive_steps(state: VehicleState, edge, plan: _SegmentPlan,
 
     state.soc = float(soc_traj[-1]) if n > 0 else soc0
     state.velocity = exit_velocity
-    state.edge_id = edge.edge_id
     state.range_extender_on = flag
     state.cumulative.consumed_wh += float(np.dot(p_consume, hours))
     state.cumulative.recuperated_wh += float(np.dot(p_recup, hours))

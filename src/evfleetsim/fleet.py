@@ -28,13 +28,17 @@ move it, and neither happens in the idle state.
 The controller schedules every event of a charging episode; the charging
 manager only grants slots and returns the sessions it starts.
 
-Failure policy: an event the model cannot explain (one for an unknown vehicle
-or trip, one for a stranded vehicle other than its ``Stranded`` event, a
-segment completion without a route, a slot grant without its session, or an
-illegal lifecycle transition) raises :class:`ModelError`; the engine wraps it
-in :class:`~evfleetsim.engine.SimulationAborted`, which ends the run. No event
-is dropped. Stranding is a model outcome, not a failure: it is logged as a
-warning and the vehicle stays stranded.
+A vehicle's one state is its :class:`Lifecycle`; why it drives follows from
+it: an ``EN_ROUTE`` vehicle is on a trip's way out, and a ``RETURNING`` one
+is heading to ``divert_station`` if it has one, else to the depot.
+
+Failure policy: ``_ACCEPTS`` lists the states in which each vehicle event can
+arrive. An event for a vehicle in any other state, or for an unknown vehicle
+or trip, a segment completion after the route has ended, or a slot grant
+without its session, raises :class:`ModelError`; the engine wraps it in
+:class:`~evfleetsim.engine.SimulationAborted`, which ends the run. No event is
+dropped. Stranding is a model outcome, not a failure: it is logged as a
+warning, and a stranded vehicle accepts no further event.
 """
 
 from __future__ import annotations
@@ -71,16 +75,17 @@ class Lifecycle(Enum):
     STRANDED = "stranded"
 
 
-BUSY_STATES = (Lifecycle.EN_ROUTE, Lifecycle.DWELLING, Lifecycle.RETURNING)
-
-
-class Mission(Enum):
-    __hash__ = object.__hash__  # as EventKind: no Python-level hash per lookup
-
-    TRIP_OUT = "trip_out"
-    TRIP_RETURN = "trip_return"
-    DIVERT = "divert"
-    RETURN_HOME = "return_home"
+_DRIVING = (Lifecycle.EN_ROUTE, Lifecycle.RETURNING)
+# the states in which each vehicle event can arrive
+_ACCEPTS: dict[EventKind, tuple[Lifecycle, ...]] = {
+    EventKind.SEGMENT_COMPLETE: _DRIVING,
+    EventKind.STRANDED: _DRIVING,
+    EventKind.ARRIVE_DESTINATION: _DRIVING,
+    EventKind.DWELL_COMPLETE: (Lifecycle.DWELLING,),
+    EventKind.CHARGE_REQUEST: (Lifecycle.RETURNING,),
+    EventKind.SLOT_GRANTED: (Lifecycle.RETURNING, Lifecycle.QUEUED_AT_STATION),
+    EventKind.CHARGE_COMPLETE: (Lifecycle.CHARGING,),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +350,9 @@ class Vehicle:
     vehicle_id: str
     state: dynamics.VehicleState
     lifecycle: Lifecycle = Lifecycle.IDLE
-    mission: Mission | None = None
     trip: Trip | None = None
-    # the legs of the route being driven (see network.Route)
+    # the legs of the route being driven (see network.Route), until its
+    # last leg completes
     legs: tuple[tuple[network.Edge, float | None], ...] | None = None
     segment_index: int = 0
     trace_start_ms: int = 0
@@ -363,8 +368,7 @@ class Vehicle:
     def dump(self) -> str:
         return (
             f"vehicle={self.vehicle_id} lifecycle={self.lifecycle.value} "
-            f"mission={self.mission} soc={self.state.soc:.4f} "
-            f"edge={self.state.edge_id} trip="
+            f"soc={self.state.soc:.4f} trip="
             f"{self.trip.trip_id if self.trip else None} "
             f"segment={self.segment_index}"
         )
@@ -454,25 +458,27 @@ class FleetController:
         self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, new)
 
     def _alive(self, event: Event) -> Vehicle:
-        """The event's vehicle; raises :class:`ModelError` for an unknown or
-        stranded one (its own ``Stranded`` event excepted)."""
+        """The event's vehicle; raises :class:`ModelError` for an unknown
+        one, or one in a state the event kind cannot arrive in (see
+        ``_ACCEPTS``)."""
         vid = event.payload.get("vehicle")
         vehicle = self.vehicles.get(vid)
         if vehicle is None:
             raise ModelError(f"unknown vehicle {vid!r}")
-        if vehicle.lifecycle is Lifecycle.STRANDED and event.kind is not EventKind.STRANDED:
-            raise ModelError(f"event for stranded vehicle: {vehicle.dump()}")
+        if vehicle.lifecycle not in _ACCEPTS[event.kind]:
+            raise ModelError(f"illegal {event.kind.value}: {vehicle.dump()}")
         return vehicle
 
     def _grant(self, vehicle: Vehicle, session: charging.ChargeSession) -> None:
-        """Hand ``vehicle`` its session; schedule its end, then its grant."""
+        """Hand ``vehicle`` its session; schedule its grant, then its end,
+        so a session that rounds to 0 ms still ends after its grant."""
         vehicle.session = session
         payload = {"vehicle": vehicle.vehicle_id,
                    "station": session.station_id, "slot": session.slot_id}
-        self.engine.schedule(Event(EventKind.CHARGE_COMPLETE, payload),
-                             session.complete_ms)
-        self.engine.schedule(Event(EventKind.SLOT_GRANTED, dict(payload)),
+        self.engine.schedule(Event(EventKind.SLOT_GRANTED, payload),
                              self.engine.now_ms)
+        self.engine.schedule(Event(EventKind.CHARGE_COMPLETE, dict(payload)),
+                             session.complete_ms)
 
     def _speed_factor(self, now_ms: int) -> float:
         """The network's speed factor at time ``now_ms``: the one place the
@@ -531,10 +537,9 @@ class FleetController:
         return self.manager.select_station(station_id, now, reachable)
 
     def _begin_route(self, vehicle: Vehicle, route: network.Route,
-                     mission: Mission, state: Lifecycle) -> None:
+                     state: Lifecycle) -> None:
         vehicle.legs = route.legs
         vehicle.segment_index = 0
-        vehicle.mission = mission
         vehicle.state.velocity = 0.0
         self._transition(vehicle, state)
         self._drive_current_segment(vehicle)
@@ -559,9 +564,6 @@ class FleetController:
         )
 
     def _set_idle(self, vehicle: Vehicle) -> None:
-        vehicle.mission = None
-        vehicle.legs = None
-        vehicle.trace = None
         vehicle.trip = None
         vehicle.state.velocity = 0.0
         self._transition(vehicle, Lifecycle.IDLE)
@@ -599,7 +601,7 @@ class FleetController:
         trip.status = "active"
         best.trip = trip
         best.n_trips += 1
-        self._begin_route(best, trip.outbound, Mission.TRIP_OUT, Lifecycle.EN_ROUTE)
+        self._begin_route(best, trip.outbound, Lifecycle.EN_ROUTE)
         return True
 
     # -- event handlers ---------------------------------------------------------
@@ -623,7 +625,7 @@ class FleetController:
         if vehicle.segment_index < len(legs):
             self._drive_current_segment(vehicle)
         else:
-            vehicle.trace = None
+            vehicle.legs = vehicle.trace = None
             self.engine.schedule(
                 Event(
                     EventKind.ARRIVE_DESTINATION,
@@ -635,22 +637,13 @@ class FleetController:
 
     def on_arrive_destination(self, event: Event) -> None:
         vehicle = self._alive(event)
-        mission = vehicle.mission
-        if mission is Mission.TRIP_OUT and vehicle.lifecycle is Lifecycle.EN_ROUTE:
+        if vehicle.lifecycle is Lifecycle.EN_ROUTE:
             self._transition(vehicle, Lifecycle.DWELLING)
             self.engine.schedule(
                 Event(EventKind.DWELL_COMPLETE, {"vehicle": vehicle.vehicle_id}),
                 self.engine.now_ms + ms(vehicle.trip.dwell_s),
             )
-            return
-        if mission in (Mission.TRIP_RETURN, Mission.RETURN_HOME) and (
-            vehicle.lifecycle is Lifecycle.RETURNING
-        ):
-            if mission is Mission.TRIP_RETURN:
-                vehicle.trip.status = "completed"
-            self._charge_or_idle(vehicle)
-            return
-        if mission is Mission.DIVERT and vehicle.lifecycle is Lifecycle.RETURNING:
+        elif vehicle.divert_station is not None:
             self.engine.schedule(
                 Event(
                     EventKind.CHARGE_REQUEST,
@@ -659,8 +652,10 @@ class FleetController:
                 ),
                 self.engine.now_ms,
             )
-            return
-        raise ModelError(f"illegal arrival: {vehicle.dump()}")
+        else:  # home at the depot
+            if vehicle.trip is not None and vehicle.trip.status == "active":
+                vehicle.trip.status = "completed"
+            self._charge_or_idle(vehicle)
 
     def _charge_or_idle(self, vehicle: Vehicle) -> None:
         needs_charge = (
@@ -681,12 +676,8 @@ class FleetController:
 
     def on_dwell_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle.lifecycle is not Lifecycle.DWELLING:
-            raise ModelError(f"illegal dwell completion: {vehicle.dump()}")
-        self._begin_route(
-            vehicle, vehicle.trip.return_route, Mission.TRIP_RETURN,
-            Lifecycle.RETURNING,
-        )
+        self._begin_route(vehicle, vehicle.trip.return_route,
+                          Lifecycle.RETURNING)
 
     def on_charge_request(self, event: Event) -> None:
         vehicle = self._alive(event)
@@ -698,8 +689,7 @@ class FleetController:
             divert = self._select_divert(vehicle, station_id)
             if divert is not None:
                 vehicle.divert_station = divert.station_id
-                self._begin_route(vehicle, divert.route, Mission.DIVERT,
-                                  Lifecycle.RETURNING)
+                self._begin_route(vehicle, divert.route, Lifecycle.RETURNING)
                 return
         result = self.manager.request_charge(vehicle, station_id,
                                              self.engine.now_ms)
@@ -710,10 +700,6 @@ class FleetController:
 
     def on_slot_granted(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle.lifecycle not in (
-            Lifecycle.RETURNING, Lifecycle.QUEUED_AT_STATION
-        ):
-            raise ModelError(f"illegal slot grant: {vehicle.dump()}")
         session = vehicle.session
         if (session is None or session.station_id != event.payload["station"]
                 or session.slot_id != event.payload["slot"]):
@@ -724,8 +710,6 @@ class FleetController:
 
     def on_charge_complete(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle.lifecycle is not Lifecycle.CHARGING:
-            raise ModelError(f"illegal charge completion: {vehicle.dump()}")
         station_id = event.payload["station"]
         slot_id = event.payload["slot"]
         vehicle.session = None
@@ -738,18 +722,12 @@ class FleetController:
         else:
             route = network.shortest_path(self.net, station_edge, self.depot_edge,
                                           self.policies.routing_weight)
-            self._begin_route(
-                vehicle, route, Mission.RETURN_HOME, Lifecycle.RETURNING
-            )
+            self._begin_route(vehicle, route, Lifecycle.RETURNING)
 
     def on_stranded(self, event: Event) -> None:
         vehicle = self._alive(event)
-        if vehicle.lifecycle not in BUSY_STATES:
-            raise ModelError(f"illegal stranding: {vehicle.dump()}")
         if vehicle.trip is not None and vehicle.trip.status == "active":
             vehicle.trip.status = "stranded"
-        vehicle.trace = None
-        vehicle.legs = None
         LOG.warning("vehicle %s stranded on edge %s at t=%.1fs",
                     vehicle.vehicle_id, event.payload.get("edge"),
                     self.engine.now_s)

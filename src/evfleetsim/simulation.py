@@ -59,9 +59,7 @@ def run_scenario(
     vehicles = [
         fleet.Vehicle(
             vehicle_id=f"v{i:04d}",
-            state=dynamics.VehicleState(
-                soc=config.initial_soc, edge_id=config.depot_edge
-            ),
+            state=dynamics.VehicleState(soc=config.initial_soc),
         )
         for i in range(config.fleet_size)
     ]

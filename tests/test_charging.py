@@ -11,7 +11,7 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
 from evfleetsim.dynamics import DriveModel, Environment, VehicleState
 from evfleetsim.engine import Engine, Event, EventKind, ms
 from evfleetsim.fleet import (FleetController, FleetPolicies, Lifecycle,
-                              Mission, Vehicle)
+                              Vehicle)
 from evfleetsim.network import Coord, Edge, RoadNetwork
 
 ENV = Environment()
@@ -381,7 +381,7 @@ def test_hours_with_equal_factors_share_the_controller_memos():
 
 def fleet_vehicle(soc):
     """A fleet vehicle arriving at station A on ``e1``."""
-    return Vehicle("me", VehicleState(soc=soc, edge_id="e1"),
+    return Vehicle("me", VehicleState(soc=soc),
                    Lifecycle.RETURNING)
 
 
@@ -399,7 +399,7 @@ def test_a_diverting_vehicle_never_joins_the_queue(monkeypatch):
                         lambda *args: requests.append(args))
     charge_request(ctrl, me)
     assert requests == []
-    assert me.divert_station == "B" and me.mission is Mission.DIVERT
+    assert me.divert_station == "B" and me.legs is not None
     assert me.lifecycle is Lifecycle.RETURNING
     assert not mgr.queues["A"]
     mgr.assert_consistent()
@@ -422,7 +422,7 @@ def test_every_request_check_runs_for_a_vehicle_that_would_divert(check):
     assert ctrl._select_divert(me, "A").station_id == "B"
     with pytest.raises(ChargingError, match=check):
         charge_request(ctrl, me, station_id)
-    assert me.divert_station is None and me.mission is None
+    assert me.divert_station is None and me.legs is None
     assert me.lifecycle is Lifecycle.RETURNING
     assert not mgr.queues["A"]
     mgr.assert_consistent()

@@ -21,7 +21,7 @@ from evfleetsim.engine import (Engine, Event, EventKind, SimulationAborted,
                                hour_of, ms)
 from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               FleetController, FleetError, FleetPolicies,
-                              Lifecycle, Mission, ModelError, Trip,
+                              Lifecycle, ModelError, Trip,
                               TripsPerDay, Vehicle, cumulative, draw_index,
                               generate_day_schedule, sample_trip)
 from evfleetsim.metrics import MetricsCollector
@@ -268,7 +268,7 @@ def build_sim(n_vehicles=2, soc=1.0, with_station=True, params=None,
     mgr = ChargingManager(stations, params, policies.target_soc)
     socs = soc if isinstance(soc, list) else [soc] * n_vehicles
     vehicles = [
-        Vehicle(f"v{i}", VehicleState(soc=socs[i], edge_id=depot))
+        Vehicle(f"v{i}", VehicleState(soc=socs[i]))
         for i in range(n_vehicles)
     ]
     transitions = []
@@ -386,7 +386,7 @@ def test_trip_accounting_partition():
 def test_illegal_transition_raises_model_error():
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(n_vehicles=1)
     vehicles[0].lifecycle = Lifecycle.CHARGING
-    with pytest.raises(ModelError, match="illegal dwell completion"):
+    with pytest.raises(ModelError, match="illegal DwellComplete"):
         ctrl.on_dwell_complete(
             Event(EventKind.DWELL_COMPLETE, {"vehicle": "v0"}, at=0, sequence=0)
         )
@@ -408,11 +408,11 @@ def _return(ctrl, vehicles):
     (None, EventKind.SEGMENT_COMPLETE, {"vehicle": "ghost"},
      "unknown vehicle 'ghost'"),
     (_strand, EventKind.DWELL_COMPLETE, {"vehicle": "v0"},
-     "event for stranded vehicle"),
+     "illegal DwellComplete"),
     (None, EventKind.VEHICLE_SPAWN, {"trip": "t9"}, "non-pending trip 't9'"),
     (_complete_trip, EventKind.VEHICLE_SPAWN, {"trip": "t1"},
      "non-pending trip 't1'"),
-    (None, EventKind.SEGMENT_COMPLETE, {"vehicle": "v0"}, "without a route"),
+    (_return, EventKind.SEGMENT_COMPLETE, {"vehicle": "v0"}, "without a route"),
     (_return, EventKind.SLOT_GRANTED,
      {"vehicle": "v0", "station": "st", "slot": "s0"},
      "without a matching session"),
@@ -431,11 +431,65 @@ def test_impossible_events_raise_model_error(setup, kind, payload, match):
     assert isinstance(err.value.cause, ModelError)
 
 
+# the states in which each vehicle event can arrive, and every (kind,
+# state) pair refused
+DRIVING = {Lifecycle.EN_ROUTE, Lifecycle.RETURNING}
+ACCEPTS = {
+    EventKind.SEGMENT_COMPLETE: DRIVING,
+    EventKind.STRANDED: DRIVING,
+    EventKind.ARRIVE_DESTINATION: DRIVING,
+    EventKind.DWELL_COMPLETE: {Lifecycle.DWELLING},
+    EventKind.CHARGE_REQUEST: {Lifecycle.RETURNING},
+    EventKind.SLOT_GRANTED: {Lifecycle.RETURNING, Lifecycle.QUEUED_AT_STATION},
+    EventKind.CHARGE_COMPLETE: {Lifecycle.CHARGING},
+}
+REFUSED = [(kind, state) for kind, accepted in ACCEPTS.items()
+           for state in Lifecycle if state not in accepted]
+
+
+def test_the_table_lists_every_vehicle_event():
+    engine, *_ = build_sim(n_vehicles=1)
+    assert {kind: set(states)
+            for kind, states in fleet._ACCEPTS.items()} == ACCEPTS
+    assert set(ACCEPTS) == set(engine.handlers) - {EventKind.VEHICLE_SPAWN}
+
+
+@pytest.mark.parametrize("kind, state", REFUSED,
+                         ids=[f"{k.value}-{s.value}" for k, s in REFUSED])
+def test_an_event_in_a_state_the_table_refuses_aborts(kind, state):
+    engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(n_vehicles=1)
+    vehicles[0].lifecycle = state
+    # every field a vehicle handler reads
+    payload = {"vehicle": "v0", "station": "st", "slot": "s0"}
+    with pytest.raises(ModelError, match=f"illegal {kind.value}: vehicle=v0 "
+                                         f"lifecycle={state.value} "):
+        engine.handlers[kind](Event(kind, dict(payload), at=0, sequence=0))
+    engine.schedule(Event(kind, dict(payload)), ms(1))
+    with pytest.raises(SimulationAborted, match=f"illegal {kind.value}") as err:
+        engine.run_until(ms(2))
+    assert err.value.event.kind is kind
+    assert isinstance(err.value.cause, ModelError)
+
+
+def test_a_session_shorter_than_a_millisecond_ends_after_its_grant():
+    # ms(duration) rounds to 0: the grant and the completion share the
+    # millisecond they are scheduled in, and the grant must come first
+    engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(n_vehicles=1)
+    vehicles[0].lifecycle = Lifecycle.RETURNING
+    vehicles[0].state.soc = 1.0 - 1e-12
+    engine.schedule(Event(EventKind.CHARGE_REQUEST,
+                          {"vehicle": "v0", "station": "st"}), ms(1))
+    engine.run_until(ms(2))
+    (session,) = mgr.sessions
+    assert session.grant_ms == session.complete_ms == ms(1)
+    assert [new for _, _, new in transitions] == [Lifecycle.CHARGING,
+                                                  Lifecycle.IDLE]
+    assert vehicles[0].state.soc == 1.0
+
+
 def test_stranded_vehicle_is_terminal():
     # dispatch's feasibility gate would refuse this trip, so start the route
     # directly: mid-route battery depletion must end in the terminal state
-    from evfleetsim.fleet import Mission
-
     tiny = make_params(battery_capacity_wh=30.0, auxiliary_power_w=0.0)
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
         n_vehicles=1, soc=0.08, params=tiny,
@@ -445,13 +499,12 @@ def test_stranded_vehicle_is_terminal():
     trip.vehicle_id = "v0"
     trip.status = "active"
     vehicles[0].trip = trip
-    ctrl._begin_route(vehicles[0], trip.outbound, Mission.TRIP_OUT,
-                      Lifecycle.EN_ROUTE)
+    ctrl._begin_route(vehicles[0], trip.outbound, Lifecycle.EN_ROUTE)
     engine.run_until(ms(3600))
     assert vehicles[0].lifecycle is Lifecycle.STRANDED
     assert trip.status == "stranded"
     # any further event for it is impossible
-    with pytest.raises(ModelError, match="stranded vehicle"):
+    with pytest.raises(ModelError, match="illegal DwellComplete"):
         ctrl.on_dwell_complete(
             Event(EventKind.DWELL_COMPLETE, {"vehicle": "v0"},
                   at=engine.now_ms, sequence=0)
@@ -510,8 +563,7 @@ def test_vehicles_on_one_plan_share_its_result_and_read_their_own_soc(
     drives = recording_drives(monkeypatch)
     route = shortest_path(net, depot, sorted(net.edges)[10], "distance")
     for vehicle in vehicles:
-        ctrl._begin_route(vehicle, route, Mission.TRIP_OUT,
-                          Lifecycle.EN_ROUTE)
+        ctrl._begin_route(vehicle, route, Lifecycle.EN_ROUTE)
     (_, shared), (_, other), (_, stranded) = drives
     (plan,) = ctrl.model.plans.values()
     assert shared is other is plan.relay_off.result
@@ -557,8 +609,7 @@ def test_a_drive_takes_the_factor_of_the_hour_it_starts_in(monkeypatch):
         engine.run_until(t_ms)
         assert engine.now_ms == t_ms and hour_of(t_ms) == hour
         first = len(drives)
-        ctrl._begin_route(vehicle, route, Mission.RETURN_HOME,
-                          Lifecycle.RETURNING)
+        ctrl._begin_route(vehicle, route, Lifecycle.RETURNING)
         factor, _ = drives[first]
         assert (factor == net.hourly_speed_factors[hour_of(t_ms)]
                 == factors[hour])

@@ -142,8 +142,8 @@ def test_energy_ledger_closes_per_vehicle(tmp_path, vehicles,
 
 
 def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
-    # the fleet schedules a session's ChargeComplete and then its
-    # SlotGranted, back to back: consecutive sequence numbers, one payload
+    # the fleet schedules a session's SlotGranted and then its
+    # ChargeComplete, back to back: consecutive sequence numbers, one payload
     result = run_scenario(load_config(write_busy_scenario(tmp_path)),
                           tmp_path / "out", event_log=True)
     with open(tmp_path / "out" / "events.csv", newline="") as fh:
@@ -152,7 +152,7 @@ def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
     assert len(completes) == sum(not s.truncated for s in result.manager.sessions)
     assert completes
     for row in completes:
-        granted = rows[int(row["sequence"]) + 1]
+        granted = rows[int(row["sequence"]) - 1]
         assert granted["kind"] == "SlotGranted"
         assert granted["payload"] == row["payload"]
 
