@@ -2,7 +2,8 @@
 and sweep fleet or infrastructure parameters.
 
 Exit codes: 0 success; 1 configuration error, a ``ConfigError`` raised
-before any run starts for a malformed scenario, ``--seed`` or sweep value;
+before any run starts for a malformed scenario, ``--seed`` or sweep value,
+or a malformed command line;
 2 model error, a run aborted at an event the model cannot explain (a
 ``ModelError``, which the engine wraps in ``SimulationAborted`` naming the
 event; no event is dropped); 3 I/O error, an ``OSError`` writing the
@@ -30,6 +31,16 @@ EXIT_MODEL = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that exits with ``EXIT_CONFIG``, not argparse's
+    2 (``EXIT_MODEL`` here), on a malformed command line; its subparsers
+    are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _config_path(value: str) -> Path:
     if value == "default":
         return default_scenario_path()
@@ -52,7 +63,7 @@ def _parse_values(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evfleetsim",
         description=(
             "Deterministic discrete-event simulator for electric vehicle "

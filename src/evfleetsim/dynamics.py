@@ -302,9 +302,14 @@ class DriveTrace:
     which gives every element back exactly, signed zeros included:
     dividing by -1 negates, and ``-0.0 + x`` is ``x``.
 
-    A trace and every array in it are read-only: the arrays are frozen
-    here, where the trace is built. A step-loop trace shares the plan
-    arrays that the loop does not change.
+    Every array in a trace is read-only: the arrays are frozen here, where
+    the trace is built. A step-loop trace shares the plan arrays that the
+    loop does not change. The one mutable part is ``row_texts``, one
+    ``None`` per sample when the trace is built: the ``ticks.csv`` row
+    template of each sample, stored by
+    :func:`~evfleetsim.metrics._row_tail` on its first read. The memo lives
+    and dies with its trace, so a shared plan's samples are formatted once
+    per run.
     """
 
     time_s: np.ndarray
@@ -318,8 +323,10 @@ class DriveTrace:
     soc0: float | None
     soc_drop: np.ndarray
     soc_scale: float
+    row_texts: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "row_texts", [None] * len(self.time_s))
         _freeze(self)
 
     def __len__(self) -> int:

@@ -42,6 +42,9 @@ SUMMARY_HEADER = [
 ]
 UTILIZATION_HEADER = ["bin_start_s", "idle", "busy", "charging", "queued", "stranded"]
 HISTOGRAM_HEADER = ["bin_lower_m", "bin_upper_m", "airline_count", "driven_count"]
+# the ticks.csv row of a vehicle at rest after its id and state, with a slot
+# for its SOC
+_REST_TEMPLATE = "0.0000,0.0000,%.9f,0.000,0.000,0.000,0.000\r\n"
 # bytes of ticks.csv text held by the open file before it writes them out
 TICK_WRITE_BUFFER_BYTES = 1 << 16
 
@@ -72,9 +75,14 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
     :class:`~evfleetsim.dynamics.DriveTrace`), so no SOC column is built;
     a shared trace has no ``soc0``, and its base is the SOC the vehicle
     entered the edge with, ``vehicle.trace_soc0``.
-    A charging row's text around its SOC is the same for the whole session:
-    ``session_texts`` maps the vehicle id to its session and that text, and
-    the text is formatted again only for a different session object.
+    After the id and state, a row is a template with a ``%.9f`` slot for
+    the SOC (``"%.9f" % x`` equals ``f"{x:.9f}"`` for every finite float),
+    stored once its values are all finite. A trace sample's template is the
+    same for every vehicle that reads it: the first read formats it and
+    stores it in the trace's ``row_texts``. A charging row's template is
+    the same for the whole session: ``session_texts`` maps the vehicle id
+    to its session and template, formatted again only for a different
+    session object. A row at rest has the one ``_REST_TEMPLATE``.
     Every value must be finite; the id and lifecycle value must not need
     CSV quoting."""
     lifecycle = vehicle.lifecycle
@@ -87,9 +95,9 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         if soc0 is None:
             soc0 = vehicle.trace_soc0
         soc = soc0 - tr.soc_drop.item(i) / tr.soc_scale
-        v, a = tr.v_mps.item(i), tr.a_mps2.item(i)
-        p_traction, p_battery = tr.p_traction_w.item(i), tr.p_battery_w.item(i)
-        p_recup, p_re = tr.p_recup_w.item(i), tr.p_re_w.item(i)
+        template = tr.row_texts[i]
+        if template is None:
+            template = _sample_template(vehicle, tr, i, soc)
     elif lifecycle is Lifecycle.CHARGING and vehicle.session is not None:
         s = vehicle.session
         elapsed = max(0.0, (t_ms - s.grant_ms) / MS_PER_S)
@@ -97,23 +105,35 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         cached = session_texts.get(vehicle.vehicle_id)
         if cached is None or cached[0] is not s:
             p_battery = -(s.effective_power_w * params.charging_efficiency)
+            if not math.isfinite(soc + p_battery):
+                _reject_non_finite(vehicle, (0.0, 0.0, soc, 0.0, p_battery))
             cached = session_texts[vehicle.vehicle_id] = (
-                s, p_battery,
-                f"{vehicle.vehicle_id},{lifecycle.value},0.0000,0.0000,",
-                f",0.000,{p_battery:.3f},0.000,0.000\r\n")
-        _, p_battery, before, after = cached
-        if not math.isfinite(soc + p_battery):
-            _reject_non_finite(vehicle, (0.0, 0.0, soc, 0.0, p_battery, 0.0, 0.0))
-        return f"{before}{soc:.9f}{after}"
+                s, f"0.0000,0.0000,%.9f,0.000,{p_battery:.3f},0.000,0.000\r\n")
+        template = cached[1]
     else:
         soc = vehicle.state.soc
-        v = a = p_traction = p_battery = p_recup = p_re = 0.0
+        template = _REST_TEMPLATE
+    if not math.isfinite(soc):
+        # a template's motion values are finite
+        _reject_non_finite(vehicle, (0.0, 0.0, soc))
+    return f"{vehicle.vehicle_id},{lifecycle.value},{template % soc}"
+
+
+def _sample_template(vehicle: Vehicle, tr, i: int, soc: float) -> str:
+    """Format sample ``i`` of the trace ``tr`` into its row template, as
+    :func:`_row_tail` uses it, and store it in ``tr.row_texts``; a sample
+    with a non-finite value among its motion values or ``soc`` raises
+    :class:`MetricsError` and stores nothing."""
+    v, a = tr.v_mps.item(i), tr.a_mps2.item(i)
+    p_traction, p_battery = tr.p_traction_w.item(i), tr.p_battery_w.item(i)
+    p_recup, p_re = tr.p_recup_w.item(i), tr.p_re_w.item(i)
     if not math.isfinite(v + a + soc + p_traction + p_battery + p_recup + p_re):
         _reject_non_finite(vehicle, (v, a, soc, p_traction, p_battery, p_recup,
                                     p_re))
-    return (f"{vehicle.vehicle_id},{lifecycle.value},{v:.4f},{a:.4f},"
-            f"{soc:.9f},{p_traction:.3f},{p_battery:.3f},{p_recup:.3f},"
-            f"{p_re:.3f}\r\n")
+    template = tr.row_texts[i] = (
+        f"{v:.4f},{a:.4f},%.9f,{p_traction:.3f},{p_battery:.3f},"
+        f"{p_recup:.3f},{p_re:.3f}\r\n")
+    return template
 
 
 def _reject_non_finite(vehicle: Vehicle, values) -> None:
@@ -208,14 +228,17 @@ class MetricsCollector:
     vehicle's energy, distance and SOC from its ``state`` and its trip
     count from ``n_trips``, and the trips and sessions as they stand then.
 
-    It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, and a
-    tick formats again only the *live* vehicles. The invariant: a vehicle's
-    row can change between ticks only while it is ``EN_ROUTE``,
-    ``RETURNING`` or ``CHARGING``, or if it transitioned since the last tick
-    (a finished session's SOC is set in the handler that moves the vehicle
-    on, and the horizon cuts sessions after the last tick). Every vehicle
-    starts live, :meth:`record_transition` makes it live, and it leaves once
-    a tick has formatted it in any other state, never while it drives.
+    It owns the ``ticks.csv`` rows: it keeps each vehicle's last row in one
+    list, in vehicle order, and a tick formats again only the *live*
+    vehicles and writes the list, joined with its time field, in one
+    ``write``; a stranding deletes the vehicle's row for good. The
+    invariant: a vehicle's row can change between ticks only while it is
+    ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it transitioned since
+    the last tick (a finished session's SOC is set in the handler that
+    moves the vehicle on, and the horizon cuts sessions after the last
+    tick). Every vehicle starts live, :meth:`record_transition` makes it
+    live, and it leaves once a tick has formatted it in any other state,
+    never while it drives.
 
     ``ticks.csv`` is a stream. The constructor creates ``out_dir``, opens
     the file with a write buffer of ``TICK_WRITE_BUFFER_BYTES`` and writes
@@ -235,11 +258,15 @@ class MetricsCollector:
                            buffering=TICK_WRITE_BUFFER_BYTES)
         self._ticks.write(",".join(TICK_HEADER) + "\r\n")
         self._tick_rows = 0
-        # vehicle id -> (session, p_battery, text before SOC, text after)
+        # vehicle id -> (session, row template)
         self._session_texts: dict[str, tuple] = {}
-        # vehicle index -> last row tail, in vehicle order; none if stranded
-        self._tails = dict.fromkeys(range(len(vehicles)), "")
-        self._live = set(self._tails)
+        # "" and then the last row tail of each vehicle that is not
+        # stranded, in vehicle order: joined with a tick's time field, the
+        # tick's text
+        self._rows = [""] * (len(vehicles) + 1)
+        # vehicle index -> its position in _rows; none if stranded
+        self._position = {i: i + 1 for i in range(len(vehicles))}
+        self._live = set(self._position)
         self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
         self.trips = trips
@@ -254,39 +281,42 @@ class MetricsCollector:
     def schedule_ticks(self, engine: Engine, interval_ms: int,
                        horizon_ms: int) -> None:
         """Handle ``MetricsTick`` on ``engine``: a tick at 0 ms and then one
-        every ``interval_ms`` up to ``horizon_ms``, each scheduled by the
-        one before. A run without vehicles has no ticks."""
+        every ``interval_ms`` up to ``horizon_ms``: each tick schedules its
+        own event again. A run without vehicles has no ticks."""
 
         def on_tick(event: Event) -> None:
-            self.record_ticks(engine.now_ms)
-            nxt = engine.now_ms + interval_ms
+            self.record_ticks(event.at)
+            nxt = event.at + interval_ms
             if nxt <= horizon_ms:
-                engine.schedule(Event(EventKind.METRICS_TICK), nxt)
+                engine.schedule(event, nxt)
 
         engine.on(EventKind.METRICS_TICK, on_tick)
         if self.vehicles:
             engine.schedule(Event(EventKind.METRICS_TICK), 0)
 
     def record_ticks(self, t_ms: int) -> None:
-        """Write the ``ticks.csv`` rows at ``t_ms``: one per vehicle that is
-        not stranded, in vehicle order. Only the live vehicles are formatted
-        again."""
-        tails, live = self._tails, self._live
+        """Write the ``ticks.csv`` rows at ``t_ms``, in one ``write``: one
+        per vehicle that is not stranded, in vehicle order. Only the live
+        vehicles are formatted again."""
+        rows, position, live = self._rows, self._position, self._live
         for i in sorted(live):
             vehicle = self.vehicles[i]
             if vehicle.lifecycle is Lifecycle.STRANDED:
-                del tails[i]
+                gone = position.pop(i)
+                del rows[gone]
+                for j, at in position.items():
+                    if at > gone:
+                        position[j] = at - 1
             else:
-                tails[i] = _row_tail(vehicle, t_ms, self.params,
-                                     self._session_texts)
+                rows[position[i]] = _row_tail(vehicle, t_ms, self.params,
+                                              self._session_texts)
             if vehicle.lifecycle not in _LIVE_STATES:
                 live.discard(i)
-        if not tails:
+        if len(rows) == 1:
             return
-        head = f"{t_ms / MS_PER_S:.3f},"
-        self._ticks.write(head)
-        self._ticks.write(head.join(tails.values()))
-        self._tick_rows += len(tails)
+        # the leading "" puts the time field before the first row
+        self._ticks.write(f"{t_ms / MS_PER_S:.3f},".join(rows))
+        self._tick_rows += len(rows) - 1
 
     def record_transition(self, t_ms: int, vehicle_id: str,
                           new: Lifecycle) -> None:

@@ -631,6 +631,20 @@ def test_cli_missing_config_returns_config_error(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "default", "--seed", "abc"],
+    ["sweep", "default", "--param", "fleet.size", "--values", "abc"],
+    ["sweep", "default", "--param", "fleet.size", "--values", ","],
+], ids=["seed", "values", "no_values"])
+def test_cli_malformed_command_line_exits_1(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*args, "--out", str(out)])
+    assert exit_.value.code == 1
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, args", [
     ({"horizon_s": 1e306}, ["run"]),
     ({"numerics": {"metrics_interval_s": 1e306}}, ["run"]),

@@ -649,9 +649,11 @@ def assert_same_result(memo, fresh, entry_soc):
     for f in dataclasses.fields(SegmentResult):
         if f.name != "trace":
             assert getattr(memo, f.name) == getattr(fresh, f.name), f.name
+    # row_texts, the trace's one mutable part, holds no value of the drive
     columns = {f.name: (getattr(memo.trace, f.name),
                         getattr(fresh.trace, f.name))
-               for f in dataclasses.fields(DriveTrace)}
+               for f in dataclasses.fields(DriveTrace)
+               if f.name != "row_texts"}
     columns["soc"] = (trace_soc(memo.trace, entry_soc),
                       trace_soc(fresh.trace, entry_soc))
     for name, (a, b) in columns.items():

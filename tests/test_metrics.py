@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_params
 from evfleetsim import metrics
@@ -57,6 +59,22 @@ def drive(vehicle, soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
     vehicle.trace = DriveTrace(*(np.array([x]) for x in (
         0.0, 1.0, v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w,
         p_re_w)), soc0=-0.0, soc_drop=np.array([soc]), soc_scale=-1.0)
+
+
+def shared_trace(n=3):
+    """A plan's trace of ``n`` one-second samples as vehicles share it: no
+    ``soc0``, so each vehicle's SOC starts at its own ``trace_soc0``."""
+    steps = np.arange(float(n))
+    return DriveTrace(steps, np.ones(n), 10.0 + steps, np.full(n, 0.5),
+                      5000.0 + steps, 5300.0 + steps, np.zeros(n), np.zeros(n),
+                      None, 5300.0 * (steps + 1), CAPACITY_WH * 3600.0)
+
+
+def driving_on(trace, vid, entry_soc, start_ms=0):
+    vehicle = Vehicle(vid, VehicleState(soc=entry_soc), Lifecycle.EN_ROUTE)
+    vehicle.trace, vehicle.trace_soc0 = trace, entry_soc
+    vehicle.trace_start_ms = start_ms
+    return vehicle
 
 
 def driving(vid="v0", **sample):
@@ -150,6 +168,25 @@ def test_non_finite_tick_rejected(tmp_path):
         collector.record_ticks(0)
 
 
+def test_a_non_finite_sample_stores_no_template(tmp_path):
+    # the first non-finite value in row order is named: soc before p_battery_w
+    (v0,) = vehicles = [driving("v0", soc=float("nan"),
+                                p_battery_w=float("inf"))]
+    collector = collector_for(tmp_path, vehicles)
+    with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v0"):
+        collector.record_ticks(0)
+    assert v0.trace.row_texts == [None]
+    # a stored template's values are finite; a vehicle that enters the
+    # shared trace with a non-finite SOC still fails on its soc
+    trace = shared_trace()
+    vehicles = [driving_on(trace, "v1", 0.5),
+                driving_on(trace, "v2", float("inf"))]
+    collector = collector_for(tmp_path, vehicles)
+    with pytest.raises(MetricsError, match="non-finite soc=inf in tick for v2"):
+        collector.record_ticks(0)
+    assert trace.row_texts[0] is not None
+
+
 def test_non_finite_rest_sample_rejected(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0", soc=float("nan")))
     with pytest.raises(MetricsError, match="non-finite soc=nan in tick for v0"):
@@ -236,6 +273,43 @@ def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
         "4.000,v0,idle,0.500000000", "4.000,v1,idle,0.500000000",
         "5.000,v0,idle,0.500000000", "5.000,v1,idle,0.500000000",
     ]
+
+
+def test_vehicles_on_one_shared_trace_share_its_row_template(tmp_path,
+                                                            monkeypatch):
+    formatted = []
+    sample_template = metrics._sample_template
+
+    def counting(vehicle, tr, i, soc):
+        formatted.append((vehicle.vehicle_id, i))
+        return sample_template(vehicle, tr, i, soc)
+
+    monkeypatch.setattr(metrics, "_sample_template", counting)
+    trace = shared_trace()
+    vehicles = [driving_on(trace, "v0", 0.5), driving_on(trace, "v1", 0.25)]
+    collector = collector_for(tmp_path, vehicles)
+    collector.record_ticks(1500)
+    template = trace.row_texts[1]
+    assert formatted == [("v0", 1)]
+    assert trace.row_texts == [None, template, None]
+    collector.record_ticks(2500)
+    assert formatted == [("v0", 1), ("v0", 2)]
+    assert trace.row_texts[1] is template
+    collector.close()
+    rows = [line.split(",") for line in tick_rows(tmp_path)]
+    for t_s, i, (first, second) in ((1.5, 1, rows[:2]), (2.5, 2, rows[2:])):
+        assert first[:2] == [f"{t_s:.3f}", "v0"] and second[1] == "v1"
+        assert first[2:5] + first[6:] == second[2:5] + second[6:]
+        assert first[2:5] == ["en_route", f"{10.0 + i:.4f}", "0.5000"]
+        for row, entry_soc in ((first, 0.5), (second, 0.25)):
+            soc = entry_soc - trace.soc_drop[i] / trace.soc_scale
+            assert row[5] == f"{soc:.9f}"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_percent_format_equals_the_format_spec(x):
+    # the SOC slot of a row template, signed zeros included
+    assert "%.9f" % x == f"{x:.9f}"
 
 
 def test_charging_rows_follow_each_session(tmp_path):

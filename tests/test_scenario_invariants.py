@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import trace_soc, vehicle_ledger_errors
+from conftest import make_params, trace_soc, vehicle_ledger_errors
 from test_config_cli import write_scenario
+from test_metrics import shared_trace
 
 from evfleetsim import dynamics, metrics
 from evfleetsim.charging import ChargingManager, Queued, session_progress
 from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.engine import (Engine, EventKind, ModelError,
                                SimulationAborted, ms)
-from evfleetsim.fleet import FleetController, Lifecycle
+from evfleetsim.fleet import FleetController, Lifecycle, Vehicle
 from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
                                 state_periods)
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
@@ -382,6 +383,38 @@ def test_ticks_csv_equals_reference_with_a_stranded_vehicle(tmp_path,
     assert len(sampler.ticks[-1][1]) == 3 - result.n_stranded
 
 
+def test_strandings_keep_the_other_rows_in_vehicle_order(tmp_path,
+                                                         monkeypatch):
+    # the middle vehicle strands, then the first and the last in one tick;
+    # two of the others drive one shared trace, so their rows change
+    trace = shared_trace(6)
+    vehicles = [Vehicle(f"v{i}", dynamics.VehicleState(soc=0.5 + i / 16))
+                for i in range(5)]
+    sampler = ReferenceSampler(monkeypatch)
+    collector = MetricsCollector(tmp_path / "out", vehicles, [], [],
+                                 make_params())
+
+    def move(t_ms, vehicle, new):
+        vehicle.lifecycle = new
+        collector.record_transition(t_ms, vehicle.vehicle_id, new)
+
+    for vehicle in vehicles[1::2]:
+        move(0, vehicle, Lifecycle.EN_ROUTE)
+        vehicle.trace, vehicle.trace_soc0 = trace, vehicle.state.soc
+    for t_ms, stranded in ((0, ()), (1000, ()), (2000, (2,)), (3000, ()),
+                           (4000, (0, 4)), (5000, ())):
+        for i in stranded:
+            move(t_ms - 500, vehicles[i], Lifecycle.STRANDED)
+        collector.record_ticks(t_ms)
+    collector.close()
+    rows = sampler.write(tmp_path / "reference.csv")
+    assert ((tmp_path / "out" / "ticks.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert [len(samples) for _, samples in sampler.ticks] == [5, 5, 4, 4, 2, 2]
+    assert rows == 22
+    assert [vid for vid, *_ in sampler.ticks[-1][1]] == ["v1", "v3"]
+
+
 def test_ticks_csv_equals_reference_across_an_empty_trace(tmp_path,
                                                           monkeypatch):
     # a segment without trace samples (as on an edge that vanishes within
@@ -394,7 +427,7 @@ def test_ticks_csv_equals_reference_across_an_empty_trace(tmp_path,
         if edge.edge_id == "e00000":
             empty = np.empty(0)
             result = replace(result, trace=dynamics.DriveTrace(
-                *(empty for _ in fields(dynamics.DriveTrace))))
+                *(empty for f in fields(dynamics.DriveTrace) if f.init)))
         return result
 
     monkeypatch.setattr(dynamics, "drive_segment",
