@@ -56,7 +56,12 @@ def _parse_values(text: str) -> list:
         try:
             values.append(int(chunk))
         except ValueError:
-            values.append(float(chunk))
+            try:
+                values.append(float(chunk))
+            except ValueError:
+                # argparse would name this function in a ValueError's message
+                raise argparse.ArgumentTypeError(
+                    f"not a number: {chunk!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("no values given")
     return values

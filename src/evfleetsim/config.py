@@ -430,7 +430,7 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                       f"or null")
 
     pcfg = cfg["policies"]
-    if pcfg["routing_weight"] not in ("travel_time", "distance"):
+    if pcfg["routing_weight"] not in network.ROUTING_WEIGHTS:
         errors.append(f"policies.routing_weight: must be 'travel_time' or "
                       f"'distance', got {pcfg['routing_weight']!r}")
     elif net is not None and depot in net.edges:

@@ -308,9 +308,11 @@ def generate_day_schedule(
        (:func:`sample_trip`), all from the seed's streams.
     2. Snap: every destination point to its nearest edge, in one
        :func:`~evfleetsim.network.nearest_edge` call.
-    3. Route: each trip out and back by ``routing_weight``. An unroutable
-       destination marks the trip rejected; it is not resampled, so the
-       output distance distribution stays unbiased.
+    3. Route: every trip out by ``routing_weight``, then every trip back,
+       so that the searches from the depot run as one (see
+       :func:`~evfleetsim.network.shortest_path`). An unroutable
+       destination, out or back, marks the trip rejected; it is not
+       resampled, so the output distance distribution stays unbiased.
 
     Snapping and routing draw no random numbers, so the streams see the
     same calls in the same order as when each trip is drawn, snapped and
@@ -332,8 +334,14 @@ def generate_day_schedule(
         try:
             trip.outbound = network.shortest_path(
                 net, depot_edge, edge, routing_weight)
+        except network.NoRouteError:
+            trip.status = "rejected"
+    for trip in trips:
+        if trip.status == "rejected":
+            continue
+        try:
             trip.return_route = network.shortest_path(
-                net, edge, depot_edge, routing_weight)
+                net, trip.destination_edge, depot_edge, routing_weight)
         except network.NoRouteError:
             trip.status = "rejected"
     trips.sort(key=lambda t: (t.depart_ms, t.trip_id))

@@ -90,11 +90,17 @@ class Route:
 class RoadNetwork:
     """Immutable after construction; safe to share read-only.
 
-    The only state that grows is the memo of :func:`shortest_path` results,
-    keyed by ``(from_edge, to_edge, weight)``. Two caches are built once, on
-    first use: the edge geometry of :func:`nearest_edge` and, per routing
-    weight, the arc table of the route search. All three are valid because
-    the graph never changes.
+    The route search numbers the nodes in sorted id order (``_node_number``)
+    and keeps some state, all valid because the graph never changes. Two
+    memos grow with the queries of :func:`shortest_path`: the routes, keyed
+    by ``(from_edge, to_edge, weight)``, and the middle edges of each path,
+    keyed by ``(source node, target node, weight)``, so that routes between
+    edges that share their end nodes share one path. One search is kept:
+    the most recent, which later queries from its source node by its weight
+    resume and any other query replaces (``_search``, at most one entry).
+    Two caches are built once, on first use: the edge geometry of
+    :func:`nearest_edge` and, per routing weight, the arc table of the
+    search.
     """
 
     def __init__(
@@ -117,9 +123,13 @@ class RoadNetwork:
         for eid in sorted(edges):
             self.adjacency[edges[eid].from_node].append(eid)
         self._geom: tuple | None = None
-        # weight -> node -> (to_node, weight, edge_id, ...), see _arcs
-        self._arc_tables: dict[str, dict[str, tuple]] = {}
+        # node id -> its number in the route search, in sorted id order
+        self._node_number = {n: i for i, n in enumerate(sorted(nodes))}
+        # weight -> node number -> (to_node, weight, edge_id, ...), see _arcs
+        self._arc_tables: dict[str, list[tuple]] = {}
         self._routes: dict[tuple[str, str, str], Route] = {}
+        self._paths: dict[tuple[int, int, str], tuple[str, ...]] = {}
+        self._search: dict[tuple[int, str], _Search] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -362,18 +372,28 @@ def snap_distance(net: RoadNetwork, p: Coord, edge_id: str) -> float:
     return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))
 
 
+ROUTING_WEIGHTS = ("distance", "travel_time")
+
+
 def _edge_weight(edge: Edge, weight: str) -> float:
+    """The weight of ``edge`` by one of ``ROUTING_WEIGHTS``."""
     if weight == "distance":
         return edge.length_m
-    if weight == "travel_time":
-        return edge.length_m / edge.speed_limit_mps
-    raise NetworkError(f"unknown routing weight {weight!r}")
+    return edge.length_m / edge.speed_limit_mps
 
 
 def shortest_path(net: RoadNetwork, from_edge: str, to_edge: str,
                   weight: str) -> Route:
     """Minimal-weight route from the end of ``from_edge`` to the start of
-    ``to_edge``, inclusive of both edges (Dijkstra; weights are nonnegative).
+    ``to_edge``, inclusive of both edges (Dijkstra; weights are positive).
+    A weight not in ``ROUTING_WEIGHTS`` raises :class:`NetworkError` on
+    every query.
+
+    Ties between equal routes are broken by the search order: nodes pop
+    by distance, then by node id, and each node relaxes its outgoing edges
+    in edge-id order, so the first of equal arcs wins. No route depends on
+    the order of queries: a search that serves several targets is the
+    search that would stop at each of them.
 
     Routes take no hour: congestion slows every edge alike, so it changes
     when a vehicle arrives but not which way it drives.
@@ -381,73 +401,126 @@ def shortest_path(net: RoadNetwork, from_edge: str, to_edge: str,
     Routes are memoised on ``net``: a repeated query returns the same
     :class:`Route` object. Failed queries are not memoised.
     """
+    if weight not in ROUTING_WEIGHTS:
+        raise NetworkError(f"unknown routing weight {weight!r}")
     key = (from_edge, to_edge, weight)
     route = net._routes.get(key)
     if route is None:
-        route = net._routes[key] = _dijkstra(net, from_edge, to_edge, weight)
+        route = net._routes[key] = _route_between(net, from_edge, to_edge,
+                                                  weight)
     return route
 
 
-def _arcs(net: RoadNetwork, weight: str) -> dict[str, tuple]:
-    """The arc table of ``weight``: for each node, its outgoing edges in
-    edge-id order as one flat tuple of ``to_node, weight, edge_id`` triples
-    (one tuple per node, not per arc, to keep the table small). Built on
-    the first search with ``weight`` and kept on ``net``; an unknown weight
-    raises :class:`NetworkError`."""
-    table = net._arc_tables.get(weight)
-    if table is None:
-        edges = net.edges
-        table = {node: tuple(field for eid in out for field in (
-                     edges[eid].to_node, _edge_weight(edges[eid], weight),
-                     eid))
-                 for node, out in net.adjacency.items()}
-        net._arc_tables[weight] = table
-    return table
-
-
-def _dijkstra(net: RoadNetwork, from_edge: str, to_edge: str, weight: str) -> Route:
+def _route_between(net: RoadNetwork, from_edge: str, to_edge: str,
+                   weight: str) -> Route:
+    """The route of :func:`shortest_path`, its middle edges from the path
+    memo or the search from ``from_edge``'s end node."""
     for eid in (from_edge, to_edge):
         if eid not in net.edges:
             raise NetworkError(f"unknown edge {eid}")
     if from_edge == to_edge:
         return Route.through(net, (from_edge,))
+    number = net._node_number
+    source = number[net.edges[from_edge].to_node]
+    target = number[net.edges[to_edge].from_node]
+    key = (source, target, weight)
+    middle = net._paths.get(key)
+    if middle is None:
+        try:
+            middle = net._paths[key] = _path(net, source, target, weight)
+        except NoRouteError:
+            raise NoRouteError(
+                f"no route from {from_edge} to {to_edge}") from None
+    return Route.through(net, (from_edge, *middle, to_edge))
 
-    arcs = _arcs(net, weight)
-    source = net.edges[from_edge].to_node
-    target = net.edges[to_edge].from_node
 
-    dist: dict[str, float] = {source: 0.0}
-    prev_edge: dict[str, str] = {}
-    frontier: list[tuple[float, str]] = [(0.0, source)]
-    pop, push, reached, inf = heapq.heappop, heapq.heappush, dist.get, math.inf
-    while frontier:
-        d, node = pop(frontier)
-        # a node is pushed only when its distance strictly falls, and no
-        # weight is negative: the entry at its distance is popped before any
-        # it could still get and only once; an entry above it is stale
-        if d > dist[node]:
-            continue
-        if node == target:
-            break
-        fields = iter(arcs[node])
-        for to_node, w, eid in zip(fields, fields, fields):
-            nd = d + w
-            if nd < reached(to_node, inf):
-                dist[to_node] = nd
-                prev_edge[to_node] = eid
-                push(frontier, (nd, to_node))
-    else:
-        raise NoRouteError(f"no route from {from_edge} to {to_edge}")
-
+def _path(net: RoadNetwork, source: int, target: int,
+          weight: str) -> tuple[str, ...]:
+    """The edges of the shortest path from node number ``source`` to
+    ``target``, by resuming the network's search or replacing it with a
+    new one from ``source``."""
+    key = (source, weight)
+    search = net._search.get(key)
+    if search is None:
+        net._search.clear()
+        search = net._search[key] = _Search(_arcs(net, weight), source)
+    search.settle(target)
+    prev, edges, number = search.prev, net.edges, net._node_number
     middle: list[str] = []
     node = target
     while node != source:
-        eid = prev_edge[node]
+        eid = prev[node]
         middle.append(eid)
-        node = net.edges[eid].from_node
+        node = number[edges[eid].from_node]
     middle.reverse()
+    return tuple(middle)
 
-    return Route.through(net, (from_edge, *middle, to_edge))
+
+def _arcs(net: RoadNetwork, weight: str) -> list[tuple]:
+    """The arc table of ``weight``: for each node number, the node's
+    outgoing edges in edge-id order as one flat tuple of ``to_node, weight,
+    edge_id`` triples, ``to_node`` a node number (one tuple per node, not
+    per arc, to keep the table small). Built on the first search with
+    ``weight`` and kept on ``net``."""
+    table = net._arc_tables.get(weight)
+    if table is None:
+        edges, number = net.edges, net._node_number
+        table = [tuple(field for eid in net.adjacency[node] for field in (
+                     number[edges[eid].to_node],
+                     _edge_weight(edges[eid], weight), eid))
+                 for node in number]
+        net._arc_tables[weight] = table
+    return table
+
+
+class _Search:
+    """Dijkstra from one source node over one arc table, stopped at the
+    last target asked for and resumed by the next :meth:`settle`.
+
+    Each call pops on from where the last one stopped, so any sequence of
+    calls does the first steps of one uninterrupted search. A node's
+    ``prev`` edge is final once the node is settled: weights are positive,
+    and only a strictly shorter distance replaces an edge.
+    """
+
+    __slots__ = ("arcs", "dist", "prev", "settled", "frontier")
+
+    def __init__(self, arcs: list[tuple], source: int):
+        self.arcs = arcs
+        self.dist: dict[int, float] = {source: 0.0}
+        self.prev: dict[int, str] = {}  # node -> the edge it is reached by
+        self.settled: set[int] = set()
+        self.frontier: list[tuple[float, int]] = [(0.0, source)]
+
+    def settle(self, target: int) -> None:
+        """Search on until ``target`` is settled, relaxing the arcs of
+        every node popped, the target's too, so that the next call goes on
+        as the uninterrupted search would. Raises :class:`NoRouteError`
+        when the frontier runs out first."""
+        settled = self.settled
+        if target in settled:
+            return
+        arcs, dist, prev, frontier = (self.arcs, self.dist, self.prev,
+                                      self.frontier)
+        pop, push, reached, inf = heapq.heappop, heapq.heappush, dist.get, math.inf
+        while frontier:
+            d, node = pop(frontier)
+            # a node is pushed only when its distance strictly falls, and
+            # no weight is negative: the entry at its distance pops first
+            # and once; any entry above it pops after it, and is stale
+            if node in settled:
+                continue
+            settled.add(node)
+            fields = iter(arcs[node])
+            for to_node, w, eid in zip(fields, fields, fields):
+                nd = d + w
+                if nd < reached(to_node, inf):
+                    dist[to_node] = nd
+                    prev[to_node] = eid
+                    push(frontier, (nd, to_node))
+            if node == target:
+                return
+        raise NoRouteError(f"node number {target} is not reachable")
 
 
 def route_travel_time(route: Route, speed_factor: float) -> float:

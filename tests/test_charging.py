@@ -341,13 +341,13 @@ def test_select_station_searches_an_unreachable_station_once_per_key(
     mgr = divert_manager()
     me = dummy_vehicle("me", soc=0.5)
     searches = []
-    dijkstra = network._dijkstra
+    route_between = network._route_between
 
     def counted(net, from_edge, to_edge, weight):
         searches.append(to_edge)
-        return dijkstra(net, from_edge, to_edge, weight)
+        return route_between(net, from_edge, to_edge, weight)
 
-    monkeypatch.setattr(network, "_dijkstra", counted)
+    monkeypatch.setattr(network, "_route_between", counted)
     ctrl = divert_controller(net, mgr)
     for at_s in (0, 10, 20, 3600, 3610, 30):
         decide(ctrl, me, ms(at_s))

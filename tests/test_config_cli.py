@@ -631,17 +631,24 @@ def test_cli_missing_config_returns_config_error(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.yaml")]) == 1
 
 
-@pytest.mark.parametrize("args", [
-    ["run", "default", "--seed", "abc"],
-    ["sweep", "default", "--param", "fleet.size", "--values", "abc"],
-    ["sweep", "default", "--param", "fleet.size", "--values", ","],
-], ids=["seed", "values", "no_values"])
-def test_cli_malformed_command_line_exits_1(tmp_path, capsys, args):
+@pytest.mark.parametrize("args, message", [
+    (["run", "default", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["sweep", "default", "--param", "fleet.size", "--values", "abc"],
+     "not a number: 'abc'"),
+    (["sweep", "default", "--param", "fleet.size", "--values", "1,x2"],
+     "not a number: 'x2'"),
+    (["sweep", "default", "--param", "fleet.size", "--values", ","],
+     "no values given"),
+], ids=["seed", "values", "second_value", "no_values"])
+def test_cli_malformed_command_line_exits_1(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_:
         cli.main([*args, "--out", str(out)])
     assert exit_.value.code == 1
-    assert "error: argument" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument" in err and message in err
+    # no private function name reaches the user
+    assert "_parse_values" not in err
     assert not out.exists()
 
 

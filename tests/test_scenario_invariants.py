@@ -501,11 +501,12 @@ class NeverStores(dict):
 # every memo of a run, by owner; the fresh run swaps each for a NeverStores
 MEMOS = {"controller": ("_route_energy", "_divert"),
          "model": ("plans",),
-         "network": ("_routes", "_arc_tables")}
-# the owners' dicts that are not memos: run state and the road graph
+         "network": ("_routes", "_paths", "_search", "_arc_tables")}
+# the owners' dicts that are not memos: run state, the road graph and its
+# node numbering
 NOT_MEMOS = {"controller": {"vehicles", "trips"},
              "model": set(),
-             "network": {"nodes", "edges", "adjacency"}}
+             "network": {"nodes", "edges", "adjacency", "_node_number"}}
 
 
 def memo_owners(ctrl):
