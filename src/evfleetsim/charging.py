@@ -50,7 +50,6 @@ class ChargeSession:
     energy_wh: float  # battery-side energy
     start_soc: float
     target_soc: float
-    completed: bool = False
     truncated: bool = False
 
 
@@ -244,7 +243,6 @@ class ChargingManager:
         occ = self.occupancy[station_id].pop(slot_id, None)
         if occ is None:
             raise ChargingError(f"releasing free slot {slot_id} at {station_id}")
-        occ.session.completed = True
         occ.vehicle.state.soc = occ.session.target_soc
         self._engaged.discard(occ.vehicle.vehicle_id)
         queue = self.queues[station_id]
@@ -270,7 +268,6 @@ class ChargingManager:
                 s.duration_s = elapsed
                 s.complete_ms = at_ms
                 s.truncated = True
-                s.completed = True
 
     # -- wait-or-divert policy ------------------------------------------------
 

@@ -292,14 +292,16 @@ class DriveTrace:
     ``time_s`` marks the start of each step; ``v``/``a`` are the exact step
     averages. The state of charge at the end of step ``i`` is
     ``soc0 - soc_drop[i] / soc_scale``, read one element at a time with
-    these IEEE operations. A drive that neither clamps nor switches gets
-    the trace its plan shares with every vehicle that drives it: it holds
-    the plan's cumulative battery energy in W*s as ``soc_drop``, the
-    capacity in W*s as ``soc_scale``, and ``soc0 = None``, as the base is
-    the entry SOC of each vehicle, which the vehicle keeps (see
-    :class:`~evfleetsim.fleet.Vehicle`). The step loop stores its own SOC
-    array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale = -1.0``,
-    which gives every element back exactly, signed zeros included:
+    these IEEE operations. A drive that starts with the range extender off
+    and neither clamps nor switches gets the one trace its plan shares
+    with every vehicle that drives it so: it holds the plan's cumulative
+    battery energy in W*s as ``soc_drop``, the capacity in W*s as
+    ``soc_scale``, and ``soc0 = None``, as the base is the entry SOC of
+    each vehicle, which the vehicle keeps (see
+    :class:`~evfleetsim.fleet.Vehicle`). Every other drive, one that starts
+    with the relay on included, takes the step loop, which stores its own
+    SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
+    -1.0``; that gives every element back exactly, signed zeros included:
     dividing by -1 negates, and ``-0.0 + x`` is ``x``.
 
     Every array in a trace is read-only: the arrays are frozen here, where
@@ -347,29 +349,14 @@ class SegmentResult:
 
 
 @dataclass(frozen=True)
-class _Flows:
-    """The battery side of a drive that neither clamps at a SOC bound nor
-    switches the range extender: the extremes and last value of the
-    cumulative battery energy out, the range-extender energy and the fuel
-    it burns, and the result every such drive returns."""
-
-    cum_min: float
-    cum_max: float
-    cum_last: float
-    range_extended_wh: float
-    fuel_l: float
-    result: SegmentResult
-
-
-@dataclass(frozen=True)
 class _SegmentPlan:
     """The part of :func:`drive_segment` that does not depend on the state
-    of charge: the velocity profile, its steps, the power flows before the
-    range extender, and the battery side of a drive with the range extender
-    off (``relay_off``) and, for a vehicle that has one, on (``relay_on``,
-    else ``None``). The per-step arrays both share are kept once, in
-    ``relay_off.result.trace``. Its arrays are read-only, so plans can be
-    shared."""
+    of charge: the velocity profile, its steps, the power flows with the
+    range extender off, and ``result``, the one result shared by every
+    drive that starts with the relay off and neither clamps nor switches.
+    ``cum_min``, ``cum_max`` and ``cum_last`` are the extremes and last
+    value of the cumulative battery energy out, ``result.trace.soc_drop``.
+    Its arrays are read-only, so plans can be shared."""
 
     duration_s: float
     v_out: float
@@ -377,8 +364,10 @@ class _SegmentPlan:
     hours: np.ndarray
     pos: np.ndarray
     p_consume: np.ndarray
-    relay_off: _Flows
-    relay_on: _Flows | None
+    cum_min: float
+    cum_max: float
+    cum_last: float
+    result: SegmentResult
     # the energy sums of a drive without range extender and clamping
     consumed_wh: float
     recuperated_wh: float
@@ -420,25 +409,15 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     p_consume = p_drive + params.auxiliary_power_w
     p_net0 = p_consume - p_recup  # before range extender
     hours = dts / S_PER_H
-    time_s = bounds[:-1].copy()
-    re = params.range_extender
+    cum = np.cumsum(p_net0 * dts)  # battery energy out, in W*s
+    # a vanishing edge has no step: extremes of -inf and +inf put every SOC
+    # outside its bounds, so its drive takes the step loop
+    cum_min, cum_max, cum_last = (
+        (float(cum.min()), float(cum.max()), float(cum[-1]))
+        if len(cum) else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    duration_ms = ms(total)
-
-    def flows(p_battery: np.ndarray, p_re: np.ndarray) -> _Flows:
-        cum = np.cumsum(p_battery * dts)  # battery energy out, in W*s
-        # a vanishing edge has no step: extremes of -inf and +inf put every
-        # SOC outside its bounds, so its drive takes the step loop
-        ends = ((float(cum.min()), float(cum.max()), float(cum[-1]))
-                if len(cum) else (-math.inf, math.inf, 0.0))
-        range_extended_wh = float(np.dot(p_re, hours))
-        fuel_l = (0.0 if re is None else
-                  re.specific_fuel_l_per_kwh * range_extended_wh / 1000.0)
-        trace = DriveTrace(time_s, dts, v_bar, a_bar, p_trac, p_battery,
-                           p_recup, p_re, None, cum, c)
-        return _Flows(*ends, range_extended_wh, fuel_l,
-                      SegmentResult(trace, duration_ms, False))
-
+    trace = DriveTrace(bounds[:-1].copy(), dts, v_bar, a_bar, p_trac, p_net0,
+                       p_recup, np.zeros(len(dts)), None, cum, c)
     return _SegmentPlan(
         duration_s=total,
         v_out=profile.v_out,
@@ -446,9 +425,10 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         hours=hours,
         pos=pos,
         p_consume=p_consume,
-        relay_off=flows(p_net0, np.zeros(len(dts))),
-        relay_on=(None if re is None else
-                  flows(p_net0 - re.power_w, np.full(len(dts), re.power_w))),
+        cum_min=cum_min,
+        cum_max=cum_max,
+        cum_last=cum_last,
+        result=SegmentResult(trace, ms(total), False),
         consumed_wh=float(np.dot(p_consume, hours)),
         recuperated_wh=float(np.dot(p_recup, hours)),
     )
@@ -503,23 +483,25 @@ def drive_segment(
     is built. A key that fails them, or whose profile is infeasible, never
     gets a plan, so every call with it raises.
 
-    A drive whose SOC stays inside its bounds and its relay band all the
-    way (the fast path) takes the plan's flows unchanged: it runs no numpy
-    operation and builds no object. It adds the plan's sums to the state
-    and returns the result the plan built for its relay state, the same
-    object for every vehicle that drives the plan. That result's trace
-    holds no entry SOC (``soc0`` is ``None``): the caller keeps the SOC
-    the vehicle entered with, ``state.soc`` before the call, to read the
-    trace's SOC from (see :class:`DriveTrace`). Whether a drive takes the
-    fast path is decided from the extremes of the plan's cumulative
-    battery energy ``cum``. The SOC after step ``i`` is ``soc0 - cum[i] /
-    c`` with ``soc0`` the entry SOC and ``c`` the capacity in W*s. Division
-    by a positive ``c`` and subtraction from ``soc0`` are each correctly
-    rounded and monotone, so the smallest of these SOCs is exactly ``soc0
-    - max(cum) / c`` and the largest exactly ``soc0 - min(cum) / c``, bit
+    A drive that starts with no range extender or with its relay off, and
+    whose SOC stays inside its bounds all the way, never switching the
+    relay on (the fast path), takes the plan's flows unchanged: it runs no
+    numpy operation and builds no object. It adds the plan's sums to the
+    state and returns the plan's one result, the same object for every
+    vehicle that drives the plan so. That result's trace holds no entry
+    SOC (``soc0`` is ``None``): the caller keeps the SOC the vehicle
+    entered with, ``state.soc`` before the call, to read the trace's SOC
+    from (see :class:`DriveTrace`). Whether a drive takes the fast path is
+    decided from the extremes of the plan's cumulative battery energy
+    ``cum``. The SOC after step ``i`` is ``soc0 - cum[i] / c`` with
+    ``soc0`` the entry SOC and ``c`` the capacity in W*s. Division by a
+    positive ``c`` and subtraction from ``soc0`` are each correctly rounded
+    and monotone, so the smallest of these SOCs is exactly ``soc0 -
+    max(cum) / c`` and the largest exactly ``soc0 - min(cum) / c``, bit
     for bit what the minimum and maximum of the elementwise array would
-    be. Otherwise a step loop switches the relay and clamps at empty or
-    full, and returns a result of its own.
+    be. Every other drive, one that starts with the relay on included,
+    takes a step loop that switches the relay and clamps at empty or full,
+    and returns a result of its own.
     """
     params = model.params
     key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
@@ -540,42 +522,38 @@ def drive_segment(
     c = params.battery_capacity_wh * S_PER_H
     soc0 = state.soc
     re = params.range_extender
-    re_on = re is not None and state.range_extender_on
-    flows = plan.relay_on if re_on else plan.relay_off
-    lowest = soc0 - flows.cum_max / c
-    highest = soc0 - flows.cum_min / c
-    if re_on:
-        fast = 0.0 < lowest and highest < re.soc_off and soc0 < re.soc_off
-    elif re is None:
+    lowest = soc0 - plan.cum_max / c
+    highest = soc0 - plan.cum_min / c
+    if re is None:
         fast = lowest > 0.0 and highest <= 1.0
     else:
-        fast = lowest >= re.soc_on and highest <= 1.0 and soc0 >= re.soc_on
+        fast = (not state.range_extender_on and lowest >= re.soc_on
+                and highest <= 1.0 and soc0 >= re.soc_on)
     if fast:
-        state.soc = soc0 - flows.cum_last / c
+        state.soc = soc0 - plan.cum_last / c
         state.velocity = plan.v_out
-        state.range_extender_on = re_on
         cumulative = state.cumulative
         cumulative.consumed_wh += plan.consumed_wh
         cumulative.recuperated_wh += plan.recuperated_wh
-        cumulative.range_extended_wh += flows.range_extended_wh
-        cumulative.fuel_liters += flows.fuel_l
         cumulative.distance_m += plan.distance_m
-        return flows.result
-    return _drive_steps(state, plan, params, re_on)
+        return plan.result
+    return _drive_steps(state, plan, params)
 
 
 def _drive_steps(state: VehicleState, plan: _SegmentPlan,
-                 params: VehicleParams, flag: bool) -> SegmentResult:
+                 params: VehicleParams) -> SegmentResult:
     """The step loop of :func:`drive_segment`: it switches the range
-    extender relay (``flag`` is its state on entry) and clamps at empty or
-    full, writing into copies of the shared plan arrays. It builds a
-    result of its own, with the vehicle's SOC array in its trace."""
-    shared = plan.relay_off.result.trace
+    extender relay, starting from ``state.range_extender_on``, and clamps
+    at empty or full, writing into copies of the plan's shared arrays. It
+    builds a result of its own, with the vehicle's SOC array in its
+    trace."""
+    shared = plan.result.trace
     dts = shared.dt_s
     n = len(dts)
     cap = params.battery_capacity_wh
     soc0 = state.soc
     re = params.range_extender
+    flag = state.range_extender_on
     stranded = False
     time_s, v_bar, a_bar = shared.time_s, shared.v_mps, shared.a_mps2
     p_trac = shared.p_traction_w

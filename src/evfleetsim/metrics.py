@@ -229,9 +229,9 @@ class MetricsCollector:
     count from ``n_trips``, and the trips and sessions as they stand then.
 
     It owns the ``ticks.csv`` rows: it keeps each vehicle's last row in one
-    list, in vehicle order, and a tick formats again only the *live*
-    vehicles and writes the list, joined with its time field, in one
-    ``write``; a stranding deletes the vehicle's row for good. The
+    dict by vehicle index, in vehicle order, and a tick formats again only
+    the *live* vehicles and writes the rows, joined with its time field, in
+    one ``write``; a stranding deletes the vehicle's row for good. The
     invariant: a vehicle's row can change between ticks only while it is
     ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it transitioned since
     the last tick (a finished session's SOC is set in the handler that
@@ -260,13 +260,11 @@ class MetricsCollector:
         self._tick_rows = 0
         # vehicle id -> (session, row template)
         self._session_texts: dict[str, tuple] = {}
-        # "" and then the last row tail of each vehicle that is not
-        # stranded, in vehicle order: joined with a tick's time field, the
-        # tick's text
-        self._rows = [""] * (len(vehicles) + 1)
-        # vehicle index -> its position in _rows; none if stranded
-        self._position = {i: i + 1 for i in range(len(vehicles))}
-        self._live = set(self._position)
+        # -1: "" and then vehicle index -> the last row tail of each
+        # vehicle that is not stranded, in vehicle order: the values joined
+        # with a tick's time field are the tick's text
+        self._rows = dict.fromkeys(range(-1, len(vehicles)), "")
+        self._live = set(range(len(vehicles)))
         self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
         self.trips = trips
@@ -298,24 +296,20 @@ class MetricsCollector:
         """Write the ``ticks.csv`` rows at ``t_ms``, in one ``write``: one
         per vehicle that is not stranded, in vehicle order. Only the live
         vehicles are formatted again."""
-        rows, position, live = self._rows, self._position, self._live
+        rows, live = self._rows, self._live
         for i in sorted(live):
             vehicle = self.vehicles[i]
             if vehicle.lifecycle is Lifecycle.STRANDED:
-                gone = position.pop(i)
-                del rows[gone]
-                for j, at in position.items():
-                    if at > gone:
-                        position[j] = at - 1
+                del rows[i]
             else:
-                rows[position[i]] = _row_tail(vehicle, t_ms, self.params,
-                                              self._session_texts)
+                rows[i] = _row_tail(vehicle, t_ms, self.params,
+                                    self._session_texts)
             if vehicle.lifecycle not in _LIVE_STATES:
                 live.discard(i)
         if len(rows) == 1:
             return
         # the leading "" puts the time field before the first row
-        self._ticks.write(f"{t_ms / MS_PER_S:.3f},".join(rows))
+        self._ticks.write(f"{t_ms / MS_PER_S:.3f},".join(rows.values()))
         self._tick_rows += len(rows) - 1
 
     def record_transition(self, t_ms: int, vehicle_id: str,

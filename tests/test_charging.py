@@ -146,13 +146,14 @@ def test_release_grants_fifo_head_and_errors_on_free_slot():
     mgr.request_charge(dummy_vehicle("d"), "st1", 0)
     assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["c", "d"]
     handoff = mgr.release_slot("st1", g_a.slot_id, ms(10))
-    assert g_a.completed and not g_a.truncated
+    assert not g_a.truncated
     assert a.state.soc == 0.9
     assert isinstance(handoff, ChargeSession)
     assert handoff.vehicle_id == "c"
     assert handoff.slot_id == g_a.slot_id
     assert handoff.enqueue_ms == 0 and handoff.grant_ms == ms(10)
-    assert not handoff.completed
+    # the handoff holds the released session's slot
+    assert mgr.occupancy["st1"][g_a.slot_id].session is handoff
     assert [e.vehicle.vehicle_id for e in mgr.queues["st1"]] == ["d"]
     mgr.release_slot("st1", handoff.slot_id, ms(20))
     assert not mgr.queues["st1"]

@@ -758,42 +758,32 @@ def test_memoised_plan_covers_the_step_loop(regime):
 
 
 # --- the scalar fast path ---------------------------------------------------------
-# a drive that neither clamps nor switches reads its plan's flows without
-# forming an array; it must agree bit for bit with the array formulas
+# a drive that starts with the relay off and neither clamps nor switches
+# reads its plan's flows without forming an array; it must agree bit for bit
+# with the array formulas. A drive that starts with the relay on takes the
+# step loop.
 
 RELAY = {"absent": (None, False), "off": (RE, False), "on": (RE, True)}
 
 
 def array_fast_path(plan, soc0, params, re_on):
     """The fast path in its array form: whether it applies, the SOC after
-    each step and the energy sums (consumed, recuperated, range-extended)."""
+    each step and the energy sums (consumed, recuperated)."""
     cap = params.battery_capacity_wh
     re = params.range_extender
-    shared = plan.relay_off.result.trace
+    shared = plan.result.trace
     dts = shared.dt_s
     n = len(dts)
     p_net0 = plan.p_consume - shared.p_recup_w
-    if re_on:
-        p_net1 = p_net0 - re.power_w
-        soc_traj = soc0 - np.cumsum(p_net1 * dts) / (cap * 3600.0)
-        fast = (n > 0 and 0.0 < soc_traj.min() and soc_traj.max() < re.soc_off
-                and soc0 < re.soc_off)
-        range_extended_wh = float(np.dot(np.full(n, re.power_w), plan.hours))
+    soc_traj = soc0 - np.cumsum(p_net0 * dts) / (cap * 3600.0)
+    if re is None:
+        fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
     else:
-        soc_traj = soc0 - np.cumsum(p_net0 * dts) / (cap * 3600.0)
-        if re is None:
-            fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
-        else:
-            fast = (n > 0 and soc_traj.min() >= re.soc_on
-                    and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
-        range_extended_wh = 0.0
+        fast = (not re_on and n > 0 and soc_traj.min() >= re.soc_on
+                and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
     sums = (float(np.dot(plan.p_consume, plan.hours)),
-            float(np.dot(shared.p_recup_w, plan.hours)), range_extended_wh)
+            float(np.dot(shared.p_recup_w, plan.hours)))
     return bool(fast), soc_traj, sums
-
-
-def plan_flows(plan, re_on):
-    return plan.relay_on if re_on else plan.relay_off
 
 
 @settings(max_examples=300, deadline=None)
@@ -818,9 +808,8 @@ def test_scalar_fast_path_matches_the_array_formulas(
     except InfeasibleSegmentError:
         return
     (plan,) = model.plans.values()
-    fast, soc_traj, (consumed, recuperated, extended) = array_fast_path(
+    fast, soc_traj, (consumed, recuperated) = array_fast_path(
         plan, soc, params, re_on)
-    flows = plan_flows(plan, re_on)
     for memo in (model, DriveModel(params, ENV, 1.0)):
         state = VehicleState(soc=soc, range_extender_on=re_on)
         result = drive_segment(state, edge, 0.0, v_exit, 1.0, memo)
@@ -831,17 +820,16 @@ def test_scalar_fast_path_matches_the_array_formulas(
         assert (trace.soc0 is None) is fast
         if not fast:
             continue
-        assert (result is flows.result) is (memo is model)
+        assert (result is plan.result) is (memo is model)
         assert bits(trace_soc(trace, soc)) == bits(soc_traj)
         assert bits(state.soc) == bits(soc_traj[-1])
-        assert state.range_extender_on is re_on
+        assert state.range_extender_on is False
         assert not result.stranded
         c = state.cumulative
         assert bits(c.consumed_wh) == bits(0.0 + consumed)
         assert bits(c.recuperated_wh) == bits(0.0 + recuperated)
-        assert bits(c.range_extended_wh) == bits(0.0 + extended)
-        fuel = 0.0 if re is None else re.specific_fuel_l_per_kwh * extended / 1000.0
-        assert bits(c.fuel_liters) == bits(0.0 + fuel)
+        assert bits(c.range_extended_wh) == bits(0.0)
+        assert bits(c.fuel_liters) == bits(0.0)
         assert bits(c.distance_m) == bits(0.0 + plan.distance_m)
 
 
@@ -852,7 +840,7 @@ class NoNumpy:
         raise AssertionError(f"numpy.{name} used")
 
 
-@pytest.mark.parametrize("relay", sorted(RELAY))
+@pytest.mark.parametrize("relay", ["absent", "off"])
 def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
                                                               monkeypatch):
     re, re_on = RELAY[relay]
@@ -861,21 +849,14 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
     model = DriveModel(params, ENV, 1.0)
     drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, 1.0, model)
     (plan,) = model.plans.values()
-    soc = 0.3 if re_on else 0.5
-    state = VehicleState(soc=soc, range_extender_on=re_on)
+    state = VehicleState(soc=0.5, range_extender_on=re_on)
     with monkeypatch.context() as patched:
         patched.setattr(dynamics, "np", NoNumpy())
         result = drive_segment(state, edge, 0.0, 0.0, 1.0, model)
-    # the fast path builds nothing: it returns the result the plan built
-    # for the relay state, whose trace shares the plan's per-step arrays
-    # with the relay-off trace; every array of it is read-only
-    flows = plan_flows(plan, re_on)
-    assert result is flows.result
+    # the fast path builds nothing: it returns the plan's one result, and
+    # every array of its trace is read-only
+    assert result is plan.result
     trace = result.trace
-    shared = plan.relay_off.result.trace
-    for name in ("time_s", "dt_s", "v_mps", "a_mps2", "p_traction_w",
-                 "p_recup_w"):
-        assert getattr(trace, name) is getattr(shared, name), name
     for field in dataclasses.fields(trace):
         value = getattr(trace, field.name)
         if isinstance(value, np.ndarray):
@@ -884,8 +865,8 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
     # SOC, which the trace leaves to the vehicle
     assert trace.soc0 is None and trace.soc_scale == 18000.0 * 3600.0
     assert result.duration_ms == ms(plan.duration_s)
-    assert state.soc == soc - flows.cum_last / trace.soc_scale
-    assert state.range_extender_on is re_on
+    assert state.soc == 0.5 - plan.cum_last / trace.soc_scale
+    assert state.range_extender_on is False
 
 
 # --- checks on a memo hit ---------------------------------------------------------

@@ -566,7 +566,7 @@ def test_vehicles_on_one_plan_share_its_result_and_read_their_own_soc(
         ctrl._begin_route(vehicle, route, Lifecycle.EN_ROUTE)
     (_, shared), (_, other), (_, stranded) = drives
     (plan,) = ctrl.model.plans.values()
-    assert shared is other is plan.relay_off.result
+    assert shared is other is plan.result
     assert vehicles[0].trace is vehicles[1].trace is shared.trace
     assert shared.trace.soc0 is None
     # the drive that strands gets a result of its own, and the arrays the

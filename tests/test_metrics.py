@@ -102,7 +102,7 @@ def session(vid="v0", grant_s=0.0, dur_s=3600.0, energy=2300.0,
         enqueue_ms=ms(enqueue_s), grant_ms=ms(grant_s),
         complete_ms=ms(grant_s + dur_s), duration_s=dur_s,
         effective_power_w=energy * 3600.0 / dur_s, energy_wh=energy,
-        start_soc=0.5, target_soc=1.0, completed=True,
+        start_soc=0.5, target_soc=1.0,
     )
 
 

@@ -268,6 +268,43 @@ def test_range_extender_switches_without_events(tmp_path):
         assert any(float(row["p_re_w"]) > 0.0 for row in csv.DictReader(fh))
 
 
+def test_every_drive_with_the_relay_on_takes_the_step_loop(tmp_path,
+                                                           monkeypatch):
+    # 1 kWh batteries starting at 30 % with no dispatch reserve: the range
+    # extender switches on during the first trips and is still on when some
+    # edges start; each such drive returns a trace of its own, never the
+    # plan's
+    path = write_scenario(
+        tmp_path, horizon_s=24 * 3600.0,
+        fleet={"size": 5, "initial_soc": 0.3,
+               "vehicle": {"preset": "compact_ev",
+                           "overrides": {"battery_capacity_wh": 1000.0}}},
+        policies={"depot_charge_threshold": 1.0,
+                  "dispatch_reserve_soc": 0.0},
+        demand={"trips_per_vehicle_per_day": {"family": "fixed", "n": 4}},
+    )
+    relay_on = []
+    drive_segment = dynamics.drive_segment
+
+    def recording(state, edge, v_entry, v_exit, speed_factor, model):
+        on = state.range_extender_on
+        result = drive_segment(state, edge, v_entry, v_exit, speed_factor,
+                               model)
+        if on:
+            relay_on.append(result)
+        return result
+
+    monkeypatch.setattr(dynamics, "drive_segment", recording)
+    result = run_scenario(load_config(path), tmp_path / "out")
+    assert len(relay_on) > 1
+    for drive in relay_on:
+        soc0 = drive.trace.soc0
+        assert soc0 == -0.0 and np.signbit(soc0)
+        assert drive.trace.soc_scale == -1.0
+    assert result.total_fuel_l > 0.0
+    assert result.collector.energy_ledger_error() < 1e-6
+
+
 # --- ticks.csv against an every-vehicle reference sampler ------------------------
 
 class ReferenceSampler:
@@ -576,9 +613,7 @@ def test_every_plan_of_the_bundled_run_rounds_its_duration_once(
     plans = list(ctrl.model.plans.values())
     assert plans
     for plan in plans:
-        for flows in (plan.relay_off, plan.relay_on):
-            if flows is not None:
-                assert flows.result.duration_ms == ms(plan.duration_s)
+        assert plan.result.duration_ms == ms(plan.duration_s)
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
