@@ -40,6 +40,12 @@ MAX_VEHICLES = 100_000
 # a week leaves room for the last charges; at 1e300 s the metrics tick
 # reschedules itself up to 3e298 times and the run never ends
 MAX_HORIZON_S = 7 * 86400.0
+# the most rows a run may write to ticks.csv (one per vehicle and tick) and
+# to utilization.csv (one per bin): 100,000 vehicles with hourly ticks over
+# the longest horizon are 16.9 million rows. The bundled day with a 1 ms
+# tick interval would be 8.6 billion rows and never end in practice.
+MAX_TICK_ROWS = 20_000_000
+MAX_UTILIZATION_BINS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -458,6 +464,23 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         if value < 0.001:
             errors.append(f"numerics.{key}: must be at least 0.001 s")
         _build(f"numerics.{key}", errors, ms, value)
+    if not errors:
+        # the rows the run will write, from a valid horizon, fleet and
+        # numerics: a tick at 0 ms and every interval up to the horizon
+        # (none without vehicles), and a bin from each start before it
+        horizon_ms = ms(cfg["horizon_s"])
+        ticks = horizon_ms // ms(ncfg["metrics_interval_s"]) + 1
+        rows = ticks * fleet_cfg["size"]
+        if rows > MAX_TICK_ROWS:
+            errors.append(
+                f"numerics.metrics_interval_s: {ticks:,} ticks of "
+                f"{fleet_cfg['size']:,} vehicles are {rows:,} ticks.csv rows, "
+                f"more than {MAX_TICK_ROWS:,}")
+        bins = max(1, -(-horizon_ms // ms(ncfg["utilization_bin_s"])))
+        if bins > MAX_UTILIZATION_BINS:
+            errors.append(
+                f"numerics.utilization_bin_s: {bins:,} bins over the horizon "
+                f"are more than {MAX_UTILIZATION_BINS:,} utilization.csv rows")
 
     if errors:
         raise ConfigError(*errors)

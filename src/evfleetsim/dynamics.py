@@ -289,32 +289,32 @@ def _freeze(obj) -> None:
 class DriveTrace:
     """Fixed-step samples over one edge; the last step may be shorter.
 
-    ``time_s`` marks the start of each step; ``v``/``a`` are the exact step
-    averages. The state of charge at the end of step ``i`` is
-    ``soc0 - soc_drop[i] / soc_scale``, read one element at a time with
-    these IEEE operations. A drive that starts with the range extender off
-    and neither clamps nor switches gets the one trace its plan shares
-    with every vehicle that drives it so: it holds the plan's cumulative
-    battery energy in W*s as ``soc_drop``, the capacity in W*s as
-    ``soc_scale``, and ``soc0 = None``, as the base is the entry SOC of
-    each vehicle, which the vehicle keeps (see
-    :class:`~evfleetsim.fleet.Vehicle`). Every other drive, one that starts
-    with the relay on included, takes the step loop, which stores its own
-    SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
+    ``time_s`` marks the start of each step, as a tuple of floats that the
+    tick sampler bisects; ``v``/``a`` are the exact step averages. The state
+    of charge at the end of step ``i`` is ``soc0 - soc_drop[i] /
+    soc_scale``, read one element at a time with these IEEE operations. A
+    drive that starts with the range extender off and neither clamps nor
+    switches gets the one trace its plan shares with every vehicle that
+    drives it so: it holds the plan's cumulative battery energy in W*s as
+    ``soc_drop``, the capacity in W*s as ``soc_scale``, and ``soc0 = None``,
+    as the base is the entry SOC of each vehicle, which the vehicle keeps
+    (see :class:`~evfleetsim.fleet.Vehicle`). Every other drive, one that
+    starts with the relay on included, takes the step loop, which stores its
+    own SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
     -1.0``; that gives every element back exactly, signed zeros included:
     dividing by -1 negates, and ``-0.0 + x`` is ``x``.
 
     Every array in a trace is read-only: the arrays are frozen here, where
-    the trace is built. A step-loop trace shares the plan arrays that the
-    loop does not change. The one mutable part is ``row_texts``, one
-    ``None`` per sample when the trace is built: the ``ticks.csv`` row
-    template of each sample, stored by
+    the trace is built, and the step starts are a tuple. A step-loop trace
+    shares the plan arrays and step starts that the loop does not change.
+    The one mutable part is ``row_texts``, one ``None`` per sample when the
+    trace is built: the ``ticks.csv`` row template of each sample, stored by
     :func:`~evfleetsim.metrics._row_tail` on its first read. The memo lives
     and dies with its trace, so a shared plan's samples are formatted once
     per run.
     """
 
-    time_s: np.ndarray
+    time_s: tuple[float, ...]
     dt_s: np.ndarray
     v_mps: np.ndarray
     a_mps2: np.ndarray
@@ -416,8 +416,8 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         (float(cum.min()), float(cum.max()), float(cum[-1]))
         if len(cum) else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    trace = DriveTrace(bounds[:-1].copy(), dts, v_bar, a_bar, p_trac, p_net0,
-                       p_recup, np.zeros(len(dts)), None, cum, c)
+    trace = DriveTrace(tuple(bounds[:-1].tolist()), dts, v_bar, a_bar, p_trac,
+                       p_net0, p_recup, np.zeros(len(dts)), None, cum, c)
     return _SegmentPlan(
         duration_s=total,
         v_out=profile.v_out,

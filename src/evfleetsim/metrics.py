@@ -2,7 +2,9 @@
 transition log, trip/session logs, per-vehicle energy and time summaries,
 distance histograms, and the idle-fleet (overdimensioning) time series.
 Everything is written as CSV in one dialect, that of :func:`write_csv`,
-so any external tool can plot it.
+so any external tool can plot it. ``ticks.csv``, by far the largest file,
+is formatted on the hot path as ASCII bytes in that same dialect and
+written as one byte stream.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +47,8 @@ UTILIZATION_HEADER = ["bin_start_s", "idle", "busy", "charging", "queued", "stra
 HISTOGRAM_HEADER = ["bin_lower_m", "bin_upper_m", "airline_count", "driven_count"]
 # the ticks.csv row of a vehicle at rest after its id and state, with a slot
 # for its SOC
-_REST_TEMPLATE = "0.0000,0.0000,%.9f,0.000,0.000,0.000,0.000\r\n"
-# bytes of ticks.csv text held by the open file before it writes them out
+_REST_TEMPLATE = b"0.0000,0.0000,%.9f,0.000,0.000,0.000,0.000\r\n"
+# bytes of ticks.csv held by the open file before it writes them out
 TICK_WRITE_BUFFER_BYTES = 1 << 16
 
 _STATE_GROUP = {
@@ -60,6 +63,9 @@ _STATE_GROUP = {
 # each state's value, read once: ``Lifecycle.value`` is a Python-level
 # descriptor call on every read
 _STATE_VALUE = {state: state.value for state in Lifecycle}
+# each state's ticks.csv field and the comma after it
+_STATE_FIELD = {state: b"%s," % state.value.encode("ascii")
+                for state in Lifecycle}
 
 
 class MetricsError(ValueError):
@@ -67,30 +73,30 @@ class MetricsError(ValueError):
 
 
 def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
-              session_texts: dict[str, tuple]) -> str:
-    """``vehicle``'s ``ticks.csv`` row at ``t_ms`` without its time field,
-    with the ``\\r\\n`` terminator of :func:`csv.writer`: its trace sample,
-    charging session or state at rest. A trace sample's SOC is read as the
-    scalar ``soc0 - soc_drop[i] / soc_scale`` (see
+              session_texts: dict[str, tuple]) -> bytes:
+    """``vehicle``'s ``ticks.csv`` row at ``t_ms`` after its time, id and
+    state fields, as ASCII bytes with the ``\\r\\n`` terminator of
+    :func:`csv.writer`: its trace sample, charging session or state at
+    rest. The trace sample is the last one that starts at or before the
+    vehicle's offset into the trace, found by bisecting ``tr.time_s`` (the
+    first sample before the trace starts). Its SOC is read as the scalar
+    ``soc0 - soc_drop[i] / soc_scale`` (see
     :class:`~evfleetsim.dynamics.DriveTrace`), so no SOC column is built;
     a shared trace has no ``soc0``, and its base is the SOC the vehicle
     entered the edge with, ``vehicle.trace_soc0``.
-    After the id and state, a row is a template with a ``%.9f`` slot for
-    the SOC (``"%.9f" % x`` equals ``f"{x:.9f}"`` for every finite float),
-    stored once its values are all finite. A trace sample's template is the
-    same for every vehicle that reads it: the first read formats it and
-    stores it in the trace's ``row_texts``. A charging row's template is
+    The tail is a ``bytes`` template with a ``%.9f`` slot for the SOC
+    (``b"%.9f" % x`` equals ``f"{x:.9f}".encode()`` for every finite
+    float), stored once its values are all finite. A trace sample's
+    template is the same for every vehicle that reads it: the first read
+    formats it and stores it in the trace's ``row_texts``. A charging row's template is
     the same for the whole session: ``session_texts`` maps the vehicle id
     to its session and template, formatted again only for a different
     session object. A row at rest has the one ``_REST_TEMPLATE``.
-    Every value must be finite; the id and lifecycle value must not need
-    CSV quoting."""
-    lifecycle = vehicle.lifecycle
+    Every value must be finite."""
     tr = vehicle.trace
     if tr is not None and len(tr) > 0:
         offset = (t_ms - vehicle.trace_start_ms) / MS_PER_S
-        i = int(tr.time_s.searchsorted(offset, "right")) - 1
-        i = min(max(i, 0), len(tr) - 1)
+        i = max(bisect_right(tr.time_s, offset) - 1, 0)
         soc0 = tr.soc0
         if soc0 is None:
             soc0 = vehicle.trace_soc0
@@ -98,7 +104,7 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         template = tr.row_texts[i]
         if template is None:
             template = _sample_template(vehicle, tr, i, soc)
-    elif lifecycle is Lifecycle.CHARGING and vehicle.session is not None:
+    elif vehicle.lifecycle is Lifecycle.CHARGING and vehicle.session is not None:
         s = vehicle.session
         elapsed = max(0.0, (t_ms - s.grant_ms) / MS_PER_S)
         _, soc = session_progress(s, params, elapsed)
@@ -108,7 +114,7 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
             if not math.isfinite(soc + p_battery):
                 _reject_non_finite(vehicle, (0.0, 0.0, soc, 0.0, p_battery))
             cached = session_texts[vehicle.vehicle_id] = (
-                s, f"0.0000,0.0000,%.9f,0.000,{p_battery:.3f},0.000,0.000\r\n")
+                s, b"0.0000,0.0000,%%.9f,0.000,%.3f,0.000,0.000\r\n" % p_battery)
         template = cached[1]
     else:
         soc = vehicle.state.soc
@@ -116,10 +122,10 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
     if not math.isfinite(soc):
         # a template's motion values are finite
         _reject_non_finite(vehicle, (0.0, 0.0, soc))
-    return f"{vehicle.vehicle_id},{lifecycle.value},{template % soc}"
+    return template % soc
 
 
-def _sample_template(vehicle: Vehicle, tr, i: int, soc: float) -> str:
+def _sample_template(vehicle: Vehicle, tr, i: int, soc: float) -> bytes:
     """Format sample ``i`` of the trace ``tr`` into its row template, as
     :func:`_row_tail` uses it, and store it in ``tr.row_texts``; a sample
     with a non-finite value among its motion values or ``soc`` raises
@@ -131,8 +137,8 @@ def _sample_template(vehicle: Vehicle, tr, i: int, soc: float) -> str:
         _reject_non_finite(vehicle, (v, a, soc, p_traction, p_battery, p_recup,
                                     p_re))
     template = tr.row_texts[i] = (
-        f"{v:.4f},{a:.4f},%.9f,{p_traction:.3f},{p_battery:.3f},"
-        f"{p_recup:.3f},{p_re:.3f}\r\n")
+        b"%.4f,%.4f,%%.9f,%.3f,%.3f,%.3f,%.3f\r\n"
+        % (v, a, p_traction, p_battery, p_recup, p_re))
     return template
 
 
@@ -228,21 +234,25 @@ class MetricsCollector:
     vehicle's energy, distance and SOC from its ``state`` and its trip
     count from ``n_trips``, and the trips and sessions as they stand then.
 
-    It owns the ``ticks.csv`` rows: it keeps each vehicle's last row in one
-    dict by vehicle index, in vehicle order, and a tick formats again only
-    the *live* vehicles and writes the rows, joined with its time field, in
-    one ``write``; a stranding deletes the vehicle's row for good. The
-    invariant: a vehicle's row can change between ticks only while it is
-    ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it transitioned since
-    the last tick (a finished session's SOC is set in the handler that
-    moves the vehicle on, and the horizon cuts sessions after the last
-    tick). Every vehicle starts live, :meth:`record_transition` makes it
-    live, and it leaves once a tick has formatted it in any other state,
-    never while it drives.
+    It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, as
+    ASCII bytes after the time field, in one dict by vehicle index, in
+    vehicle order, and a tick formats again only the *live* vehicles and
+    writes the rows, joined with its time field, in one ``write``; a
+    stranding deletes the vehicle's row for good. A formatted row is the
+    vehicle's id field, built once per vehicle, its state's field and
+    :func:`_row_tail`; ids and state values are ASCII that needs no CSV
+    quoting. The invariant: a vehicle's row can change between ticks only
+    while it is ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it
+    transitioned since the last tick (a finished session's SOC is set in the
+    handler that moves the vehicle on, and the horizon cuts sessions after
+    the last tick). Every vehicle starts live, :meth:`record_transition`
+    makes it live, and it leaves once a tick has formatted it in any other
+    state, never while it drives.
 
-    ``ticks.csv`` is a stream. The constructor creates ``out_dir``, opens
-    the file with a write buffer of ``TICK_WRITE_BUFFER_BYTES`` and writes
-    its header, so an unwritable ``out_dir`` fails before the run starts.
+    ``ticks.csv`` is a byte stream, so its bytes do not depend on the
+    locale. The constructor creates ``out_dir``, opens the file in binary
+    mode with a write buffer of ``TICK_WRITE_BUFFER_BYTES`` and writes its
+    header, so an unwritable ``out_dir`` fails before the run starts.
     Each recorded tick is written at once; no rows are held beyond the
     file's buffer. :meth:`close` flushes and closes the file: it is called
     by :meth:`export_all`, and by the runner on every way out of a run.
@@ -252,25 +262,32 @@ class MetricsCollector:
 
     def __init__(self, out_dir: str | Path, vehicles: list[Vehicle],
                  trips: list[Trip], sessions: list, params: VehicleParams):
+        # vehicle index -> its ticks.csv id field and the comma after it
+        self._id_fields = [b"%s," % v.vehicle_id.encode("ascii")
+                           for v in vehicles]
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self._ticks = open(self.out_dir / "ticks.csv", "w", newline="",
+        self._ticks = open(self.out_dir / "ticks.csv", "wb",
                            buffering=TICK_WRITE_BUFFER_BYTES)
-        self._ticks.write(",".join(TICK_HEADER) + "\r\n")
+        self._ticks.write(",".join(TICK_HEADER).encode("ascii") + b"\r\n")
         self._tick_rows = 0
         # vehicle id -> (session, row template)
         self._session_texts: dict[str, tuple] = {}
-        # -1: "" and then vehicle index -> the last row tail of each
-        # vehicle that is not stranded, in vehicle order: the values joined
-        # with a tick's time field are the tick's text
-        self._rows = dict.fromkeys(range(-1, len(vehicles)), "")
-        self._live = set(range(len(vehicles)))
-        self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
+        # -1: b"" and then vehicle index -> the last row of each vehicle
+        # that is not stranded, after the time field, in vehicle order: the
+        # values joined with a tick's time field are the tick's bytes
+        self._rows = dict.fromkeys(range(-1, len(vehicles)), b"")
+        # the live set and the index by id hold the row keys' own int
+        # objects: a large fleet would otherwise keep three of each index
+        indices = list(self._rows)[1:]
+        self._live = set(indices)
+        self._index = {v.vehicle_id: i for i, v in zip(indices, vehicles)}
         self.vehicles = vehicles
         self.trips = trips
         self.sessions = sessions
         self.params = params
-        self._soc_start = {v.vehicle_id: v.state.soc for v in vehicles}
+        # each vehicle's starting SOC, in vehicle order
+        self._soc_start = [v.state.soc for v in vehicles]
         self.transitions: list[tuple[int, str, Lifecycle]] = [
             (0, v.vehicle_id, Lifecycle.IDLE) for v in vehicles]
 
@@ -297,20 +314,27 @@ class MetricsCollector:
         per vehicle that is not stranded, in vehicle order. Only the live
         vehicles are formatted again."""
         rows, live = self._rows, self._live
-        for i in sorted(live):
-            vehicle = self.vehicles[i]
-            if vehicle.lifecycle is Lifecycle.STRANDED:
-                del rows[i]
-            else:
-                rows[i] = _row_tail(vehicle, t_ms, self.params,
-                                    self._session_texts)
-            if vehicle.lifecycle not in _LIVE_STATES:
-                live.discard(i)
-        if len(rows) == 1:
-            return
-        # the leading "" puts the time field before the first row
-        self._ticks.write(f"{t_ms / MS_PER_S:.3f},".join(rows.values()))
-        self._tick_rows += len(rows) - 1
+        if live:
+            vehicles, id_fields = self.vehicles, self._id_fields
+            params, session_texts = self.params, self._session_texts
+            stranded = Lifecycle.STRANDED
+            for i in sorted(live):
+                vehicle = vehicles[i]
+                lifecycle = vehicle.lifecycle
+                if lifecycle is stranded:
+                    del rows[i]
+                else:
+                    rows[i] = (id_fields[i] + _STATE_FIELD[lifecycle]
+                               + _row_tail(vehicle, t_ms, params,
+                                           session_texts))
+                if lifecycle not in _LIVE_STATES:
+                    live.discard(i)
+        n = len(rows) - 1
+        if n:
+            # the leading b"" puts the time field before the first row
+            time_field = b"%.3f," % (t_ms / MS_PER_S)
+            self._ticks.write(time_field.join(rows.values()))
+            self._tick_rows += n
 
     def record_transition(self, t_ms: int, vehicle_id: str,
                           new: Lifecycle) -> None:
@@ -387,12 +411,12 @@ class MetricsCollector:
         rhs = 0.0
         scale = 0.0
         sessions = self._sessions_by_vehicle()
-        for v in self.vehicles:
+        for v, soc_start in zip(self.vehicles, self._soc_start):
             c = v.state.cumulative
             grid = sum(s.energy_wh for s in sessions.get(v.vehicle_id, []))
             lhs += grid + c.range_extended_wh + c.recuperated_wh - c.consumed_wh
             rhs += (self.params.battery_capacity_wh
-                    * (v.state.soc - self._soc_start[v.vehicle_id]))
+                    * (v.state.soc - soc_start))
             scale += c.consumed_wh + grid + c.range_extended_wh + c.recuperated_wh
         if scale == 0.0:
             return abs(lhs - rhs)

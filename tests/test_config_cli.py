@@ -9,8 +9,10 @@ import pytest
 import yaml
 
 from evfleetsim import cli, metrics
-from evfleetsim.config import (MAX_HORIZON_S, MAX_VEHICLES, VEHICLE_PRESETS,
-                               ConfigError, apply_sweep_override, build_config,
+from evfleetsim.config import (MAX_HORIZON_S, MAX_TICK_ROWS,
+                               MAX_UTILIZATION_BINS, MAX_VEHICLES,
+                               VEHICLE_PRESETS, ConfigError,
+                               apply_sweep_override, build_config,
                                default_scenario_path, load_config, load_raw)
 from evfleetsim.dynamics import MAX_BATTERY_CAPACITY_WH, MIN_ACCELERATION_MPS2
 from evfleetsim.engine import Engine
@@ -244,6 +246,29 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, product", [
+    ("metrics_interval_s", "86,400,001 ticks of 100 vehicles are "
+                           "8,640,000,100 ticks.csv rows, more than "
+                           f"{MAX_TICK_ROWS:,}"),
+    ("utilization_bin_s", "86,400,000 bins over the horizon are more than "
+                          f"{MAX_UTILIZATION_BINS:,} utilization.csv rows"),
+])
+def test_the_bundled_day_at_1ms_is_a_config_error(tmp_path, capsys, key,
+                                                  product):
+    # a valid interval that would make the run write billions of rows,
+    # and so never end, is refused with the product that it would write
+    raw = copy.deepcopy(BUNDLED)
+    raw["numerics"][key] = 0.001
+    path = tmp_path / "fine.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert config_errors(path) == [f"numerics.{key}: {product}"]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: numerics.{key}: {product}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, where", [
     ({"fleeet": {"size": 3}}, "fleeet: unknown key"),
     ({"numerics": {"metric_interval_s": 3600}},
@@ -285,9 +310,12 @@ def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
 
 
 def test_counts_at_their_maximum_validate(tmp_path):
+    # with hourly ticks: 169 ticks of the largest fleet over the longest
+    # horizon are 16.9 million ticks.csv rows, under MAX_TICK_ROWS
     path = write_scenario(
         tmp_path,
         horizon_s=MAX_HORIZON_S,
+        numerics={"metrics_interval_s": 3600.0},
         network={"grid": {**GRID, "edge_length_m": MAX_EDGE_LENGTH_M}},
         fleet={"size": MAX_VEHICLES, "vehicle": {
             "preset": "compact_ev", "overrides": {
@@ -593,10 +621,10 @@ def test_cli_failed_tick_write_is_an_io_error(tmp_path, capsys, monkeypatch):
         if Path(file).name == "ticks.csv":
             write = fh.write
 
-            def failing_write(text):
-                if text.startswith("30.000,"):
+            def failing_write(data):
+                if data.startswith(b"30.000,"):
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                return write(text)
+                return write(data)
 
             fh.write = failing_write
         return fh

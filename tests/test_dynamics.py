@@ -665,6 +665,12 @@ def assert_same_result(memo, fresh, entry_soc):
             for array in (a, b):  # plan arrays are shared between vehicles
                 with pytest.raises(ValueError):
                     array[...] = 0.0
+        elif name == "time_s":  # and so are the step starts
+            for starts in (a, b):
+                assert type(starts) is tuple, name
+                assert all(type(t) is float for t in starts), name
+                with pytest.raises(TypeError):
+                    starts[0] = 0.0
         else:
             assert isinstance(a, float) and isinstance(b, float), name
     for result in (memo, fresh):  # and so are plan results

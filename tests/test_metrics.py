@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_params
 from evfleetsim import metrics
 from evfleetsim.charging import ChargeSession, session_progress
+from evfleetsim.config import MAX_HORIZON_S
 from evfleetsim.dynamics import Cumulative, DriveTrace, VehicleState
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip, Vehicle
@@ -56,18 +57,19 @@ def drive(vehicle, soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
     """Give ``vehicle`` a one-sample drive trace starting at ``start_ms``
     that ends at ``soc``, stored as the step loop stores it."""
     vehicle.trace_start_ms = start_ms
-    vehicle.trace = DriveTrace(*(np.array([x]) for x in (
-        0.0, 1.0, v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w,
-        p_re_w)), soc0=-0.0, soc_drop=np.array([soc]), soc_scale=-1.0)
+    vehicle.trace = DriveTrace((0.0,), *(np.array([x]) for x in (
+        1.0, v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w, p_re_w)),
+        soc0=-0.0, soc_drop=np.array([soc]), soc_scale=-1.0)
 
 
 def shared_trace(n=3):
     """A plan's trace of ``n`` one-second samples as vehicles share it: no
     ``soc0``, so each vehicle's SOC starts at its own ``trace_soc0``."""
     steps = np.arange(float(n))
-    return DriveTrace(steps, np.ones(n), 10.0 + steps, np.full(n, 0.5),
-                      5000.0 + steps, 5300.0 + steps, np.zeros(n), np.zeros(n),
-                      None, 5300.0 * (steps + 1), CAPACITY_WH * 3600.0)
+    return DriveTrace(tuple(steps.tolist()), np.ones(n), 10.0 + steps,
+                      np.full(n, 0.5), 5000.0 + steps, 5300.0 + steps,
+                      np.zeros(n), np.zeros(n), None, 5300.0 * (steps + 1),
+                      CAPACITY_WH * 3600.0)
 
 
 def driving_on(trace, vid, entry_soc, start_ms=0):
@@ -308,8 +310,47 @@ def test_vehicles_on_one_shared_trace_share_its_row_template(tmp_path,
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_percent_format_equals_the_format_spec(x):
-    # the SOC slot of a row template, signed zeros included
+    # the SOC slot of a row template and the values around it, as text and
+    # as the bytes of ticks.csv, signed zeros included
     assert "%.9f" % x == f"{x:.9f}"
+    for spec in (".9f", ".4f", ".3f"):
+        assert ("%" + spec).encode() % x == format(x, spec).encode()
+
+
+@given(st.integers(min_value=0, max_value=ms(MAX_HORIZON_S)))
+def test_time_field_bytes_equal_the_format_spec(t_ms):
+    assert b"%.3f," % (t_ms / 1000) == f"{t_ms / 1000:.3f},".encode()
+
+
+@st.composite
+def starts_and_offset(draw):
+    """Strictly increasing step starts on the millisecond clock, and an
+    offset into the trace before the first start, exactly on a start,
+    between two starts or after the last one, all in ms."""
+    starts = sorted(draw(st.sets(st.integers(0, 100_000), min_size=1,
+                                 max_size=20)))
+    offset = draw(st.one_of(
+        st.integers(-5000, starts[0] - 1),
+        st.sampled_from(starts),
+        st.integers(starts[0], starts[-1]),
+        st.integers(starts[-1] + 1, starts[-1] + 5000)))
+    return starts, offset
+
+
+@given(starts_and_offset())
+def test_a_tick_reads_the_sample_that_searchsorted_finds(drawn):
+    # the bisect on a trace's step starts, clamped to its first sample,
+    # against numpy's sorted search on the same starts
+    starts_ms, offset_ms = drawn
+    n = len(starts_ms)
+    trace = DriveTrace(tuple(t / 1000 for t in starts_ms), np.ones(n),
+                       np.arange(float(n)), *(np.zeros(n) for _ in range(5)),
+                       soc0=-0.0, soc_drop=np.full(n, 0.5), soc_scale=-1.0)
+    vehicle = driving_on(trace, "v0", 0.5, start_ms=10_000)
+    tail = metrics._row_tail(vehicle, 10_000 + offset_ms,
+                             make_params(battery_capacity_wh=CAPACITY_WH), {})
+    i = np.searchsorted(trace.time_s, offset_ms / 1000, "right") - 1
+    assert float(tail.split(b",")[0]) == min(max(i, 0), n - 1)
 
 
 def test_charging_rows_follow_each_session(tmp_path):
