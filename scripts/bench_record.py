@@ -1,13 +1,12 @@
 """Record a BENCH_<n>.json from the repository's own benchmark.
 
     python3 scripts/bench_record.py --out BENCH_26.json [--parent DIR]
-                                    [--pairs 10] [--seconds 4]
 
 Runs ``bench/run.py --trace 0`` for every workload of ``bench/workloads.py``
-at the default and the held-out seed, ``--pairs`` invocations of
-``--seconds`` each. With ``--parent DIR``, a second checkout (say, the
-parent commit), it alternates invocations between the two checkouts,
-changing which runs first on every pair, and records both sides. Each
+at the default and the held-out seed, 10 invocations per side, each as long
+as the benchmark's ``run_seconds``. With ``--parent DIR``, a second checkout
+(say, the parent commit), it alternates invocations between the two
+checkouts, changing which runs first on every pair, and records both sides. Each
 invocation's ``.bench_out/results/<workload>-s<seed>-trace0.json`` gives the
 medians of ``run_s``, ``setup_s`` and ``peak_rss_mb``; the record keeps them
 per invocation, with their median and quartiles over the invocations, and
@@ -21,8 +20,10 @@ the event count, once under ``tracemalloc`` for the peak of traced
 allocations, since tracing slows the run. ``run_s`` is the time corrected
 for the machine's speed by the benchmark's ``SpeedProbe``, as ``bench/run.py``
 corrects its own; ``wall_s`` is the plain wall time. It records the Python, numpy and
-BLAS versions and each checkout's git revision. The file is written to
-``--out`` at the root of this checkout.
+BLAS versions and each checkout's git revision. A checkout whose ``src``
+or ``bench`` differs from its revision is refused, so that a record names
+the code it measured. The file is written to ``--out`` at the root of this
+checkout.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (42, 1003)
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 LADDER = (1_000, 3_000, 10_000, 30_000)
+PAIRS = 10
 
 
 def _workloads(checkout: Path):
@@ -50,21 +52,26 @@ def _workloads(checkout: Path):
     return workloads
 
 
-def _revision(checkout: Path) -> dict:
+def _revision(checkout: Path) -> str:
+    """The commit of ``checkout``, whose ``src`` and ``bench`` must be
+    unchanged from it."""
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, check=True,
                               capture_output=True, text=True).stdout.strip()
 
-    return {"revision": git("rev-parse", "HEAD"),
-            "dirty": bool(git("status", "--porcelain", "--", "src", "bench"))}
+    if git("status", "--porcelain", "--", "src", "bench"):
+        raise RuntimeError(f"{checkout}: src or bench differs from HEAD; "
+                           f"commit the change to record it")
+    return git("rev-parse", "HEAD")
 
 
-def invoke(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` invocation in ``checkout``; returns its result
-    record, which must be correct."""
+def invoke(checkout: Path, workload: str, seed: int) -> dict:
+    """One ``bench/run.py`` invocation in ``checkout``, as long as the
+    benchmark's ``run_seconds``; returns its result record, which must be
+    correct."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", "0"],
+         str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     path = (checkout / ".bench_out" / "results"
             / f"{workload}-s{seed}-trace0.json")
@@ -188,10 +195,6 @@ def main(argv=None) -> int:
                         "the root of this checkout")
     parser.add_argument("--parent", type=Path,
                         help="a second checkout to alternate with")
-    parser.add_argument("--pairs", type=int, default=10,
-                        help="invocations per side, workload and seed")
-    parser.add_argument("--seconds", type=float, default=4.0,
-                        help="--seconds of each bench/run.py invocation")
     parser.add_argument("--ladder-of", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.ladder_of is not None:
@@ -203,24 +206,27 @@ def main(argv=None) -> int:
     sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
+    revisions = {side: _revision(checkout) for side, checkout in sides.items()}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     reports: dict[str, dict[str, list]] = {side: {} for side in sides}
     for workload in _workloads(ROOT).OVERRIDES:
         for seed in SEEDS:
             key = f"{workload}-s{seed}"
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = list(sides) if k % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    report = invoke(sides[side], workload, seed, args.seconds)
+                    report = invoke(sides[side], workload, seed)
                     reports[side].setdefault(key, []).append(report)
                     print(f"{key} {side} pair {k + 1}: run_s "
                           f"{report['end_to_end']['run_s']:.4f}",
                           file=sys.stderr, flush=True)
 
     record = {
-        "command": f"bench/run.py --trace 0 --seconds {args.seconds:g}",
-        "pairs": args.pairs,
+        "command": (f"bench/run.py --trace 0 --seconds "
+                    f"{benchmark['run_seconds']:g}"),
+        "pairs": PAIRS,
         "versions": versions(),
-        "sides": {side: {**_revision(checkout),
+        "sides": {side: {"revision": revisions[side],
                          "workloads": {key: summarise(runs) for key, runs
                                        in reports[side].items()},
                          "ladder": ladder(checkout)}

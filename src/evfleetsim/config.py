@@ -40,12 +40,16 @@ MAX_VEHICLES = 100_000
 # a week leaves room for the last charges; at 1e300 s the metrics tick
 # reschedules itself up to 3e298 times and the run never ends
 MAX_HORIZON_S = 7 * 86400.0
-# the most rows a run may write to ticks.csv (one per vehicle and tick) and
-# to utilization.csv (one per bin): 100,000 vehicles with hourly ticks over
-# the longest horizon are 16.9 million rows. The bundled day with a 1 ms
-# tick interval would be 8.6 billion rows and never end in practice.
-MAX_TICK_ROWS = 20_000_000
-MAX_UTILIZATION_BINS = 1_000_000
+# the most rows a run may write to ticks.csv (one per vehicle and tick): the
+# largest fleet at the paper's 10 s cadence over the longest horizon,
+# 6,048,100,000 rows. At the bundled day's 71.9 bytes per row that is about
+# 435 GB of ticks.csv, so the cap refuses only runs that write more than any
+# fleet the model admits at the paper's cadence; the bundled day with a 1 ms
+# tick interval would be 8.6 billion rows, about 620 GB
+MAX_TICK_ROWS = (int(MAX_HORIZON_S) // 10 + 1) * MAX_VEHICLES
+# the most rows a run may write to utilization.csv (one per bin): one-second
+# bins over the longest horizon, 604,800 rows
+MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
 
 
 class ConfigError(ValueError):

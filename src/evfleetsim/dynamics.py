@@ -376,6 +376,21 @@ class _SegmentPlan:
         _freeze(self)
 
 
+# step length -> the step starts k * dt of the longest plan so far: every
+# plan slices its starts from it, so plans share the float objects
+_STEP_STARTS: dict[float, tuple[float, ...]] = {}
+
+
+def _step_starts(dt: float, n: int) -> tuple[float, ...]:
+    """The first ``n`` step starts ``k * dt``: the values of
+    ``np.arange(n) * dt``, bit for bit, since each is one product."""
+    starts = _STEP_STARTS.get(dt, ())
+    if len(starts) < n:
+        starts = _STEP_STARTS[dt] = tuple(
+            (np.arange(n, dtype=float) * dt).tolist())
+    return starts[:n]
+
+
 def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
                   params: VehicleParams, env: Environment,
                   dt: float) -> _SegmentPlan:
@@ -416,7 +431,7 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         (float(cum.min()), float(cum.max()), float(cum[-1]))
         if len(cum) else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    trace = DriveTrace(tuple(bounds[:-1].tolist()), dts, v_bar, a_bar, p_trac,
+    trace = DriveTrace(_step_starts(dt, len(dts)), dts, v_bar, a_bar, p_trac,
                        p_net0, p_recup, np.zeros(len(dts)), None, cum, c)
     return _SegmentPlan(
         duration_s=total,

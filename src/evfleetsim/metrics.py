@@ -277,11 +277,8 @@ class MetricsCollector:
         # that is not stranded, after the time field, in vehicle order: the
         # values joined with a tick's time field are the tick's bytes
         self._rows = dict.fromkeys(range(-1, len(vehicles)), b"")
-        # the live set and the index by id hold the row keys' own int
-        # objects: a large fleet would otherwise keep three of each index
-        indices = list(self._rows)[1:]
-        self._live = set(indices)
-        self._index = {v.vehicle_id: i for i, v in zip(indices, vehicles)}
+        self._live = set(range(len(vehicles)))
+        self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
         self.trips = trips
         self.sessions = sessions

@@ -310,12 +310,9 @@ def test_config_errors_name_the_offending_key(tmp_path, overrides, where):
 
 
 def test_counts_at_their_maximum_validate(tmp_path):
-    # with hourly ticks: 169 ticks of the largest fleet over the longest
-    # horizon are 16.9 million ticks.csv rows, under MAX_TICK_ROWS
     path = write_scenario(
         tmp_path,
         horizon_s=MAX_HORIZON_S,
-        numerics={"metrics_interval_s": 3600.0},
         network={"grid": {**GRID, "edge_length_m": MAX_EDGE_LENGTH_M}},
         fleet={"size": MAX_VEHICLES, "vehicle": {
             "preset": "compact_ev", "overrides": {

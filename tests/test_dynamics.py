@@ -533,6 +533,26 @@ def test_trace_timestamps_fixed_step():
             == len(trace_soc(result.trace, 0.7)))
 
 
+def test_plans_slice_their_step_starts_from_one_tuple():
+    # 0.37 s is no step length of another test, so the first call builds
+    dt = 0.37
+    short = dynamics._step_starts(dt, 3)
+    longer = dynamics._step_starts(dt, 40)
+    again = dynamics._step_starts(dt, 5)
+    for starts in (short, longer, again):
+        expected = (np.arange(len(starts), dtype=float) * dt).tolist()
+        assert [t.hex() for t in starts] == [t.hex() for t in expected]
+    # after the longest plan so far, later plans share its float objects
+    assert all(a is b for a, b in zip(again, longer))
+    assert dynamics._step_starts(dt, 0) == ()
+    # a plan shares the starts of an earlier, longer plan
+    model = DriveModel(make_params(), ENV, 1.0)
+    a, b = (drive_segment(VehicleState(soc=0.7), flat_edge(length, 9.0),
+                          0.0, 0.0, 1.0, model).trace.time_s
+            for length in (250.0, 120.0))
+    assert all(x is y for x, y in zip(a, b))
+
+
 def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
     net = generate_grid(5, 5, 200.0, 12.0)
     params = make_params()
