@@ -1,12 +1,24 @@
-"""The determinism contract as a check: every output file of the three
-benchmark workloads, at the default and the held-out seed, against the
-sha256 recorded in ``golden_sha256.json``.
+"""The determinism contract as a check: every output file of a set of
+probes against the sha256 recorded in ``golden_sha256.json``.
 
-``events.csv`` is included. ``manifest.json`` is hashed as the benchmark
-hashes it: without its ``wall_clock_s`` entry, the one field that differs
-between identical runs, dumped with sorted keys. A change that moves an
-output on purpose records the new table in the same change, and names
-each file it changed:
+The probes are:
+
+- the three benchmark workloads at the default and the held-out seed;
+- twelve range-extender probes: ``charging_divert`` and ``bundled_day``
+  with a 600, 1000 or 2000 Wh battery, an initial SOC of 0.3 and no
+  dispatch reserve, so that the relay switches during drives, at both seeds;
+- a stranding probe: ``bundled_day`` under alternating full and quarter
+  speed hours, on a 2000 Wh battery with an 8 kW auxiliary load and no
+  range extender, at both seeds; it must strand vehicles, so that the table
+  keeps covering the ``Stranded`` path;
+- ``evfleetsim sweep`` of the bundled scenario over ``fleet.size`` 100, 80
+  and 60, which writes no ``events.csv``.
+
+``events.csv`` is included wherever a run writes it. ``manifest.json`` is
+hashed as the benchmark hashes it: without its ``wall_clock_s`` entry, the
+one field that differs between identical runs, dumped with sorted keys. A
+change that moves an output on purpose records the new table in the same
+change, and names each file it changed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,12 +31,52 @@ import pytest
 
 from test_fleet import load_bench_workloads
 
+from evfleetsim import cli
 from evfleetsim.config import build_config, default_scenario_path, load_raw
 from evfleetsim.simulation import run_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden_sha256.json"
 SEEDS = (42, 1003)
 WORKLOADS = ("bundled_day", "fleet_1000", "charging_divert")
+RANGE_EXTENDER_WORKLOADS = ("charging_divert", "bundled_day")
+BATTERIES_WH = (600, 1000, 2000)
+STRANDING = {
+    "network": {"hourly_speed_factors": [1.0, 0.25] * 12},
+    "fleet": {"initial_soc": 0.5,
+              "vehicle": {"overrides": {"battery_capacity_wh": 2000,
+                                        "auxiliary_power_w": 8000,
+                                        "range_extender": None}}},
+    "policies": {"dispatch_reserve_soc": 0.0},
+}
+SWEEP_ARGS = ("--param", "fleet.size", "--values", "100,80,60")
+SWEEP_KEY = "sweep-fleet.size-100,80,60"
+
+
+def range_extender(battery_wh: int) -> dict:
+    return {"fleet": {"initial_soc": 0.3,
+                      "vehicle": {"overrides": {
+                          "battery_capacity_wh": battery_wh}}},
+            "policies": {"dispatch_reserve_soc": 0.0}}
+
+
+def probes() -> dict[str, tuple[str, dict, int]]:
+    """Every single-run probe by key: its workload, the overrides merged
+    on top of it, and its seed."""
+    table = {}
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            table[run_key(workload, seed)] = (workload, {}, seed)
+        for workload in RANGE_EXTENDER_WORKLOADS:
+            for battery in BATTERIES_WH:
+                table[run_key(f"{workload}-re{battery}wh", seed)] = (
+                    workload, range_extender(battery), seed)
+        table[run_key("bundled_day-stranding", seed)] = (
+            "bundled_day", STRANDING, seed)
+    return table
+
+
+def run_key(name: str, seed: int) -> str:
+    return f"{name}-s{seed}"
 
 
 def file_digest(path: Path) -> str:
@@ -36,24 +88,62 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_digests(workload: str, seed: int, out_dir: Path) -> dict[str, str]:
-    """Run ``workload`` at ``seed`` into ``out_dir`` with the event log and
-    return the sha256 of each output file by name."""
+def tree_digests(out_dir: Path) -> dict[str, str]:
+    """The sha256 of every file under ``out_dir``, by relative path."""
+    return {p.relative_to(out_dir).as_posix(): file_digest(p)
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def run_probe(key: str, out_dir: Path):
+    """Run probe ``key`` into ``out_dir`` with the event log; returns the
+    run's result."""
+    workloads = load_bench_workloads()
+    workload, overrides, seed = probes()[key]
     path = default_scenario_path()
-    raw = load_bench_workloads().scenario(workload, load_raw(path), seed)
-    run_scenario(build_config(raw, path.parent), out_dir, event_log=True)
-    return {p.name: file_digest(p) for p in sorted(out_dir.iterdir())}
+    raw = workloads.merge(
+        workloads.scenario(workload, load_raw(path), seed), overrides)
+    return run_scenario(build_config(raw, path.parent), out_dir,
+                        event_log=True)
 
 
-def run_key(workload: str, seed: int) -> str:
-    return f"{workload}-s{seed}"
+def run_sweep(out_dir: Path) -> None:
+    status = cli.main(["sweep", str(default_scenario_path()), *SWEEP_ARGS,
+                       "--out", str(out_dir)])
+    assert status == cli.EXIT_OK
+
+
+def check_probe(key: str, out_dir: Path):
+    """Run probe ``key`` and compare its outputs with the table; returns
+    the run's result."""
+    result = run_probe(key, out_dir)
+    assert tree_digests(out_dir) == json.loads(GOLDEN.read_text())[key]
+    return result
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_outputs_match_the_golden_hashes(tmp_path, workload, seed):
-    golden = json.loads(GOLDEN.read_text())[run_key(workload, seed)]
-    assert run_digests(workload, seed, tmp_path) == golden
+    check_probe(run_key(workload, seed), tmp_path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("battery_wh", BATTERIES_WH)
+@pytest.mark.parametrize("workload", RANGE_EXTENDER_WORKLOADS)
+def test_range_extender_outputs_match_the_golden_hashes(
+        tmp_path, workload, battery_wh, seed):
+    check_probe(run_key(f"{workload}-re{battery_wh}wh", seed), tmp_path)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stranding_outputs_match_the_golden_hashes(tmp_path, seed):
+    result = check_probe(run_key("bundled_day-stranding", seed), tmp_path)
+    assert result.n_stranded > 0
+
+
+def test_sweep_outputs_match_the_golden_hashes(tmp_path):
+    run_sweep(tmp_path)
+    assert tree_digests(tmp_path) == json.loads(
+        GOLDEN.read_text())[SWEEP_KEY]
 
 
 if __name__ == "__main__":
@@ -61,8 +151,9 @@ if __name__ == "__main__":
 
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                key = run_key(workload, seed)
-                table[key] = run_digests(workload, seed, Path(tmp) / key)
+        for key in probes():
+            run_probe(key, Path(tmp) / key)
+            table[key] = tree_digests(Path(tmp) / key)
+        run_sweep(Path(tmp) / SWEEP_KEY)
+        table[SWEEP_KEY] = tree_digests(Path(tmp) / SWEEP_KEY)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
