@@ -138,7 +138,14 @@ class ChargingManager:
     All vehicles share ``params``, the fleet's one vehicle model, and
     ``target_soc``, the fleet's one charging target: every session charges
     to it, and each session keeps it as its own ``target_soc``. Of a
-    vehicle the manager reads only ``vehicle_id`` and ``state``."""
+    vehicle the manager reads only ``vehicle_id`` and ``state``.
+
+    Per station it keeps the queued charge seconds, summed left to right
+    from the queue head, so that an estimate does not rescan the queue. An
+    append continues that sum. A ``popleft`` would need a subtraction,
+    which does not give the same float as the sum from the new head, so it
+    marks the total stale (``None``) instead, and the next estimate rescans
+    once and stores the result."""
 
     def __init__(self, stations: list[ChargingStation], params: VehicleParams,
                  target_soc: float):
@@ -151,6 +158,8 @@ class ChargingManager:
             self.stations[st.station_id] = st
         self.queues: dict[str, deque[_QueueEntry]] = {
             sid: deque() for sid in self.stations}
+        self._queued_s: dict[str, float | None] = {
+            sid: 0.0 for sid in self.stations}
         self.occupancy: dict[str, dict[str, _Occupied]] = {
             sid: {} for sid in self.stations}
         self.sessions: list[ChargeSession] = []
@@ -226,8 +235,11 @@ class ChargingManager:
                        key=lambda s: (-s.power_w, s.slot_id))
             return self._start_session(station, slot, vehicle, at_ms, at_ms)
         queue = self.queues[station_id]
-        queue.append(_QueueEntry(vehicle, at_ms,
-                                 self._queued_charge_s(station, vehicle)))
+        charge_s = self._queued_charge_s(station, vehicle)
+        queue.append(_QueueEntry(vehicle, at_ms, charge_s))
+        total = self._queued_s[station_id]
+        if total is not None:
+            self._queued_s[station_id] = total + charge_s
         self._engaged.add(vehicle.vehicle_id)
         return Queued(len(queue))
 
@@ -249,6 +261,7 @@ class ChargingManager:
         if not queue:
             return None
         entry = queue.popleft()
+        self._queued_s[station_id] = None
         self._engaged.discard(entry.vehicle.vehicle_id)
         slot = next(s for s in station.slots if s.slot_id == slot_id)
         return self._start_session(station, slot, entry.vehicle,
@@ -285,14 +298,23 @@ class ChargingManager:
         """Expected wait before a slot frees for a vehicle joining the
         queue: remaining occupant time plus the estimated charge time of
         every queued vehicle, shared over the servers."""
+        sid = station.station_id
         remaining = sum(
             max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
-            for occ in self.occupancy[station.station_id].values()
+            for occ in self.occupancy[sid].values()
         )
-        queued_s = 0.0
-        for entry in self.queues[station.station_id]:
-            queued_s += entry.charge_s
+        queued_s = self._queued_s[sid]
+        if queued_s is None:
+            queued_s = self._queued_s[sid] = self._rescan(sid)
         return (remaining + queued_s) / station.max_simultaneous
+
+    def _rescan(self, station_id: str) -> float:
+        """The queued charge seconds at ``station_id``, summed left to
+        right from the queue head."""
+        queued_s = 0.0
+        for entry in self.queues[station_id]:
+            queued_s += entry.charge_s
+        return queued_s
 
     def select_station(
         self,
@@ -324,8 +346,9 @@ class ChargingManager:
 
     def assert_consistent(self) -> None:
         """Global scan: simultaneity limits hold, no vehicle appears twice
-        across queues and occupancies, and every queued charge time equals
-        a fresh estimate. Intended for test builds."""
+        across queues and occupancies, every queued charge time equals a
+        fresh estimate, and every stored queue total equals a fresh
+        rescan. Intended for test builds."""
         seen: set[str] = set()
         for sid, station in self.stations.items():
             occupancy = self.occupancy[sid]
@@ -343,4 +366,8 @@ class ChargingManager:
                 assert entry.charge_s == self._queued_charge_s(
                     station, entry.vehicle), (
                     f"{vid}: stale queued charge time")
+            total = self._queued_s[sid]
+            assert total is None or total == self._rescan(sid), (
+                f"{sid}: stored queue total {total!r} is not the rescan "
+                f"{self._rescan(sid)!r}")
         assert seen == self._engaged

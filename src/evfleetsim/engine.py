@@ -109,10 +109,14 @@ class SimulationSummary:
 
 
 class Engine:
-    """Single-threaded event loop with a (time, insertion-order) priority queue."""
+    """Single-threaded event loop with a (time, insertion-order) priority queue.
+
+    ``now_ms`` is the clock: a plain attribute, read by every handler and
+    written only by :meth:`run_until`, as each event fires and at the end
+    of the run."""
 
     def __init__(self, *, keep_event_log: bool = False):
-        self._clock_ms = 0
+        self.now_ms = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self.handlers: dict[EventKind, Callable[[Event], None]] = {}
@@ -120,12 +124,8 @@ class Engine:
         self.event_log: list[tuple[int, int, str, str]] = []
 
     @property
-    def now_ms(self) -> int:
-        return self._clock_ms
-
-    @property
     def now_s(self) -> float:
-        return self._clock_ms / MS_PER_S
+        return self.now_ms / MS_PER_S
 
     def on(self, kind: EventKind, handler: Callable[[Event], None]) -> None:
         self.handlers[kind] = handler
@@ -134,10 +134,10 @@ class Engine:
         """Enqueue ``event`` to fire at ``at`` (ms) and stamp ``at`` and
         ``sequence`` on it. Same-time events fire in insertion order;
         scheduling in the past is a logic bug and raises."""
-        if at < self._clock_ms:
+        if at < self.now_ms:
             raise SchedulingInPastError(
                 f"cannot schedule {event.kind.value} at t={at} ms: "
-                f"clock is already at {self._clock_ms} ms"
+                f"clock is already at {self.now_ms} ms"
             )
         event.at = at
         event.sequence = seq = self._seq
@@ -160,7 +160,7 @@ class Engine:
         pop = heapq.heappop
         while queue and queue[0][0] <= end_ms:
             at, _, event = pop(queue)
-            self._clock_ms = at
+            self.now_ms = at
             kind = event.kind
             handler = handlers.get(kind)
             if handler is None:
@@ -174,8 +174,8 @@ class Engine:
             except Exception as exc:  # abort with the offending event identified
                 raise SimulationAborted(event, exc) from exc
             dispatched[kind] += 1
-        if end_ms > self._clock_ms:
-            self._clock_ms = end_ms
+        if end_ms > self.now_ms:
+            self.now_ms = end_ms
         return SimulationSummary(
             dispatched=dispatched,
             wall_clock_s=_wallclock.perf_counter() - started,

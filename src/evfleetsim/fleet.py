@@ -28,6 +28,13 @@ move it, and neither happens in the idle state.
 The controller schedules every event of a charging episode; the charging
 manager only grants slots and returns the sessions it starts.
 
+A route is driven with one :class:`~evfleetsim.engine.Event`, made when the
+route begins. Each ``SegmentComplete`` handler reschedules the event it was
+handed for the next leg, with that leg's edge in its payload; after the last
+leg it becomes the ``ArriveDestination``, and a leg that strands makes it the
+``Stranded``. Once fired and not rescheduled, it is dropped: no event is
+kept per vehicle.
+
 A vehicle's one state is its :class:`Lifecycle`; why it drives follows from
 it: an ``EN_ROUTE`` vehicle is on a trip's way out, and a ``RETURNING`` one
 is heading to ``divert_station`` if it has one, else to the depot.
@@ -550,9 +557,16 @@ class FleetController:
         vehicle.segment_index = 0
         vehicle.state.velocity = 0.0
         self._transition(vehicle, state)
-        self._drive_current_segment(vehicle)
+        self._drive_current_segment(
+            vehicle, Event(EventKind.SEGMENT_COMPLETE,
+                           {"vehicle": vehicle.vehicle_id}))
 
-    def _drive_current_segment(self, vehicle: Vehicle) -> None:
+    def _drive_current_segment(self, vehicle: Vehicle, event: Event) -> None:
+        """Drive the vehicle's current leg and schedule the route's
+        ``event`` at its end, as a ``SegmentComplete`` or, if the vehicle
+        strands, a ``Stranded``, with the leg's edge in its payload. The
+        event is changed only after the drive, the last call that can raise,
+        so a failing leg aborts with the identity of the event that fired."""
         now = self.engine.now_ms
         factor = self._speed_factor(now)
         edge, next_limit = vehicle.legs[vehicle.segment_index]
@@ -565,11 +579,10 @@ class FleetController:
                                         self.model)
         vehicle.trace = result.trace
         vehicle.trace_start_ms = now
-        kind = EventKind.STRANDED if result.stranded else EventKind.SEGMENT_COMPLETE
-        self.engine.schedule(
-            Event(kind, {"vehicle": vehicle.vehicle_id, "edge": edge.edge_id}),
-            now + result.duration_ms,
-        )
+        if result.stranded:
+            event.kind = EventKind.STRANDED
+        event.payload["edge"] = edge.edge_id
+        self.engine.schedule(event, now + result.duration_ms)
 
     def _set_idle(self, vehicle: Vehicle) -> None:
         vehicle.trip = None
@@ -631,17 +644,12 @@ class FleetController:
                 f"segment completion without a route: {vehicle.dump()}")
         vehicle.segment_index += 1
         if vehicle.segment_index < len(legs):
-            self._drive_current_segment(vehicle)
+            self._drive_current_segment(vehicle, event)
         else:
+            # the payload already names the vehicle and the last edge
             vehicle.legs = vehicle.trace = None
-            self.engine.schedule(
-                Event(
-                    EventKind.ARRIVE_DESTINATION,
-                    {"vehicle": vehicle.vehicle_id,
-                     "edge": legs[-1][0].edge_id},
-                ),
-                self.engine.now_ms,
-            )
+            event.kind = EventKind.ARRIVE_DESTINATION
+            self.engine.schedule(event, self.engine.now_ms)
 
     def on_arrive_destination(self, event: Event) -> None:
         vehicle = self._alive(event)

@@ -1,5 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dummy_vehicle, make_params
 
@@ -9,7 +13,7 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  Queued, Slot, charge_duration,
                                  session_progress)
 from evfleetsim.dynamics import DriveModel, Environment, VehicleState
-from evfleetsim.engine import Engine, Event, EventKind, ms
+from evfleetsim.engine import MS_PER_S, Engine, Event, EventKind, ms
 from evfleetsim.fleet import (FleetController, FleetPolicies, Lifecycle,
                               Vehicle)
 from evfleetsim.network import Coord, Edge, RoadNetwork
@@ -221,6 +225,64 @@ def test_randomized_service_order_equals_arrival_order():
         engine.run_until(10**12)
         assert grants == arrivals
         assert len(mgr.sessions) == n
+
+
+# --- the stored queue totals ------------------------------------------------------
+
+def rescanned_wait_s(mgr, station, at_ms):
+    """The wait estimate of ``station`` at ``at_ms`` by its formula, with
+    the queued charge seconds summed afresh from the queue head."""
+    remaining = sum(
+        max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
+        for occ in mgr.occupancy[station.station_id].values())
+    queued_s = 0.0
+    for entry in mgr.queues[station.station_id]:
+        queued_s += entry.charge_s
+    return (remaining + queued_s) / station.max_simultaneous
+
+
+ONE_SLOT = ChargingStation("st1", "e1", (Slot("s0", PLUG_PRESETS["schuko"]),), 1)
+QUEUE_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("request"), st.floats(0.0, 0.999)),
+    st.tuples(st.just("release"), st.integers(0, 1)),
+    # an estimate on the manager itself stores a rescanned total
+    st.tuples(st.just("estimate"), st.none()),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ONE_SLOT, two_slot_station()]), QUEUE_OPERATIONS,
+       st.lists(st.integers(0, 5_000_000), min_size=40, max_size=40))
+def test_the_wait_estimate_equals_a_fresh_rescan(station, operations, steps):
+    mgr = ChargingManager([station], PARAMS, 1.0)
+    sid = station.station_id
+    at_ms = 0
+    for k, ((name, arg), step) in enumerate(zip(operations, steps)):
+        at_ms += step
+        if name == "request":
+            mgr.request_charge(dummy_vehicle(f"v{k}", soc=arg), sid, at_ms)
+        elif name == "release" and mgr.occupancy[sid]:
+            slots = sorted(mgr.occupancy[sid])
+            mgr.release_slot(sid, slots[arg % len(slots)], at_ms)
+        elif name == "estimate":
+            mgr.estimate_wait_s(station, at_ms)
+        mgr.assert_consistent()
+        # on a copy, so that a stale total stays stale for the next append
+        probe = copy.deepcopy(mgr)
+        assert repr(probe.estimate_wait_s(probe.stations[sid], at_ms)) == repr(
+            rescanned_wait_s(mgr, station, at_ms))
+
+
+def test_assert_consistent_refuses_a_corrupted_queue_total():
+    mgr = ChargingManager([ONE_SLOT], PARAMS, 1.0)
+    for vid, soc in (("a", 0.5), ("b", 0.3), ("c", 0.7)):
+        mgr.request_charge(dummy_vehicle(vid, soc=soc), "st1", 0)
+    mgr.assert_consistent()
+    total = mgr.estimate_wait_s(ONE_SLOT, 0)
+    mgr._queued_s["st1"] += 1e-9
+    with pytest.raises(AssertionError, match="stored queue total"):
+        mgr.assert_consistent()
+    assert mgr.estimate_wait_s(ONE_SLOT, 0) != total
 
 
 # --- wait-or-divert ---------------------------------------------------------------

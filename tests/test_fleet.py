@@ -511,6 +511,60 @@ def test_stranded_vehicle_is_terminal():
         )
 
 
+def vehicle_log(engine, vehicle_id):
+    """The ``(at, sequence, kind, payload)`` rows of ``vehicle_id`` in the
+    engine's event log, in dispatch order."""
+    return [row for row in engine.event_log
+            if f"vehicle={vehicle_id}" in row[3].split(";")]
+
+
+def test_a_leg_that_cannot_be_driven_aborts_naming_the_completed_leg():
+    # the smallest brake the vehicle model admits cannot stop from the
+    # 10 m/s limit on a 100 m edge: the route's last leg raises, driven
+    # from the SegmentComplete of the leg before it
+    engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
+        n_vehicles=1, params=make_params(max_deceleration_mps2=0.1))
+    engine.keep_event_log = True
+    trip = make_trip(net, depot, sorted(net.edges)[10])
+    ctrl.schedule_trips([trip])
+    with pytest.raises(SimulationAborted) as err:
+        engine.run_until(ms(3600))
+    assert isinstance(err.value.cause, dynamics.InfeasibleSegmentError)
+    event = err.value.event
+    completed = trip.outbound.edges[-2]
+    assert event.kind is EventKind.SEGMENT_COMPLETE
+    assert event.payload == {"vehicle": "v0", "edge": completed}
+    # the event as it fired: the log's last row is written before its handler
+    at, sequence, kind, payload = engine.event_log[-1]
+    assert (event.at, event.sequence, event.kind.value, event.payload_str()) \
+        == (at, sequence, kind, payload)
+    assert str(err.value).startswith(
+        f"handler for SegmentComplete at t={at / 1000:.3f}s "
+        f"(seq={sequence}, edge={completed};vehicle=v0) failed: ")
+    assert [row[3] for row in vehicle_log(engine, "v0")
+            if row[2] == "SegmentComplete"] == [
+        f"edge={edge};vehicle=v0" for edge in trip.outbound.edges[:-1]]
+
+
+def test_an_arrival_carries_the_payload_of_the_routes_last_segment():
+    engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
+        n_vehicles=1, policies=FleetPolicies(depot_charge_threshold=0.5))
+    engine.keep_event_log = True
+    trip = make_trip(net, depot, sorted(net.edges)[10])
+    ctrl.schedule_trips([trip])
+    engine.run_until(ms(3600))
+    assert trip.status == "completed"
+    rows = vehicle_log(engine, "v0")
+    arrivals = [k for k, row in enumerate(rows)
+                if row[2] == "ArriveDestination"]
+    assert len(arrivals) == 2
+    for k, route in zip(arrivals, (trip.outbound, trip.return_route)):
+        _, _, kind, payload = rows[k - 1]
+        assert kind == "SegmentComplete"
+        assert rows[k][3] == payload == f"edge={route.edges[-1]};vehicle=v0"
+        assert rows[k][0] == rows[k - 1][0]
+
+
 def test_queue_then_slot_granted_fifo_at_depot():
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
         n_vehicles=3, soc=1.0,
