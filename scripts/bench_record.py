@@ -1,6 +1,6 @@
 """Record a BENCH_<n>.json from the repository's own benchmark.
 
-    python3 scripts/bench_record.py --out BENCH_26.json [--parent DIR]
+    python3 scripts/bench_record.py --out BENCH_<n>.json [--parent DIR]
 
 Runs ``bench/run.py --trace 0`` for every workload of ``bench/workloads.py``
 at the default and the held-out seed, 10 invocations per side, each as long
@@ -13,13 +13,17 @@ per invocation, with their median and quartiles over the invocations, and
 the ``outputs`` and ``sha256`` of the runs. It times and gates nothing
 itself: those numbers are ``bench/run.py``'s.
 
-It adds an ungated scale ladder per checkout: ``fleet_1000`` at the default
-seed with 1,000 to 30,000 vehicles and a quarter as many schedules, run in
-one process per checkout. Each point is run twice: once for the time and
-the event count, once under ``tracemalloc`` for the peak of traced
-allocations, since tracing slows the run. ``run_s`` is the time corrected
-for the machine's speed by the benchmark's ``SpeedProbe``, as ``bench/run.py``
-corrects its own; ``wall_s`` is the plain wall time. It records the Python, numpy and
+It adds an ungated scale ladder: ``fleet_1000`` at the default seed with
+1,000 to 100,000 vehicles and a quarter as many schedules. Every run of a
+point is one fresh interpreter, and the runs of a point alternate between
+the checkouts, changing which runs first on every round. A point up to
+30,000 vehicles has three timed runs per checkout, and its ``run_s`` and
+``wall_s`` are their medians; one more run under ``tracemalloc`` gives the
+peak of traced allocations, since tracing slows the run. The 100,000-vehicle
+point has one timed run per checkout and no ``tracemalloc`` run: its peak is
+recorded as ``null``. ``run_s`` is the time corrected for the machine's
+speed by the benchmark's ``SpeedProbe``, as ``bench/run.py`` corrects its
+own; ``wall_s`` is the plain wall time. It records the Python, numpy and
 BLAS versions and each checkout's git revision. A checkout whose ``src``
 or ``bench`` differs from its revision is refused, so that a record names
 the code it measured. The file is written to ``--out`` at the root of this
@@ -39,7 +43,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (42, 1003)
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
-LADDER = (1_000, 3_000, 10_000, 30_000)
+LADDER = (1_000, 3_000, 10_000, 30_000, 100_000)
+LADDER_RUNS = 3
+# from this size on, a point has one timed run per checkout and no
+# tracemalloc run
+LARGE_POINT = 100_000
 PAIRS = 10
 
 
@@ -124,20 +132,23 @@ def compare(change: dict, parent: dict) -> dict:
     return out
 
 
-def ladder(checkout: Path) -> list[dict]:
-    """The scale ladder, run in a fresh interpreter on ``checkout``'s
+def ladder_run(checkout: Path, vehicles: int, traced: bool) -> dict:
+    """One run of a ladder point in a fresh interpreter on ``checkout``'s
     sources."""
     proc = subprocess.run(
-        [sys.executable, __file__, "--ladder-of", str(checkout)],
+        [sys.executable, __file__, "--ladder-of", str(checkout),
+         "--vehicles", str(vehicles), *(["--tracemalloc"] if traced else [])],
         capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: ladder failed:\n{proc.stderr}")
+        raise RuntimeError(f"{checkout}: ladder point {vehicles} failed:\n"
+                           f"{proc.stderr}")
     return json.loads(proc.stdout)
 
 
-def run_ladder(checkout: Path) -> list[dict]:
-    """The ladder in this process, on ``checkout``'s sources, timed by the
-    benchmark's own ``SpeedProbe``."""
+def run_ladder_point(checkout: Path, vehicles: int, traced: bool) -> dict:
+    """One run of a ladder point in this process, on ``checkout``'s sources:
+    its times, by the benchmark's own ``SpeedProbe``, and its event count;
+    or, if ``traced``, the ``tracemalloc`` peak."""
     import shutil
     import tracemalloc
 
@@ -153,29 +164,57 @@ def run_ladder(checkout: Path) -> list[dict]:
 
     workloads = worker.workloads
     path = config.default_scenario_path()
+    raw = workloads.scenario("fleet_1000", config.load_raw(path),
+                             workloads.DEFAULT_SEED)
+    raw["fleet"]["size"] = vehicles
+    raw["demand"]["schedule_size"] = vehicles // 4
+    cfg = config.build_config(raw, path.parent)
     out_dir = worker.OUT / "ladder"
-    points = []
-    for size in LADDER:
-        raw = workloads.scenario("fleet_1000", config.load_raw(path),
-                                 workloads.DEFAULT_SEED)
-        raw["fleet"]["size"] = size
-        raw["demand"]["schedule_size"] = size // 4
-        cfg = config.build_config(raw, path.parent)
-        try:
-            with worker.SpeedProbe() as probe:
-                result = run_scenario(cfg, out_dir)
+    try:
+        if traced:
             tracemalloc.start()
             try:
                 run_scenario(cfg, out_dir)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        finally:
-            shutil.rmtree(out_dir, ignore_errors=True)
-        points.append({"vehicles": size, "schedule_size": size // 4,
-                       "run_s": probe.seconds(), "wall_s": probe.wall_s,
-                       "events": result.engine_summary.total_dispatched,
-                       "tracemalloc_peak_mb": peak / 2**20})
+            return {"tracemalloc_peak_mb": peak / 2**20}
+        with worker.SpeedProbe() as probe:
+            result = run_scenario(cfg, out_dir)
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
+    return {"run_s": probe.seconds(), "wall_s": probe.wall_s,
+            "events": result.engine_summary.total_dispatched}
+
+
+def ladders(sides: dict[str, Path]) -> dict[str, list[dict]]:
+    """The scale ladder of every side, each point run alternately on the
+    sides (see the module docstring)."""
+    points: dict[str, list[dict]] = {side: [] for side in sides}
+    for vehicles in LADDER:
+        large = vehicles >= LARGE_POINT
+        runs: dict[str, list[dict]] = {side: [] for side in sides}
+        for k in range(1 if large else LADDER_RUNS):
+            order = list(sides) if k % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                run = ladder_run(sides[side], vehicles, traced=False)
+                runs[side].append(run)
+                print(f"ladder {vehicles} {side} run {k + 1}: wall_s "
+                      f"{run['wall_s']:.2f}", file=sys.stderr, flush=True)
+        for side, checkout in sides.items():
+            events = {run["events"] for run in runs[side]}
+            if len(events) != 1:
+                raise RuntimeError(f"{checkout}: ladder point {vehicles} "
+                                   f"dispatched {sorted(events)} events")
+            peak = (None if large else ladder_run(
+                checkout, vehicles, traced=True)["tracemalloc_peak_mb"])
+            points[side].append({
+                "vehicles": vehicles, "schedule_size": vehicles // 4,
+                "run_s": statistics.median(r["run_s"] for r in runs[side]),
+                "wall_s": statistics.median(r["wall_s"] for r in runs[side]),
+                "samples": [{"run_s": r["run_s"], "wall_s": r["wall_s"]}
+                            for r in runs[side]],
+                "events": events.pop(), "tracemalloc_peak_mb": peak})
     return points
 
 
@@ -196,9 +235,13 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path,
                         help="a second checkout to alternate with")
     parser.add_argument("--ladder-of", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--vehicles", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--tracemalloc", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.ladder_of is not None:
-        print(json.dumps(run_ladder(args.ladder_of.resolve())))
+        print(json.dumps(run_ladder_point(args.ladder_of.resolve(),
+                                          args.vehicles, args.tracemalloc)))
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -221,6 +264,7 @@ def main(argv=None) -> int:
                           f"{report['end_to_end']['run_s']:.4f}",
                           file=sys.stderr, flush=True)
 
+    ladder = ladders(sides)
     record = {
         "command": (f"bench/run.py --trace 0 --seconds "
                     f"{benchmark['run_seconds']:g}"),
@@ -229,8 +273,8 @@ def main(argv=None) -> int:
         "sides": {side: {"revision": revisions[side],
                          "workloads": {key: summarise(runs) for key, runs
                                        in reports[side].items()},
-                         "ladder": ladder(checkout)}
-                  for side, checkout in sides.items()},
+                         "ladder": ladder[side]}
+                  for side in sides},
     }
     if "parent" in sides:
         change, parent = (record["sides"][s]["workloads"]

@@ -4,6 +4,7 @@
 import importlib.util
 import json
 import re
+import statistics
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,11 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 METRICS = ("run_s", "setup_s", "peak_rss_mb")
 OUTPUTS = {"histograms.csv", "manifest.json", "sessions.csv", "summary.csv",
            "ticks.csv", "trips.csv", "utilization.csv"}
+# every record has this ladder, except those listed in OLD_LADDERS
+LADDER = [1000, 3000, 10000, 30000, 100000]
+# the ladder of a record made before the 100,000-vehicle point: one run per
+# point and checkout, and a tracemalloc peak at every point
+OLD_LADDERS = {"BENCH_26.json": [1000, 3000, 10000, 30000]}
 
 
 def load_recorder():
@@ -33,7 +39,37 @@ def check_spread(spread, n):
     assert 0 < spread["q1"] <= spread["median"] <= spread["q3"]
 
 
-def check_side(side, pairs):
+def check_old_ladder(ladder, sizes):
+    assert [p["vehicles"] for p in ladder] == sizes
+    for point in ladder:
+        assert point["schedule_size"] == point["vehicles"] // 4
+        assert point["run_s"] > 0 and point["wall_s"] > 0
+        assert point["tracemalloc_peak_mb"] > 0
+        assert point["events"] > point["vehicles"]
+
+
+def check_ladder(ladder):
+    """Three timed runs and a tracemalloc peak per point, except at 100,000
+    vehicles: one timed run and no peak."""
+    assert [p["vehicles"] for p in ladder] == LADDER
+    for point in ladder:
+        assert set(point) == {"vehicles", "schedule_size", "run_s", "wall_s",
+                              "samples", "events", "tracemalloc_peak_mb"}
+        assert point["schedule_size"] == point["vehicles"] // 4
+        assert point["events"] > point["vehicles"]
+        large = point["vehicles"] == 100000
+        assert len(point["samples"]) == (1 if large else 3)
+        for name in ("run_s", "wall_s"):
+            values = [sample[name] for sample in point["samples"]]
+            assert all(value > 0 for value in values)
+            assert point[name] == statistics.median(values)
+        if large:
+            assert point["tracemalloc_peak_mb"] is None
+        else:
+            assert point["tracemalloc_peak_mb"] > 0
+
+
+def check_side(side, pairs, record_name):
     assert set(side) == {"revision", "workloads", "ladder"}
     assert is_hex(side["revision"], 40)
     assert sorted(side["workloads"]) == sorted(
@@ -50,12 +86,10 @@ def check_side(side, pairs):
         assert record["outputs"]["ledger_error"] < 1e-6
         assert set(record["sha256"]) == OUTPUTS
         assert all(is_hex(h, 64) for h in record["sha256"].values())
-    assert [p["vehicles"] for p in side["ladder"]] == [1000, 3000, 10000, 30000]
-    for point in side["ladder"]:
-        assert point["schedule_size"] == point["vehicles"] // 4
-        assert point["run_s"] > 0 and point["wall_s"] > 0
-        assert point["tracemalloc_peak_mb"] > 0
-        assert point["events"] > point["vehicles"]
+    if record_name in OLD_LADDERS:
+        check_old_ladder(side["ladder"], OLD_LADDERS[record_name])
+    else:
+        check_ladder(side["ladder"])
 
 
 def test_a_bench_record_is_checked_in():
@@ -74,7 +108,7 @@ def test_bench_record_schema(path):
     pairs = record["pairs"]
     assert set(record["sides"]) in ({"change"}, {"change", "parent"})
     for side in record["sides"].values():
-        check_side(side, pairs)
+        check_side(side, pairs, path.name)
     if "parent" not in record["sides"]:
         assert "comparison" not in record
         return
@@ -83,6 +117,12 @@ def test_bench_record_schema(path):
             counts = metrics[name]
             assert counts["pairs"] == pairs
             assert counts["change_lower"] + counts["parent_lower"] <= pairs
+
+
+def test_the_recorder_runs_the_ladder_the_records_must_have():
+    recorder = load_recorder()
+    assert list(recorder.LADDER) == LADDER
+    assert (recorder.LADDER_RUNS, recorder.LARGE_POINT) == (3, 100000)
 
 
 def test_summaries_take_median_and_quartiles_over_invocations():
