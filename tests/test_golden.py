@@ -59,6 +59,10 @@ def range_extender(battery_wh: int) -> dict:
             "policies": {"dispatch_reserve_soc": 0.0}}
 
 
+def run_key(name: str, seed: int) -> str:
+    return f"{name}-s{seed}"
+
+
 def probes() -> dict[str, tuple[str, dict, int]]:
     """Every single-run probe by key: its workload, the overrides merged
     on top of it, and its seed."""
@@ -73,10 +77,6 @@ def probes() -> dict[str, tuple[str, dict, int]]:
         table[run_key("bundled_day-stranding", seed)] = (
             "bundled_day", STRANDING, seed)
     return table
-
-
-def run_key(name: str, seed: int) -> str:
-    return f"{name}-s{seed}"
 
 
 def file_digest(path: Path) -> str:
