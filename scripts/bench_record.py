@@ -137,7 +137,7 @@ def ladder_run(checkout: Path, vehicles: int, traced: bool) -> dict:
     sources."""
     proc = subprocess.run(
         [sys.executable, __file__, "--ladder-of", str(checkout),
-         "--vehicles", str(vehicles), *(["--tracemalloc"] if traced else [])],
+         str(vehicles), "tracemalloc" if traced else "timed"],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: ladder point {vehicles} failed:\n"
@@ -234,14 +234,13 @@ def main(argv=None) -> int:
                         "the root of this checkout")
     parser.add_argument("--parent", type=Path,
                         help="a second checkout to alternate with")
-    parser.add_argument("--ladder-of", type=Path, help=argparse.SUPPRESS)
-    parser.add_argument("--vehicles", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--tracemalloc", action="store_true",
-                        help=argparse.SUPPRESS)
+    # one run of a ladder point: checkout, vehicles, "timed" or "tracemalloc"
+    parser.add_argument("--ladder-of", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.ladder_of is not None:
-        print(json.dumps(run_ladder_point(args.ladder_of.resolve(),
-                                          args.vehicles, args.tracemalloc)))
+        checkout, vehicles, kind = args.ladder_of
+        print(json.dumps(run_ladder_point(Path(checkout).resolve(),
+                                          int(vehicles), kind == "tracemalloc")))
         return 0
     if not args.out:
         parser.error("--out is required")
