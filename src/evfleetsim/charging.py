@@ -33,12 +33,19 @@ PLUG_PRESETS = {"schuko": 2300.0, "iec_type2": 3600.0}
 
 @dataclass(frozen=True)
 class Slot:
+    """One charging point of a station: its id and rated power in W."""
+
     slot_id: str
     power_w: float
 
 
 @dataclass
 class ChargeSession:
+    """One vehicle's charge at a slot: the station, slot and vehicle,
+    the enqueue, grant and completion times in ms, the duration, the
+    effective power, the battery-side energy and the SOC it starts at
+    and aims for; ``truncated`` marks a session the horizon cut short."""
+
     station_id: str
     slot_id: str
     vehicle_id: str
@@ -55,12 +62,17 @@ class ChargeSession:
 
 @dataclass
 class _Occupied:
+    """A slot in use: the vehicle charging there and its session."""
+
     vehicle: object
     session: ChargeSession
 
 
 @dataclass
 class _QueueEntry:
+    """A vehicle waiting in a station's queue, with the time it joined
+    and its estimated charge seconds."""
+
     vehicle: object
     enqueue_ms: int
     # estimated seconds to charge at the station's mean slot power; fixed
@@ -94,11 +106,16 @@ class ChargingStation:
 
 @dataclass(frozen=True)
 class Queued:
+    """A charge request that found no free slot: the vehicle's place in
+    the station's queue."""
+
     position: int  # 1-based, in the station's queue
 
 
 @dataclass(frozen=True)
 class DivertTo:
+    """A station to divert to instead of waiting, and the route there."""
+
     station_id: str
     route: network.Route
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -50,6 +51,17 @@ MAX_TICK_ROWS = (int(MAX_HORIZON_S) // 10 + 1) * MAX_VEHICLES
 # the most rows a run may write to utilization.csv (one per bin): one-second
 # bins over the longest horizon, 604,800 rows
 MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
+# the deepest nesting of mappings and lists a scenario file may have; the
+# bundled scenario nests 5 deep. libyaml's loader composes a document by
+# recursing on the C stack, so 100,000 nested "[" would crash the process
+# (the pure-Python loader raises RecursionError at about 500); the depth
+# is checked on the event stream, whose parser keeps its stacks on the heap
+MAX_CONFIG_DEPTH = 32
+# libyaml's parser with PyYAML's safe constructor, when PyYAML was built
+# with libyaml (as its wheels are); else the same loader in pure Python
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_OPEN = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
+_CLOSE = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
 
 
 class ConfigError(ValueError):
@@ -247,6 +259,10 @@ def _build(path: str, errors: list[str], make, *args, **kwargs):
 
 @dataclass
 class ScenarioConfig:
+    """A validated scenario: the fully resolved mapping ``effective``,
+    which a run echoes and hashes, and the values and objects built
+    from it."""
+
     effective: dict
     seed: int
     horizon_s: float
@@ -509,13 +525,48 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     )
 
 
+def _check_depth(stream, path: Path) -> None:
+    """Walk the events of a YAML ``stream`` and raise :class:`ConfigError`
+    at the first mapping or list nested deeper than ``MAX_CONFIG_DEPTH``."""
+    depth = 0
+    for event in yaml.parse(stream, Loader=_LOADER):
+        if isinstance(event, _OPEN):
+            depth += 1
+            if depth > MAX_CONFIG_DEPTH:
+                raise ConfigError(
+                    f"cannot parse config {path}: mappings and lists nested "
+                    f"more than {MAX_CONFIG_DEPTH} deep\n{event.start_mark}")
+        elif isinstance(event, _CLOSE):
+            depth -= 1
+
+
 def load_raw(path: str | Path) -> dict:
+    """Read a scenario file as UTF-8 YAML and return its root mapping
+    (``{}`` for an empty file).
+
+    Raises :class:`ConfigError` for a file that cannot be opened or read
+    (``cannot read config``), one that is not UTF-8 (``cannot read
+    config``, ``not UTF-8``), one that is not valid YAML or holds more than
+    one document (``cannot parse config``, then the parser's message and
+    the file's line and column), one nested deeper than ``MAX_CONFIG_DEPTH``
+    (``cannot parse config``), and one whose root is not a mapping.
+    """
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # read once, so that a pipe can be parsed twice too; a parse
+            # error's marks name the stream, so it takes the file's name
+            stream = io.StringIO(fh.read())
+        stream.name = fh.name
+        _check_depth(stream, path)
+        stream.seek(0)
+        raw = yaml.load(stream, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"cannot read config {path}: not UTF-8 ({exc.reason}: "
+            f"{exc.object[exc.start:exc.end]!r})") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:

@@ -46,6 +46,9 @@ class InfeasibleSegmentError(DynamicsError):
 
 @dataclass(frozen=True)
 class Environment:
+    """The physical constants of the drive model: gravity and air
+    density."""
+
     gravity: float = 9.81  # m/s^2
     air_density: float = 1.2  # kg/m^3
 
@@ -76,6 +79,10 @@ class RangeExtenderParams:
 
 @dataclass(frozen=True)
 class VehicleParams:
+    """A vehicle model: mass, drag, rolling and drivetrain coefficients,
+    recuperation, auxiliary and charging powers, battery capacity,
+    acceleration limits and the optional range extender."""
+
     mass_kg: float
     drag_coefficient: float
     frontal_area_m2: float
@@ -140,6 +147,9 @@ class Cumulative:
 
 @dataclass
 class VehicleState:
+    """A vehicle's physical state: SOC, speed, whether the range
+    extender's relay is on, and its cumulative counters."""
+
     soc: float
     velocity: float = 0.0
     range_extender_on: bool = False

@@ -100,6 +100,9 @@ class SimulationAborted(RuntimeError):
 
 @dataclass
 class SimulationSummary:
+    """What a run of the event loop did: the dispatched events by kind
+    and the wall time it took."""
+
     dispatched: Counter
     wall_clock_s: float
 

@@ -143,6 +143,9 @@ MAX_TRIPS_PER_DAY = 1000
 
 @dataclass(frozen=True)
 class TripsPerDay:
+    """The trips a vehicle makes in a day: ``n`` for the ``fixed``
+    family, or a Poisson draw of ``mean``."""
+
     family: str  # "poisson" or "fixed"
     mean: float
     n: int
@@ -246,6 +249,10 @@ def draw_index(rng: np.random.Generator, cdf: list[float]) -> int:
 
 @dataclass
 class Trip:
+    """One depot-based job: its departure time, sampled airline distance
+    and dwell, its destination and routes once resolved, its status,
+    and the vehicle and time it was dispatched with."""
+
     trip_id: str
     depart_ms: int
     sampled_airline_m: float
@@ -362,6 +369,10 @@ def generate_day_schedule(
 
 @dataclass(slots=True)
 class Vehicle:
+    """One fleet vehicle: its physical state, lifecycle, trip, the legs
+    and trace of the route it drives, its charging session and divert
+    station, and the trips it has made."""
+
     vehicle_id: str
     state: dynamics.VehicleState
     lifecycle: Lifecycle = Lifecycle.IDLE
@@ -391,6 +402,10 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class FleetPolicies:
+    """The fleet's operating rules: the routing weight, the SOC reserves
+    for dispatch and for diverting, the SOC below which a vehicle
+    charges at the depot, and the SOC it charges to."""
+
     routing_weight: str = "travel_time"
     dispatch_reserve_soc: float = 0.10
     depot_charge_threshold: float = 0.95

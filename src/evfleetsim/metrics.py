@@ -209,6 +209,9 @@ def covering_edges(base_edges, trips) -> list[float]:
 
 @dataclass
 class UtilizationSeries:
+    """The start of each utilization bin and, per vehicle group, the
+    vehicles in that group at each start."""
+
     bin_starts_s: list[float]
     counts: dict[str, list[int]]
 

@@ -37,12 +37,17 @@ class NoRouteError(NetworkError):
 
 @dataclass(frozen=True)
 class Coord:
+    """A point in the plane, in metres."""
+
     x: float
     y: float
 
 
 @dataclass(frozen=True)
 class Edge:
+    """A directed road segment between two nodes: its length, speed
+    limit and signed gradient."""
+
     edge_id: str
     from_node: str
     to_node: str

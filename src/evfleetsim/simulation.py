@@ -26,6 +26,10 @@ EVENT_HEADER = ["time_s", "sequence", "kind", "payload"]
 
 @dataclass
 class RunResult:
+    """What one run gives back: the output directory and manifest, the
+    engine summary, the collector, the trips, vehicles and charging
+    manager, and the headline numbers of the run."""
+
     out_dir: Path
     manifest: dict
     engine_summary: SimulationSummary

@@ -1,7 +1,45 @@
 from collections import defaultdict
 from dataclasses import dataclass
 
+import pytest
+import yaml
+
+from evfleetsim import config
 from evfleetsim.dynamics import DriveTrace, VehicleParams, VehicleState
+
+
+class _CrossCheckedLoader(config._LOADER):
+    """The package's scenario loader, which also loads each document again
+    with PyYAML's pure-Python ``SafeLoader`` and requires the same result
+    (by ``repr``, so that ``1``, ``1.0`` and ``True`` differ and a NaN equals
+    itself), nested no deeper than ``MAX_CONFIG_DEPTH``."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._stream = stream
+
+    def get_single_data(self):
+        data = super().get_single_data()
+        expected = yaml.load(self._stream.getvalue(), Loader=yaml.SafeLoader)
+        assert repr(data) == repr(expected), self._stream.name
+        assert depth(expected) <= config.MAX_CONFIG_DEPTH, self._stream.name
+        return data
+
+
+def depth(node) -> int:
+    """How deep mappings and lists nest in ``node``."""
+    if isinstance(node, dict):
+        return 1 + max(map(depth, node.values()), default=0)
+    if isinstance(node, list):
+        return 1 + max(map(depth, node), default=0)
+    return 0
+
+
+@pytest.fixture(autouse=True)
+def cross_checked_loader(monkeypatch):
+    """Every scenario file a test loads through ``config.load_raw`` loads
+    as the pure-Python loader loads it, within the nesting bound."""
+    monkeypatch.setattr(config, "_LOADER", _CrossCheckedLoader)
 
 
 def make_params(**overrides):

@@ -105,7 +105,10 @@ def test_unknown_depot_edge_rejected(tmp_path):
 def test_unparseable_file_reported(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("stations: [unclosed")
-    assert config_errors(path)[0].startswith("cannot parse config")
+    message = config_errors(path)[0]
+    assert message.startswith(f"cannot parse config {path}: ")
+    # the parser's marks name the file, not "<unicode string>"
+    assert f'in "{path}", line 1' in message
 
 
 def test_missing_file_reported(tmp_path):
