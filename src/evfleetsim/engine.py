@@ -5,6 +5,13 @@ the same nominal instant compare exactly equal on every platform.  Ties are
 broken by insertion order, which makes every run with the same inputs
 reproduce the same dispatch sequence byte for byte.
 
+Besides the queue, the engine has one periodic event source,
+:meth:`Engine.every`: one event that fires at a fixed cadence without a
+heap operation or a :meth:`Engine.schedule` call per firing. After each
+firing it takes the next time and the next sequence number, exactly as an
+event whose handler ends by scheduling itself again would, so a run with
+it dispatches and logs the same events with the same stamps.
+
 The engine writes no file. With ``keep_event_log`` it keeps one
 ``(at_ms, sequence, kind, payload)`` tuple per dispatched event in
 ``event_log``; the runner writes them out as ``events.csv``.
@@ -112,16 +119,28 @@ class SimulationSummary:
 
 
 class Engine:
-    """Single-threaded event loop with a (time, insertion-order) priority queue.
+    """Single-threaded event loop with a (time, insertion-order) priority queue
+    and one periodic event source.
 
     ``now_ms`` is the clock: a plain attribute, read by every handler and
     written only by :meth:`run_until`, as each event fires and at the end
-    of the run."""
+    of the run.
+
+    The periodic source (:meth:`every`) holds one event beside the queue,
+    as ``(at, sequence, event)`` like a queue entry, and :meth:`run_until`
+    merges the two by ``(at, sequence)``. Once its handler has returned,
+    the event is stamped with the next time and the next sequence number
+    of the engine, the stamps that ``schedule(event, at + interval_ms)`` at
+    the end of the handler would give it."""
 
     def __init__(self, *, keep_event_log: bool = False):
         self.now_ms = 0
         self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
+        # the periodic event's next firing, as a queue entry, or None; and
+        # its interval and last time in ms
+        self._periodic: tuple[int, int, Event] | None = None
+        self._period = (0, 0)
         self.handlers: dict[EventKind, Callable[[Event], None]] = {}
         self.keep_event_log = keep_event_log
         self.event_log: list[tuple[int, int, str, str]] = []
@@ -147,11 +166,39 @@ class Engine:
         self._seq = seq + 1
         heapq.heappush(self._queue, (at, seq, event))
 
+    def every(self, event: Event, first_ms: int, interval_ms: int,
+              last_ms: int) -> None:
+        """Fire ``event`` at ``first_ms`` and then every ``interval_ms``
+        while the time is at most ``last_ms``, through the one periodic
+        source. It is stamped now, as :meth:`schedule` stamps an event,
+        and after each firing; a ``first_ms`` after ``last_ms`` fires
+        nothing and stamps nothing. The engine has one periodic source: a
+        second call while the first still fires raises ``ValueError``, as
+        does an ``interval_ms`` below 1."""
+        if self._periodic is not None:
+            raise ValueError("the engine already has a periodic event")
+        if interval_ms < 1:
+            raise ValueError(f"periodic interval {interval_ms} ms is not "
+                             f"positive")
+        if first_ms < self.now_ms:
+            raise SchedulingInPastError(
+                f"cannot schedule {event.kind.value} at t={first_ms} ms: "
+                f"clock is already at {self.now_ms} ms"
+            )
+        if first_ms > last_ms:
+            return
+        event.at = first_ms
+        event.sequence = seq = self._seq
+        self._seq = seq + 1
+        self._periodic = (first_ms, seq, event)
+        self._period = (interval_ms, last_ms)
+
     def run_until(self, end_ms: int) -> SimulationSummary:
         """Dispatch every event with ``at <= end_ms`` in (at, sequence) order,
-        then advance the clock to ``end_ms``. An event without a handler, or
-        a handler that raises, aborts the run with
-        :class:`SimulationAborted`; both checks run on every event.
+        from the queue and the periodic source, then advance the clock to
+        ``end_ms``. An event without a handler, or a handler that raises,
+        aborts the run with :class:`SimulationAborted`; both checks run on
+        every event.
 
         ``dispatched`` counts the events of each kind that fired; a kind
         that never fired has no entry."""
@@ -161,8 +208,18 @@ class Engine:
         handlers = self.handlers
         log = self.event_log if self.keep_event_log else None
         pop = heapq.heappop
-        while queue and queue[0][0] <= end_ms:
-            at, _, event = pop(queue)
+        while True:
+            periodic = self._periodic
+            # sequence numbers are unique, so the comparison never reaches
+            # the events
+            if (periodic is not None and periodic[0] <= end_ms
+                    and (not queue or periodic < queue[0])):
+                at, _, event = periodic
+            elif queue and queue[0][0] <= end_ms:
+                at, _, event = pop(queue)
+                periodic = None
+            else:
+                break
             self.now_ms = at
             kind = event.kind
             handler = handlers.get(kind)
@@ -177,6 +234,16 @@ class Engine:
             except Exception as exc:  # abort with the offending event identified
                 raise SimulationAborted(event, exc) from exc
             dispatched[kind] += 1
+            if periodic is not None:
+                interval_ms, last_ms = self._period
+                nxt = at + interval_ms
+                if nxt <= last_ms:
+                    event.at = nxt
+                    event.sequence = seq = self._seq
+                    self._seq = seq + 1
+                    self._periodic = (nxt, seq, event)
+                else:
+                    self._periodic = None
         if end_ms > self.now_ms:
             self.now_ms = end_ms
         return SimulationSummary(

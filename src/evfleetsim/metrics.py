@@ -238,10 +238,14 @@ class MetricsCollector:
     count from ``n_trips``, and the trips and sessions as they stand then.
 
     It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, as
-    ASCII bytes after the time field, in one dict by vehicle index, in
-    vehicle order, and a tick formats again only the *live* vehicles and
-    writes the rows, joined with its time field, in one ``write``; a
-    stranding deletes the vehicle's row for good. A formatted row is the
+    ASCII bytes after the time field, in one list, ``b""`` and then the
+    row of each vehicle that is not stranded, in vehicle order, with a map
+    from vehicle index to the row's position. A tick formats again only
+    the *live* vehicles, each into its position, and writes the list,
+    joined with the tick's time field, in one ``write``. A stranding
+    deletes the vehicle's row and position for good; the rows and
+    positions after it move up once per tick that has strandings, however
+    many vehicles strand in it. A formatted row is the
     vehicle's id field, built once per vehicle, its state's field and
     :func:`_row_tail`; ids and state values are ASCII that needs no CSV
     quoting. The invariant: a vehicle's row can change between ticks only
@@ -276,10 +280,13 @@ class MetricsCollector:
         self._tick_rows = 0
         # vehicle id -> (session, row template)
         self._session_texts: dict[str, tuple] = {}
-        # -1: b"" and then vehicle index -> the last row of each vehicle
-        # that is not stranded, after the time field, in vehicle order: the
-        # values joined with a tick's time field are the tick's bytes
-        self._rows = dict.fromkeys(range(-1, len(vehicles)), b"")
+        # b"" and then the last row of each vehicle that is not stranded,
+        # after the time field, in vehicle order: joined with a tick's time
+        # field they are the tick's bytes
+        self._rows = [b""] * (len(vehicles) + 1)
+        # vehicle index -> the position of its row, for each vehicle that
+        # is not stranded, in vehicle order
+        self._pos = {i: i + 1 for i in range(len(vehicles))}
         self._live = set(range(len(vehicles)))
         self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
@@ -296,45 +303,58 @@ class MetricsCollector:
     def schedule_ticks(self, engine: Engine, interval_ms: int,
                        horizon_ms: int) -> None:
         """Handle ``MetricsTick`` on ``engine``: a tick at 0 ms and then one
-        every ``interval_ms`` up to ``horizon_ms``: each tick schedules its
-        own event again. A run without vehicles has no ticks."""
+        every ``interval_ms`` up to ``horizon_ms``, the one event of the
+        engine's periodic source. A run without vehicles has no ticks."""
 
         def on_tick(event: Event) -> None:
             self.record_ticks(event.at)
-            nxt = event.at + interval_ms
-            if nxt <= horizon_ms:
-                engine.schedule(event, nxt)
 
         engine.on(EventKind.METRICS_TICK, on_tick)
         if self.vehicles:
-            engine.schedule(Event(EventKind.METRICS_TICK), 0)
+            engine.every(Event(EventKind.METRICS_TICK), 0, interval_ms,
+                         horizon_ms)
 
     def record_ticks(self, t_ms: int) -> None:
         """Write the ``ticks.csv`` rows at ``t_ms``, in one ``write``: one
         per vehicle that is not stranded, in vehicle order. Only the live
         vehicles are formatted again."""
-        rows, live = self._rows, self._live
+        live = self._live
         if live:
+            rows, pos = self._rows, self._pos
             vehicles, id_fields = self.vehicles, self._id_fields
             params, session_texts = self.params, self._session_texts
             stranded = Lifecycle.STRANDED
+            gone = []
             for i in sorted(live):
                 vehicle = vehicles[i]
                 lifecycle = vehicle.lifecycle
                 if lifecycle is stranded:
-                    del rows[i]
+                    if i in pos:
+                        gone.append(i)
                 else:
-                    rows[i] = (id_fields[i] + _STATE_FIELD[lifecycle]
-                               + _row_tail(vehicle, t_ms, params,
-                                           session_texts))
+                    rows[pos[i]] = (id_fields[i] + _STATE_FIELD[lifecycle]
+                                    + _row_tail(vehicle, t_ms, params,
+                                                session_texts))
                 if lifecycle not in _LIVE_STATES:
                     live.discard(i)
+            if gone:
+                self._drop_rows(gone)
+        rows = self._rows
         n = len(rows) - 1
         if n:
             # the leading b"" puts the time field before the first row
             time_field = b"%.3f," % (t_ms / MS_PER_S)
-            self._ticks.write(time_field.join(rows.values()))
+            self._ticks.write(time_field.join(rows))
             self._tick_rows += n
+
+    def _drop_rows(self, gone: list[int]) -> None:
+        """Delete the rows and positions of the vehicles ``gone`` and move
+        the others up, in one pass over the rows."""
+        pos, rows = self._pos, self._rows
+        for i in gone:
+            del pos[i]
+        self._rows = [b""] + [rows[p] for p in pos.values()]
+        self._pos = dict(zip(pos, range(1, len(pos) + 1)))
 
     def record_transition(self, t_ms: int, vehicle_id: str,
                           new: Lifecycle) -> None:
