@@ -272,6 +272,14 @@ class Trip:
         return self.dispatch_ms - self.depart_ms
 
 
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` for finite float bounds, without its
+    argument handling: the same one ``random()`` draw and the same float
+    operations, ``low + (high - low) * random()``, so the same value bit
+    for bit."""
+    return low + (high - low) * rng.random()
+
+
 def sample_trip(
     streams: DemandStreams,
     profile: DemandProfile,
@@ -284,14 +292,14 @@ def sample_trip(
     snaps and routes it."""
     rng = streams.schedule
     hour = draw_index(rng, profile.departure_cdf)
-    depart_ms = ms(hour * 3600.0 + rng.uniform(0.0, 3600.0))
+    depart_ms = ms(hour * 3600.0 + uniform(rng, 0.0, 3600.0))
 
     idx = draw_index(rng, profile.distance_cdf)
     lower = profile.distance_bins[idx - 1][0] if idx > 0 else 0.0
     upper = profile.distance_bins[idx][0]
-    distance = rng.uniform(lower, upper)
+    distance = uniform(rng, lower, upper)
 
-    bearing = streams.bearing.uniform(0.0, 2.0 * math.pi)
+    bearing = uniform(streams.bearing, 0.0, 2.0 * math.pi)
     dwell_s = profile.dwell.sample(streams.dwell)
 
     dest_point = network.Coord(
