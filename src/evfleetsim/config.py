@@ -17,6 +17,7 @@ checks no constructor makes live here.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -53,15 +54,18 @@ MAX_TICK_ROWS = (int(MAX_HORIZON_S) // 10 + 1) * MAX_VEHICLES
 MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
 # the deepest nesting of mappings and lists a scenario file may have; the
 # bundled scenario nests 5 deep. libyaml's loader composes a document by
-# recursing on the C stack, so 100,000 nested "[" would crash the process
-# (the pure-Python loader raises RecursionError at about 500); the depth
-# is checked on the event stream, whose parser keeps its stacks on the heap
+# recursing on the C stack, so 100,000 nested "[" would crash the process,
+# and the pure-Python loader raises RecursionError at about 500. For
+# libyaml the depth is checked on the event stream first, whose parser
+# keeps its stacks on the heap; the pure-Python composer checks it as it
+# composes, in the one parse
 MAX_CONFIG_DEPTH = 32
 # libyaml's parser with PyYAML's safe constructor, when PyYAML was built
 # with libyaml (as its wheels are); else the same loader in pure Python
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _OPEN = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
 _CLOSE = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+_TOO_DEEP = f"mappings and lists nested more than {MAX_CONFIG_DEPTH} deep"
 
 
 class ConfigError(ValueError):
@@ -525,19 +529,44 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     )
 
 
-def _check_depth(stream, path: Path) -> None:
-    """Walk the events of a YAML ``stream`` and raise :class:`ConfigError`
+def _check_depth(stream) -> None:
+    """Walk the events of a YAML ``stream`` and raise a ``ComposerError``
     at the first mapping or list nested deeper than ``MAX_CONFIG_DEPTH``."""
     depth = 0
     for event in yaml.parse(stream, Loader=_LOADER):
         if isinstance(event, _OPEN):
             depth += 1
             if depth > MAX_CONFIG_DEPTH:
-                raise ConfigError(
-                    f"cannot parse config {path}: mappings and lists nested "
-                    f"more than {MAX_CONFIG_DEPTH} deep\n{event.start_mark}")
+                raise yaml.composer.ComposerError(
+                    None, None, _TOO_DEEP, event.start_mark)
         elif isinstance(event, _CLOSE):
             depth -= 1
+
+
+@functools.cache
+def _bounded(loader: type) -> type:
+    """``loader``, a loader with PyYAML's pure-Python composer, whose
+    composer raises the ``ComposerError`` of :func:`_check_depth`, with the
+    same mark, on the first mapping or list nested deeper than
+    ``MAX_CONFIG_DEPTH``, before its recursion goes deeper."""
+
+    def within_bound(compose):
+        def compose_within_bound(self, anchor):
+            depth = self.nesting + 1
+            if depth > MAX_CONFIG_DEPTH:
+                raise yaml.composer.ComposerError(
+                    None, None, _TOO_DEEP, self.peek_event().start_mark)
+            self.nesting = depth
+            node = compose(self, anchor)
+            self.nesting = depth - 1
+            return node
+        return compose_within_bound
+
+    return type(loader.__name__, (loader,), {
+        "nesting": 0,
+        "compose_sequence_node": within_bound(loader.compose_sequence_node),
+        "compose_mapping_node": within_bound(loader.compose_mapping_node),
+    })
 
 
 def load_raw(path: str | Path) -> dict:
@@ -558,9 +587,14 @@ def load_raw(path: str | Path) -> dict:
             # error's marks name the stream, so it takes the file's name
             stream = io.StringIO(fh.read())
         stream.name = fh.name
-        _check_depth(stream, path)
-        stream.seek(0)
-        raw = yaml.load(stream, Loader=_LOADER)
+        # PyYAML's composer bounds the nesting as it composes; libyaml's
+        # would recurse first, so its events are walked before the load
+        if issubclass(_LOADER, yaml.composer.Composer):
+            raw = yaml.load(stream, Loader=_bounded(_LOADER))
+        else:
+            _check_depth(stream)
+            stream.seek(0)
+            raw = yaml.load(stream, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
