@@ -161,3 +161,36 @@ def test_max_depth_admits_every_valid_scenario(tmp_path):
                                          "soc_off": 0.4}}}})
     assert depth(build_config(load_raw(path), tmp_path).effective) == 5
     assert 5 < MAX_CONFIG_DEPTH
+
+
+def test_pure_python_loader_parses_once_with_the_same_results(tmp_path,
+                                                              monkeypatch):
+    """On a PyYAML without libyaml the composer bounds the nesting within
+    the one load: the bundled scenario loads the same mapping, and a file
+    one level too deep gives the error text libyaml's event walk gives,
+    without a walk."""
+    bundled = default_scenario_path()
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("a:\n" + "".join(
+        f"{'  ' * i}- k{i}:\n" for i in range(1, MAX_CONFIG_DEPTH // 2 + 1))
+        + "  " * (MAX_CONFIG_DEPTH // 2 + 1) + "1\n")
+    libyaml = (repr(load_raw(bundled)), load_error(deep))
+    assert f"more than {MAX_CONFIG_DEPTH} deep" in libyaml[1]
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("yaml.parse called")
+
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(yaml, "parse", no_walk)
+    assert (repr(load_raw(bundled)), load_error(deep)) == libyaml
+
+
+def test_pure_python_loader_counts_each_open_and_close(tmp_path,
+                                                       monkeypatch):
+    # siblings do not add up: 40 lists side by side at depth 32, each
+    # closed before the next opens, load
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    path = tmp_path / "wide.yaml"
+    inner = "[" * (MAX_CONFIG_DEPTH - 2) + "]" * (MAX_CONFIG_DEPTH - 2)
+    path.write_text("a: [" + ", ".join([inner] * 40) + "]\n")
+    assert depth(load_raw(path)) == MAX_CONFIG_DEPTH

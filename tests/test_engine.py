@@ -1,11 +1,15 @@
 import random
 from collections import Counter
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_config_cli import write_scenario
 
-from evfleetsim.config import load_config
+from evfleetsim import engine as engine_module
+from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.engine import (ClockRangeError, Engine, Event, EventKind,
                                ModelError, SchedulingInPastError,
                                SimulationAborted, hour_of, ms)
@@ -200,3 +204,176 @@ def test_dispatched_counts_the_kinds_of_the_event_log():
                                        EventKind.CHARGE_REQUEST,
                                        EventKind.SLOT_GRANTED}
     assert summary.total_dispatched == len(engine.event_log) > 500
+
+
+# --- the periodic source ---------------------------------------------------------
+
+TICK = EventKind.METRICS_TICK
+SPAWN = EventKind.SEGMENT_COMPLETE
+FOLLOW = EventKind.ARRIVE_DESTINATION
+
+
+def periodic_run(one_shots, position, first_ms, interval_ms, last_ms, steps,
+                 through_every):
+    """Run one-shot events and one periodic ``MetricsTick`` through an
+    engine, in ``run_until`` steps to each of ``steps``; returns the event
+    log, the ``dispatched`` counts and the clock after each step.
+
+    ``one_shots`` are ``(at, spawn)`` pairs scheduled in order, with the
+    periodic event registered before the one at ``position``. A one-shot
+    schedules ``spawn`` more events at its own millisecond, and every
+    third tick schedules one at its own. With ``through_every`` the tick
+    fires through ``Engine.every``; otherwise its handler ends by
+    scheduling it again, the reference."""
+    engine = Engine(keep_event_log=True)
+    fired = []
+
+    def on_spawn(event):
+        for k in range(event.payload["spawn"]):
+            engine.schedule(Event(FOLLOW, {"of": event.sequence, "k": k}),
+                            engine.now_ms)
+
+    def on_tick(event):
+        fired.append(event.at)
+        if len(fired) % 3 == 0:
+            engine.schedule(Event(FOLLOW, {"tick": event.at}), engine.now_ms)
+        if not through_every and event.at + interval_ms <= last_ms:
+            engine.schedule(event, event.at + interval_ms)
+
+    engine.on(SPAWN, on_spawn)
+    engine.on(FOLLOW, lambda event: None)
+    engine.on(TICK, on_tick)
+
+    def register_tick():
+        if through_every:
+            engine.every(Event(TICK), first_ms, interval_ms, last_ms)
+        elif first_ms <= last_ms:
+            engine.schedule(Event(TICK), first_ms)
+
+    for i, (at, spawn) in enumerate(one_shots):
+        if i == position:
+            register_tick()
+        engine.schedule(Event(SPAWN, {"i": i, "spawn": spawn}), at)
+    if position >= len(one_shots):
+        register_tick()
+    summaries = []
+    for end_ms in steps:
+        summary = engine.run_until(end_ms)
+        summaries.append((summary.dispatched, engine.now_ms))
+    return engine.event_log, summaries
+
+
+@st.composite
+def periodic_scenarios(draw):
+    interval_ms = draw(st.integers(1, 40))
+    first_ms = draw(st.integers(0, 60))
+    last_ms = first_ms + draw(st.integers(-5, 400))
+    on_grid = st.integers(0, 12).map(lambda k: first_ms + k * interval_ms)
+    times = st.one_of(on_grid, st.integers(0, 500), st.just(last_ms))
+    one_shots = draw(st.lists(st.tuples(times, st.integers(0, 2)),
+                              max_size=30))
+    position = draw(st.integers(0, len(one_shots)))
+    steps = sorted(draw(st.lists(st.one_of(on_grid, st.integers(0, 500)),
+                                 max_size=4)))
+    return (one_shots, position, first_ms, interval_ms, last_ms,
+            [*steps, 600])
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
+@given(periodic_scenarios())
+def test_periodic_source_dispatches_as_a_self_rescheduling_event(scenario):
+    log, summaries = periodic_run(*scenario, through_every=True)
+    assert (log, summaries) == periodic_run(*scenario, through_every=False)
+
+
+def test_periodic_source_ties_at_the_horizon_as_the_reference():
+    # as in a run: the tick registers, then the end event is scheduled at
+    # the horizon; the last tick is stamped after it, so it fires after it
+    for through_every in (True, False):
+        log, _ = periodic_run([(100, 0)], 0, 0, 25, 100, [100],
+                              through_every)
+        assert [(at, seq, kind) for at, seq, kind, _ in log[-2:]] == [
+            (100, 1, "SegmentComplete"), (100, 6, "MetricsTick")]
+    assert (periodic_run([(100, 0)], 0, 0, 25, 100, [40, 100], True)
+            == periodic_run([(100, 0)], 0, 0, 25, 100, [40, 100], False))
+
+
+def test_periodic_handler_failure_names_its_own_time_and_sequence():
+    engine = Engine()
+
+    def tick(event):
+        if event.at == 30:
+            raise ValueError("disk full")
+
+    engine.on(TICK, tick)
+    engine.on(SPAWN, lambda event: None)
+    engine.schedule(Event(SPAWN), 15)
+    engine.every(Event(TICK, {"tag": "t"}), 0, 10, 100)
+    with pytest.raises(SimulationAborted) as err:
+        engine.run_until(100)
+    # sequences: the spawn 0, ticks 1 (0 ms), 2 (10 ms), 3 (20 ms), 4 (30 ms)
+    assert err.value.event.at == 30 and err.value.event.sequence == 4
+    assert str(err.value) == ("handler for MetricsTick at t=0.030s (seq=4, "
+                              "tag=t) failed: disk full")
+
+
+def test_periodic_event_without_handler_aborts_the_run():
+    engine = Engine()
+    engine.every(Event(TICK), 5, 10, 100)
+    with pytest.raises(SimulationAborted, match="MetricsTick at t=0.005s") as err:
+        engine.run_until(100)
+    assert isinstance(err.value.cause, ModelError)
+
+
+def test_every_rejects_what_it_cannot_fire():
+    engine = make_engine([])
+    engine.run_until(50)
+    with pytest.raises(SchedulingInPastError):
+        engine.every(Event(TICK), 40, 10, 100)
+    for interval_ms in (0, -10):
+        with pytest.raises(ValueError, match="not positive"):
+            engine.every(Event(TICK), 50, interval_ms, 100)
+    engine.every(Event(TICK), 50, 10, 100)
+    with pytest.raises(ValueError, match="already has a periodic event"):
+        engine.every(Event(TICK), 60, 10, 100)
+
+
+def test_every_after_its_last_time_fires_nothing():
+    log = []
+    engine = make_engine(log)
+    event = Event(TICK)
+    engine.every(event, 11, 10, 10)
+    assert engine.run_until(100).total_dispatched == 0
+    assert (event.at, event.sequence) == (-1, -1)
+    # the source is free again once its event has fired its last time
+    engine.every(Event(TICK), 100, 10, 110)
+    engine.run_until(200)
+    assert log == [(100, 0, TICK), (110, 1, TICK)]
+    engine.every(Event(TICK), 200, 10, 200)
+
+
+def test_no_metrics_tick_goes_through_schedule_or_the_heap(tmp_path,
+                                                          monkeypatch):
+    scheduled = Counter()
+    schedule = Engine.schedule
+
+    def counting(self, event, at):
+        scheduled[event.kind] += 1
+        schedule(self, event, at)
+
+    pushed = Counter()
+    heappush = engine_module.heapq.heappush
+
+    def counting_push(queue, entry):
+        # routing pushes onto heaps of its own
+        if isinstance(entry[-1], Event):
+            pushed[entry[-1].kind] += 1
+        heappush(queue, entry)
+
+    monkeypatch.setattr(Engine, "schedule", counting)
+    monkeypatch.setattr(engine_module.heapq, "heappush", counting_push)
+    result = run_scenario(load_config(default_scenario_path()),
+                          tmp_path / "out")
+    assert result.engine_summary.dispatched[TICK] == 8641
+    assert scheduled[TICK] == pushed[TICK] == 0
+    assert scheduled == pushed and pushed.total() > 0

@@ -23,7 +23,7 @@ from evfleetsim.fleet import (DemandProfile, DemandStreams, DwellDistribution,
                               FleetController, FleetError, FleetPolicies,
                               Lifecycle, ModelError, Trip,
                               TripsPerDay, Vehicle, cumulative, draw_index,
-                              generate_day_schedule, sample_trip)
+                              generate_day_schedule, sample_trip, uniform)
 from evfleetsim.metrics import MetricsCollector
 from evfleetsim.network import (Coord, Edge, NoRouteError, RoadNetwork,
                                 airline_distance, generate_grid, nearest_edge,
@@ -768,3 +768,26 @@ def test_draw_index_matches_generator_choice(weights, seed):
         assert weights[index] > 0.0
     # both generators have consumed the same stream
     assert ours.random() == numpy_rng.random()
+
+
+# --- uniform draws -----------------------------------------------------------------
+# sample_trip draws its depart time, distance and bearing with fleet.uniform;
+# each must be the value and the stream position of Generator.uniform
+
+BOUNDS = st.one_of(
+    st.sampled_from([(0.0, 3600.0), (0.0, 2.0 * math.pi), (0.0, 400.0),
+                     (400.0, 700.0), (2000.0, 5000.0), (0.0, 0.0)]),
+    st.tuples(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12)).map(sorted),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e-300)).map(sorted))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), bounds=BOUNDS)
+def test_uniform_equals_generator_uniform_bit_for_bit(seed, bounds):
+    low, high = bounds
+    ours, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        got = uniform(ours, low, high)
+        assert type(got) is float
+        assert got.hex() == float(numpy_rng.uniform(low, high)).hex()
+    assert ours.bit_generator.state == numpy_rng.bit_generator.state

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_params
+from conftest import make_params, trace_soc
 from evfleetsim import metrics
 from evfleetsim.charging import ChargeSession, session_progress
 from evfleetsim.config import MAX_HORIZON_S
@@ -379,6 +379,94 @@ def test_charging_rows_follow_each_session(tmp_path):
     assert tick_rows(tmp_path) == [row(0.0, slow, 0.0), row(1.0, slow, 1.0),
                                    row(3.0, fast, 1.0), row(4.0, slow, 4.0)]
     assert row(1.0, slow, 1.0) != row(1.0, fast, 1.0)
+
+
+def reference_tick_rows(t_ms, vehicles) -> list[list[str]]:
+    """The ``ticks.csv`` rows at ``t_ms`` built from scratch: one per
+    vehicle that is not stranded, from its shared trace's sample while it
+    drives, else at rest."""
+    rows = []
+    for v in vehicles:
+        if v.lifecycle is Lifecycle.STRANDED:
+            continue
+        motion, soc = (0.0,) * 6, v.state.soc
+        if v.lifecycle is Lifecycle.EN_ROUTE:
+            tr = v.trace
+            offset = (t_ms - v.trace_start_ms) / 1000
+            i = max(int(np.searchsorted(tr.time_s, offset, side="right")) - 1,
+                    0)
+            soc = float(trace_soc(tr, v.trace_soc0)[i])
+            motion = tuple(float(column[i]) for column in (
+                tr.v_mps, tr.a_mps2, tr.p_traction_w, tr.p_battery_w,
+                tr.p_recup_w, tr.p_re_w))
+        v_mps, a_mps2, *powers = motion
+        rows.append([f"{t_ms / 1000:.3f}", v.vehicle_id, v.lifecycle.value,
+                     f"{v_mps:.4f}", f"{a_mps2:.4f}", f"{soc:.9f}",
+                     *(f"{p:.3f}" for p in powers)])
+    return rows
+
+
+@pytest.mark.parametrize("strandings", [
+    {2000: (0, 3, 6)},
+    {1000: (0,), 2000: (3,), 3000: (6,)},
+    {1000: (6, 0), 2000: (3, 1), 3000: (5,)},
+    {1000: (0, 3, 6), 2000: (1, 2, 4, 5)},
+], ids=["first-middle-last-in-one-tick", "first-middle-last-in-turn",
+        "pairs-then-one", "everyone"])
+def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
+                                                        strandings):
+    # the odd vehicles drive one shared trace, so their rows change at
+    # every tick; the first, a middle and the last vehicle are at rest
+    drops = []
+    drop_rows = MetricsCollector._drop_rows
+
+    def counting(collector, gone):
+        drops.append(sorted(gone))
+        drop_rows(collector, gone)
+
+    monkeypatch.setattr(MetricsCollector, "_drop_rows", counting)
+    trace = shared_trace(6)
+    vehicles = fleet_of(*(f"v{i}" for i in range(7)), soc=0.75)
+    for i, vehicle in enumerate(vehicles):
+        vehicle.state.soc -= i / 64
+        if i % 2:
+            vehicle.lifecycle = Lifecycle.EN_ROUTE
+            vehicle.trace, vehicle.trace_soc0 = trace, vehicle.state.soc
+    collector = collector_for(tmp_path, vehicles)
+    expected = [TICK_HEADER]
+    for t_ms in range(0, 6000, 1000):
+        for i in strandings.get(t_ms, ()):
+            transition(collector, t_ms - 500, vehicles[i], Lifecycle.STRANDED)
+        collector.record_ticks(t_ms)
+        expected += reference_tick_rows(t_ms, vehicles)
+    manifest = collector.export_all({}, 6000, [0.0, 1000.0], 300.0)
+    with open(tmp_path / "reference.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(expected)
+    assert ((tmp_path / "ticks.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+    assert manifest["files"]["ticks.csv"] == len(expected) - 1
+    # one renumbering per tick with strandings, however many strand in it
+    assert drops == [sorted(strandings[t]) for t in sorted(strandings)]
+    survivors = [i for i in range(7)
+                 if all(i not in gone for gone in strandings.values())]
+    # the kept rows are the last tick's, after its time field
+    assert list(collector._pos) == survivors
+    assert collector._rows == [b""] + [
+        ",".join(row[1:]).encode() + b"\r\n"
+        for row in expected[len(expected) - len(survivors):]]
+
+
+def test_a_stranded_vehicle_that_transitions_again_keeps_no_row(tmp_path):
+    v0, v1 = vehicles = fleet_of("v0", "v1", soc=0.5)
+    collector = collector_for(tmp_path, vehicles)
+    transition(collector, 500, v0, Lifecycle.STRANDED)
+    collector.record_ticks(1000)
+    # a transition makes the vehicle live again; it is still stranded
+    transition(collector, 1500, v0, Lifecycle.STRANDED)
+    collector.record_ticks(2000)
+    collector.close()
+    assert [line.split(",")[:2] for line in tick_rows(tmp_path)] == [
+        ["1.000", "v1"], ["2.000", "v1"]]
 
 
 # --- distance histogram -----------------------------------------------------------
