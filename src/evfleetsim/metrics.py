@@ -329,8 +329,7 @@ class MetricsCollector:
                 vehicle = vehicles[i]
                 lifecycle = vehicle.lifecycle
                 if lifecycle is stranded:
-                    if i in pos:
-                        gone.append(i)
+                    gone.append(i)
                 else:
                     rows[pos[i]] = (id_fields[i] + _STATE_FIELD[lifecycle]
                                     + _row_tail(vehicle, t_ms, params,

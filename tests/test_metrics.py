@@ -456,19 +456,6 @@ def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
         for row in expected[len(expected) - len(survivors):]]
 
 
-def test_a_stranded_vehicle_that_transitions_again_keeps_no_row(tmp_path):
-    v0, v1 = vehicles = fleet_of("v0", "v1", soc=0.5)
-    collector = collector_for(tmp_path, vehicles)
-    transition(collector, 500, v0, Lifecycle.STRANDED)
-    collector.record_ticks(1000)
-    # a transition makes the vehicle live again; it is still stranded
-    transition(collector, 1500, v0, Lifecycle.STRANDED)
-    collector.record_ticks(2000)
-    collector.close()
-    assert [line.split(",")[:2] for line in tick_rows(tmp_path)] == [
-        ["1.000", "v1"], ["2.000", "v1"]]
-
-
 # --- distance histogram -----------------------------------------------------------
 
 def test_covering_edges_extend_by_whole_bins():
