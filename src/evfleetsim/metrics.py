@@ -239,14 +239,15 @@ class MetricsCollector:
 
     It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, as
     ASCII bytes after the time field, in one list, ``b""`` and then the
-    row of each vehicle that is not stranded, in vehicle order, with a map
-    from vehicle index to the row's position. A tick formats again only
-    the *live* vehicles, each into its position, and writes the list,
-    joined with the tick's time field, in one ``write``. A stranding
-    deletes the vehicle's row and position for good; the rows and
-    positions after it move up once per tick that has strandings, however
-    many vehicles strand in it. A formatted row is the
-    vehicle's id field, built once per vehicle, its state's field and
+    row of each vehicle that is not stranded, in vehicle order, and a list
+    that maps each vehicle index to its row's position (``None`` once the
+    vehicle is stranded). A tick formats again only the *live* vehicles,
+    each into its position, and writes the list, joined with the tick's
+    time field, in one ``write``. A stranding deletes the vehicle's row
+    and position for good; the rows and positions after it move up once
+    per tick that has strandings, however many vehicles strand in it. A
+    formatted row is the vehicle's id field, built once per vehicle, its
+    state's field and
     :func:`_row_tail`; ids and state values are ASCII that needs no CSV
     quoting. The invariant: a vehicle's row can change between ticks only
     while it is ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it
@@ -284,9 +285,9 @@ class MetricsCollector:
         # after the time field, in vehicle order: joined with a tick's time
         # field they are the tick's bytes
         self._rows = [b""] * (len(vehicles) + 1)
-        # vehicle index -> the position of its row, for each vehicle that
-        # is not stranded, in vehicle order
-        self._pos = {i: i + 1 for i in range(len(vehicles))}
+        # vehicle index -> the position of its row in _rows, None once the
+        # vehicle is stranded
+        self._pos: list[int | None] = list(range(1, len(vehicles) + 1))
         self._live = set(range(len(vehicles)))
         self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
@@ -351,9 +352,11 @@ class MetricsCollector:
         the others up, in one pass over the rows."""
         pos, rows = self._pos, self._rows
         for i in gone:
-            del pos[i]
-        self._rows = [b""] + [rows[p] for p in pos.values()]
-        self._pos = dict(zip(pos, range(1, len(pos) + 1)))
+            pos[i] = None
+        kept = [(i, p) for i, p in enumerate(pos) if p is not None]
+        self._rows = [b""] + [rows[p] for _, p in kept]
+        for k, (i, _) in enumerate(kept, 1):
+            pos[i] = k
 
     def record_transition(self, t_ms: int, vehicle_id: str,
                           new: Lifecycle) -> None:

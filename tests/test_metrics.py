@@ -450,7 +450,8 @@ def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
     survivors = [i for i in range(7)
                  if all(i not in gone for gone in strandings.values())]
     # the kept rows are the last tick's, after its time field
-    assert list(collector._pos) == survivors
+    assert [i for i, p in enumerate(collector._pos) if p is not None] == (
+        survivors)
     assert collector._rows == [b""] + [
         ",".join(row[1:]).encode() + b"\r\n"
         for row in expected[len(expected) - len(survivors):]]
