@@ -39,8 +39,8 @@ SCHEMA_VERSION = 1
 # never ends
 MAX_VEHICLES = 100_000
 # the longest horizon a run may have: the demand model schedules one day, and
-# a week leaves room for the last charges; at 1e300 s the metrics tick
-# reschedules itself up to 3e298 times and the run never ends
+# a week leaves room for the last charges; at 1e300 s the engine's periodic
+# metrics tick would fire up to 3e298 times and the run never ends
 MAX_HORIZON_S = 7 * 86400.0
 # the most rows a run may write to ticks.csv (one per vehicle and tick): the
 # largest fleet at the paper's 10 s cadence over the longest horizon,
@@ -53,18 +53,22 @@ MAX_TICK_ROWS = (int(MAX_HORIZON_S) // 10 + 1) * MAX_VEHICLES
 # bins over the longest horizon, 604,800 rows
 MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
 # the deepest nesting of mappings and lists a scenario file may have; the
-# bundled scenario nests 5 deep. libyaml's loader composes a document by
-# recursing on the C stack, so 100,000 nested "[" would crash the process,
-# and the pure-Python loader raises RecursionError at about 500. For
-# libyaml the depth is checked on the event stream first, whose parser
-# keeps its stacks on the heap; the pure-Python composer checks it as it
-# composes, in the one parse
+# bundled scenario nests 5 deep. PyYAML's composer recurses once per level
+# and raises RecursionError at about 500 (libyaml's own composer, on the C
+# stack, would crash the process at 100,000 nested "["), so the composer
+# checks the depth as it composes, in the one parse
 MAX_CONFIG_DEPTH = 32
-# libyaml's parser with PyYAML's safe constructor, when PyYAML was built
-# with libyaml (as its wheels are); else the same loader in pure Python
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_OPEN = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
-_CLOSE = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+# libyaml's scanner and parser, when PyYAML was built with libyaml (as its
+# wheels are), under PyYAML's composer and safe constructor; else the same
+# loader in pure Python. Either way the composer is PyYAML's, so it bounds
+# the nesting and words its errors alike on both
+_LOADER = yaml.SafeLoader
+if hasattr(yaml, "CSafeLoader"):
+    class _LOADER(yaml.composer.Composer, yaml.CSafeLoader):
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+
 _TOO_DEEP = f"mappings and lists nested more than {MAX_CONFIG_DEPTH} deep"
 
 
@@ -529,25 +533,10 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     )
 
 
-def _check_depth(stream) -> None:
-    """Walk the events of a YAML ``stream`` and raise a ``ComposerError``
-    at the first mapping or list nested deeper than ``MAX_CONFIG_DEPTH``."""
-    depth = 0
-    for event in yaml.parse(stream, Loader=_LOADER):
-        if isinstance(event, _OPEN):
-            depth += 1
-            if depth > MAX_CONFIG_DEPTH:
-                raise yaml.composer.ComposerError(
-                    None, None, _TOO_DEEP, event.start_mark)
-        elif isinstance(event, _CLOSE):
-            depth -= 1
-
-
 @functools.cache
 def _bounded(loader: type) -> type:
-    """``loader``, a loader with PyYAML's pure-Python composer, whose
-    composer raises the ``ComposerError`` of :func:`_check_depth`, with the
-    same mark, on the first mapping or list nested deeper than
+    """``loader``, a loader with PyYAML's composer, whose composer raises a
+    ``ComposerError`` marked at the first mapping or list nested deeper than
     ``MAX_CONFIG_DEPTH``, before its recursion goes deeper."""
 
     def within_bound(compose):
@@ -583,18 +572,12 @@ def load_raw(path: str | Path) -> dict:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            # read once, so that a pipe can be parsed twice too; a parse
-            # error's marks name the stream, so it takes the file's name
+            # read whole, so that a file that is not UTF-8 fails before any
+            # parse error; a parse error's marks name the stream, so it
+            # takes the file's name
             stream = io.StringIO(fh.read())
         stream.name = fh.name
-        # PyYAML's composer bounds the nesting as it composes; libyaml's
-        # would recurse first, so its events are walked before the load
-        if issubclass(_LOADER, yaml.composer.Composer):
-            raw = yaml.load(stream, Loader=_bounded(_LOADER))
-        else:
-            _check_depth(stream)
-            stream.seek(0)
-            raw = yaml.load(stream, Loader=_LOADER)
+        raw = yaml.load(stream, Loader=_bounded(_LOADER))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

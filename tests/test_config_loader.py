@@ -194,3 +194,46 @@ def test_pure_python_loader_counts_each_open_and_close(tmp_path,
     inner = "[" * (MAX_CONFIG_DEPTH - 2) + "]" * (MAX_CONFIG_DEPTH - 2)
     path.write_text("a: [" + ", ".join([inner] * 40) + "]\n")
     assert depth(load_raw(path)) == MAX_CONFIG_DEPTH
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("a: *x\n", "found undefined alias 'x'"),
+    ("a: &x 1\nb: &x 2\n", "found duplicate anchor 'x'; first occurrence"),
+    ("a: 1\n---\nb: 2\n", "expected a single document in the stream"),
+    ("a: " + "[" * MAX_CONFIG_DEPTH + "]" * MAX_CONFIG_DEPTH + "\n",
+     f"mappings and lists nested more than {MAX_CONFIG_DEPTH} deep"),
+], ids=["undefined-alias", "duplicate-anchor", "second-document",
+        "nested-33"])
+def test_composer_errors_read_the_same_on_both_loaders(tmp_path, monkeypatch,
+                                                       text, problem):
+    # both loaders compose with PyYAML's composer, so its errors, marks
+    # included, are byte-equal
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    package = load_error(path)
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    assert load_error(path) == package
+    assert package.startswith(f"cannot parse config {path}: {problem}\n")
+
+
+def test_each_loader_loads_without_an_event_walk(tmp_path, monkeypatch,
+                                                 loader):
+    """Neither loader walks the events before its load: with ``yaml.parse``
+    raising, each loads the bundled scenario as the pure-Python loader does
+    and refuses a file one level too deep with the same error."""
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("yaml.parse called")
+
+    monkeypatch.setattr(yaml, "parse", no_walk)
+    bundled = default_scenario_path()
+    expected = yaml.load(bundled.read_text(encoding="utf-8"),
+                         Loader=yaml.SafeLoader)
+    assert repr(load_raw(bundled)) == repr(expected)
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("a:\n" + "".join(
+        f"{'  ' * i}- k{i}:\n" for i in range(1, MAX_CONFIG_DEPTH // 2 + 1))
+        + "  " * (MAX_CONFIG_DEPTH // 2 + 1) + "1\n")
+    assert load_error(deep) == (
+        f"cannot parse config {deep}: mappings and lists nested more than "
+        f"{MAX_CONFIG_DEPTH} deep\n  in \"{deep}\", line 17, column 35")
