@@ -20,10 +20,10 @@ compares waits. The dispatch budget is monotone in SOC, so the idle vehicle
 with the highest SOC (ties to the smallest id) is feasible exactly when any
 idle vehicle is, and it is the only one checked. The controller finds it in a
 heap of ``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes
-idle; entries of vehicles that are no longer idle, or whose SOC has changed
-since, are skipped and dropped when they reach the top. A vehicle's SOC must
-therefore not change while it is idle: only driving and completing a charge
-move it, and neither happens in the idle state.
+idle and popped when it is dispatched, the only way out of the idle state;
+so the heap holds exactly the idle vehicles. A vehicle's SOC must therefore
+not change while it is idle: only driving and completing a charge move it,
+and neither happens in the idle state.
 
 The controller schedules every event of a charging episode; the charging
 manager only grants slots and returns the sessions it starts.
@@ -443,8 +443,8 @@ class FleetController:
         self.vehicles = {v.vehicle_id: v for v in vehicles}
         self.model = model
         self._hourly_factors = net.hourly_speed_factors
-        # (-soc, vehicle_id) per entry into IDLE; stale entries are dropped
-        # lazily by _try_dispatch
+        # (-soc, vehicle_id) of each idle vehicle; pushed on entry into IDLE
+        # and popped by _try_dispatch, the one way out of it
         self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
                            if v.lifecycle is Lifecycle.IDLE]
         heapq.heapify(self._idle_heap)
@@ -624,14 +624,9 @@ class FleetController:
 
     def _try_dispatch(self, trip: Trip) -> bool:
         heap = self._idle_heap
-        while heap:
-            neg_soc, vid = heap[0]
-            best = self.vehicles[vid]
-            if best.lifecycle is Lifecycle.IDLE and best.state.soc == -neg_soc:
-                break
-            heapq.heappop(heap)  # stale: dispatched, busy, or SOC changed since
-        else:
+        if not heap:
             return False
+        best = self.vehicles[heap[0][1]]
         now = self.engine.now_ms
         budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
                   * self.model.params.battery_capacity_wh)

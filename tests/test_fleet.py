@@ -701,8 +701,9 @@ SOC_SPEC = st.one_of(
     st.tuples(st.just("value"), st.sampled_from([0.0, 0.1, 0.5, 0.5, 1.0])),
     st.tuples(st.just("value"), st.floats(0.0, 1.0)),
 )
-# idle: never left the constructor's idle state (SOC 1.0); cycled: left idle,
-# SOC changed, idle again (its first index entry is stale); busy: not idle
+# idle: idle since the controller indexed the fleet (SOC 1.0); cycled:
+# charging then, idle again since (pushed on its entry into idle); busy:
+# charging
 VEHICLE_SPEC = st.tuples(st.sampled_from(["idle", "cycled", "busy"]), SOC_SPEC)
 
 
@@ -730,13 +731,18 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
     for v, (kind, (how, x)) in zip(vehicles, specs):
         if kind == "idle":
             continue
-        ctrl._transition(v, Lifecycle.CHARGING)
+        v.lifecycle = Lifecycle.CHARGING
         if how == "edge":
             v.state.soc = reserve + need / capacity
             if x:
                 v.state.soc = math.nextafter(v.state.soc, x * math.inf)
         else:
             v.state.soc = x
+    # a vehicle leaves idle only by dispatch, so the states are set before
+    # a controller indexes the fleet
+    ctrl = FleetController(engine, net, mgr, vehicles, depot, ctrl.model,
+                           ctrl.policies, ctrl.transition_hook)
+    for v, (kind, _) in zip(vehicles, specs):
         if kind == "cycled":
             ctrl._transition(v, Lifecycle.IDLE)
 

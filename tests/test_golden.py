@@ -94,16 +94,20 @@ def tree_digests(out_dir: Path) -> dict[str, str]:
             for p in sorted(out_dir.rglob("*")) if p.is_file()}
 
 
-def run_probe(key: str, out_dir: Path):
-    """Run probe ``key`` into ``out_dir`` with the event log; returns the
-    run's result."""
+def probe_config(key: str):
+    """The scenario of probe ``key``."""
     workloads = load_bench_workloads()
     workload, overrides, seed = probes()[key]
     path = default_scenario_path()
     raw = workloads.merge(
         workloads.scenario(workload, load_raw(path), seed), overrides)
-    return run_scenario(build_config(raw, path.parent), out_dir,
-                        event_log=True)
+    return build_config(raw, path.parent)
+
+
+def run_probe(key: str, out_dir: Path):
+    """Run probe ``key`` into ``out_dir`` with the event log; returns the
+    run's result."""
+    return run_scenario(probe_config(key), out_dir, event_log=True)
 
 
 def run_sweep(out_dir: Path) -> None:

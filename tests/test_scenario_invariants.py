@@ -16,6 +16,7 @@ import yaml
 
 from conftest import make_params, trace_soc, vehicle_ledger_errors
 from test_config_cli import write_scenario
+from test_golden import SEEDS, probe_config, run_key
 from test_metrics import shared_trace
 
 from evfleetsim import dynamics, metrics
@@ -158,16 +159,28 @@ def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
         assert granted["payload"] == row["payload"]
 
 
-def run_checking_consistency(monkeypatch, path, out_dir, check=None):
-    """Run a scenario and call ChargingManager.assert_consistent, and
-    ``check(manager)`` if given, after every dispatched event; returns the
-    result and the kinds checked."""
-    managers, checked = [], []
-    init, on = ChargingManager.__init__, Engine.on
+def assert_idle_heap_holds_the_idle_vehicles(controller):
+    assert sorted(controller._idle_heap) == sorted(
+        (-v.state.soc, v.vehicle_id) for v in controller.vehicles.values()
+        if v.lifecycle is Lifecycle.IDLE)
+
+
+def run_checking_consistency(monkeypatch, config, out_dir, check=None):
+    """Run a scenario and, after every dispatched event, call
+    ChargingManager.assert_consistent, check that the fleet controller's
+    idle heap holds exactly the idle vehicles, and call ``check(manager)``
+    if given; returns the result and the kinds checked."""
+    managers, controllers, checked = [], [], []
+    init, fleet_init, on = (ChargingManager.__init__,
+                            FleetController.__init__, Engine.on)
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         managers.append(self)
+
+    def recording_fleet_init(self, *args, **kwargs):
+        fleet_init(self, *args, **kwargs)
+        controllers.append(self)
 
     def checking_on(self, kind, handler):
         def checked_handler(event):
@@ -176,13 +189,17 @@ def run_checking_consistency(monkeypatch, path, out_dir, check=None):
                 manager.assert_consistent()
                 if check is not None:
                     check(manager)
+            for controller in controllers:
+                assert_idle_heap_holds_the_idle_vehicles(controller)
             checked.append(event.kind)
         on(self, kind, checked_handler)
 
     monkeypatch.setattr(ChargingManager, "__init__", recording_init)
+    monkeypatch.setattr(FleetController, "__init__", recording_fleet_init)
     monkeypatch.setattr(Engine, "on", checking_on)
-    result = run_scenario(load_config(path), out_dir)
+    result = run_scenario(config, out_dir)
     assert managers == [result.manager]
+    assert len(controllers) == 1
     assert len(checked) == result.engine_summary.total_dispatched
     return result, set(checked)
 
@@ -193,7 +210,7 @@ def test_charging_manager_consistent_after_every_event(
         tmp_path, monkeypatch, vehicles, trips_per_vehicle):
     path = write_busy_scenario(tmp_path, vehicles=vehicles,
                                trips_per_vehicle=trips_per_vehicle)
-    result, kinds = run_checking_consistency(monkeypatch, path,
+    result, kinds = run_checking_consistency(monkeypatch, load_config(path),
                                              tmp_path / "out")
     assert {EventKind.CHARGE_REQUEST, EventKind.SLOT_GRANTED,
             EventKind.CHARGE_COMPLETE} <= kinds
@@ -234,7 +251,8 @@ def test_a_queued_vehicle_leaves_only_by_a_grant_from_the_head(
     monkeypatch.setattr(ChargingManager, "release_slot", recording_release)
     path = write_busy_scenario(tmp_path, vehicles=vehicles,
                                trips_per_vehicle=trips_per_vehicle)
-    result, _ = run_checking_consistency(monkeypatch, path, tmp_path / "out",
+    result, _ = run_checking_consistency(monkeypatch, load_config(path),
+                                         tmp_path / "out",
                                          queues_equal_the_model)
     queues_equal_the_model(result.manager)
     waiting = {vid for queue in model.values() for vid in queue}
@@ -245,6 +263,18 @@ def test_a_queued_vehicle_leaves_only_by_a_grant_from_the_head(
     # on the 3x3 run the one vehicle that finds a station full diverts, so
     # nothing queues; 5x4 queues and grants from the queues
     assert (counts["granted"] > 0) is (vehicles == 5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_idle_heap_holds_the_idle_vehicles_while_vehicles_strand(
+        tmp_path, monkeypatch, seed):
+    # the golden stranding probe: a vehicle strands, or charges at the
+    # depot and goes idle again, between dispatches
+    config = probe_config(run_key("bundled_day-stranding", seed))
+    result, kinds = run_checking_consistency(monkeypatch, config,
+                                             tmp_path / "out")
+    assert result.n_stranded > 0
+    assert {EventKind.STRANDED, EventKind.CHARGE_COMPLETE} <= kinds
 
 
 def test_range_extender_switches_without_events(tmp_path):
