@@ -92,7 +92,8 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
     the same for the whole session: ``session_texts`` maps the vehicle id
     to its session and template, formatted again only for a different
     session object. A row at rest has the one ``_REST_TEMPLATE``.
-    Every value must be finite."""
+    Every value must be finite, and a charging vehicle must hold its
+    session."""
     tr = vehicle.trace
     if tr is not None and len(tr) > 0:
         offset = (t_ms - vehicle.trace_start_ms) / MS_PER_S
@@ -104,7 +105,7 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         template = tr.row_texts[i]
         if template is None:
             template = _sample_template(vehicle, tr, i, soc)
-    elif vehicle.lifecycle is Lifecycle.CHARGING and vehicle.session is not None:
+    elif vehicle.lifecycle is Lifecycle.CHARGING:
         s = vehicle.session
         elapsed = max(0.0, (t_ms - s.grant_ms) / MS_PER_S)
         _, soc = session_progress(s, params, elapsed)

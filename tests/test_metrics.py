@@ -381,6 +381,16 @@ def test_charging_rows_follow_each_session(tmp_path):
     assert row(1.0, slow, 1.0) != row(1.0, fast, 1.0)
 
 
+def test_a_charging_vehicle_without_a_session_fails_the_tick(tmp_path):
+    # the fleet hands a vehicle its session as it starts charging; a tick
+    # that finds none raises rather than writing a row at rest
+    (v0,) = vehicles = fleet_of("v0", soc=0.5)
+    v0.lifecycle = Lifecycle.CHARGING
+    collector = collector_for(tmp_path, vehicles)
+    with pytest.raises(AttributeError):
+        collector.record_ticks(0)
+
+
 def reference_tick_rows(t_ms, vehicles) -> list[list[str]]:
     """The ``ticks.csv`` rows at ``t_ms`` built from scratch: one per
     vehicle that is not stranded, from its shared trace's sample while it
