@@ -701,9 +701,8 @@ SOC_SPEC = st.one_of(
     st.tuples(st.just("value"), st.sampled_from([0.0, 0.1, 0.5, 0.5, 1.0])),
     st.tuples(st.just("value"), st.floats(0.0, 1.0)),
 )
-# idle: idle since the controller indexed the fleet (SOC 1.0); cycled:
-# charging then, idle again since (pushed on its entry into idle); busy:
-# charging
+# idle: idle when the controller indexes the fleet (SOC 1.0); cycled:
+# charging then and idle since, pushed as it enters idle; busy: charging
 VEHICLE_SPEC = st.tuples(st.sampled_from(["idle", "cycled", "busy"]), SOC_SPEC)
 
 

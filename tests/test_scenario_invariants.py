@@ -159,12 +159,6 @@ def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
         assert granted["payload"] == row["payload"]
 
 
-def assert_idle_heap_holds_the_idle_vehicles(controller):
-    assert sorted(controller._idle_heap) == sorted(
-        (-v.state.soc, v.vehicle_id) for v in controller.vehicles.values()
-        if v.lifecycle is Lifecycle.IDLE)
-
-
 def run_checking_consistency(monkeypatch, config, out_dir, check=None):
     """Run a scenario and, after every dispatched event, call
     ChargingManager.assert_consistent, check that the fleet controller's
@@ -190,7 +184,10 @@ def run_checking_consistency(monkeypatch, config, out_dir, check=None):
                 if check is not None:
                     check(manager)
             for controller in controllers:
-                assert_idle_heap_holds_the_idle_vehicles(controller)
+                assert sorted(controller._idle_heap) == sorted(
+                    (-v.state.soc, v.vehicle_id)
+                    for v in controller.vehicles.values()
+                    if v.lifecycle is Lifecycle.IDLE)
             checked.append(event.kind)
         on(self, kind, checked_handler)
 
