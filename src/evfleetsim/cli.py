@@ -151,9 +151,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate(args)
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        return EXIT_CONFIG
+        # the subparsers are required, so the one command left is "sweep"
+        return cmd_sweep(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

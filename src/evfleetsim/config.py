@@ -17,7 +17,6 @@ checks no constructor makes live here.
 from __future__ import annotations
 
 import copy
-import functools
 import hashlib
 import io
 import json
@@ -533,7 +532,6 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     )
 
 
-@functools.cache
 def _bounded(loader: type) -> type:
     """``loader``, a loader with PyYAML's composer, whose composer raises a
     ``ComposerError`` marked at the first mapping or list nested deeper than

@@ -386,24 +386,9 @@ class _SegmentPlan:
         _freeze(self)
 
 
-# step length -> the step starts k * dt of the longest plan so far: every
-# plan slices its starts from it, so plans share the float objects
-_STEP_STARTS: dict[float, tuple[float, ...]] = {}
-
-
-def _step_starts(dt: float, n: int) -> tuple[float, ...]:
-    """The first ``n`` step starts ``k * dt``: the values of
-    ``np.arange(n) * dt``, bit for bit, since each is one product."""
-    starts = _STEP_STARTS.get(dt, ())
-    if len(starts) < n:
-        starts = _STEP_STARTS[dt] = tuple(
-            (np.arange(n, dtype=float) * dt).tolist())
-    return starts[:n]
-
-
 def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
-                  params: VehicleParams, env: Environment,
-                  dt: float) -> _SegmentPlan:
+                  model: DriveModel) -> _SegmentPlan:
+    params, dt = model.params, model.dt
     profile = _plan_profile(
         edge.length_m, v_entry, v_exit_target, v_cruise,
         params.max_acceleration_mps2, params.max_deceleration_mps2,
@@ -423,7 +408,7 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     v_bar = np.diff(pos) / dts
     a_bar = np.diff(vel) / dts
 
-    p_trac = traction_power(v_bar, a_bar, edge.gradient, params, env)
+    p_trac = traction_power(v_bar, a_bar, edge.gradient, params, model.env)
     p_drive = np.where(p_trac >= 0.0, p_trac / params.drivetrain_efficiency, 0.0)
     p_recup = np.where(
         p_trac < 0.0,
@@ -441,7 +426,7 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         (float(cum.min()), float(cum.max()), float(cum[-1]))
         if len(cum) else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    trace = DriveTrace(_step_starts(dt, len(dts)), dts, v_bar, a_bar, p_trac,
+    trace = DriveTrace(model.step_starts(len(dts)), dts, v_bar, a_bar, p_trac,
                        p_net0, p_recup, np.zeros(len(dts)), None, cum, c)
     return _SegmentPlan(
         duration_s=total,
@@ -462,7 +447,8 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
 class DriveModel:
     """The fleet's one vehicle model, environment and drive time step
     ``dt`` (s), with ``plans``, the memo of :func:`drive_segment` that is
-    valid only for these three. ``dt`` is checked once, here."""
+    valid only for these three, and the step grid that its plans slice
+    their step starts from. ``dt`` is checked once, here."""
 
     def __init__(self, params: VehicleParams, env: Environment, dt: float):
         if dt <= 0:
@@ -471,6 +457,16 @@ class DriveModel:
         self.env = env
         self.dt = dt
         self.plans: dict = {}
+        # the step starts k * dt of the longest plan so far: every plan
+        # slices its starts from it, so plans share the float objects
+        self._grid: tuple[float, ...] = ()
+
+    def step_starts(self, n: int) -> tuple[float, ...]:
+        """The first ``n`` step starts ``k * dt``: the values of
+        ``np.arange(n) * dt``, bit for bit, since each is one product."""
+        if len(self._grid) < n:
+            self._grid = tuple((np.arange(n, dtype=float) * self.dt).tolist())
+        return self._grid[:n]
 
 
 def drive_segment(
@@ -541,8 +537,7 @@ def drive_segment(
                 f"entry speed {v_entry:.2f} exceeds effective limit "
                 f"{v_cruise:.2f}")
         plan = model.plans[key] = _plan_segment(
-            edge, v_entry, v_exit_target, v_cruise, params, model.env,
-            model.dt)
+            edge, v_entry, v_exit_target, v_cruise, model)
 
     c = params.battery_capacity_wh * S_PER_H
     soc0 = state.soc

@@ -73,7 +73,7 @@ class MetricsError(ValueError):
 
 
 def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
-              session_texts: dict[str, tuple]) -> bytes:
+              power_texts: dict[float, bytes]) -> bytes:
     """``vehicle``'s ``ticks.csv`` row at ``t_ms`` after its time, id and
     state fields, as ASCII bytes with the ``\\r\\n`` terminator of
     :func:`csv.writer`: its trace sample, charging session or state at
@@ -88,10 +88,10 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
     (``b"%.9f" % x`` equals ``f"{x:.9f}".encode()`` for every finite
     float), stored once its values are all finite. A trace sample's
     template is the same for every vehicle that reads it: the first read
-    formats it and stores it in the trace's ``row_texts``. A charging row's template is
-    the same for the whole session: ``session_texts`` maps the vehicle id
-    to its session and template, formatted again only for a different
-    session object. A row at rest has the one ``_REST_TEMPLATE``.
+    formats it and stores it in the trace's ``row_texts``. A charging row's
+    template depends only on its session's effective power:
+    ``power_texts`` maps each power to its one template, formatted on the
+    first row at that power. A row at rest has the one ``_REST_TEMPLATE``.
     Every value must be finite, and a charging vehicle must hold its
     session."""
     tr = vehicle.trace
@@ -109,14 +109,14 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         s = vehicle.session
         elapsed = max(0.0, (t_ms - s.grant_ms) / MS_PER_S)
         _, soc = session_progress(s, params, elapsed)
-        cached = session_texts.get(vehicle.vehicle_id)
-        if cached is None or cached[0] is not s:
-            p_battery = -(s.effective_power_w * params.charging_efficiency)
+        power = s.effective_power_w
+        template = power_texts.get(power)
+        if template is None:
+            p_battery = -(power * params.charging_efficiency)
             if not math.isfinite(soc + p_battery):
                 _reject_non_finite(vehicle, (0.0, 0.0, soc, 0.0, p_battery))
-            cached = session_texts[vehicle.vehicle_id] = (
-                s, b"0.0000,0.0000,%%.9f,0.000,%.3f,0.000,0.000\r\n" % p_battery)
-        template = cached[1]
+            template = power_texts[power] = (
+                b"0.0000,0.0000,%%.9f,0.000,%.3f,0.000,0.000\r\n" % p_battery)
     else:
         soc = vehicle.state.soc
         template = _REST_TEMPLATE
@@ -248,9 +248,10 @@ class MetricsCollector:
     and position for good; the rows and positions after it move up once
     per tick that has strandings, however many vehicles strand in it. A
     formatted row is the vehicle's id field, built once per vehicle, its
-    state's field and
-    :func:`_row_tail`; ids and state values are ASCII that needs no CSV
-    quoting. The invariant: a vehicle's row can change between ticks only
+    state's field and :func:`_row_tail`, whose charging rows share one
+    template per effective power for the whole run; ids and state values
+    are ASCII that needs no CSV quoting. The invariant: a vehicle's row
+    can change between ticks only
     while it is ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it
     transitioned since the last tick (a finished session's SOC is set in the
     handler that moves the vehicle on, and the horizon cuts sessions after
@@ -280,8 +281,8 @@ class MetricsCollector:
                            buffering=TICK_WRITE_BUFFER_BYTES)
         self._ticks.write(",".join(TICK_HEADER).encode("ascii") + b"\r\n")
         self._tick_rows = 0
-        # vehicle id -> (session, row template)
-        self._session_texts: dict[str, tuple] = {}
+        # a charging session's effective power -> its row template
+        self._power_texts: dict[float, bytes] = {}
         # b"" and then the last row of each vehicle that is not stranded,
         # after the time field, in vehicle order: joined with a tick's time
         # field they are the tick's bytes
@@ -324,7 +325,7 @@ class MetricsCollector:
         if live:
             rows, pos = self._rows, self._pos
             vehicles, id_fields = self.vehicles, self._id_fields
-            params, session_texts = self.params, self._session_texts
+            params, power_texts = self.params, self._power_texts
             stranded = Lifecycle.STRANDED
             gone = []
             for i in sorted(live):
@@ -335,7 +336,7 @@ class MetricsCollector:
                 else:
                     rows[pos[i]] = (id_fields[i] + _STATE_FIELD[lifecycle]
                                     + _row_tail(vehicle, t_ms, params,
-                                                session_texts))
+                                                power_texts))
                 if lifecycle not in _LIVE_STATES:
                     live.discard(i)
             if gone:

@@ -88,9 +88,6 @@ class Route:
         return cls(edge_ids, sum(e.length_m for e in edges),
                    tuple(zip(edges, limits)))
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 class RoadNetwork:
     """Immutable after construction; safe to share read-only.
@@ -103,9 +100,8 @@ class RoadNetwork:
     edges that share their end nodes share one path. One search is kept:
     the most recent, which later queries from its source node by its weight
     resume and any other query replaces (``_search``, at most one entry).
-    Two caches are built once, on first use: the edge geometry of
-    :func:`nearest_edge` and, per routing weight, the arc table of the
-    search.
+    Per routing weight, the arc table of the search is built once, on
+    first use.
     """
 
     def __init__(
@@ -127,7 +123,6 @@ class RoadNetwork:
         self.adjacency: dict[str, list[str]] = {n: [] for n in nodes}
         for eid in sorted(edges):
             self.adjacency[edges[eid].from_node].append(eid)
-        self._geom: tuple | None = None
         # node id -> its number in the route search, in sorted id order
         self._node_number = {n: i for i, n in enumerate(sorted(nodes))}
         # weight -> node number -> (to_node, weight, edge_id, ...), see _arcs
@@ -178,28 +173,6 @@ class RoadNetwork:
         ys = [c.y for c in self.nodes.values()]
         width, height = max(xs) - min(xs), max(ys) - min(ys)
         return width * width + height * height
-
-    def _geometry(self):
-        # cached per-edge endpoint arrays, sorted by edge id so that the
-        # first of tied candidates is the smallest id
-        if self._geom is None:
-            ids = sorted(self.edges)
-            ax = np.empty(len(ids))
-            ay = np.empty(len(ids))
-            bx = np.empty(len(ids))
-            by = np.empty(len(ids))
-            for i, eid in enumerate(ids):
-                e = self.edges[eid]
-                a, b = self.nodes[e.from_node], self.nodes[e.to_node]
-                ax[i], ay[i], bx[i], by[i] = a.x, a.y, b.x, b.y
-            dx = bx - ax
-            dy = by - ay
-            seg_sq = dx * dx + dy * dy
-            # the squared absolute tie slack of nearest_edge
-            tie_sq = NEAREST_TIE_REL ** 2 * self._extent_sq()
-            self._geom = (ids, ax, ay, dx, dy, np.maximum(seg_sq, 1e-300),
-                          tie_sq)
-        return self._geom
 
 
 def _parse_row(row: dict, key: str, kind, row_no: int, file_label: str):
@@ -330,8 +303,20 @@ def nearest_edge(net: RoadNetwork, points: Sequence[Coord]) -> list[str]:
     """
     if not net.edges:
         raise NetworkError("nearest_edge on empty network")
-    ids, ax, ay, dx, dy, seg_sq, tie_sq = net._geometry()
+    # per-edge endpoint arrays, sorted by edge id so that the first of tied
+    # candidates is the smallest id
+    ids = sorted(net.edges)
     n_edges = len(ids)
+    ax, ay, bx, by = (np.empty(n_edges) for _ in range(4))
+    for i, eid in enumerate(ids):
+        e = net.edges[eid]
+        a, b = net.nodes[e.from_node], net.nodes[e.to_node]
+        ax[i], ay[i], bx[i], by[i] = a.x, a.y, b.x, b.y
+    dx = bx - ax
+    dy = by - ay
+    seg_sq = np.maximum(dx * dx + dy * dy, 1e-300)
+    # the squared absolute tie slack
+    tie_sq = NEAREST_TIE_REL ** 2 * net._extent_sq()
     step = max(1, SNAP_CHUNK_CELLS // n_edges)
     snapped: list[str] = []
     for lo in range(0, len(points), step):
@@ -355,13 +340,10 @@ def nearest_edge(net: RoadNetwork, points: Sequence[Coord]) -> list[str]:
         dist_sq = px
         threshold = (dist_sq.min(axis=1) * (1.0 + 2.0 * NEAREST_TIE_REL)
                      + tie_sq)
-        # candidates in row-major order, at least one per row: the first of
-        # each row is the point's smallest candidate id, as the ids are sorted
-        row = -1
-        for hit in np.flatnonzero(dist_sq <= threshold[:, None]).tolist():
-            if hit // n_edges != row:
-                row = hit // n_edges
-                snapped.append(ids[hit - row * n_edges])
+        # at least one candidate per row, its minimum: the first of each row
+        # is the point's smallest candidate id, as the ids are sorted
+        first = (dist_sq <= threshold[:, None]).argmax(axis=1)
+        snapped.extend(ids[k] for k in first.tolist())
     return snapped
 
 

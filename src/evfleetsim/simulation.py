@@ -163,21 +163,18 @@ def sweep(
     """One independent run per value with a shared demand seed; aggregates
     the fleet-dimensioning metrics into ``sweep.csv``.
 
-    For ``fleet.size`` sweeps the schedule size is pinned to the base
-    configuration's value so every run faces the identical job schedule.
+    For ``fleet.size`` sweeps every run keeps the base configuration's
+    schedule size, which the effective config holds resolved, so every run
+    faces the identical job schedule.
     Every value's configuration is built before the first run, so a bad
     value raises :class:`~evfleetsim.config.ConfigError` before any output
     is written.
     """
     effective = load_config(config_path).effective
     base_dir = Path(config_path).parent.resolve()
-    pinned_schedule = effective["demand"]["schedule_size"]
-    configs = []
-    for value in values:
-        override = apply_sweep_override(effective, param, value)
-        if param == "fleet.size":
-            override["demand"]["schedule_size"] = pinned_schedule
-        configs.append(build_config(override, base_dir))
+    configs = [build_config(apply_sweep_override(effective, param, value),
+                            base_dir)
+               for value in values]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

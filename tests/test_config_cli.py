@@ -557,6 +557,15 @@ def test_apply_sweep_override_station_count():
         apply_sweep_override(effective, "stations.count", 1.5)
 
 
+def test_a_fleet_size_override_keeps_the_resolved_schedule_size(tmp_path):
+    # the file leaves schedule_size null; the effective config holds it
+    # resolved to the base fleet size, so a sweep needs no pin of its own
+    effective = load_config(write_scenario(tmp_path)).effective
+    override = apply_sweep_override(effective, "fleet.size", 3)
+    assert override["demand"]["schedule_size"] == BASE_SCENARIO["fleet"]["size"]
+    assert override["fleet"]["size"] == 3
+
+
 def test_apply_sweep_override_assigns_the_value_unchanged():
     effective = load_config(default_scenario_path()).effective
     assert apply_sweep_override(effective, "fleet.size", 5.5)["fleet"]["size"] == 5.5

@@ -5,11 +5,12 @@ its own definition.
 ``__init__.py`` holds only the docstring and ``__version__``, so it is not
 scanned. Every field of a package dataclass is read by the package itself,
 and every parameter of a package function is read in its body.
-Five architecture guards ride along: importing the package loads no
+Six architecture guards ride along: importing the package loads no
 submodule, congestion enters once, in the fleet controller, only the network
 and the config builder index a network's edges (everything else reads a
 route's legs), no function takes a ``plans`` memo (the drive model owns
-it), and only the metrics module writes CSV (the engine imports no ``csv``).
+it), only the metrics module writes CSV (the engine imports no ``csv``), and
+no function changes module-level state.
 """
 
 import ast
@@ -287,4 +288,79 @@ def test_only_the_metrics_module_writes_csv():
         for child in ast.walk(package.trees["engine.py"])
         if isinstance(child, ast.Import)
         and any(alias.name == "csv" for alias in child.names)]
+    assert not offences, offences
+
+
+# methods that change the list, dict or set they are called on
+MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
+            "update", "setdefault", "add", "discard", "sort", "reverse",
+            "difference_update", "intersection_update",
+            "symmetric_difference_update", "__setitem__", "__delitem__"}
+
+
+def module_names(tree) -> tuple[set[str], set[str]]:
+    """Every name bound at module level: imports, assignments (also inside
+    a module-level ``if`` or ``try``), functions and classes; and the
+    imported ones among them."""
+    names, imported, todo = set(), set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return names | imported, imported
+
+
+def root_name(node) -> str | None:
+    """The name an attribute or subscript chain such as ``a.b[k].c``
+    starts from, or ``None`` if it starts from anything else."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_function_changes_module_state():
+    """State that outlives a run belongs to an object the run builds: no
+    package function stores into or deletes from a subscript or attribute
+    of a module-level name, calls a mutating method on one or declares
+    ``global``. A name that the function binds itself is its own, and a
+    call such as ``np.append`` is an imported function, not a method."""
+    package = Package()
+    offences = []
+    for module, tree in package.trees.items():
+        shared, imported = module_names(tree)
+        for qualname, node in functions(tree):
+            args = node.args
+            local = {a.arg for a in (*args.posonlyargs, *args.args,
+                                     *args.kwonlyargs,
+                                     *filter(None, (args.vararg, args.kwarg)))}
+            local.update(child.id for child in ast.walk(node)
+                         if isinstance(child, ast.Name)
+                         and isinstance(child.ctx, ast.Store))
+            for child in ast.walk(node):
+                if isinstance(child, ast.Global):
+                    offences += [f"{module}:{child.lineno} {qualname} "
+                                 f"declares global {name}"
+                                 for name in child.names]
+                    continue
+                if (isinstance(child, (ast.Attribute, ast.Subscript))
+                        and isinstance(child.ctx, (ast.Store, ast.Del))):
+                    name = root_name(child)
+                elif (isinstance(child, ast.Call)
+                      and isinstance(child.func, ast.Attribute)
+                      and child.func.attr in MUTATORS
+                      and getattr(child.func.value, "id", None)
+                      not in imported):
+                    name = root_name(child.func.value)
+                else:
+                    continue
+                if name in shared and name not in local:
+                    offences.append(
+                        f"{module}:{child.lineno} {qualname} mutates {name}")
     assert not offences, offences

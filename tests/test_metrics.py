@@ -381,6 +381,25 @@ def test_charging_rows_follow_each_session(tmp_path):
     assert row(1.0, slow, 1.0) != row(1.0, fast, 1.0)
 
 
+def test_charging_sessions_share_one_template_per_power(tmp_path):
+    # a charging row's template depends only on the session's power: two
+    # sessions at 2,300 W share one, the 3,600 W session gets its own
+    vehicles = fleet_of("v0", "v1", "v2", soc=0.5)
+    for vehicle, s in zip(vehicles, (session("v0"), session("v1", grant_s=1.0),
+                                     session("v2", energy=3600.0))):
+        vehicle.lifecycle, vehicle.session = Lifecycle.CHARGING, s
+    collector = collector_for(tmp_path, vehicles)
+    collector.record_ticks(2000)
+    templates = collector._power_texts
+    assert list(templates) == [2300.0, 3600.0]
+    assert templates[2300.0].split(b",")[4] == b"-2300.000"
+    assert templates[3600.0].split(b",")[4] == b"-3600.000"
+    collector.close()
+    assert [row.split(",")[1] + "," + row.split(",")[7]
+            for row in tick_rows(tmp_path)] == [
+        "v0,-2300.000", "v1,-2300.000", "v2,-3600.000"]
+
+
 def test_a_charging_vehicle_without_a_session_fails_the_tick(tmp_path):
     # the fleet hands a vehicle its session as it starts charging; a tick
     # that finds none raises rather than writing a row at rest

@@ -203,6 +203,14 @@ def test_nearest_edge_batches_match_exhaustive_scan(chunks, extra):
     assert nearest_edge(net, points) == [brute_nearest(net, p) for p in points]
 
 
+def test_nearest_edge_leaves_the_network_unchanged():
+    # a run snaps once, so the network keeps no snapping state
+    net = generate_grid(3, 3, 100.0, 10.0)
+    before = dict(vars(net))
+    nearest_edge(net, [Coord(50.0, 5.0), Coord(120.0, 180.0)])
+    assert vars(net) == before
+
+
 def test_nearest_edge_breaks_ties_between_directions_and_streets():
     net = generate_grid(4, 4, 100.0, 13.9)
     # block centres (four streets tie), nodes (up to eight edges), midpoints
