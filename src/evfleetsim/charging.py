@@ -10,7 +10,10 @@ alternatives (routes, energy estimates, travel times); the manager compares
 their travel time plus wait with the wait at the current station.
 
 Charging is constant-power (no taper), so completion times are exact:
-``duration = deficit * 3600 / (min(slot, vehicle) * efficiency)``.
+``duration = deficit * 3600 / (min(slot, vehicle) * efficiency)``. The wait
+estimate counts on the engine's millisecond clock: a queued vehicle's charge
+time is rounded to whole ms, as a granted session's completion is, so every
+sum it takes is exact.
 """
 
 from __future__ import annotations
@@ -71,13 +74,13 @@ class _Occupied:
 @dataclass
 class _QueueEntry:
     """A vehicle waiting in a station's queue, with the time it joined
-    and its estimated charge seconds."""
+    and its estimated charge time in ms."""
 
     vehicle: object
     enqueue_ms: int
-    # estimated seconds to charge at the station's mean slot power; fixed
-    # while queued, since a queued vehicle is at rest
-    charge_s: float
+    # estimated ms to charge at the station's mean slot power; fixed while
+    # queued, since a queued vehicle is at rest
+    charge_ms: int
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,9 @@ class ChargingManager:
     to it, and each session keeps it as its own ``target_soc``. Of a
     vehicle the manager reads only ``vehicle_id`` and ``state``.
 
-    Per station it keeps the queued charge seconds, summed left to right
-    from the queue head, so that an estimate does not rescan the queue. An
-    append continues that sum. A ``popleft`` would need a subtraction,
-    which does not give the same float as the sum from the new head, so it
-    marks the total stale (``None``) instead, and the next estimate rescans
-    once and stores the result."""
+    Per station it keeps the queued charge time as an integer total on the
+    engine's millisecond clock, which an append adds to and a ``popleft``
+    subtracts from exactly, so that an estimate never scans the queue."""
 
     def __init__(self, stations: list[ChargingStation], params: VehicleParams,
                  target_soc: float):
@@ -175,8 +175,7 @@ class ChargingManager:
             self.stations[st.station_id] = st
         self.queues: dict[str, deque[_QueueEntry]] = {
             sid: deque() for sid in self.stations}
-        self._queued_s: dict[str, float | None] = {
-            sid: 0.0 for sid in self.stations}
+        self._queued_ms: dict[str, int] = {sid: 0 for sid in self.stations}
         self.occupancy: dict[str, dict[str, _Occupied]] = {
             sid: {} for sid in self.stations}
         self.sessions: list[ChargeSession] = []
@@ -252,11 +251,9 @@ class ChargingManager:
                        key=lambda s: (-s.power_w, s.slot_id))
             return self._start_session(station, slot, vehicle, at_ms, at_ms)
         queue = self.queues[station_id]
-        charge_s = self._queued_charge_s(station, vehicle)
-        queue.append(_QueueEntry(vehicle, at_ms, charge_s))
-        total = self._queued_s[station_id]
-        if total is not None:
-            self._queued_s[station_id] = total + charge_s
+        charge_ms = self._queued_charge_ms(station, vehicle)
+        queue.append(_QueueEntry(vehicle, at_ms, charge_ms))
+        self._queued_ms[station_id] += charge_ms
         self._engaged.add(vehicle.vehicle_id)
         return Queued(len(queue))
 
@@ -278,7 +275,7 @@ class ChargingManager:
         if not queue:
             return None
         entry = queue.popleft()
-        self._queued_s[station_id] = None
+        self._queued_ms[station_id] -= entry.charge_ms
         self._engaged.discard(entry.vehicle.vehicle_id)
         slot = next(s for s in station.slots if s.slot_id == slot_id)
         return self._start_session(station, slot, entry.vehicle,
@@ -301,37 +298,27 @@ class ChargingManager:
 
     # -- wait-or-divert policy ------------------------------------------------
 
-    def _queued_charge_s(self, station: ChargingStation, vehicle) -> float:
-        """Estimated seconds a queued ``vehicle`` will charge to the target
-        at ``station``, assuming the mean slot power."""
+    def _queued_charge_ms(self, station: ChargingStation, vehicle) -> int:
+        """Estimated ms a queued ``vehicle`` will charge to the target at
+        ``station``, assuming the mean slot power."""
         est_power = sum(s.power_w for s in station.slots) / len(station.slots)
         params = self.params
         deficit = max(0.0, ((self.target_soc - vehicle.state.soc)
                             * params.battery_capacity_wh))
-        return charge_duration(deficit, est_power, params.max_charging_power_w,
-                               params.charging_efficiency)
+        return ms(charge_duration(deficit, est_power,
+                                  params.max_charging_power_w,
+                                  params.charging_efficiency))
 
     def estimate_wait_s(self, station: ChargingStation, at_ms: int) -> float:
         """Expected wait before a slot frees for a vehicle joining the
         queue: remaining occupant time plus the estimated charge time of
-        every queued vehicle, shared over the servers."""
+        every queued vehicle, shared over the servers; both are summed in
+        whole ms, so the sum is exact."""
         sid = station.station_id
-        remaining = sum(
-            max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
-            for occ in self.occupancy[sid].values()
-        )
-        queued_s = self._queued_s[sid]
-        if queued_s is None:
-            queued_s = self._queued_s[sid] = self._rescan(sid)
-        return (remaining + queued_s) / station.max_simultaneous
-
-    def _rescan(self, station_id: str) -> float:
-        """The queued charge seconds at ``station_id``, summed left to
-        right from the queue head."""
-        queued_s = 0.0
-        for entry in self.queues[station_id]:
-            queued_s += entry.charge_s
-        return queued_s
+        remaining_ms = sum(max(0, occ.session.complete_ms - at_ms)
+                           for occ in self.occupancy[sid].values())
+        return ((remaining_ms + self._queued_ms[sid])
+                / (MS_PER_S * station.max_simultaneous))
 
     def select_station(
         self,
@@ -364,8 +351,8 @@ class ChargingManager:
     def assert_consistent(self) -> None:
         """Global scan: simultaneity limits hold, no vehicle appears twice
         across queues and occupancies, every queued charge time equals a
-        fresh estimate, and every stored queue total equals a fresh
-        rescan. Intended for test builds."""
+        fresh estimate, and every queue total is the sum of its entries.
+        Intended for test builds."""
         seen: set[str] = set()
         for sid, station in self.stations.items():
             occupancy = self.occupancy[sid]
@@ -380,11 +367,11 @@ class ChargingManager:
                 vid = entry.vehicle.vehicle_id
                 assert vid not in seen, f"{vid} appears twice"
                 seen.add(vid)
-                assert entry.charge_s == self._queued_charge_s(
+                assert entry.charge_ms == self._queued_charge_ms(
                     station, entry.vehicle), (
                     f"{vid}: stale queued charge time")
-            total = self._queued_s[sid]
-            assert total is None or total == self._rescan(sid), (
-                f"{sid}: stored queue total {total!r} is not the rescan "
-                f"{self._rescan(sid)!r}")
+            total = sum(e.charge_ms for e in self.queues[sid])
+            assert self._queued_ms[sid] == total, (
+                f"{sid}: stored queue total {self._queued_ms[sid]} ms is not "
+                f"the sum {total} ms of its entries")
         assert seen == self._engaged

@@ -439,8 +439,8 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
         cum_max=cum_max,
         cum_last=cum_last,
         result=SegmentResult(trace, ms(total), False),
-        consumed_wh=float(np.dot(p_consume, hours)),
-        recuperated_wh=float(np.dot(p_recup, hours)),
+        consumed_wh=math.fsum(p_consume * hours),
+        recuperated_wh=math.fsum(p_recup * hours),
     )
 
 
@@ -634,7 +634,7 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
         duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
         distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
         exit_velocity = 0.0
-    range_extended_wh = float(np.dot(re_power_arr, hours))
+    range_extended_wh = math.fsum(re_power_arr * hours)
 
     fuel_l = 0.0
     if re is not None:
@@ -657,8 +657,8 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
     state.soc = float(soc_traj[-1]) if n > 0 else soc0
     state.velocity = exit_velocity
     state.range_extender_on = flag
-    state.cumulative.consumed_wh += float(np.dot(p_consume, hours))
-    state.cumulative.recuperated_wh += float(np.dot(p_recup, hours))
+    state.cumulative.consumed_wh += math.fsum(p_consume * hours)
+    state.cumulative.recuperated_wh += math.fsum(p_recup * hours)
     state.cumulative.range_extended_wh += range_extended_wh
     state.cumulative.fuel_liters += fuel_l
     state.cumulative.distance_m += distance

@@ -1,4 +1,4 @@
-import copy
+from collections import deque
 
 import numpy as np
 import pytest
@@ -231,21 +231,20 @@ def test_randomized_service_order_equals_arrival_order():
 
 def rescanned_wait_s(mgr, station, at_ms):
     """The wait estimate of ``station`` at ``at_ms`` by its formula, with
-    the queued charge seconds summed afresh from the queue head."""
-    remaining = sum(
-        max(0.0, (occ.session.complete_ms - at_ms) / MS_PER_S)
-        for occ in mgr.occupancy[station.station_id].values())
-    queued_s = 0.0
-    for entry in mgr.queues[station.station_id]:
-        queued_s += entry.charge_s
-    return (remaining + queued_s) / station.max_simultaneous
+    the occupants' remaining ms and the queued charge ms summed afresh."""
+    sid = station.station_id
+    remaining_ms = sum(max(0, occ.session.complete_ms - at_ms)
+                       for occ in mgr.occupancy[sid].values())
+    queued_ms = sum(entry.charge_ms for entry in mgr.queues[sid])
+    return ((remaining_ms + queued_ms)
+            / (MS_PER_S * station.max_simultaneous))
 
 
 ONE_SLOT = ChargingStation("st1", "e1", (Slot("s0", PLUG_PRESETS["schuko"]),), 1)
 QUEUE_OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("request"), st.floats(0.0, 0.999)),
     st.tuples(st.just("release"), st.integers(0, 1)),
-    # an estimate on the manager itself stores a rescanned total
+    # an estimate between the requests and releases changes nothing
     st.tuples(st.just("estimate"), st.none()),
 ), max_size=40)
 
@@ -267,9 +266,7 @@ def test_the_wait_estimate_equals_a_fresh_rescan(station, operations, steps):
         elif name == "estimate":
             mgr.estimate_wait_s(station, at_ms)
         mgr.assert_consistent()
-        # on a copy, so that a stale total stays stale for the next append
-        probe = copy.deepcopy(mgr)
-        assert repr(probe.estimate_wait_s(probe.stations[sid], at_ms)) == repr(
+        assert repr(mgr.estimate_wait_s(station, at_ms)) == repr(
             rescanned_wait_s(mgr, station, at_ms))
 
 
@@ -279,10 +276,32 @@ def test_assert_consistent_refuses_a_corrupted_queue_total():
         mgr.request_charge(dummy_vehicle(vid, soc=soc), "st1", 0)
     mgr.assert_consistent()
     total = mgr.estimate_wait_s(ONE_SLOT, 0)
-    mgr._queued_s["st1"] += 1e-9
+    mgr._queued_ms["st1"] += 1
     with pytest.raises(AssertionError, match="stored queue total"):
         mgr.assert_consistent()
     assert mgr.estimate_wait_s(ONE_SLOT, 0) != total
+
+
+class _UnreadableQueue(deque):
+    """A queue that refuses to be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the queue was scanned")
+
+
+def test_the_wait_estimate_after_a_handoff_does_not_scan_the_queue():
+    mgr = ChargingManager([ONE_SLOT], PARAMS, 1.0)
+    first = mgr.request_charge(dummy_vehicle("o", soc=0.5), "st1", 0)
+    for k in range(50):
+        mgr.request_charge(dummy_vehicle(f"q{k}", soc=k / 100), "st1", 0)
+    handoff = mgr.release_slot("st1", first.slot_id, ms(10))
+    assert handoff.vehicle_id == "q0"
+    mgr.assert_consistent()
+    queue = mgr.queues["st1"]
+    mgr.queues["st1"] = _UnreadableQueue(queue)
+    wait = mgr.estimate_wait_s(ONE_SLOT, ms(20))
+    mgr.queues["st1"] = queue
+    assert repr(wait) == repr(rescanned_wait_s(mgr, ONE_SLOT, ms(20)))
 
 
 # --- wait-or-divert ---------------------------------------------------------------

@@ -730,8 +730,8 @@ def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
     trace = memo.trace
     hours = trace.dt_s / 3600.0
     c = memo_state.cumulative
-    assert c.recuperated_wh == float(np.dot(trace.p_recup_w, hours))
-    assert c.range_extended_wh == float(np.dot(trace.p_re_w, hours))
+    assert c.recuperated_wh == math.fsum(trace.p_recup_w * hours)
+    assert c.range_extended_wh == math.fsum(trace.p_re_w * hours)
     return memo, memo_state
 
 
@@ -807,8 +807,8 @@ def array_fast_path(plan, soc0, params, re_on):
     else:
         fast = (not re_on and n > 0 and soc_traj.min() >= re.soc_on
                 and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
-    sums = (float(np.dot(plan.p_consume, plan.hours)),
-            float(np.dot(shared.p_recup_w, plan.hours)))
+    sums = (math.fsum(plan.p_consume * plan.hours),
+            math.fsum(shared.p_recup_w * plan.hours))
     return bool(fast), soc_traj, sums
 
 

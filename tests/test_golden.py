@@ -25,8 +25,13 @@ change, and names each file it changed:
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_fleet import load_bench_workloads
@@ -148,6 +153,48 @@ def test_sweep_outputs_match_the_golden_hashes(tmp_path):
     run_sweep(tmp_path)
     assert tree_digests(tmp_path) == json.loads(
         GOLDEN.read_text())[SWEEP_KEY]
+
+
+def numpy_blas() -> str:
+    """The name of the BLAS numpy was built on, or ``""`` where numpy is
+    too old to report it."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):
+        return ""
+    return build.get("blas", {}).get("name", "")
+
+
+CUMULATIVES = """
+import sys
+from test_golden import probe_config
+from evfleetsim.simulation import run_scenario
+for vehicle in run_scenario(probe_config(sys.argv[1]), sys.argv[2]).vehicles:
+    print(vehicle.vehicle_id, repr(vehicle.state.cumulative))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or "openblas" not in numpy_blas().lower(),
+                    reason="needs numpy on OpenBLAS on x86-64, where a "
+                           "kernel can be forced")
+def test_energy_sums_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel from the CPU; Prescott is its x86-64
+    # baseline, which every such CPU runs
+    here = Path(__file__).resolve().parent
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = []
+    for coretype in (None, "Prescott"):
+        run_env = env if coretype is None else {
+            **env, "OPENBLAS_CORETYPE": coretype}
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", CUMULATIVES, run_key("bundled_day", 42),
+             str(tmp_path / str(coretype))],
+            check=True, env=run_env, capture_output=True, text=True).stdout)
+    assert outputs[0].count("Cumulative(") == 100
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

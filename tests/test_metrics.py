@@ -354,7 +354,8 @@ def test_a_tick_reads_the_sample_that_searchsorted_finds(drawn):
 
 
 def test_charging_rows_follow_each_session(tmp_path):
-    # the text around the SOC is formatted once per session object
+    # the text around the SOC is formatted once per effective power, and
+    # each row still follows the session the vehicle holds at its tick
     (v0,) = vehicles = fleet_of("v0", soc=0.5)
     v0.lifecycle = Lifecycle.CHARGING
     params = make_params(battery_capacity_wh=CAPACITY_WH)
