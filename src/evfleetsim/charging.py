@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import network
 from .dynamics import VehicleParams
-from .engine import MS_PER_S, ms
+from .engine import MS_PER_S, left_sum, ms
 
 
 class ChargingError(ValueError):
@@ -301,7 +301,8 @@ class ChargingManager:
     def _queued_charge_ms(self, station: ChargingStation, vehicle) -> int:
         """Estimated ms a queued ``vehicle`` will charge to the target at
         ``station``, assuming the mean slot power."""
-        est_power = sum(s.power_w for s in station.slots) / len(station.slots)
+        est_power = (left_sum(s.power_w for s in station.slots)
+                     / len(station.slots))
         params = self.params
         deficit = max(0.0, ((self.target_soc - vehicle.state.soc)
                             * params.battery_capacity_wh))

@@ -24,6 +24,8 @@ import time as _wallclock
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Callable
 
 MS_PER_S = 1000
@@ -47,6 +49,14 @@ def ms(seconds: float) -> int:
 def hour_of(time_ms: int) -> int:
     """Hour-of-day (0..23) for a simulation timestamp."""
     return (time_ms // (3600 * MS_PER_S)) % 24
+
+
+def left_sum(values) -> float:
+    """The float sum of ``values``, added left to right from ``0.0``: the
+    value builtin ``sum()`` gave before Python 3.12, whose compensated
+    summation can give another. Builtin ``sum()`` adds only integers in
+    this package, so no float total depends on the Python version."""
+    return reduce(add, values, 0.0)
 
 
 class EventKind(Enum):

@@ -61,7 +61,8 @@ from functools import cached_property
 import numpy as np
 
 from . import charging, dynamics, network
-from .engine import Engine, Event, EventKind, ModelError, hour_of, ms
+from .engine import (Engine, Event, EventKind, ModelError, hour_of, left_sum,
+                     ms)
 
 LOG = logging.getLogger(__name__)
 
@@ -185,7 +186,7 @@ class DemandProfile:
         if len(self.departure_weights) != 24:
             raise FleetError("departure_weights needs exactly 24 values")
         if (not all(math.isfinite(w) and w >= 0 for w in self.departure_weights)
-                or not 0 < sum(self.departure_weights) < math.inf):
+                or not 0 < left_sum(self.departure_weights) < math.inf):
             raise FleetError("departure weights must be finite and "
                              "non-negative with a positive, finite sum")
         if not self.distance_bins:
@@ -201,7 +202,7 @@ class DemandProfile:
             if w < 0:
                 raise FleetError("distance bin weights must be non-negative")
             last = upper
-        if not 0 < sum(w for _, w in self.distance_bins) < math.inf:
+        if not 0 < left_sum(w for _, w in self.distance_bins) < math.inf:
             raise FleetError(
                 "distance bin weights must have a positive, finite sum")
 

@@ -13,14 +13,13 @@ import csv
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .charging import session_progress
 from .dynamics import VehicleParams
-from .engine import MS_PER_S, Engine, Event, EventKind, ms
+from .engine import MS_PER_S, Engine, Event, EventKind, left_sum, ms
 from .fleet import Lifecycle, Trip, Vehicle
 
 TICK_HEADER = [
@@ -60,9 +59,9 @@ _STATE_GROUP = {
     Lifecycle.QUEUED_AT_STATION: "queued",
     Lifecycle.STRANDED: "stranded",
 }
-# each state's value, read once: ``Lifecycle.value`` is a Python-level
-# descriptor call on every read
-_STATE_VALUE = {state: state.value for state in Lifecycle}
+# each state's column of the utilization.csv counts, after bin_start_s
+_STATE_COLUMN = {state: UTILIZATION_HEADER.index(group) - 1
+                 for state, group in _STATE_GROUP.items()}
 # each state's ticks.csv field and the comma after it
 _STATE_FIELD = {state: b"%s," % state.value.encode("ascii")
                 for state in Lifecycle}
@@ -166,34 +165,6 @@ def write_csv(path, header, rows) -> int:
     return n
 
 
-def _group_by_vehicle(items, vehicle_id) -> dict[str, list]:
-    """Items grouped by ``vehicle_id(item)`` in one pass; each group keeps
-    the original order, so sums over a group match a filtered scan bit for
-    bit."""
-    groups: dict[str, list] = {}
-    for item in items:
-        groups.setdefault(vehicle_id(item), []).append(item)
-    return groups
-
-
-def state_periods(transitions, horizon_ms: int) -> list[tuple[str, float, float]]:
-    """(state, start_s, end_s) tiles covering [0, horizon] from one vehicle's
-    transitions in time order."""
-    periods: list[tuple[str, float, float]] = []
-    current: Lifecycle | None = None
-    start = 0
-    for t_ms, _, new in transitions:
-        if current is not None and t_ms > start:
-            periods.append((_STATE_VALUE[current], start / MS_PER_S,
-                            t_ms / MS_PER_S))
-        current = new
-        start = t_ms
-    if current is not None and horizon_ms > start:
-        periods.append((_STATE_VALUE[current], start / MS_PER_S,
-                        horizon_ms / MS_PER_S))
-    return periods
-
-
 def covering_edges(base_edges, trips) -> list[float]:
     """The distinct ``base_edges`` in order, extended by bins as wide as the
     last one until they cover the airline and driven distances of the
@@ -208,23 +179,6 @@ def covering_edges(base_edges, trips) -> list[float]:
     return edges
 
 
-@dataclass
-class UtilizationSeries:
-    """The start of each utilization bin and, per vehicle group, the
-    vehicles in that group at each start."""
-
-    bin_starts_s: list[float]
-    counts: dict[str, list[int]]
-
-    @property
-    def min_idle(self) -> int:
-        """Overdimension margin: the fewest idle vehicles over the bin-start
-        samples. Dips shorter than a bin that fall between two samples are
-        not seen, so this can overstate the exact minimum."""
-        idle = self.counts["idle"]
-        return min(idle) if idle else 0
-
-
 class MetricsCollector:
     """Collects a run's data for the output directory ``out_dir``.
 
@@ -237,6 +191,11 @@ class MetricsCollector:
     the end :meth:`export_all` and :meth:`energy_ledger_error` read each
     vehicle's energy, distance and SOC from its ``state`` and its trip
     count from ``n_trips``, and the trips and sessions as they stand then.
+
+    It is the one owner of a run's results, which :meth:`export_all`
+    computes in one pass per record: :meth:`_walk` over the transitions,
+    :meth:`_tally_sessions` over the sessions. Every float total is added
+    left to right, as builtin ``sum()`` added before Python 3.12.
 
     It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, as
     ASCII bytes after the time field, in one list, ``b""`` and then the
@@ -392,52 +351,14 @@ class MetricsCollector:
         driven_counts, _ = np.histogram(np.clip(driven, edges[0], hi), bins=edges)
         return edges, airline_counts, driven_counts
 
-    def unused_vehicles_series(self, bin_s: float, horizon_ms: int) -> UtilizationSeries:
-        """Per-bin lifecycle counts sampled at each bin start; ``idle`` is the
-        unused-vehicle series, and its minimum over the run is the
-        overdimension margin. A bin is at least 1 ms wide: a narrower one
-        would round to a 0 ms step of the clock."""
-        if not bin_s >= 0.001:
-            raise MetricsError("bin width must be at least 1 ms")
-        state: dict[str, str] = {}
-        counts: dict[str, list[int]] = {
-            g: [] for g in ("idle", "busy", "charging", "queued", "stranded")
-        }
-        # running per-group counts; a vehicle counts as idle until its
-        # first transition
-        current = {g: 0 for g in counts}
-        current["idle"] = len(self.vehicles)
-        starts: list[float] = []
-        events = self.transitions  # already in dispatch (time) order
-        pointer = 0
-        bin_ms = ms(bin_s)
-        t = 0
-        while t < horizon_ms or t == 0:
-            while pointer < len(events) and events[pointer][0] <= t:
-                _, vid, new = events[pointer]
-                current[state.get(vid, "idle")] -= 1
-                state[vid] = _STATE_GROUP[new]
-                current[state[vid]] += 1
-                pointer += 1
-            starts.append(t / MS_PER_S)
-            for g in counts:
-                counts[g].append(current[g])
-            t += bin_ms
-        return UtilizationSeries(bin_starts_s=starts, counts=counts)
-
-    def _sessions_by_vehicle(self) -> dict[str, list]:
-        return _group_by_vehicle(self.sessions, lambda s: s.vehicle_id)
-
     def energy_ledger_error(self) -> float:
         """Relative imbalance of the fleet-wide energy ledger:
-        ``sum(grid + re + recup - consumed)`` vs ``sum(capacity * dSOC)``."""
-        lhs = 0.0
-        rhs = 0.0
-        scale = 0.0
-        sessions = self._sessions_by_vehicle()
-        for v, soc_start in zip(self.vehicles, self._soc_start):
+        ``sum(grid + re + recup - consumed)`` vs ``sum(capacity * dSOC)``,
+        added left to right in vehicle order, after :meth:`export_all`."""
+        lhs = rhs = scale = 0.0
+        for v, soc_start, grid in zip(self.vehicles, self._soc_start,
+                                      self._grid_wh):
             c = v.state.cumulative
-            grid = sum(s.energy_wh for s in sessions.get(v.vehicle_id, []))
             lhs += grid + c.range_extended_wh + c.recuperated_wh - c.consumed_wh
             rhs += (self.params.battery_capacity_wh
                     * (v.state.soc - soc_start))
@@ -445,6 +366,65 @@ class MetricsCollector:
         if scale == 0.0:
             return abs(lhs - rhs)
         return abs(lhs - rhs) / scale
+
+    def _tally_sessions(self) -> None:
+        """The one pass over the sessions, in list order: each vehicle's
+        grid energy (``_grid_wh``, by vehicle index), ``total_grid_wh`` and
+        ``mean_wait_s``, each total added left to right."""
+        index = self._index
+        grid = self._grid_wh = [0.0] * len(self.vehicles)
+        total_wh = total_wait_s = 0.0
+        for s in self.sessions:
+            grid[index[s.vehicle_id]] += s.energy_wh
+            total_wh += s.energy_wh
+            total_wait_s += (s.grant_ms - s.enqueue_ms) / MS_PER_S
+        self.total_grid_wh = total_wh
+        self.mean_wait_s = (total_wait_s / len(self.sessions)
+                            if self.sessions else 0.0)
+
+    def _walk(self, bin_ms: int, horizon_ms: int):
+        """The one walk over the transition log, in dispatch (time) order.
+
+        It yields one ``utilization.csv`` row per bin: the bin's start in
+        ms, every ``bin_ms`` from 0 while before ``horizon_ms`` (the bin at
+        0 always), and the vehicles in each group, counted after every
+        transition at or before that start. It adds each period a vehicle
+        spends in a state, ended by its next transition or by
+        ``horizon_ms``, to ``_seconds[state][i]``, ``i`` the vehicle's
+        index, in time order. Once exhausted, it sets ``min_idle``, the
+        overdimension margin: the fewest idle vehicles over the bin starts.
+        It misses dips between two starts, so it can overstate the exact
+        minimum."""
+        index = self._index
+        n = len(self.vehicles)
+        seconds = self._seconds = {state: [0.0] * n for state in Lifecycle}
+        state = [Lifecycle.IDLE] * n
+        since_ms = [0] * n
+        # vehicles per group, in utilization.csv order: idle first
+        counts = [n] + [0] * (len(UTILIZATION_HEADER) - 2)
+        min_idle = n
+        end = max(horizon_ms, 1)
+        t_bin = 0
+        for t_ms, vid, new in self.transitions:
+            while t_bin < t_ms and t_bin < end:
+                yield (t_bin, *counts)
+                min_idle = min(min_idle, counts[0])
+                t_bin += bin_ms
+            i = index[vid]
+            old = state[i]
+            seconds[old][i] += t_ms / MS_PER_S - since_ms[i] / MS_PER_S
+            counts[_STATE_COLUMN[old]] -= 1
+            counts[_STATE_COLUMN[new]] += 1
+            state[i] = new
+            since_ms[i] = t_ms
+        while t_bin < end:
+            yield (t_bin, *counts)
+            min_idle = min(min_idle, counts[0])
+            t_bin += bin_ms
+        for i, (old, start_ms) in enumerate(zip(state, since_ms)):
+            if horizon_ms > start_ms:
+                seconds[old][i] += horizon_ms / MS_PER_S - start_ms / MS_PER_S
+        self.min_idle = min_idle
 
     # -- export --------------------------------------------------------------------
 
@@ -463,50 +443,62 @@ class MetricsCollector:
                 f"{t.dwell_s:.1f}", f"{delay_s:.3f}", t.status,
             )
 
-    def _summary_rows(self, horizon_ms: int):
-        transitions = _group_by_vehicle(self.transitions, lambda t: t[1])
-        sessions = self._sessions_by_vehicle()
-        zero_seconds = dict.fromkeys(_STATE_VALUE.values(), 0.0)
-        idle, charging, queued, en_route, returning = map(_STATE_VALUE.get, (
+    def _summary_rows(self):
+        """The ``summary.csv`` rows in vehicle id order, from the grid
+        energy of :meth:`_tally_sessions` and the seconds per state of
+        :meth:`_walk`."""
+        idle, charging, queued, en_route, returning = map(self._seconds.get, (
             Lifecycle.IDLE, Lifecycle.CHARGING, Lifecycle.QUEUED_AT_STATION,
             Lifecycle.EN_ROUTE, Lifecycle.RETURNING))
-        for v in sorted(self.vehicles, key=lambda v: v.vehicle_id):
-            vid, c = v.vehicle_id, v.state.cumulative
-            grid = sum(s.energy_wh for s in sessions.get(vid, []))
-            seconds = zero_seconds.copy()
-            for state, start, end in state_periods(
-                    transitions.get(vid, []), horizon_ms):
-                seconds[state] += end - start
+        vehicles, grid = self.vehicles, self._grid_wh
+        for vid, i in sorted(self._index.items()):
+            v = vehicles[i]
+            c = v.state.cumulative
             yield (
                 vid,
                 f"{c.consumed_wh:.6f}", f"{c.recuperated_wh:.6f}",
                 f"{c.range_extended_wh:.6f}",
-                f"{grid:.6f}",
+                f"{grid[i]:.6f}",
                 f"{c.fuel_liters:.6f}", f"{c.distance_m:.3f}",
                 v.n_trips,
-                f"{seconds[idle]:.3f}", f"{seconds[charging]:.3f}",
-                f"{seconds[queued]:.3f}",
-                f"{seconds[en_route] + seconds[returning]:.3f}",
+                f"{idle[i]:.3f}", f"{charging[i]:.3f}", f"{queued[i]:.3f}",
+                f"{en_route[i] + returning[i]:.3f}",
             )
 
     def export_all(self, run_info: dict, horizon_ms: int,
                    histogram_edges: list[float],
                    utilization_bin_s: float) -> dict:
-        """Write all CSVs plus ``manifest.json`` to ``out_dir``; returns the
+        """Write all CSVs plus ``manifest.json`` to ``out_dir`` and set the
+        run's results, ``n_stranded``, ``n_delayed``, ``total_fuel_l``,
+        ``total_grid_wh``, ``mean_wait_s`` and ``min_idle``; returns the
         manifest dict: ``run_info`` with the horizon, the row count of each
-        file and the overdimension margin added.
+        file and the results but the two totals added.
 
         ``horizon_ms`` ends the last state period and the last utilization
-        bin. ``histogram_edges`` are the base bin edges of
-        ``histograms.csv``, extended by :func:`covering_edges` to the
-        realised distances. ``utilization_bin_s`` is the bin width of
-        ``utilization.csv``."""
+        bin; a trip still pending that should have left by then is delayed.
+        ``histogram_edges`` are the base bin edges of ``histograms.csv``,
+        extended by :func:`covering_edges` to the realised distances.
+        ``utilization_bin_s`` is the bin width of ``utilization.csv``, at
+        least 1 ms: a narrower one would round to a 0 ms step of the clock.
+        """
         out = self.out_dir
         self.close()
-        series = self.unused_vehicles_series(utilization_bin_s, horizon_ms)
+        if not utilization_bin_s >= 0.001:
+            raise MetricsError("bin width must be at least 1 ms")
+        vehicles = self.vehicles
+        self.n_stranded = sum(v.lifecycle is Lifecycle.STRANDED
+                              for v in vehicles)
+        self.n_delayed = sum(
+            t.delay_ms > 0 or (t.status == "pending"
+                               and t.depart_ms <= horizon_ms)
+            for t in self.trips)
+        self.total_fuel_l = left_sum(v.state.cumulative.fuel_liters
+                                     for v in vehicles)
+        self._tally_sessions()
         edges, airline_counts, driven_counts = self.distance_histogram(
             covering_edges(histogram_edges, self.accepted_trips()))
-        # file name -> header and a lazy iterable of its rows
+        # file name -> header and a lazy iterable of its rows; the walk
+        # that writes utilization.csv adds up the seconds summary.csv reads
         tables = {
             "trips.csv": (TRIP_HEADER, self._trip_rows(horizon_ms)),
             "sessions.csv": (SESSION_HEADER, (
@@ -515,11 +507,11 @@ class MetricsCollector:
                  f"{s.grant_ms / MS_PER_S:.3f}",
                  f"{s.complete_ms / MS_PER_S:.3f}", f"{s.energy_wh:.6f}")
                 for s in self.sessions)),
-            "summary.csv": (SUMMARY_HEADER, self._summary_rows(horizon_ms)),
             "utilization.csv": (UTILIZATION_HEADER, (
-                (f"{start:.1f}", *counts) for start, *counts in zip(
-                    series.bin_starts_s,
-                    *map(series.counts.get, UTILIZATION_HEADER[1:])))),
+                (f"{start_ms / MS_PER_S:.1f}", *counts)
+                for start_ms, *counts in self._walk(
+                    ms(utilization_bin_s), horizon_ms))),
+            "summary.csv": (SUMMARY_HEADER, self._summary_rows()),
             "histograms.csv": (HISTOGRAM_HEADER, (
                 (f"{lower:.1f}", f"{upper:.1f}", int(airline), int(driven))
                 for lower, upper, airline, driven in zip(
@@ -529,10 +521,10 @@ class MetricsCollector:
         for name, (header, rows) in tables.items():
             files[name] = write_csv(out / name, header, rows)
 
-        manifest = dict(run_info)
-        manifest["horizon_s"] = horizon_ms / MS_PER_S
-        manifest["files"] = files
-        manifest["min_idle"] = series.min_idle
+        manifest = dict(run_info, horizon_s=horizon_ms / MS_PER_S,
+                        files=files, n_stranded=self.n_stranded,
+                        n_delayed=self.n_delayed,
+                        mean_wait_s=self.mean_wait_s, min_idle=self.min_idle)
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import left_sum
+
 LENGTH_TOLERANCE = 1e-6  # relative slack for length >= endpoint distance
 # the longest edge a network may have, longer than any road between two
 # junctions; the driven-distance histogram grows by one bin per last-bin
@@ -85,7 +87,7 @@ class Route:
         of the edge lengths in route order."""
         edges = [net.edges[eid] for eid in edge_ids]
         limits = [e.speed_limit_mps for e in edges[1:]] + [None]
-        return cls(edge_ids, sum(e.length_m for e in edges),
+        return cls(edge_ids, left_sum(e.length_m for e in edges),
                    tuple(zip(edges, limits)))
 
 
@@ -513,5 +515,5 @@ class _Search:
 def route_travel_time(route: Route, speed_factor: float) -> float:
     """Travel time of a route in seconds with every speed limit scaled by
     ``speed_factor`` (see ``RoadNetwork.hourly_speed_factors``)."""
-    return sum(e.length_m / (e.speed_limit_mps * speed_factor)
-               for e, _ in route.legs)
+    return left_sum(e.length_m / (e.speed_limit_mps * speed_factor)
+                    for e, _ in route.legs)

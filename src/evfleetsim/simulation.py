@@ -28,7 +28,8 @@ EVENT_HEADER = ["time_s", "sequence", "kind", "payload"]
 class RunResult:
     """What one run gives back: the output directory and manifest, the
     engine summary, the collector, the trips, vehicles and charging
-    manager, and the headline numbers of the run."""
+    manager, and the headline numbers of the run, as the collector's
+    export computed them."""
 
     out_dir: Path
     manifest: dict
@@ -99,20 +100,6 @@ def run_scenario(
 
         manager.truncate_active_sessions(horizon_ms)
 
-        n_stranded = sum(
-            1 for v in vehicles if v.lifecycle is fleet.Lifecycle.STRANDED
-        )
-        n_delayed = sum(
-            1 for t in trips
-            if t.delay_ms > 0 or (t.status == "pending" and t.depart_ms <= horizon_ms)
-        )
-        waits = [
-            (s.grant_ms - s.enqueue_ms) / MS_PER_S for s in manager.sessions
-        ]
-        mean_wait_s = float(sum(waits) / len(waits)) if waits else 0.0
-        total_grid_wh = float(sum(s.energy_wh for s in manager.sessions))
-        total_fuel_l = float(sum(v.state.cumulative.fuel_liters for v in vehicles))
-
         run_info = dict(
             version=__version__,
             seed=config.seed,
@@ -120,9 +107,6 @@ def run_scenario(
             fleet_size=config.fleet_size,
             n_events=summary.total_dispatched,
             n_trips=len(trips),
-            n_stranded=n_stranded,
-            n_delayed=n_delayed,
-            mean_wait_s=mean_wait_s,
             wall_clock_s=summary.wall_clock_s,
         )
         manifest = collector.export_all(
@@ -145,12 +129,7 @@ def run_scenario(
         trips=trips,
         vehicles=vehicles,
         manager=manager,
-        min_idle=manifest["min_idle"],
-        mean_wait_s=mean_wait_s,
-        n_stranded=n_stranded,
-        n_delayed=n_delayed,
-        total_grid_wh=total_grid_wh,
-        total_fuel_l=total_fuel_l,
+        **{name: getattr(collector, name) for name in SWEEP_HEADER[1:]},
     )
 
 

@@ -87,6 +87,15 @@ def trace_soc(trace: DriveTrace, entry_soc: float):
     return soc
 
 
+def sum_in_order(values) -> float:
+    """``values`` added left to right from ``0.0``, as the package adds a
+    float total (builtin ``sum()`` compensates from Python 3.12 on)."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def vehicle_ledger_errors(result, config) -> dict[str, float]:
     """Each vehicle's own energy ledger after the run ``result`` of
     ``config``: the imbalance of grid + range extender + recuperation -

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import trace_soc
+from conftest import sum_in_order, trace_soc
 
 from evfleetsim import dynamics
 from evfleetsim.dynamics import (DriveModel, DriveTrace, DynamicsError,
@@ -600,9 +600,9 @@ def energy_at_hour(net, route, params, factors, hour):
 
 
 def travel_at_hour(net, route, factors, hour):
-    return sum(net.edges[eid].length_m
-               / (net.edges[eid].speed_limit_mps * factors[hour])
-               for eid in route.edges)
+    return sum_in_order(net.edges[eid].length_m
+                        / (net.edges[eid].speed_limit_mps * factors[hour])
+                        for eid in route.edges)
 
 
 @st.composite

@@ -23,9 +23,12 @@ change, and names each file it changed:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import builtins
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -36,6 +39,7 @@ import pytest
 
 from test_fleet import load_bench_workloads
 
+import evfleetsim
 from evfleetsim import cli
 from evfleetsim.config import build_config, default_scenario_path, load_raw
 from evfleetsim.simulation import run_scenario
@@ -153,6 +157,29 @@ def test_sweep_outputs_match_the_golden_hashes(tmp_path):
     run_sweep(tmp_path)
     assert tree_digests(tmp_path) == json.loads(
         GOLDEN.read_text())[SWEEP_KEY]
+
+
+def integer_sum(values, start=0):
+    """Builtin ``sum()`` for integers only: a float item raises."""
+    values = list(values)
+    for x in values:
+        if isinstance(x, (float, np.floating)):
+            raise AssertionError(f"builtin sum() over the float {x!r}")
+    return builtins.sum(values, start)
+
+
+@pytest.mark.parametrize("workload", ("bundled_day", "charging_divert"))
+def test_no_float_total_goes_through_builtin_sum(tmp_path, monkeypatch,
+                                                 workload):
+    # from Python 3.12 on, builtin sum() adds floats with compensation, so
+    # a float total through it would depend on the Python version; the
+    # wrapper shadows it in every package module while the scenario is
+    # built and run
+    for info in pkgutil.iter_modules(evfleetsim.__path__):
+        module = importlib.import_module(f"evfleetsim.{info.name}")
+        monkeypatch.setattr(module, "sum", integer_sum, raising=False)
+    result = run_scenario(probe_config(run_key(workload, SEEDS[0])), tmp_path)
+    assert result.total_grid_wh > 0.0
 
 
 def numpy_blas() -> str:

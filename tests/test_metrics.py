@@ -13,8 +13,8 @@ from evfleetsim.config import MAX_HORIZON_S
 from evfleetsim.dynamics import Cumulative, DriveTrace, VehicleState
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip, Vehicle
-from evfleetsim.metrics import (TICK_HEADER, MetricsCollector, MetricsError,
-                                covering_edges, state_periods)
+from evfleetsim.metrics import (TICK_HEADER, UTILIZATION_HEADER,
+                                MetricsCollector, MetricsError, covering_edges)
 from evfleetsim.network import Route
 
 
@@ -529,36 +529,51 @@ def test_driven_dominates_airline_per_trip(tmp_path):
         assert trip.outbound.total_length_m >= trip.sampled_airline_m
 
 
-# --- utilization -----------------------------------------------------------------
+# --- utilization ----------------------------------------------------------------
+
+def walk(collector, bin_ms, horizon_ms):
+    """Run ``collector``'s one walk over its transition log: the bin starts
+    in ms, the vehicles per group at each start, each vehicle's seconds
+    per state (by vehicle index) and ``min_idle``."""
+    rows = list(collector._walk(bin_ms, horizon_ms))
+    counts = {group: [row[k] for row in rows]
+              for k, group in enumerate(UTILIZATION_HEADER[1:], 1)}
+    return ([row[0] for row in rows], counts, collector._seconds,
+            collector.min_idle)
+
 
 def test_nobody_dispatched_all_idle(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0", "v1", "v2"))
-    series = collector.unused_vehicles_series(60.0, ms(600.0))
-    assert all(c == 3 for c in series.counts["idle"])
-    assert series.min_idle == 3
+    _, counts, _, min_idle = walk(collector, ms(60.0), ms(600.0))
+    assert all(c == 3 for c in counts["idle"])
+    assert min_idle == 3
 
 
 def test_one_vehicle_busy_whole_run(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0", "v1"))
     collector.record_transition(0, "v0", Lifecycle.EN_ROUTE)
-    series = collector.unused_vehicles_series(60.0, ms(600.0))
-    assert all(c == 1 for c in series.counts["idle"])
-    assert all(c == 1 for c in series.counts["busy"])
-    assert series.min_idle == 1
+    _, counts, _, min_idle = walk(collector, ms(60.0), ms(600.0))
+    assert all(c == 1 for c in counts["idle"])
+    assert all(c == 1 for c in counts["busy"])
+    assert min_idle == 1
 
 
 @pytest.mark.parametrize("bin_s", [0.0004, 0.0, -60.0])
 def test_utilization_bin_under_one_ms_raises(tmp_path, bin_s):
-    # 0.0004 s rounds to a 0 ms step, which would give a single bin
+    # 0.0004 s rounds to a 0 ms step, which would give a single bin; the
+    # export fails before it writes a file
     collector = collector_for(tmp_path, fleet_of("v0"))
     with pytest.raises(MetricsError, match="at least 1 ms"):
-        collector.unused_vehicles_series(bin_s, ms(600.0))
+        collector.export_all({}, ms(600.0), [0.0, 1000.0], bin_s)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ticks.csv"]
 
 
 def test_one_ms_utilization_bins(tmp_path):
     collector = collector_for(tmp_path, fleet_of("v0"))
-    series = collector.unused_vehicles_series(0.001, 5)
-    assert series.bin_starts_s == [0.0, 0.001, 0.002, 0.003, 0.004]
+    starts, _, _, _ = walk(collector, 1, 5)
+    assert starts == [0, 1, 2, 3, 4]
+    manifest = collector.export_all({}, 5, [0.0, 1000.0], 0.001)
+    assert manifest["files"]["utilization.csv"] == 5
 
 
 def test_partition_sums_to_fleet_size(tmp_path):
@@ -572,9 +587,9 @@ def test_partition_sums_to_fleet_size(tmp_path):
         vid = vids[int(rng.integers(0, len(vids)))]
         collector.record_transition(t, vid,
                                     states[int(rng.integers(0, len(states)))])
-    series = collector.unused_vehicles_series(120.0, t + 1000)
-    for i in range(len(series.bin_starts_s)):
-        assert sum(series.counts[g][i] for g in series.counts) == 7
+    starts, counts, _, _ = walk(collector, ms(120.0), t + 1000)
+    for i in range(len(starts)):
+        assert sum(counts[g][i] for g in counts) == 7
 
 
 # --- power flow summaries (summary.csv) -------------------------------------------
@@ -629,13 +644,14 @@ def test_periods_tile_horizon(tmp_path):
            (500.0, Lifecycle.IDLE)]
     for t_s, new in seq:
         collector.record_transition(ms(t_s), "v0", new)
-    periods = state_periods(collector.transitions, ms(1000.0))
-    assert periods[0] == ("idle", 0.0, 100.0)
-    assert periods[-1] == ("idle", 500.0, 1000.0)
-    # contiguous tiling, no gaps or overlaps
-    for (_, _, end), (_, start, _) in zip(periods, periods[1:]):
-        assert end == start
-    assert sum(end - start for _, start, end in periods) == pytest.approx(1000.0)
+    _, _, seconds, _ = walk(collector, ms(300.0), ms(1000.0))
+    # idle from 0 to 100 s and from 500 s to the horizon; a gap or an
+    # overlap between periods would change a total
+    assert {state.value: secs[0] for state, secs in seconds.items()} == {
+        "idle": 100.0 + 500.0, "en_route": 100.0, "dwelling": 50.0,
+        "returning": 150.0, "charging": 100.0, "queued": 0.0,
+        "stranded": 0.0}
+    assert sum(secs[0] for secs in seconds.values()) == pytest.approx(1000.0)
 
 
 # --- export ------------------------------------------------------------------------

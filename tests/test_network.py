@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sum_in_order
 from test_config_cli import write_scenario
 
 from evfleetsim import network
@@ -385,8 +386,8 @@ def reference_route_of(net, edge_list):
     legs = tuple((net.edges[a], None if b is None
                   else net.edges[b].speed_limit_mps)
                  for a, b in zip(edge_list, after))
-    return Route(edge_list, sum(net.edges[e].length_m for e in edge_list),
-                 legs)
+    return Route(edge_list,
+                 sum_in_order(net.edges[e].length_m for e in edge_list), legs)
 
 
 def assert_routes_match_reference(net, rng):

@@ -3,9 +3,11 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from collections import defaultdict, deque
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,11 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_params, trace_soc, vehicle_ledger_errors
+from conftest import (make_params, sum_in_order, trace_soc,
+                      vehicle_ledger_errors)
 from test_config_cli import write_scenario
 from test_golden import SEEDS, probe_config, run_key
-from test_metrics import shared_trace
+from test_metrics import shared_trace, walk
 
 from evfleetsim import dynamics, metrics
 from evfleetsim.charging import ChargingManager, Queued, session_progress
@@ -25,8 +30,7 @@ from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.engine import (Engine, EventKind, ModelError,
                                SimulationAborted, ms)
 from evfleetsim.fleet import FleetController, Lifecycle, Vehicle
-from evfleetsim.metrics import (_STATE_GROUP, TICK_HEADER, MetricsCollector,
-                                state_periods)
+from evfleetsim.metrics import _STATE_GROUP, TICK_HEADER, MetricsCollector
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
 from evfleetsim.simulation import run_scenario
 
@@ -62,15 +66,21 @@ def busy_run(tmp_path):
 
 
 def test_periods_tile_horizon_for_every_vehicle(busy_run):
+    # the oracle's periods tile [0, horizon], and the walk's seconds of
+    # each vehicle add up to the horizon (test_grouped_metrics_equal_reference_filters
+    # checks them against the oracle's sums)
     result = busy_run
     horizon_ms = ms(result.manifest["horizon_s"])
-    for v in result.vehicles:
-        periods = state_periods([t for t in result.collector.transitions
-                                 if t[1] == v.vehicle_id], horizon_ms)
+    _, _, seconds, _ = walk(result.collector, ms(600.0), horizon_ms)
+    for i, v in enumerate(result.vehicles):
+        periods = reference_state_periods(result.collector.transitions,
+                                          v.vehicle_id, horizon_ms)
         assert periods[0][1] == 0.0
         assert periods[-1][2] == horizon_ms / 1000.0
         for (_, _, end), (_, start, _) in zip(periods, periods[1:]):
             assert end == start
+        assert math.fsum(secs[i] for secs in seconds.values()) == (
+            pytest.approx(horizon_ms / 1000.0, rel=1e-12))
 
 
 def test_charging_periods_disjoint_per_vehicle_and_slot(busy_run):
@@ -92,9 +102,9 @@ def test_charging_periods_disjoint_per_vehicle_and_slot(busy_run):
 def test_vehicle_in_exactly_one_state_at_all_times(busy_run):
     result = busy_run
     horizon_ms = ms(result.manifest["horizon_s"])
-    series = result.collector.unused_vehicles_series(600.0, horizon_ms)
-    for i in range(len(series.bin_starts_s)):
-        assert sum(series.counts[g][i] for g in series.counts) == 3
+    starts, counts, _, _ = walk(result.collector, ms(600.0), horizon_ms)
+    for i in range(len(starts)):
+        assert sum(counts[g][i] for g in counts) == 3
 
 
 def test_diverted_vehicles_complete_the_leg(busy_run):
@@ -749,8 +759,41 @@ def reference_state_periods(transitions, vehicle_id, horizon_ms):
     return periods
 
 
+def reference_seconds(transitions, vehicle_id, horizon_ms):
+    """Each state's seconds of one vehicle: the oracle's periods, added
+    left to right in time order."""
+    seconds = dict.fromkeys((s.value for s in Lifecycle), 0.0)
+    for state, start, end in reference_state_periods(
+            transitions, vehicle_id, horizon_ms):
+        seconds[state] += end - start
+    return seconds
+
+
 def reference_grid_wh(sessions, vehicle_id):
-    return sum(s.energy_wh for s in sessions if s.vehicle_id == vehicle_id)
+    return sum_in_order(s.energy_wh for s in sessions
+                        if s.vehicle_id == vehicle_id)
+
+
+def check_walk(collector, bin_ms, horizon_ms):
+    """The walk of ``collector`` against the oracles: each vehicle's
+    seconds per state against :func:`reference_seconds`, the counts at
+    each bin start against the state of every vehicle there, found by
+    brute force, and ``min_idle`` against the idle column."""
+    starts, counts, seconds, min_idle = walk(collector, bin_ms, horizon_ms)
+    transitions = collector.transitions
+    for i, v in enumerate(collector.vehicles):
+        expected = reference_seconds(transitions, v.vehicle_id, horizon_ms)
+        assert {state.value: secs[i]
+                for state, secs in seconds.items()} == expected
+    assert starts == list(range(0, max(horizon_ms, 1), bin_ms))
+    for i, start_ms in enumerate(starts):
+        state = {v.vehicle_id: "idle" for v in collector.vehicles}
+        for t_ms, vid, new in transitions:
+            if t_ms <= start_ms:
+                state[vid] = _STATE_GROUP[new]
+        for group, column in counts.items():
+            assert column[i] == list(state.values()).count(group)
+    assert min_idle == min(counts["idle"])
 
 
 def test_grouped_metrics_equal_reference_filters(busy_run):
@@ -764,12 +807,7 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
     expected = []
     for v in vehicles:
         vid, final = v.vehicle_id, v.state.cumulative
-        periods = reference_state_periods(collector.transitions, vid, horizon_ms)
-        own = [t for t in collector.transitions if t[1] == vid]
-        assert state_periods(own, horizon_ms) == periods
-        seconds = dict.fromkeys((s.value for s in Lifecycle), 0.0)
-        for state, start, end in periods:
-            seconds[state] += end - start
+        seconds = reference_seconds(collector.transitions, vid, horizon_ms)
         expected.append(",".join([
             vid, f"{final.consumed_wh:.6f}", f"{final.recuperated_wh:.6f}",
             f"{final.range_extended_wh:.6f}",
@@ -792,18 +830,41 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
         scale += final.consumed_wh + grid + final.range_extended_wh + final.recuperated_wh
     assert collector.energy_ledger_error() == abs(lhs - rhs) / scale
 
-    vehicle_ids = {t[1] for t in collector.transitions}
     for bin_s in (300.0, 600.0, 7.0):
-        series = collector.unused_vehicles_series(bin_s, horizon_ms)
-        starts_ms = range(0, horizon_ms, int(round(bin_s * 1000)))
-        assert series.bin_starts_s == [t / 1000.0 for t in starts_ms]
-        for i, start_ms in enumerate(starts_ms):
-            state = dict.fromkeys(vehicle_ids, "idle")
-            for t_ms, vid, new in collector.transitions:
-                if t_ms <= start_ms:
-                    state[vid] = _STATE_GROUP[new]
-            for group, counts in series.counts.items():
-                assert counts[i] == list(state.values()).count(group)
+        check_walk(collector, ms(bin_s), horizon_ms)
+
+
+@st.composite
+def transition_logs(draw):
+    """A collector's fleet, horizon and bin width, and a transition log in
+    time order: bins of 1 ms, bins as wide as the horizon or wider, and
+    transitions that fall on bin starts and on the horizon."""
+    n = draw(st.integers(1, 4))
+    horizon_ms = draw(st.integers(0, 3000))
+    bin_ms = draw(st.one_of(st.just(1), st.integers(1, 500),
+                            st.integers(max(horizon_ms, 1), 2 * horizon_ms + 2)))
+    on_bin = st.integers(0, horizon_ms // bin_ms).map(lambda k: k * bin_ms)
+    times = draw(st.lists(st.one_of(st.integers(0, horizon_ms), on_bin,
+                                    st.just(horizon_ms)), max_size=30))
+    log = [(t_ms, draw(st.integers(0, n - 1)), draw(st.sampled_from(Lifecycle)))
+           for t_ms in sorted(times)]
+    return n, horizon_ms, bin_ms, log
+
+
+@settings(max_examples=150, deadline=None)
+@given(transition_logs())
+def test_walk_equals_the_oracles_on_drawn_logs(drawn):
+    n, horizon_ms, bin_ms, log = drawn
+    with tempfile.TemporaryDirectory() as out_dir:
+        vehicles = [Vehicle(f"v{i}", dynamics.VehicleState(soc=1.0))
+                    for i in range(n)]
+        collector = MetricsCollector(out_dir, vehicles, [], [], make_params())
+        try:
+            for t_ms, i, new in log:
+                collector.record_transition(t_ms, f"v{i}", new)
+            check_walk(collector, bin_ms, horizon_ms)
+        finally:
+            collector.close()
 
 
 def test_repeated_route_query_returns_equal_route():
