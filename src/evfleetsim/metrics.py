@@ -13,13 +13,12 @@ import csv
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
-
-import numpy as np
 
 from .charging import session_progress
 from .dynamics import VehicleParams
-from .engine import MS_PER_S, Engine, Event, EventKind, left_sum, ms
+from .engine import MS_PER_S, Engine, Event, EventKind, ms
 from .fleet import Lifecycle, Trip, Vehicle
 
 TICK_HEADER = [
@@ -165,20 +164,6 @@ def write_csv(path, header, rows) -> int:
     return n
 
 
-def covering_edges(base_edges, trips) -> list[float]:
-    """The distinct ``base_edges`` in order, extended by bins as wide as the
-    last one until they cover the airline and driven distances of the
-    accepted ``trips``, so the exported histograms stay aligned and complete.
-    Without a bin of positive width the extension steps by 250 m."""
-    edges = sorted(set(base_edges))
-    width = edges[-1] - edges[-2] if len(edges) > 1 else 250.0
-    top = max((max(t.sampled_airline_m, t.outbound.total_length_m)
-               for t in trips), default=edges[-1])
-    while len(edges) < 2 or edges[-1] < top:
-        edges.append(edges[-1] + width)
-    return edges
-
-
 class MetricsCollector:
     """Collects a run's data for the output directory ``out_dir``.
 
@@ -193,8 +178,10 @@ class MetricsCollector:
     count from ``n_trips``, and the trips and sessions as they stand then.
 
     It is the one owner of a run's results, which :meth:`export_all`
-    computes in one pass per record: :meth:`_walk` over the transitions,
-    :meth:`_tally_sessions` over the sessions. Every float total is added
+    computes in one pass per record, each the generator that writes the
+    record's file: :meth:`_trip_rows` over the trips, :meth:`_session_rows`
+    over the sessions, :meth:`_walk` over the transitions and
+    :meth:`_summary_rows` over the vehicles. Every float total is added
     left to right, as builtin ``sum()`` added before Python 3.12.
 
     It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, as
@@ -331,26 +318,6 @@ class MetricsCollector:
 
     # -- analyses ----------------------------------------------------------------
 
-    def accepted_trips(self) -> list[Trip]:
-        return [t for t in self.trips if t.status != "rejected"]
-
-    def distance_histogram(
-        self, bin_edges: list[float]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Aligned airline/driven histograms over the same bins. Values beyond
-        the last edge are counted in the last bin so totals always equal the
-        number of accepted trips."""
-        edges = np.asarray(bin_edges, dtype=float)
-        if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise MetricsError("bin edges must be strictly increasing")
-        accepted = self.accepted_trips()
-        airline = np.array([t.sampled_airline_m for t in accepted])
-        driven = np.array([t.outbound.total_length_m for t in accepted])
-        hi = np.nextafter(edges[-1], -np.inf)
-        airline_counts, _ = np.histogram(np.clip(airline, edges[0], hi), bins=edges)
-        driven_counts, _ = np.histogram(np.clip(driven, edges[0], hi), bins=edges)
-        return edges, airline_counts, driven_counts
-
     def energy_ledger_error(self) -> float:
         """Relative imbalance of the fleet-wide energy ledger:
         ``sum(grid + re + recup - consumed)`` vs ``sum(capacity * dSOC)``,
@@ -366,21 +333,6 @@ class MetricsCollector:
         if scale == 0.0:
             return abs(lhs - rhs)
         return abs(lhs - rhs) / scale
-
-    def _tally_sessions(self) -> None:
-        """The one pass over the sessions, in list order: each vehicle's
-        grid energy (``_grid_wh``, by vehicle index), ``total_grid_wh`` and
-        ``mean_wait_s``, each total added left to right."""
-        index = self._index
-        grid = self._grid_wh = [0.0] * len(self.vehicles)
-        total_wh = total_wait_s = 0.0
-        for s in self.sessions:
-            grid[index[s.vehicle_id]] += s.energy_wh
-            total_wh += s.energy_wh
-            total_wait_s += (s.grant_ms - s.enqueue_ms) / MS_PER_S
-        self.total_grid_wh = total_wh
-        self.mean_wait_s = (total_wait_s / len(self.sessions)
-                            if self.sessions else 0.0)
 
     def _walk(self, bin_ms: int, horizon_ms: int):
         """The one walk over the transition log, in dispatch (time) order.
@@ -429,11 +381,23 @@ class MetricsCollector:
     # -- export --------------------------------------------------------------------
 
     def _trip_rows(self, horizon_ms: int):
+        """Yield the ``trips.csv`` rows; once exhausted, it has set
+        ``n_delayed`` and collected the airline and driven distances of
+        the accepted (not rejected) trips, in trip order."""
+        airline = self._airline_m = []
+        driven = self._driven_m = []
+        n_delayed = 0
         for t in self.trips:
-            if t.status == "pending":
+            pending = t.status == "pending"
+            if pending:
                 delay_s = max(0.0, (horizon_ms - t.depart_ms) / MS_PER_S)
             else:
                 delay_s = t.delay_ms / MS_PER_S
+            n_delayed += t.delay_ms > 0 or (pending
+                                            and t.depart_ms <= horizon_ms)
+            if t.status != "rejected":
+                airline.append(t.sampled_airline_m)
+                driven.append(t.outbound.total_length_m)
             yield (
                 t.trip_id, t.vehicle_id or "",
                 f"{t.depart_ms / MS_PER_S:.3f}",
@@ -442,28 +406,72 @@ class MetricsCollector:
                 f"{t.return_route.total_length_m:.3f}" if t.return_route else "",
                 f"{t.dwell_s:.1f}", f"{delay_s:.3f}", t.status,
             )
+        self.n_delayed = n_delayed
+
+    def _session_rows(self):
+        """The one pass over the sessions, in list order: it yields the
+        ``sessions.csv`` rows. Once exhausted, it has set each vehicle's
+        grid energy (``_grid_wh``, by vehicle index), ``total_grid_wh`` and
+        ``mean_wait_s``, each total added left to right."""
+        index = self._index
+        grid = self._grid_wh = [0.0] * len(self.vehicles)
+        total_wh = total_wait_s = 0.0
+        for s in self.sessions:
+            grid[index[s.vehicle_id]] += s.energy_wh
+            total_wh += s.energy_wh
+            total_wait_s += (s.grant_ms - s.enqueue_ms) / MS_PER_S
+            yield (s.station_id, s.slot_id, s.vehicle_id,
+                   f"{s.enqueue_ms / MS_PER_S:.3f}",
+                   f"{s.grant_ms / MS_PER_S:.3f}",
+                   f"{s.complete_ms / MS_PER_S:.3f}", f"{s.energy_wh:.6f}")
+        self.total_grid_wh = total_wh
+        self.mean_wait_s = (total_wait_s / len(self.sessions)
+                            if self.sessions else 0.0)
 
     def _summary_rows(self):
-        """The ``summary.csv`` rows in vehicle id order, from the grid
-        energy of :meth:`_tally_sessions` and the seconds per state of
-        :meth:`_walk`."""
+        """The one pass over the vehicles, in vehicle order: it yields the
+        ``summary.csv`` rows, from the grid energy of :meth:`_session_rows`
+        and the seconds per state of :meth:`_walk`. Once exhausted, it has
+        set ``n_stranded`` and ``total_fuel_l``, added left to right."""
         idle, charging, queued, en_route, returning = map(self._seconds.get, (
             Lifecycle.IDLE, Lifecycle.CHARGING, Lifecycle.QUEUED_AT_STATION,
             Lifecycle.EN_ROUTE, Lifecycle.RETURNING))
-        vehicles, grid = self.vehicles, self._grid_wh
-        for vid, i in sorted(self._index.items()):
-            v = vehicles[i]
+        grid = self._grid_wh
+        n_stranded, total_fuel_l = 0, 0.0
+        for i, v in enumerate(self.vehicles):
             c = v.state.cumulative
-            yield (
-                vid,
-                f"{c.consumed_wh:.6f}", f"{c.recuperated_wh:.6f}",
-                f"{c.range_extended_wh:.6f}",
-                f"{grid[i]:.6f}",
-                f"{c.fuel_liters:.6f}", f"{c.distance_m:.3f}",
-                v.n_trips,
-                f"{idle[i]:.3f}", f"{charging[i]:.3f}", f"{queued[i]:.3f}",
-                f"{en_route[i] + returning[i]:.3f}",
-            )
+            n_stranded += v.lifecycle is Lifecycle.STRANDED
+            total_fuel_l += c.fuel_liters
+            yield (v.vehicle_id, f"{c.consumed_wh:.6f}",
+                   f"{c.recuperated_wh:.6f}", f"{c.range_extended_wh:.6f}",
+                   f"{grid[i]:.6f}", f"{c.fuel_liters:.6f}",
+                   f"{c.distance_m:.3f}", v.n_trips, f"{idle[i]:.3f}",
+                   f"{charging[i]:.3f}", f"{queued[i]:.3f}",
+                   f"{en_route[i] + returning[i]:.3f}")
+        self.n_stranded = n_stranded
+        self.total_fuel_l = total_fuel_l
+
+    def _histogram_rows(self, base_edges):
+        """Yield the ``histograms.csv`` rows over the distances that
+        :meth:`_trip_rows` collected. The edges are the distinct
+        ``base_edges``, extended by bins as wide as the last one (250 m
+        without a bin of positive width) until they cover every distance.
+        A bin counts from its lower edge up to its upper one, which only
+        the last bin includes: ``np.histogram``'s counts."""
+        airline, driven = self._airline_m, self._driven_m
+        edges = sorted(set(base_edges))
+        width = edges[-1] - edges[-2] if len(edges) > 1 else 250.0
+        top = max(max(airline, default=edges[-1]),
+                  max(driven, default=edges[-1]))
+        while len(edges) < 2 or edges[-1] < top:
+            edges.append(edges[-1] + width)
+        # bisecting between the outer edges counts the last edge in bin n
+        n = len(edges) - 1
+        airline_bins = Counter(bisect_right(edges, x, 1, n) for x in airline)
+        driven_bins = Counter(bisect_right(edges, x, 1, n) for x in driven)
+        for k in range(1, n + 1):
+            yield (f"{edges[k - 1]:.1f}", f"{edges[k]:.1f}", airline_bins[k],
+                   driven_bins[k])
 
     def export_all(self, run_info: dict, horizon_ms: int,
                    histogram_edges: list[float],
@@ -474,48 +482,38 @@ class MetricsCollector:
         manifest dict: ``run_info`` with the horizon, the row count of each
         file and the results but the two totals added.
 
+        The four passes write ``trips.csv``, ``sessions.csv``,
+        ``utilization.csv`` and ``summary.csv``, in that order, each leaving
+        the tallies a later file reads; ``histograms.csv`` comes last.
+
         ``horizon_ms`` ends the last state period and the last utilization
         bin; a trip still pending that should have left by then is delayed.
         ``histogram_edges`` are the base bin edges of ``histograms.csv``,
-        extended by :func:`covering_edges` to the realised distances.
+        extended to the realised distances (see :meth:`_histogram_rows`).
         ``utilization_bin_s`` is the bin width of ``utilization.csv``, at
         least 1 ms: a narrower one would round to a 0 ms step of the clock.
+        ``bin_start_s`` has one decimal if the width is a multiple of
+        100 ms, else three, the clock's resolution: every start is exact.
         """
         out = self.out_dir
         self.close()
         if not utilization_bin_s >= 0.001:
             raise MetricsError("bin width must be at least 1 ms")
-        vehicles = self.vehicles
-        self.n_stranded = sum(v.lifecycle is Lifecycle.STRANDED
-                              for v in vehicles)
-        self.n_delayed = sum(
-            t.delay_ms > 0 or (t.status == "pending"
-                               and t.depart_ms <= horizon_ms)
-            for t in self.trips)
-        self.total_fuel_l = left_sum(v.state.cumulative.fuel_liters
-                                     for v in vehicles)
-        self._tally_sessions()
-        edges, airline_counts, driven_counts = self.distance_histogram(
-            covering_edges(histogram_edges, self.accepted_trips()))
-        # file name -> header and a lazy iterable of its rows; the walk
-        # that writes utilization.csv adds up the seconds summary.csv reads
+        bin_ms = ms(utilization_bin_s)
+        start_format = ".1f" if bin_ms % 100 == 0 else ".3f"
+        # file name -> header and a lazy iterable of its rows, written in
+        # this order: summary.csv reads the grid energies that sessions.csv
+        # leaves and the seconds that utilization.csv's walk leaves;
+        # histograms.csv reads the distances that trips.csv leaves
         tables = {
             "trips.csv": (TRIP_HEADER, self._trip_rows(horizon_ms)),
-            "sessions.csv": (SESSION_HEADER, (
-                (s.station_id, s.slot_id, s.vehicle_id,
-                 f"{s.enqueue_ms / MS_PER_S:.3f}",
-                 f"{s.grant_ms / MS_PER_S:.3f}",
-                 f"{s.complete_ms / MS_PER_S:.3f}", f"{s.energy_wh:.6f}")
-                for s in self.sessions)),
+            "sessions.csv": (SESSION_HEADER, self._session_rows()),
             "utilization.csv": (UTILIZATION_HEADER, (
-                (f"{start_ms / MS_PER_S:.1f}", *counts)
-                for start_ms, *counts in self._walk(
-                    ms(utilization_bin_s), horizon_ms))),
+                (format(start_ms / MS_PER_S, start_format), *counts)
+                for start_ms, *counts in self._walk(bin_ms, horizon_ms))),
             "summary.csv": (SUMMARY_HEADER, self._summary_rows()),
-            "histograms.csv": (HISTOGRAM_HEADER, (
-                (f"{lower:.1f}", f"{upper:.1f}", int(airline), int(driven))
-                for lower, upper, airline, driven in zip(
-                    edges[:-1], edges[1:], airline_counts, driven_counts))),
+            "histograms.csv": (HISTOGRAM_HEADER,
+                               self._histogram_rows(histogram_edges)),
         }
         files = {"ticks.csv": self._tick_rows}
         for name, (header, rows) in tables.items():

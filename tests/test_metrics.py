@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_params, trace_soc
+from test_golden import probe_config, run_key
 from evfleetsim import metrics
 from evfleetsim.charging import ChargeSession, session_progress
 from evfleetsim.config import MAX_HORIZON_S
@@ -14,8 +16,9 @@ from evfleetsim.dynamics import Cumulative, DriveTrace, VehicleState
 from evfleetsim.engine import ms
 from evfleetsim.fleet import Lifecycle, Trip, Vehicle
 from evfleetsim.metrics import (TICK_HEADER, UTILIZATION_HEADER,
-                                MetricsCollector, MetricsError, covering_edges)
+                                MetricsCollector, MetricsError)
 from evfleetsim.network import Route
+from evfleetsim.simulation import run_scenario
 
 
 CAPACITY_WH = 18000.0
@@ -489,22 +492,50 @@ def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
 
 # --- distance histogram -----------------------------------------------------------
 
-def test_covering_edges_extend_by_whole_bins():
-    trips = [make_trip("t0", 900.0, 1340.0)]
-    base = [0.0, 400.0, 700.0]
-    assert covering_edges(base, []) == base
-    assert covering_edges(base, trips) == [0.0, 400.0, 700.0, 1000.0, 1300.0,
-                                           1600.0]
+def histogram(collector, base_edges):
+    """Export ``collector`` with ``base_edges`` and read its
+    ``histograms.csv``: the edges as written and the airline and driven
+    counts per bin."""
+    collector.export_all({}, ms(600.0), base_edges, 300.0)
+    with open(collector.out_dir / "histograms.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    edges = [row[0] for row in rows] + [row[1] for row in rows[-1:]]
+    return (edges, [int(row[2]) for row in rows],
+            [int(row[3]) for row in rows])
+
+
+def covering(base_edges, distances):
+    """Oracle of the exported edges: the distinct ``base_edges``, extended
+    by whole last-bin widths (250 m without one) until they cover
+    ``distances``."""
+    edges = sorted(set(base_edges))
+    width = edges[-1] - edges[-2] if len(edges) > 1 else 250.0
+    while len(edges) < 2 or edges[-1] < max(distances, default=edges[-1]):
+        edges.append(edges[-1] + width)
+    return edges
+
+
+@pytest.mark.parametrize("base, trips, expected", [
+    ([0.0, 400.0, 700.0], [], [0.0, 400.0, 700.0]),
+    ([0.0, 400.0, 700.0], [(900.0, 1340.0)],
+     [0.0, 400.0, 700.0, 1000.0, 1300.0, 1600.0]),
     # a single point bin has no width to repeat: 250 m steps
-    assert covering_edges([0.0, 0.0], trips) == [250.0 * i for i in range(7)]
-    assert covering_edges([0.0, 0.0], []) == [0.0, 250.0]
+    ([0.0, 0.0], [(900.0, 1340.0)], [250.0 * i for i in range(7)]),
+    ([0.0, 0.0], [], [0.0, 250.0]),
+])
+def test_histogram_edges_extend_by_whole_bins(tmp_path, base, trips,
+                                              expected):
+    collector = collector_for(tmp_path, trips=[
+        make_trip(f"t{i}", *trip) for i, trip in enumerate(trips)])
+    edges, _, _ = histogram(collector, base)
+    assert edges == [f"{e:.1f}" for e in expected]
 
 
 def test_histogram_bin_placement(tmp_path):
     collector = collector_for(tmp_path, trips=[make_trip("t0", 400.0, 520.0)])
-    edges, airline, driven = collector.distance_histogram([0.0, 500.0, 1000.0])
-    assert airline.tolist() == [1, 0]
-    assert driven.tolist() == [0, 1]
+    _, airline, driven = histogram(collector, [0.0, 500.0, 1000.0])
+    assert airline == [1, 0]
+    assert driven == [0, 1]
 
 
 def test_histogram_totals_equal_accepted_trips(tmp_path):
@@ -512,21 +543,62 @@ def test_histogram_totals_equal_accepted_trips(tmp_path):
              for i in range(20)]
     trips.append(Trip("rej", 0, 500.0, 10.0, status="rejected"))
     collector = collector_for(tmp_path, trips=trips)
-    edges, airline, driven = collector.distance_histogram([0.0, 800.0, 1600.0, 2400.0])
-    assert int(airline.sum()) == 20
-    assert int(driven.sum()) == 20
+    _, airline, driven = histogram(collector, [0.0, 800.0, 1600.0, 2400.0])
+    assert sum(airline) == 20
+    assert sum(driven) == 20
 
 
-def test_driven_dominates_airline_per_trip(tmp_path):
+@st.composite
+def histogram_cases(draw):
+    """Base edges as the demand profile gives them, ``0.0`` and then the
+    bins' upper edges, or the degenerate ``[0, 0]``, and the airline and
+    driven distances of accepted trips: anywhere up to three last-bin
+    widths past the base, or exactly on an edge, interior, last of the
+    base or on one of the extensions. A rejected trip, far beyond every
+    edge, must not count."""
+    base = draw(st.one_of(st.just([0.0, 0.0]), st.lists(
+        st.integers(1, 5000).map(float), min_size=1, max_size=5).map(
+            lambda uppers: [0.0] + sorted(uppers))))
+    ladder = covering(base, [])
+    width = ladder[-1] - ladder[-2]
+    for _ in range(3):
+        ladder.append(ladder[-1] + width)
+    distance = st.one_of(st.floats(0.0, ladder[-1]), st.sampled_from(ladder))
+    pairs = draw(st.lists(st.tuples(distance, distance), max_size=30))
+    return base, pairs, draw(st.booleans())
+
+
+@given(case=histogram_cases())
+def test_histogram_equals_numpy_over_covering_edges(tmp_path_factory, case):
+    base, pairs, rejected = case
+    trips = [make_trip(f"t{i}", a, d) for i, (a, d) in enumerate(pairs)]
+    if rejected:
+        trips.insert(0, Trip("rej", 0, 1e9, 10.0, status="rejected"))
+    collector = collector_for(tmp_path_factory.mktemp("hist"), trips=trips)
+    edges, airline, driven = histogram(collector, base)
+    expected = covering(base, [x for pair in pairs for x in pair])
+    assert edges == [f"{e:.1f}" for e in expected]
+    for counts, k in ((airline, 0), (driven, 1)):
+        assert counts == np.histogram([pair[k] for pair in pairs],
+                                      bins=expected)[0].tolist()
+
+
+def test_trip_pass_collects_distances_per_trip(tmp_path):
     # oracle: pairwise comparison over the trip log
     rng = np.random.default_rng(4)
     trips = []
     for i in range(200):
         airline = float(rng.uniform(50, 2000))
         trips.append(make_trip(f"t{i}", airline, airline * float(rng.uniform(1.0, 1.8))))
+    trips.insert(7, Trip("rej", 0, 500.0, 10.0, status="rejected"))
     collector = collector_for(tmp_path, trips=trips)
-    for trip in collector.accepted_trips():
-        assert trip.outbound.total_length_m >= trip.sampled_airline_m
+    collector.export_all({}, ms(600.0), [0.0, 1000.0], 300.0)
+    accepted = [t for t in trips if t.status != "rejected"]
+    assert collector._airline_m == [t.sampled_airline_m for t in accepted]
+    assert collector._driven_m == [t.outbound.total_length_m
+                                   for t in accepted]
+    assert all(d >= a for a, d in zip(collector._airline_m,
+                                      collector._driven_m))
 
 
 # --- utilization ----------------------------------------------------------------
@@ -574,6 +646,22 @@ def test_one_ms_utilization_bins(tmp_path):
     assert starts == [0, 1, 2, 3, 4]
     manifest = collector.export_all({}, 5, [0.0, 1000.0], 0.001)
     assert manifest["files"]["utilization.csv"] == 5
+
+
+@pytest.mark.parametrize("bin_s, horizon_ms, decimals", [
+    (0.25, 2000, 3), (0.001, 250, 3), (0.2, 1000, 1), (300.0, ms(900.0), 1)])
+def test_utilization_bin_starts_are_exact(tmp_path, bin_s, horizon_ms,
+                                          decimals):
+    # one decimal when the width is a multiple of 100 ms, else the clock's
+    # three: every start parses back to exactly k times the width
+    collector = collector_for(tmp_path, fleet_of("v0"))
+    collector.export_all({}, horizon_ms, [0.0, 1000.0], bin_s)
+    with open(tmp_path / "utilization.csv", newline="") as fh:
+        starts = [row[0] for row in list(csv.reader(fh))[1:]]
+    assert len(starts) == horizon_ms // ms(bin_s)
+    for k, text in enumerate(starts):
+        assert len(text.split(".")[1]) == decimals
+        assert Fraction(text) == k * Fraction(str(bin_s))
 
 
 def test_partition_sums_to_fleet_size(tmp_path):
@@ -697,3 +785,44 @@ def test_summary_csv_schema(tmp_path):
                       "range_extended_wh", "grid_charged_wh", "fuel_l",
                       "distance_m", "n_trips", "idle_s", "charging_s",
                       "queued_s", "driving_s"]
+
+
+def test_summary_rows_in_vehicle_order(tmp_path):
+    # the order of ticks.csv, not of the ids: v10 sorts before v2
+    collector = collector_for(tmp_path, fleet_of("v2", "v10", "v1"))
+    collector.record_ticks(0)
+    collector.export_all({}, ms(100.0), [0.0, 1000.0], 300.0)
+    assert [row.split(",")[0] for row in summary_rows(tmp_path)] == [
+        row.split(",")[1] for row in tick_rows(tmp_path)] == ["v2", "v10", "v1"]
+
+
+class CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_export_walks_each_record_once(tmp_path, monkeypatch):
+    records = ("trips", "sessions", "vehicles", "transitions")
+    passes = {}
+    export_all = MetricsCollector.export_all
+
+    def counted_export(collector, *args, **kwargs):
+        for name in records:
+            setattr(collector, name, CountingList(getattr(collector, name)))
+        manifest = export_all(collector, *args, **kwargs)
+        passes.update((name, getattr(collector, name).passes)
+                      for name in records)
+        return manifest
+
+    monkeypatch.setattr(MetricsCollector, "export_all", counted_export)
+    result = run_scenario(probe_config(run_key("charging_divert", 42)),
+                          tmp_path)
+    assert result.trips and result.manager.sessions and result.n_delayed
+    assert passes == dict.fromkeys(records, 1)
