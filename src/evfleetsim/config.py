@@ -26,10 +26,10 @@ from pathlib import Path
 
 import yaml
 
-from . import charging, network
+from . import charging, metrics, network
 from .dynamics import (Environment, RangeExtenderParams, VehicleParams,
                        traction_power)
-from .engine import ms
+from .engine import left_sum, ms
 from .fleet import (DemandProfile, DwellDistribution, FleetPolicies, TripsPerDay)
 
 SCHEMA_VERSION = 1
@@ -51,6 +51,16 @@ MAX_TICK_ROWS = (int(MAX_HORIZON_S) // 10 + 1) * MAX_VEHICLES
 # the most rows a run may write to utilization.csv (one per bin): one-second
 # bins over the longest horizon, 604,800 rows
 MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
+# the most steps one drive plan may have: a plan holds about 130 bytes per
+# step, so about 13 MB at the cap. The bundled day's plans have at most 29
+# steps at its dt of 1 s and about 29,300 at the smallest dt, 0.001 s; an
+# edge at a speed limit of 0.001 m/s would need 250 million
+MAX_DRIVE_STEPS = 100_000
+# the most rows a run may write to histograms.csv: each row past the
+# configured bins is one last-bin width of driven distance, so 100,000 rows
+# of the bundled 300 m bins cover 30,000 km; a last bin 0.001 m wide would
+# need 90 million rows to cover the bundled grid's 90 km of road
+MAX_HISTOGRAM_ROWS = 100_000
 # the deepest nesting of mappings and lists a scenario file may have; the
 # bundled scenario nests 5 deep. PyYAML's composer recurses once per level
 # and raises RecursionError at about 500 (libyaml's own composer, on the C
@@ -406,6 +416,8 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     ecfg = cfg["environment"]
     environment = _build("environment", errors, Environment,
                          ecfg["gravity_mps2"], ecfg["air_density_kgpm3"])
+    # the longest drive plan: its duration (s) and edge
+    longest = (0.0, None)
     if net is not None and vehicle_params is not None:
         # drive_segment cannot plan an edge that is shorter than the
         # braking distance from its speed limit to standstill, nor one on
@@ -413,8 +425,19 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
         # speed limit is not finite
         d_max = vehicle_params.max_deceleration_mps2
         accelerations = (vehicle_params.max_acceleration_mps2, -d_max)
+        # an edge's longest drive goes from standstill to standstill; at
+        # cruise speed v it lasts at most length / v + v * ramp, which is
+        # convex in v, so at the slowest or the fastest hour's factor
+        ramp = (1.0 / accelerations[0] + 1.0 / d_max) / 2.0
+        factors = (min(net.hourly_speed_factors),
+                   max(net.hourly_speed_factors))
         for eid in sorted(net.edges):
             e = net.edges[eid]
+            for f in factors:
+                v = e.speed_limit_mps * f
+                drive_s = e.length_m / v + v * ramp if v > 0.0 else math.inf
+                if drive_s > longest[0]:
+                    longest = (drive_s, eid)
             if e.speed_limit_mps * e.speed_limit_mps / (2.0 * d_max) > e.length_m:
                 errors.append(
                     f"network, fleet.vehicle.max_deceleration_mps2: edge "
@@ -456,6 +479,15 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
             errors.append(
                 f"demand.distance_bins: upper_m {reach:g} reaches too far "
                 f"beyond the network: the square of the offset is not finite")
+        # a trip drives one shortest route, which passes each edge at most
+        # once, so the histogram's edges extend at most to the road's length
+        road_m = left_sum(e.length_m for e in net.edges.values())
+        rows = metrics.histogram_rows(demand.bin_edges(), road_m)
+        if rows > MAX_HISTOGRAM_ROWS:
+            errors.append(
+                f"demand.distance_bins: bins as wide as the last one over "
+                f"{road_m:g} m of road are up to {rows:,.0f} histograms.csv "
+                f"rows, more than {MAX_HISTOGRAM_ROWS:,}")
     if cfg["demand"]["schedule_size"] is None:
         cfg["demand"]["schedule_size"] = fleet_cfg["size"]
     elif not 0 <= cfg["demand"]["schedule_size"] <= MAX_VEHICLES:
@@ -508,6 +540,14 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
             errors.append(
                 f"numerics.utilization_bin_s: {bins:,} bins over the horizon "
                 f"are more than {MAX_UTILIZATION_BINS:,} utilization.csv rows")
+        longest_s, eid = longest
+        dt = ncfg["dynamics_dt_s"]
+        steps = longest_s / dt
+        if steps > MAX_DRIVE_STEPS:
+            errors.append(
+                f"numerics.dynamics_dt_s: the longest drive, {longest_s:g} s "
+                f"on edge {eid}, is {steps:,.0f} steps of {dt:g} s, more "
+                f"than {MAX_DRIVE_STEPS:,}")
 
     if errors:
         raise ConfigError(*errors)

@@ -16,7 +16,7 @@ reconcile to float precision even across clamping at the 0/1 bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -289,8 +289,8 @@ def _plan_profile(
 
 def _freeze(obj) -> None:
     """Make every array field of the dataclass ``obj`` read-only."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
 
@@ -302,26 +302,20 @@ class DriveTrace:
     ``time_s`` marks the start of each step, as a tuple of floats that the
     tick sampler bisects; ``v``/``a`` are the exact step averages. The state
     of charge at the end of step ``i`` is ``soc0 - soc_drop[i] /
-    soc_scale``, read one element at a time with these IEEE operations. A
-    drive that starts with the range extender off and neither clamps nor
-    switches gets the one trace its plan shares with every vehicle that
-    drives it so: it holds the plan's cumulative battery energy in W*s as
-    ``soc_drop``, the capacity in W*s as ``soc_scale``, and ``soc0 = None``,
-    as the base is the entry SOC of each vehicle, which the vehicle keeps
-    (see :class:`~evfleetsim.fleet.Vehicle`). Every other drive, one that
-    starts with the relay on included, takes the step loop, which stores its
-    own SOC array as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale =
-    -1.0``; that gives every element back exactly, signed zeros included:
-    dividing by -1 negates, and ``-0.0 + x`` is ``x``.
+    soc_scale``, read one element at a time with these IEEE operations. The
+    trace a plan shares with every fast-path drive of it holds the plan's
+    cumulative battery energy in W*s as ``soc_drop``, the capacity in W*s as
+    ``soc_scale``, and ``soc0 = None``: the base is each vehicle's entry SOC,
+    which the vehicle keeps (see :class:`~evfleetsim.fleet.Vehicle`). A
+    step-loop trace stores its own SOC array as ``soc_drop`` with ``soc0 =
+    -0.0`` and ``soc_scale = -1.0``, which gives every element back exactly,
+    signed zeros included.
 
-    Every array in a trace is read-only: the arrays are frozen here, where
-    the trace is built, and the step starts are a tuple. A step-loop trace
-    shares the plan arrays and step starts that the loop does not change.
-    The one mutable part is ``row_texts``, one ``None`` per sample when the
-    trace is built: the ``ticks.csv`` row template of each sample, stored by
-    :func:`~evfleetsim.metrics._row_tail` on its first read. The memo lives
-    and dies with its trace, so a shared plan's samples are formatted once
-    per run.
+    Every array is frozen here and the step starts are a tuple, so traces
+    can share them. The one mutable part is ``row_texts``, one ``None`` per
+    sample when built: the ``ticks.csv`` row template of each sample, stored
+    by :func:`~evfleetsim.metrics._row_tail` on its first read, so a shared
+    plan's samples are formatted once per run.
     """
 
     time_s: tuple[float, ...]
@@ -362,8 +356,7 @@ class SegmentResult:
 class _SegmentPlan:
     """The part of :func:`drive_segment` that does not depend on the state
     of charge: the velocity profile, its steps, the power flows with the
-    range extender off, and ``result``, the one result shared by every
-    drive that starts with the relay off and neither clamps nor switches.
+    range extender off, and ``result``, shared by every fast-path drive.
     ``cum_min``, ``cum_max`` and ``cum_last`` are the extremes and last
     value of the cumulative battery energy out, ``result.trace.soc_drop``.
     Its arrays are read-only, so plans can be shared."""
@@ -446,9 +439,9 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
 
 class DriveModel:
     """The fleet's one vehicle model, environment and drive time step
-    ``dt`` (s), with ``plans``, the memo of :func:`drive_segment` that is
-    valid only for these three, and the step grid that its plans slice
-    their step starts from. ``dt`` is checked once, here."""
+    ``dt`` (s), with ``plans``, the memo of :meth:`plan` that is valid only
+    for these three, and the step grid that its plans slice their step
+    starts from. ``dt`` is checked once, here."""
 
     def __init__(self, params: VehicleParams, env: Environment, dt: float):
         if dt <= 0:
@@ -468,6 +461,48 @@ class DriveModel:
             self._grid = tuple((np.arange(n, dtype=float) * self.dt).tolist())
         return self._grid[:n]
 
+    def plan(self, edge, v_entry: float, v_exit_target: float,
+             speed_factor: float) -> _SegmentPlan:
+        """The plan of driving ``edge`` from ``v_entry`` toward
+        ``v_exit_target`` at ``speed_factor``: the one memo lookup of both
+        driving (:func:`drive_segment`) and budgeting
+        (:func:`estimate_route_energy`). ``plans`` is keyed by the edge's
+        geometry and the drive, not by edge id, so it grows with the
+        network's distinct edges and speeds, not with the fleet or the
+        clock; a fresh model plans afresh, to the same bit. The checks of
+        ``speed_factor`` and of ``v_entry`` against the effective limit
+        depend only on the key, so they run when a plan is built; a key
+        that fails them or whose profile is infeasible is never stored."""
+        key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
+               v_exit_target, speed_factor)
+        plan = self.plans.get(key)
+        if plan is None:
+            if not (0.0 < speed_factor <= 1.0):
+                raise DynamicsError("speed_factor must be in (0, 1]")
+            v_cruise = edge.speed_limit_mps * speed_factor
+            if v_entry > v_cruise * (1.0 + 1e-9):
+                raise DynamicsError(
+                    f"entry speed {v_entry:.2f} exceeds effective limit "
+                    f"{v_cruise:.2f}")
+            plan = self.plans[key] = _plan_segment(
+                edge, v_entry, v_exit_target, v_cruise, self)
+        return plan
+
+
+def leg_speeds(velocity: float, edge, next_limit: float | None,
+               speed_factor: float) -> tuple[float, float]:
+    """The entry speed and exit target of a route leg entered at
+    ``velocity`` (see :class:`~evfleetsim.network.Route`): at most the
+    edge's effective limit in, and out toward the lower of it and the next
+    edge's, or to standstill after the last leg."""
+    limit = edge.speed_limit_mps * speed_factor
+    # min() of each pair, without the builtin's call: this runs per leg
+    v_entry = limit if limit < velocity else velocity
+    if next_limit is None:
+        return v_entry, 0.0
+    v_exit = next_limit * speed_factor
+    return v_entry, (v_exit if v_exit < limit else limit)
+
 
 def drive_segment(
     state: VehicleState,
@@ -480,65 +515,30 @@ def drive_segment(
     """Drive one edge with a trapezoidal velocity profile and integrate the
     power-flow chain into the vehicle state.
 
-    ``edge`` needs ``length_m``, ``speed_limit_mps`` and ``gradient``
-    attributes. The vehicle accelerates at its limit toward
-    ``speed_limit * speed_factor``, cruises, and decelerates so the exit speed
-    does not exceed ``v_exit_target``; if the edge is too short to reach the
-    target the exit speed is whatever acceleration achieves. Entering faster
-    than braking allows raises :class:`InfeasibleSegmentError`. When the
-    battery empties and the range extender cannot carry the demand, the
-    segment is truncated and flagged stranded.
-
-    ``model.plans`` memoises the part of the work that does not depend on
-    the state of charge. It is keyed by the edge's geometry and the drive,
-    ``(length_m, speed_limit_mps, gradient, v_entry, v_exit_target,
-    speed_factor)``, not by edge id, so its size is bounded by the distinct
-    edge geometries and speeds of the network, not by fleet size or
-    simulated time. The memo lives on the model, so it only ever serves
-    the one vehicle model, environment and ``dt`` it was filled with; a
-    fresh model plans the drive afresh, with the same result to the last
-    bit.
-
-    Checks: the ``speed_factor`` range and the entry speed against the
-    effective limit depend only on the plan key, so they run when a plan
-    is built. A key that fails them, or whose profile is infeasible, never
-    gets a plan, so every call with it raises.
+    The vehicle accelerates at its limit toward ``speed_limit_mps *
+    speed_factor`` of ``edge``, cruises, and decelerates so the exit speed
+    does not exceed ``v_exit_target``; an edge too short to reach the target
+    ends at whatever speed acceleration achieves. Entering faster than
+    braking allows raises :class:`InfeasibleSegmentError`. When the battery
+    empties and the range extender cannot carry the demand, the segment is
+    truncated and flagged stranded. The work that does not depend on the
+    state of charge is the memoised :meth:`DriveModel.plan`.
 
     A drive that starts with no range extender or with its relay off, and
-    whose SOC stays inside its bounds all the way, never switching the
-    relay on (the fast path), takes the plan's flows unchanged: it runs no
-    numpy operation and builds no object. It adds the plan's sums to the
-    state and returns the plan's one result, the same object for every
-    vehicle that drives the plan so. That result's trace holds no entry
-    SOC (``soc0`` is ``None``): the caller keeps the SOC the vehicle
-    entered with, ``state.soc`` before the call, to read the trace's SOC
-    from (see :class:`DriveTrace`). Whether a drive takes the fast path is
-    decided from the extremes of the plan's cumulative battery energy
-    ``cum``. The SOC after step ``i`` is ``soc0 - cum[i] / c`` with
-    ``soc0`` the entry SOC and ``c`` the capacity in W*s. Division by a
-    positive ``c`` and subtraction from ``soc0`` are each correctly rounded
-    and monotone, so the smallest of these SOCs is exactly ``soc0 -
-    max(cum) / c`` and the largest exactly ``soc0 - min(cum) / c``, bit
-    for bit what the minimum and maximum of the elementwise array would
-    be. Every other drive, one that starts with the relay on included,
-    takes a step loop that switches the relay and clamps at empty or full,
-    and returns a result of its own.
+    whose SOC stays inside its bounds without switching the relay on (the
+    fast path), adds the plan's sums to the state and returns the plan's one
+    result, with no numpy operation and no new object. Its trace holds no
+    entry SOC (``soc0`` is ``None``): the caller keeps ``state.soc`` from
+    before the call (see :class:`DriveTrace`). The SOC after step ``i`` is
+    ``soc0 - cum[i] / c``, ``cum`` the plan's cumulative battery energy and
+    ``c`` the capacity in W*s; division by a positive ``c`` and subtraction
+    are each correctly rounded and monotone, so ``cum_max`` and ``cum_min``
+    give the lowest and highest SOC bit for bit. Every other drive takes a
+    step loop that switches the relay and clamps at empty or full, and
+    returns a result of its own.
     """
     params = model.params
-    key = (edge.length_m, edge.speed_limit_mps, edge.gradient, v_entry,
-           v_exit_target, speed_factor)
-    plan = model.plans.get(key)
-    if plan is None:
-        if not (0.0 < speed_factor <= 1.0):
-            raise DynamicsError("speed_factor must be in (0, 1]")
-        v_cruise = edge.speed_limit_mps * speed_factor
-        if v_entry > v_cruise * (1.0 + 1e-9):
-            raise DynamicsError(
-                f"entry speed {v_entry:.2f} exceeds effective limit "
-                f"{v_cruise:.2f}")
-        plan = model.plans[key] = _plan_segment(
-            edge, v_entry, v_exit_target, v_cruise, model)
-
+    plan = model.plan(edge, v_entry, v_exit_target, speed_factor)
     c = params.battery_capacity_wh * S_PER_H
     soc0 = state.soc
     re = params.range_extender
@@ -667,26 +667,19 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
                          stranded=stranded)
 
 
-def estimate_route_energy(route, params: VehicleParams, env: Environment,
+def estimate_route_energy(route, model: DriveModel,
                           speed_factor: float) -> float:
-    """Conservative battery-energy estimate (Wh) for driving a route.
-
-    Uses steady cruising at each edge's speed limit scaled by
-    ``speed_factor`` plus one launch from standstill; downhill recuperation
-    credit is deliberately ignored so the estimate errs on the safe side for
-    feasibility gates.
-    """
-    total_j = 0.0
-    v_first = None
-    for e, _ in route.legs:
-        v = e.speed_limit_mps * speed_factor
-        if v_first is None:
-            v_first = v
-        p_wheel = traction_power(v, 0.0, e.gradient, params, env)
-        p_batt = params.auxiliary_power_w
-        if p_wheel > 0:
-            p_batt += p_wheel / params.drivetrain_efficiency
-        total_j += p_batt * (e.length_m / v)
-    if v_first is not None:
-        total_j += 0.5 * params.mass_kg * v_first * v_first / params.drivetrain_efficiency
-    return total_j / S_PER_H
+    """The battery energy (Wh) of driving ``route`` from standstill at
+    ``speed_factor``: the ``cum_last`` of the plans that driving it would
+    use, chained leg by leg with :func:`leg_speeds`, added with
+    ``math.fsum``. A drive of the route at this factor whose every leg takes
+    the fast path of :func:`drive_segment` (relay off, no clamping) drains
+    exactly this energy, up to float rounding."""
+    velocity = 0.0
+    energies = []
+    for edge, next_limit in route.legs:
+        v_entry, v_exit = leg_speeds(velocity, edge, next_limit, speed_factor)
+        plan = model.plan(edge, v_entry, v_exit, speed_factor)
+        energies.append(plan.cum_last)
+        velocity = plan.v_out
+    return math.fsum(energies) / S_PER_H

@@ -13,17 +13,17 @@ manager holds the vehicle model and the fleet's one target SOC; and each
 :class:`~evfleetsim.network.Route` carries its legs, which the vehicles drive.
 A :class:`Vehicle` carries only its state. Congestion enters once, where the
 controller maps the hour to the network's speed factor; so a fact derived from
-a route depends only on the route and the factor. The controller owns and
-memoises the energy estimates and the divert alternatives: it hands the
-charging manager those within the vehicle's SOC budget, and the manager only
-compares waits. The dispatch budget is monotone in SOC, so the idle vehicle
-with the highest SOC (ties to the smallest id) is feasible exactly when any
-idle vehicle is, and it is the only one checked. The controller finds it in a
-heap of ``(-soc, vehicle_id)`` entries, pushed whenever a vehicle becomes
-idle and popped when it is dispatched, the only way out of the idle state;
-so the heap holds exactly the idle vehicles. A vehicle's SOC must therefore
-not change while it is idle: only driving and completing a charge move it,
-and neither happens in the idle state.
+a route depends only on the route and the factor. A route's energy is that of
+the drive plans that driving it at that factor would use. The controller
+memoises the route energies and the divert alternatives: it hands the charging
+manager those within the vehicle's SOC budget, and the manager only compares
+waits. The dispatch budget is monotone in SOC, so the idle vehicle with the
+highest SOC (ties to the first in fleet order) is feasible exactly when any
+idle vehicle is, and it is the only one checked: the top of a heap of ``(-soc,
+fleet index)``, pushed whenever a vehicle becomes idle and popped when it is
+dispatched, the only way out of the idle state; so the heap holds exactly the
+idle vehicles. A vehicle's SOC must not change while it is idle: only driving
+and completing a charge move it, and neither happens in the idle state.
 
 The controller schedules every event of a charging episode; the charging
 manager only grants slots and returns the sessions it starts.
@@ -442,12 +442,15 @@ class FleetController:
         self.net = net
         self.manager = manager
         self.vehicles = {v.vehicle_id: v for v in vehicles}
+        self._fleet = vehicles
+        self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.model = model
         self._hourly_factors = net.hourly_speed_factors
-        # (-soc, vehicle_id) of each idle vehicle; pushed on entry into IDLE
-        # and popped by _try_dispatch, the one way out of it
-        self._idle_heap = [(-v.state.soc, v.vehicle_id) for v in vehicles
-                           if v.lifecycle is Lifecycle.IDLE]
+        # (-soc, index in the fleet) of each idle vehicle; pushed on entry
+        # into IDLE and popped by _try_dispatch, the one way out of it. The
+        # indices are _index's own int objects, so the heap adds none
+        self._idle_heap = [(-v.state.soc, self._index[v.vehicle_id])
+                           for v in vehicles if v.lifecycle is Lifecycle.IDLE]
         heapq.heapify(self._idle_heap)
         self.depot_edge = depot_edge
         self.policies = policies
@@ -455,7 +458,7 @@ class FleetController:
         self.trips: dict[str, Trip] = {}
         self.delayed: list[Trip] = []
         # memos valid because the model is the whole fleet's and the network
-        # and stations never change: energy estimates by (route edges, speed
+        # and stations never change: route energies by (route edges, speed
         # factor), and divert alternatives, travel times included, by
         # (station, speed factor); the drive plans are the model's
         self._route_energy: dict[tuple[tuple[str, ...], float], float] = {}
@@ -492,8 +495,8 @@ class FleetController:
     def _transition(self, vehicle: Vehicle, new: Lifecycle) -> None:
         vehicle.lifecycle = new
         if new is Lifecycle.IDLE:
-            heapq.heappush(self._idle_heap,
-                           (-vehicle.state.soc, vehicle.vehicle_id))
+            heapq.heappush(self._idle_heap, (-vehicle.state.soc,
+                                             self._index[vehicle.vehicle_id]))
         self.transition_hook(self.engine.now_ms, vehicle.vehicle_id, new)
 
     def _alive(self, event: Event) -> Vehicle:
@@ -526,12 +529,13 @@ class FleetController:
 
     def route_energy_wh(self, route: network.Route, factor: float) -> float:
         """:func:`~evfleetsim.dynamics.estimate_route_energy` of ``route`` at
-        speed factor ``factor`` for the fleet's vehicles, memoised."""
+        speed factor ``factor``, memoised. It plans every leg, so a leg that
+        cannot be driven at this factor raises here, at the decision."""
         key = (route.edges, factor)
         energy = self._route_energy.get(key)
         if energy is None:
             energy = self._route_energy[key] = dynamics.estimate_route_energy(
-                route, self.model.params, self.model.env, factor)
+                route, self.model, factor)
         return energy
 
     def divert_alternatives(self, station_id: str, factor: float
@@ -594,11 +598,10 @@ class FleetController:
         now = self.engine.now_ms
         factor = self._speed_factor(now)
         edge, next_limit = vehicle.legs[vehicle.segment_index]
-        limit = edge.speed_limit_mps * factor
-        v_exit = 0.0 if next_limit is None else min(limit, next_limit * factor)
         state = vehicle.state
-        v_entry = min(state.velocity, limit)
         vehicle.trace_soc0 = state.soc
+        v_entry, v_exit = dynamics.leg_speeds(state.velocity, edge,
+                                              next_limit, factor)
         result = dynamics.drive_segment(state, edge, v_entry, v_exit, factor,
                                         self.model)
         vehicle.trace = result.trace
@@ -627,7 +630,7 @@ class FleetController:
         heap = self._idle_heap
         if not heap:
             return False
-        best = self.vehicles[heap[0][1]]
+        best = self._fleet[heap[0][1]]
         now = self.engine.now_ms
         budget = ((best.state.soc - self.policies.dispatch_reserve_soc)
                   * self.model.params.battery_capacity_wh)

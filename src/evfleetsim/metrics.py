@@ -164,6 +164,22 @@ def write_csv(path, header, rows) -> int:
     return n
 
 
+def _extension_width(edges: list[float]) -> float:
+    """The width of the bins that extend the sorted, distinct histogram
+    ``edges``: the last bin's, or 250 m without a bin."""
+    return edges[-1] - edges[-2] if len(edges) > 1 else 250.0
+
+
+def histogram_rows(base_edges, top: float) -> float:
+    """At least the rows of ``histograms.csv`` over ``base_edges`` when no
+    distance exceeds ``top`` (see :meth:`MetricsCollector._histogram_rows`),
+    without extending the edges: the bins up to the last base edge, and
+    one more than the widths from there to ``top``, for the rounding of
+    the repeated additions; ``inf`` if the widths overflow."""
+    edges = sorted(set(base_edges))
+    return len(edges) + max(0.0, top - edges[-1]) / _extension_width(edges)
+
+
 class MetricsCollector:
     """Collects a run's data for the output directory ``out_dir``.
 
@@ -460,7 +476,7 @@ class MetricsCollector:
         the last bin includes: ``np.histogram``'s counts."""
         airline, driven = self._airline_m, self._driven_m
         edges = sorted(set(base_edges))
-        width = edges[-1] - edges[-2] if len(edges) > 1 else 250.0
+        width = _extension_width(edges)
         top = max(max(airline, default=edges[-1]),
                   max(driven, default=edges[-1]))
         while len(edges) < 2 or edges[-1] < top:

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from evfleetsim import cli, metrics
-from evfleetsim.config import (MAX_HORIZON_S, MAX_TICK_ROWS,
+from evfleetsim.config import (MAX_DRIVE_STEPS, MAX_HISTOGRAM_ROWS,
+                               MAX_HORIZON_S, MAX_TICK_ROWS,
                                MAX_UTILIZATION_BINS, MAX_VEHICLES,
                                VEHICLE_PRESETS, ConfigError,
                                apply_sweep_override, build_config,
@@ -270,6 +271,51 @@ def test_the_bundled_day_at_1ms_is_a_config_error(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert err == f"configuration error: numerics.{key}: {product}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("leaf, value, product", [
+    (("network", "grid", "speed_limit_mps"), 0.001,
+     "numerics.dynamics_dt_s: the longest drive, 357143 s on edge e00000, "
+     f"is 357,143 steps of 1 s, more than {MAX_DRIVE_STEPS:,}"),
+    (("demand", "distance_bins"), [{"upper_m": 1300.0, "weight": 1.0},
+                                   {"upper_m": 1300.001, "weight": 0.0}],
+     "demand.distance_bins: bins as wide as the last one over 90000 m of "
+     "road are up to 88,700,002 histograms.csv rows, more than "
+     f"{MAX_HISTOGRAM_ROWS:,}"),
+], ids=["drive_steps", "histogram_rows"])
+def test_unbounded_drive_plans_and_histograms_are_config_errors(
+        tmp_path, capsys, leaf, value, product):
+    # a drive plan holds its every step, and histograms.csv extends the
+    # bins by the last one's width up to the longest driven route: a valid
+    # config that would hold or write millions is refused with the product
+    raw = copy.deepcopy(BUNDLED)
+    *parents, key = leaf
+    section = raw
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    path = tmp_path / "unbounded.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert config_errors(path) == [product]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {product}\n"
+    assert not out.exists()
+
+
+def test_the_caps_admit_the_finest_bundled_day_and_the_ladder():
+    # the bundled day at the smallest dt the numerics admit, and the
+    # largest point of the benchmark's scale ladder
+    raw = copy.deepcopy(BUNDLED)
+    raw["numerics"]["dynamics_dt_s"] = 0.001
+    build_config(raw, default_scenario_path().parent)
+    # imported here, as test_fleet imports this module
+    from test_fleet import load_bench_workloads
+    workloads = load_bench_workloads()
+    raw = workloads.scenario("fleet_1000", BUNDLED, workloads.DEFAULT_SEED)
+    raw["fleet"]["size"] = MAX_VEHICLES
+    raw["demand"]["schedule_size"] = MAX_VEHICLES // 4
+    build_config(raw, default_scenario_path().parent)
 
 
 @pytest.mark.parametrize("overrides, where", [

@@ -16,7 +16,7 @@ from evfleetsim.dynamics import (DriveModel, DriveTrace, DynamicsError,
                                  estimate_route_energy, range_extender_step,
                                  traction_power)
 from evfleetsim.engine import ms
-from evfleetsim.network import (Edge, RoadNetwork, generate_grid,
+from evfleetsim.network import (Edge, RoadNetwork, Route, generate_grid,
                                 route_travel_time, shortest_path)
 
 ENV = Environment()
@@ -553,50 +553,105 @@ def test_plans_slice_their_step_starts_from_one_tuple():
     assert all(x is y for x, y in zip(a, b))
 
 
-def test_estimate_route_energy_bounds_actual_drain_on_uniform_grid():
-    net = generate_grid(5, 5, 200.0, 12.0)
+# --- route budgets ----------------------------------------------------------------------
+# a route's budget is the battery energy of the plans that driving it would
+# use: a drive at one speed factor that takes the fast path on every leg
+# drains exactly the budget, up to float rounding
+
+def drive_route(route, model, speed_factor, soc):
+    """Drive ``route`` leg by leg from standstill at ``speed_factor`` with
+    the controller's entry and exit rule, from ``soc``; returns the battery
+    energy drained (Wh) and whether every leg took the fast path."""
+    state = VehicleState(soc=soc)
+    fast = True
+    for edge, next_limit in route.legs:
+        result = drive_segment(
+            state, edge, *dynamics.leg_speeds(state.velocity, edge,
+                                              next_limit, speed_factor),
+            speed_factor, model)
+        fast = fast and result.trace.soc0 is None
+    return (soc - state.soc) * model.params.battery_capacity_wh, fast
+
+
+def route_of(edges):
+    limits = [e.speed_limit_mps for e in edges[1:]] + [None]
+    return Route(tuple(e.edge_id for e in edges),
+                 sum_in_order(e.length_m for e in edges),
+                 tuple(zip(edges, limits)))
+
+
+def test_no_fast_path_route_drains_more_than_its_budget():
+    # mixed limits and gradients, where the steady-cruise estimate this
+    # budget replaced was exceeded by about two routes in three
     params = make_params()
+    model = DriveModel(params, ENV, 1.0)
+    rng = np.random.default_rng(2014)
+    n_fast = 0
+    for i in range(3000):
+        edges = []
+        for k in range(int(rng.integers(1, 13))):
+            limit = float(rng.uniform(5.0, 30.0))
+            braking = limit * limit / (2.0 * params.max_deceleration_mps2)
+            edges.append(Edge(f"e{i}_{k}", "a", "b",
+                              braking + float(rng.uniform(0.0, 300.0)),
+                              limit, float(rng.uniform(-0.12, 0.12))))
+        route = route_of(edges)
+        factor = float(rng.choice([0.5, 0.8, 1.0]))
+        budget = estimate_route_energy(route, model, factor)
+        drained, fast = drive_route(route, model, factor, 1.0)
+        if fast:
+            n_fast += 1
+            assert drained <= budget + 1e-9 * abs(budget), (i, drained, budget)
+    # from a full battery, a route that recuperates before it has spent as
+    # much clamps; the rest take the fast path
+    assert n_fast > 1000
+
+
+@st.composite
+def file_networks(draw, min_limit=0.5, min_factor=1e-3):
+    """A network as a file gives it: a small grid of nodes whose edges have
+    random lengths, speed limits of at least ``min_limit`` and gradients,
+    each at least the braking distance from its limit, and 24 hourly
+    factors of at least ``min_factor`` drawn from a pool of at most six, so
+    factors repeat."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    grid = generate_grid(rows, cols, draw(st.floats(10.0, 500.0)), 10.0)
+    d_max = make_params().max_deceleration_mps2
+    edges = {}
+    for eid, e in sorted(grid.edges.items()):
+        limit = draw(st.floats(min_limit, 40.0))
+        length = max(e.length_m * draw(st.floats(1.0, 3.0)),
+                     limit * limit / (2.0 * d_max))
+        edges[eid] = dataclasses.replace(
+            e, length_m=length, speed_limit_mps=limit,
+            gradient=draw(st.floats(-0.3, 0.3)))
+    pool = draw(st.lists(st.floats(min_factor, 1.0), min_size=1, max_size=6))
+    factors = draw(st.lists(st.sampled_from(pool), min_size=24, max_size=24))
+    return RoadNetwork(grid.nodes, edges, factors), factors
+
+
+def drawn_routes(net, data, n=3):
     ids = sorted(net.edges)
-    rng = np.random.default_rng(17)
-    for _ in range(15):
-        frm = ids[int(rng.integers(0, len(ids)))]
-        to = ids[int(rng.integers(0, len(ids)))]
-        route = shortest_path(net, frm, to, "distance")
-        estimate = estimate_route_energy(route, params, ENV,
-                                         net.hourly_speed_factors[0])
-        state = VehicleState(soc=0.9)
-        v_prev = 0.0
-        for i, eid in enumerate(route.edges):
-            edge = net.edges[eid]
-            v_exit = 0.0 if i == len(route.edges) - 1 else edge.speed_limit_mps
-            drive_segment(state, edge, v_prev, v_exit, 1.0,
-                          DriveModel(params, ENV, 1.0))
-            v_prev = state.velocity
-        actual = (0.9 - state.soc) * params.battery_capacity_wh
-        assert estimate >= actual - 1e-6
+    for _ in range(n):
+        frm, to = (data.draw(st.sampled_from(ids)) for _ in range(2))
+        weight = data.draw(st.sampled_from(["travel_time", "distance"]))
+        yield shortest_path(net, frm, to, weight)
 
 
-# the estimates take the hour's speed factor; at net.hourly_speed_factors[h]
-# they must equal, bit for bit, the hour-based estimates they replaced, which
-# scaled each speed limit by factors[h]
-
-def energy_at_hour(net, route, params, factors, hour):
-    total_j = 0.0
-    v_first = None
-    for eid in route.edges:
-        e = net.edges[eid]
-        v = e.speed_limit_mps * factors[hour]
-        if v_first is None:
-            v_first = v
-        p_wheel = traction_power(v, 0.0, e.gradient, params, ENV)
-        p_batt = params.auxiliary_power_w
-        if p_wheel > 0:
-            p_batt += p_wheel / params.drivetrain_efficiency
-        total_j += p_batt * (e.length_m / v)
-    if v_first is not None:
-        total_j += (0.5 * params.mass_kg * v_first * v_first
-                    / params.drivetrain_efficiency)
-    return total_j / 3600.0
+# a slow limit at a small factor would plan drives of thousands of steps
+@settings(max_examples=30, deadline=None)
+@given(net_factors=file_networks(min_limit=2.0, min_factor=0.2),
+       data=st.data())
+def test_route_budget_equals_the_realised_energy_on_file_networks(
+        net_factors, data):
+    net, _ = net_factors
+    model = DriveModel(make_params(), ENV, 1.0)
+    for route in drawn_routes(net, data):
+        for factor in sorted(set(net.hourly_speed_factors)):
+            budget = estimate_route_energy(route, model, factor)
+            drained, fast = drive_route(route, model, factor, 0.5)
+            assert fast
+            assert drained == pytest.approx(budget, rel=1e-9, abs=1e-12)
 
 
 def travel_at_hour(net, route, factors, hour):
@@ -605,40 +660,19 @@ def travel_at_hour(net, route, factors, hour):
                         for eid in route.edges)
 
 
-@st.composite
-def congested_networks(draw):
-    """A small grid with random lengths, speed limits and gradients, and 24
-    hourly factors drawn from a pool of at most six, so factors repeat."""
-    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
-    grid = generate_grid(rows, cols, draw(st.floats(10.0, 500.0)), 10.0)
-    edges = {
-        eid: dataclasses.replace(
-            e, length_m=e.length_m * draw(st.floats(1.0, 3.0)),
-            speed_limit_mps=draw(st.floats(0.5, 40.0)),
-            gradient=draw(st.floats(-0.3, 0.3)))
-        for eid, e in sorted(grid.edges.items())}
-    pool = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
-    factors = draw(st.lists(st.sampled_from(pool), min_size=24, max_size=24))
-    return RoadNetwork(grid.nodes, edges, factors), factors
-
+# travel times take the hour's speed factor; at net.hourly_speed_factors[h]
+# they must equal, bit for bit, the hour-based times they replaced, which
+# scaled each speed limit by factors[h]
 
 @settings(max_examples=60, deadline=None)
-@given(net_factors=congested_networks(), data=st.data())
-def test_estimates_at_the_hours_factor_equal_the_hourly_estimates(
+@given(net_factors=file_networks(), data=st.data())
+def test_travel_times_at_the_hours_factor_equal_the_hourly_times(
         net_factors, data):
     net, factors = net_factors
     assert len(set(factors)) < 24
-    ids = sorted(net.edges)
-    params = make_params()
-    for _ in range(3):
-        frm, to = (data.draw(st.sampled_from(ids)) for _ in range(2))
-        weight = data.draw(st.sampled_from(["travel_time", "distance"]))
-        route = shortest_path(net, frm, to, weight)
+    for route in drawn_routes(net, data):
         for hour in range(24):
-            factor = net.hourly_speed_factors[hour]
-            assert (estimate_route_energy(route, params, ENV, factor)
-                    == energy_at_hour(net, route, params, factors, hour))
-            assert (route_travel_time(route, factor)
+            assert (route_travel_time(route, net.hourly_speed_factors[hour])
                     == travel_at_hour(net, route, factors, hour))
 
 

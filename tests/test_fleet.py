@@ -518,10 +518,23 @@ def vehicle_log(engine, vehicle_id):
             if f"vehicle={vehicle_id}" in row[3].split(";")]
 
 
-def test_a_leg_that_cannot_be_driven_aborts_naming_the_completed_leg():
+def assert_aborted_as_fired(engine, err, kind, payload):
+    """The abort carries the identity of the event as it fired: the log's
+    last row is written before its handler."""
+    event = err.value.event
+    assert event.kind is kind and event.payload == payload
+    at, sequence, logged_kind, logged_payload = engine.event_log[-1]
+    assert (event.at, event.sequence, event.kind.value, event.payload_str()) \
+        == (at, sequence, logged_kind, logged_payload)
+    assert str(err.value).startswith(
+        f"handler for {kind.value} at t={at / 1000:.3f}s "
+        f"(seq={sequence}, {logged_payload}) failed: ")
+
+
+def test_a_route_that_cannot_be_driven_aborts_its_dispatch():
     # the smallest brake the vehicle model admits cannot stop from the
-    # 10 m/s limit on a 100 m edge: the route's last leg raises, driven
-    # from the SegmentComplete of the leg before it
+    # 10 m/s limit on a 100 m edge: dispatch plans every leg of the round
+    # trip, so the route's last leg raises at the trip's VehicleSpawn
     engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
         n_vehicles=1, params=make_params(max_deceleration_mps2=0.1))
     engine.keep_event_log = True
@@ -530,17 +543,31 @@ def test_a_leg_that_cannot_be_driven_aborts_naming_the_completed_leg():
     with pytest.raises(SimulationAborted) as err:
         engine.run_until(ms(3600))
     assert isinstance(err.value.cause, dynamics.InfeasibleSegmentError)
-    event = err.value.event
+    assert_aborted_as_fired(engine, err, EventKind.VEHICLE_SPAWN,
+                            {"trip": "t1"})
+    assert trip.status == "pending" and vehicles[0].lifecycle is Lifecycle.IDLE
+    assert vehicle_log(engine, "v0") == []
+
+
+def test_a_leg_that_cannot_be_driven_aborts_naming_the_completed_leg():
+    # at hour 0's factor of 0.3 the same brake stops from 3 m/s within an
+    # edge, so the trip is dispatched just before hour 1; from hour 1 on
+    # the vehicle reaches the full 10 m/s limit, and the route's last leg
+    # raises, driven from the SegmentComplete of the leg before it
+    engine, net, mgr, ctrl, vehicles, transitions, depot = build_sim(
+        n_vehicles=1, params=make_params(max_deceleration_mps2=0.1),
+        hourly_speed_factors=[0.3] + [1.0] * 23)
+    engine.keep_event_log = True
+    trip = make_trip(net, depot, sorted(net.edges)[10], depart_s=3599.0)
+    assert len(trip.outbound.edges) >= 3
+    ctrl.schedule_trips([trip])
+    with pytest.raises(SimulationAborted) as err:
+        engine.run_until(ms(7200))
+    assert isinstance(err.value.cause, dynamics.InfeasibleSegmentError)
+    assert trip.status == "active"
     completed = trip.outbound.edges[-2]
-    assert event.kind is EventKind.SEGMENT_COMPLETE
-    assert event.payload == {"vehicle": "v0", "edge": completed}
-    # the event as it fired: the log's last row is written before its handler
-    at, sequence, kind, payload = engine.event_log[-1]
-    assert (event.at, event.sequence, event.kind.value, event.payload_str()) \
-        == (at, sequence, kind, payload)
-    assert str(err.value).startswith(
-        f"handler for SegmentComplete at t={at / 1000:.3f}s "
-        f"(seq={sequence}, edge={completed};vehicle=v0) failed: ")
+    assert_aborted_as_fired(engine, err, EventKind.SEGMENT_COMPLETE,
+                            {"vehicle": "v0", "edge": completed})
     assert [row[3] for row in vehicle_log(engine, "v0")
             if row[2] == "SegmentComplete"] == [
         f"edge={edge};vehicle=v0" for edge in trip.outbound.edges[:-1]]
@@ -671,21 +698,25 @@ def test_a_drive_takes_the_factor_of_the_hour_it_starts_in(monkeypatch):
 
 # --- dispatch index -------------------------------------------------------------
 
+def round_trip_wh(trip, params, factor):
+    """The energy of ``trip``'s round trip at ``factor``, planned by a
+    fresh drive model."""
+    model = DriveModel(params, ENV, 1.0)
+    return (dynamics.estimate_route_energy(trip.outbound, model, factor)
+            + dynamics.estimate_route_energy(trip.return_route, model, factor))
+
+
 def reference_dispatch(vehicles, params, trip, reserve, net, hour=0):
-    """The full scan dispatch is checked against: every idle vehicle in id
-    order with its own round-trip estimate; the feasible vehicle with the
-    highest SOC wins, ties to the first."""
+    """The full scan dispatch is checked against: every idle vehicle in
+    fleet order with its own round-trip energy; the feasible vehicle with
+    the highest SOC wins, ties to the first."""
     best = None
     factor = net.hourly_speed_factors[hour]
-    for v in sorted(vehicles, key=lambda v: v.vehicle_id):
+    for v in vehicles:
         if v.lifecycle is not Lifecycle.IDLE:
             continue
         budget = (v.state.soc - reserve) * params.battery_capacity_wh
-        need = (
-            dynamics.estimate_route_energy(trip.outbound, params, ENV, factor)
-            + dynamics.estimate_route_energy(trip.return_route, params, ENV,
-                                             factor)
-        )
+        need = round_trip_wh(trip, params, factor)
         if budget < need:
             continue
         if best is None or v.state.soc > best.state.soc:
@@ -722,11 +753,7 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
     edges = sorted(net.edges)
     trips = [make_trip(net, depot, edges[d], tid=f"t{i}")
              for i, d in enumerate(destinations)]
-    factor = net.hourly_speed_factors[0]
-    need = (dynamics.estimate_route_energy(trips[0].outbound, params, ENV,
-                                           factor)
-            + dynamics.estimate_route_energy(trips[0].return_route, params,
-                                             ENV, factor))
+    need = round_trip_wh(trips[0], params, net.hourly_speed_factors[0])
     for v, (kind, (how, x)) in zip(vehicles, specs):
         if kind == "idle":
             continue
@@ -749,6 +776,22 @@ def test_dispatch_matches_full_scan(specs, reserve, capacity, destinations):
         expected = reference_dispatch(vehicles, params, trip, reserve, net)
         assert ctrl._try_dispatch(trip) is (expected is not None)
         assert trip.vehicle_id == (expected.vehicle_id if expected else None)
+
+
+def test_equal_socs_dispatch_in_fleet_order_beyond_ten_thousand_vehicles():
+    # ids sort as strings, so "v1000" < "v10000" < "v1001": ties go by the
+    # vehicle's place in the fleet, not by its id
+    engine, net, mgr, ctrl, vehicles, _, depot = build_sim(n_vehicles=10_001)
+    for v in vehicles[:1000]:
+        v.lifecycle = Lifecycle.CHARGING
+    ctrl = FleetController(engine, net, mgr, vehicles, depot, ctrl.model,
+                           ctrl.policies, ctrl.transition_hook)
+    dest = sorted(net.edges)[10]
+    for tid in ("t0", "t1", "t2"):
+        trip = make_trip(net, depot, dest, tid=tid)
+        assert ctrl._try_dispatch(trip)
+    assert [v.vehicle_id for v in vehicles
+            if v.lifecycle is Lifecycle.EN_ROUTE] == ["v1000", "v1001", "v1002"]
 
 
 # --- categorical draws ------------------------------------------------------------

@@ -21,6 +21,9 @@ change that moves an output on purpose records the new table in the same
 change, and names each file it changed:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every probe file whose hash changed, was added or was removed
+before it writes the table.
 """
 
 import builtins
@@ -182,6 +185,33 @@ def test_no_float_total_goes_through_builtin_sum(tmp_path, monkeypatch,
     assert result.total_grid_wh > 0.0
 
 
+def table_changes(old: dict, new: dict) -> list[str]:
+    """One line per probe file whose hash differs between the tables
+    ``old`` and ``new``: ``changed``, ``added`` or ``removed``, then
+    ``probe/file``, in probe and file order."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        before, after = old.get(key, {}), new.get(key, {})
+        for name in sorted(before.keys() | after.keys()):
+            if name not in before:
+                lines.append(f"added {key}/{name}")
+            elif name not in after:
+                lines.append(f"removed {key}/{name}")
+            elif before[name] != after[name]:
+                lines.append(f"changed {key}/{name}")
+    return lines
+
+
+def test_table_changes_name_every_moved_file():
+    old = {"a": {"x.csv": "1", "y.csv": "2"}, "b": {"z.csv": "3"}}
+    new = {"a": {"x.csv": "1", "y.csv": "9", "w.csv": "4"},
+           "c": {"z.csv": "3"}}
+    assert table_changes(old, new) == [
+        "added a/w.csv", "changed a/y.csv", "removed b/z.csv",
+        "added c/z.csv"]
+    assert table_changes(new, new) == []
+
+
 def numpy_blas() -> str:
     """The name of the BLAS numpy was built on, or ``""`` where numpy is
     too old to report it."""
@@ -234,4 +264,7 @@ if __name__ == "__main__":
             table[key] = tree_digests(Path(tmp) / key)
         run_sweep(Path(tmp) / SWEEP_KEY)
         table[SWEEP_KEY] = tree_digests(Path(tmp) / SWEEP_KEY)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for line in table_changes(old, table):
+        print(line)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

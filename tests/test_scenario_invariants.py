@@ -195,8 +195,8 @@ def run_checking_consistency(monkeypatch, config, out_dir, check=None):
                     check(manager)
             for controller in controllers:
                 assert sorted(controller._idle_heap) == sorted(
-                    (-v.state.soc, v.vehicle_id)
-                    for v in controller.vehicles.values()
+                    (-v.state.soc, i)
+                    for i, v in enumerate(controller.vehicles.values())
                     if v.lifecycle is Lifecycle.IDLE)
             checked.append(event.kind)
         on(self, kind, checked_handler)
@@ -576,9 +576,9 @@ class NeverStores(dict):
 MEMOS = {"controller": ("_route_energy", "_divert"),
          "model": ("plans",),
          "network": ("_routes", "_paths", "_search", "_arc_tables")}
-# the owners' dicts that are not memos: run state, the road graph and its
-# node numbering
-NOT_MEMOS = {"controller": {"vehicles", "trips"},
+# the owners' dicts that are not memos: run state, the fleet index, the road
+# graph and its node numbering
+NOT_MEMOS = {"controller": {"vehicles", "trips", "_index"},
              "model": set(),
              "network": {"nodes", "edges", "adjacency", "_node_number"}}
 
