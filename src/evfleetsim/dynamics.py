@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .engine import ms
 
@@ -156,13 +155,14 @@ class VehicleState:
     cumulative: Cumulative = field(default_factory=Cumulative)
 
 
-def traction_power(v, a, gradient: float, params: VehicleParams, env: Environment):
+def traction_power(v: float, a: float, gradient: float, params: VehicleParams,
+                   env: Environment) -> float:
     """Wheel power (W) for velocity ``v`` (m/s) and acceleration ``a`` (m/s^2)
     on a road with the given gradient (rise/run).
 
     ``P = (m*a + m*g*sin(theta) + c_rr*m*g*cos(theta)*[v>0]
           + 0.5*rho*c_d*A*v^2) * v`` with ``theta = atan(gradient)``.
-    Accepts scalars or numpy arrays for ``v`` and ``a``.
+    Takes scalars only: a plan calls it once per step.
     """
     theta = math.atan(gradient)
     m = params.mass_kg
@@ -214,33 +214,27 @@ class _Profile:
     def duration(self) -> float:
         return self.t_acc + self.t_cruise + self.t_dec
 
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        t1 = self.t_acc
-        t2 = self.t_acc + self.t_cruise
-        v = np.where(
-            t <= t1,
-            self.v_in + self.accel * t,
-            np.where(t <= t2, self.v_peak, self.v_peak - self.decel * (t - t2)),
-        )
-        return np.maximum(v, 0.0)
+    def velocity(self, t: float) -> float:
+        if t <= self.t_acc:
+            v = self.v_in + self.accel * t
+        elif t <= self.t_acc + self.t_cruise:
+            v = self.v_peak
+        else:
+            v = self.v_peak - self.decel * (t - (self.t_acc + self.t_cruise))
+        # a rounding below standstill, and -0.0, read as 0.0
+        return 0.0 if v <= 0.0 else v
 
-    def position(self, t):
-        t = np.asarray(t, dtype=float)
+    def position(self, t: float) -> float:
         t1 = self.t_acc
+        if t <= t1:
+            return self.v_in * t + 0.5 * self.accel * t * t
         t2 = self.t_acc + self.t_cruise
         s1 = self.v_in * t1 + 0.5 * self.accel * t1 * t1
+        if t <= t2:
+            return s1 + self.v_peak * (t - t1)
         s2 = s1 + self.v_peak * self.t_cruise
         tau = t - t2
-        return np.where(
-            t <= t1,
-            self.v_in * t + 0.5 * self.accel * t * t,
-            np.where(
-                t <= t2,
-                s1 + self.v_peak * (t - t1),
-                s2 + self.v_peak * tau - 0.5 * self.decel * tau * tau,
-            ),
-        )
+        return s2 + self.v_peak * tau - 0.5 * self.decel * tau * tau
 
 
 def _plan_profile(
@@ -287,53 +281,44 @@ def _plan_profile(
     return _Profile(v_in, v_peak, v_out, t_acc, t_cruise, t_dec, a_max, d_max)
 
 
-def _freeze(obj) -> None:
-    """Make every array field of the dataclass ``obj`` read-only."""
-    for name in obj.__dataclass_fields__:
-        value = getattr(obj, name)
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-
-
 @dataclass(frozen=True, slots=True)
 class DriveTrace:
     """Fixed-step samples over one edge; the last step may be shorter.
 
-    ``time_s`` marks the start of each step, as a tuple of floats that the
-    tick sampler bisects; ``v``/``a`` are the exact step averages. The state
-    of charge at the end of step ``i`` is ``soc0 - soc_drop[i] /
-    soc_scale``, read one element at a time with these IEEE operations. The
-    trace a plan shares with every fast-path drive of it holds the plan's
-    cumulative battery energy in W*s as ``soc_drop``, the capacity in W*s as
-    ``soc_scale``, and ``soc0 = None``: the base is each vehicle's entry SOC,
-    which the vehicle keeps (see :class:`~evfleetsim.fleet.Vehicle`). A
-    step-loop trace stores its own SOC array as ``soc_drop`` with ``soc0 =
-    -0.0`` and ``soc_scale = -1.0``, which gives every element back exactly,
-    signed zeros included.
+    Every column is a tuple of floats. ``time_s`` marks the start of each
+    step, which the tick sampler bisects; ``v``/``a`` are the exact step
+    averages. The state of charge at the end of step ``i`` is ``soc0 -
+    soc_drop[i] / soc_scale``, read one element at a time with these IEEE
+    operations. The trace a plan shares with every fast-path drive of it
+    holds the plan's cumulative battery energy in W*s as ``soc_drop``, the
+    capacity in W*s as ``soc_scale``, and ``soc0 = None``: the base is each
+    vehicle's entry SOC, which the vehicle keeps (see
+    :class:`~evfleetsim.fleet.Vehicle`). A step-loop trace stores its own
+    SOCs as ``soc_drop`` with ``soc0 = -0.0`` and ``soc_scale = -1.0``,
+    which gives every element back exactly, signed zeros included.
 
-    Every array is frozen here and the step starts are a tuple, so traces
-    can share them. The one mutable part is ``row_texts``, one ``None`` per
-    sample when built: the ``ticks.csv`` row template of each sample, stored
-    by :func:`~evfleetsim.metrics._row_tail` on its first read, so a shared
+    Tuples cannot be written, so traces can share them. The one mutable
+    part is ``row_texts``, one ``None`` per sample when built: the
+    ``ticks.csv`` row template of each sample, stored by
+    :func:`~evfleetsim.metrics._row_tail` on its first read, so a shared
     plan's samples are formatted once per run.
     """
 
     time_s: tuple[float, ...]
-    dt_s: np.ndarray
-    v_mps: np.ndarray
-    a_mps2: np.ndarray
-    p_traction_w: np.ndarray
-    p_battery_w: np.ndarray
-    p_recup_w: np.ndarray
-    p_re_w: np.ndarray
+    dt_s: tuple[float, ...]
+    v_mps: tuple[float, ...]
+    a_mps2: tuple[float, ...]
+    p_traction_w: tuple[float, ...]
+    p_battery_w: tuple[float, ...]
+    p_recup_w: tuple[float, ...]
+    p_re_w: tuple[float, ...]
     soc0: float | None
-    soc_drop: np.ndarray
+    soc_drop: tuple[float, ...]
     soc_scale: float
     row_texts: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "row_texts", [None] * len(self.time_s))
-        _freeze(self)
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -359,14 +344,12 @@ class _SegmentPlan:
     range extender off, and ``result``, shared by every fast-path drive.
     ``cum_min``, ``cum_max`` and ``cum_last`` are the extremes and last
     value of the cumulative battery energy out, ``result.trace.soc_drop``.
-    Its arrays are read-only, so plans can be shared."""
+    What only the step loop reads, it recomputes from these."""
 
+    profile: _Profile
     duration_s: float
     v_out: float
     distance_m: float
-    hours: np.ndarray
-    pos: np.ndarray
-    p_consume: np.ndarray
     cum_min: float
     cum_max: float
     cum_last: float
@@ -375,8 +358,12 @@ class _SegmentPlan:
     consumed_wh: float
     recuperated_wh: float
 
-    def __post_init__(self):
-        _freeze(self)
+
+def _consumed_power(p_trac: float, params: VehicleParams) -> float:
+    """The battery power (W) a step of wheel power ``p_trac`` draws for
+    propulsion and the auxiliary load, before recuperation."""
+    drive = p_trac / params.drivetrain_efficiency if p_trac >= 0.0 else 0.0
+    return drive + params.auxiliary_power_w
 
 
 def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
@@ -388,52 +375,54 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     )
     total = profile.duration
 
+    # the step bounds k * dt, the last one moved or added to end at total;
+    # the starts stay a slice of the model's grid
     n_full = int(math.floor(total / dt + 1e-12))
-    bounds = np.arange(n_full + 1, dtype=float) * dt
-    if total - bounds[-1] > 1e-9:
-        bounds = np.append(bounds, total)
-    else:
-        bounds[-1] = total
-    dts = np.diff(bounds)
+    starts = model.step_starts(n_full + 1)
+    if total - starts[-1] <= 1e-9:
+        starts = starts[:-1]
+    bounds = starts + (total,)
+    dts = [b - a for a, b in zip(bounds, bounds[1:])]
 
-    pos = profile.position(bounds)
-    vel = profile.velocity(bounds)
-    v_bar = np.diff(pos) / dts
-    a_bar = np.diff(vel) / dts
+    pos = [profile.position(t) for t in bounds]
+    vel = [profile.velocity(t) for t in bounds]
+    v_bar = tuple((b - a) / d for a, b, d in zip(pos, pos[1:], dts))
+    a_bar = tuple((b - a) / d for a, b, d in zip(vel, vel[1:], dts))
 
-    p_trac = traction_power(v_bar, a_bar, edge.gradient, params, model.env)
-    p_drive = np.where(p_trac >= 0.0, p_trac / params.drivetrain_efficiency, 0.0)
-    p_recup = np.where(
-        p_trac < 0.0,
-        np.minimum(-p_trac * params.recuperation_efficiency,
-                   params.max_recuperation_power_w),
-        0.0,
-    )
-    p_consume = p_drive + params.auxiliary_power_w
-    p_net0 = p_consume - p_recup  # before range extender
-    hours = dts / S_PER_H
-    cum = np.cumsum(p_net0 * dts)  # battery energy out, in W*s
+    p_trac = tuple(traction_power(v, a, edge.gradient, params, model.env)
+                   for v, a in zip(v_bar, a_bar))
+    r_eff = params.recuperation_efficiency
+    r_max = params.max_recuperation_power_w
+    p_consume, p_recup = [], []
+    for p in p_trac:
+        p_consume.append(_consumed_power(p, params))
+        if p < 0.0:
+            r = -p * r_eff
+            p_recup.append(r if r < r_max else r_max)
+        else:
+            p_recup.append(0.0)
+    # before range extender
+    p_net0 = tuple(c - r for c, r in zip(p_consume, p_recup))
+    hours = [d / S_PER_H for d in dts]
+    cum = tuple(accumulate(p * d for p, d in zip(p_net0, dts)))  # W*s out
     # a vanishing edge has no step: extremes of -inf and +inf put every SOC
     # outside its bounds, so its drive takes the step loop
     cum_min, cum_max, cum_last = (
-        (float(cum.min()), float(cum.max()), float(cum[-1]))
-        if len(cum) else (-math.inf, math.inf, 0.0))
+        (min(cum), max(cum), cum[-1]) if cum else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    trace = DriveTrace(model.step_starts(len(dts)), dts, v_bar, a_bar, p_trac,
-                       p_net0, p_recup, np.zeros(len(dts)), None, cum, c)
+    trace = DriveTrace(starts, tuple(dts), v_bar, a_bar, p_trac, p_net0,
+                       tuple(p_recup), (0.0,) * len(dts), None, cum, c)
     return _SegmentPlan(
+        profile=profile,
         duration_s=total,
         v_out=profile.v_out,
-        distance_m=float(pos[-1]),
-        hours=hours,
-        pos=pos,
-        p_consume=p_consume,
+        distance_m=pos[-1],
         cum_min=cum_min,
         cum_max=cum_max,
         cum_last=cum_last,
         result=SegmentResult(trace, ms(total), False),
-        consumed_wh=math.fsum(p_consume * hours),
-        recuperated_wh=math.fsum(p_recup * hours),
+        consumed_wh=math.fsum(p * h for p, h in zip(p_consume, hours)),
+        recuperated_wh=math.fsum(r * h for r, h in zip(p_recup, hours)),
     )
 
 
@@ -455,10 +444,9 @@ class DriveModel:
         self._grid: tuple[float, ...] = ()
 
     def step_starts(self, n: int) -> tuple[float, ...]:
-        """The first ``n`` step starts ``k * dt``: the values of
-        ``np.arange(n) * dt``, bit for bit, since each is one product."""
+        """The first ``n`` step starts ``k * dt``, each one product."""
         if len(self._grid) < n:
-            self._grid = tuple((np.arange(n, dtype=float) * self.dt).tolist())
+            self._grid = tuple(k * self.dt for k in range(n))
         return self._grid[:n]
 
     def plan(self, edge, v_entry: float, v_exit_target: float,
@@ -527,7 +515,7 @@ def drive_segment(
     A drive that starts with no range extender or with its relay off, and
     whose SOC stays inside its bounds without switching the relay on (the
     fast path), adds the plan's sums to the state and returns the plan's one
-    result, with no numpy operation and no new object. Its trace holds no
+    result, with no per-step work and no new object. Its trace holds no
     entry SOC (``soc0`` is ``None``): the caller keeps ``state.soc`` from
     before the call (see :class:`DriveTrace`). The SOC after step ``i`` is
     ``soc0 - cum[i] / c``, ``cum`` the plan's cumulative battery energy and
@@ -564,11 +552,11 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
                  params: VehicleParams) -> SegmentResult:
     """The step loop of :func:`drive_segment`: it switches the range
     extender relay, starting from ``state.range_extender_on``, and clamps
-    at empty or full, writing into copies of the plan's shared arrays. It
-    builds a result of its own, with the vehicle's SOC array in its
+    at empty or full, writing into list copies of the plan's shared
+    columns. It builds a result of its own, with the vehicle's SOCs in its
     trace."""
     shared = plan.result.trace
-    dts = shared.dt_s
+    dts = list(shared.dt_s)
     n = len(dts)
     cap = params.battery_capacity_wh
     soc0 = state.soc
@@ -581,11 +569,11 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
     distance = plan.distance_m
     exit_velocity = plan.v_out
     p_net0 = shared.p_battery_w
-    p_consume = plan.p_consume
-    p_recup = shared.p_recup_w.copy()
-    p_net_eff = p_net0.copy()
-    re_power_arr = np.zeros(n)
-    soc_traj = np.empty(n)
+    p_consume = [_consumed_power(p, params) for p in p_trac]
+    p_recup = list(shared.p_recup_w)
+    p_net_eff = list(p_net0)
+    re_power_arr = [0.0] * n
+    soc_traj = [0.0] * n
     soc = soc0
     for k in range(n):
         dt_k = dts[k]
@@ -621,20 +609,19 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
         re_power_arr[k] = re_power
         p_net_eff[k] = p_net
         soc_traj[k] = soc
-    hours = plan.hours
     if stranded:
-        dts = dts[:n].copy()
+        del dts[n:], p_consume[n:], p_recup[n:], re_power_arr[n:]
+        del p_net_eff[n:], soc_traj[n:]
         dts[-1] = trunc_dt
-        hours = dts / S_PER_H
         time_s, v_bar, a_bar = time_s[:n], v_bar[:n], a_bar[:n]
-        p_trac, p_recup = p_trac[:n], p_recup[:n]
-        p_consume = p_consume[:n]
-        re_power_arr, p_net_eff = re_power_arr[:n], p_net_eff[:n]
-        soc_traj = soc_traj[:n]
-        duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
-        distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
+        p_trac = p_trac[:n]
+        duration = time_s[-1] + dts[-1] if n > 1 else dts[-1]
+        distance = (plan.profile.position(time_s[n - 1])
+                    + v_bar[n - 1] * dts[-1])
         exit_velocity = 0.0
-    range_extended_wh = math.fsum(re_power_arr * hours)
+    hours = [d / S_PER_H for d in dts]
+    range_extended_wh = math.fsum(
+        r * h for r, h in zip(re_power_arr, hours))
 
     fuel_l = 0.0
     if re is not None:
@@ -642,23 +629,25 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
 
     trace = DriveTrace(
         time_s=time_s,
-        dt_s=dts,
+        dt_s=tuple(dts),
         v_mps=v_bar,
         a_mps2=a_bar,
         p_traction_w=p_trac,
-        p_battery_w=p_net_eff,
-        p_recup_w=p_recup,
-        p_re_w=re_power_arr,
+        p_battery_w=tuple(p_net_eff),
+        p_recup_w=tuple(p_recup),
+        p_re_w=tuple(re_power_arr),
         soc0=-0.0,
-        soc_drop=soc_traj,
+        soc_drop=tuple(soc_traj),
         soc_scale=-1.0,
     )
 
-    state.soc = float(soc_traj[-1]) if n > 0 else soc0
+    state.soc = soc_traj[-1] if n > 0 else soc0
     state.velocity = exit_velocity
     state.range_extender_on = flag
-    state.cumulative.consumed_wh += math.fsum(p_consume * hours)
-    state.cumulative.recuperated_wh += math.fsum(p_recup * hours)
+    state.cumulative.consumed_wh += math.fsum(
+        c * h for c, h in zip(p_consume, hours))
+    state.cumulative.recuperated_wh += math.fsum(
+        r * h for r, h in zip(p_recup, hours))
     state.cumulative.range_extended_wh += range_extended_wh
     state.cumulative.fuel_liters += fuel_l
     state.cumulative.distance_m += distance

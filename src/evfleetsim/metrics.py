@@ -99,7 +99,7 @@ def _row_tail(vehicle: Vehicle, t_ms: int, params: VehicleParams,
         soc0 = tr.soc0
         if soc0 is None:
             soc0 = vehicle.trace_soc0
-        soc = soc0 - tr.soc_drop.item(i) / tr.soc_scale
+        soc = soc0 - tr.soc_drop[i] / tr.soc_scale
         template = tr.row_texts[i]
         if template is None:
             template = _sample_template(vehicle, tr, i, soc)
@@ -129,9 +129,9 @@ def _sample_template(vehicle: Vehicle, tr, i: int, soc: float) -> bytes:
     :func:`_row_tail` uses it, and store it in ``tr.row_texts``; a sample
     with a non-finite value among its motion values or ``soc`` raises
     :class:`MetricsError` and stores nothing."""
-    v, a = tr.v_mps.item(i), tr.a_mps2.item(i)
-    p_traction, p_battery = tr.p_traction_w.item(i), tr.p_battery_w.item(i)
-    p_recup, p_re = tr.p_recup_w.item(i), tr.p_re_w.item(i)
+    v, a = tr.v_mps[i], tr.a_mps2[i]
+    p_traction, p_battery = tr.p_traction_w[i], tr.p_battery_w[i]
+    p_recup, p_re = tr.p_recup_w[i], tr.p_re_w[i]
     if not math.isfinite(v + a + soc + p_traction + p_battery + p_recup + p_re):
         _reject_non_finite(vehicle, (v, a, soc, p_traction, p_battery, p_recup,
                                     p_re))
@@ -473,7 +473,7 @@ class MetricsCollector:
         ``base_edges``, extended by bins as wide as the last one (250 m
         without a bin of positive width) until they cover every distance.
         A bin counts from its lower edge up to its upper one, which only
-        the last bin includes: ``np.histogram``'s counts."""
+        the last bin includes."""
         airline, driven = self._airline_m, self._driven_m
         edges = sorted(set(base_edges))
         width = _extension_width(edges)

@@ -1,6 +1,7 @@
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 import yaml
 
@@ -82,7 +83,7 @@ def trace_soc(trace: DriveTrace, entry_soc: float):
     has no ``soc0``; its base is ``entry_soc``, as the package's is the
     vehicle's ``trace_soc0``."""
     soc0 = entry_soc if trace.soc0 is None else trace.soc0
-    soc = soc0 - trace.soc_drop / trace.soc_scale
+    soc = soc0 - np.asarray(trace.soc_drop, dtype=float) / trace.soc_scale
     soc.setflags(write=False)
     return soc
 

@@ -129,8 +129,9 @@ def test_c3_energy_conservation_random_trips_and_fleet_ledger(bundled_run):
             result = drive_segment(state, edge, min(v_prev, v_lim),
                                    float(rng.uniform(0, v_lim)), 1.0,
                                    DriveModel(params, ENV, 1.0))
-            integral_wh += float(-np.dot(result.trace.p_battery_w,
-                                         result.trace.dt_s / 3600.0))
+            integral_wh += float(-np.dot(
+                result.trace.p_battery_w,
+                np.asarray(result.trace.dt_s) / 3600.0))
             v_prev = state.velocity
         delta_wh = (state.soc - soc0) * params.battery_capacity_wh
         flows_wh = state.cumulative.consumed_wh + state.cumulative.recuperated_wh

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +14,9 @@ from hypothesis import strategies as st
 from conftest import sum_in_order, trace_soc
 
 from evfleetsim import dynamics
-from evfleetsim.dynamics import (DriveModel, DriveTrace, DynamicsError,
-                                 Environment, InfeasibleSegmentError,
+from evfleetsim.dynamics import (Cumulative, DriveModel, DriveTrace,
+                                 DynamicsError, Environment,
+                                 InfeasibleSegmentError,
                                  RangeExtenderParams, SegmentResult,
                                  VehicleParams, VehicleState, drive_segment,
                                  estimate_route_energy, range_extender_step,
@@ -55,7 +61,16 @@ def drive_time_s(trace):
 def battery_wh(trace):
     """Energy put into the battery over ``trace``, in Wh: the integral of
     battery power, negative for a net discharge."""
-    return float(-np.dot(trace.p_battery_w, trace.dt_s / 3600.0))
+    return float(-np.dot(trace.p_battery_w, np.asarray(trace.dt_s) / 3600.0))
+
+
+def arrays(trace):
+    """The step columns of ``trace`` as numpy arrays, for the assertions
+    that compare whole columns; the trace holds tuples of floats."""
+    return SimpleNamespace(**{
+        f.name: np.asarray(getattr(trace, f.name), dtype=float)
+        for f in dataclasses.fields(DriveTrace)
+        if f.name not in ("soc0", "soc_scale", "row_texts")})
 
 
 # --- traction power ------------------------------------------------------------
@@ -98,32 +113,35 @@ def downhill(params, soc=0.5, length=200.0, v=10.0, gradient=-0.1):
     state = VehicleState(soc=soc)
     result = drive_segment(state, flat_edge(length, v, gradient), v, v, 1.0,
                            DriveModel(params, ENV, 1.0))
-    assert np.all(result.trace.p_traction_w < 0.0)
+    assert np.all(arrays(result.trace).p_traction_w < 0.0)
     return state, result
 
 
 def test_battery_power_idle_hotel_load():
     params = make_params(auxiliary_power_w=200.0, max_recuperation_power_w=0.0)
     _, result = downhill(params)
-    assert np.all(result.trace.p_recup_w == 0.0)
-    assert np.all(result.trace.p_battery_w == 200.0)
+    tr = arrays(result.trace)
+    assert np.all(tr.p_recup_w == 0.0)
+    assert np.all(tr.p_battery_w == 200.0)
 
 
 def test_battery_power_recuperation_below_cap():
     params = make_params(auxiliary_power_w=0.0)
     _, result = downhill(params)
-    inflow = -result.trace.p_traction_w * 0.6
+    tr = arrays(result.trace)
+    inflow = -tr.p_traction_w * 0.6
     assert np.all(inflow < 30_000.0)
-    np.testing.assert_allclose(result.trace.p_recup_w, inflow, rtol=1e-12)
-    np.testing.assert_allclose(result.trace.p_battery_w, -inflow, rtol=1e-12)
+    np.testing.assert_allclose(tr.p_recup_w, inflow, rtol=1e-12)
+    np.testing.assert_allclose(tr.p_battery_w, -inflow, rtol=1e-12)
 
 
 def test_battery_power_recuperation_cap_binds():
     params = make_params(auxiliary_power_w=0.0, max_recuperation_power_w=5000.0)
     _, result = downhill(params)
-    assert np.all(-result.trace.p_traction_w * 0.6 > 5000.0)
-    assert np.all(result.trace.p_recup_w == 5000.0)
-    assert np.all(result.trace.p_battery_w == -5000.0)
+    tr = arrays(result.trace)
+    assert np.all(-tr.p_traction_w * 0.6 > 5000.0)
+    assert np.all(tr.p_recup_w == 5000.0)
+    assert np.all(tr.p_battery_w == -5000.0)
 
 
 def test_recuperation_power_never_exceeds_bounds():
@@ -137,7 +155,7 @@ def test_recuperation_power_never_exceeds_bounds():
         result = drive_segment(VehicleState(soc=float(rng.uniform(0.1, 0.9))),
                                edge, 0.0, 0.0, 1.0,
                                DriveModel(params, ENV, 1.0))
-        tr = result.trace
+        tr = arrays(result.trace)
         assert np.all(tr.p_recup_w >= 0.0)
         assert np.all(tr.p_recup_w <= np.minimum(
             np.maximum(-tr.p_traction_w, 0.0) * 0.6, cap) + 1e-9)
@@ -165,7 +183,7 @@ def test_range_extender_fuel_for_generated_energy():
     state = VehicleState(soc=0.3, range_extender_on=True)
     result = drive_segment(state, flat_edge(100.0, 10.0), 10.0, 10.0, 1.0,
                            DriveModel(params, ENV, 1.0))
-    assert np.all(result.trace.p_re_w == 12000.0)
+    assert np.all(arrays(result.trace).p_re_w == 12000.0)
     assert state.cumulative.range_extended_wh == pytest.approx(
         12000.0 * 10.0 / 3600.0)
     assert state.cumulative.fuel_liters == pytest.approx(
@@ -278,7 +296,7 @@ def test_trapezoid_kinematics_oracle():
     assert result.duration_ms == 30_000
     assert state.cumulative.distance_m == pytest.approx(200.0, abs=1e-3)
     assert state.velocity == 0.0
-    assert float(result.trace.v_mps.max()) <= 10.0 + 1e-9
+    assert max(result.trace.v_mps) <= 10.0 + 1e-9
 
 
 def test_triangular_profile_when_edge_too_short_for_cruise():
@@ -290,7 +308,7 @@ def test_triangular_profile_when_edge_too_short_for_cruise():
     v_peak = math.sqrt(50.0)  # closed form for a = d = 1
     assert drive_time_s(result.trace) == pytest.approx(2 * v_peak, rel=1e-9)
     assert result.duration_ms == round(2000 * v_peak)
-    assert float(result.trace.v_mps.max()) < 10.0
+    assert max(result.trace.v_mps) < 10.0
     assert state.cumulative.distance_m == pytest.approx(50.0, abs=1e-3)
 
 
@@ -414,12 +432,13 @@ def test_soc_stays_in_bounds_over_random_parameterizations():
         assert float(trace_soc(result.trace, soc0).max()) <= 1.0
         assert 0.0 <= state.soc <= 1.0
         # recuperation inflow never exceeds its bounds at any sample
+        tr = arrays(result.trace)
         bound = np.minimum(
-            np.maximum(-result.trace.p_traction_w, 0.0)
+            np.maximum(-tr.p_traction_w, 0.0)
             * params.recuperation_efficiency,
             params.max_recuperation_power_w,
         )
-        assert np.all(result.trace.p_recup_w <= bound + 1e-9)
+        assert np.all(tr.p_recup_w <= bound + 1e-9)
 
 
 def test_energy_conservation_over_random_trips():
@@ -500,7 +519,7 @@ def test_range_extender_toggles_show_in_trace():
     edge = flat_edge(3000.0, 15.0)
     result = drive_segment(state, edge, 0.0, 0.0, 1.0,
                            DriveModel(params, ENV, 1.0))
-    on = result.trace.p_re_w > 0.0
+    on = arrays(result.trace).p_re_w > 0.0
     assert not on[0] and on.any()  # switched on during the edge
     # and switched off again, or still on at the end
     assert state.range_extender_on or np.any(on[:-1] & ~on[1:])
@@ -694,9 +713,13 @@ def test_vanishing_edge_gives_an_empty_trace_and_keeps_the_soc():
 # one to the last bit
 
 def bits(x):
-    """The bytes of a float or array, so that equality is bit for bit
-    (signed zeros included)."""
+    """The bytes of a float, tuple or array, so that equality is bit for
+    bit (signed zeros included)."""
     return np.asarray(x, dtype=float).tobytes()
+
+
+STEP_COLUMNS = ("time_s", "dt_s", "v_mps", "a_mps2", "p_traction_w",
+                "p_battery_w", "p_recup_w", "p_re_w", "soc_drop")
 
 
 def assert_same_result(memo, fresh, entry_soc):
@@ -715,17 +738,14 @@ def assert_same_result(memo, fresh, entry_soc):
             assert name == "soc0" and b is None
             continue
         assert bits(a) == bits(b), name
-        if isinstance(a, np.ndarray):
-            for array in (a, b):  # plan arrays are shared between vehicles
-                with pytest.raises(ValueError):
-                    array[...] = 0.0
-        elif name == "time_s":  # and so are the step starts
-            for starts in (a, b):
-                assert type(starts) is tuple, name
-                assert all(type(t) is float for t in starts), name
+        if name in STEP_COLUMNS:
+            # tuples of floats, so that vehicles can share a plan's columns
+            for column in (a, b):
+                assert type(column) is tuple, name
+                assert all(type(t) is float for t in column), name
                 with pytest.raises(TypeError):
-                    starts[0] = 0.0
-        else:
+                    column[0] = 0.0
+        elif name != "soc":
             assert isinstance(a, float) and isinstance(b, float), name
     for result in (memo, fresh):  # and so are plan results
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -761,7 +781,7 @@ def drive_with_and_without_memo(edge, v_entry, v_exit, speed_factor, dt,
     assert memo_state == fresh_state
     # the energy sums added to the state, formed as the integrator forms
     # them from its steps
-    trace = memo.trace
+    trace = arrays(memo.trace)
     hours = trace.dt_s / 3600.0
     c = memo_state.cumulative
     assert c.recuperated_wh == math.fsum(trace.p_recup_w * hours)
@@ -831,18 +851,20 @@ def array_fast_path(plan, soc0, params, re_on):
     each step and the energy sums (consumed, recuperated)."""
     cap = params.battery_capacity_wh
     re = params.range_extender
-    shared = plan.result.trace
+    shared = arrays(plan.result.trace)
     dts = shared.dt_s
     n = len(dts)
-    p_net0 = plan.p_consume - shared.p_recup_w
+    p_consume = array_consumed_power(shared.p_traction_w, params)
+    hours = dts / 3600.0
+    p_net0 = p_consume - shared.p_recup_w
     soc_traj = soc0 - np.cumsum(p_net0 * dts) / (cap * 3600.0)
     if re is None:
         fast = n > 0 and soc_traj.min() > 0.0 and soc_traj.max() <= 1.0
     else:
         fast = (not re_on and n > 0 and soc_traj.min() >= re.soc_on
                 and soc_traj.max() <= 1.0 and soc0 >= re.soc_on)
-    sums = (math.fsum(plan.p_consume * plan.hours),
-            math.fsum(shared.p_recup_w * plan.hours))
+    sums = (math.fsum(p_consume * hours),
+            math.fsum(shared.p_recup_w * hours))
     return bool(fast), soc_traj, sums
 
 
@@ -893,16 +915,8 @@ def test_scalar_fast_path_matches_the_array_formulas(
         assert bits(c.distance_m) == bits(0.0 + plan.distance_m)
 
 
-class NoNumpy:
-    """Stands in for the numpy module: any use of it fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used")
-
-
 @pytest.mark.parametrize("relay", ["absent", "off"])
-def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
-                                                              monkeypatch):
+def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay):
     re, re_on = RELAY[relay]
     params = make_params(range_extender=re)
     edge = flat_edge(400.0, 14.0, 0.02)
@@ -910,17 +924,16 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay,
     drive_segment(VehicleState(soc=0.5), edge, 0.0, 0.0, 1.0, model)
     (plan,) = model.plans.values()
     state = VehicleState(soc=0.5, range_extender_on=re_on)
-    with monkeypatch.context() as patched:
-        patched.setattr(dynamics, "np", NoNumpy())
-        result = drive_segment(state, edge, 0.0, 0.0, 1.0, model)
+    # the module holds no numpy (see test_dynamics_imports_no_numpy)
+    assert not any(getattr(value, "__name__", None) == "numpy"
+                   for value in vars(dynamics).values())
+    result = drive_segment(state, edge, 0.0, 0.0, 1.0, model)
     # the fast path builds nothing: it returns the plan's one result, and
-    # every array of its trace is read-only
+    # every column of its trace is a tuple, which cannot be written
     assert result is plan.result
     trace = result.trace
-    for field in dataclasses.fields(trace):
-        value = getattr(trace, field.name)
-        if isinstance(value, np.ndarray):
-            assert not value.flags.writeable, field.name
+    for name in STEP_COLUMNS:
+        assert type(getattr(trace, name)) is tuple, name
     # the SOC is derived from the plan's cumulative energy and the entry
     # SOC, which the trace leaves to the vehicle
     assert trace.soc0 is None and trace.soc_scale == 18000.0 * 3600.0
@@ -967,3 +980,271 @@ def test_too_fast_entry_raises_beside_a_memoised_plan():
 def test_drive_model_rejects_a_non_positive_dt(dt):
     with pytest.raises(DynamicsError, match="dt must be positive"):
         DriveModel(make_params(), ENV, dt)
+
+
+# --- the array formulas ---------------------------------------------------------
+# plans and the step loop work on floats and tuples; every numpy operation
+# the array form of them used is elementwise or, for cumsum, sequential, so
+# the plain floats must equal the array form's values bit for bit
+
+def array_consumed_power(p_trac, params):
+    """The battery power of propulsion and the auxiliary load, as arrays."""
+    return (np.where(p_trac >= 0.0, p_trac / params.drivetrain_efficiency,
+                     0.0) + params.auxiliary_power_w)
+
+
+def array_plan(edge, v_entry, v_exit, speed_factor, model):
+    """The plan of driving ``edge`` in its array form: the profile's
+    velocity and position by ``np.where`` over the step bounds, differences
+    by ``np.diff``, the energy out by ``np.cumsum``, and the step starts
+    ``np.arange(n) * dt``."""
+    params, dt = model.params, model.dt
+    p = dynamics._plan_profile(
+        edge.length_m, v_entry, v_exit, edge.speed_limit_mps * speed_factor,
+        params.max_acceleration_mps2, params.max_deceleration_mps2)
+    total = p.duration
+    n_full = int(math.floor(total / dt + 1e-12))
+    bounds = np.arange(n_full + 1, dtype=float) * dt
+    if total - bounds[-1] > 1e-9:
+        bounds = np.append(bounds, total)
+    else:
+        bounds[-1] = total
+    dts = np.diff(bounds)
+    t1, t2 = p.t_acc, p.t_acc + p.t_cruise
+    vel = np.maximum(np.where(
+        bounds <= t1, p.v_in + p.accel * bounds,
+        np.where(bounds <= t2, p.v_peak,
+                 p.v_peak - p.decel * (bounds - t2))), 0.0)
+    s1 = p.v_in * t1 + 0.5 * p.accel * t1 * t1
+    s2 = s1 + p.v_peak * p.t_cruise
+    tau = bounds - t2
+    pos = np.where(
+        bounds <= t1, p.v_in * bounds + 0.5 * p.accel * bounds * bounds,
+        np.where(bounds <= t2, s1 + p.v_peak * (bounds - t1),
+                 s2 + p.v_peak * tau - 0.5 * p.decel * tau * tau))
+    v_bar = np.diff(pos) / dts
+    a_bar = np.diff(vel) / dts
+    theta = math.atan(edge.gradient)
+    m, g, env = params.mass_kg, model.env.gravity, model.env
+    rolling = params.rolling_coefficient * m * g * math.cos(theta) * (v_bar > 0)
+    aero = (0.5 * env.air_density * params.drag_coefficient
+            * params.frontal_area_m2 * v_bar * v_bar)
+    p_trac = (m * a_bar + m * g * math.sin(theta) + rolling + aero) * v_bar
+    p_recup = np.where(
+        p_trac < 0.0,
+        np.minimum(-p_trac * params.recuperation_efficiency,
+                   params.max_recuperation_power_w),
+        0.0)
+    p_consume = array_consumed_power(p_trac, params)
+    p_net0 = p_consume - p_recup
+    hours = dts / 3600.0
+    cum = np.cumsum(p_net0 * dts)
+    return SimpleNamespace(
+        time_s=np.arange(len(dts)) * dt, dt_s=dts, v_mps=v_bar, a_mps2=a_bar,
+        p_traction_w=p_trac, p_battery_w=p_net0, p_recup_w=p_recup,
+        p_re_w=np.zeros(len(dts)), soc_drop=cum, pos=pos, hours=hours,
+        p_consume=p_consume, duration_s=total, v_out=p.v_out,
+        distance_m=float(pos[-1]),
+        cum_min=float(cum.min()) if len(cum) else -math.inf,
+        cum_max=float(cum.max()) if len(cum) else math.inf,
+        cum_last=float(cum[-1]) if len(cum) else 0.0,
+        consumed_wh=math.fsum(p_consume * hours),
+        recuperated_wh=math.fsum(p_recup * hours))
+
+
+def array_drive(plan, soc0, re_on, params):
+    """The step loop in its array form, on an :func:`array_plan`: the
+    columns of its trace, the SOC after each step, and the state after."""
+    dts = plan.dt_s
+    n = len(dts)
+    cap = params.battery_capacity_wh
+    re = params.range_extender
+    flag = re_on
+    stranded = False
+    time_s, v_bar, a_bar = plan.time_s, plan.v_mps, plan.a_mps2
+    p_trac = plan.p_traction_w
+    duration, distance, exit_velocity = (plan.duration_s, plan.distance_m,
+                                         plan.v_out)
+    p_net0, p_consume = plan.p_battery_w, plan.p_consume
+    p_recup = plan.p_recup_w.copy()
+    p_net_eff = p_net0.copy()
+    re_power_arr = np.zeros(n)
+    soc_traj = np.empty(n)
+    soc = soc0
+    for k in range(n):
+        dt_k = dts[k]
+        re_power, flag = range_extender_step(soc, flag, params)
+        p_net = p_net0[k] - re_power
+        if p_net > 0.0:
+            t_empty = soc * cap * 3600.0 / p_net
+            if t_empty < dt_k * (1.0 - 1e-12):
+                re_power_arr[k] = re_power
+                p_net_eff[k] = p_net
+                soc = 0.0
+                soc_traj[k] = soc
+                n = k + 1
+                trunc_dt = max(t_empty, 0.0)
+                stranded = True
+                break
+            soc -= p_net * dt_k / (cap * 3600.0)
+        elif p_net < 0.0:
+            t_full = (1.0 - soc) * cap * 3600.0 / (-p_net)
+            if t_full < dt_k * (1.0 - 1e-12):
+                frac = t_full / dt_k
+                absorbed_re = min(re_power, p_consume[k])
+                re_power_arr[k] = re_power * frac + absorbed_re * (1.0 - frac)
+                p_recup[k] = p_recup[k] * frac + (
+                    p_consume[k] - absorbed_re) * (1.0 - frac)
+                p_net_eff[k] = p_consume[k] - p_recup[k] - re_power_arr[k]
+                soc = 1.0
+                soc_traj[k] = soc
+                continue
+            soc -= p_net * dt_k / (cap * 3600.0)
+        re_power_arr[k] = re_power
+        p_net_eff[k] = p_net
+        soc_traj[k] = soc
+    hours = plan.hours
+    if stranded:
+        dts = dts[:n].copy()
+        dts[-1] = trunc_dt
+        hours = dts / 3600.0
+        time_s, v_bar, a_bar = time_s[:n], v_bar[:n], a_bar[:n]
+        p_trac, p_recup = p_trac[:n], p_recup[:n]
+        p_consume = p_consume[:n]
+        re_power_arr, p_net_eff = re_power_arr[:n], p_net_eff[:n]
+        soc_traj = soc_traj[:n]
+        duration = float(time_s[-1] + dts[-1]) if n > 1 else float(dts[-1])
+        distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
+        exit_velocity = 0.0
+    range_extended_wh = math.fsum(re_power_arr * hours)
+    c = Cumulative(
+        consumed_wh=0.0 + math.fsum(p_consume * hours),
+        recuperated_wh=0.0 + math.fsum(p_recup * hours),
+        range_extended_wh=0.0 + range_extended_wh,
+        fuel_liters=0.0 + (re.specific_fuel_l_per_kwh * range_extended_wh
+                           / 1000.0 if re is not None else 0.0),
+        distance_m=0.0 + distance)
+    state = VehicleState(float(soc_traj[-1]) if n > 0 else soc0,
+                         exit_velocity, flag, c)
+    columns = dict(time_s=time_s, dt_s=dts, v_mps=v_bar, a_mps2=a_bar,
+                   p_traction_w=p_trac, p_battery_w=p_net_eff,
+                   p_recup_w=p_recup, p_re_w=re_power_arr, soc=soc_traj)
+    return columns, state, stranded, ms(duration)
+
+
+def array_fast(plan, soc0, re_on, params):
+    """Whether a drive of ``plan`` from ``soc0`` takes the fast path."""
+    c = params.battery_capacity_wh * 3600.0
+    lowest, highest = soc0 - plan.cum_max / c, soc0 - plan.cum_min / c
+    re = params.range_extender
+    if re is None:
+        return lowest > 0.0 and highest <= 1.0
+    return (not re_on and lowest >= re.soc_on and highest <= 1.0
+            and soc0 >= re.soc_on)
+
+
+PLAN_SCALARS = ("duration_s", "v_out", "distance_m", "cum_min", "cum_max",
+                "cum_last", "consumed_wh", "recuperated_wh")
+
+
+def assert_equals_the_array_form(edge, v_entry, v_exit, speed_factor, dt,
+                                 params, soc, re_on):
+    """Plan and drive ``edge`` from ``soc`` and compare every plan scalar,
+    every column of the plan's trace and of the drive's, and the state
+    after, bit for bit with the array form; returns the drive's result and
+    the state after it, or ``None`` for an infeasible profile."""
+    model = DriveModel(params, ENV, dt)
+    state = VehicleState(soc=soc, range_extender_on=re_on)
+    try:
+        result = drive_segment(state, edge, v_entry, v_exit, speed_factor,
+                               model)
+    except InfeasibleSegmentError:
+        return None
+    (plan,) = model.plans.values()
+    oracle = array_plan(edge, v_entry, v_exit, speed_factor, model)
+    for name in PLAN_SCALARS:
+        assert bits(getattr(plan, name)) == bits(getattr(oracle, name)), name
+    shared = plan.result.trace
+    assert plan.result.duration_ms == ms(oracle.duration_s)
+    for name in STEP_COLUMNS:
+        assert bits(getattr(shared, name)) == bits(getattr(oracle, name)), name
+    fast = array_fast(oracle, soc, re_on, params)
+    assert (result is plan.result) is fast
+    if fast:
+        return result, state
+    columns, expected, stranded, duration_ms = array_drive(
+        oracle, soc, re_on, params)
+    trace = result.trace
+    for name, column in columns.items():
+        ours = trace_soc(trace, soc) if name == "soc" else getattr(trace, name)
+        assert bits(ours) == bits(column), name
+    assert (result.stranded, result.duration_ms) == (stranded, duration_ms)
+    assert bits(state.soc) == bits(expected.soc)
+    assert bits(state.velocity) == bits(expected.velocity)
+    assert state.range_extender_on is expected.range_extender_on
+    for f in dataclasses.fields(Cumulative):
+        assert (bits(getattr(state.cumulative, f.name))
+                == bits(getattr(expected.cumulative, f.name))), f.name
+    return result, state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.one_of(st.sampled_from([1e-300, 0.5]), st.floats(0.5, 600.0)),
+    speed_limit=st.floats(2.0, 30.0),
+    gradient=st.one_of(st.sampled_from([0.0, -0.3, 0.3]),
+                       st.floats(-0.3, 0.3)),
+    speed_factor=st.floats(0.2, 1.0),
+    entry_fraction=st.floats(0.0, 1.0),
+    v_exit=st.floats(0.0, 30.0),
+    dt=st.one_of(st.sampled_from([0.25, 1.0, 2.5]), st.floats(0.05, 5.0)),
+    capacity_wh=st.sampled_from([2.0, 20.0, 200.0, 18000.0]),
+    auxiliary_w=st.floats(0.0, 5000.0),
+    recuperation_w=st.floats(0.0, 50000.0),
+    range_extender=st.sampled_from([None, RE]),
+    soc=st.one_of(st.sampled_from([0.0, 0.2, 0.4, 1.0]), st.floats(0.0, 1.0)),
+    re_on=st.booleans(),
+)
+def test_plans_and_drives_equal_the_array_formulas(
+        length, speed_limit, gradient, speed_factor, entry_fraction, v_exit,
+        dt, capacity_wh, auxiliary_w, recuperation_w, range_extender, soc,
+        re_on):
+    params = make_params(battery_capacity_wh=capacity_wh,
+                         auxiliary_power_w=auxiliary_w,
+                         max_recuperation_power_w=recuperation_w,
+                         range_extender=range_extender)
+    assert_equals_the_array_form(
+        flat_edge(length, speed_limit, gradient),
+        entry_fraction * speed_limit * speed_factor, v_exit, speed_factor, dt,
+        params, soc, re_on)
+
+
+@pytest.mark.parametrize("regime", ["stranding", "full_battery", "relay_on"])
+def test_step_loops_equal_the_array_formulas(regime):
+    # the draws above reach each branch of the step loop; these pin one each
+    soc, gradient, re = {
+        "stranding": (0.3, 0.1, None),
+        "full_battery": (0.999, -0.3, None),
+        "relay_on": (0.25, 0.1, RE),
+    }[regime]
+    params = make_params(battery_capacity_wh=20.0, range_extender=re)
+    result, state = assert_equals_the_array_form(
+        flat_edge(400.0, 14.0, gradient), 0.0, 0.0, 0.7, 0.3, params, soc,
+        False)
+    assert result.trace.soc0 == -0.0  # the step loop's own trace
+    if regime == "stranding":
+        assert result.stranded and state.soc == 0.0
+    elif regime == "full_battery":
+        assert state.soc == 1.0 and not result.stranded
+    else:
+        assert state.range_extender_on and max(result.trace.p_re_w) > 0.0
+
+
+def test_dynamics_imports_no_numpy():
+    # the drive model runs on floats: a fresh interpreter that imports it
+    # loads no numpy
+    code = ("import sys, evfleetsim.dynamics; "
+            "assert 'numpy' not in sys.modules, 'numpy loaded'")
+    src = Path(dynamics.__file__).parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

@@ -650,13 +650,13 @@ def test_vehicles_on_one_plan_share_its_result_and_read_their_own_soc(
     assert shared is other is plan.result
     assert vehicles[0].trace is vehicles[1].trace is shared.trace
     assert shared.trace.soc0 is None
-    # the drive that strands gets a result of its own, and the arrays the
+    # the drive that strands gets a result of its own, and the columns the
     # step loop writes are its own too
     assert stranded.stranded and stranded is not shared
     assert stranded.trace.soc0 == -0.0
     for name in ("p_battery_w", "p_recup_w", "p_re_w", "soc_drop"):
-        assert not np.shares_memory(getattr(stranded.trace, name),
-                                    getattr(shared.trace, name)), name
+        assert (getattr(stranded.trace, name)
+                is not getattr(shared.trace, name)), name
 
     # a tick in the middle of the edge: each vehicle on the shared trace
     # gets the SOC of its own entry SOC
@@ -670,7 +670,7 @@ def test_vehicles_on_one_plan_share_its_result_and_read_their_own_soc(
     trace = shared.trace
     i = int(np.searchsorted(trace.time_s, t_ms / 1000.0, side="right")) - 1
     assert 0 < i < len(trace) - 1
-    cum_wh_s = np.cumsum(trace.p_battery_w * trace.dt_s)
+    cum_wh_s = np.cumsum(np.multiply(trace.p_battery_w, trace.dt_s))
     c = ctrl.model.params.battery_capacity_wh * 3600.0
     for vehicle, entry_soc in zip(vehicles[:2], entry_socs):
         assert soc[vehicle.vehicle_id] == f"{entry_soc - cum_wh_s[i] / c:.9f}"

@@ -60,18 +60,21 @@ def drive(vehicle, soc=0.5, v_mps=10.0, a_mps2=0.0, p_traction_w=5000.0,
     """Give ``vehicle`` a one-sample drive trace starting at ``start_ms``
     that ends at ``soc``, stored as the step loop stores it."""
     vehicle.trace_start_ms = start_ms
-    vehicle.trace = DriveTrace((0.0,), *(np.array([x]) for x in (
+    vehicle.trace = DriveTrace((0.0,), *((x,) for x in (
         1.0, v_mps, a_mps2, p_traction_w, p_battery_w, p_recup_w, p_re_w)),
-        soc0=-0.0, soc_drop=np.array([soc]), soc_scale=-1.0)
+        soc0=-0.0, soc_drop=(soc,), soc_scale=-1.0)
 
 
 def shared_trace(n=3):
     """A plan's trace of ``n`` one-second samples as vehicles share it: no
     ``soc0``, so each vehicle's SOC starts at its own ``trace_soc0``."""
-    steps = np.arange(float(n))
-    return DriveTrace(tuple(steps.tolist()), np.ones(n), 10.0 + steps,
-                      np.full(n, 0.5), 5000.0 + steps, 5300.0 + steps,
-                      np.zeros(n), np.zeros(n), None, 5300.0 * (steps + 1),
+    steps = [float(k) for k in range(n)]
+    return DriveTrace(tuple(steps), (1.0,) * n,
+                      tuple(10.0 + k for k in steps), (0.5,) * n,
+                      tuple(5000.0 + k for k in steps),
+                      tuple(5300.0 + k for k in steps), (0.0,) * n,
+                      (0.0,) * n, None,
+                      tuple(5300.0 * (k + 1) for k in steps),
                       CAPACITY_WH * 3600.0)
 
 
@@ -346,9 +349,10 @@ def test_a_tick_reads_the_sample_that_searchsorted_finds(drawn):
     # against numpy's sorted search on the same starts
     starts_ms, offset_ms = drawn
     n = len(starts_ms)
-    trace = DriveTrace(tuple(t / 1000 for t in starts_ms), np.ones(n),
-                       np.arange(float(n)), *(np.zeros(n) for _ in range(5)),
-                       soc0=-0.0, soc_drop=np.full(n, 0.5), soc_scale=-1.0)
+    trace = DriveTrace(tuple(t / 1000 for t in starts_ms), (1.0,) * n,
+                       tuple(map(float, range(n))),
+                       *((0.0,) * n for _ in range(5)),
+                       soc0=-0.0, soc_drop=(0.5,) * n, soc_scale=-1.0)
     vehicle = driving_on(trace, "v0", 0.5, start_ms=10_000)
     tail = metrics._row_tail(vehicle, 10_000 + offset_ms,
                              make_params(battery_capacity_wh=CAPACITY_WH), {})

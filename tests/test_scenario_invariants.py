@@ -499,9 +499,8 @@ def test_ticks_csv_equals_reference_across_an_empty_trace(tmp_path,
     def no_samples_on_the_depot_edge(state, edge, *args):
         result = drive_segment(state, edge, *args)
         if edge.edge_id == "e00000":
-            empty = np.empty(0)
             result = replace(result, trace=dynamics.DriveTrace(
-                *(empty for f in fields(dynamics.DriveTrace) if f.init)))
+                *(() for f in fields(dynamics.DriveTrace) if f.init)))
         return result
 
     monkeypatch.setattr(dynamics, "drive_segment",
