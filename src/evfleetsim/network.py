@@ -155,6 +155,10 @@ class RoadNetwork:
                                    f"at most {MAX_EDGE_LENGTH_M:g} m")
             if e.speed_limit_mps <= 0:
                 raise NetworkError(f"edge {eid}: non-positive speed limit")
+            # a tiny limit overflows the time, and no route could be found
+            if not math.isfinite(_edge_weight(e, "travel_time")):
+                raise NetworkError(f"edge {eid}: the travel time of its "
+                                   f"length at its speed limit is not finite")
             if abs(e.gradient) >= 1.0:
                 raise NetworkError(f"edge {eid}: |gradient| must be < 1")
             straight = airline_distance(self.nodes[e.from_node], self.nodes[e.to_node])

@@ -303,6 +303,24 @@ def test_unbounded_drive_plans_and_histograms_are_config_errors(
     assert not out.exists()
 
 
+def test_an_edge_whose_travel_time_overflows_is_a_config_error(tmp_path,
+                                                              capsys):
+    # at a subnormal speed limit every travel-time weight is inf, which
+    # read as a station with no route back to the depot; the network names
+    # the edge instead
+    raw = copy.deepcopy(BUNDLED)
+    raw["network"]["grid"]["speed_limit_mps"] = 5e-324
+    path = tmp_path / "crawl.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    message = ("network: edge e00000: the travel time of its length at its "
+               "speed limit is not finite")
+    assert config_errors(path) == [message]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_the_caps_admit_the_finest_bundled_day_and_the_ladder():
     # the bundled day at the smallest dt the numerics admit, and the
     # largest point of the benchmark's scale ladder

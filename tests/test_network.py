@@ -107,6 +107,17 @@ def test_load_rejects_non_finite_edge_values(tmp_path, column, text):
         load_config(path)
 
 
+@pytest.mark.parametrize("limit", ["5e-324", "1e-310"])
+def test_load_rejects_an_edge_whose_travel_time_overflows(tmp_path, limit):
+    # 100 m at a subnormal limit takes inf seconds: no travel-time route
+    # could use the edge
+    nodes, edges = write_net(tmp_path, ["a,0,0", "b,100,0"],
+                             [EDGE_ROWS["speed_limit_mps"].format(limit)])
+    with pytest.raises(NetworkError, match="edge e1: the travel time of its "
+                       "length at its speed limit is not finite"):
+        load_network(nodes, edges)
+
+
 def test_curvy_edge_longer_than_airline_is_accepted(tmp_path):
     nodes, edges = write_net(
         tmp_path, ["a,0,0", "b,100,0"], ["e1,a,b,140,13.9,0.0"]
