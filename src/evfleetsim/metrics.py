@@ -358,14 +358,14 @@ class MetricsCollector:
         0 always), and the vehicles in each group, counted after every
         transition at or before that start. It adds each period a vehicle
         spends in a state, ended by its next transition or by
-        ``horizon_ms``, to ``_seconds[state][i]``, ``i`` the vehicle's
-        index, in time order. Once exhausted, it sets ``min_idle``, the
-        overdimension margin: the fewest idle vehicles over the bin starts.
-        It misses dips between two starts, so it can overstate the exact
-        minimum."""
+        ``horizon_ms``, to ``_state_ms[state][i]``, ``i`` the vehicle's
+        index: whole milliseconds, so each total is exact. Once exhausted,
+        it sets ``min_idle``, the overdimension margin: the fewest idle
+        vehicles over the bin starts. It misses dips between two starts, so
+        it can overstate the exact minimum."""
         index = self._index
         n = len(self.vehicles)
-        seconds = self._seconds = {state: [0.0] * n for state in Lifecycle}
+        state_ms = self._state_ms = {state: [0] * n for state in Lifecycle}
         state = [Lifecycle.IDLE] * n
         since_ms = [0] * n
         # vehicles per group, in utilization.csv order: idle first
@@ -380,7 +380,7 @@ class MetricsCollector:
                 t_bin += bin_ms
             i = index[vid]
             old = state[i]
-            seconds[old][i] += t_ms / MS_PER_S - since_ms[i] / MS_PER_S
+            state_ms[old][i] += t_ms - since_ms[i]
             counts[_STATE_COLUMN[old]] -= 1
             counts[_STATE_COLUMN[new]] += 1
             state[i] = new
@@ -391,7 +391,7 @@ class MetricsCollector:
             t_bin += bin_ms
         for i, (old, start_ms) in enumerate(zip(state, since_ms)):
             if horizon_ms > start_ms:
-                seconds[old][i] += horizon_ms / MS_PER_S - start_ms / MS_PER_S
+                state_ms[old][i] += horizon_ms - start_ms
         self.min_idle = min_idle
 
     # -- export --------------------------------------------------------------------
@@ -447,9 +447,10 @@ class MetricsCollector:
     def _summary_rows(self):
         """The one pass over the vehicles, in vehicle order: it yields the
         ``summary.csv`` rows, from the grid energy of :meth:`_session_rows`
-        and the seconds per state of :meth:`_walk`. Once exhausted, it has
-        set ``n_stranded`` and ``total_fuel_l``, added left to right."""
-        idle, charging, queued, en_route, returning = map(self._seconds.get, (
+        and the milliseconds per state of :meth:`_walk`, divided once into
+        seconds here. Once exhausted, it has set ``n_stranded`` and
+        ``total_fuel_l``, added left to right."""
+        idle, charging, queued, en_route, returning = map(self._state_ms.get, (
             Lifecycle.IDLE, Lifecycle.CHARGING, Lifecycle.QUEUED_AT_STATION,
             Lifecycle.EN_ROUTE, Lifecycle.RETURNING))
         grid = self._grid_wh
@@ -461,9 +462,10 @@ class MetricsCollector:
             yield (v.vehicle_id, f"{c.consumed_wh:.6f}",
                    f"{c.recuperated_wh:.6f}", f"{c.range_extended_wh:.6f}",
                    f"{grid[i]:.6f}", f"{c.fuel_liters:.6f}",
-                   f"{c.distance_m:.3f}", v.n_trips, f"{idle[i]:.3f}",
-                   f"{charging[i]:.3f}", f"{queued[i]:.3f}",
-                   f"{en_route[i] + returning[i]:.3f}")
+                   f"{c.distance_m:.3f}", v.n_trips,
+                   f"{idle[i] / MS_PER_S:.3f}", f"{charging[i] / MS_PER_S:.3f}",
+                   f"{queued[i] / MS_PER_S:.3f}",
+                   f"{(en_route[i] + returning[i]) / MS_PER_S:.3f}")
         self.n_stranded = n_stranded
         self.total_fuel_l = total_fuel_l
 

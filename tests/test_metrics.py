@@ -609,12 +609,12 @@ def test_trip_pass_collects_distances_per_trip(tmp_path):
 
 def walk(collector, bin_ms, horizon_ms):
     """Run ``collector``'s one walk over its transition log: the bin starts
-    in ms, the vehicles per group at each start, each vehicle's seconds
-    per state (by vehicle index) and ``min_idle``."""
+    in ms, the vehicles per group at each start, each vehicle's
+    milliseconds per state (by vehicle index) and ``min_idle``."""
     rows = list(collector._walk(bin_ms, horizon_ms))
     counts = {group: [row[k] for row in rows]
               for k, group in enumerate(UTILIZATION_HEADER[1:], 1)}
-    return ([row[0] for row in rows], counts, collector._seconds,
+    return ([row[0] for row in rows], counts, collector._state_ms,
             collector.min_idle)
 
 
@@ -736,14 +736,14 @@ def test_periods_tile_horizon(tmp_path):
            (500.0, Lifecycle.IDLE)]
     for t_s, new in seq:
         collector.record_transition(ms(t_s), "v0", new)
-    _, _, seconds, _ = walk(collector, ms(300.0), ms(1000.0))
+    _, _, state_ms, _ = walk(collector, ms(300.0), ms(1000.0))
     # idle from 0 to 100 s and from 500 s to the horizon; a gap or an
     # overlap between periods would change a total
-    assert {state.value: secs[0] for state, secs in seconds.items()} == {
-        "idle": 100.0 + 500.0, "en_route": 100.0, "dwelling": 50.0,
-        "returning": 150.0, "charging": 100.0, "queued": 0.0,
-        "stranded": 0.0}
-    assert sum(secs[0] for secs in seconds.values()) == pytest.approx(1000.0)
+    assert {state.value: total[0] for state, total in state_ms.items()} == {
+        "idle": 100_000 + 500_000, "en_route": 100_000, "dwelling": 50_000,
+        "returning": 150_000, "charging": 100_000, "queued": 0,
+        "stranded": 0}
+    assert sum(total[0] for total in state_ms.values()) == 1_000_000
 
 
 # --- export ------------------------------------------------------------------------

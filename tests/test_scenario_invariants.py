@@ -3,7 +3,6 @@
 import csv
 import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
@@ -66,21 +65,20 @@ def busy_run(tmp_path):
 
 
 def test_periods_tile_horizon_for_every_vehicle(busy_run):
-    # the oracle's periods tile [0, horizon], and the walk's seconds of
+    # the oracle's periods tile [0, horizon], and the walk's milliseconds of
     # each vehicle add up to the horizon (test_grouped_metrics_equal_reference_filters
     # checks them against the oracle's sums)
     result = busy_run
     horizon_ms = ms(result.manifest["horizon_s"])
-    _, _, seconds, _ = walk(result.collector, ms(600.0), horizon_ms)
+    _, _, state_ms, _ = walk(result.collector, ms(600.0), horizon_ms)
     for i, v in enumerate(result.vehicles):
         periods = reference_state_periods(result.collector.transitions,
                                           v.vehicle_id, horizon_ms)
-        assert periods[0][1] == 0.0
-        assert periods[-1][2] == horizon_ms / 1000.0
+        assert periods[0][1] == 0
+        assert periods[-1][2] == horizon_ms
         for (_, _, end), (_, start, _) in zip(periods, periods[1:]):
             assert end == start
-        assert math.fsum(secs[i] for secs in seconds.values()) == (
-            pytest.approx(horizon_ms / 1000.0, rel=1e-12))
+        assert sum(total[i] for total in state_ms.values()) == horizon_ms
 
 
 def test_charging_periods_disjoint_per_vehicle_and_slot(busy_run):
@@ -751,21 +749,21 @@ def reference_state_periods(transitions, vehicle_id, horizon_ms):
         if vid != vehicle_id:
             continue
         if current is not None and t_ms > start:
-            periods.append((current.value, start / 1000.0, t_ms / 1000.0))
+            periods.append((current.value, start, t_ms))
         current, start = new, t_ms
     if current is not None and horizon_ms > start:
-        periods.append((current.value, start / 1000.0, horizon_ms / 1000.0))
+        periods.append((current.value, start, horizon_ms))
     return periods
 
 
-def reference_seconds(transitions, vehicle_id, horizon_ms):
-    """Each state's seconds of one vehicle: the oracle's periods, added
-    left to right in time order."""
-    seconds = dict.fromkeys((s.value for s in Lifecycle), 0.0)
+def reference_state_ms(transitions, vehicle_id, horizon_ms):
+    """Each state's whole milliseconds of one vehicle: the oracle's
+    periods, added exactly as integers."""
+    total = dict.fromkeys((s.value for s in Lifecycle), 0)
     for state, start, end in reference_state_periods(
             transitions, vehicle_id, horizon_ms):
-        seconds[state] += end - start
-    return seconds
+        total[state] += end - start
+    return total
 
 
 def reference_grid_wh(sessions, vehicle_id):
@@ -775,15 +773,15 @@ def reference_grid_wh(sessions, vehicle_id):
 
 def check_walk(collector, bin_ms, horizon_ms):
     """The walk of ``collector`` against the oracles: each vehicle's
-    seconds per state against :func:`reference_seconds`, the counts at
+    milliseconds per state against :func:`reference_state_ms`, the counts at
     each bin start against the state of every vehicle there, found by
     brute force, and ``min_idle`` against the idle column."""
-    starts, counts, seconds, min_idle = walk(collector, bin_ms, horizon_ms)
+    starts, counts, state_ms, min_idle = walk(collector, bin_ms, horizon_ms)
     transitions = collector.transitions
     for i, v in enumerate(collector.vehicles):
-        expected = reference_seconds(transitions, v.vehicle_id, horizon_ms)
-        assert {state.value: secs[i]
-                for state, secs in seconds.items()} == expected
+        expected = reference_state_ms(transitions, v.vehicle_id, horizon_ms)
+        assert {state.value: total[i]
+                for state, total in state_ms.items()} == expected
     assert starts == list(range(0, max(horizon_ms, 1), bin_ms))
     for i, start_ms in enumerate(starts):
         state = {v.vehicle_id: "idle" for v in collector.vehicles}
@@ -806,15 +804,15 @@ def test_grouped_metrics_equal_reference_filters(busy_run):
     expected = []
     for v in busy_run.vehicles:
         vid, final = v.vehicle_id, v.state.cumulative
-        seconds = reference_seconds(collector.transitions, vid, horizon_ms)
+        state_ms = reference_state_ms(collector.transitions, vid, horizon_ms)
         expected.append(",".join([
             vid, f"{final.consumed_wh:.6f}", f"{final.recuperated_wh:.6f}",
             f"{final.range_extended_wh:.6f}",
             f"{reference_grid_wh(sessions, vid):.6f}",
             f"{final.fuel_liters:.6f}", f"{final.distance_m:.3f}",
-            str(v.n_trips), f"{seconds['idle']:.3f}",
-            f"{seconds['charging']:.3f}", f"{seconds['queued']:.3f}",
-            f"{seconds['en_route'] + seconds['returning']:.3f}",
+            str(v.n_trips), *(f"{total / 1000:.3f}" for total in (
+                state_ms["idle"], state_ms["charging"], state_ms["queued"],
+                state_ms["en_route"] + state_ms["returning"])),
         ]))
     summary = (busy_run.out_dir / "summary.csv").read_text().splitlines()[1:]
     assert summary == expected
