@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import network
-from .dynamics import VehicleParams
+from .dynamics import VehicleParams, settle_relay
 from .engine import MS_PER_S, left_sum, ms
 
 
@@ -261,8 +261,9 @@ class ChargingManager:
         self, station_id: str, slot_id: str, at_ms: int
     ) -> ChargeSession | None:
         """Complete the session in a slot (the vehicle's SOC becomes its
-        target) and free the slot; if vehicles are waiting, grant it to the
-        queue head and return the new session."""
+        target, and the range extender's relay is settled at it) and free
+        the slot; if vehicles are waiting, grant it to the queue head and
+        return the new session."""
         station = self.stations.get(station_id)
         if station is None:
             raise ChargingError(f"unknown station {station_id}")
@@ -270,6 +271,7 @@ class ChargingManager:
         if occ is None:
             raise ChargingError(f"releasing free slot {slot_id} at {station_id}")
         occ.vehicle.state.soc = occ.session.target_soc
+        settle_relay(occ.vehicle.state, self.params)
         self._engaged.discard(occ.vehicle.vehicle_id)
         queue = self.queues[station_id]
         if not queue:
@@ -292,6 +294,7 @@ class ChargingManager:
                 elapsed = min(elapsed, s.duration_s)
                 s.energy_wh, occ.vehicle.state.soc = session_progress(
                     s, self.params, elapsed)
+                settle_relay(occ.vehicle.state, self.params)
                 s.duration_s = elapsed
                 s.complete_ms = at_ms
                 s.truncated = True

@@ -192,6 +192,16 @@ def range_extender_step(
     return re.power_w, True
 
 
+def settle_relay(state: VehicleState, params: VehicleParams) -> None:
+    """Switch the range extender's relay off if the SOC is at or above
+    ``soc_off``, as its next step would. Called wherever a drive ends or a
+    charge sets the SOC, so that no vehicle at rest holds the relay on
+    there, and its next drive can take the fast path."""
+    re = params.range_extender
+    if re is not None and state.range_extender_on and state.soc >= re.soc_off:
+        state.range_extender_on = False
+
+
 # ---------------------------------------------------------------------------
 # drive profile
 # ---------------------------------------------------------------------------
@@ -644,6 +654,7 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
     state.soc = soc_traj[-1] if n > 0 else soc0
     state.velocity = exit_velocity
     state.range_extender_on = flag
+    settle_relay(state, params)
     state.cumulative.consumed_wh += math.fsum(
         c * h for c, h in zip(p_consume, hours))
     state.cumulative.recuperated_wh += math.fsum(

@@ -12,7 +12,8 @@ from evfleetsim.charging import (PLUG_PRESETS, ChargeSession, ChargingError,
                                  ChargingManager, ChargingStation, DivertTo,
                                  Queued, Slot, charge_duration,
                                  session_progress)
-from evfleetsim.dynamics import DriveModel, Environment, VehicleState
+from evfleetsim.dynamics import (DriveModel, Environment, RangeExtenderParams,
+                                 VehicleState)
 from evfleetsim.engine import MS_PER_S, Engine, Event, EventKind, ms
 from evfleetsim.fleet import (FleetController, FleetPolicies, Lifecycle,
                               Vehicle)
@@ -521,6 +522,27 @@ def test_truncate_active_sessions_keeps_partial_energy():
     assert s.duration_s == pytest.approx(4500.0)
     assert s.energy_wh == pytest.approx(3600.0 * 4500.0 / 3600.0)
     assert vehicle.state.soc == pytest.approx(0.5 + s.energy_wh / 18000.0)
+
+
+@pytest.mark.parametrize("end, relay_on", [
+    ("horizon at 900 s", True), ("horizon at 3600 s", False),
+    ("release", False)])
+def test_a_charge_settles_the_range_extender_relay(end, relay_on):
+    # plugged in at 0.3 with the relay on: a charge that leaves the SOC at
+    # or above soc_off (0.4) switches it off, one below leaves it on; 3.6 kW
+    # charge an 18 kWh battery by 0.05 in 900 s and by 0.2 in 3600 s
+    params = make_params(range_extender=RangeExtenderParams(
+        power_w=10000.0, soc_on=0.2, soc_off=0.4))
+    mgr = ChargingManager([two_slot_station()], params, 1.0)
+    vehicle = dummy_vehicle("a", soc=0.3)
+    vehicle.state.range_extender_on = True
+    granted = mgr.request_charge(vehicle, "st1", 0)
+    if end == "release":
+        mgr.release_slot("st1", granted.slot_id, granted.complete_ms)
+        assert vehicle.state.soc == 1.0
+    else:
+        mgr.truncate_active_sessions(ms(float(end.split()[2])))
+    assert vehicle.state.range_extender_on is relay_on
 
 
 def test_session_progress_is_linear_and_capped_at_target():

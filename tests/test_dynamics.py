@@ -1117,6 +1117,9 @@ def array_drive(plan, soc0, re_on, params):
         distance = float(plan.pos[n - 1] + v_bar[n - 1] * dts[-1])
         exit_velocity = 0.0
     range_extended_wh = math.fsum(re_power_arr * hours)
+    soc = float(soc_traj[-1]) if n > 0 else soc0
+    if re is not None and soc >= re.soc_off:
+        flag = False  # the relay settles where the drive ends
     c = Cumulative(
         consumed_wh=0.0 + math.fsum(p_consume * hours),
         recuperated_wh=0.0 + math.fsum(p_recup * hours),
@@ -1124,8 +1127,7 @@ def array_drive(plan, soc0, re_on, params):
         fuel_liters=0.0 + (re.specific_fuel_l_per_kwh * range_extended_wh
                            / 1000.0 if re is not None else 0.0),
         distance_m=0.0 + distance)
-    state = VehicleState(float(soc_traj[-1]) if n > 0 else soc0,
-                         exit_velocity, flag, c)
+    state = VehicleState(soc, exit_velocity, flag, c)
     columns = dict(time_s=time_s, dt_s=dts, v_mps=v_bar, a_mps2=a_bar,
                    p_traction_w=p_trac, p_battery_w=p_net_eff,
                    p_recup_w=p_recup, p_re_w=re_power_arr, soc=soc_traj)

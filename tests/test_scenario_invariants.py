@@ -167,11 +167,23 @@ def test_each_charge_complete_is_scheduled_with_its_grant(tmp_path):
         assert granted["payload"] == row["payload"]
 
 
+def assert_relays_settled(vehicles, params):
+    """At rest, and between two legs, no vehicle holds the range
+    extender's relay on at an SOC at or above ``soc_off``: a drive or a
+    charge that leaves the SOC there switches the relay off."""
+    re = params.range_extender
+    if re is not None:
+        assert not any(v.state.range_extender_on and v.state.soc >= re.soc_off
+                       for v in vehicles)
+
+
 def run_checking_consistency(monkeypatch, config, out_dir, check=None):
     """Run a scenario and, after every dispatched event, call
     ChargingManager.assert_consistent, check that the fleet controller's
-    idle heap holds exactly the idle vehicles, and call ``check(manager)``
-    if given; returns the result and the kinds checked."""
+    idle heap holds exactly the idle vehicles and that no vehicle holds
+    the range extender's relay on at or above ``soc_off`` (also after the
+    horizon cuts the sessions), and call ``check(manager)`` if given;
+    returns the result and the kinds checked."""
     managers, controllers, checked = [], [], []
     init, fleet_init, on = (ChargingManager.__init__,
                             FleetController.__init__, Engine.on)
@@ -196,6 +208,8 @@ def run_checking_consistency(monkeypatch, config, out_dir, check=None):
                     (-v.state.soc, i)
                     for i, v in enumerate(controller.vehicles.values())
                     if v.lifecycle is Lifecycle.IDLE)
+                assert_relays_settled(controller.vehicles.values(),
+                                      controller.model.params)
             checked.append(event.kind)
         on(self, kind, checked_handler)
 
@@ -203,6 +217,7 @@ def run_checking_consistency(monkeypatch, config, out_dir, check=None):
     monkeypatch.setattr(FleetController, "__init__", recording_fleet_init)
     monkeypatch.setattr(Engine, "on", checking_on)
     result = run_scenario(config, out_dir)
+    assert_relays_settled(result.vehicles, config.vehicle_params)
     assert managers == [result.manager]
     assert len(controllers) == 1
     assert len(checked) == result.engine_summary.total_dispatched
@@ -280,6 +295,19 @@ def test_idle_heap_holds_the_idle_vehicles_while_vehicles_strand(
                                              tmp_path / "out")
     assert result.n_stranded > 0
     assert {EventKind.STRANDED, EventKind.CHARGE_COMPLETE} <= kinds
+
+
+@pytest.mark.parametrize("probe", ["charging_divert-re1000wh-s1003",
+                                   "charging_divert-re2000wh-s1003"])
+def test_no_vehicle_holds_its_relay_on_at_or_above_soc_off(
+        tmp_path, monkeypatch, probe):
+    # golden range-extender probes whose vehicles end drives and charges
+    # above soc_off with the relay on: they arrive at stations, queue,
+    # charge and idle so, unless the relay is switched off there
+    result, kinds = run_checking_consistency(monkeypatch, probe_config(probe),
+                                             tmp_path / "out")
+    assert result.total_fuel_l > 0.0
+    assert {EventKind.CHARGE_COMPLETE, EventKind.SLOT_GRANTED} <= kinds
 
 
 def test_range_extender_switches_without_events(tmp_path):
