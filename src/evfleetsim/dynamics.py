@@ -357,7 +357,6 @@ class _SegmentPlan:
     What only the step loop reads, it recomputes from these."""
 
     profile: _Profile
-    duration_s: float
     v_out: float
     distance_m: float
     cum_min: float
@@ -374,6 +373,14 @@ def _consumed_power(p_trac: float, params: VehicleParams) -> float:
     propulsion and the auxiliary load, before recuperation."""
     drive = p_trac / params.drivetrain_efficiency if p_trac >= 0.0 else 0.0
     return drive + params.auxiliary_power_w
+
+
+def _interned(values, floats: dict) -> tuple[float, ...]:
+    """``values`` as a tuple in which equal floats are one object, the one
+    ``floats`` holds: a plan's steps repeat few values (the step length,
+    the acceleration, cruise), and a float object takes 24 bytes beside its
+    8-byte slot. Zeros stay as they are, since a dict key keeps no sign."""
+    return tuple([floats.setdefault(x, x) if x else x for x in values])
 
 
 def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
@@ -396,11 +403,11 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
 
     pos = [profile.position(t) for t in bounds]
     vel = [profile.velocity(t) for t in bounds]
-    v_bar = tuple((b - a) / d for a, b, d in zip(pos, pos[1:], dts))
-    a_bar = tuple((b - a) / d for a, b, d in zip(vel, vel[1:], dts))
+    v_bar = [(b - a) / d for a, b, d in zip(pos, pos[1:], dts)]
+    a_bar = [(b - a) / d for a, b, d in zip(vel, vel[1:], dts)]
 
-    p_trac = tuple(traction_power(v, a, edge.gradient, params, model.env)
-                   for v, a in zip(v_bar, a_bar))
+    p_trac = [traction_power(v, a, edge.gradient, params, model.env)
+              for v, a in zip(v_bar, a_bar)]
     r_eff = params.recuperation_efficiency
     r_max = params.max_recuperation_power_w
     p_consume, p_recup = [], []
@@ -411,20 +418,22 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
             p_recup.append(r if r < r_max else r_max)
         else:
             p_recup.append(0.0)
-    # before range extender
-    p_net0 = tuple(c - r for c, r in zip(p_consume, p_recup))
+    p_net0 = [c - r for c, r in zip(p_consume, p_recup)]  # range extender off
     hours = [d / S_PER_H for d in dts]
-    cum = tuple(accumulate(p * d for p, d in zip(p_net0, dts)))  # W*s out
+    cum = list(accumulate(p * d for p, d in zip(p_net0, dts)))  # W*s out
     # a vanishing edge has no step: extremes of -inf and +inf put every SOC
     # outside its bounds, so its drive takes the step loop
     cum_min, cum_max, cum_last = (
         (min(cum), max(cum), cum[-1]) if cum else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    trace = DriveTrace(starts, tuple(dts), v_bar, a_bar, p_trac, p_net0,
-                       tuple(p_recup), (0.0,) * len(dts), None, cum, c)
+    floats = {}
+    dt_s, v_mps, a_mps2, p_trac_w, p_battery_w, p_recup_w, soc_drop = (
+        _interned(column, floats)
+        for column in (dts, v_bar, a_bar, p_trac, p_net0, p_recup, cum))
+    trace = DriveTrace(starts, dt_s, v_mps, a_mps2, p_trac_w, p_battery_w,
+                       p_recup_w, (0.0,) * len(dts), None, soc_drop, c)
     return _SegmentPlan(
         profile=profile,
-        duration_s=total,
         v_out=profile.v_out,
         distance_m=pos[-1],
         cum_min=cum_min,
@@ -575,8 +584,7 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
     stranded = False
     time_s, v_bar, a_bar = shared.time_s, shared.v_mps, shared.a_mps2
     p_trac = shared.p_traction_w
-    duration = plan.duration_s
-    distance = plan.distance_m
+    duration, distance = plan.profile.duration, plan.distance_m
     exit_velocity = plan.v_out
     p_net0 = shared.p_battery_w
     p_consume = [_consumed_power(p, params) for p in p_trac]
@@ -632,24 +640,12 @@ def _drive_steps(state: VehicleState, plan: _SegmentPlan,
     hours = [d / S_PER_H for d in dts]
     range_extended_wh = math.fsum(
         r * h for r, h in zip(re_power_arr, hours))
-
     fuel_l = 0.0
     if re is not None:
         fuel_l = re.specific_fuel_l_per_kwh * range_extended_wh / 1000.0
-
-    trace = DriveTrace(
-        time_s=time_s,
-        dt_s=tuple(dts),
-        v_mps=v_bar,
-        a_mps2=a_bar,
-        p_traction_w=p_trac,
-        p_battery_w=tuple(p_net_eff),
-        p_recup_w=tuple(p_recup),
-        p_re_w=tuple(re_power_arr),
-        soc0=-0.0,
-        soc_drop=tuple(soc_traj),
-        soc_scale=-1.0,
-    )
+    trace = DriveTrace(time_s, tuple(dts), v_bar, a_bar, p_trac,
+                       tuple(p_net_eff), tuple(p_recup), tuple(re_power_arr),
+                       -0.0, tuple(soc_traj), -1.0)
 
     state.soc = soc_traj[-1] if n > 0 else soc0
     state.velocity = exit_velocity

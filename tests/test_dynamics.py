@@ -572,6 +572,19 @@ def test_plans_slice_their_step_starts_from_one_tuple():
     assert all(x is y for x, y in zip(a, b))
 
 
+def test_a_plan_holds_one_object_per_distinct_value():
+    # cruise, full acceleration and the step length repeat along a plan:
+    # equal values other than zeros share one float object
+    model = DriveModel(make_params(), ENV, 0.5)
+    trace = drive_segment(VehicleState(soc=0.7), flat_edge(900.0, 12.0, 0.02),
+                          0.0, 0.0, 1.0, model).trace
+    for name in STEP_COLUMNS[1:]:
+        nonzero = [x for x in getattr(trace, name) if x]
+        assert len({id(x) for x in nonzero}) == len(set(nonzero)), name
+    # the step length and full acceleration and braking: 174 steps, 3 floats
+    assert len({id(x) for x in trace.dt_s + trace.a_mps2 if x}) == 3
+
+
 # --- route budgets ----------------------------------------------------------------------
 # a route's budget is the battery energy of the plans that driving it would
 # use: a drive at one speed factor that takes the fast path on every leg
@@ -937,7 +950,7 @@ def test_memoised_fast_path_uses_no_numpy_and_builds_no_array(relay):
     # the SOC is derived from the plan's cumulative energy and the entry
     # SOC, which the trace leaves to the vehicle
     assert trace.soc0 is None and trace.soc_scale == 18000.0 * 3600.0
-    assert result.duration_ms == ms(plan.duration_s)
+    assert result.duration_ms == ms(plan.profile.duration)
     assert state.soc == 0.5 - plan.cum_last / trace.soc_scale
     assert state.range_extender_on is False
 
@@ -1145,7 +1158,7 @@ def array_fast(plan, soc0, re_on, params):
             and soc0 >= re.soc_on)
 
 
-PLAN_SCALARS = ("duration_s", "v_out", "distance_m", "cum_min", "cum_max",
+PLAN_SCALARS = ("v_out", "distance_m", "cum_min", "cum_max",
                 "cum_last", "consumed_wh", "recuperated_wh")
 
 
