@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import chain
 
 from .engine import ms
 
@@ -375,17 +375,15 @@ def _consumed_power(p_trac: float, params: VehicleParams) -> float:
     return drive + params.auxiliary_power_w
 
 
-def _interned(values, floats: dict) -> tuple[float, ...]:
-    """``values`` as a tuple in which equal floats are one object, the one
-    ``floats`` holds: a plan's steps repeat few values (the step length,
-    the acceleration, cruise), and a float object takes 24 bytes beside its
-    8-byte slot. Zeros stay as they are, since a dict key keeps no sign."""
-    return tuple([floats.setdefault(x, x) if x else x for x in values])
-
-
 def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
                   model: DriveModel) -> _SegmentPlan:
-    params, dt = model.params, model.dt
+    """Plan one drive in one pass over its steps, which appends each step's
+    values to the trace columns and keeps nothing else per step. In the
+    columns, equal floats are one object, the one ``intern`` stored first:
+    a plan's steps repeat few values (the step length, the acceleration,
+    cruise), and a float object takes 24 bytes beside its 8-byte slot.
+    Zeros stay as they are, since a dict key keeps no sign."""
+    params, dt, env = model.params, model.dt, model.env
     profile = _plan_profile(
         edge.length_m, v_entry, v_exit_target, v_cruise,
         params.max_acceleration_mps2, params.max_deceleration_mps2,
@@ -398,50 +396,54 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     starts = model.step_starts(n_full + 1)
     if total - starts[-1] <= 1e-9:
         starts = starts[:-1]
-    bounds = starts + (total,)
-    dts = [b - a for a, b in zip(bounds, bounds[1:])]
 
-    pos = [profile.position(t) for t in bounds]
-    vel = [profile.velocity(t) for t in bounds]
-    v_bar = [(b - a) / d for a, b, d in zip(pos, pos[1:], dts)]
-    a_bar = [(b - a) / d for a, b, d in zip(vel, vel[1:], dts)]
-
-    p_trac = [traction_power(v, a, edge.gradient, params, model.env)
-              for v, a in zip(v_bar, a_bar)]
+    gradient = edge.gradient
     r_eff = params.recuperation_efficiency
     r_max = params.max_recuperation_power_w
-    p_consume, p_recup = [], []
-    for p in p_trac:
-        p_consume.append(_consumed_power(p, params))
+    intern = {}.setdefault
+    columns = ([], [], [], [], [], [], [])
+    bounds = chain(starts, (total,))
+    t0 = next(bounds)
+    x0, u0 = profile.position(t0), profile.velocity(t0)
+    cum = None  # W*s out, with the range extender off
+    for t1 in bounds:
+        x1, u1 = profile.position(t1), profile.velocity(t1)
+        d = t1 - t0
+        v = (x1 - x0) / d
+        a = (u1 - u0) / d
+        p = traction_power(v, a, gradient, params, env)
         if p < 0.0:
             r = -p * r_eff
-            p_recup.append(r if r < r_max else r_max)
+            r = r if r < r_max else r_max
         else:
-            p_recup.append(0.0)
-    p_net0 = [c - r for c, r in zip(p_consume, p_recup)]  # range extender off
-    hours = [d / S_PER_H for d in dts]
-    cum = list(accumulate(p * d for p, d in zip(p_net0, dts)))  # W*s out
+            r = 0.0
+        net = _consumed_power(p, params) - r
+        cum = net * d if cum is None else cum + net * d
+        for column, x in zip(columns, (d, v, a, p, net, r, cum)):
+            column.append(intern(x, x) if x else x)
+        t0, x0, u0 = t1, x1, u1
+    dt_s, v_mps, a_mps2, p_trac_w, p_battery_w, p_recup_w, soc_drop = (
+        tuple(column) for column in columns)
     # a vanishing edge has no step: extremes of -inf and +inf put every SOC
     # outside its bounds, so its drive takes the step loop
     cum_min, cum_max, cum_last = (
-        (min(cum), max(cum), cum[-1]) if cum else (-math.inf, math.inf, 0.0))
+        (min(soc_drop), max(soc_drop), cum) if cum is not None
+        else (-math.inf, math.inf, 0.0))
     c = params.battery_capacity_wh * S_PER_H  # as drive_segment forms it
-    floats = {}
-    dt_s, v_mps, a_mps2, p_trac_w, p_battery_w, p_recup_w, soc_drop = (
-        _interned(column, floats)
-        for column in (dts, v_bar, a_bar, p_trac, p_net0, p_recup, cum))
     trace = DriveTrace(starts, dt_s, v_mps, a_mps2, p_trac_w, p_battery_w,
-                       p_recup_w, (0.0,) * len(dts), None, soc_drop, c)
+                       p_recup_w, (0.0,) * len(dt_s), None, soc_drop, c)
     return _SegmentPlan(
         profile=profile,
         v_out=profile.v_out,
-        distance_m=pos[-1],
+        distance_m=x0,
         cum_min=cum_min,
         cum_max=cum_max,
         cum_last=cum_last,
         result=SegmentResult(trace, ms(total), False),
-        consumed_wh=math.fsum(p * h for p, h in zip(p_consume, hours)),
-        recuperated_wh=math.fsum(r * h for r, h in zip(p_recup, hours)),
+        consumed_wh=math.fsum(_consumed_power(p, params) * (d / S_PER_H)
+                              for p, d in zip(p_trac_w, dt_s)),
+        recuperated_wh=math.fsum(r * (d / S_PER_H)
+                                 for r, d in zip(p_recup_w, dt_s)),
     )
 
 
