@@ -176,31 +176,22 @@ class Engine:
         self._seq = seq + 1
         heapq.heappush(self._queue, (at, seq, event))
 
-    def every(self, event: Event, first_ms: int, interval_ms: int,
-              last_ms: int) -> None:
-        """Fire ``event`` at ``first_ms`` and then every ``interval_ms``
-        while the time is at most ``last_ms``, through the one periodic
-        source. It is stamped now, as :meth:`schedule` stamps an event,
-        and after each firing; a ``first_ms`` after ``last_ms`` fires
-        nothing and stamps nothing. The engine has one periodic source: a
-        second call while the first still fires raises ``ValueError``, as
-        does an ``interval_ms`` below 1."""
+    def every(self, event: Event, interval_ms: int, last_ms: int) -> None:
+        """Fire ``event`` now and then every ``interval_ms`` while the time
+        is at most ``last_ms``, through the one periodic source. It is
+        stamped now, as :meth:`schedule` stamps an event, and after each
+        firing. The engine has one periodic source: a second call while the
+        first still fires raises ``ValueError``, as does an ``interval_ms``
+        below 1."""
         if self._periodic is not None:
             raise ValueError("the engine already has a periodic event")
         if interval_ms < 1:
             raise ValueError(f"periodic interval {interval_ms} ms is not "
                              f"positive")
-        if first_ms < self.now_ms:
-            raise SchedulingInPastError(
-                f"cannot schedule {event.kind.value} at t={first_ms} ms: "
-                f"clock is already at {self.now_ms} ms"
-            )
-        if first_ms > last_ms:
-            return
-        event.at = first_ms
+        event.at = at = self.now_ms
         event.sequence = seq = self._seq
         self._seq = seq + 1
-        self._periodic = (first_ms, seq, event)
+        self._periodic = (at, seq, event)
         self._period = (interval_ms, last_ms)
 
     def run_until(self, end_ms: int) -> SimulationSummary:

@@ -267,16 +267,17 @@ class MetricsCollector:
 
     def schedule_ticks(self, engine: Engine, interval_ms: int,
                        horizon_ms: int) -> None:
-        """Handle ``MetricsTick`` on ``engine``: a tick at 0 ms and then one
-        every ``interval_ms`` up to ``horizon_ms``, the one event of the
-        engine's periodic source. A run without vehicles has no ticks."""
+        """Handle ``MetricsTick`` on ``engine``, whose clock is at 0 ms: a
+        tick now and then one every ``interval_ms`` up to ``horizon_ms``,
+        the one event of the engine's periodic source. A run without
+        vehicles has no ticks."""
 
         def on_tick(event: Event) -> None:
             self.record_ticks(event.at)
 
         engine.on(EventKind.METRICS_TICK, on_tick)
         if self.vehicles:
-            engine.every(Event(EventKind.METRICS_TICK), 0, interval_ms,
+            engine.every(Event(EventKind.METRICS_TICK), interval_ms,
                          horizon_ms)
 
     def record_ticks(self, t_ms: int) -> None:

@@ -213,14 +213,14 @@ SPAWN = EventKind.SEGMENT_COMPLETE
 FOLLOW = EventKind.ARRIVE_DESTINATION
 
 
-def periodic_run(one_shots, position, first_ms, interval_ms, last_ms, steps,
+def periodic_run(one_shots, position, interval_ms, last_ms, steps,
                  through_every):
     """Run one-shot events and one periodic ``MetricsTick`` through an
     engine, in ``run_until`` steps to each of ``steps``; returns the event
     log, the ``dispatched`` counts and the clock after each step.
 
     ``one_shots`` are ``(at, spawn)`` pairs scheduled in order, with the
-    periodic event registered before the one at ``position``. A one-shot
+    periodic event registered at 0 ms before the one at ``position``. A one-shot
     schedules ``spawn`` more events at its own millisecond, and every
     third tick schedules one at its own. With ``through_every`` the tick
     fires through ``Engine.every``; otherwise its handler ends by
@@ -246,9 +246,9 @@ def periodic_run(one_shots, position, first_ms, interval_ms, last_ms, steps,
 
     def register_tick():
         if through_every:
-            engine.every(Event(TICK), first_ms, interval_ms, last_ms)
-        elif first_ms <= last_ms:
-            engine.schedule(Event(TICK), first_ms)
+            engine.every(Event(TICK), interval_ms, last_ms)
+        else:
+            engine.schedule(Event(TICK), 0)
 
     for i, (at, spawn) in enumerate(one_shots):
         if i == position:
@@ -266,17 +266,15 @@ def periodic_run(one_shots, position, first_ms, interval_ms, last_ms, steps,
 @st.composite
 def periodic_scenarios(draw):
     interval_ms = draw(st.integers(1, 40))
-    first_ms = draw(st.integers(0, 60))
-    last_ms = first_ms + draw(st.integers(-5, 400))
-    on_grid = st.integers(0, 12).map(lambda k: first_ms + k * interval_ms)
+    last_ms = draw(st.integers(0, 400))
+    on_grid = st.integers(0, 12).map(lambda k: k * interval_ms)
     times = st.one_of(on_grid, st.integers(0, 500), st.just(last_ms))
     one_shots = draw(st.lists(st.tuples(times, st.integers(0, 2)),
                               max_size=30))
     position = draw(st.integers(0, len(one_shots)))
     steps = sorted(draw(st.lists(st.one_of(on_grid, st.integers(0, 500)),
                                  max_size=4)))
-    return (one_shots, position, first_ms, interval_ms, last_ms,
-            [*steps, 600])
+    return one_shots, position, interval_ms, last_ms, [*steps, 600]
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5), derandomize=True)
@@ -290,12 +288,11 @@ def test_periodic_source_ties_at_the_horizon_as_the_reference():
     # as in a run: the tick registers, then the end event is scheduled at
     # the horizon; the last tick is stamped after it, so it fires after it
     for through_every in (True, False):
-        log, _ = periodic_run([(100, 0)], 0, 0, 25, 100, [100],
-                              through_every)
+        log, _ = periodic_run([(100, 0)], 0, 25, 100, [100], through_every)
         assert [(at, seq, kind) for at, seq, kind, _ in log[-2:]] == [
             (100, 1, "SegmentComplete"), (100, 6, "MetricsTick")]
-    assert (periodic_run([(100, 0)], 0, 0, 25, 100, [40, 100], True)
-            == periodic_run([(100, 0)], 0, 0, 25, 100, [40, 100], False))
+    assert (periodic_run([(100, 0)], 0, 25, 100, [40, 100], True)
+            == periodic_run([(100, 0)], 0, 25, 100, [40, 100], False))
 
 
 def test_periodic_handler_failure_names_its_own_time_and_sequence():
@@ -308,7 +305,7 @@ def test_periodic_handler_failure_names_its_own_time_and_sequence():
     engine.on(TICK, tick)
     engine.on(SPAWN, lambda event: None)
     engine.schedule(Event(SPAWN), 15)
-    engine.every(Event(TICK, {"tag": "t"}), 0, 10, 100)
+    engine.every(Event(TICK, {"tag": "t"}), 10, 100)
     with pytest.raises(SimulationAborted) as err:
         engine.run_until(100)
     # sequences: the spawn 0, ticks 1 (0 ms), 2 (10 ms), 3 (20 ms), 4 (30 ms)
@@ -319,37 +316,32 @@ def test_periodic_handler_failure_names_its_own_time_and_sequence():
 
 def test_periodic_event_without_handler_aborts_the_run():
     engine = Engine()
-    engine.every(Event(TICK), 5, 10, 100)
+    engine.run_until(5)
+    engine.every(Event(TICK), 10, 100)
     with pytest.raises(SimulationAborted, match="MetricsTick at t=0.005s") as err:
         engine.run_until(100)
     assert isinstance(err.value.cause, ModelError)
 
 
-def test_every_rejects_what_it_cannot_fire():
+def test_every_rejects_a_bad_interval_and_a_second_source():
     engine = make_engine([])
     engine.run_until(50)
-    with pytest.raises(SchedulingInPastError):
-        engine.every(Event(TICK), 40, 10, 100)
     for interval_ms in (0, -10):
         with pytest.raises(ValueError, match="not positive"):
-            engine.every(Event(TICK), 50, interval_ms, 100)
-    engine.every(Event(TICK), 50, 10, 100)
+            engine.every(Event(TICK), interval_ms, 100)
+    engine.every(Event(TICK), 10, 100)
     with pytest.raises(ValueError, match="already has a periodic event"):
-        engine.every(Event(TICK), 60, 10, 100)
+        engine.every(Event(TICK), 10, 100)
 
 
-def test_every_after_its_last_time_fires_nothing():
+def test_the_source_is_free_again_after_its_last_firing():
     log = []
     engine = make_engine(log)
-    event = Event(TICK)
-    engine.every(event, 11, 10, 10)
-    assert engine.run_until(100).total_dispatched == 0
-    assert (event.at, event.sequence) == (-1, -1)
-    # the source is free again once its event has fired its last time
-    engine.every(Event(TICK), 100, 10, 110)
+    engine.run_until(100)
+    engine.every(Event(TICK), 10, 110)
     engine.run_until(200)
     assert log == [(100, 0, TICK), (110, 1, TICK)]
-    engine.every(Event(TICK), 200, 10, 200)
+    engine.every(Event(TICK), 10, 200)
 
 
 def test_no_metrics_tick_goes_through_schedule_or_the_heap(tmp_path,
