@@ -769,4 +769,5 @@ class FleetController:
         LOG.warning("vehicle %s stranded on edge %s at t=%.1fs",
                     vehicle.vehicle_id, event.payload.get("edge"),
                     self.engine.now_s)
+        vehicle.legs = vehicle.trace = None
         self._transition(vehicle, Lifecycle.STRANDED)

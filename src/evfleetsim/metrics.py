@@ -201,25 +201,20 @@ class MetricsCollector:
     left to right, as builtin ``sum()`` added before Python 3.12.
 
     It owns the ``ticks.csv`` rows: it keeps each vehicle's last row, as
-    ASCII bytes after the time field, in one list, ``b""`` and then the
-    row of each vehicle that is not stranded, in vehicle order, and a list
-    that maps each vehicle index to its row's position (``None`` once the
-    vehicle is stranded). A tick formats again only the *live* vehicles,
-    each into its position, and writes the list, joined with the tick's
-    time field, in one ``write``. A stranding deletes the vehicle's row
-    and position for good; the rows and positions after it move up once
-    per tick that has strandings, however many vehicles strand in it. A
-    formatted row is the vehicle's id field, built once per vehicle, its
-    state's field and :func:`_row_tail`, whose charging rows share one
-    template per effective power for the whole run; ids and state values
-    are ASCII that needs no CSV quoting. The invariant: a vehicle's row
-    can change between ticks only
-    while it is ``EN_ROUTE``, ``RETURNING`` or ``CHARGING``, or if it
-    transitioned since the last tick (a finished session's SOC is set in the
-    handler that moves the vehicle on, and the horizon cuts sessions after
-    the last tick). Every vehicle starts live, :meth:`record_transition`
-    makes it live, and it leaves once a tick has formatted it in any other
-    state, never while it drives.
+    ASCII bytes after the time field, in one list, ``b""`` and then one
+    row per vehicle, in vehicle order. A tick formats again only the
+    *live* vehicles, each into its place, and writes the list, joined with
+    the tick's time field, in one ``write``. A formatted row is the
+    vehicle's id field, built once per vehicle, its state's field and
+    :func:`_row_tail`, whose charging rows share one template per
+    effective power for the whole run; ids and state values are ASCII that
+    needs no CSV quoting. The invariant: a vehicle's row can change
+    between ticks only while it is ``EN_ROUTE``, ``RETURNING`` or
+    ``CHARGING``, or if it transitioned since the last tick (a finished
+    session's SOC is set in the handler that moves the vehicle on, and the
+    horizon cuts sessions after the last tick). Every vehicle starts live,
+    :meth:`record_transition` makes it live, and it leaves once a tick has
+    formatted it in any other state, never while it drives.
 
     ``ticks.csv`` is a byte stream, so its bytes do not depend on the
     locale. The constructor creates ``out_dir``, opens the file in binary
@@ -245,13 +240,10 @@ class MetricsCollector:
         self._tick_rows = 0
         # a charging session's effective power -> its row template
         self._power_texts: dict[float, bytes] = {}
-        # b"" and then the last row of each vehicle that is not stranded,
-        # after the time field, in vehicle order: joined with a tick's time
-        # field they are the tick's bytes
+        # b"" and then the last row of each vehicle, after the time field,
+        # in vehicle order: joined with a tick's time field they are the
+        # tick's bytes
         self._rows = [b""] * (len(vehicles) + 1)
-        # vehicle index -> the position of its row in _rows, None once the
-        # vehicle is stranded
-        self._pos: list[int | None] = list(range(1, len(vehicles) + 1))
         self._live = set(range(len(vehicles)))
         self._index = {v.vehicle_id: i for i, v in enumerate(vehicles)}
         self.vehicles = vehicles
@@ -282,46 +274,25 @@ class MetricsCollector:
 
     def record_ticks(self, t_ms: int) -> None:
         """Write the ``ticks.csv`` rows at ``t_ms``, in one ``write``: one
-        per vehicle that is not stranded, in vehicle order. Only the live
-        vehicles are formatted again."""
-        live = self._live
+        per vehicle, in vehicle order. Only the live vehicles are formatted
+        again."""
+        rows, live = self._rows, self._live
         if live:
-            rows, pos = self._rows, self._pos
             vehicles, id_fields = self.vehicles, self._id_fields
             params, power_texts = self.params, self._power_texts
-            stranded = Lifecycle.STRANDED
-            gone = []
             for i in sorted(live):
                 vehicle = vehicles[i]
                 lifecycle = vehicle.lifecycle
-                if lifecycle is stranded:
-                    gone.append(i)
-                else:
-                    rows[pos[i]] = (id_fields[i] + _STATE_FIELD[lifecycle]
-                                    + _row_tail(vehicle, t_ms, params,
-                                                power_texts))
+                rows[i + 1] = (id_fields[i] + _STATE_FIELD[lifecycle]
+                               + _row_tail(vehicle, t_ms, params, power_texts))
                 if lifecycle not in _LIVE_STATES:
                     live.discard(i)
-            if gone:
-                self._drop_rows(gone)
-        rows = self._rows
         n = len(rows) - 1
         if n:
             # the leading b"" puts the time field before the first row
             time_field = b"%.3f," % (t_ms / MS_PER_S)
             self._ticks.write(time_field.join(rows))
             self._tick_rows += n
-
-    def _drop_rows(self, gone: list[int]) -> None:
-        """Delete the rows and positions of the vehicles ``gone`` and move
-        the others up, in one pass over the rows."""
-        pos, rows = self._pos, self._rows
-        for i in gone:
-            pos[i] = None
-        kept = [(i, p) for i, p in enumerate(pos) if p is not None]
-        self._rows = [b""] + [rows[p] for _, p in kept]
-        for k, (i, _) in enumerate(kept, 1):
-            pos[i] = k
 
     def record_transition(self, t_ms: int, vehicle_id: str,
                           new: Lifecycle) -> None:

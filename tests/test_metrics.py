@@ -264,8 +264,10 @@ def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
     v2.lifecycle = Lifecycle.STRANDED
     collector.record_ticks(4000)
     collector.record_ticks(5000)
+    # a stranded vehicle is formatted once, at rest, and then left alone
     assert formatted == [(0, "v0"), (0, "v1"), (0, "v2"), (1000, "v1"),
-                         (2000, "v1"), (3000, "v1"), (4000, "v1")]
+                         (2000, "v1"), (3000, "v1"), (4000, "v1"),
+                         (4000, "v2")]
     collector.close()
     rows = [",".join(line.split(",")[:3] + line.split(",")[5:6])
             for line in tick_rows(tmp_path)]
@@ -279,7 +281,9 @@ def test_only_vehicles_that_changed_are_formatted_again(tmp_path, monkeypatch):
         "3.000,v0,idle,0.500000000", "3.000,v1,en_route,0.400000000",
         "3.000,v2,idle,0.500000000",
         "4.000,v0,idle,0.500000000", "4.000,v1,idle,0.500000000",
+        "4.000,v2,stranded,0.500000000",
         "5.000,v0,idle,0.500000000", "5.000,v1,idle,0.500000000",
+        "5.000,v2,stranded,0.500000000",
     ]
 
 
@@ -420,12 +424,10 @@ def test_a_charging_vehicle_without_a_session_fails_the_tick(tmp_path):
 
 def reference_tick_rows(t_ms, vehicles) -> list[list[str]]:
     """The ``ticks.csv`` rows at ``t_ms`` built from scratch: one per
-    vehicle that is not stranded, from its shared trace's sample while it
-    drives, else at rest."""
+    vehicle, from its shared trace's sample while it drives, else at
+    rest."""
     rows = []
     for v in vehicles:
-        if v.lifecycle is Lifecycle.STRANDED:
-            continue
         motion, soc = (0.0,) * 6, v.state.soc
         if v.lifecycle is Lifecycle.EN_ROUTE:
             tr = v.trace
@@ -453,15 +455,17 @@ def reference_tick_rows(t_ms, vehicles) -> list[list[str]]:
 def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
                                                         strandings):
     # the odd vehicles drive one shared trace, so their rows change at
-    # every tick; the first, a middle and the last vehicle are at rest
-    drops = []
-    drop_rows = MetricsCollector._drop_rows
+    # every tick; the first, a middle and the last vehicle are at rest. A
+    # stranded vehicle keeps its row, at rest, formatted on the tick it is
+    # found stranded on and never again
+    formatted = []
+    row_tail = metrics._row_tail
 
-    def counting(collector, gone):
-        drops.append(sorted(gone))
-        drop_rows(collector, gone)
+    def counting(vehicle, t_ms, *args):
+        formatted.append((t_ms, vehicle.vehicle_id))
+        return row_tail(vehicle, t_ms, *args)
 
-    monkeypatch.setattr(MetricsCollector, "_drop_rows", counting)
+    monkeypatch.setattr(metrics, "_row_tail", counting)
     trace = shared_trace(6)
     vehicles = fleet_of(*(f"v{i}" for i in range(7)), soc=0.75)
     for i, vehicle in enumerate(vehicles):
@@ -473,6 +477,8 @@ def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
     expected = [TICK_HEADER]
     for t_ms in range(0, 6000, 1000):
         for i in strandings.get(t_ms, ()):
+            # the controller ends the route, as on arrival
+            vehicles[i].trace = None
             transition(collector, t_ms - 500, vehicles[i], Lifecycle.STRANDED)
         collector.record_ticks(t_ms)
         expected += reference_tick_rows(t_ms, vehicles)
@@ -481,17 +487,13 @@ def test_stranding_rows_equal_rows_rebuilt_from_scratch(tmp_path, monkeypatch,
         csv.writer(fh).writerows(expected)
     assert ((tmp_path / "ticks.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
-    assert manifest["files"]["ticks.csv"] == len(expected) - 1
-    # one renumbering per tick with strandings, however many strand in it
-    assert drops == [sorted(strandings[t]) for t in sorted(strandings)]
-    survivors = [i for i in range(7)
-                 if all(i not in gone for gone in strandings.values())]
+    assert manifest["files"]["ticks.csv"] == len(expected) - 1 == 6 * 7
+    for t_ms, stranded in strandings.items():
+        for i in stranded:
+            assert max(t for t, vid in formatted if vid == f"v{i}") == t_ms
     # the kept rows are the last tick's, after its time field
-    assert [i for i, p in enumerate(collector._pos) if p is not None] == (
-        survivors)
     assert collector._rows == [b""] + [
-        ",".join(row[1:]).encode() + b"\r\n"
-        for row in expected[len(expected) - len(survivors):]]
+        ",".join(row[1:]).encode() + b"\r\n" for row in expected[-7:]]
 
 
 # --- distance histogram -----------------------------------------------------------

@@ -371,9 +371,9 @@ def test_every_drive_with_the_relay_on_takes_the_step_loop(tmp_path,
 # --- ticks.csv against an every-vehicle reference sampler ------------------------
 
 class ReferenceSampler:
-    """Samples every vehicle that is not stranded on every ``MetricsTick``
-    from its trace, its charging session or its state at rest, and writes
-    the rows with :mod:`csv`; the collector's own rows must equal them."""
+    """Samples every vehicle on every ``MetricsTick`` from its trace, its
+    charging session or its state at rest, and writes the rows with
+    :mod:`csv`; the collector's own rows must equal them."""
 
     def __init__(self, monkeypatch):
         self.ticks = []  # (t_ms, [(vehicle_id, lifecycle, soc, motion)])
@@ -382,8 +382,7 @@ class ReferenceSampler:
         def sample_then_record(collector, t_ms):
             self.ticks.append((t_ms, [
                 self.sample(v, collector.params, t_ms)
-                for v in collector.vehicles
-                if v.lifecycle is not Lifecycle.STRANDED]))
+                for v in collector.vehicles]))
             record_ticks(collector, t_ms)
 
         monkeypatch.setattr(MetricsCollector, "record_ticks",
@@ -479,12 +478,15 @@ def test_ticks_csv_equals_reference_with_a_stranded_vehicle(tmp_path,
     sampler = ReferenceSampler(monkeypatch)
     result = run_scenario(load_config(path), tmp_path / "out")
     assert 0 < result.n_stranded < 3
+    assert (Lifecycle.STRANDED, True) in sampler.kinds()
     assert_ticks_equal_reference(result, sampler, tmp_path)
-    assert len(sampler.ticks[-1][1]) == 3 - result.n_stranded
+    # a stranded vehicle keeps its row, at rest
+    assert len(sampler.ticks[-1][1]) == 3
+    assert [lifecycle for _, lifecycle, _, _ in sampler.ticks[-1][1]].count(
+        Lifecycle.STRANDED) == result.n_stranded
 
 
-def test_strandings_keep_the_other_rows_in_vehicle_order(tmp_path,
-                                                         monkeypatch):
+def test_strandings_keep_every_row_in_vehicle_order(tmp_path, monkeypatch):
     # the middle vehicle strands, then the first and the last in one tick;
     # two of the others drive one shared trace, so their rows change
     trace = shared_trace(6)
@@ -495,6 +497,9 @@ def test_strandings_keep_the_other_rows_in_vehicle_order(tmp_path,
                                  make_params())
 
     def move(t_ms, vehicle, new):
+        if new is Lifecycle.STRANDED:
+            # the controller ends the route, as on arrival
+            vehicle.trace = None
         vehicle.lifecycle = new
         collector.record_transition(t_ms, vehicle.vehicle_id, new)
 
@@ -510,9 +515,12 @@ def test_strandings_keep_the_other_rows_in_vehicle_order(tmp_path,
     rows = sampler.write(tmp_path / "reference.csv")
     assert ((tmp_path / "out" / "ticks.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
-    assert [len(samples) for _, samples in sampler.ticks] == [5, 5, 4, 4, 2, 2]
-    assert rows == 22
-    assert [vid for vid, *_ in sampler.ticks[-1][1]] == ["v1", "v3"]
+    assert [len(samples) for _, samples in sampler.ticks] == [5] * 6
+    assert rows == 30
+    assert [(vid, lifecycle.value) for vid, lifecycle, *_
+            in sampler.ticks[-1][1]] == [
+        ("v0", "stranded"), ("v1", "en_route"), ("v2", "stranded"),
+        ("v3", "en_route"), ("v4", "stranded")]
 
 
 def test_ticks_csv_equals_reference_across_an_empty_trace(tmp_path,
