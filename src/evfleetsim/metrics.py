@@ -333,8 +333,11 @@ class MetricsCollector:
         ``horizon_ms``, to ``_state_ms[state][i]``, ``i`` the vehicle's
         index: whole milliseconds, so each total is exact. Once exhausted,
         it sets ``min_idle``, the overdimension margin: the fewest idle
-        vehicles over the bin starts. It misses dips between two starts, so
-        it can overstate the exact minimum."""
+        vehicles at 0 and after the last transition of each timestamp,
+        which is exact. A vehicle can pass through idle within one
+        millisecond: it is set idle, then dispatched from the delayed list
+        at the same time, and the count between two transitions of one
+        timestamp is not taken."""
         index = self._index
         n = len(self.vehicles)
         state_ms = self._state_ms = {state: [0] * n for state in Lifecycle}
@@ -344,12 +347,16 @@ class MetricsCollector:
         counts = [n] + [0] * (len(UTILIZATION_HEADER) - 2)
         min_idle = n
         end = max(horizon_ms, 1)
-        t_bin = 0
+        t_bin = t_last = 0
         for t_ms, vid, new in self.transitions:
-            while t_bin < t_ms and t_bin < end:
-                yield (t_bin, *counts)
-                min_idle = min(min_idle, counts[0])
-                t_bin += bin_ms
+            if t_ms != t_last:
+                # the counts after the last transition at t_last
+                if counts[0] < min_idle:
+                    min_idle = counts[0]
+                t_last = t_ms
+                while t_bin < t_ms and t_bin < end:
+                    yield (t_bin, *counts)
+                    t_bin += bin_ms
             i = index[vid]
             old = state[i]
             state_ms[old][i] += t_ms - since_ms[i]
@@ -359,12 +366,11 @@ class MetricsCollector:
             since_ms[i] = t_ms
         while t_bin < end:
             yield (t_bin, *counts)
-            min_idle = min(min_idle, counts[0])
             t_bin += bin_ms
         for i, (old, start_ms) in enumerate(zip(state, since_ms)):
             if horizon_ms > start_ms:
                 state_ms[old][i] += horizon_ms - start_ms
-        self.min_idle = min_idle
+        self.min_idle = min(min_idle, counts[0])
 
     # -- export --------------------------------------------------------------------
 

@@ -807,11 +807,22 @@ def reference_grid_wh(sessions, vehicle_id):
                         if s.vehicle_id == vehicle_id)
 
 
+def idle_after(transitions, vehicles, t_ms):
+    """The vehicles idle after every transition at or before ``t_ms``,
+    by brute force."""
+    state = {v.vehicle_id: Lifecycle.IDLE for v in vehicles}
+    for at, vid, new in transitions:
+        if at <= t_ms:
+            state[vid] = new
+    return list(state.values()).count(Lifecycle.IDLE)
+
+
 def check_walk(collector, bin_ms, horizon_ms):
     """The walk of ``collector`` against the oracles: each vehicle's
     milliseconds per state against :func:`reference_state_ms`, the counts at
     each bin start against the state of every vehicle there, found by
-    brute force, and ``min_idle`` against the idle column."""
+    brute force, and ``min_idle`` against the idle count at 0 and after
+    each distinct timestamp of the log."""
     starts, counts, state_ms, min_idle = walk(collector, bin_ms, horizon_ms)
     transitions = collector.transitions
     for i, v in enumerate(collector.vehicles):
@@ -826,7 +837,9 @@ def check_walk(collector, bin_ms, horizon_ms):
                 state[vid] = _STATE_GROUP[new]
         for group, column in counts.items():
             assert column[i] == list(state.values()).count(group)
-    assert min_idle == min(counts["idle"])
+    assert min_idle == min(
+        idle_after(transitions, collector.vehicles, t_ms)
+        for t_ms in {0, *(t_ms for t_ms, _, _ in transitions)})
 
 
 def test_grouped_metrics_equal_reference_filters(busy_run):
