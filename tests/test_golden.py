@@ -44,7 +44,9 @@ from test_fleet import load_bench_workloads
 
 import evfleetsim
 from evfleetsim import cli
-from evfleetsim.config import build_config, default_scenario_path, load_raw
+from evfleetsim.config import (apply_sweep_override, build_config,
+                               default_scenario_path, load_config, load_raw)
+from evfleetsim.engine import ms
 from evfleetsim.simulation import run_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden_sha256.json"
@@ -128,11 +130,19 @@ def run_sweep(out_dir: Path) -> None:
     assert status == cli.EXIT_OK
 
 
+def assert_tick_rows_predicted(manifest: dict, config) -> None:
+    """``ticks.csv`` has the rows that ``build_config`` caps: a tick at 0 ms
+    and every interval up to the horizon, each one row per vehicle."""
+    ticks = ms(config.horizon_s) // ms(config.metrics_interval_s) + 1
+    assert manifest["files"]["ticks.csv"] == ticks * config.fleet_size
+
+
 def check_probe(key: str, out_dir: Path):
-    """Run probe ``key`` and compare its outputs with the table; returns
-    the run's result."""
+    """Run probe ``key`` and compare its outputs with the table and its
+    ``ticks.csv`` row count with the config's; returns the run's result."""
     result = run_probe(key, out_dir)
     assert tree_digests(out_dir) == json.loads(GOLDEN.read_text())[key]
+    assert_tick_rows_predicted(result.manifest, probe_config(key))
     return result
 
 
@@ -160,6 +170,14 @@ def test_sweep_outputs_match_the_golden_hashes(tmp_path):
     run_sweep(tmp_path)
     assert tree_digests(tmp_path) == json.loads(
         GOLDEN.read_text())[SWEEP_KEY]
+    path = default_scenario_path()
+    effective = load_config(path).effective
+    for size in (100, 80, 60):
+        config = build_config(
+            apply_sweep_override(effective, "fleet.size", size), path.parent)
+        manifest = json.loads(
+            (tmp_path / f"fleet_size_{size}" / "manifest.json").read_text())
+        assert_tick_rows_predicted(manifest, config)
 
 
 def integer_sum(values, start=0):
