@@ -177,12 +177,12 @@ class Engine:
         heapq.heappush(self._queue, (at, seq, event))
 
     def every(self, event: Event, interval_ms: int, last_ms: int) -> None:
-        """Fire ``event`` now and then every ``interval_ms`` while the time
-        is at most ``last_ms``, through the one periodic source. It is
-        stamped now, as :meth:`schedule` stamps an event, and after each
-        firing. The engine has one periodic source: a second call while the
-        first still fires raises ``ValueError``, as does an ``interval_ms``
-        below 1."""
+        """Fire ``event`` now, whatever ``last_ms``, and then every
+        ``interval_ms`` while the time is at most ``last_ms``, through the
+        one periodic source. It is stamped now, as :meth:`schedule` stamps
+        an event, and after each firing. The engine has one periodic
+        source: a second call while the first still fires raises
+        ``ValueError``, as does an ``interval_ms`` below 1."""
         if self._periodic is not None:
             raise ValueError("the engine already has a periodic event")
         if interval_ms < 1:

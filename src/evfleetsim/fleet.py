@@ -387,7 +387,7 @@ class Vehicle:
     lifecycle: Lifecycle = Lifecycle.IDLE
     trip: Trip | None = None
     # the legs of the route being driven (see network.Route), until its
-    # last leg completes
+    # last leg completes or the vehicle strands
     legs: tuple[tuple[network.Edge, float | None], ...] | None = None
     segment_index: int = 0
     trace_start_ms: int = 0

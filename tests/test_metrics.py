@@ -636,29 +636,25 @@ def test_one_vehicle_busy_whole_run(tmp_path):
     assert min_idle == 1
 
 
-def test_min_idle_is_exact_between_bin_starts(tmp_path):
-    # v0 and v1 are both out between the bin starts at 0 and 60 s
+def test_min_idle_is_exact_between_bin_starts_and_within_a_millisecond(
+        tmp_path):
     v0, v1, v2 = vehicles = fleet_of("v0", "v1", "v2")
     collector = collector_for(tmp_path, vehicles)
+    # one idle between the bin starts at 0 and 60 s
     transition(collector, 10_000, v0, Lifecycle.EN_ROUTE)
     transition(collector, 20_000, v1, Lifecycle.EN_ROUTE)
     transition(collector, 30_000, v0, Lifecycle.IDLE)
     transition(collector, 30_000, v1, Lifecycle.IDLE)
+    # at 150 s v0 and v1 leave and v2 comes back: the fleet holds one idle,
+    # never none
+    transition(collector, 100_000, v2, Lifecycle.EN_ROUTE)
+    transition(collector, 150_000, v0, Lifecycle.EN_ROUTE)
+    transition(collector, 150_000, v1, Lifecycle.EN_ROUTE)
+    transition(collector, 150_000, v2, Lifecycle.IDLE)
+    transition(collector, 170_000, v0, Lifecycle.IDLE)
     _, counts, _, min_idle = walk(collector, ms(60.0), ms(300.0))
-    assert counts["idle"] == [3] * 5
+    assert counts["idle"] == [3, 3, 2, 2, 2]
     assert min_idle == 1
-
-
-def test_min_idle_skips_a_count_within_one_millisecond(tmp_path):
-    # at 100 s v1 leaves and v0 comes back: the fleet never holds one idle
-    v0, v1, v2 = vehicles = fleet_of("v0", "v1", "v2")
-    collector = collector_for(tmp_path, vehicles)
-    transition(collector, 10_000, v0, Lifecycle.EN_ROUTE)
-    transition(collector, 100_000, v1, Lifecycle.EN_ROUTE)
-    transition(collector, 100_000, v0, Lifecycle.IDLE)
-    _, counts, _, min_idle = walk(collector, ms(60.0), ms(300.0))
-    assert counts["idle"] == [3, 2, 2, 2, 2]
-    assert min_idle == 2
 
 
 @pytest.mark.parametrize("bin_s", [0.0004, 0.0, -60.0])
