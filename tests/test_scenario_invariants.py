@@ -497,9 +497,6 @@ def test_strandings_keep_every_row_in_vehicle_order(tmp_path, monkeypatch):
                                  make_params())
 
     def move(t_ms, vehicle, new):
-        if new is Lifecycle.STRANDED:
-            # the controller ends the route, as on arrival
-            vehicle.trace = None
         vehicle.lifecycle = new
         collector.record_transition(t_ms, vehicle.vehicle_id, new)
 
