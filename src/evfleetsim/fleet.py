@@ -332,7 +332,9 @@ def generate_day_schedule(
     2. Snap: every destination point to its nearest edge, in one
        :func:`~evfleetsim.network.nearest_edge` call.
     3. Route: every trip out by ``routing_weight``, then every trip back,
-       so that the searches from the depot run as one (see
+       so that no return search replaces the search from the depot while
+       it is kept: an outbound destination that it settled reuses it, and
+       one beyond it runs a new search from the depot (see
        :func:`~evfleetsim.network.shortest_path`). An unroutable
        destination, out or back, marks the trip rejected; it is not
        resampled, so the output distance distribution stays unbiased.

@@ -100,10 +100,11 @@ class RoadNetwork:
     by ``(from_edge, to_edge, weight)``, and the middle edges of each path,
     keyed by ``(source node, target node, weight)``, so that routes between
     edges that share their end nodes share one path. One search is kept:
-    the most recent, which later queries from its source node by its weight
-    resume and any other query replaces (``_search``, at most one entry).
-    Per routing weight, the arc table of the search is built once, on
-    first use.
+    the most recent (``_search``, at most one entry). A later query from
+    its source node by its weight reads it when it settled the target or
+    ran dry; any other query runs a new search, which replaces it. Per
+    routing weight, the arc table of the search is built once, on first
+    use.
     """
 
     def __init__(
@@ -121,17 +122,14 @@ class RoadNetwork:
         ):
             raise NetworkError("hourly speed factors must be 24 values in (0, 1]")
         self.hourly_speed_factors = tuple(hourly_speed_factors)
-        # adjacency sorted by edge id for deterministic traversal
-        self.adjacency: dict[str, list[str]] = {n: [] for n in nodes}
-        for eid in sorted(edges):
-            self.adjacency[edges[eid].from_node].append(eid)
         # node id -> its number in the route search, in sorted id order
         self._node_number = {n: i for i, n in enumerate(sorted(nodes))}
         # weight -> node number -> (to_node, weight, edge_id, ...), see _arcs
         self._arc_tables: dict[str, list[tuple]] = {}
         self._routes: dict[tuple[str, str, str], Route] = {}
         self._paths: dict[tuple[int, int, str], tuple[str, ...]] = {}
-        self._search: dict[tuple[int, str], _Search] = {}
+        # (source, weight) -> the kept search's result, see _dijkstra
+        self._search: dict[tuple[int, str], tuple] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -430,15 +428,19 @@ def _route_between(net: RoadNetwork, from_edge: str, to_edge: str,
 def _path(net: RoadNetwork, source: int, target: int,
           weight: str) -> tuple[str, ...]:
     """The edges of the shortest path from node number ``source`` to
-    ``target``, by resuming the network's search or replacing it with a
-    new one from ``source``."""
+    ``target``, read from the network's kept search when it is from
+    ``source`` by ``weight`` and settled ``target`` or ran dry, else from a
+    new search from ``source``, which replaces it."""
     key = (source, weight)
-    search = net._search.get(key)
-    if search is None:
+    kept = net._search.get(key)
+    if kept is None or not (target in kept[1] or kept[2]):
         net._search.clear()
-        search = net._search[key] = _Search(_arcs(net, weight), source)
-    search.settle(target)
-    prev, edges, number = search.prev, net.edges, net._node_number
+        kept = net._search[key] = _dijkstra(_arcs(net, weight), source,
+                                            target)
+    prev, settled, _ = kept
+    if target not in settled:
+        raise NoRouteError(f"node number {target} is not reachable")
+    edges, number = net.edges, net._node_number
     middle: list[str] = []
     node = target
     while node != source:
@@ -458,62 +460,49 @@ def _arcs(net: RoadNetwork, weight: str) -> list[tuple]:
     table = net._arc_tables.get(weight)
     if table is None:
         edges, number = net.edges, net._node_number
-        table = [tuple(field for eid in net.adjacency[node] for field in (
-                     number[edges[eid].to_node],
-                     _edge_weight(edges[eid], weight), eid))
-                 for node in number]
-        net._arc_tables[weight] = table
+        arcs: list[list] = [[] for _ in number]
+        for eid in sorted(edges):
+            e = edges[eid]
+            arcs[number[e.from_node]] += (number[e.to_node],
+                                          _edge_weight(e, weight), eid)
+        table = net._arc_tables[weight] = [tuple(a) for a in arcs]
     return table
 
 
-class _Search:
-    """Dijkstra from one source node over one arc table, stopped at the
-    last target asked for and resumed by the next :meth:`settle`.
+def _dijkstra(arcs: list[tuple], source: int,
+              target: int) -> tuple[dict[int, str], set[int], bool]:
+    """Dijkstra from node ``source`` over ``arcs`` until ``target`` is
+    settled or no node is left: the edge each reached node is reached by,
+    the settled nodes, and whether the search ran dry.
 
-    Each call pops on from where the last one stopped, so any sequence of
-    calls does the first steps of one uninterrupted search. A node's
-    ``prev`` edge is final once the node is settled: weights are positive,
-    and only a strictly shorter distance replaces an edge.
+    A settled node's edge is final: weights are positive, and only a
+    strictly shorter distance replaces an edge. Nodes pop by distance,
+    then by number, so a search stopped at any target has done the first
+    steps of the search that runs dry.
     """
-
-    __slots__ = ("arcs", "dist", "prev", "settled", "frontier")
-
-    def __init__(self, arcs: list[tuple], source: int):
-        self.arcs = arcs
-        self.dist: dict[int, float] = {source: 0.0}
-        self.prev: dict[int, str] = {}  # node -> the edge it is reached by
-        self.settled: set[int] = set()
-        self.frontier: list[tuple[float, int]] = [(0.0, source)]
-
-    def settle(self, target: int) -> None:
-        """Search on until ``target`` is settled, relaxing the arcs of
-        every node popped, the target's too, so that the next call goes on
-        as the uninterrupted search would. Raises :class:`NoRouteError`
-        when the frontier runs out first."""
-        settled = self.settled
-        if target in settled:
-            return
-        arcs, dist, prev, frontier = (self.arcs, self.dist, self.prev,
-                                      self.frontier)
-        pop, push, reached, inf = heapq.heappop, heapq.heappush, dist.get, math.inf
-        while frontier:
-            d, node = pop(frontier)
-            # a node is pushed only when its distance strictly falls, and
-            # no weight is negative: the entry at its distance pops first
-            # and once; any entry above it pops after it, and is stale
-            if node in settled:
-                continue
-            settled.add(node)
-            fields = iter(arcs[node])
-            for to_node, w, eid in zip(fields, fields, fields):
-                nd = d + w
-                if nd < reached(to_node, inf):
-                    dist[to_node] = nd
-                    prev[to_node] = eid
-                    push(frontier, (nd, to_node))
-            if node == target:
-                return
-        raise NoRouteError(f"node number {target} is not reachable")
+    dist: dict[int, float] = {source: 0.0}
+    prev: dict[int, str] = {}
+    settled: set[int] = set()
+    frontier = [(0.0, source)]
+    pop, push, reached, inf = heapq.heappop, heapq.heappush, dist.get, math.inf
+    while frontier:
+        d, node = pop(frontier)
+        # a node is pushed only when its distance strictly falls, and no
+        # weight is negative: the entry at its distance pops first and
+        # once; any entry above it pops after it, and is stale
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == target:
+            return prev, settled, False
+        fields = iter(arcs[node])
+        for to_node, w, eid in zip(fields, fields, fields):
+            nd = d + w
+            if nd < reached(to_node, inf):
+                dist[to_node] = nd
+                prev[to_node] = eid
+                push(frontier, (nd, to_node))
+    return prev, settled, True
 
 
 def route_travel_time(route: Route, speed_factor: float) -> float:

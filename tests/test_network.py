@@ -357,12 +357,17 @@ def test_shortest_path_weight_matches_bellman_ford(weight):
 
 def reference_route(net, from_edge, to_edge, weight):
     """The route search relaxing edge by edge: early-stopping Dijkstra that
-    looks each edge up and asks ``_edge_weight`` for its weight."""
+    looks each edge up and asks ``_edge_weight`` for its weight, over the
+    outgoing edges of each node in edge-id order, which it finds from
+    ``net.edges`` itself."""
     for eid in (from_edge, to_edge):
         if eid not in net.edges:
             raise NetworkError(f"unknown edge {eid}")
     if from_edge == to_edge:
         return reference_route_of(net, (from_edge,))
+    leaving = {node: [] for node in net.nodes}
+    for eid in sorted(net.edges):
+        leaving[net.edges[eid].from_node].append(eid)
     source = net.edges[from_edge].to_node
     target = net.edges[to_edge].from_node
     dist, prev_edge, visited = {source: 0.0}, {}, set()
@@ -374,7 +379,7 @@ def reference_route(net, from_edge, to_edge, weight):
         visited.add(node)
         if node == target:
             break
-        for eid in net.adjacency[node]:
+        for eid in leaving[node]:
             e = net.edges[eid]
             nd = d + _edge_weight(e, weight)
             if nd < dist.get(e.to_node, math.inf):
@@ -406,7 +411,7 @@ def assert_routes_match_reference(net, rng):
     ``NoRouteError`` with it, for every ordered edge pair and both weights:
     on ``net`` in edge-id order, then on a fresh copy of ``net`` in the
     order ``rng`` shuffles them into, so that sources interleave and the
-    search is replaced and resumed, past failed queries too."""
+    kept search is read and replaced, past failed queries too."""
     queries = [(frm, to, weight) for weight in ("distance", "travel_time")
                for frm in net.edges for to in net.edges]
     expected = {}
@@ -475,21 +480,73 @@ def test_routes_match_reference_on_drawn_networks(net, rng):
     assert_routes_match_reference(net, rng)
 
 
-def test_queries_from_one_source_resume_one_search():
+def count_searches(monkeypatch):
+    """The ``(source, target)`` node numbers of each search run from now."""
+    searches = []
+    dijkstra = network._dijkstra
+
+    def counting(arcs, source, target):
+        searches.append((source, target))
+        return dijkstra(arcs, source, target)
+
+    monkeypatch.setattr(network, "_dijkstra", counting)
+    return searches
+
+
+def kept_settled(net):
+    """The node ids that the network's one kept search settled."""
+    ((_, settled, _),) = net._search.values()
+    return {node for node, number in net._node_number.items()
+            if number in settled}
+
+
+def test_a_kept_search_serves_the_targets_it_settled(monkeypatch):
+    searches = count_searches(monkeypatch)
     net = generate_grid(4, 4, 100.0, 13.9)
-    # e00000 leaves n0_0 and e00001 leaves n0_1: different end nodes
-    shortest_path(net, "e00000", "e00010", "distance")
-    (search,) = net._search.values()
-    settled = len(search.settled)
-    shortest_path(net, "e00000", "e00040", "distance")
-    assert list(net._search.values()) == [search]
-    assert len(search.settled) > settled
-    # another source or another weight replaces the search
-    for frm, weight in (("e00001", "distance"), ("e00001", "travel_time")):
-        shortest_path(net, frm, "e00040", weight)
-        (replaced,) = net._search.values()
-        assert replaced is not search
-        search = replaced
+    # the largest edge id leaving each node; e00000 leaves n0_0 for n0_1
+    leaving = {e.from_node: eid for eid, e in sorted(net.edges.items())}
+
+    def route(target, frm="e00000", weight="distance"):
+        shortest_path(net, frm, leaving[target], weight)
+        return len(searches), len(net._paths)
+
+    assert route("n0_2") == (1, 1)
+    # n0_0 ties with n0_2 and has the smaller number: it was settled first
+    assert "n0_0" in kept_settled(net)
+    assert route("n0_0") == (1, 2)
+    # a target beyond the kept search starts a new one
+    assert "n3_3" not in kept_settled(net)
+    assert route("n3_3") == (2, 3)
+    assert "n2_2" in kept_settled(net)
+    assert route("n2_2") == (2, 4)
+    # another source or another weight starts a new one, though the kept
+    # search settled the target
+    assert route("n2_2", frm="e00001") == (3, 5)
+    assert "n2_2" in kept_settled(net)
+    assert route("n2_2", frm="e00001", weight="travel_time") == (4, 6)
+    assert len(net._search) == 1
+
+
+def test_a_search_that_ran_dry_serves_every_query_from_its_source(
+        monkeypatch):
+    searches = count_searches(monkeypatch)
+    net = generate_grid(3, 3, 100.0, 13.9)
+    nodes = dict(net.nodes, i0=Coord(5000.0, 0.0), i1=Coord(5100.0, 0.0))
+    edges = dict(net.edges, i01=Edge("i01", "i0", "i1", 100.0, 13.9, 0.0),
+                 i10=Edge("i10", "i1", "i0", 100.0, 13.9, 0.0))
+    net = RoadNetwork(nodes, edges, net.hourly_speed_factors)
+    with pytest.raises(NoRouteError, match="no route from e00000 to i01"):
+        shortest_path(net, "e00000", "i01", "distance")
+    assert len(searches) == 1
+    ((_, settled, ran_dry),) = net._search.values()
+    assert ran_dry and len(settled) == 9
+    # another island target, then a grid target: the dry search has
+    # settled every node that the source reaches
+    with pytest.raises(NoRouteError, match="no route from e00000 to i10"):
+        shortest_path(net, "e00000", "i10", "distance")
+    shortest_path(net, "e00000", "e00020", "distance")
+    assert len(searches) == 1
+    assert net._routes.keys() == {("e00000", "e00020", "distance")}
 
 
 def test_edges_sharing_end_nodes_share_one_path():

@@ -610,7 +610,7 @@ MEMOS = {"controller": ("_route_energy", "_divert"),
 # graph and its node numbering
 NOT_MEMOS = {"controller": {"vehicles", "trips", "_index"},
              "model": set(),
-             "network": {"nodes", "edges", "adjacency", "_node_number"}}
+             "network": {"nodes", "edges", "_node_number"}}
 
 
 def memo_owners(ctrl):
