@@ -337,7 +337,11 @@ class MetricsCollector:
         which is exact. A vehicle can pass through idle within one
         millisecond: it is set idle, then dispatched from the delayed list
         at the same time, and the count between two transitions of one
-        timestamp is not taken."""
+        timestamp is not taken. It also sets what explains the margin:
+        ``min_idle_at_s``, the first such instant with ``min_idle`` idle
+        vehicles (0.0 if the idle count never falls below the fleet size),
+        and ``min_idle_states``, the vehicles in each other state then,
+        keyed by the state's value, as in ``ticks.csv``."""
         index = self._index
         n = len(self.vehicles)
         state_ms = self._state_ms = {state: [0] * n for state in Lifecycle}
@@ -345,14 +349,18 @@ class MetricsCollector:
         since_ms = [0] * n
         # vehicles per group, in utilization.csv order: idle first
         counts = [n] + [0] * (len(UTILIZATION_HEADER) - 2)
-        min_idle = n
+        # vehicles per state, and at the fewest idle so far
+        by_state = dict.fromkeys(Lifecycle, 0)
+        by_state[Lifecycle.IDLE] = n
+        min_idle, min_at_ms, min_states = n, 0, dict(by_state)
         end = max(horizon_ms, 1)
         t_bin = t_last = 0
         for t_ms, vid, new in self.transitions:
             if t_ms != t_last:
                 # the counts after the last transition at t_last
                 if counts[0] < min_idle:
-                    min_idle = counts[0]
+                    min_idle, min_at_ms, min_states = (counts[0], t_last,
+                                                       dict(by_state))
                 t_last = t_ms
                 while t_bin < t_ms and t_bin < end:
                     yield (t_bin, *counts)
@@ -362,6 +370,8 @@ class MetricsCollector:
             state_ms[old][i] += t_ms - since_ms[i]
             counts[_STATE_COLUMN[old]] -= 1
             counts[_STATE_COLUMN[new]] += 1
+            by_state[old] -= 1
+            by_state[new] += 1
             state[i] = new
             since_ms[i] = t_ms
         while t_bin < end:
@@ -370,7 +380,13 @@ class MetricsCollector:
         for i, (old, start_ms) in enumerate(zip(state, since_ms)):
             if horizon_ms > start_ms:
                 state_ms[old][i] += horizon_ms - start_ms
-        self.min_idle = min(min_idle, counts[0])
+        if counts[0] < min_idle:
+            min_idle, min_at_ms, min_states = counts[0], t_last, by_state
+        self.min_idle = min_idle
+        self.min_idle_at_s = min_at_ms / MS_PER_S
+        self.min_idle_states = {state.value: k for state, k
+                                in min_states.items()
+                                if state is not Lifecycle.IDLE}
 
     # -- export --------------------------------------------------------------------
 
@@ -474,7 +490,8 @@ class MetricsCollector:
                    utilization_bin_s: float) -> dict:
         """Write all CSVs plus ``manifest.json`` to ``out_dir`` and set the
         run's results, ``n_stranded``, ``n_delayed``, ``total_fuel_l``,
-        ``total_grid_wh``, ``mean_wait_s`` and ``min_idle``; returns the
+        ``total_grid_wh``, ``mean_wait_s``, ``min_idle`` and what explains
+        it (see :meth:`_walk`); returns the
         manifest dict: ``run_info`` with the horizon, the row count of each
         file and the results but the two totals added.
 
@@ -518,7 +535,9 @@ class MetricsCollector:
         manifest = dict(run_info, horizon_s=horizon_ms / MS_PER_S,
                         files=files, n_stranded=self.n_stranded,
                         n_delayed=self.n_delayed,
-                        mean_wait_s=self.mean_wait_s, min_idle=self.min_idle)
+                        mean_wait_s=self.mean_wait_s, min_idle=self.min_idle,
+                        min_idle_at_s=self.min_idle_at_s,
+                        min_idle_states=self.min_idle_states)
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

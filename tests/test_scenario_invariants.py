@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -804,14 +804,15 @@ def reference_grid_wh(sessions, vehicle_id):
                         if s.vehicle_id == vehicle_id)
 
 
-def idle_after(transitions, vehicles, t_ms):
-    """The vehicles idle after every transition at or before ``t_ms``,
-    by brute force."""
+def states_after(transitions, vehicles, t_ms):
+    """The vehicles in each state, by its value, after every transition at
+    or before ``t_ms``, by brute force."""
     state = {v.vehicle_id: Lifecycle.IDLE for v in vehicles}
     for at, vid, new in transitions:
         if at <= t_ms:
             state[vid] = new
-    return list(state.values()).count(Lifecycle.IDLE)
+    counts = Counter(new.value for new in state.values())
+    return {new.value: counts[new.value] for new in Lifecycle}
 
 
 def check_walk(collector, bin_ms, horizon_ms):
@@ -819,7 +820,8 @@ def check_walk(collector, bin_ms, horizon_ms):
     milliseconds per state against :func:`reference_state_ms`, the counts at
     each bin start against the state of every vehicle there, found by
     brute force, and ``min_idle`` against the idle count at 0 and after
-    each distinct timestamp of the log."""
+    each distinct timestamp of the log, with the first such timestamp that
+    reads it and the vehicles in each other state there."""
     starts, counts, state_ms, min_idle = walk(collector, bin_ms, horizon_ms)
     transitions = collector.transitions
     for i, v in enumerate(collector.vehicles):
@@ -834,9 +836,14 @@ def check_walk(collector, bin_ms, horizon_ms):
                 state[vid] = _STATE_GROUP[new]
         for group, column in counts.items():
             assert column[i] == list(state.values()).count(group)
-    assert min_idle == min(
-        idle_after(transitions, collector.vehicles, t_ms)
-        for t_ms in {0, *(t_ms for t_ms, _, _ in transitions)})
+    after = [(t_ms, states_after(transitions, collector.vehicles, t_ms))
+             for t_ms in sorted({0, *(t_ms for t_ms, _, _ in transitions)})]
+    assert min_idle == min(states["idle"] for _, states in after)
+    at_ms, states = next((t_ms, states) for t_ms, states in after
+                         if states["idle"] == min_idle)
+    assert collector.min_idle_at_s == at_ms / 1000
+    assert collector.min_idle_states == {
+        state: k for state, k in states.items() if state != "idle"}
 
 
 def test_grouped_metrics_equal_reference_filters(busy_run):
