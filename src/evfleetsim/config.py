@@ -53,8 +53,8 @@ MAX_TICK_ROWS = (int(MAX_HORIZON_S) // 10 + 1) * MAX_VEHICLES
 MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
 # the most steps one drive plan may have: a plan keeps about 160 bytes per
 # step in its tuples of floats (up to about 260 if no value repeated), and
-# building it peaks at about 490, by tracemalloc on CPython 3.11, x86-64
-# (a 1000 m edge at 0.7 m/s); so about 16 MB at the cap, 49 MB while it is
+# building it peaks at about 215, by tracemalloc on CPython 3.11, x86-64
+# (a 1000 m edge at 0.7 m/s); so about 16 MB at the cap, 22 MB while it is
 # built. The bundled day's plans have at most 29 steps at its dt of 1 s and
 # about 29,300 at the smallest dt, 0.001 s; an edge at a speed limit of
 # 0.001 m/s would need 250 million

@@ -382,7 +382,9 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     columns, equal floats are one object, the one ``intern`` stored first:
     a plan's steps repeat few values (the step length, the acceleration,
     cruise), and a float object takes 24 bytes beside its 8-byte slot.
-    Zeros stay as they are, since a dict key keeps no sign."""
+    Zeros stay as they are, since a dict key keeps no sign. The cumulative
+    energy is not interned: its values almost never repeat, and would only
+    fill the dict while the plan is built."""
     params, dt, env = model.params, model.dt, model.env
     profile = _plan_profile(
         edge.length_m, v_entry, v_exit_target, v_cruise,
@@ -401,7 +403,8 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     r_eff = params.recuperation_efficiency
     r_max = params.max_recuperation_power_w
     intern = {}.setdefault
-    columns = ([], [], [], [], [], [], [])
+    columns = ([], [], [], [], [], [])
+    cums = []
     bounds = chain(starts, (total,))
     t0 = next(bounds)
     x0, u0 = profile.position(t0), profile.velocity(t0)
@@ -419,11 +422,13 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
             r = 0.0
         net = _consumed_power(p, params) - r
         cum = net * d if cum is None else cum + net * d
-        for column, x in zip(columns, (d, v, a, p, net, r, cum)):
+        for column, x in zip(columns, (d, v, a, p, net, r)):
             column.append(intern(x, x) if x else x)
+        cums.append(cum)
         t0, x0, u0 = t1, x1, u1
-    dt_s, v_mps, a_mps2, p_trac_w, p_battery_w, p_recup_w, soc_drop = (
+    dt_s, v_mps, a_mps2, p_trac_w, p_battery_w, p_recup_w = (
         tuple(column) for column in columns)
+    soc_drop = tuple(cums)
     # a vanishing edge has no step: extremes of -inf and +inf put every SOC
     # outside its bounds, so its drive takes the step loop
     cum_min, cum_max, cum_last = (
