@@ -27,8 +27,8 @@ from pathlib import Path
 import yaml
 
 from . import charging, metrics, network
-from .dynamics import (Environment, RangeExtenderParams, VehicleParams,
-                       traction_power)
+from .dynamics import (DynamicsError, Environment, RangeExtenderParams,
+                       VehicleParams, longest_drive_s, step_count)
 from .engine import left_sum, ms
 from .fleet import (DemandProfile, DwellDistribution, FleetPolicies, TripsPerDay)
 
@@ -55,9 +55,9 @@ MAX_UTILIZATION_BINS = int(MAX_HORIZON_S)
 # step in its tuples of floats (up to about 260 if no value repeated), and
 # building it peaks at about 215, by tracemalloc on CPython 3.11, x86-64
 # (a 1000 m edge at 0.7 m/s); so about 16 MB at the cap, 22 MB while it is
-# built. The bundled day's plans have at most 29 steps at its dt of 1 s and
-# about 29,300 at the smallest dt, 0.001 s; an edge at a speed limit of
-# 0.001 m/s would need 250 million
+# built. The bundled day's plans have at most 30 steps at its dt of 1 s and
+# 29,262 at the smallest dt, 0.001 s; an edge at a speed limit of 0.001 m/s
+# would need 250 million
 MAX_DRIVE_STEPS = 100_000
 # the most rows a run may write to histograms.csv: each row past the
 # configured bins is one last-bin width of driven distance, so 100,000 rows
@@ -419,42 +419,23 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
     ecfg = cfg["environment"]
     environment = _build("environment", errors, Environment,
                          ecfg["gravity_mps2"], ecfg["air_density_kgpm3"])
-    # the longest drive plan: its duration (s) and edge
+    # the longest drive plan at the slowest hour, its duration (s) and edge,
+    # asked once per edge geometry, of its first edge in id order
     longest = (0.0, None)
-    if net is not None and vehicle_params is not None:
-        # drive_segment cannot plan an edge that is shorter than the
-        # braking distance from its speed limit to standstill, nor one on
-        # which the traction power at full acceleration or braking from the
-        # speed limit is not finite
-        d_max = vehicle_params.max_deceleration_mps2
-        accelerations = (vehicle_params.max_acceleration_mps2, -d_max)
-        # an edge's longest drive goes from standstill to standstill; at
-        # cruise speed v it lasts at most length / v + v * ramp, which is
-        # convex in v, so at the slowest or the fastest hour's factor
-        ramp = (1.0 / accelerations[0] + 1.0 / d_max) / 2.0
-        factors = (min(net.hourly_speed_factors),
-                   max(net.hourly_speed_factors))
-        for eid in sorted(net.edges):
-            e = net.edges[eid]
-            for f in factors:
-                v = e.speed_limit_mps * f
-                drive_s = e.length_m / v + v * ramp if v > 0.0 else math.inf
-                if drive_s > longest[0]:
-                    longest = (drive_s, eid)
-            if e.speed_limit_mps * e.speed_limit_mps / (2.0 * d_max) > e.length_m:
-                errors.append(
-                    f"network, fleet.vehicle.max_deceleration_mps2: edge "
-                    f"{eid} ({e.length_m:g} m) is shorter than the braking "
-                    f"distance from its speed limit to standstill")
+    if None not in (net, vehicle_params, environment):
+        firsts = {}
+        for e in map(net.edges.get, sorted(net.edges)):
+            firsts.setdefault((e.length_m, e.speed_limit_mps, e.gradient), e)
+        for e in firsts.values():
+            try:
+                drive_s = longest_drive_s(e, min(net.hourly_speed_factors),
+                                          vehicle_params, environment)
+            except DynamicsError as exc:
+                errors.append(f"network, environment, fleet.vehicle: edge "
+                              f"{e.edge_id}: {exc}")
                 break
-            if environment is not None and not all(math.isfinite(
-                    traction_power(e.speed_limit_mps, a, e.gradient,
-                                   vehicle_params, environment))
-                    for a in accelerations):
-                errors.append(
-                    f"network, environment, fleet.vehicle: the traction "
-                    f"power at the speed limit of edge {eid} is not finite")
-                break
+            if drive_s > longest[0]:
+                longest = (drive_s, e.edge_id)
 
     stations = _build_stations(cfg["stations"], net, errors)
     if vehicle_params is not None:
@@ -471,14 +452,9 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
 
     demand = _build_demand(cfg["demand"], errors)
     if net is not None and net.nodes and demand is not None:
-        # nearest_edge squares the offset of a trip destination, at most the
-        # largest distance bin away from the depot, from every node
+        # a trip destination lies at most the largest bin from the depot
         reach = max(upper for upper, _ in demand.distance_bins)
-        xs = [c.x for c in net.nodes.values()]
-        ys = [c.y for c in net.nodes.values()]
-        dx = reach + (max(xs) - min(xs))
-        dy = reach + (max(ys) - min(ys))
-        if not math.isfinite(dx * dx + dy * dy):
+        if not net.within_reach(reach):
             errors.append(
                 f"demand.distance_bins: upper_m {reach:g} reaches too far "
                 f"beyond the network: the square of the offset is not finite")
@@ -545,11 +521,11 @@ def build_config(raw: dict, base_dir: Path | str = ".") -> ScenarioConfig:
                 f"are more than {MAX_UTILIZATION_BINS:,} utilization.csv rows")
         longest_s, eid = longest
         dt = ncfg["dynamics_dt_s"]
-        steps = longest_s / dt
+        steps = step_count(longest_s, dt)
         if steps > MAX_DRIVE_STEPS:
             errors.append(
                 f"numerics.dynamics_dt_s: the longest drive, {longest_s:g} s "
-                f"on edge {eid}, is {steps:,.0f} steps of {dt:g} s, more "
+                f"on edge {eid}, is {steps:,} steps of {dt:g} s, more "
                 f"than {MAX_DRIVE_STEPS:,}")
 
     if errors:

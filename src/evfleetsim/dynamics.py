@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .engine import ms
+from .engine import ClockRangeError, ms
 
 S_PER_H = 3600.0
 # the gentlest acceleration and braking a vehicle may have, below any road
@@ -368,6 +368,40 @@ class _SegmentPlan:
     recuperated_wh: float
 
 
+def step_count(duration_s: float, dt: float) -> int:
+    """The steps of a plan that lasts ``duration_s``: one from each start
+    ``k * dt`` up to its end, the last dropped if it lasts at most 1e-9 s."""
+    n_full = int(math.floor(duration_s / dt + 1e-12))
+    return n_full + (duration_s - n_full * dt > 1e-9)
+
+
+def longest_drive_s(edge, speed_factor: float, params: VehicleParams,
+                    env: Environment) -> float:
+    """The duration (s) of the plan of ``edge`` from standstill to
+    standstill at ``speed_factor``, the longest drive of the edge at this or
+    a larger factor: below the triangular profile's peak, ``length / v + v
+    * (1 / a + 1 / d) / 2`` falls as the cruise speed ``v`` rises.
+    Raises :class:`DynamicsError` if a drive that enters at the speed limit
+    cannot stop within the edge, if the traction power at the limit is not
+    finite, or if the drive does not fit the millisecond clock."""
+    a_max, d_max = params.max_acceleration_mps2, params.max_deceleration_mps2
+    limit = edge.speed_limit_mps
+    _plan_profile(edge.length_m, limit, 0.0, limit, a_max, d_max)
+    if not all(math.isfinite(traction_power(limit, a, edge.gradient, params,
+                                            env)) for a in (a_max, -d_max)):
+        raise DynamicsError("the traction power at its speed limit is not "
+                            "finite")
+    v_cruise = limit * speed_factor
+    duration = (_plan_profile(edge.length_m, 0.0, 0.0, v_cruise, a_max,
+                              d_max).duration if v_cruise > 0.0 else math.inf)
+    try:
+        ms(duration)  # the clock its plan counts the duration on
+    except ClockRangeError:
+        raise DynamicsError(f"its drive at speed factor {speed_factor:g} "
+                            f"does not fit the millisecond clock") from None
+    return duration
+
+
 def _consumed_power(p_trac: float, params: VehicleParams) -> float:
     """The battery power (W) a step of wheel power ``p_trac`` draws for
     propulsion and the auxiliary load, before recuperation."""
@@ -392,12 +426,8 @@ def _plan_segment(edge, v_entry: float, v_exit_target: float, v_cruise: float,
     )
     total = profile.duration
 
-    # the step bounds k * dt, the last one moved or added to end at total;
     # the starts stay a slice of the model's grid
-    n_full = int(math.floor(total / dt + 1e-12))
-    starts = model.step_starts(n_full + 1)
-    if total - starts[-1] <= 1e-9:
-        starts = starts[:-1]
+    starts = model.step_starts(step_count(total, dt))
 
     gradient = edge.gradient
     r_eff = params.recuperation_efficiency

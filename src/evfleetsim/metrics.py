@@ -14,6 +14,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 from .charging import session_progress
@@ -49,18 +50,6 @@ _REST_TEMPLATE = b"0.0000,0.0000,%.9f,0.000,0.000,0.000,0.000\r\n"
 # bytes of ticks.csv held by the open file before it writes them out
 TICK_WRITE_BUFFER_BYTES = 1 << 16
 
-_STATE_GROUP = {
-    Lifecycle.IDLE: "idle",
-    Lifecycle.EN_ROUTE: "busy",
-    Lifecycle.DWELLING: "busy",
-    Lifecycle.RETURNING: "busy",
-    Lifecycle.CHARGING: "charging",
-    Lifecycle.QUEUED_AT_STATION: "queued",
-    Lifecycle.STRANDED: "stranded",
-}
-# each state's column of the utilization.csv counts, after bin_start_s
-_STATE_COLUMN = {state: UTILIZATION_HEADER.index(group) - 1
-                 for state, group in _STATE_GROUP.items()}
 # each state's ticks.csv field and the comma after it
 _STATE_FIELD = {state: b"%s," % state.value.encode("ascii")
                 for state in Lifecycle}
@@ -345,48 +334,47 @@ class MetricsCollector:
         index = self._index
         n = len(self.vehicles)
         state_ms = self._state_ms = {state: [0] * n for state in Lifecycle}
-        state = [Lifecycle.IDLE] * n
+        idle = Lifecycle.IDLE
+        state = [idle] * n
         since_ms = [0] * n
-        # vehicles per group, in utilization.csv order: idle first
-        counts = [n] + [0] * (len(UTILIZATION_HEADER) - 2)
-        # vehicles per state, and at the fewest idle so far
-        by_state = dict.fromkeys(Lifecycle, 0)
-        by_state[Lifecycle.IDLE] = n
-        min_idle, min_at_ms, min_states = n, 0, dict(by_state)
+        # the states of each utilization.csv group, in its column order
+        groups = ((idle,), (Lifecycle.EN_ROUTE, Lifecycle.DWELLING,
+                            Lifecycle.RETURNING), (Lifecycle.CHARGING,),
+                  (Lifecycle.QUEUED_AT_STATION,), (Lifecycle.STRANDED,))
+        # vehicles per state, now and at the fewest idle so far
+        by_state = {state: n if state is idle else 0 for state in Lifecycle}
+        min_at_ms, min_states = 0, dict(by_state)
         end = max(horizon_ms, 1)
         t_bin = t_last = 0
-        for t_ms, vid, new in self.transitions:
+        # the transitions, then one at infinity that takes the counts after
+        # the last and yields the bins left
+        transitions = chain(self.transitions, [(math.inf, None, None)])
+        for t_ms, vid, new in transitions:
             if t_ms != t_last:
                 # the counts after the last transition at t_last
-                if counts[0] < min_idle:
-                    min_idle, min_at_ms, min_states = (counts[0], t_last,
-                                                       dict(by_state))
+                if by_state[idle] < min_states[idle]:
+                    min_at_ms, min_states = t_last, dict(by_state)
                 t_last = t_ms
                 while t_bin < t_ms and t_bin < end:
-                    yield (t_bin, *counts)
+                    yield (t_bin, *(sum(by_state[s] for s in group)
+                                    for group in groups))
                     t_bin += bin_ms
+            if vid is None:
+                break
             i = index[vid]
             old = state[i]
             state_ms[old][i] += t_ms - since_ms[i]
-            counts[_STATE_COLUMN[old]] -= 1
-            counts[_STATE_COLUMN[new]] += 1
             by_state[old] -= 1
             by_state[new] += 1
             state[i] = new
             since_ms[i] = t_ms
-        while t_bin < end:
-            yield (t_bin, *counts)
-            t_bin += bin_ms
         for i, (old, start_ms) in enumerate(zip(state, since_ms)):
             if horizon_ms > start_ms:
                 state_ms[old][i] += horizon_ms - start_ms
-        if counts[0] < min_idle:
-            min_idle, min_at_ms, min_states = counts[0], t_last, by_state
-        self.min_idle = min_idle
+        self.min_idle = min_states[idle]
         self.min_idle_at_s = min_at_ms / MS_PER_S
         self.min_idle_states = {state.value: k for state, k
-                                in min_states.items()
-                                if state is not Lifecycle.IDLE}
+                                in min_states.items() if state is not idle}
 
     # -- export --------------------------------------------------------------------
 

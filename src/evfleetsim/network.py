@@ -136,8 +136,7 @@ class RoadNetwork:
         for nid, c in self.nodes.items():
             if not (math.isfinite(c.x) and math.isfinite(c.y)):
                 raise NetworkError(f"node {nid}: non-finite coordinates")
-        # nearest_edge squares coordinate differences
-        if self.nodes and not math.isfinite(self._extent_sq()):
+        if not self.within_reach(0.0):
             raise NetworkError("node coordinates span too far: the "
                                "square of their extent is not finite")
         for eid, e in self.edges.items():
@@ -171,11 +170,17 @@ class RoadNetwork:
         a, b = self.nodes[e.from_node], self.nodes[e.to_node]
         return Coord((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
 
-    def _extent_sq(self) -> float:
-        """The squared diagonal of the nodes' bounding box."""
+    def within_reach(self, reach: float) -> bool:
+        """Whether :func:`nearest_edge` can square the offset from any node
+        of a point at most ``reach`` (m) outside the nodes' bounding box."""
+        return not self.nodes or math.isfinite(self._extent_sq(reach))
+
+    def _extent_sq(self, reach: float = 0.0) -> float:
+        """The squared diagonal of the nodes' bounding box, its width and
+        height each lengthened by ``reach``."""
         xs = [c.x for c in self.nodes.values()]
         ys = [c.y for c in self.nodes.values()]
-        width, height = max(xs) - min(xs), max(ys) - min(ys)
+        width, height = (reach + (max(v) - min(v)) for v in (xs, ys))
         return width * width + height * height
 
 

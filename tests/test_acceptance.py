@@ -2,6 +2,7 @@
 PASS line (visible with ``pytest -s``; the per-test -v lines carry the same
 criterion numbers)."""
 
+import copy
 import filecmp
 import math
 import time
@@ -13,7 +14,8 @@ from conftest import dummy_vehicle, make_params, vehicle_ledger_errors
 
 from evfleetsim.charging import (ChargeSession, ChargingManager,
                                  ChargingStation, Slot, charge_duration)
-from evfleetsim.config import default_scenario_path, load_config
+from evfleetsim.config import (build_config, default_scenario_path,
+                               load_config, load_raw)
 from evfleetsim.dynamics import (DriveModel, Environment, VehicleState,
                                  drive_segment)
 from evfleetsim.engine import Engine, Event, EventKind
@@ -234,6 +236,34 @@ def test_c6_fleet_size_sweep_fig2_analogue(tmp_path):
     assert min_idle[0] > 0  # the 100-vehicle fleet is overdimensioned
     assert elapsed < 300.0
     report(6, f"min idle over sizes {values}: {min_idle} ({elapsed:.0f}s)")
+
+
+@pytest.mark.parametrize("seed, schedule_size",
+                         [(42, 100), (42, 200), (1003, 100), (1003, 200)])
+def test_c6_the_margin_is_the_fleet_that_can_go(tmp_path, seed,
+                                                 schedule_size):
+    """The overdimensioning margin ``m`` of the bundled 100-vehicle fleet,
+    read from its own run, is the number of vehicles it can shed: a fleet
+    of ``100 - m`` serves the same schedule without a delayed trip, and one
+    of ``100 - m - 1`` delays at least one. This is a measured property of
+    these four probes, not a theorem: a smaller fleet also charges
+    differently, which could delay a trip elsewhere."""
+    raw = load_raw(default_scenario_path())
+    raw["seed"] = seed
+    raw["demand"]["schedule_size"] = schedule_size
+
+    def run(size):
+        sized = copy.deepcopy(raw)
+        sized["fleet"]["size"] = size
+        config = build_config(sized, default_scenario_path().parent)
+        return run_scenario(config, tmp_path / str(size))
+
+    margin = run(100).min_idle
+    assert 0 < margin < 100
+    assert run(100 - margin).n_delayed == 0
+    assert run(100 - margin - 1).n_delayed > 0
+    report(6, f"seed {seed}, {schedule_size} trips: {100 - margin} vehicles "
+              f"delay none, {100 - margin - 1} delay some")
 
 
 def test_c7_determinism_byte_identical_csvs(bundled_run, tmp_path):

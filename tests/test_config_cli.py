@@ -362,8 +362,8 @@ def test_the_caps_admit_the_finest_bundled_day_and_the_ladder():
      "stations, fleet.vehicle.max_charging_power_w: full charge at slot s1 "
      "of 'st0'"),
     ({"environment": {"gravity_mps2": 1e306}},
-     "network, environment, fleet.vehicle: the traction power at the speed "
-     "limit of edge e00000 is not finite"),
+     "network, environment, fleet.vehicle: edge e00000: the traction power "
+     "at its speed limit is not finite"),
     (NO_ROUTE_HOME, "stations: station 'st1' on edge 's' has no route back "
      "to the depot edge 'd'"),
 ], ids=["top", "numerics", "grid_rows", "speed_factors", "override_text",

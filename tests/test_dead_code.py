@@ -5,12 +5,13 @@ its own definition.
 ``__init__.py`` holds only the docstring and ``__version__``, so it is not
 scanned. Every field of a package dataclass is read by the package itself,
 and every parameter of a package function is read in its body.
-Six architecture guards ride along: importing the package loads no
+Seven architecture guards ride along: importing the package loads no
 submodule, congestion enters once, in the fleet controller, only the network
 and the config builder index a network's edges (everything else reads a
 route's legs), no function takes a ``plans`` memo (the drive model owns
-it), only the metrics module writes CSV (the engine imports no ``csv``), and
-no function changes module-level state.
+it), only the metrics module writes CSV (the engine imports no ``csv``), no
+function changes module-level state, and only the drive model applies its
+own rules (the config asks it, and the network, instead of restating them).
 """
 
 import ast
@@ -288,6 +289,36 @@ def test_only_the_metrics_module_writes_csv():
         for child in ast.walk(package.trees["engine.py"])
         if isinstance(child, ast.Import)
         and any(alias.name == "csv" for alias in child.names)]
+    assert not offences, offences
+
+
+# what only the drive model reads or calls: the vehicle's acceleration
+# limits, the traction power and the velocity profile
+DRIVE_RULES = {"max_acceleration_mps2", "max_deceleration_mps2",
+               "traction_power", "_plan_profile"}
+
+
+def test_only_the_drive_model_applies_its_rules():
+    """Outside ``dynamics.py`` no module reads a vehicle's acceleration
+    limits or calls the traction power or the profile planner, and the
+    config reads no node coordinate: ``build_config`` asks
+    ``dynamics.longest_drive_s`` and ``step_count`` for the longest plan and
+    ``RoadNetwork.within_reach`` for the reach of the trips."""
+    package = Package()
+    offences = [
+        f"{module}:{child.lineno} {name}"
+        for module, tree in package.trees.items() if module != "dynamics.py"
+        for child in ast.walk(tree)
+        for name in [getattr(child, "attr", getattr(child, "id", None))]
+        if isinstance(child, (ast.Attribute, ast.Name))
+        and (name in DRIVE_RULES
+             or (module == "config.py" and isinstance(child, ast.Attribute)
+                 and name in ("x", "y")))]
+    offences += [
+        f"{module}:{child.lineno} import {alias.name}"
+        for module, tree in package.trees.items() if module != "dynamics.py"
+        for child in ast.walk(tree) if isinstance(child, ast.ImportFrom)
+        for alias in child.names if alias.name in DRIVE_RULES]
     assert not offences, offences
 
 

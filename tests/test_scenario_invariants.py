@@ -29,7 +29,7 @@ from evfleetsim.config import default_scenario_path, load_config
 from evfleetsim.engine import (Engine, EventKind, ModelError,
                                SimulationAborted, ms)
 from evfleetsim.fleet import FleetController, Lifecycle, Vehicle
-from evfleetsim.metrics import _STATE_GROUP, TICK_HEADER, MetricsCollector
+from evfleetsim.metrics import TICK_HEADER, MetricsCollector
 from evfleetsim.network import Coord, Edge, RoadNetwork, shortest_path
 from evfleetsim.simulation import run_scenario
 
@@ -815,6 +815,12 @@ def states_after(transitions, vehicles, t_ms):
     return {new.value: counts[new.value] for new in Lifecycle}
 
 
+# the utilization.csv group of each state, as the README lists them
+GROUP = {"idle": "idle", "en_route": "busy", "dwelling": "busy",
+         "returning": "busy", "charging": "charging", "queued": "queued",
+         "stranded": "stranded"}
+
+
 def check_walk(collector, bin_ms, horizon_ms):
     """The walk of ``collector`` against the oracles: each vehicle's
     milliseconds per state against :func:`reference_state_ms`, the counts at
@@ -833,7 +839,7 @@ def check_walk(collector, bin_ms, horizon_ms):
         state = {v.vehicle_id: "idle" for v in collector.vehicles}
         for t_ms, vid, new in transitions:
             if t_ms <= start_ms:
-                state[vid] = _STATE_GROUP[new]
+                state[vid] = GROUP[new.value]
         for group, column in counts.items():
             assert column[i] == list(state.values()).count(group)
     after = [(t_ms, states_after(transitions, collector.vehicles, t_ms))
